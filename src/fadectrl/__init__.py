@@ -25,15 +25,13 @@ from .cosim import (
     simulate,
     write_trace_csv,
 )
-from .linalg import bisect_threshold, linear_solve, solve_dlyap, sym_eigenvalues
+from .linalg import bisect_threshold, solve_dlyap, sym_eigenvalues
 from .mas import (
     ConstraintSets,
     MasModel,
     admissible_inputs,
-    build_structure_matrix,
     one_step_reach,
-    step_logical,
-    step_tuple,
+    successors,
 )
 from .scenario import Scenario, load_scenario, load_scenario_text
 from .stabilization import (
@@ -44,15 +42,6 @@ from .stabilization import (
     largest_invariant,
     omega_set,
     reachable_layers,
-)
-from .stp import (
-    LogicalMatrix,
-    LogicalVector,
-    decode_index,
-    encode_tuple,
-    stp,
-    stp_basis,
-    stp_logical,
 )
 from .synthesis import (
     StageCost,
@@ -70,7 +59,6 @@ from .wcs import (
     WcsModel,
     decay_threshold,
     default_lyapunov_weight,
-    expected_decay_check,
     lyapunov_value,
     plant_step,
 )

@@ -158,6 +158,10 @@ def success_prob(tables: ChannelTables, policy: TransmitPolicy, link: int, state
 
 def expected_power(tables: ChannelTables, policy: TransmitPolicy, wcs_model, state: int):
     """Power expectation at this agent state, priced per link."""
+    if tables is None:
+        raise PreconditionViolated(
+            "expected radio power undefined: scenario has no channel tables"
+        )
     prices = wcs_model.power_prices
     if len(prices) != policy.link_count:
         raise DimensionMismatch(

@@ -187,10 +187,6 @@ def _replay_slow(scenario, schedule: Schedule, n_slow: int):
 
 def _running_average(scenario, alpha_slow, inputs_slow, horizon: int) -> np.ndarray:
     """Deterministic running average of the joint cost over fast steps."""
-    if scenario.tables is None:
-        raise PreconditionViolated(
-            "expected radio power undefined: scenario has no channel tables"
-        )
     cost = scenario.cost
     power = {
         a: float(expected_power(scenario.tables, scenario.policy, scenario.wcs, a))

@@ -22,24 +22,12 @@ class IndexOutOfRange(ToolkitError, ValueError):
     """A basis index lies outside {1, ..., dim}."""
 
 
-class NonLogicalResult(ToolkitError, ValueError):
-    """A product that must be a canonical basis vector is not one."""
-
-
 class ValueOutOfRange(ToolkitError, ValueError):
     """A scalar parameter violates its documented range."""
 
 
-class SingularMatrix(ToolkitError, ValueError):
-    """Pivot collapsed during elimination; system has no reliable solution."""
-
-
 class Unstable(ToolkitError, ValueError):
-    """Fixed-point iteration failed to contract (spectral radius >= 1)."""
-
-
-class NoConvergence(ToolkitError, RuntimeError):
-    """Iterative method exceeded its sweep budget."""
+    """Dynamics are not contractive (spectral radius >= 1)."""
 
 
 class Infeasible(ToolkitError, ValueError):

@@ -1,9 +1,8 @@
-"""Small dense numeric kernel: solve, discrete Lyapunov, Jacobi, bisection.
+"""Small dense numeric kernel: discrete Lyapunov, eigenvalues, bisection.
 
-Everything here is written out rather than delegated so the error
-contracts (pivot collapse, non-contraction, sweep budget) are explicit
-and testable.  Matrices are numpy arrays; symmetric inputs are validated
-with `require_symmetric`.
+numpy does the dense numerics; this module adds the error contracts
+(non-contraction, infeasibility, indefiniteness) the toolkit reports.
+Symmetric inputs are validated with `require_symmetric`.
 """
 
 from __future__ import annotations
@@ -13,17 +12,11 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     Infeasible,
-    NoConvergence,
     PreconditionViolated,
-    SingularMatrix,
     Unstable,
     ValueOutOfRange,
 )
 
-PIVOT_RTOL = 1e-13
-DLYAP_RESIDUAL = 1e-10
-DLYAP_MAX_ITER = 10_000
-JACOBI_MAX_SWEEPS = 100
 BISECT_TOL = 1e-9
 BISECT_MAX_ITER = 64
 
@@ -38,50 +31,12 @@ def require_symmetric(m, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def linear_solve(a, b) -> np.ndarray:
-    """Solve a x = b by Gaussian elimination with partial pivoting.
-
-    Raises SingularMatrix when the best available pivot falls below
-    PIVOT_RTOL * ||a||_inf.
-    """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("coefficient matrix must be square, got %s" % (a.shape,))
-    n = a.shape[0]
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b.reshape(-1, 1)
-    if b.shape[0] != n:
-        raise DimensionMismatch(
-            "rhs has %d rows, expected %d" % (b.shape[0], n)
-        )
-    norm = float(np.max(np.sum(np.abs(a), axis=1))) if n else 0.0
-    threshold = PIVOT_RTOL * max(norm, 1e-300)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) < threshold:
-            raise SingularMatrix(
-                "pivot %.3e below %.3e at column %d" % (abs(a[piv, col]), threshold, col)
-            )
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1 :] -= np.outer(factors, b[col])
-    x = np.zeros_like(b)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x[:, 0] if vector_rhs else x
-
-
 def solve_dlyap(a, c) -> np.ndarray:
-    """Solve a' Q a - Q + c = 0 for symmetric Q, by fixed-point iteration.
+    """Solve a' Q a - Q + c = 0 for symmetric Q.
 
-    Q_{j+1} = a' Q_j a + c contracts iff the spectral radius of a is
-    below one; non-contraction within DLYAP_MAX_ITER raises Unstable.
-    The result satisfies ||a' Q a - Q + c||_max <= DLYAP_RESIDUAL.
+    The solution exists and is unique iff the spectral radius of a is
+    below one; otherwise Unstable is raised.  Row-major vectorization
+    turns the equation into (a' kron a' - I) vec(Q) = -vec(c).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -91,72 +46,19 @@ def solve_dlyap(a, c) -> np.ndarray:
         raise DimensionMismatch(
             "constant term shape %s != state matrix shape %s" % (c.shape, a.shape)
         )
-    q = c.copy()
-    at = a.T
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
-        for _ in range(DLYAP_MAX_ITER):
-            residual = at @ q @ a - q + c
-            err = float(np.max(np.abs(residual))) if residual.size else 0.0
-            if err <= DLYAP_RESIDUAL:
-                return 0.5 * (q + q.T)
-            if not np.isfinite(err):
-                raise Unstable("iteration diverged (residual not finite)")
-            q = q + residual
-    raise Unstable(
-        "residual %.3e after %d iterations; spectral radius likely >= 1"
-        % (err, DLYAP_MAX_ITER)
-    )
-
-
-def _jacobi(m: np.ndarray):
-    """Cyclic Jacobi sweeps; returns (eigenvalues ascending, rotations V)."""
-    a = m.copy()
+    if not np.isfinite(a).all():
+        raise Unstable("state matrix has non-finite entries")
+    radius = float(np.max(np.abs(np.linalg.eigvals(a)), initial=0.0))
+    if radius >= 1.0:
+        raise Unstable("spectral radius %.6g >= 1" % radius)
     n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.max(np.abs(a - np.diag(a.diagonal())))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-16 * scale:
-                    continue
-                # classic 2x2 rotation annihilating a[p,q]
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    else:
-        raise NoConvergence(
-            "off-diagonal %.3e after %d sweeps" % (off, JACOBI_MAX_SWEEPS)
-        )
-    order = np.argsort(a.diagonal(), kind="stable")
-    return a.diagonal()[order].copy(), v[:, order]
+    q = np.linalg.solve(np.kron(a.T, a.T) - np.eye(n * n), -c.ravel()).reshape(n, n)
+    return 0.5 * (q + q.T)
 
 
 def sym_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi."""
-    m = require_symmetric(m)
-    vals, _ = _jacobi(m)
-    return vals
-
-
-def sym_eigen(m):
-    """Eigenvalues (ascending) and orthonormal eigenvectors as columns."""
-    m = require_symmetric(m)
-    return _jacobi(m)
+    """All eigenvalues of a symmetric matrix, ascending."""
+    return np.linalg.eigvalsh(require_symmetric(m))
 
 
 def bisect_threshold(predicate, tol: float = BISECT_TOL) -> float:

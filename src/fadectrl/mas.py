@@ -1,18 +1,27 @@
-"""Finite-field multi-agent dynamics and their algebraic form.
+"""Finite-field multi-agent dynamics.
 
 Each of n agents holds a value in {0,...,kappa-1} and updates by a
 weighted modular sum over its in-neighbourhood plus a local input:
 
     alpha_j(k+1) = ( sum_{l in I_j u {j}} a_{j,l} alpha_l(k) + u_j(k) ) mod kappa.
 
-The joint state/input embed as basis vectors of dimension N = kappa^n
-(see stp.encode_tuple), and the whole update collapses to one logical
-matrix F with  alpha(k+1) = F |x| u(k) |x| alpha(k).
+Joint states and inputs are 1-based indices into the N = kappa^n value
+tuples, leftmost coordinate most significant:
+
+    (v1, ..., vn)  <->  index 1 + sum_j v_j * kappa^(n-j).
+
+The paper writes the same law in semi-tensor-product form, as one
+N x N^2 logical matrix F with alpha(k+1) = F |x| u(k) |x| alpha(k); here
+it is evaluated directly on arrays of indices by `successors`, the only
+place the law is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -20,7 +29,8 @@ from .errors import (
     StateNotInConstraint,
     ValueOutOfDomain,
 )
-from .stp import LogicalMatrix, LogicalVector, decode_index, encode_tuple
+
+INDEX_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -58,6 +68,11 @@ class MasModel:
                         "weight a[%d,%d] = %d outside 0..%d"
                         % (j, l, a, self.kappa - 1)
                     )
+        if max(self.kappa ** self.n, self.n * self.kappa ** 2) > INDEX_MAX:
+            raise DimensionMismatch(
+                "%d agents over %d values overflow 64-bit index arithmetic"
+                % (self.n, self.kappa)
+            )
 
     @property
     def state_count(self) -> int:
@@ -66,59 +81,46 @@ class MasModel:
     def in_neighbors(self, j: int) -> frozenset:
         return frozenset(l for l in self.weights[j] if l != j)
 
+    @cached_property
+    def weight_matrix(self) -> np.ndarray:
+        """n x n integer matrix with entry [j, l] = a_{j,l} (0 off-neighbourhood)."""
+        w = np.zeros((self.n, self.n), dtype=np.int64)
+        for j, wmap in enumerate(self.weights):
+            for l, a in wmap.items():
+                w[j, l] = a
+        return w
 
-def step_tuple(model: MasModel, alpha, u) -> tuple:
-    """One update of the modular law on value tuples."""
-    alpha = tuple(alpha)
-    u = tuple(u)
-    if len(alpha) != model.n or len(u) != model.n:
-        raise DimensionMismatch(
-            "state/input tuples must have length %d" % model.n
+    @cached_property
+    def place_values(self) -> np.ndarray:
+        """kappa^(n-1), ..., kappa, 1: the weight of each tuple coordinate."""
+        return self.kappa ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+
+
+def to_digits(model: MasModel, indices) -> np.ndarray:
+    """Value tuples, shape (..., n), of 1-based state or input indices."""
+    idx = np.asarray(indices, dtype=np.int64)
+    bad = idx[(idx < 1) | (idx > model.state_count)]
+    if bad.size:
+        raise IndexOutOfRange(
+            "basis index %d outside 1..%d" % (bad.flat[0], model.state_count)
         )
-    for v in alpha + u:
-        if not 0 <= v < model.kappa:
-            raise ValueOutOfDomain("coordinate %r outside 0..%d" % (v, model.kappa - 1))
-    out = []
-    for j in range(model.n):
-        acc = u[j]
-        for l, a in model.weights[j].items():
-            acc += a * alpha[l]
-        out.append(acc % model.kappa)
-    return tuple(out)
+    return (idx[..., None] - 1) // model.place_values % model.kappa
 
 
-def step_logical(model: MasModel, alpha: LogicalVector, u: LogicalVector) -> LogicalVector:
-    """One update on basis vectors (decode, step, encode; exact)."""
-    n, kappa = model.n, model.kappa
-    a_t = decode_index(alpha, n, kappa)
-    u_t = decode_index(u, n, kappa)
-    return encode_tuple(step_tuple(model, a_t, u_t), kappa)
+def to_index(model: MasModel, digits) -> np.ndarray:
+    """1-based indices of value tuples (..., n); the inverse of to_digits."""
+    return np.asarray(digits, dtype=np.int64) @ model.place_values + 1
+
+
+def successors(model: MasModel, states, inputs) -> np.ndarray:
+    """Next-state indices of paired (broadcast) 1-based state/input indices."""
+    nxt = to_digits(model, states) @ model.weight_matrix.T + to_digits(model, inputs)
+    return to_index(model, nxt % model.kappa)
 
 
 def successor_index(model: MasModel, a: int, u: int) -> int:
-    """Next-state delta index for state index a under input index u."""
-    nn = model.state_count
-    nxt = step_logical(
-        model, LogicalVector(nn, a), LogicalVector(nn, u)
-    )
-    return nxt.index
-
-
-def build_structure_matrix(model: MasModel) -> LogicalMatrix:
-    """The N x N^2 logical matrix F with alpha' = F |x| u |x| alpha.
-
-    Column (a-1)N + b is the encoded successor of state b under input a
-    (the basis product delta_N^a |x| delta_N^b hits exactly that column).
-    """
-    nn = model.state_count
-    cols = []
-    for a in range(1, nn + 1):
-        u_t = decode_index(LogicalVector(nn, a), model.n, model.kappa)
-        for b in range(1, nn + 1):
-            al_t = decode_index(LogicalVector(nn, b), model.n, model.kappa)
-            nxt = encode_tuple(step_tuple(model, al_t, u_t), model.kappa)
-            cols.append(nxt.index)
-    return LogicalMatrix(nn, nn * nn, tuple(cols))
+    """Next-state index for state index a under input index u."""
+    return int(successors(model, a, u))
 
 
 @dataclass(frozen=True)
@@ -174,25 +176,20 @@ class ConstraintSets:
 
 def admissible_inputs(model: MasModel, constraints: ConstraintSets, a: int, b: int) -> tuple:
     """Sorted inputs u in C_u(a) steering state a to state b in one step."""
-    out = [u for u in sorted(constraints.inputs_for(a))
-           if successor_index(model, a, u) == b]
-    return tuple(out)
+    inputs = sorted(constraints.inputs_for(a))
+    nxt = successors(model, a, inputs).tolist()
+    return tuple(u for u, c in zip(inputs, nxt) if c == b)
 
 
 def one_step_reach(model: MasModel, constraints: ConstraintSets, a: int) -> tuple:
     """Sorted admissible one-step successors of a that stay in C_alpha."""
-    seen = set()
-    for u in constraints.inputs_for(a):
-        b = successor_index(model, a, u)
-        if b in constraints.state_set:
-            seen.add(b)
-    return tuple(sorted(seen))
+    nxt = successors(model, a, sorted(constraints.inputs_for(a))).tolist()
+    return tuple(sorted(constraints.state_set.intersection(nxt)))
 
 
 def successor_table(model: MasModel, constraints: ConstraintSets) -> dict:
     """{(a, u): b} over all admissible (state, input) pairs; b unrestricted."""
-    table = {}
-    for a in sorted(constraints.state_set):
-        for u in sorted(constraints.inputs_for(a)):
-            table[(a, u)] = successor_index(model, a, u)
-    return table
+    pairs = [(a, u) for a in sorted(constraints.state_set)
+             for u in sorted(constraints.inputs_for(a))]
+    states, inputs = zip(*pairs)
+    return dict(zip(pairs, successors(model, states, inputs).tolist()))

@@ -31,8 +31,7 @@ from .channel import (
     success_table,
 )
 from .errors import ParseError, ToolkitError, ValidationError
-from .mas import ConstraintSets, MasModel
-from .stp import encode_tuple
+from .mas import ConstraintSets, MasModel, to_index
 from .synthesis import StageCost
 from .wcs import Plant, WcsModel, default_lyapunov_weight
 
@@ -180,7 +179,7 @@ def _state_index(v, model: MasModel, ctx, line, path):
                    and 0 <= c < model.kappa for c in v):
             ctx.err(line, path, "coordinates must be integers in 0..%d" % (model.kappa - 1))
             return None
-        return encode_tuple(tuple(v), model.kappa).index
+        return int(to_index(model, v))
     ctx.err(line, path, "expected a basis index or a value tuple")
     return None
 

@@ -118,9 +118,6 @@ class TransitionGraph:
     def successors(self, a: int) -> tuple:
         return tuple(b for (x, b) in sorted(self.edges) if x == a)
 
-    def predecessors(self, b: int) -> tuple:
-        return tuple(a for (a, y) in sorted(self.edges) if y == b)
-
     def weight(self, a: int, b: int):
         return self.edges[(a, b)].weight
 
@@ -160,39 +157,51 @@ def build_graph(model: MasModel, constraints: ConstraintSets,
 
 def tarjan_scc(graph: TransitionGraph) -> tuple:
     """Strongly connected components, each a frozenset, ordered by
-    smallest member; single-pass Tarjan with deterministic visit order."""
+    smallest member; single-pass Tarjan with deterministic visit order,
+    driven by an explicit stack so path length is not bounded by the
+    interpreter's recursion limit."""
+    adjacency = {a: [] for a in graph.vertices}
+    for a, b in sorted(graph.edges):
+        adjacency[a].append(b)
     order = {}
     low = {}
     on_stack = set()
     stack = []
     components = []
-    counter = [0]
-    adjacency = {a: graph.successors(a) for a in graph.vertices}
+    work = []  # DFS path: (vertex, iterator over its unexamined successors)
 
-    def strongconnect(v):
-        order[v] = low[v] = counter[0]
-        counter[0] += 1
+    def visit(v):
+        order[v] = low[v] = len(order)
         stack.append(v)
         on_stack.add(v)
-        for w in adjacency[v]:
-            if w not in order:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], order[w])
-        if low[v] == order[v]:
-            comp = set()
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.add(w)
-                if w == v:
-                    break
-            components.append(frozenset(comp))
+        work.append((v, iter(adjacency[v])))
 
-    for v in graph.vertices:
-        if v not in order:
-            strongconnect(v)
+    for root in graph.vertices:
+        if root in order:
+            continue
+        visit(root)
+        while work:
+            v, pending = work[-1]
+            for w in pending:
+                if w not in order:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.add(w)
+                        if w == v:
+                            break
+                    components.append(frozenset(comp))
     return tuple(sorted(components, key=min))
 
 

@@ -141,13 +141,6 @@ def decay_threshold(plant: Plant) -> float:
     return bisect_threshold(certified)
 
 
-def expected_decay_check(plant: Plant, delivery_prob) -> bool:
-    """True iff the given delivery probability meets the plant's threshold."""
-    if not 0 <= delivery_prob <= 1:
-        raise ValueOutOfRange("delivery probability %r outside [0, 1]" % (delivery_prob,))
-    return delivery_prob >= decay_threshold(plant)
-
-
 def plant_step(plant: Plant, x, delivered: bool, noise) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(plant.dim)
     noise = np.asarray(noise, dtype=float).reshape(plant.dim)

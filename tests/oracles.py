@@ -1,14 +1,25 @@
 """Independent brute-force oracles and random-instance generators.
 
 These deliberately avoid the library's own algorithms: cycles are found
-by plain DFS enumeration, invariance by checking every subset, so the
-fast implementations have something honest to be compared against.
+by plain DFS enumeration, invariance by checking every subset, and the
+agent law is rebuilt in the paper's semi-tensor-product (STP) form, so
+the fast implementations have something honest to be compared against.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from fadectrl.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    ToolkitError,
+    ValueOutOfDomain,
+)
 from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
 from fadectrl.synthesis import Edge, TransitionGraph
 
@@ -46,6 +57,23 @@ def brute_min_mean(graph: TransitionGraph):
         if best is None or mean < best:
             best = mean
     return best
+
+
+def brute_scc(graph: TransitionGraph) -> tuple:
+    """Strongly connected components as mutual-reachability classes,
+    ordered by smallest member."""
+    reach = {}
+    for root in graph.vertices:
+        seen = {root}
+        todo = [root]
+        while todo:
+            for w in graph.successors(todo.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach[root] = seen
+    comps = {frozenset(w for w in reach[v] if v in reach[w]) for v in graph.vertices}
+    return tuple(sorted(comps, key=min))
 
 
 def random_scc_graph(rng, max_vertices: int = 9, max_weight: int = 50) -> TransitionGraph:
@@ -103,3 +131,221 @@ def random_mas_instance(rng):
     constraints = ConstraintSets.uniform(frozenset(states), frozenset(inputs))
     omega = frozenset(a for a in states if rng.random() < 0.6)
     return model, constraints, omega
+
+
+# ── Semi-tensor product algebra ──────────────────────────────────────────────
+#
+# For A (m x n) and B (p x q), with t = lcm(n, p),
+#
+#     A |x| B = (A kron I_{t/n}) (B kron I_{t/p}),
+#
+# an (m t/n) x (q t/p) matrix; for n = p it is the ordinary product.
+# Finite-valued dynamics are carried by canonical basis vectors (columns
+# of the identity, 1-based), so a logical matrix is stored as its column
+# indices and its products reduce to integer index arithmetic.  Tuples
+# over {0,...,kappa-1} embed left-to-right, leftmost coordinate most
+# significant: (v1, ..., vn) -> index 1 + sum_j v_j * kappa^(n-j).
+
+
+class NonLogicalResult(ToolkitError, ValueError):
+    """A product that must be a canonical basis vector is not one."""
+
+
+@dataclass(frozen=True)
+class LogicalVector:
+    """Canonical basis vector delta_dim^index (1-based index)."""
+
+    dim: int
+    index: int
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionMismatch("dimension must be positive, got %d" % self.dim)
+        if not 1 <= self.index <= self.dim:
+            raise IndexOutOfRange(
+                "basis index %d outside 1..%d" % (self.index, self.dim)
+            )
+
+    def to_dense(self) -> np.ndarray:
+        v = np.zeros(self.dim)
+        v[self.index - 1] = 1.0
+        return v
+
+
+@dataclass(frozen=True)
+class LogicalMatrix:
+    """Matrix whose columns are all canonical basis vectors of R^rows.
+
+    Stored as the 1-based row index hit by each column, so every product
+    with another logical object is exact integer computation.
+    """
+
+    rows: int
+    cols: int
+    col_indices: tuple
+
+    def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise DimensionMismatch(
+                "shape (%d, %d) must be positive" % (self.rows, self.cols)
+            )
+        if len(self.col_indices) != self.cols:
+            raise DimensionMismatch(
+                "%d column indices for %d columns"
+                % (len(self.col_indices), self.cols)
+            )
+        for j, i in enumerate(self.col_indices):
+            if not 1 <= i <= self.rows:
+                raise IndexOutOfRange(
+                    "column %d hits row %d outside 1..%d" % (j + 1, i, self.rows)
+                )
+
+    @staticmethod
+    def identity(n: int) -> "LogicalMatrix":
+        return LogicalMatrix(n, n, tuple(range(1, n + 1)))
+
+    def column(self, j: int) -> LogicalVector:
+        if not 1 <= j <= self.cols:
+            raise IndexOutOfRange("column %d outside 1..%d" % (j, self.cols))
+        return LogicalVector(self.rows, self.col_indices[j - 1])
+
+    def to_dense(self) -> np.ndarray:
+        m = np.zeros((self.rows, self.cols))
+        for j, i in enumerate(self.col_indices):
+            m[i - 1, j] = 1.0
+        return m
+
+
+def stp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Semi-tensor product of two dense matrices (vectors as columns)."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1:
+        b = b.reshape(-1, 1)
+    n = a.shape[1]
+    p = b.shape[0]
+    t = math.lcm(n, p)
+    left = np.kron(a, np.eye(t // n))
+    right = np.kron(b, np.eye(t // p))
+    return left @ right
+
+
+def stp_basis(u: LogicalVector, v: LogicalVector) -> LogicalVector:
+    """delta_m^i |x| delta_n^j = delta_{mn}^{(i-1)n + j}, exactly."""
+    return LogicalVector(u.dim * v.dim, (u.index - 1) * v.dim + v.index)
+
+
+def stp_logical(a: LogicalMatrix, v: LogicalVector) -> LogicalVector:
+    """STP of a logical matrix with a basis vector, by index arithmetic.
+
+    Three shapes occur:
+      * cols(a) == dim(v): ordinary product, picks column v.index;
+      * dim(v) == k * cols(a): a |x| v = (a kron I_k) v, still a basis
+        vector, computed from the block/offset decomposition of v;
+      * cols(a) == k * dim(v) with k > 1: the product is an rows x k
+        matrix, not a vector -> NonLogicalResult.
+    """
+    n, p = a.cols, v.dim
+    if n == p:
+        return LogicalVector(a.rows, a.col_indices[v.index - 1])
+    if p % n == 0:
+        k = p // n
+        block, offset = divmod(v.index - 1, k)
+        hit = a.col_indices[block]
+        return LogicalVector(a.rows * k, (hit - 1) * k + offset + 1)
+    if n % p == 0:
+        raise NonLogicalResult(
+            "product of (%d x %d) with basis of dim %d is a %d-column matrix"
+            % (a.rows, n, p, n // p)
+        )
+    raise DimensionMismatch(
+        "STP factor dimensions %d and %d divide neither way" % (n, p)
+    )
+
+
+def encode_tuple(values, kappa: int) -> LogicalVector:
+    """Embed a tuple over {0,...,kappa-1} as a basis vector of dim kappa^n.
+
+    Left-to-right fold of stp_basis over the per-coordinate embeddings
+    delta_kappa^{v+1}; leftmost coordinate most significant.
+    """
+    values = tuple(values)
+    if kappa < 2:
+        raise ValueOutOfDomain("kappa must be >= 2, got %d" % kappa)
+    if not values:
+        raise DimensionMismatch("cannot encode an empty tuple")
+    idx = 1
+    for v in values:
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise ValueOutOfDomain("coordinate %r is not an integer" % (v,))
+        if not 0 <= v < kappa:
+            raise ValueOutOfDomain(
+                "coordinate %d outside 0..%d" % (v, kappa - 1)
+            )
+        idx = (idx - 1) * kappa + (int(v) + 1)
+    return LogicalVector(kappa ** len(values), idx)
+
+
+def decode_index(vec: LogicalVector, n: int, kappa: int) -> tuple:
+    """Inverse of encode_tuple: recover the value tuple from delta indices."""
+    if kappa < 2:
+        raise ValueOutOfDomain("kappa must be >= 2, got %d" % kappa)
+    if n < 1:
+        raise DimensionMismatch("tuple length must be >= 1, got %d" % n)
+    if vec.dim != kappa ** n:
+        raise DimensionMismatch(
+            "vector dim %d != kappa^n = %d" % (vec.dim, kappa ** n)
+        )
+    rem = vec.index - 1
+    out = []
+    for _ in range(n):
+        rem, v = divmod(rem, kappa)
+        out.append(v)
+    return tuple(reversed(out))
+
+
+# ── The agent law in STP form ────────────────────────────────────────────────
+
+def step_tuple(model: MasModel, alpha, u) -> tuple:
+    """One update of the modular law on value tuples."""
+    alpha = tuple(alpha)
+    u = tuple(u)
+    if len(alpha) != model.n or len(u) != model.n:
+        raise DimensionMismatch(
+            "state/input tuples must have length %d" % model.n
+        )
+    for v in alpha + u:
+        if not 0 <= v < model.kappa:
+            raise ValueOutOfDomain("coordinate %r outside 0..%d" % (v, model.kappa - 1))
+    out = []
+    for j in range(model.n):
+        acc = u[j]
+        for l, a in model.weights[j].items():
+            acc += a * alpha[l]
+        out.append(acc % model.kappa)
+    return tuple(out)
+
+
+def step_logical(model: MasModel, alpha: LogicalVector, u: LogicalVector) -> LogicalVector:
+    """One update on basis vectors (decode, step, encode; exact)."""
+    n, kappa = model.n, model.kappa
+    a_t = decode_index(alpha, n, kappa)
+    u_t = decode_index(u, n, kappa)
+    return encode_tuple(step_tuple(model, a_t, u_t), kappa)
+
+
+def build_structure_matrix(model: MasModel) -> LogicalMatrix:
+    """The N x N^2 logical matrix F with alpha' = F |x| u |x| alpha.
+
+    Column (a-1)N + b is the encoded successor of state b under input a
+    (the basis product delta_N^a |x| delta_N^b hits exactly that column).
+    """
+    nn = model.state_count
+    cols = []
+    for a in range(1, nn + 1):
+        u_t = decode_index(LogicalVector(nn, a), model.n, model.kappa)
+        for b in range(1, nn + 1):
+            al_t = decode_index(LogicalVector(nn, b), model.n, model.kappa)
+            nxt = encode_tuple(step_tuple(model, al_t, u_t), model.kappa)
+            cols.append(nxt.index)
+    return LogicalMatrix(nn, nn * nn, tuple(cols))

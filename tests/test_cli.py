@@ -4,7 +4,7 @@ Proves:
  Group 1 - thresholds: values on stdout, warnings on stderr
  Group 2 - check: verdict in text and exit status (0 feasible, 2 not)
  Group 3 - synthesize: report/schedule/DOT artifacts, infeasible runs
-           leave nothing behind
+           and scenarios without channel tables leave nothing behind
  Group 4 - simulate: trace and report artifacts, decay verdict, same
            seed gives byte-identical traces that match a pinned golden
            digest, bad inputs exit 1
@@ -100,6 +100,22 @@ def test_synthesize_dot_export(scenario_path, outdir, capsys):
     assert dot.startswith("digraph")
     assert "color=red" in dot
     capsys.readouterr()
+
+
+def test_synthesize_direct_table_only_is_an_error(scenario_path, outdir,
+                                                 tmp_path_factory, capsys):
+    # a measured success table alone defines the region but not the radio
+    # power, so the cost of a schedule is undefined
+    text = scenario_path.read_text()
+    start = text.index("  fading:")
+    end = text.index("  success_direct:")
+    direct_only = tmp_path_factory.mktemp("direct") / "assembly_cell.yaml"
+    direct_only.write_text(text[:start] + text[end:])
+    assert main(["synthesize", str(direct_only)]) == 1
+    _, err = capsys.readouterr()
+    assert "error: expected radio power undefined: scenario has no channel tables" in err
+    assert "Traceback" not in err
+    assert list(outdir.iterdir()) == []
 
 
 def test_synthesize_infeasible_writes_nothing(scenario_path, outdir, capsys):

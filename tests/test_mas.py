@@ -2,17 +2,22 @@
 
 The worked model throughout: two agents over a 3-letter alphabet with
 update (a1 + 2 a2 + u1, a1 + a2 + u2) mod 3, admissible states 1..6 and
-admissible inputs {4, 5, 7, 8} everywhere.
+admissible inputs {4, 5, 7, 8} everywhere.  The paper's semi-tensor
+product form of the law lives in the test oracles and serves as the
+reference for the library's vectorized evaluation.
 
 Proves:
- Group 1 - modular update on tuples and basis vectors
+ Group 1 - modular update on tuples and basis vectors; index/digit
+           helpers agree with the STP embedding
  Group 2 - structure matrix: exhaustive agreement with the direct update,
-           and the basis-product route gives the same column
+           the basis-product route gives the same column, and F equals
+           the vectorized law on the worked and on random models
  Group 3 - constrained reach/steering oracles (frozen successor sets)
  Group 4 - validation contracts
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -27,14 +32,24 @@ from fadectrl.mas import (
     ConstraintSets,
     MasModel,
     admissible_inputs,
-    build_structure_matrix,
     one_step_reach,
-    step_logical,
-    step_tuple,
     successor_index,
     successor_table,
+    successors,
+    to_digits,
+    to_index,
 )
-from fadectrl.stp import LogicalVector, decode_index, stp, stp_basis, stp_logical
+from oracles import (
+    LogicalVector,
+    build_structure_matrix,
+    decode_index,
+    random_mas_instance,
+    step_logical,
+    step_tuple,
+    stp,
+    stp_basis,
+    stp_logical,
+)
 
 MODEL = MasModel(2, 3, ({0: 1, 1: 2}, {0: 1, 1: 1}))
 CONSTRAINTS = ConstraintSets.uniform(frozenset(range(1, 7)), frozenset({4, 5, 7, 8}))
@@ -80,6 +95,23 @@ def test_step_logical_is_encoded_tuple_step():
         assert successor_index(MODEL, a, u) == out.index
 
 
+def test_digit_helpers_match_stp_embedding():
+    for n, kappa in ((1, 2), (2, 3), (3, 2), (2, 4)):
+        model = MasModel(n, kappa, tuple({j: 0} for j in range(n)))
+        nn = kappa ** n
+        idx = np.arange(1, nn + 1)
+        digits = to_digits(model, idx)
+        assert [tuple(d) for d in digits.tolist()] == [
+            decode_index(LogicalVector(nn, i), n, kappa) for i in range(1, nn + 1)
+        ]
+        assert to_index(model, digits).tolist() == idx.tolist()
+    assert to_index(MODEL, (1, 0)) == 4
+    with pytest.raises(IndexOutOfRange):
+        successors(MODEL, [1, 10], 4)
+    with pytest.raises(IndexOutOfRange):
+        successor_index(MODEL, 3, 0)
+
+
 def test_fixed_input_update_is_a_bijection():
     # the linear part [[1, 2], [1, 1]] is invertible mod 3, so each input
     # permutes the state space
@@ -116,6 +148,19 @@ def test_structure_matrix_dense_route_samples():
             MODEL, LogicalVector(9, b), LogicalVector(9, a)
         ).to_dense()
         assert np.array_equal(out, expect)
+
+
+def test_structure_matrix_equals_vectorized_law():
+    rng = random.Random(2408)
+    models = [MODEL, MasModel(3, 3, ({0: 2, 2: 1}, {1: 1, 0: 2}, {2: 0, 1: 1}))]
+    models += [random_mas_instance(rng)[0] for _ in range(40)]
+    for model in models:
+        nn = model.state_count
+        f = build_structure_matrix(model)
+        # column (a-1)N + b of F is the successor of state b under input a
+        inputs, states = np.divmod(np.arange(nn * nn), nn)
+        got = successors(model, states + 1, inputs + 1)
+        assert got.tolist() == list(f.col_indices)
 
 
 # ── Group 3: constrained transitions ─────────────────────────────────────────
@@ -164,6 +209,8 @@ def test_model_validation():
         MasModel(2, 1, ({0: 0}, {1: 0}))
     with pytest.raises(DimensionMismatch):
         MasModel(2, 3, ({0: 1},))
+    with pytest.raises(DimensionMismatch):
+        MasModel(64, 2, tuple({j: 1} for j in range(64)))  # 2^64 states
 
 
 def test_model_neighbors():

@@ -6,7 +6,8 @@ Proves:
            every violation in a document is reported at once
  Group 3 - parse failures and unreadable paths raise ParseError
  Group 4 - small synthetic documents exercise the alternate spellings
-           (per-state input maps, scalar plants, no direct table)
+           (per-state input maps, scalar plants, no direct table, a
+           Lyapunov weight for a slow-but-stable loop)
 """
 
 import re
@@ -243,6 +244,14 @@ def test_direct_table_alone_suffices():
     assert scn.tables is None and scn.derived_success is None
     assert scn.success is scn.direct_success
     assert scn.success.prob(0, 1) == Fraction(1)
+
+
+def test_lyapunov_weight_for_slow_stable_loop():
+    text = MINIMAL.replace("  - a_closed: 0.5\n", "  - a_closed: 0.999\n").replace(
+        "    quality_weight: 1.0\n", "    quality_weight: lyapunov\n")
+    scn = load_scenario_text(text)
+    q = scn.wcs.plants[0].q
+    assert abs(q[0, 0] - 1.0 / (1.0 - 0.999 ** 2)) < 1e-9
 
 
 def test_channel_needs_some_success_source():

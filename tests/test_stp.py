@@ -1,4 +1,4 @@
-"""Semi-tensor product kernel.
+"""Semi-tensor product kernel of the test oracles (the paper's form).
 
 Proves:
  Group 1 - dense product
@@ -22,15 +22,11 @@ import random
 import numpy as np
 import pytest
 
-from fadectrl.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NonLogicalResult,
-    ValueOutOfDomain,
-)
-from fadectrl.stp import (
+from fadectrl.errors import DimensionMismatch, IndexOutOfRange, ValueOutOfDomain
+from oracles import (
     LogicalMatrix,
     LogicalVector,
+    NonLogicalResult,
     decode_index,
     encode_tuple,
     stp,

