@@ -50,6 +50,10 @@ class NoCycle(ToolkitError, ValueError):
     """The restricted transition graph contains no directed cycle."""
 
 
+class InvariantViolated(ToolkitError, RuntimeError):
+    """An internal invariant of an algorithm failed: a toolkit bug, not bad input."""
+
+
 class ScheduleViolation(ToolkitError, ValueError):
     """A replayed schedule leaves the admissible state or input sets."""
 

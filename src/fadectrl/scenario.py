@@ -15,6 +15,7 @@ before rejecting, and a rejected scenario produces no objects at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -129,6 +130,9 @@ def _exact(v, ctx, line, path, lo=None, hi=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         ctx.err(line, path, "expected a number, got %r" % (v,))
         return None
+    if isinstance(v, float) and not math.isfinite(v):
+        ctx.err(line, path, "must be a finite number, got %s" % (v,))
+        return None
     if isinstance(v, int):
         f = Fraction(v)
     else:
@@ -146,21 +150,24 @@ def _exact(v, ctx, line, path, lo=None, hi=None):
 
 
 def _matrix(v, ctx, line, path):
-    """Scalar or list-of-lists to a square float matrix."""
+    """Scalar or list-of-lists to a square float matrix of finite entries."""
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return np.array([[float(v)]])
-    if isinstance(v, list) and v and all(isinstance(r, list) for r in v):
-        n = len(v)
-        if any(len(r) != n for r in v):
-            ctx.err(line, path, "matrix must be square")
-            return None
-        try:
-            return np.array(v, dtype=float)
-        except (TypeError, ValueError):
-            ctx.err(line, path, "matrix entries must be numbers")
-            return None
-    ctx.err(line, path, "expected a scalar or a square list-of-lists matrix")
-    return None
+        v = [[v]]
+    if not (isinstance(v, list) and v and all(isinstance(r, list) for r in v)):
+        ctx.err(line, path, "expected a scalar or a square list-of-lists matrix")
+        return None
+    if any(len(r) != len(v) for r in v):
+        ctx.err(line, path, "matrix must be square")
+        return None
+    try:
+        m = np.array(v, dtype=float)
+    except (TypeError, ValueError):
+        ctx.err(line, path, "matrix entries must be numbers")
+        return None
+    if not np.isfinite(m).all():
+        ctx.err(line, path, "matrix entries must be finite")
+        return None
+    return m
 
 
 def _state_index(v, model: MasModel, ctx, line, path):
@@ -595,9 +602,9 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
                     plant = wcs_model.plants[i]
                     if len(vec) != plant.dim or not all(
                             isinstance(c, (int, float)) and not isinstance(c, bool)
-                            for c in vec):
+                            and math.isfinite(c) for c in vec):
                         ctx.err(sln, "simulation.initial_plant_states[%d]" % i,
-                                "must list %d numbers" % plant.dim)
+                                "must list %d finite numbers" % plant.dim)
                     else:
                         vecs.append(tuple(float(c) for c in vec))
                 if len(vecs) == wcs_model.link_count:

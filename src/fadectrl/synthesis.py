@@ -20,20 +20,25 @@ n-edge walk every contiguous cycle has mean exactly eps* (removing one
 would beat the shortest-path bound), so a simple minimum-mean cycle
 falls out of the walk's first vertex repeat.
 
-All arithmetic stays exact (int/Fraction) whenever the scenario's
-probabilities and costs are exact.
+Cycle means are exact Fractions: each component's weights are scaled to
+integers by the lcm of their denominators, and the dynamic program runs
+on integer numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+
+import numpy as np
 
 from .channel import ChannelTables, TransmitPolicy, expected_power
 from .errors import (
     DimensionMismatch,
     Infeasible,
+    InvariantViolated,
     NoCycle,
     PreconditionViolated,
     ValueOutOfRange,
@@ -205,70 +210,89 @@ def tarjan_scc(graph: TransitionGraph) -> tuple:
     return tuple(sorted(components, key=min))
 
 
-def _ratio(num, den: int):
-    if isinstance(num, Rational):
-        return Fraction(num) / den
-    return num / den
-
-
 def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
     """(mean, cycle) for a minimum-mean cycle inside one component.
 
     The cycle is a tuple of vertices with first == last, rotated to
-    start at its smallest vertex.  Means are exact (Fraction) whenever
-    the edge weights are rational.  Raises NoCycle when the component
-    carries no edge cycle (a singleton without self-loop).
+    start at its smallest vertex.  The mean is an exact Fraction: the
+    weights are scaled to integers by the lcm L of their denominators
+    and the dynamic program runs on integer arrays (int64 while every
+    intermediate fits, Python ints otherwise).  Raises NoCycle when the
+    component carries no edge cycle (a singleton without self-loop) and
+    ValueOutOfRange on a non-finite weight.
+
+    Among equal-mean cycles the result is fixed by these tie-breaks:
+    each DP step keeps the smallest source vertex that attains the
+    minimum; the max over k keeps the first k; the min over v keeps the
+    smallest v; the cycle is the first vertex repeat on the forward
+    parent walk from that v, rotated to start at its smallest vertex.
     """
     verts = sorted(component)
     pos = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    incoming = [[] for _ in range(n)]  # per vertex: (src position, weight)
-    for (a, b), edge in sorted(graph.edges.items()):
-        if a in pos and b in pos:
-            incoming[pos[b]].append((pos[a], edge.weight))
+    arcs = sorted((pos[b], pos[a], edge.weight)
+                  for (a, b), edge in graph.edges.items() if a in pos and b in pos)
+    if not arcs:
+        raise NoCycle("component %s has no directed cycle" % (sorted(component),))
+    try:
+        exact = [Fraction(w) for _, _, w in arcs]
+    except (OverflowError, ValueError) as e:  # inf, nan
+        raise ValueOutOfRange("edge weight is not a finite rational: %s" % e) from None
+    scale = math.lcm(*(w.denominator for w in exact))
+    weights = [w.numerator * (scale // w.denominator) for w in exact]
+    top = max(1, max(abs(w) for w in weights))
+    bound = n * top  # |H[k][v]| <= bound for every walk that exists
+    # the cross-multiplied ratios stay below 2 n^2 top
+    dtype = np.int64 if (n + 1) * top * (n + 1) < 2 ** 62 else object
+    tgt = np.array([b for b, _, _ in arcs], dtype=np.intp)
+    src = np.array([a for _, a, _ in arcs], dtype=np.intp)
+    w = np.array(weights, dtype=dtype)
 
-    source = 0  # smallest vertex of the component
-    h = [[None] * n for _ in range(n + 1)]
-    parent = [[None] * n for _ in range(n + 1)]
-    h[0][source] = 0
+    # edges grouped by target, sources ascending within a group
+    starts = np.flatnonzero(np.r_[True, tgt[1:] != tgt[:-1]])
+    targets = tgt[starts]
+    counts = np.diff(np.r_[starts, len(arcs)])
+    edge_ids = np.arange(len(arcs))
+    # a missing walk starts above 2 bound and, losing at most top per
+    # step, stays above bound for all n steps
+    unreached = 2 * bound + top + 1
+    h = np.full((n + 1, n), unreached, dtype=dtype)
+    parent = np.zeros((n + 1, n), dtype=np.intp)
+    h[0, 0] = 0  # source: the smallest vertex of the component
     for k in range(1, n + 1):
-        for v in range(n):
-            best = None
-            best_u = None
-            for u, w in incoming[v]:
-                prev = h[k - 1][u]
-                if prev is None:
-                    continue
-                cand = prev + w
-                if best is None or cand < best:
-                    best, best_u = cand, u
-            h[k][v] = best
-            parent[k][v] = best_u
+        cand = h[k - 1][src] + w
+        best = np.minimum.reduceat(cand, starts)
+        hit = np.where(cand == np.repeat(best, counts), edge_ids, len(arcs))
+        h[k, targets] = best
+        parent[k, targets] = src[np.minimum.reduceat(hit, starts)]
+    reached = h <= bound
 
-    best_mean = None
+    # max_k (H[n][v] - H[k][v]) / (n - k) per v, as num / den, compared
+    # exactly by cross-multiplication
+    num = np.zeros(n, dtype=dtype)
+    den = np.zeros(n, dtype=np.int64)
+    for k in range(n):
+        ok = reached[n] & reached[k]
+        diff = np.where(ok, h[n] - h[k], 0)
+        better = ok & ((den == 0) | (diff * den > num * (n - k)))
+        num = np.where(better, diff, num)
+        den[better] = n - k
+
+    nums, dens = num.tolist(), den.tolist()
     best_v = None
     for v in range(n):
-        if h[n][v] is None:
-            continue
-        worst = None
-        for k in range(n):
-            if h[k][v] is None:
-                continue
-            r = _ratio(h[n][v] - h[k][v], n - k)
-            if worst is None or r > worst:
-                worst = r
-        if worst is not None and (best_mean is None or worst < best_mean):
-            best_mean, best_v = worst, v
-
-    if best_mean is None:
+        if dens[v] and (best_v is None or nums[v] * dens[best_v] < nums[best_v] * dens[v]):
+            best_v = v
+    if best_v is None:
         raise NoCycle("component %s has no directed cycle" % (sorted(component),))
+    best_mean = Fraction(nums[best_v], dens[best_v] * scale)
 
     # walk the n-edge parent chain back from the minimizer, then take the
     # first vertex repeat on the forward walk: a simple min-mean cycle
     walk = [best_v]
     v = best_v
     for k in range(n, 0, -1):
-        v = parent[k][v]
+        v = int(parent[k, v])
         walk.append(v)
     walk.reverse()
 
@@ -283,14 +307,12 @@ def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
     cycle = [verts[v] for v in walk[start:stop + 1]]
 
     length = len(cycle) - 1
-    total = sum(graph.weight(cycle[i], cycle[i + 1]) for i in range(length))
-    extracted = _ratio(total, length)
-    if isinstance(extracted, Rational) and isinstance(best_mean, Rational):
-        assert extracted == best_mean, "extracted cycle is not min-mean"
-    else:
-        tol = 1e-9 * max(1.0, abs(float(best_mean)))
-        assert abs(float(extracted) - float(best_mean)) <= tol
-
+    total = sum(Fraction(graph.weight(cycle[i], cycle[i + 1])) for i in range(length))
+    if total / length != best_mean:
+        raise InvariantViolated(
+            "extracted cycle %s has mean %s, not the minimum %s"
+            % (cycle, total / length, best_mean)
+        )
     return best_mean, _rotate_cycle(cycle, min(cycle))
 
 
@@ -387,8 +409,10 @@ def synthesize(model: MasModel, constraints: ConstraintSets,
             if layers.layers[k] & cyc_verts:
                 entry_depth = k
                 break
-        # cycle vertices lie in phi, hence in the reachable union
-        assert entry_depth is not None
+        if entry_depth is None:
+            raise InvariantViolated(
+                "cycle %s lies outside the reachable set from %d" % (cycle, alpha0)
+            )
         chain = [min(layers.layers[entry_depth] & cyc_verts)]
         for k in range(entry_depth - 1, 0, -1):
             preds = [a for a in sorted(layers.layers[k])
@@ -424,7 +448,7 @@ def synthesize(model: MasModel, constraints: ConstraintSets,
         cycle_states=cycle,
         cycle_inputs=cycle_inputs,
         mean_weight=mean,
-        optimal_cost=_ratio(mean, cost.tau),
+        optimal_cost=mean / cost.tau,
     )
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force oracles and random-instance generators.
 
 These deliberately avoid the library's own algorithms: cycles are found
-by plain DFS enumeration, invariance by checking every subset, and the
-agent law is rebuilt in the paper's semi-tensor-product (STP) form, so
-the fast implementations have something honest to be compared against.
+by plain DFS enumeration and by a scalar Karp on Fractions, invariance by
+checking every subset, and the agent law is rebuilt in the paper's
+semi-tensor-product (STP) form, so the fast implementations have
+something honest to be compared against.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from fadectrl.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    NoCycle,
     ToolkitError,
     ValueOutOfDomain,
 )
@@ -57,6 +59,59 @@ def brute_min_mean(graph: TransitionGraph):
         if best is None or mean < best:
             best = mean
     return best
+
+
+def scalar_karp(graph: TransitionGraph, component) -> tuple:
+    """Reference Karp dynamic program on scalar Fractions: (mean, cycle),
+    or NoCycle.  The same recurrence and tie-breaks as the library's
+    array version, one relaxation at a time: strict < keeps the smallest
+    source per step, strict > the first k, strict < the smallest v."""
+    verts = sorted(component)
+    pos = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    incoming = [[] for _ in range(n)]  # per vertex: (src position, weight)
+    for (a, b), edge in sorted(graph.edges.items()):
+        if a in pos and b in pos:
+            incoming[pos[b]].append((pos[a], Fraction(edge.weight)))
+
+    h = [[None] * n for _ in range(n + 1)]
+    parent = [[None] * n for _ in range(n + 1)]
+    h[0][0] = Fraction(0)  # source: the smallest vertex
+    for k in range(1, n + 1):
+        for v in range(n):
+            for u, w in incoming[v]:
+                prev = h[k - 1][u]
+                if prev is not None and (h[k][v] is None or prev + w < h[k][v]):
+                    h[k][v], parent[k][v] = prev + w, u
+
+    best_mean = best_v = None
+    for v in range(n):
+        if h[n][v] is None:
+            continue
+        worst = None
+        for k in range(n):
+            if h[k][v] is not None:
+                r = (h[n][v] - h[k][v]) / (n - k)
+                if worst is None or r > worst:
+                    worst = r
+        if worst is not None and (best_mean is None or worst < best_mean):
+            best_mean, best_v = worst, v
+    if best_mean is None:
+        raise NoCycle("component %s has no directed cycle" % (verts,))
+
+    walk = [best_v]
+    for k in range(n, 0, -1):
+        walk.append(parent[k][walk[-1]])
+    walk.reverse()
+    seen = {}
+    for t, v in enumerate(walk):
+        if v in seen:
+            body = [verts[u] for u in walk[seen[v]:t]]
+            break
+        seen[v] = t
+    i = body.index(min(body))
+    body = body[i:] + body[:i]
+    return best_mean, tuple(body + [body[0]])
 
 
 def brute_scc(graph: TransitionGraph) -> tuple:

@@ -1,7 +1,8 @@
 """Command-line front end, driven in-process through main(argv).
 
 Proves:
- Group 1 - thresholds: values on stdout, warnings on stderr
+ Group 1 - thresholds: values on stdout, warnings on stderr, non-finite
+           matrix entries exit 1
  Group 2 - check: verdict in text and exit status (0 feasible, 2 not)
  Group 3 - synthesize: report/schedule/DOT artifacts, infeasible runs
            and scenarios without channel tables leave nothing behind
@@ -42,6 +43,19 @@ def test_thresholds_output(scenario_path, outdir, capsys):
     assert "link 1 (arm): s = 0.28937708" in out
     assert "link 2 (conveyor): s = 0.10416666" in out
     assert "warning: measured success table overrides derived value" in err
+
+
+def test_thresholds_rejects_non_finite_matrix(scenario_path, outdir, tmp_path_factory,
+                                              capsys):
+    # a NaN dynamics entry is a validation error (exit 1), not an
+    # infeasible threshold search (exit 2)
+    text = scenario_path.read_text()
+    broken = tmp_path_factory.mktemp("nan") / "assembly_cell.yaml"
+    broken.write_text(text.replace("    a_closed: 0.2\n", "    a_closed: .nan\n"))
+    assert main(["thresholds", str(broken)]) == 1
+    _, err = capsys.readouterr()
+    assert "plants[1].a_closed: matrix entries must be finite" in err
+    assert "infeasible" not in err
 
 
 # ── Group 2: check ───────────────────────────────────────────────────────────

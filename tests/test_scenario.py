@@ -188,6 +188,29 @@ def test_rejection_produces_no_object(bundled_text):
         load_scenario_text(bundled_text.replace("count: 2", "count: 0"))
 
 
+@pytest.mark.parametrize("old, new, field, message", [
+    ("    a_closed: 0.2\n", "    a_closed: .nan\n",
+     "plants[1].a_closed", "matrix entries must be finite"),
+    ("    a_open: 1.0\n", "    a_open: -.inf\n",
+     "plants[1].a_open", "matrix entries must be finite"),
+    ("a_closed: [[-0.1, -0.1], [0.1, 0.2]]", "a_closed: [[-0.1, .nan], [0.1, 0.2]]",
+     "plants[0].a_closed", "matrix entries must be finite"),
+    ("    noise_cov: 1.0\n", "    noise_cov: .inf\n",
+     "plants[1].noise_cov", "matrix entries must be finite"),
+    ("    decay_rate: 0.9\n", "    decay_rate: .inf\n",
+     "plants[1].decay_rate", "must be a finite number"),
+    ("initial_plant_states: [[1.0, 1.0], [1.0]]",
+     "initial_plant_states: [[1.0, .nan], [1.0]]",
+     "simulation.initial_plant_states[0]", "must list 2 finite numbers"),
+])
+def test_non_finite_numbers_are_rejected(bundled_text, old, new, field, message):
+    broken = bundled_text.replace(old, new)
+    assert broken != bundled_text
+    violations = _reject(broken)
+    assert len(violations) == 1
+    assert ": %s: %s" % (field, message) in violations[0]
+
+
 # ── Group 3: parse errors ────────────────────────────────────────────────────
 
 def test_invalid_yaml():

@@ -5,15 +5,20 @@ Proves:
  Group 2 - the frozen nine-edge graph of the bundled worked example
  Group 3 - strongly connected components vs a reachability oracle,
            including a path deeper than the recursion limit
- Group 4 - Karp's minimum-mean cycle vs the DFS enumeration oracle
+ Group 4 - Karp's minimum-mean cycle vs the DFS enumeration oracle and
+           the scalar Karp oracle: exact past int64, tie-breaking pinned
+           and checked on tie-heavy random graphs
  Group 5 - end-to-end synthesis: frozen schedule, prefix handling,
            infeasibility, DOT export
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fadectrl.errors import (
     DimensionMismatch,
@@ -39,6 +44,7 @@ from oracles import (
     brute_scc,
     cycle_mean,
     random_scc_graph,
+    scalar_karp,
     simple_cycles,
 )
 
@@ -183,6 +189,104 @@ def test_karp_no_cycle():
     graph = TransitionGraph((1, 2), {(1, 2): Edge(1, (1,), (1,))})
     with pytest.raises(NoCycle):
         karp_min_mean_cycle(graph, frozenset({1}))
+
+
+def test_karp_pinned_tie_break():
+    # 1 -> 3 -> 1 and the self-loop at 2 are disjoint cycles of mean 0.
+    # From source 1: H[3] = (9, 4, 0); vertex 1 scores max(9/3, 9/1) = 9,
+    # vertex 2 scores (4 - 4)/1 = 0, vertex 3 scores (0 - 0)/2 = 0, and the
+    # first (smallest) v with the minimum is 2.  Its parent walk
+    # 1 -> 3 -> 2 -> 2 first repeats at 2, so the loop at 2 is returned even
+    # though the other cycle holds the smallest vertex.
+    weights = {(1, 3): 0, (2, 1): 5, (2, 2): 0, (2, 3): 1, (3, 1): 0, (3, 2): 4}
+    graph = TransitionGraph((1, 2, 3), {e: Edge(w, (1,), (1,)) for e, w in weights.items()})
+    assert tarjan_scc(graph) == (frozenset({1, 2, 3}),)
+    assert {c for c in simple_cycles(graph) if cycle_mean(graph, c) == 0} == {
+        (1, 3, 1), (2, 2)}
+    assert karp_min_mean_cycle(graph, frozenset({1, 2, 3})) == (0, (2, 2))
+
+
+def _graph_strategy(weights):
+    """Digraphs on 1..n (self-loops allowed) with weights drawn from the
+    given strategy; small weight sets make equal-mean cycles common."""
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(1, 7))
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+        edges = draw(st.dictionaries(pairs, weights, max_size=3 * n))
+        return TransitionGraph(tuple(range(1, n + 1)),
+                               {e: Edge(w, (1,), (1,)) for e, w in edges.items()})
+    return graphs()
+
+
+def _karp_or_none(search, graph):
+    try:
+        return search(graph, frozenset(graph.vertices))
+    except NoCycle:
+        return None
+
+
+TIE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@TIE_SETTINGS
+@given(_graph_strategy(st.sampled_from((0, 1, 2))))
+def test_karp_equals_scalar_oracle_small_integer_weights(graph):
+    assert _karp_or_none(karp_min_mean_cycle, graph) == _karp_or_none(scalar_karp, graph)
+
+
+@TIE_SETTINGS
+@given(_graph_strategy(st.builds(Fraction, st.integers(0, 6), st.integers(1, 4))))
+def test_karp_equals_scalar_oracle_small_denominators(graph):
+    assert _karp_or_none(karp_min_mean_cycle, graph) == _karp_or_none(scalar_karp, graph)
+
+
+def test_karp_equals_scalar_oracle_on_acceptance_graphs():
+    rng = random.Random(55)  # the 500 graphs of acceptance check 5
+    for _ in range(500):
+        graph = random_scc_graph(rng, max_vertices=9, max_weight=50)
+        comp = frozenset(graph.vertices)
+        assert karp_min_mean_cycle(graph, comp) == scalar_karp(graph, comp)
+
+
+def test_karp_exact_past_int64():
+    # four or more coprime denominators near 10^6 put the lcm scale above
+    # 10^24, so the scaled weights overflow int64 and the Python-int
+    # tables are used
+    primes = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+              1000117, 1000121, 1000133, 1000151, 1000159)
+    rng = random.Random(7)
+    checked = 0
+    while checked < 20:
+        graph = random_scc_graph(rng, max_vertices=6)
+        if len(graph.edges) < 4:
+            continue
+        graph = TransitionGraph(graph.vertices, {
+            e: Edge(Fraction(edge.weight * 1000000 + rng.randint(0, 9), primes[i % 11]),
+                    (1,), (1,))
+            for i, (e, edge) in enumerate(sorted(graph.edges.items()))})
+        assert math.lcm(*(e.weight.denominator for e in graph.edges.values())) > 2 ** 62
+        checked += 1
+        mean, cycle = karp_min_mean_cycle(graph, frozenset(graph.vertices))
+        assert mean == brute_min_mean(graph)
+        assert (mean, cycle) == scalar_karp(graph, frozenset(graph.vertices))
+        assert cycle_mean(graph, cycle) == mean
+
+
+def test_karp_float_weights_are_exact():
+    graph = TransitionGraph((1, 2), {(1, 2): Edge(0.1, (1,), (1,)),
+                                     (2, 1): Edge(0.2, (1,), (1,))})
+    mean, cycle = karp_min_mean_cycle(graph, frozenset({1, 2}))
+    assert mean == (Fraction(0.1) + Fraction(0.2)) / 2
+    assert cycle == (1, 2, 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_karp_rejects_non_finite_weight(bad):
+    graph = TransitionGraph((1, 2), {(1, 2): Edge(1, (1,), (1,)),
+                                     (2, 1): Edge(bad, (1,), (1,))})
+    with pytest.raises(ValueOutOfRange):
+        karp_min_mean_cycle(graph, frozenset({1, 2}))
 
 
 def test_karp_matches_enumeration_oracle():
