@@ -29,19 +29,18 @@ from .linalg import bisect_threshold, solve_dlyap, sym_eigenvalues
 from .mas import (
     ConstraintSets,
     MasModel,
-    admissible_inputs,
     one_step_reach,
     successors,
 )
 from .scenario import Scenario, load_scenario, load_scenario_text
 from .stabilization import (
-    FeasibilityResult,
     PerformanceRegion,
     ReachabilityLayers,
-    feasibility,
+    Stabilization,
     largest_invariant,
     omega_set,
     reachable_layers,
+    stabilize,
 )
 from .synthesis import (
     StageCost,
@@ -59,8 +58,6 @@ from .wcs import (
     WcsModel,
     decay_threshold,
     default_lyapunov_weight,
-    lyapunov_value,
-    plant_step,
 )
 
 __version__ = "0.1.0"

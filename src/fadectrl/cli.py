@@ -30,7 +30,7 @@ from .cosim import (
 )
 from .errors import Infeasible, ParseError, ToolkitError
 from .scenario import Scenario, load_scenario
-from .stabilization import feasibility, largest_invariant, omega_set, reachable_layers
+from .stabilization import Stabilization, stabilize
 from .synthesis import SynthesisResult, synthesize, to_dot
 from .wcs import decay_threshold
 
@@ -91,13 +91,26 @@ def _states(seq) -> str:
     return "[" + ", ".join(str(a) for a in sorted(seq)) + "]"
 
 
+def _warn(message: str):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def _emit_warnings(scn: Scenario):
     for w in scn.warnings:
-        print("warning: %s" % w, file=sys.stderr)
+        _warn(w)
+
+
+def _label(plant) -> str:
+    return " (%s)" % plant.name if plant.name else ""
 
 
 def _thresholds(scn: Scenario, override_arg):
-    """(per-plant computed thresholds or None, effective thresholds)."""
+    """(per-plant computed thresholds or None, effective thresholds).
+
+    An override below its link's computed threshold, or on a plant whose
+    threshold cannot be computed, is used as given with a warning: the
+    decay bound is not certified for that link.
+    """
     override = None
     if override_arg:
         parts = [p for p in override_arg.split(",") if p.strip()]
@@ -110,10 +123,20 @@ def _thresholds(scn: Scenario, override_arg):
             raise ParseError("--s-override values must lie in [0, 1]")
     elif scn.s_override is not None:
         override = scn.s_override
-    if override is not None:
-        return None, override
-    computed = tuple(decay_threshold(p) for p in scn.wcs.plants)
-    return computed, computed
+    if override is None:
+        computed = tuple(decay_threshold(p) for p in scn.wcs.plants)
+        return computed, computed
+    for i, (plant, s) in enumerate(zip(scn.wcs.plants, override)):
+        link = "link %d%s: threshold override %.10g" % (i + 1, _label(plant), s)
+        try:
+            certified = decay_threshold(plant)
+        except ToolkitError as e:
+            _warn("%s is uncertified: no computed threshold (%s)" % (link, e))
+            continue
+        if s < certified:
+            _warn("%s is below the computed threshold %.10g; the decay bound "
+                  "is not certified" % (link, certified))
+    return None, override
 
 
 def cmd_thresholds(args) -> int:
@@ -122,51 +145,37 @@ def cmd_thresholds(args) -> int:
     print("delivery-probability thresholds for %s" % args.scenario)
     for i, plant in enumerate(scn.wcs.plants):
         s = decay_threshold(plant)
-        label = " (%s)" % plant.name if plant.name else ""
         print("  link %d%s: s = %.10g   [decay rate %.6g]"
-              % (i + 1, label, s, float(plant.rho)))
+              % (i + 1, _label(plant), s, float(plant.rho)))
     return 0
 
 
-def _analysis(scn: Scenario, override_arg):
-    computed, effective = _thresholds(scn, override_arg)
-    region = omega_set(scn.success, effective, scn.constraints)
-    invariant = largest_invariant(region, scn.mas, scn.constraints)
-    layers = reachable_layers(scn.mas, scn.constraints, scn.alpha0)
-    feas = feasibility(invariant, layers)
-    return computed, effective, region, invariant, layers, feas
-
-
-def _analysis_report(scn, computed, effective, region, invariant, layers, feas) -> list:
+def _analysis_report(scn, computed, effective, stab: Stabilization) -> list:
     lines = []
     lines.append("links: %d, agent states: %d, admissible: %d"
                  % (scn.wcs.link_count, scn.mas.state_count, len(scn.constraints.state_set)))
     lines.append("thresholds:")
-    for i in range(scn.wcs.link_count):
-        name = scn.wcs.plants[i].name
-        label = " (%s)" % name if name else ""
-        if computed is None:
-            lines.append("  link %d%s: s = %s  [override]"
-                         % (i + 1, label, _fmt(effective[i])))
-        else:
-            lines.append("  link %d%s: s = %s" % (i + 1, label, _fmt(effective[i])))
-    lines.append("performance region: %s" % _states(region.omega))
-    lines.append("invariant core:     %s" % _states(invariant))
+    tag = "  [override]" if computed is None else ""
+    for i, plant in enumerate(scn.wcs.plants):
+        lines.append("  link %d%s: s = %s%s" % (i + 1, _label(plant), _fmt(effective[i]), tag))
+    lines.append("performance region: %s" % _states(stab.region.omega))
+    lines.append("invariant core:     %s" % _states(stab.invariant))
     lines.append("reachable from %d:   %s (max depth %d)"
-                 % (scn.alpha0, _states(layers.union), len(layers.layers) - 1))
+                 % (scn.alpha0, _states(stab.layers.union), len(stab.layers.layers) - 1))
     lines.append("feasible: %s, usable states: %s"
-                 % ("yes" if feas.feasible else "no", _states(feas.phi)))
+                 % ("yes" if stab.feasible else "no", _states(stab.phi)))
     return lines
 
 
 def cmd_check(args) -> int:
     scn = load_scenario(args.scenario)
     _emit_warnings(scn)
-    computed, effective, region, invariant, layers, feas = _analysis(scn, args.s_override)
+    computed, effective = _thresholds(scn, args.s_override)
+    stab = stabilize(scn, effective)
     print("feasibility check for %s" % args.scenario)
-    for line in _analysis_report(scn, computed, effective, region, invariant, layers, feas):
+    for line in _analysis_report(scn, computed, effective, stab):
         print(line)
-    return 0 if feas.feasible else 2
+    return 0 if stab.feasible else 2
 
 
 def _synthesis_report(scn, result: SynthesisResult, head: int = 12) -> list:
@@ -190,17 +199,15 @@ def _synthesis_report(scn, result: SynthesisResult, head: int = 12) -> list:
 def cmd_synthesize(args) -> int:
     scn = load_scenario(args.scenario)
     _emit_warnings(scn)
-    computed, effective, region, invariant, layers, feas = _analysis(scn, args.s_override)
+    computed, effective = _thresholds(scn, args.s_override)
+    stab = stabilize(scn, effective)
     report = ["schedule synthesis for %s" % args.scenario]
-    report += _analysis_report(scn, computed, effective, region, invariant, layers, feas)
-    if not feas.feasible:
+    report += _analysis_report(scn, computed, effective, stab)
+    if not stab.feasible:
         report.append("no schedule exists for these thresholds")
         print("\n".join(report))
         return 2
-    result = synthesize(
-        scn.mas, scn.constraints, scn.tables, scn.policy, scn.wcs,
-        scn.cost, scn.success, effective, scn.alpha0,
-    )
+    result = synthesize(scn, stab)
     report += _synthesis_report(scn, result)
     text = "\n".join(report) + "\n"
     print(text, end="")
@@ -234,7 +241,7 @@ def cmd_simulate(args) -> int:
             schedule = Schedule.from_dict(json.load(fh))
     except OSError as e:
         raise ParseError("cannot read schedule %s: %s" % (args.schedule, e)) from e
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (json.JSONDecodeError, ParseError) as e:
         raise ParseError("schedule %s is not valid: %s" % (args.schedule, e)) from e
     config = SimConfig(horizon_fast=args.horizon, trials=args.trials,
                        seed=args.seed, x0=scn.x0)

@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     InitialStateViolatesConstraint,
     InsufficientTrials,
+    ParseError,
     PreconditionViolated,
     ScheduleViolation,
     ValueOutOfRange,
@@ -79,6 +80,11 @@ def counter_normals(seed: int, stream: int, step: int, count: int,
     return np.stack(cols[:count], axis=1)
 
 
+def _require_json_int(value, field: str):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError("%s must be an integer, got %r" % (field, value))
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Eventually periodic input sequence: prefix once, then the cycle."""
@@ -110,12 +116,22 @@ class Schedule:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "Schedule":
-        return Schedule(
-            tuple(d.get("prefix_inputs", ())),
-            tuple(d["cycle_inputs"]),
-            int(d.get("alpha0", 0)),
-        )
+    def from_dict(d) -> "Schedule":
+        """Schedule from its JSON form (an object of integer lists and an
+        integer alpha0); ParseError names the first malformed field."""
+        if not isinstance(d, dict):
+            raise ParseError("schedule must be a JSON object, got %s" % type(d).__name__)
+        if "cycle_inputs" not in d:
+            raise ParseError("schedule has no 'cycle_inputs'")
+        inputs = {key: d.get(key, []) for key in ("prefix_inputs", "cycle_inputs")}
+        for key, values in inputs.items():
+            if not isinstance(values, list):
+                raise ParseError("'%s' must be a list" % key)
+            for i, u in enumerate(values):
+                _require_json_int(u, "%s[%d]" % (key, i))
+        alpha0 = d.get("alpha0", 0)
+        _require_json_int(alpha0, "alpha0")
+        return Schedule(inputs["prefix_inputs"], inputs["cycle_inputs"], alpha0)
 
 
 @dataclass(frozen=True)

@@ -78,9 +78,6 @@ class MasModel:
     def state_count(self) -> int:
         return self.kappa ** self.n
 
-    def in_neighbors(self, j: int) -> frozenset:
-        return frozenset(l for l in self.weights[j] if l != j)
-
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         """n x n integer matrix with entry [j, l] = a_{j,l} (0 off-neighbourhood)."""
@@ -174,22 +171,7 @@ class ConstraintSets:
                     )
 
 
-def admissible_inputs(model: MasModel, constraints: ConstraintSets, a: int, b: int) -> tuple:
-    """Sorted inputs u in C_u(a) steering state a to state b in one step."""
-    inputs = sorted(constraints.inputs_for(a))
-    nxt = successors(model, a, inputs).tolist()
-    return tuple(u for u, c in zip(inputs, nxt) if c == b)
-
-
 def one_step_reach(model: MasModel, constraints: ConstraintSets, a: int) -> tuple:
     """Sorted admissible one-step successors of a that stay in C_alpha."""
     nxt = successors(model, a, sorted(constraints.inputs_for(a))).tolist()
     return tuple(sorted(constraints.state_set.intersection(nxt)))
-
-
-def successor_table(model: MasModel, constraints: ConstraintSets) -> dict:
-    """{(a, u): b} over all admissible (state, input) pairs; b unrestricted."""
-    pairs = [(a, u) for a in sorted(constraints.state_set)
-             for u in sorted(constraints.inputs_for(a))]
-    states, inputs = zip(*pairs)
-    return dict(zip(pairs, successors(model, states, inputs).tolist()))

@@ -6,7 +6,9 @@ threshold.  Control must then (a) reach Omega and (b) stay inside it,
 which needs the largest control-invariant subset I(Omega): the fixed
 point of discarding states with no admissible successor inside the
 current candidate set.  Reachability from alpha0 is explored layer by
-layer; a state enters the layer of its first discovery.
+layer; a state enters the layer of its first discovery.  `stabilize`
+runs the three stages once for a scenario, and synthesis reads the
+record it returns.
 
 Internally sets of delta indices live in bitmasks (bit a-1 <=> state a);
 the public surface speaks frozensets and sorted tuples.
@@ -58,18 +60,6 @@ class ReachabilityLayers:
 
     layers: tuple
     union: frozenset
-
-    @property
-    def start(self) -> int:
-        (a0,) = self.layers[0]
-        return a0
-
-    def depth_of(self, state: int):
-        """Smallest k >= 1 with state in layers[k], or None."""
-        for k in range(1, len(self.layers)):
-            if state in self.layers[k]:
-                return k
-        return None
 
 
 def omega_set(success, thresholds, constraints: ConstraintSets) -> PerformanceRegion:
@@ -137,12 +127,24 @@ def reachable_layers(model: MasModel, constraints: ConstraintSets,
 
 
 @dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    phi: frozenset  # I(Omega) intersected with the reachable set
+class Stabilization:
+    """Omega, I(Omega), the reachable layers from alpha0, and the feasible
+    core Phi = I(Omega) intersected with the reachable set."""
+
+    region: PerformanceRegion
+    invariant: frozenset
+    layers: ReachabilityLayers
+    phi: frozenset
+
+    @property
+    def feasible(self) -> bool:
+        """Stabilizable to Omega from the start iff some invariant state is reachable."""
+        return bool(self.phi)
 
 
-def feasibility(invariant: frozenset, reach: ReachabilityLayers) -> FeasibilityResult:
-    """Stabilizable to Omega from the start iff some invariant state is reachable."""
-    phi = frozenset(invariant) & reach.union
-    return FeasibilityResult(bool(phi), phi)
+def stabilize(scenario, thresholds) -> Stabilization:
+    """Run the three set-stabilization stages of a scenario under the thresholds."""
+    region = omega_set(scenario.success, thresholds, scenario.constraints)
+    invariant = largest_invariant(region, scenario.mas, scenario.constraints)
+    layers = reachable_layers(scenario.mas, scenario.constraints, scenario.alpha0)
+    return Stabilization(region, invariant, layers, invariant & layers.union)

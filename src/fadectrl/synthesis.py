@@ -34,7 +34,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .channel import ChannelTables, TransmitPolicy, expected_power
+from .channel import expected_power
 from .errors import (
     DimensionMismatch,
     Infeasible,
@@ -43,20 +43,7 @@ from .errors import (
     PreconditionViolated,
     ValueOutOfRange,
 )
-from .mas import (
-    ConstraintSets,
-    MasModel,
-    admissible_inputs,
-    one_step_reach,
-    successor_table,
-)
-from .stabilization import (
-    feasibility,
-    largest_invariant,
-    omega_set,
-    reachable_layers,
-)
-from .wcs import WcsModel
+from .mas import one_step_reach, successors
 
 
 @dataclass(frozen=True)
@@ -94,17 +81,11 @@ class StageCost:
     def input_cost(self, a: int, u: int):
         return self.g[a - 1][u - 1]
 
-    @staticmethod
-    def from_input_costs(tau, lam, costs) -> "StageCost":
-        """Cost attached to the input symbol alone, replicated per state."""
-        costs = tuple(costs)
-        return StageCost(tau, lam, tuple(costs for _ in costs))
 
-
-def joint_stage_cost(tables: ChannelTables, policy: TransmitPolicy,
-                     wcs_model: WcsModel, cost: StageCost, a: int, u: int):
+def joint_stage_cost(scenario, a: int, u: int):
     """Total expected cost of one slow step spent at a applying u."""
-    return cost.tau * expected_power(tables, policy, wcs_model, a) \
+    cost = scenario.cost
+    return cost.tau * expected_power(scenario.tables, scenario.policy, scenario.wcs, a) \
         + cost.lam * cost.input_cost(a, u)
 
 
@@ -127,36 +108,39 @@ class TransitionGraph:
         return self.edges[(a, b)].weight
 
 
-def build_graph(model: MasModel, constraints: ConstraintSets,
-                tables: ChannelTables, policy: TransmitPolicy,
-                wcs_model: WcsModel, cost: StageCost, vertices) -> TransitionGraph:
-    """Transition graph restricted to the given vertex set.
+def out_edges(scenario, a: int, targets) -> dict:
+    """{b: Edge} for each successor b in targets that an admissible input
+    steers a to.
 
-    Edge a -> b exists iff an admissible input steers a to b with b in
-    the vertex set; its weight is the minimum joint stage cost over
-    those inputs and the minimizers are recorded.
+    The edge weight is the minimum joint stage cost over those inputs;
+    steering lists the inputs attaining it in ascending order, so
+    steering[0] is the cheapest input with ties going to the smallest.
     """
+    inputs = sorted(scenario.constraints.inputs_for(a))
+    per_target = {}
+    for u, b in zip(inputs, successors(scenario.mas, a, inputs).tolist()):
+        if b in targets:
+            per_target.setdefault(b, []).append((u, joint_stage_cost(scenario, a, u)))
+    edges = {}
+    for b, cands in sorted(per_target.items()):
+        w = min(c for _, c in cands)
+        steering = tuple(u for u, c in cands if c == w)
+        edges[b] = Edge(w, steering, tuple(u for u, _ in cands))
+    return edges
+
+
+def build_graph(scenario, vertices) -> TransitionGraph:
+    """Transition graph of the scenario restricted to the given vertex set:
+    the out-edges of every vertex that stay inside the set."""
     verts = tuple(sorted(set(vertices)))
     vert_set = frozenset(verts)
-    outside = [a for a in verts if a not in constraints.state_set]
+    outside = [a for a in verts if a not in scenario.constraints.state_set]
     if outside:
         raise PreconditionViolated(
             "vertices %s outside the admissible state set" % (outside,)
         )
-    succ = successor_table(model, constraints)
-    edges = {}
-    for a in verts:
-        per_target = {}
-        for u in sorted(constraints.inputs_for(a)):
-            b = succ[(a, u)]
-            if b not in vert_set:
-                continue
-            per_target.setdefault(b, []).append((u, joint_stage_cost(
-                tables, policy, wcs_model, cost, a, u)))
-        for b, cands in sorted(per_target.items()):
-            w = min(c for _, c in cands)
-            steering = tuple(u for u, c in cands if c == w)
-            edges[(a, b)] = Edge(w, steering, tuple(u for u, _ in cands))
+    edges = {(a, b): edge for a in verts
+             for b, edge in out_edges(scenario, a, vert_set).items()}
     return TransitionGraph(verts, edges)
 
 
@@ -366,26 +350,22 @@ class SynthesisResult:
         return tuple(self.input_at(k) for k in range(count))
 
 
-def synthesize(model: MasModel, constraints: ConstraintSets,
-               tables: ChannelTables, policy: TransmitPolicy,
-               wcs_model: WcsModel, cost: StageCost,
-               success, thresholds, alpha0: int) -> SynthesisResult:
-    """Minimum average-cost schedule that reaches and holds the healthy set.
+def synthesize(scenario, stab) -> SynthesisResult:
+    """Minimum average-cost schedule that reaches and holds the healthy set,
+    given the scenario's stabilization record (`stabilization.stabilize`).
 
     Raises Infeasible when no invariant subset of the performance region
     is reachable from alpha0.
     """
-    region = omega_set(success, thresholds, constraints)
-    invariant = largest_invariant(region, model, constraints)
-    layers = reachable_layers(model, constraints, alpha0)
-    feas = feasibility(invariant, layers)
-    if not feas.feasible:
+    alpha0 = scenario.alpha0
+    layers = stab.layers
+    if not stab.feasible:
         raise Infeasible(
             "no reachable control-invariant state clears the thresholds "
             "(invariant core %s, reachable %s)"
-            % (sorted(invariant), sorted(layers.union))
+            % (sorted(stab.invariant), sorted(layers.union))
         )
-    graph = build_graph(model, constraints, tables, policy, wcs_model, cost, feas.phi)
+    graph = build_graph(scenario, stab.phi)
 
     best = None
     for comp in tarjan_scc(graph):
@@ -396,7 +376,7 @@ def synthesize(model: MasModel, constraints: ConstraintSets,
         if best is None or mean < best[0]:
             best = (mean, cycle)
     if best is None:
-        raise NoCycle("restricted graph on %s has no cycle" % (sorted(feas.phi),))
+        raise NoCycle("restricted graph on %s has no cycle" % (sorted(stab.phi),))
     mean, cycle = best
     cyc_verts = frozenset(cycle[:-1])
 
@@ -416,21 +396,15 @@ def synthesize(model: MasModel, constraints: ConstraintSets,
         chain = [min(layers.layers[entry_depth] & cyc_verts)]
         for k in range(entry_depth - 1, 0, -1):
             preds = [a for a in sorted(layers.layers[k])
-                     if chain[0] in one_step_reach(model, constraints, a)]
+                     if chain[0] in one_step_reach(scenario.mas, scenario.constraints, a)]
             chain.insert(0, preds[0])
         chain.insert(0, alpha0)
         cycle = _rotate_cycle(cycle, chain[-1])
         prefix_states = tuple(chain[:-1])
 
-    prefix_inputs = []
     full_path = list(prefix_states) + [cycle[0]]
-    for a, b in zip(full_path, full_path[1:]):
-        cands = admissible_inputs(model, constraints, a, b)
-        costs = [(joint_stage_cost(tables, policy, wcs_model, cost, a, u), u)
-                 for u in cands]
-        cheapest = min(c for c, _ in costs)
-        prefix_inputs.append(min(u for c, u in costs if c == cheapest))
-
+    prefix_inputs = tuple(out_edges(scenario, a, {b})[b].steering[0]
+                          for a, b in zip(full_path, full_path[1:]))
     cycle_inputs = tuple(
         graph.edges[(cycle[i], cycle[i + 1])].steering[0]
         for i in range(len(cycle) - 1)
@@ -438,17 +412,17 @@ def synthesize(model: MasModel, constraints: ConstraintSets,
 
     return SynthesisResult(
         alpha0=alpha0,
-        region=region,
-        invariant=invariant,
+        region=stab.region,
+        invariant=stab.invariant,
         layers=layers,
-        phi=feas.phi,
+        phi=stab.phi,
         graph=graph,
         prefix_states=prefix_states,
-        prefix_inputs=tuple(prefix_inputs),
+        prefix_inputs=prefix_inputs,
         cycle_states=cycle,
         cycle_inputs=cycle_inputs,
         mean_weight=mean,
-        optimal_cost=mean / cost.tau,
+        optimal_cost=mean / scenario.cost.tau,
     )
 
 

@@ -139,15 +139,3 @@ def decay_threshold(plant: Plant) -> float:
         return max(sym_eigenvalues(theta * gain + open_term)) <= 0.0
 
     return bisect_threshold(certified)
-
-
-def plant_step(plant: Plant, x, delivered: bool, noise) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(plant.dim)
-    noise = np.asarray(noise, dtype=float).reshape(plant.dim)
-    gain = plant.a_c if delivered else plant.a_o
-    return gain @ x + noise
-
-
-def lyapunov_value(plant: Plant, x) -> float:
-    x = np.asarray(x, dtype=float).reshape(plant.dim)
-    return float(x @ plant.q @ x)

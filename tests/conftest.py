@@ -22,16 +22,6 @@ def scenario():
 
 @pytest.fixture(scope="session")
 def synthesis(scenario):
-    from fadectrl import synthesize
+    from fadectrl import stabilize, synthesize
 
-    return synthesize(
-        scenario.mas,
-        scenario.constraints,
-        scenario.tables,
-        scenario.policy,
-        scenario.wcs,
-        scenario.cost,
-        scenario.success,
-        scenario.s_override,
-        scenario.alpha0,
-    )
+    return synthesize(scenario, stabilize(scenario, scenario.s_override))

@@ -31,14 +31,8 @@ from fadectrl.cosim import (
     empirical_lyapunov_check,
     simulate,
 )
-from fadectrl.stabilization import (
-    PerformanceRegion,
-    feasibility,
-    largest_invariant,
-    omega_set,
-    reachable_layers,
-)
-from fadectrl.synthesis import build_graph, karp_min_mean_cycle, synthesize
+from fadectrl.stabilization import PerformanceRegion, largest_invariant, stabilize
+from fadectrl.synthesis import build_graph, karp_min_mean_cycle
 from fadectrl.wcs import decay_threshold
 
 PHI = frozenset({2, 4, 5, 6})
@@ -70,21 +64,15 @@ def test_acceptance_1_thresholds(scenario, capsys):
 
 def test_acceptance_2_region_invariance_reachability(scenario, capsys):
     with verdict(capsys, "2 (region / invariance / reachability)"):
-        s = (Fraction("0.29"), Fraction("0.10"))
-        region = omega_set(scenario.success, s, scenario.constraints)
-        assert region.omega == frozenset({2, 4, 5, 6})
-        invariant = largest_invariant(region, scenario.mas, scenario.constraints)
-        assert invariant == region.omega
-        layers = reachable_layers(scenario.mas, scenario.constraints, scenario.alpha0)
-        assert layers.union == frozenset({1, 2, 3, 4, 5, 6})
-        assert feasibility(invariant, layers).feasible is True
+        stab = stabilize(scenario, (Fraction("0.29"), Fraction("0.10")))
+        assert stab.region.omega == frozenset({2, 4, 5, 6})
+        assert stab.invariant == stab.region.omega
+        assert stab.layers.union == frozenset({1, 2, 3, 4, 5, 6})
+        assert stab.feasible is True
 
 
 def _restricted_graph(scenario):
-    return build_graph(
-        scenario.mas, scenario.constraints, scenario.tables, scenario.policy,
-        scenario.wcs, scenario.cost, PHI,
-    )
+    return build_graph(scenario, PHI)
 
 
 def test_acceptance_3_cycle_enumeration(scenario, capsys):

@@ -3,9 +3,11 @@
 Proves:
  Group 1 - thresholds: values on stdout, warnings on stderr, non-finite
            matrix entries exit 1
- Group 2 - check: verdict in text and exit status (0 feasible, 2 not)
+ Group 2 - check: verdict in text and exit status (0 feasible, 2 not),
+           warnings for overrides below the computed thresholds
  Group 3 - synthesize: report/schedule/DOT artifacts, infeasible runs
-           and scenarios without channel tables leave nothing behind
+           and scenarios without channel tables leave nothing behind,
+           each stabilization stage runs once
  Group 4 - simulate: trace and report artifacts, decay verdict, same
            seed gives byte-identical traces that match a pinned golden
            digest, bad inputs exit 1
@@ -14,9 +16,11 @@ Proves:
 
 import hashlib
 import json
+import sys
 
 import pytest
 
+from fadectrl import stabilization
 from fadectrl.cli import OUTDIR_ENV, main
 
 # SHA-256 of the bundled cell's trace CSV under its synthesized schedule,
@@ -86,6 +90,36 @@ def test_check_override_validation(scenario_path, outdir, capsys):
     assert "must lie in [0, 1]" in err
 
 
+def test_override_below_computed_threshold_warns(scenario_path, outdir,
+                                                 tmp_path_factory, capsys):
+    # the bundled thresholds_override [0.29, 0.10] sits above the arm's
+    # 0.28937... but below the conveyor's 5/48
+    below = ("warning: link 2 (conveyor): threshold override 0.1 is below the "
+             "computed threshold 0.104166667")
+    for command in ("check", "synthesize"):
+        assert main([command, str(scenario_path)]) == 0
+        out, err = capsys.readouterr()
+        assert below in err
+        assert "link 1 (arm): threshold override" not in err
+        assert "[override]" in out
+
+    assert main(["check", str(scenario_path), "--s-override", "0.2,0.12"]) == 0
+    _, err = capsys.readouterr()
+    assert "link 1 (arm): threshold override 0.2 is below" in err
+    assert "link 2 (conveyor): threshold override" not in err
+
+    # a conveyor whose closed loop does not beat its open loop has no
+    # computed threshold: the override is still used, with a warning
+    text = scenario_path.read_text()
+    uncertified = tmp_path_factory.mktemp("uncertified") / "assembly_cell.yaml"
+    uncertified.write_text(text.replace("    a_closed: 0.2\n", "    a_closed: 1.0\n"))
+    assert main(["check", str(uncertified)]) == 0
+    out, err = capsys.readouterr()
+    assert ("warning: link 2 (conveyor): threshold override 0.1 is uncertified: "
+            "no computed threshold") in err
+    assert "feasible: yes" in out
+
+
 # ── Group 3: synthesize ──────────────────────────────────────────────────────
 
 def test_synthesize_artifacts(scenario_path, outdir, capsys):
@@ -130,6 +164,28 @@ def test_synthesize_direct_table_only_is_an_error(scenario_path, outdir,
     assert "error: expected radio power undefined: scenario has no channel tables" in err
     assert "Traceback" not in err
     assert list(outdir.iterdir()) == []
+
+
+def test_synthesize_stabilizes_once(scenario_path, outdir, monkeypatch, capsys):
+    # wrap every binding of the two costly stages in every loaded fadectrl
+    # module, so a call through any import path is counted
+    calls = {}
+    for name in ("largest_invariant", "reachable_layers"):
+        original = getattr(stabilization, name)
+        calls[name] = 0
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if module is not None and modname.split(".")[0] == "fadectrl":
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+    assert main(["synthesize", str(scenario_path)]) == 0
+    capsys.readouterr()
+    assert calls == {"largest_invariant": 1, "reachable_layers": 1}
 
 
 def test_synthesize_infeasible_writes_nothing(scenario_path, outdir, capsys):
@@ -207,10 +263,22 @@ def test_simulate_small_run_skips_decay_check(scenario_path, outdir, capsys):
 
 def test_simulate_rejects_bad_schedule_json(scenario_path, outdir, capsys):
     bad = outdir / "broken.json"
-    bad.write_text("{not json")
-    assert _simulate(scenario_path, outdir, bad, seed=1) == 1
-    _, err = capsys.readouterr()
-    assert "error:" in err and "is not valid" in err
+    for text, field in (
+        ("{not json", ""),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"cycle_inputs": [7.9, 7, 4, 7], "alpha0": 4}', "cycle_inputs[0]"),
+        ('{"cycle_inputs": [7, true, 4, 7], "alpha0": 4}', "cycle_inputs[1]"),
+        ('{"cycle_inputs": [7, 7, "4", 7], "alpha0": 4}', "cycle_inputs[2]"),
+        ('{"prefix_inputs": [4.0], "cycle_inputs": [7, 7, 4, 7]}', "prefix_inputs[0]"),
+        ('{"cycle_inputs": 7, "alpha0": 4}', "'cycle_inputs' must be a list"),
+        ('{"cycle_inputs": [7, 7, 4, 7], "alpha0": 4.5}', "alpha0"),
+        ('{"alpha0": 4}', "no 'cycle_inputs'"),
+    ):
+        bad.write_text(text)
+        assert _simulate(scenario_path, outdir, bad, seed=1) == 1, text
+        _, err = capsys.readouterr()
+        assert "error:" in err and "is not valid" in err and field in err, text
+        assert "Traceback" not in err
 
 
 def test_simulate_rejects_missing_schedule(scenario_path, outdir, capsys):

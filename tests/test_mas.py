@@ -12,7 +12,7 @@ Proves:
  Group 2 - structure matrix: exhaustive agreement with the direct update,
            the basis-product route gives the same column, and F equals
            the vectorized law on the worked and on random models
- Group 3 - constrained reach/steering oracles (frozen successor sets)
+ Group 3 - constrained one-step reach (frozen successor sets)
  Group 4 - validation contracts
 """
 
@@ -31,10 +31,8 @@ from fadectrl.errors import (
 from fadectrl.mas import (
     ConstraintSets,
     MasModel,
-    admissible_inputs,
     one_step_reach,
     successor_index,
-    successor_table,
     successors,
     to_digits,
     to_index,
@@ -170,32 +168,6 @@ def test_one_step_reach_frozen_table():
         assert one_step_reach(MODEL, CONSTRAINTS, a) == expect
 
 
-def test_admissible_inputs_frozen_values():
-    assert admissible_inputs(MODEL, CONSTRAINTS, 4, 2) == (7,)
-    assert admissible_inputs(MODEL, CONSTRAINTS, 4, 3) == (8,)
-    assert admissible_inputs(MODEL, CONSTRAINTS, 2, 2) == (4,)
-    assert admissible_inputs(MODEL, CONSTRAINTS, 6, 4) == (7,)
-    assert admissible_inputs(MODEL, CONSTRAINTS, 4, 4) == ()
-
-
-def test_admissible_inputs_cover_reach_exactly():
-    for a in sorted(CONSTRAINTS.state_set):
-        for b in range(1, 10):
-            steering = admissible_inputs(MODEL, CONSTRAINTS, a, b)
-            if b in CONSTRAINTS.state_set and b in REACH[a]:
-                assert steering
-            for u in steering:
-                assert successor_index(MODEL, a, u) == b
-                assert u in CONSTRAINTS.inputs_for(a)
-
-
-def test_successor_table_complete():
-    table = successor_table(MODEL, CONSTRAINTS)
-    assert len(table) == 6 * 4
-    for (a, u), b in table.items():
-        assert successor_index(MODEL, a, u) == b
-
-
 # ── Group 4: validation ──────────────────────────────────────────────────────
 
 def test_model_validation():
@@ -214,8 +186,6 @@ def test_model_validation():
 
 
 def test_model_neighbors():
-    assert MODEL.in_neighbors(0) == frozenset({1})
-    assert MODEL.in_neighbors(1) == frozenset({0})
     assert MODEL.state_count == 9
 
 

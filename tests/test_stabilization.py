@@ -1,7 +1,8 @@
 """Performance region, invariance, reachability, feasibility.
 
 Proves:
- Group 1 - the bundled worked example's frozen sets
+ Group 1 - the bundled worked example's frozen sets, one stage at a time
+           and through stabilize
  Group 2 - structural properties (disjoint layers, threshold monotonicity)
  Group 3 - largest_invariant vs the exhaustive subset oracle
  Group 4 - error contracts
@@ -16,10 +17,10 @@ from fadectrl.errors import InitialStateViolatesConstraint, PreconditionViolated
 from fadectrl.mas import ConstraintSets, MasModel
 from fadectrl.stabilization import (
     PerformanceRegion,
-    feasibility,
     largest_invariant,
     omega_set,
     reachable_layers,
+    stabilize,
 )
 from oracles import brute_invariant, random_mas_instance
 
@@ -50,25 +51,22 @@ def test_reachable_layers_frozen():
         frozenset({4}),
     )
     assert reach.union == frozenset(range(1, 7))
-    assert reach.start == 4
-    assert reach.depth_of(2) == 1
-    assert reach.depth_of(4) == 3  # the start re-enters later
-    assert reach.depth_of(9) is None
 
 
 def test_feasibility_frozen(scenario):
-    region = omega_set(scenario.success, THRESHOLDS, scenario.constraints)
-    invariant = largest_invariant(region, MODEL, CONSTRAINTS)
-    reach = reachable_layers(MODEL, CONSTRAINTS, 4)
-    feas = feasibility(invariant, reach)
-    assert feas.feasible
-    assert feas.phi == frozenset({2, 4, 5, 6})
+    stab = stabilize(scenario, THRESHOLDS)
+    assert stab.region == omega_set(scenario.success, THRESHOLDS, scenario.constraints)
+    assert stab.invariant == frozenset({2, 4, 5, 6})
+    assert stab.layers == reachable_layers(MODEL, CONSTRAINTS, 4)
+    assert stab.feasible
+    assert stab.phi == frozenset({2, 4, 5, 6})
 
 
-def test_infeasible_when_invariant_empty():
-    reach = reachable_layers(MODEL, CONSTRAINTS, 4)
-    feas = feasibility(frozenset(), reach)
-    assert not feas.feasible and feas.phi == frozenset()
+def test_infeasible_when_invariant_empty(scenario):
+    stab = stabilize(scenario, (Fraction("0.99"), Fraction("0.99")))
+    assert stab.invariant == frozenset()
+    assert stab.layers.union == frozenset(range(1, 7))
+    assert not stab.feasible and stab.phi == frozenset()
 
 
 # ── Group 2: structural properties ───────────────────────────────────────────

@@ -2,7 +2,8 @@
 
 Proves:
  Group 1 - stage costs (exact arithmetic, input-indexed table)
- Group 2 - the frozen nine-edge graph of the bundled worked example
+ Group 2 - the frozen nine-edge graph of the bundled worked example and
+           the per-state out-edges it is built from
  Group 3 - strongly connected components vs a reachability oracle,
            including a path deeper than the recursion limit
  Group 4 - Karp's minimum-mean cycle vs the DFS enumeration oracle and
@@ -14,6 +15,7 @@ Proves:
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,8 @@ from fadectrl.errors import (
     PreconditionViolated,
     ValueOutOfRange,
 )
-from fadectrl.mas import ConstraintSets, MasModel
+from fadectrl.mas import one_step_reach, successor_index
+from fadectrl.stabilization import stabilize
 from fadectrl.synthesis import (
     Edge,
     StageCost,
@@ -35,6 +38,7 @@ from fadectrl.synthesis import (
     build_graph,
     joint_stage_cost,
     karp_min_mean_cycle,
+    out_edges,
     synthesize,
     tarjan_scc,
     to_dot,
@@ -48,8 +52,6 @@ from oracles import (
     simple_cycles,
 )
 
-MODEL = MasModel(2, 3, ({0: 1, 1: 2}, {0: 1, 1: 1}))
-CONSTRAINTS = ConstraintSets.uniform(frozenset(range(1, 7)), frozenset({4, 5, 7, 8}))
 PHI = frozenset({2, 4, 5, 6})
 
 # (source, target) -> (weight, cheapest steering input)
@@ -67,10 +69,7 @@ FROZEN_EDGES = {
 
 
 def _graph(scenario):
-    return build_graph(
-        scenario.mas, scenario.constraints, scenario.tables, scenario.policy,
-        scenario.wcs, scenario.cost, PHI,
-    )
+    return build_graph(scenario, PHI)
 
 
 # ── Group 1: stage costs ─────────────────────────────────────────────────────
@@ -88,22 +87,10 @@ def test_stage_cost_validation():
         StageCost(1, 1, ((1, 2), (3,)))
 
 
-def test_from_input_costs_replicates_per_state():
-    cost = StageCost.from_input_costs(40, 1, (8, 10, 12))
-    assert cost.n_states == 3
-    for a in range(1, 4):
-        for u, expect in ((1, 8), (2, 10), (3, 12)):
-            assert cost.input_cost(a, u) == expect
-
-
 def test_joint_stage_cost_exact(scenario):
-    c = joint_stage_cost(
-        scenario.tables, scenario.policy, scenario.wcs, scenario.cost, 2, 4
-    )
+    c = joint_stage_cost(scenario, 2, 4)
     assert c == 27 and isinstance(c, Fraction)
-    c = joint_stage_cost(
-        scenario.tables, scenario.policy, scenario.wcs, scenario.cost, 5, 5
-    )
+    c = joint_stage_cost(scenario, 5, 5)
     assert c == 32
 
 
@@ -128,10 +115,32 @@ def test_graph_adjacency_helpers(scenario):
 
 def test_graph_rejects_inadmissible_vertices(scenario):
     with pytest.raises(PreconditionViolated):
-        build_graph(
-            scenario.mas, scenario.constraints, scenario.tables, scenario.policy,
-            scenario.wcs, scenario.cost, frozenset({2, 7}),
-        )
+        build_graph(scenario, frozenset({2, 7}))
+
+
+def test_out_edges_frozen_values(scenario):
+    admissible = scenario.constraints.state_set
+    assert out_edges(scenario, 4, admissible)[2].admissible == (7,)
+    assert out_edges(scenario, 4, admissible)[3].admissible == (8,)
+    assert out_edges(scenario, 2, admissible)[2].admissible == (4,)
+    assert out_edges(scenario, 6, admissible)[4].admissible == (7,)
+    assert 4 not in out_edges(scenario, 4, admissible)
+    assert set(out_edges(scenario, 4, {2, 4})) == {2}
+
+
+def test_out_edges_cover_reach_exactly(scenario):
+    mas, constraints = scenario.mas, scenario.constraints
+    for a in sorted(constraints.state_set):
+        edges = out_edges(scenario, a, constraints.state_set)
+        assert tuple(edges) == one_step_reach(mas, constraints, a)
+        for b, edge in edges.items():
+            for u in edge.admissible:
+                assert successor_index(mas, a, u) == b
+                assert u in constraints.inputs_for(a)
+            costs = {u: joint_stage_cost(scenario, a, u) for u in edge.admissible}
+            assert edge.weight == min(costs.values())
+            assert edge.steering == tuple(u for u in sorted(costs)
+                                          if costs[u] == edge.weight)
 
 
 # ── Group 3: strongly connected components ───────────────────────────────────
@@ -333,10 +342,8 @@ def test_synthesized_cycle_is_minimum_over_enumeration(scenario, synthesis):
 
 
 def test_synthesis_with_off_cycle_start(scenario):
-    result = synthesize(
-        scenario.mas, scenario.constraints, scenario.tables, scenario.policy,
-        scenario.wcs, scenario.cost, scenario.success, scenario.s_override, 1,
-    )
+    off_cycle = replace(scenario, alpha0=1)
+    result = synthesize(off_cycle, stabilize(off_cycle, scenario.s_override))
     assert result.prefix_states == (1,)
     assert result.prefix_inputs == (4,)
     assert result.cycle_states == (4, 2, 5, 6, 4)
@@ -347,12 +354,9 @@ def test_synthesis_with_off_cycle_start(scenario):
 
 
 def test_synthesis_infeasible_thresholds(scenario):
+    stab = stabilize(scenario, (Fraction("0.99"), Fraction("0.99")))
     with pytest.raises(Infeasible):
-        synthesize(
-            scenario.mas, scenario.constraints, scenario.tables, scenario.policy,
-            scenario.wcs, scenario.cost, scenario.success,
-            (Fraction("0.99"), Fraction("0.99")), 4,
-        )
+        synthesize(scenario, stab)
 
 
 def test_dot_export(scenario, synthesis):

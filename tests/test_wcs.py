@@ -9,7 +9,7 @@ Proves:
    5. weaker decay rates need less delivery
    6. precondition and infeasibility contracts
  Group 2 - model plumbing
-   7. plant_step / lyapunov_value / noise_floor arithmetic
+   7. noise_floor arithmetic
    8. construction-time validation
 """
 
@@ -27,8 +27,6 @@ from fadectrl.wcs import (
     WcsModel,
     decay_threshold,
     default_lyapunov_weight,
-    lyapunov_value,
-    plant_step,
 )
 
 A_C1 = np.array([[-0.1, -0.1], [0.1, 0.2]])
@@ -100,15 +98,6 @@ def test_threshold_infeasible_rate():
 
 
 # ── Group 2: model plumbing ──────────────────────────────────────────────────
-
-def test_plant_step_and_lyapunov_value():
-    arm = _arm()
-    x = np.array([1.0, -1.0])
-    noise = np.array([0.1, 0.2])
-    assert np.allclose(plant_step(arm, x, True, noise), A_C1 @ x + noise)
-    assert np.allclose(plant_step(arm, x, False, noise), A_O1 @ x + noise)
-    assert abs(lyapunov_value(arm, x) - x @ arm.q @ x) < 1e-12
-
 
 def test_noise_floor_is_weighted_trace():
     arm = _arm()
