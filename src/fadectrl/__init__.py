@@ -6,16 +6,7 @@ eventually-periodic agent schedule (minimum-mean cycle), and verifies
 the closed loop by Monte-Carlo co-simulation.
 """
 
-from .channel import (
-    ChannelTables,
-    SuccessTable,
-    TransmitPolicy,
-    expected_power,
-    load_direct_success,
-    success_prob,
-    success_table,
-    transmit_prob,
-)
+from .channel import SuccessTable, expected_power
 from .cosim import (
     Schedule,
     SimConfig,

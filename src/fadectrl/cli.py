@@ -251,7 +251,12 @@ def cmd_simulate(args) -> int:
     report.append("seed %d, trials %d, horizon %d fast steps (tau = %d)"
                   % (args.seed, args.trials, args.horizon, trace.tau))
     report.append("final running average cost: %.10g" % trace.running_cost[-1])
-    if args.trials >= 100:
+    if args.trials < 100:
+        report.append("decay check skipped (needs >= 100 trials)")
+    elif trace.entry_fast >= args.horizon:
+        report.append("decay check skipped (horizon %d ends at or before the cycle "
+                      "entry at fast step %d)" % (args.horizon, trace.entry_fast))
+    else:
         check = empirical_lyapunov_check(trace, scn.wcs)
         for pc in check.plants:
             name = scn.wcs.plants[pc.plant].name or "plant %d" % (pc.plant + 1)
@@ -260,8 +265,6 @@ def cmd_simulate(args) -> int:
                 % (name, "PASS" if pc.passed else "FAIL", pc.worst_margin, pc.worst_step)
             )
         report.append("decay check overall: %s" % ("PASS" if check.passed else "FAIL"))
-    else:
-        report.append("decay check skipped (needs >= 100 trials)")
     text = "\n".join(report) + "\n"
     print(text, end="")
 

@@ -204,10 +204,7 @@ def _replay_slow(scenario, schedule: Schedule, n_slow: int):
 def _running_average(scenario, alpha_slow, inputs_slow, horizon: int) -> np.ndarray:
     """Deterministic running average of the joint cost over fast steps."""
     cost = scenario.cost
-    power = {
-        a: float(expected_power(scenario.tables, scenario.policy, scenario.wcs, a))
-        for a in sorted(set(alpha_slow))
-    }
+    power = {a: float(expected_power(scenario, a)) for a in sorted(set(alpha_slow))}
     lam = float(cost.lam)
     tau = cost.tau
     per_fast = np.empty(horizon)

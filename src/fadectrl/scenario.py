@@ -23,14 +23,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import (
-    ChannelTables,
-    SuccessTable,
-    TransmitPolicy,
-    consistency_gaps,
-    load_direct_success,
-    success_table,
-)
+from .channel import SuccessTable, consistency_gaps, derive_tables
 from .errors import ParseError, ToolkitError, ValidationError
 from .mas import ConstraintSets, MasModel, to_index
 from .synthesis import StageCost
@@ -40,9 +33,26 @@ ROW_MASS_TOL = 1e-9
 
 
 class _LineLoader(yaml.SafeLoader):
-    """SafeLoader that stamps each mapping with its 1-based source line."""
+    """SafeLoader that stamps each mapping with its 1-based source line and
+    rejects a key written twice in one mapping (a merged ``<<`` key may
+    still be overridden)."""
 
     def construct_mapping(self, node, deep=False):
+        lines = {}
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            line = key_node.start_mark.line + 1
+            try:
+                duplicate = key in lines
+            except TypeError:  # unhashable; the base loader rejects it
+                continue
+            if duplicate:
+                raise yaml.constructor.ConstructorError(
+                    problem="duplicate key %r at line %d, first written at line %d"
+                    % (key, line, lines[key]))
+            lines[key] = line
         mapping = super().construct_mapping(node, deep=deep)
         mapping["__line__"] = node.start_mark.line + 1
         return mapping
@@ -64,11 +74,8 @@ class Scenario:
     mas: MasModel
     constraints: ConstraintSets
     wcs: WcsModel
-    policy: TransmitPolicy
-    tables: object            # ChannelTables or None
-    direct_success: object    # SuccessTable or None
-    derived_success: object   # SuccessTable or None
-    success: SuccessTable     # the one to use (direct wins)
+    success: SuccessTable     # measured if given, else derived
+    transmit: object          # SuccessTable, or None without fading tables
     cost: StageCost
     alpha0: int
     s_override: tuple = None
@@ -371,15 +378,16 @@ def _parse_plants(doc, ctx):
 
 
 def _parse_channel(doc, model, constraints, wcs_model, ctx):
+    """(transmit table or None, success table to use, warnings)."""
     sec = _as_map(doc, "channel", ctx, "channel")
     if sec is None or model is None or wcs_model is None:
-        return None, None, None
+        return None, None, ()
     ln = _line(sec)
     q = wcs_model.link_count
     nn = model.state_count
     r = _as_int(sec.get("local_states"), ctx, ln, "channel.local_states", lo=1)
     pol_raw = _as_list(sec, "transmit_policy", ctx, "channel.transmit_policy")
-    policy = None
+    flags = None
     if r is not None and pol_raw is not None:
         if len(pol_raw) != q:
             ctx.err(ln, "channel.transmit_policy",
@@ -393,11 +401,11 @@ def _parse_channel(doc, model, constraints, wcs_model, ctx):
                             "must be a list of %d zero/one flags" % r)
                     ok = False
             if ok:
-                policy = TransmitPolicy(r, tuple(tuple(row) for row in pol_raw))
+                flags = [[int(b) for b in row] for row in pol_raw]
 
     fading_raw = sec.get("fading")
-    tables = None
-    if fading_raw is not None and policy is not None:
+    transmit = derived = None
+    if fading_raw is not None and flags is not None:
         if not isinstance(fading_raw, dict):
             ctx.err(ln, "channel.fading", "must map agent state -> row")
         else:
@@ -451,11 +459,7 @@ def _parse_channel(doc, model, constraints, wcs_model, ctx):
                         gamma[i][a - 1] = tuple(probs)
                         eta[i][a - 1] = e
             if ok:
-                tables = ChannelTables(
-                    nn,
-                    tuple(tuple(rows) for rows in gamma),
-                    tuple(tuple(rows) for rows in eta),
-                )
+                transmit, derived = derive_tables(flags, gamma, eta)
 
     direct_raw = sec.get("success_direct")
     direct = None
@@ -481,18 +485,25 @@ def _parse_channel(doc, model, constraints, wcs_model, ctx):
                     vals.append(pv)
                 rows.append(tuple(vals))
             if ok:
-                direct = load_direct_success(rows, nn)
+                direct = SuccessTable(nn, rows)
 
-    if tables is None and direct is None and policy is not None:
+    if derived is None and direct is None and flags is not None:
         ctx.err(ln, "channel", "needs fading tables, a direct success table, or both")
     # every admissible state must have a usable success probability
-    if constraints is not None and policy is not None:
+    if constraints is not None and flags is not None:
         for a in sorted(constraints.state_set):
-            have = direct is not None or (tables is not None and
-                                          all(tables.covered(i, a) for i in range(q)))
+            have = direct is not None or (derived is not None and
+                                          all(row[a - 1] is not None for row in derived.values))
             if not have:
                 ctx.err(ln, "channel", "state %d is admissible but not covered" % a)
-    return policy, tables, direct
+    if direct is None or derived is None:
+        return transmit, direct if direct is not None else derived, ()
+    warnings = tuple(
+        "measured success table overrides derived value at link %d, "
+        "state %d: measured %s vs derived %s" % (i + 1, a, float(d), float(e))
+        for i, a, d, e in consistency_gaps(direct, derived)
+    )
+    return transmit, direct, warnings
 
 
 def _parse_cost(doc, model, ctx):
@@ -564,7 +575,7 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
     model, alpha0 = _parse_agents(doc, ctx)
     constraints = _parse_constraints(doc, model, ctx)
     wcs_model = _parse_plants(doc, ctx)
-    policy, tables, direct = _parse_channel(doc, model, constraints, wcs_model, ctx)
+    transmit, success, warnings = _parse_channel(doc, model, constraints, wcs_model, ctx)
     cost = _parse_cost(doc, model, ctx)
 
     if alpha0 is not None and constraints is not None and alpha0 not in constraints.state_set:
@@ -612,31 +623,18 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
 
     ctx.raise_if_any()
 
-    derived = success_table(tables, policy) if tables is not None else None
-    success = direct if direct is not None else derived
-    warnings = []
-    if direct is not None and derived is not None:
-        for (i, a, d, e) in consistency_gaps(direct, derived):
-            warnings.append(
-                "measured success table overrides derived value at link %d, "
-                "state %d: measured %s vs derived %s" % (i + 1, a, float(d), float(e))
-            )
-
     return Scenario(
         source=source,
         mas=model,
         constraints=constraints,
         wcs=wcs_model,
-        policy=policy,
-        tables=tables,
-        direct_success=direct,
-        derived_success=derived,
         success=success,
+        transmit=transmit,
         cost=cost,
         alpha0=alpha0,
         s_override=s_override,
         x0=x0,
-        warnings=tuple(warnings),
+        warnings=warnings,
         name=str(doc.get("name", "")),
     )
 

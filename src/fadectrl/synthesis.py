@@ -85,8 +85,7 @@ class StageCost:
 def joint_stage_cost(scenario, a: int, u: int):
     """Total expected cost of one slow step spent at a applying u."""
     cost = scenario.cost
-    return cost.tau * expected_power(scenario.tables, scenario.policy, scenario.wcs, a) \
-        + cost.lam * cost.input_cost(a, u)
+    return cost.tau * expected_power(scenario, a) + cost.lam * cost.input_cost(a, u)
 
 
 @dataclass(frozen=True)

@@ -4,24 +4,21 @@ Proves:
  Group 1 - probability algebra on a small synthetic setup, exactly
  Group 2 - the bundled scenario's tables reproduce the measured
            success rows (one documented disagreement aside)
- Group 3 - validation and coverage contracts
+ Group 3 - table validation and index contracts (the fading tables
+           themselves are validated by the loader, see test_scenario)
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fadectrl.channel import (
-    ChannelTables,
     SuccessTable,
-    TransmitPolicy,
     consistency_gaps,
+    derive_tables,
     expected_power,
-    load_direct_success,
-    success_prob,
-    success_table,
-    transmit_prob,
 )
 from fadectrl.errors import (
     DimensionMismatch,
@@ -29,6 +26,7 @@ from fadectrl.errors import (
     PreconditionViolated,
     ValueOutOfRange,
 )
+from fadectrl.scenario import load_scenario_text
 from fadectrl.wcs import Plant, WcsModel
 
 F = Fraction
@@ -36,10 +34,10 @@ F = Fraction
 
 def _tiny():
     """Two links, two agent states, two local channel states; link 1
-    transmits only in local state 0, link 2 always."""
-    policy = TransmitPolicy(2, ((1, 0), (1, 1)))
-    tables = ChannelTables(
-        2,
+    transmits only in local state 0, link 2 always; link 2 does not
+    cover state 2."""
+    return derive_tables(
+        ((1, 0), (1, 1)),
         gamma=(
             ((F("0.6"), F("0.4")), (F("0.2"), F("0.8"))),
             ((F("0.5"), F("0.5")), None),
@@ -49,7 +47,6 @@ def _tiny():
             (F("0.7"), None),
         ),
     )
-    return tables, policy
 
 
 def _two_plants():
@@ -61,29 +58,31 @@ def _two_plants():
 # ── Group 1: probability algebra ─────────────────────────────────────────────
 
 def test_transmit_prob_masks_by_policy():
-    tables, policy = _tiny()
-    assert transmit_prob(tables, policy, 0, 1) == F("0.6")
-    assert transmit_prob(tables, policy, 0, 2) == F("0.2")
-    assert transmit_prob(tables, policy, 1, 1) == 1
+    transmit, _ = _tiny()
+    assert transmit.prob(0, 1) == F("0.6")
+    assert transmit.prob(0, 2) == F("0.2")
+    assert transmit.prob(1, 1) == 1
 
 
 def test_success_prob_scales_by_decode():
-    tables, policy = _tiny()
-    assert success_prob(tables, policy, 0, 1) == F("0.9") * F("0.6")
-    assert success_prob(tables, policy, 0, 2) == F("0.5") * F("0.2")
-    assert success_prob(tables, policy, 1, 1) == F("0.7")
+    _, success = _tiny()
+    assert success.prob(0, 1) == F("0.9") * F("0.6")
+    assert success.prob(0, 2) == F("0.5") * F("0.2")
+    assert success.prob(1, 1) == F("0.7")
+    assert all(isinstance(p, Fraction) for p in success.values[0])
 
 
 def test_expected_power_prices_transmissions():
-    tables, policy = _tiny()
-    power = expected_power(tables, policy, _two_plants(), 1)
+    transmit, _ = _tiny()
+    power = expected_power(SimpleNamespace(transmit=transmit, wcs=_two_plants()), 1)
     assert power == F("0.25") * F("0.6") + F("0.5") * 1
     assert isinstance(power, Fraction)
+    with pytest.raises(PreconditionViolated, match="no channel tables"):
+        expected_power(SimpleNamespace(transmit=None, wcs=_two_plants()), 1)
 
 
 def test_derived_success_table():
-    tables, policy = _tiny()
-    table = success_table(tables, policy)
+    _, table = _tiny()
     assert table.prob(0, 1) == F("0.54")
     assert table.values[1][1] is None
     arr = table.as_array()
@@ -92,33 +91,39 @@ def test_derived_success_table():
 
 
 def test_uncovered_state_contracts():
-    tables, policy = _tiny()
-    assert tables.covered(1, 1) and not tables.covered(1, 2)
+    transmit, success = _tiny()
+    assert transmit.values[1] == (1, None)
     with pytest.raises(PreconditionViolated):
-        transmit_prob(tables, policy, 1, 2)
+        transmit.prob(1, 2)
     with pytest.raises(PreconditionViolated):
-        success_prob(tables, policy, 1, 2)
+        success.prob(1, 2)
     with pytest.raises(IndexOutOfRange):
-        transmit_prob(tables, policy, 2, 1)
+        transmit.prob(2, 1)
     with pytest.raises(IndexOutOfRange):
-        transmit_prob(tables, policy, 0, 3)
+        transmit.prob(0, 3)
 
 
 def test_consistency_gaps_reports_disagreements():
-    tables, policy = _tiny()
-    derived = success_table(tables, policy)
-    direct = load_direct_success(((F("0.54"), F("0.2")), (F("0.7"), None)), 2)
+    _, derived = _tiny()
+    direct = SuccessTable(2, ((F("0.54"), F("0.2")), (F("0.7"), None)))
     assert consistency_gaps(direct, derived) == [(0, 2, F("0.2"), F("0.1"))]
-    agree = load_direct_success(((F("0.54"), F("0.105")), (F("0.7"), None)), 2)
+    agree = SuccessTable(2, ((F("0.54"), F("0.105")), (F("0.7"), None)))
     assert consistency_gaps(agree, derived) == []
 
 
 # ── Group 2: the bundled tables vs the measured rows ─────────────────────────
 
-def test_bundled_derivation_matches_measurements(scenario):
-    direct = scenario.direct_success
-    derived = scenario.derived_success
-    gaps = consistency_gaps(direct, derived, tol=0.01)
+def _derived_only(scenario_path):
+    """The bundled cell without its measured table: success is derived."""
+    text = scenario_path.read_text()
+    cut = text[text.index("  success_direct:"):text.index("\ncost:")]
+    return load_scenario_text(text.replace(cut, ""))
+
+
+def test_bundled_derivation_matches_measurements(scenario, scenario_path):
+    direct = scenario.success
+    derived = _derived_only(scenario_path).success
+    gaps = consistency_gaps(direct, derived)
     # a single measured entry disagrees with the tables beyond rounding
     assert gaps == [(1, 5, F("0.10"), F("0.075"))]
     for i in range(2):
@@ -128,10 +133,10 @@ def test_bundled_derivation_matches_measurements(scenario):
             assert abs(direct.prob(i, a) - derived.prob(i, a)) <= F("0.005")
 
 
-def test_bundled_success_prefers_measurements(scenario):
-    assert scenario.success is scenario.direct_success
+def test_bundled_success_prefers_measurements(scenario, scenario_path):
     assert scenario.success.prob(0, 2) == F("0.33")
     assert scenario.success.prob(1, 5) == F("0.10")
+    assert _derived_only(scenario_path).success.prob(1, 5) == F("0.075")
     assert any("link 2" in w and "state 5" in w for w in scenario.warnings)
 
 
@@ -139,33 +144,10 @@ def test_bundled_power_expectations(scenario):
     # transmit masses by state row group, priced 0.25 and 0.5 per link
     for a, expect in ((2, F(13, 40)), (4, F(13, 40)),
                       (5, F(3, 10)), (6, F(7, 20))):
-        power = expected_power(scenario.tables, scenario.policy, scenario.wcs, a)
-        assert power == expect
+        assert expected_power(scenario, a) == expect
 
 
 # ── Group 3: validation ──────────────────────────────────────────────────────
-
-def test_policy_validation():
-    assert TransmitPolicy(2, ((1, 0),)).link_count == 1
-    with pytest.raises(ValueOutOfRange):
-        TransmitPolicy(2, ((1, 2),))
-    with pytest.raises(DimensionMismatch):
-        TransmitPolicy(2, ((1, 0, 1),))
-    with pytest.raises(ValueOutOfRange):
-        TransmitPolicy(0, ())
-
-
-def test_tables_validation():
-    bad_mass = ((F("0.5"), F("0.4")),)
-    with pytest.raises(ValueOutOfRange):
-        ChannelTables(1, (bad_mass,), ((F("0.5"),),))
-    with pytest.raises(ValueOutOfRange):
-        ChannelTables(1, (((F("1.5"), F("-0.5")),),), ((F("0.5"),),))
-    with pytest.raises(DimensionMismatch):
-        ChannelTables(2, (((F("1"),),),), ((F("0.5"), F("0.5")),))
-    with pytest.raises(DimensionMismatch):
-        ChannelTables(1, (((F("1"),),),), ())
-
 
 def test_success_table_validation():
     with pytest.raises(ValueOutOfRange):
@@ -179,8 +161,9 @@ def test_success_table_validation():
         consistency_gaps(table, SuccessTable(1, ((F("0.5"),),)))
 
 
-def test_mismatched_row_length_vs_policy():
-    tables = ChannelTables(1, (((F("0.5"), F("0.5")),),), ((F("0.5"),),))
-    policy = TransmitPolicy(3, ((1, 1, 0),))
-    with pytest.raises(DimensionMismatch):
-        transmit_prob(tables, policy, 0, 1)
+@pytest.mark.parametrize("link, state", [(0, 0), (-1, 3), (0, 10), (2, 1)])
+def test_success_table_prob_checks_indices(scenario, link, state):
+    # state 0 used to wrap to state 9 and link -1 to the last link
+    for table in (scenario.success, scenario.transmit):
+        with pytest.raises(IndexOutOfRange):
+            table.prob(link, state)

@@ -10,7 +10,8 @@ Proves:
            each stabilization stage runs once
  Group 4 - simulate: trace and report artifacts, decay verdict, same
            seed gives byte-identical traces that match a pinned golden
-           digest, bad inputs exit 1
+           digest, the decay check is skipped (with its reason) below 100
+           trials or before the cycle entry, bad inputs exit 1
  Group 5 - usage errors
 """
 
@@ -259,6 +260,22 @@ def test_simulate_small_run_skips_decay_check(scenario_path, outdir, capsys):
                      horizon=40) == 0
     out, _ = capsys.readouterr()
     assert "decay check skipped (needs >= 100 trials)" in out
+
+
+def test_simulate_horizon_before_cycle_entry_skips_decay_check(scenario_path, outdir,
+                                                             capsys):
+    # one 40-step prefix slot: a 40-step horizon ends at the cycle entry,
+    # which used to exit 1 with no artifacts
+    schedule_path = outdir / "prefixed.json"
+    schedule_path.write_text('{"alpha0": 4, "prefix_inputs": [7], "cycle_inputs": [4]}')
+    assert _simulate(scenario_path, outdir, schedule_path, 1, trials=100,
+                     horizon=40) == 0
+    out, err = capsys.readouterr()
+    assert ("decay check skipped (horizon 40 ends at or before the cycle entry "
+            "at fast step 40)") in out
+    assert "error:" not in err
+    assert len((outdir / "assembly_cell.trace.csv").read_text().splitlines()) == 41
+    assert "decay check skipped" in (outdir / "assembly_cell.simreport.txt").read_text()
 
 
 def test_simulate_rejects_bad_schedule_json(scenario_path, outdir, capsys):

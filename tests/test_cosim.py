@@ -204,7 +204,7 @@ def test_simulate_schedule_validation(scenario):
 
 
 def test_simulate_needs_success_coverage(scenario):
-    gutted = dataclasses.replace(scenario, tables=None)
+    gutted = dataclasses.replace(scenario, transmit=None)
     with pytest.raises(PreconditionViolated):
         simulate(gutted, OPTIMAL, SimConfig(40, 4, 1))
 

@@ -4,7 +4,8 @@ Proves:
  Group 1 - the bundled scenario loads into exact, fully wired objects
  Group 2 - malformed documents are rejected with located messages, and
            every violation in a document is reported at once
- Group 3 - parse failures and unreadable paths raise ParseError
+ Group 3 - parse failures (invalid YAML, a key written twice) and
+           unreadable paths raise ParseError
  Group 4 - small synthetic documents exercise the alternate spellings
            (per-state input maps, scalar plants, no direct table, a
            Lyapunov weight for a slow-but-stable loop)
@@ -63,6 +64,16 @@ def _reject(text):
     return ei.value.violations
 
 
+def _reject_once(text, old, new, field, message):
+    """Editing old to new in text gives exactly one located violation."""
+    broken = text.replace(old, new)
+    assert broken != text
+    violations = _reject(broken)
+    assert len(violations) == 1
+    assert re.match(r"^<string>:\d+: ", violations[0])
+    assert ": %s: %s" % (field, message) in violations[0]
+
+
 # ── Group 1: the bundled document ────────────────────────────────────────────
 
 def test_bundled_scenario_identity(scenario):
@@ -72,8 +83,9 @@ def test_bundled_scenario_identity(scenario):
     assert scenario.constraints.state_set == frozenset({1, 2, 3, 4, 5, 6})
     assert scenario.constraints.inputs_for(4) == frozenset({4, 5, 7, 8})
     assert scenario.wcs.link_count == 2
-    assert scenario.policy.r == 4
-    assert scenario.policy.h[0] == (1, 1, 1, 0)
+    # link 1 transmits in local states 0..2 of state 2's row [0.1, 0.1, 0.3, 0.5]
+    assert scenario.transmit.prob(0, 2) == Fraction("0.5")
+    assert scenario.transmit.prob(1, 2) == Fraction("0.4")
 
 
 def test_bundled_cost_and_thresholds_are_exact(scenario):
@@ -85,11 +97,9 @@ def test_bundled_cost_and_thresholds_are_exact(scenario):
 
 
 def test_bundled_success_precedence(scenario):
-    assert scenario.direct_success is not None
-    assert scenario.derived_success is not None
-    assert scenario.success is scenario.direct_success
+    # measured 0.10 wins over the derived 0.25 (decode) * 0.3 (transmit)
     assert scenario.success.prob(1, 5) == Fraction("0.10")
-    assert scenario.derived_success.prob(1, 5) == Fraction("0.075")
+    assert scenario.transmit.prob(1, 5) == Fraction("0.3")
 
 
 def test_bundled_warning_text(scenario):
@@ -204,11 +214,31 @@ def test_rejection_produces_no_object(bundled_text):
      "simulation.initial_plant_states[0]", "must list 2 finite numbers"),
 ])
 def test_non_finite_numbers_are_rejected(bundled_text, old, new, field, message):
-    broken = bundled_text.replace(old, new)
-    assert broken != bundled_text
-    violations = _reject(broken)
-    assert len(violations) == 1
-    assert ": %s: %s" % (field, message) in violations[0]
+    _reject_once(bundled_text, old, new, field, message)
+
+
+@pytest.mark.parametrize("old, new, field, message", [
+    ("1: {decode: [0.18, 0.44]", "1: {decode: [1.5, 0.44]",
+     "channel.fading[1].decode[0]", "must be <= 1"),
+    ("1: {decode: [0.18, 0.44]", "1: {decode: [0.18]",
+     "channel.fading[1]", "decode/dist must carry one entry per link (2)"),
+    ("dist: [[0.0, 0.2, 0.1, 0.7], [0.2, 0.1, 0.5, 0.2]]}\n    2:",
+     "dist: [[-0.1, 0.3, 0.1, 0.7], [0.2, 0.1, 0.5, 0.2]]}\n    2:",
+     "channel.fading[1].dist[0][0]", "must be >= 0"),
+    ("dist: [[0.0, 0.2, 0.1, 0.7], [0.2, 0.1, 0.5, 0.2]]}\n    2:",
+     "dist: [[0.0, 0.3, 0.7], [0.2, 0.1, 0.5, 0.2]]}\n    2:",
+     "channel.fading[1].dist[0]", "must list 4 probabilities"),
+    ("    - [1, 1, 1, 0]\n    - [1, 1, 1, 0]\n", "    - [1, 1, 1, 0]\n    - [1, 2, 1, 0]\n",
+     "channel.transmit_policy[1]", "must be a list of 4 zero/one flags"),
+    ("    - [1, 1, 1, 0]\n    - [1, 1, 1, 0]\n", "    - [1, 1, 1, 0]\n    - [1, 1, 1]\n",
+     "channel.transmit_policy[1]", "must be a list of 4 zero/one flags"),
+    ("local_states: 4", "local_states: 0", "channel.local_states", "must be >= 1"),
+    ("    - [0.05, 0.33,", "    - [1.2, 0.33,",
+     "channel.success_direct[0][0]", "must be <= 1"),
+], ids=["decode", "decode_links", "dist_entry", "dist_length", "policy_flag",
+        "policy_length", "local_states", "success_direct"])
+def test_channel_facts_are_located(bundled_text, old, new, field, message):
+    _reject_once(bundled_text, old, new, field, message)
 
 
 # ── Group 3: parse errors ────────────────────────────────────────────────────
@@ -221,6 +251,27 @@ def test_invalid_yaml():
 def test_document_must_be_a_mapping():
     with pytest.raises(ParseError, match="must be a key-value mapping"):
         load_scenario_text("- 1\n- 2\n")
+
+
+@pytest.mark.parametrize("old, new, key, line", [
+    # a second row for state 2 used to replace its derived success by 99/100
+    ("    3: {decode", "    2: {decode: [0.99, 0.99], dist: [[1, 0, 0, 0], [1, 0, 0, 0]]}\n"
+     "    3: {decode", "2", 54),
+    # a second tau used to win silently
+    ("fast_steps_per_slow: 40\n", "fast_steps_per_slow: 40\nfast_steps_per_slow: 4\n",
+     "'fast_steps_per_slow'", 17),
+], ids=["fading_row", "tau"])
+def test_duplicate_keys_are_rejected(bundled_text, old, new, key, line):
+    broken = bundled_text.replace(old, new)
+    assert broken != bundled_text
+    with pytest.raises(ParseError, match="duplicate key %s at line %d," % (key, line)):
+        load_scenario_text(broken)
+
+
+def test_merge_keys_may_be_overridden():
+    text = MINIMAL.replace("  - a_closed: 0.5\n", "  - &loop\n    a_closed: 0.5\n") + (
+        "spare: {<<: *loop, a_closed: 0.25}\n")
+    assert load_scenario_text(text).wcs.plants[0].a_c[0, 0] == 0.5
 
 
 def test_missing_file(tmp_path):
@@ -238,8 +289,7 @@ def test_minimal_scenario_loads_clean():
     assert scn.cost.tau == 4
     assert scn.source == "probe.yaml"
     assert scn.s_override is None and scn.x0 is None
-    assert scn.direct_success is None
-    assert scn.success is scn.derived_success
+    assert scn.transmit.prob(0, 2) == 1
     assert scn.success.prob(0, 2) == Fraction(1, 2)
 
 
@@ -264,8 +314,7 @@ def test_direct_table_alone_suffices():
         "    - [1.0, 0.5]\n",
     )
     scn = load_scenario_text(text)
-    assert scn.tables is None and scn.derived_success is None
-    assert scn.success is scn.direct_success
+    assert scn.transmit is None
     assert scn.success.prob(0, 1) == Fraction(1)
 
 
