@@ -10,8 +10,10 @@ Randomness is a stateless counter construction on the splitmix64
 finalizer: every draw is keyed by (seed, stream, step, draw, trial)
 with stream 2*i for link i's deliveries and 2*i+1 for plant i's noise,
 so results are bit-reproducible and independent of evaluation order
-(parallel trials would reproduce the serial run exactly).  Normal
-variates come from Box-Muller on two such uniforms.
+(parallel trials would reproduce the serial run exactly).  Since a key
+depends on its counter alone, `simulate` derives the draws of SIM_BLOCK
+fast steps in one array operation and runs only the plant recursion
+step by step.  Normal variates come from Box-Muller on two such uniforms.
 
 The running-average cost column is deterministic: the radio power term
 enters through its per-state expectation, not the sampled deliveries,
@@ -41,6 +43,9 @@ from .mas import successor_index
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _U64_MAX = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+# fast steps whose draws simulate derives at once: a (SIM_BLOCK, trials)
+# array per draw stays small next to the (trials, horizon, dim) trace
+SIM_BLOCK = 256
 
 
 def _fin(z):
@@ -50,26 +55,31 @@ def _fin(z):
     return z ^ (z >> np.uint64(31))
 
 
-def _stream_key(seed: int, stream: int, step: int, draw: int) -> np.ndarray:
-    """1-element uint64 key for a (stream, step, draw) substream."""
-    h = np.array([seed], dtype=np.uint64)
-    for comp in (stream, step, draw):
-        h = _fin(h + np.array([comp + 1], dtype=np.uint64) * _GOLDEN)
-    return h
-
-
-def counter_uniforms(seed: int, stream: int, step: int, draw: int,
+def counter_uniforms(seed: int, stream: int, step, draw: int,
                      trials: int) -> np.ndarray:
-    """One uniform in (0, 1] per trial for the keyed substream."""
-    key = _stream_key(seed, stream, step, draw)
+    """One uniform in (0, 1] per trial for the keyed substream.
+
+    `step` is a fast step, giving shape (trials,), or a 1-D array of them,
+    giving one row per step, equal to the stacked single-step calls.  The
+    keys are derived on arrays only: numpy wraps uint64 arrays silently but
+    warns when a scalar overflows.
+    """
+    steps = np.atleast_1d(np.asarray(step, dtype=np.uint64))
+    if steps.ndim != 1:
+        raise DimensionMismatch("step must be a scalar or a 1-D array")
+    key = np.array([seed], dtype=np.uint64)
+    for comp in ([stream], steps, [draw]):
+        key = _fin(key + (np.asarray(comp, dtype=np.uint64) + np.uint64(1)) * _GOLDEN)
     tids = np.arange(1, trials + 1, dtype=np.uint64)
-    bits = _fin(key + tids * _GOLDEN)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    bits = _fin(key[:, None] + tids * _GOLDEN)
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    return u if np.ndim(step) else u[0]
 
 
-def counter_normals(seed: int, stream: int, step: int, count: int,
+def counter_normals(seed: int, stream: int, step, count: int,
                     trials: int) -> np.ndarray:
-    """(trials, count) standard normals via Box-Muller on the substream."""
+    """(trials, count) standard normals via Box-Muller on the substream;
+    (steps, trials, count) for a 1-D array of steps."""
     cols = []
     for j in range((count + 1) // 2):
         u1 = counter_uniforms(seed, stream, step, 2 * j, trials)
@@ -77,7 +87,7 @@ def counter_normals(seed: int, stream: int, step: int, count: int,
         r = np.sqrt(-2.0 * np.log(u1))
         cols.append(r * np.cos(2.0 * np.pi * u2))
         cols.append(r * np.sin(2.0 * np.pi * u2))
-    return np.stack(cols[:count], axis=1)
+    return np.stack(cols[:count], axis=-1)
 
 
 def _require_json_int(value, field: str):
@@ -258,20 +268,22 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
         factors.append(plant.noise_factor())
 
     deliveries = np.zeros((trials, horizon, q), dtype=np.uint8)
-    for l in range(horizon):
-        a = alpha_slow[l // tau]
+    state_cols = np.repeat(np.asarray(alpha_slow) - 1, tau)[:horizon]
+    for start in range(0, horizon, SIM_BLOCK):
+        stop = min(start + SIM_BLOCK, horizon)
+        steps = np.arange(start, stop)
         for i, plant in enumerate(plants):
-            u = counter_uniforms(config.seed, 2 * i, l, 0, trials)
-            ok = u <= lam_table[i, a - 1]
-            deliveries[:, l, i] = ok
-            z = counter_normals(config.seed, 2 * i + 1, l, plant.dim, trials)
-            noise = z @ factors[i].T
+            u = counter_uniforms(config.seed, 2 * i, steps, 0, trials)
+            ok = u <= lam_table[i, state_cols[start:stop], None]
+            deliveries[:, start:stop, i] = ok.T
+            z = counter_normals(config.seed, 2 * i + 1, steps, plant.dim, trials)
             x = states[i]
-            x[:, l + 1, :] = np.where(
-                ok[:, None],
-                x[:, l, :] @ plant.a_c.T,
-                x[:, l, :] @ plant.a_o.T,
-            ) + noise
+            for b, l in enumerate(range(start, stop)):
+                x[:, l + 1, :] = np.where(
+                    ok[b, :, None],
+                    x[:, l, :] @ plant.a_c.T,
+                    x[:, l, :] @ plant.a_o.T,
+                ) + z[b] @ factors[i].T
 
     return SimTrace(
         tau=tau,

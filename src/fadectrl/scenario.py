@@ -6,11 +6,12 @@ system), constraints (admissible agent states and inputs), channel
 or both), cost (input prices and the power/input weighting), optional
 thresholds_override and simulation defaults.
 
-Agent states and inputs may be written as 1-based basis indices or as
-value tuples; probabilities and costs are re-read as exact fractions of
-their decimal spelling so downstream comparisons and cycle means are
-exact.  Validation collects every violation (with file line numbers)
-before rejecting, and a rejected scenario produces no objects at all.
+Agent states and inputs may be written as 1-based basis indices; list
+entries may also be value tuples, mapping keys may not.  Probabilities
+and costs are re-read as exact fractions of their decimal spelling so
+downstream comparisons and cycle means are exact.  Validation collects
+every violation (with file line numbers) before rejecting, and a
+rejected scenario produces no objects at all.
 """
 
 from __future__ import annotations
@@ -32,22 +33,25 @@ from .wcs import Plant, WcsModel, default_lyapunov_weight
 ROW_MASS_TOL = 1e-9
 
 
-class _LineLoader(yaml.SafeLoader):
-    """SafeLoader that stamps each mapping with its 1-based source line and
-    rejects a key written twice in one mapping (a merged ``<<`` key may
-    still be overridden)."""
+class _LineMixin:
+    """Loader mixin that stamps each mapping with its 1-based source line
+    and rejects a key written twice in one mapping (a merged ``<<`` key
+    may still be overridden) or a key that cannot be hashed."""
 
     def construct_mapping(self, node, deep=False):
         lines = {}
         for key_node, _ in node.value:
             if key_node.tag == "tag:yaml.org,2002:merge":
                 continue
-            key = self.construct_object(key_node, deep=deep)
+            # deep, so a sequence key is filled in before an error shows it
+            key = self.construct_object(key_node, deep=True)
             line = key_node.start_mark.line + 1
             try:
                 duplicate = key in lines
-            except TypeError:  # unhashable; the base loader rejects it
-                continue
+            except TypeError:
+                raise yaml.constructor.ConstructorError(
+                    problem="mapping key %r at line %d is not a scalar; agent-state "
+                    "mapping keys must be 1-based basis indices" % (key, line)) from None
             if duplicate:
                 raise yaml.constructor.ConstructorError(
                     problem="duplicate key %r at line %d, first written at line %d"
@@ -56,6 +60,11 @@ class _LineLoader(yaml.SafeLoader):
         mapping = super().construct_mapping(node, deep=deep)
         mapping["__line__"] = node.start_mark.line + 1
         return mapping
+
+
+class _LineLoader(_LineMixin, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The line-stamping loader on libyaml's parser when PyYAML was built
+    with it, else on the pure-Python one; both give equal documents."""
 
 
 def _line(obj, default=0):
@@ -532,7 +541,7 @@ def _parse_cost(doc, model, ctx):
             if ev is None:
                 return None
             row.append(ev)
-        g = tuple(tuple(row) for _ in range(nn))
+        g = (tuple(row),) * nn  # one row object, shared by every state
     elif "table" in sec:
         tab_raw = _as_list(sec, "table", ctx, "cost.table")
         if tab_raw is None or len(tab_raw) != nn:

@@ -60,19 +60,23 @@ class StageCost:
             raise ValueOutOfRange("tau must be a positive integer, got %r" % (self.tau,))
         if self.lam < 0:
             raise ValueOutOfRange("lambda weight must be nonnegative")
-        g = tuple(tuple(row) for row in self.g)
-        n = len(g)
-        for a, row in enumerate(g):
-            if len(row) != n:
+        rows = tuple(self.g)
+        n = len(rows)
+        checked = {}  # id of a row object -> its checked tuple
+        for a, row in enumerate(rows):
+            if id(row) in checked:  # a shared row is checked once
+                continue
+            checked[id(row)] = entries = tuple(row)
+            if len(entries) != n:
                 raise DimensionMismatch(
-                    "input cost row %d has %d entries, expected %d" % (a + 1, len(row), n)
+                    "input cost row %d has %d entries, expected %d" % (a + 1, len(entries), n)
                 )
-            for u, v in enumerate(row):
+            for u, v in enumerate(entries):
                 if v < 0:
                     raise ValueOutOfRange(
                         "input cost g[%d][%d] = %r negative" % (a + 1, u + 1, v)
                     )
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", tuple(checked[id(row)] for row in rows))
 
     @property
     def n_states(self) -> int:

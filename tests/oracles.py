@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own algorithms: cycles are found
 by plain DFS enumeration and by a scalar Karp on Fractions, invariance by
-checking every subset, and the agent law is rebuilt in the paper's
-semi-tensor-product (STP) form, so the fast implementations have
-something honest to be compared against.
+checking every subset, the counter RNG is recomputed on Python integers,
+the co-simulation runs one fast step and one draw call at a time, and the
+agent law is rebuilt in the paper's semi-tensor-product (STP) form, so
+the fast implementations have something honest to be compared against.
 """
 
 from __future__ import annotations
@@ -15,6 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from fadectrl.cosim import (
+    SimTrace,
+    _replay_slow,
+    average_cost_trace,
+    counter_normals,
+    counter_uniforms,
+)
 from fadectrl.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -186,6 +194,68 @@ def random_mas_instance(rng):
     constraints = ConstraintSets.uniform(frozenset(states), frozenset(inputs))
     omega = frozenset(a for a in states if rng.random() < 0.6)
     return model, constraints, omega
+
+
+# ── Co-simulation ────────────────────────────────────────────────────────────
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def _splitmix_finalize(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def integer_uniforms(seed: int, stream: int, step: int, draw: int, trials: int) -> list:
+    """The keyed uniforms in (0, 1] of one fast step, on Python integers."""
+    key = seed
+    for comp in (stream, step, draw):
+        key = _splitmix_finalize((key + (comp + 1) * _GOLDEN64) & _MASK64)
+    return [((_splitmix_finalize((key + t * _GOLDEN64) & _MASK64) >> 11) + 1) * 2.0 ** -53
+            for t in range(1, trials + 1)]
+
+
+def stepwise_simulate(scenario, schedule, config) -> SimTrace:
+    """The co-simulation one fast step at a time, each draw keyed by its own
+    scalar-step counter call: what the block-keyed `simulate` must equal."""
+    tau = scenario.cost.tau
+    horizon, trials = config.horizon_fast, config.trials
+    alpha_slow, inputs_slow = _replay_slow(scenario, schedule, -(-horizon // tau))
+    lam_table = scenario.success.as_array()
+    plants = scenario.wcs.plants
+    factors = [plant.noise_factor() for plant in plants]
+    states = []
+    for i, plant in enumerate(plants):
+        x = np.zeros((trials, horizon + 1, plant.dim))
+        if config.x0 is not None:
+            x[:, 0, :] = np.asarray(config.x0[i], dtype=float).reshape(plant.dim)
+        states.append(x)
+    deliveries = np.zeros((trials, horizon, len(plants)), dtype=np.uint8)
+    for l in range(horizon):
+        a = alpha_slow[l // tau]
+        for i, plant in enumerate(plants):
+            ok = counter_uniforms(config.seed, 2 * i, l, 0, trials) <= lam_table[i, a - 1]
+            deliveries[:, l, i] = ok
+            z = counter_normals(config.seed, 2 * i + 1, l, plant.dim, trials)
+            noise = z @ factors[i].T
+            x = states[i]
+            x[:, l + 1, :] = np.where(
+                ok[:, None],
+                x[:, l, :] @ plant.a_c.T,
+                x[:, l, :] @ plant.a_o.T,
+            ) + noise
+    return SimTrace(
+        tau=tau,
+        alpha_slow=alpha_slow,
+        inputs_slow=inputs_slow,
+        states=tuple(states),
+        deliveries=deliveries,
+        running_cost=average_cost_trace(scenario, schedule, horizon),
+        entry_fast=len(schedule.prefix_inputs) * tau,
+        seed=config.seed,
+    )
 
 
 # ── Semi-tensor product algebra ──────────────────────────────────────────────

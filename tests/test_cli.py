@@ -63,6 +63,25 @@ def test_thresholds_rejects_non_finite_matrix(scenario_path, outdir, tmp_path_fa
     assert "infeasible" not in err
 
 
+@pytest.mark.parametrize("old, new, key, line", [
+    ("    2: {decode", "    [0, 1]: {decode", "[0, 1]", 53),
+    ("  inputs: [[1, 0], [1, 1], [2, 0], [2, 1]]   # basis indices 4, 5, 7, 8\n",
+     "  inputs:\n    [1, 0]: [4, 5, 7, 8]\n", "[1, 0]", 45),
+], ids=["fading", "inputs"])
+def test_tuple_mapping_key_is_a_located_error(scenario_path, outdir, tmp_path_factory,
+                                              capsys, old, new, key, line):
+    # a value tuple is a list, which YAML cannot use as a mapping key
+    text = scenario_path.read_text()
+    broken = tmp_path_factory.mktemp("tuple_key") / "assembly_cell.yaml"
+    broken.write_text(text.replace(old, new))
+    assert broken.read_text() != text
+    assert main(["thresholds", str(broken)]) == 1
+    _, err = capsys.readouterr()
+    assert ("not valid YAML: mapping key %s at line %d is not a scalar; agent-state "
+            "mapping keys must be 1-based basis indices" % (key, line)) in err
+    assert "Traceback" not in err
+
+
 # ── Group 2: check ───────────────────────────────────────────────────────────
 
 def test_check_feasible(scenario_path, outdir, capsys):

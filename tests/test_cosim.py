@@ -1,10 +1,14 @@
 """Monte-Carlo co-simulation.
 
 Proves:
- Group 1 - counter RNG: determinism, stream separation, value ranges
+ Group 1 - counter RNG: determinism, stream separation, value ranges,
+           agreement with an integer recomputation, and block calls over
+           an array of steps equal to the stacked single-step calls
  Group 2 - schedules: indexing, serialization, validation
  Group 3 - simulate: bit-exact reproducibility, a fully deterministic
-           closed-form case, delivery statistics, trace bookkeeping
+           closed-form case, delivery statistics, trace bookkeeping, and
+           exact agreement with the one-step-at-a-time oracle across
+           block boundaries
  Group 4 - running cost: exact cycle averages for the worked example
  Group 5 - the empirical decay check passes where delivery is rich
            enough and fails where the schedule starves a link
@@ -17,8 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fadectrl.cosim import (
+    SIM_BLOCK,
     Schedule,
     SimConfig,
     average_cost_trace,
@@ -29,12 +36,14 @@ from fadectrl.cosim import (
     write_trace_csv,
 )
 from fadectrl.errors import (
+    DimensionMismatch,
     InsufficientTrials,
     PreconditionViolated,
     ScheduleViolation,
     ValueOutOfRange,
 )
 from fadectrl.scenario import load_scenario_text
+from oracles import integer_uniforms, stepwise_simulate
 
 OPTIMAL = Schedule(prefix_inputs=(), cycle_inputs=(7, 7, 4, 7), alpha0=4)
 # reaches the self-loop at state 2 and stays: long-run mean 27/40
@@ -110,6 +119,45 @@ def test_normals_shape_and_moments():
     assert np.array_equal(z, counter_normals(7, 1, 0, 3, 4000))
     assert abs(z.mean()) < 0.05
     assert abs(z.var() - 1.0) < 0.05
+
+
+def test_uniforms_match_integer_recomputation():
+    for seed, stream, step, draw in ((0, 0, 0, 0), (9, 2, 5, 0), (2**64 - 1, 3, 7999, 1)):
+        assert counter_uniforms(seed, stream, step, draw, 5).tolist() == integer_uniforms(
+            seed, stream, step, draw, 5)
+
+
+def test_step_must_be_a_scalar_or_a_vector():
+    with pytest.raises(DimensionMismatch):
+        counter_uniforms(1, 0, np.zeros((2, 2), dtype=np.int64), 0, 3)
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+STEP_ARRAYS = st.lists(st.integers(0, 2**62), min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, stream=st.integers(0, 9), draw=st.integers(0, 9),
+       steps=STEP_ARRAYS, trials=st.integers(1, 9))
+@example(seed=0, stream=0, draw=0, steps=[0], trials=1)
+@example(seed=2**64 - 1, stream=3, draw=1, steps=[2**62, 0, 2**62], trials=4)
+def test_block_uniforms_equal_stacked_scalar_calls(seed, stream, draw, steps, trials):
+    block = counter_uniforms(seed, stream, np.array(steps), draw, trials)
+    stacked = np.stack([counter_uniforms(seed, stream, l, draw, trials) for l in steps])
+    assert block.shape == (len(steps), trials) and block.dtype == np.float64
+    assert block.tobytes() == stacked.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, stream=st.integers(0, 9), steps=STEP_ARRAYS,
+       count=st.integers(1, 5), trials=st.integers(1, 9))
+@example(seed=0, stream=0, steps=[0], count=1, trials=1)
+@example(seed=2**64 - 1, stream=1, steps=[5, 5, 2**62], count=3, trials=2)
+def test_block_normals_equal_stacked_scalar_calls(seed, stream, steps, count, trials):
+    block = counter_normals(seed, stream, np.array(steps), count, trials)
+    stacked = np.stack([counter_normals(seed, stream, l, count, trials) for l in steps])
+    assert block.shape == (len(steps), trials, count)
+    assert block.tobytes() == stacked.tobytes()
 
 
 # ── Group 2: schedules ───────────────────────────────────────────────────────
@@ -201,6 +249,24 @@ def test_simulate_schedule_validation(scenario):
         simulate(scenario, Schedule((), (4,), 4), SimConfig(40, 4, 1))
     with pytest.raises(ScheduleViolation):
         simulate(scenario, Schedule((), (7, 7, 4, 7), 2), SimConfig(40, 4, 1))
+
+
+@pytest.mark.parametrize("horizon", [1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1,
+                                     2 * SIM_BLOCK + 3])
+@pytest.mark.parametrize("schedule", [STARVING, OPTIMAL], ids=["prefix", "cycle"])
+def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
+    # both schedules change the success probabilities inside a block
+    config = SimConfig(horizon, 7, 2**64 - 1, x0=scenario.x0)
+    got = simulate(scenario, schedule, config)
+    want = stepwise_simulate(scenario, schedule, config)
+    assert len(got.states) == len(want.states) == 2
+    for x, y in zip(got.states, want.states):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert got.deliveries.tobytes() == want.deliveries.tobytes()
+    assert got.running_cost.tobytes() == want.running_cost.tobytes()
+    assert (got.alpha_slow, got.inputs_slow, got.entry_fast) == (
+        want.alpha_slow, want.inputs_slow, want.entry_fast)
+    assert 0 < got.deliveries.mean() < 1  # both branches of the recursion ran
 
 
 def test_simulate_needs_success_coverage(scenario):

@@ -4,8 +4,9 @@ Proves:
  Group 1 - the bundled scenario loads into exact, fully wired objects
  Group 2 - malformed documents are rejected with located messages, and
            every violation in a document is reported at once
- Group 3 - parse failures (invalid YAML, a key written twice) and
-           unreadable paths raise ParseError
+ Group 3 - parse failures (invalid YAML, a key written twice, a tuple
+           mapping key) and unreadable paths raise ParseError, and the
+           libyaml and pure-Python loaders agree on documents and errors
  Group 4 - small synthetic documents exercise the alternate spellings
            (per-state input maps, scalar plants, no direct table, a
            Lyapunov weight for a slow-but-stable loop)
@@ -13,11 +14,15 @@ Proves:
 
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
 
 from fadectrl.errors import ParseError, ValidationError
-from fadectrl.scenario import load_scenario, load_scenario_text
+from fadectrl.scenario import _LineLoader, _LineMixin, load_scenario, load_scenario_text
+
+GENSCENARIO = Path(__file__).resolve().parents[1] / "perfbench" / "genscenario.py"
 
 MINIMAL = """\
 name: single loop probe
@@ -274,6 +279,47 @@ def test_merge_keys_may_be_overridden():
     assert load_scenario_text(text).wcs.plants[0].a_c[0, 0] == 0.5
 
 
+class _PythonLineLoader(_LineMixin, yaml.SafeLoader):
+    """The scenario loader on the pure-Python parser."""
+
+
+def _grid_text():
+    """grid256_synth's generated scenario; the generator is run from its
+    source, so nothing is written next to it."""
+    gen = {"__name__": "genscenario"}
+    exec(compile(GENSCENARIO.read_text(), str(GENSCENARIO), "exec"), gen)
+    return gen["to_yaml"](gen["make_spec"](4, 1, ("0.29", "0.10"), 200))
+
+
+def test_line_loader_uses_libyaml_when_present():
+    assert issubclass(_LineLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+def test_libyaml_and_python_loaders_give_equal_documents(bundled_text):
+    for text in (bundled_text, _grid_text()):
+        fast = yaml.load(text, Loader=_LineLoader)
+        slow = yaml.load(text, Loader=_PythonLineLoader)
+        assert fast == slow
+        assert repr(fast) == repr(slow)  # same key order and int/float types
+        assert fast["channel"]["__line__"] == slow["channel"]["__line__"] > 1
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("fast_steps_per_slow: 40\n", "fast_steps_per_slow: 40\nfast_steps_per_slow: 4\n",
+     "duplicate key 'fast_steps_per_slow' at line 17, first written at line 16"),
+    ("    2: {decode", "    [0, 1]: {decode", "mapping key [0, 1] at line 53 is not a scalar"),
+], ids=["duplicate", "tuple_key"])
+def test_libyaml_and_python_loaders_raise_equal_errors(bundled_text, old, new, message):
+    broken = bundled_text.replace(old, new)
+    errors = []
+    for loader in (_LineLoader, _PythonLineLoader):
+        with pytest.raises(yaml.constructor.ConstructorError) as ei:
+            yaml.load(broken, Loader=loader)
+        errors.append(str(ei.value))
+    assert errors[0] == errors[1]
+    assert message in errors[0]
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(ParseError, match="cannot read scenario"):
         load_scenario(tmp_path / "absent.yaml")
@@ -291,6 +337,15 @@ def test_minimal_scenario_loads_clean():
     assert scn.s_override is None and scn.x0 is None
     assert scn.transmit.prob(0, 2) == 1
     assert scn.success.prob(0, 2) == Fraction(1, 2)
+
+
+def test_cost_table_checks_every_row():
+    scn = load_scenario_text(MINIMAL.replace("input_costs: [3, 3]", "table: [[3, 3], [1, 2]]"))
+    assert scn.cost.g == ((3, 3), (1, 2))
+    _reject_once(MINIMAL, "input_costs: [3, 3]", "table: [[3, 3], [3, -1]]",
+                 "cost.table[1][1]", "must be >= 0")
+    _reject_once(MINIMAL, "input_costs: [3, 3]", "table: [[3, 3], [3]]",
+                 "cost.table[1]", "must list 2 entries")
 
 
 def test_per_state_input_maps():

@@ -87,6 +87,26 @@ def test_stage_cost_validation():
         StageCost(1, 1, ((1, 2), (3,)))
 
 
+def test_shared_cost_row_is_still_checked():
+    with pytest.raises(ValueOutOfRange, match=r"g\[1\]\[2\] = -1 negative"):
+        StageCost(1, 1, ((0, -1, 2),) * 3)
+    with pytest.raises(DimensionMismatch, match="row 1 has 2 entries, expected 3"):
+        StageCost(1, 1, ((1, 2),) * 3)
+    ok = (1, 2, 3)
+    with pytest.raises(ValueOutOfRange, match=r"g\[3\]\[3\]"):
+        StageCost(1, 1, (ok, ok, (1, 2, -3)))  # a distinct row after a shared one
+    with pytest.raises(DimensionMismatch, match="row 3 has 2 entries"):
+        StageCost(1, 1, (ok, ok, (1, 2)))
+    shared = StageCost(1, 1, [[4, 5]] * 2)  # one list object, two states
+    assert shared.g == ((4, 5), (4, 5)) and shared.g[0] is shared.g[1]
+
+
+def test_loaded_input_costs_share_one_row(scenario):
+    g = scenario.cost.g
+    assert len(g) == 9 and all(row is g[0] for row in g)
+    assert sum(len(row) for row in g) == 81
+
+
 def test_joint_stage_cost_exact(scenario):
     c = joint_stage_cost(scenario, 2, 4)
     assert c == 27 and isinstance(c, Fraction)
