@@ -257,7 +257,7 @@ def cmd_simulate(args) -> int:
         report.append("decay check skipped (horizon %d ends at or before the cycle "
                       "entry at fast step %d)" % (args.horizon, trace.entry_fast))
     else:
-        check = empirical_lyapunov_check(trace, scn.wcs)
+        check = empirical_lyapunov_check(trace)
         for pc in check.plants:
             name = scn.wcs.plants[pc.plant].name or "plant %d" % (pc.plant + 1)
             report.append(

@@ -15,6 +15,13 @@ depends on its counter alone, `simulate` derives the draws of SIM_BLOCK
 fast steps in one array operation and runs only the plant recursion
 step by step.  Normal variates come from Box-Muller on two such uniforms.
 
+The states are streamed: each plant's trials live in a working buffer of
+SIM_BLOCK + 1 steps.  After each block the across-trial mean and sample
+standard deviation of the decay residual V(x(l+1)) - rho V(x(l)) - tr(Q Xi)
+are recorded per fast step, trial 0's path is kept for the CSV, and the
+block's last state carries over.  Memory grows with trials x SIM_BLOCK,
+not with trials x horizon.
+
 The running-average cost column is deterministic: the radio power term
 enters through its per-state expectation, not the sampled deliveries,
 matching the cost functional the synthesizer optimizes.
@@ -43,8 +50,8 @@ from .mas import successor_index
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _U64_MAX = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
-# fast steps whose draws simulate derives at once: a (SIM_BLOCK, trials)
-# array per draw stays small next to the (trials, horizon, dim) trace
+# fast steps simulate advances at once: it derives their draws in one call
+# per stream and keeps (trials, SIM_BLOCK + 1, dim) plant states per plant
 SIM_BLOCK = 256
 
 
@@ -165,11 +172,15 @@ class SimTrace:
     tau: int
     alpha_slow: tuple
     inputs_slow: tuple
-    states: tuple          # per plant: (trials, horizon+1, dim)
+    states: tuple          # per plant: trial 0's path, (1, horizon+1, dim)
     deliveries: np.ndarray  # (trials, horizon, links) of 0/1
     running_cost: np.ndarray
     entry_fast: int
     seed: int
+    # per plant, (horizon,): across-trial mean and sample sd (NaN for one
+    # trial) of V(x(l+1)) - rho V(x(l)) - tr(Q Xi) at each fast step l
+    decay_mean: tuple
+    decay_sd: tuple
 
     @property
     def horizon(self) -> int:
@@ -214,18 +225,13 @@ def _replay_slow(scenario, schedule: Schedule, n_slow: int):
 def _running_average(scenario, alpha_slow, inputs_slow, horizon: int) -> np.ndarray:
     """Deterministic running average of the joint cost over fast steps."""
     cost = scenario.cost
-    power = {a: float(expected_power(scenario, a)) for a in sorted(set(alpha_slow))}
+    power = {a: float(expected_power(scenario, a)) for a in set(alpha_slow)}
     lam = float(cost.lam)
     tau = cost.tau
-    per_fast = np.empty(horizon)
-    bumps = np.zeros(horizon)
-    for l in range(horizon):
-        k = l // tau
-        per_fast[l] = power[alpha_slow[k]]
-        if l % tau == 0:
-            bumps[l] = lam * float(cost.input_cost(alpha_slow[k], inputs_slow[k]))
-    totals = np.cumsum(per_fast + bumps)
-    return totals / np.arange(1, horizon + 1)
+    per_fast = np.repeat([power[a] for a in alpha_slow], tau)[:horizon]
+    per_fast[::tau] += [lam * float(cost.input_cost(a, u))
+                        for a, u in zip(alpha_slow, inputs_slow)]
+    return np.cumsum(per_fast) / np.arange(1, horizon + 1)
 
 
 def average_cost_trace(scenario, schedule: Schedule, horizon: int) -> np.ndarray:
@@ -257,43 +263,56 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     x0 = config.x0
     if x0 is not None and len(x0) != q:
         raise DimensionMismatch("%d initial vectors for %d plants" % (len(x0), q))
-    states = []
-    factors = []
+    buffers, paths, factors = [], [], []
     for i, plant in enumerate(plants):
-        x = np.zeros((trials, horizon + 1, plant.dim))
+        x = np.zeros((trials, min(SIM_BLOCK, horizon) + 1, plant.dim))
         if x0 is not None:
-            init = np.asarray(x0[i], dtype=float).reshape(plant.dim)
-            x[:, 0, :] = init
-        states.append(x)
+            x[:, 0, :] = np.asarray(x0[i], dtype=float).reshape(plant.dim)
+        buffers.append(x)
+        paths.append(np.empty((1, horizon + 1, plant.dim)))
+        paths[i][0, 0] = x[0, 0]
         factors.append(plant.noise_factor())
+    decay_mean = tuple(np.empty(horizon) for _ in plants)
+    decay_sd = tuple(np.full(horizon, np.nan) for _ in plants)
 
     deliveries = np.zeros((trials, horizon, q), dtype=np.uint8)
     state_cols = np.repeat(np.asarray(alpha_slow) - 1, tau)[:horizon]
     for start in range(0, horizon, SIM_BLOCK):
         stop = min(start + SIM_BLOCK, horizon)
+        n = stop - start
         steps = np.arange(start, stop)
         for i, plant in enumerate(plants):
             u = counter_uniforms(config.seed, 2 * i, steps, 0, trials)
             ok = u <= lam_table[i, state_cols[start:stop], None]
             deliveries[:, start:stop, i] = ok.T
             z = counter_normals(config.seed, 2 * i + 1, steps, plant.dim, trials)
-            x = states[i]
-            for b, l in enumerate(range(start, stop)):
-                x[:, l + 1, :] = np.where(
+            x = buffers[i]  # column 0 holds the state carried into the block
+            for b in range(n):
+                x[:, b + 1, :] = np.where(
                     ok[b, :, None],
-                    x[:, l, :] @ plant.a_c.T,
-                    x[:, l, :] @ plant.a_o.T,
+                    x[:, b, :] @ plant.a_c.T,
+                    x[:, b, :] @ plant.a_o.T,
                 ) + z[b] @ factors[i].T
+            block = x[:, : n + 1]
+            v = np.einsum("tld,de,tle->tl", block, plant.q, block)
+            d = v[:, 1:] - float(plant.rho) * v[:, :-1] - plant.noise_floor
+            decay_mean[i][start:stop] = d.mean(axis=0)
+            if trials > 1:  # one trial has no sample sd
+                decay_sd[i][start:stop] = d.std(axis=0, ddof=1)
+            paths[i][0, start + 1 : stop + 1] = x[0, 1 : n + 1]
+            x[:, 0] = x[:, n]
 
     return SimTrace(
         tau=tau,
         alpha_slow=alpha_slow,
         inputs_slow=inputs_slow,
-        states=tuple(states),
+        states=tuple(paths),
         deliveries=deliveries,
         running_cost=_running_average(scenario, alpha_slow, inputs_slow, horizon),
         entry_fast=len(schedule.prefix_inputs) * tau,
         seed=config.seed,
+        decay_mean=decay_mean,
+        decay_sd=decay_sd,
     )
 
 
@@ -311,14 +330,14 @@ class LyapunovCheck:
     plants: tuple
 
 
-def empirical_lyapunov_check(trace: SimTrace, wcs_model,
-                             from_step: int = None) -> LyapunovCheck:
+def empirical_lyapunov_check(trace: SimTrace, from_step: int = None) -> LyapunovCheck:
     """Test the expected one-step decay bound on the simulated ensemble.
 
     For every fast step l at or after the cycle entry, the across-trial
     mean of  V(x(l+1)) - rho V(x(l)) - trace(Q Xi)  must not exceed
     three standard errors of that mean (law of total expectation turns
-    the per-state conditional bound into this testable one).
+    the per-state conditional bound into this testable one).  The
+    per-step statistics are the ones `simulate` gathered during the run.
     """
     if trace.trials < 100:
         raise InsufficientTrials(
@@ -328,20 +347,14 @@ def empirical_lyapunov_check(trace: SimTrace, wcs_model,
     if not 0 <= start < trace.horizon:
         raise ValueOutOfRange("check window starts outside the trace")
     results = []
-    all_ok = True
-    for i, plant in enumerate(wcs_model.plants):
-        x = trace.states[i]
-        v = np.einsum("tld,de,tle->tl", x, plant.q, x)
-        d = v[:, 1:] - float(plant.rho) * v[:, :-1] - plant.noise_floor
-        d = d[:, start:]
-        mean = d.mean(axis=0)
-        se = d.std(axis=0, ddof=1) / math.sqrt(trace.trials)
+    for i, (mean, sd) in enumerate(zip(trace.decay_mean, trace.decay_sd)):
+        mean = mean[start:]
+        se = sd[start:] / math.sqrt(trace.trials)
         margin = 3.0 * se - mean
         worst = int(np.argmin(margin))
         ok = bool(np.all(mean <= 3.0 * se + 1e-12))
         results.append(PlantCheck(i, ok, float(margin[worst]), start + worst))
-        all_ok = all_ok and ok
-    return LyapunovCheck(all_ok, tuple(results))
+    return LyapunovCheck(all(p.passed for p in results), tuple(results))
 
 
 def write_trace_csv(trace: SimTrace, fileobj):

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: cycles are found
 by plain DFS enumeration and by a scalar Karp on Fractions, invariance by
 checking every subset, the counter RNG is recomputed on Python integers,
-the co-simulation runs one fast step and one draw call at a time, and the
+the co-simulation runs one fast step and one draw call at a time over
+every trial's full trajectory (and the decay check reads it whole), and the
 agent law is rebuilt in the paper's semi-tensor-product (STP) form, so
 the fast implementations have something honest to be compared against.
 """
@@ -17,6 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from fadectrl.cosim import (
+    LyapunovCheck,
+    PlantCheck,
     SimTrace,
     _replay_slow,
     average_cost_trace,
@@ -217,9 +220,14 @@ def integer_uniforms(seed: int, stream: int, step: int, draw: int, trials: int) 
             for t in range(1, trials + 1)]
 
 
-def stepwise_simulate(scenario, schedule, config) -> SimTrace:
+def stepwise_simulate(scenario, schedule, config):
     """The co-simulation one fast step at a time, each draw keyed by its own
-    scalar-step counter call: what the block-keyed `simulate` must equal."""
+    scalar-step counter call, keeping every trial's full trajectory.
+
+    Returns (trace, states): the SimTrace the streaming `simulate` must
+    equal, its decay statistics taken from the full arrays, and per plant
+    the (trials, horizon+1, dim) states for `full_lyapunov_check`.
+    """
     tau = scenario.cost.tau
     horizon, trials = config.horizon_fast, config.trials
     alpha_slow, inputs_slow = _replay_slow(scenario, schedule, -(-horizon // tau))
@@ -246,16 +254,44 @@ def stepwise_simulate(scenario, schedule, config) -> SimTrace:
                 x[:, l, :] @ plant.a_c.T,
                 x[:, l, :] @ plant.a_o.T,
             ) + noise
-    return SimTrace(
+    residuals = [_decay_residuals(x, plant) for x, plant in zip(states, plants)]
+    trace = SimTrace(
         tau=tau,
         alpha_slow=alpha_slow,
         inputs_slow=inputs_slow,
-        states=tuple(states),
+        states=tuple(x[:1] for x in states),
         deliveries=deliveries,
         running_cost=average_cost_trace(scenario, schedule, horizon),
         entry_fast=len(schedule.prefix_inputs) * tau,
         seed=config.seed,
+        decay_mean=tuple(d.mean(axis=0) for d in residuals),
+        decay_sd=tuple(d.std(axis=0, ddof=1) for d in residuals),
     )
+    return trace, tuple(states)
+
+
+def _decay_residuals(x, plant) -> np.ndarray:
+    """(trials, horizon) of V(x(l+1)) - rho V(x(l)) - tr(Q Xi)."""
+    v = np.einsum("tld,de,tle->tl", x, plant.q, x)
+    return v[:, 1:] - float(plant.rho) * v[:, :-1] - plant.noise_floor
+
+
+def full_lyapunov_check(states, wcs_model, start: int) -> LyapunovCheck:
+    """The 3-sigma decay check on full (trials, horizon+1, dim) states, from
+    fast step `start` on: what the streamed statistics must reproduce."""
+    results = []
+    all_ok = True
+    for i, plant in enumerate(wcs_model.plants):
+        x = states[i]
+        d = _decay_residuals(x, plant)[:, start:]
+        mean = d.mean(axis=0)
+        se = d.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
+        margin = 3.0 * se - mean
+        worst = int(np.argmin(margin))
+        ok = bool(np.all(mean <= 3.0 * se + 1e-12))
+        results.append(PlantCheck(i, ok, float(margin[worst]), start + worst))
+        all_ok = all_ok and ok
+    return LyapunovCheck(all_ok, tuple(results))
 
 
 # ── Semi-tensor product algebra ──────────────────────────────────────────────

@@ -148,7 +148,7 @@ def test_acceptance_7_monte_carlo_verification(scenario, capsys):
                 p = lam[link, a - 1]
                 bound = 3.0 * np.sqrt(p * (1.0 - p) / count)
                 assert abs(window[:, :, link].mean() - p) <= bound
-        check = empirical_lyapunov_check(trace, scenario.wcs)
+        check = empirical_lyapunov_check(trace)
         assert check.passed
         assert all(p.passed for p in check.plants)
         assert time.perf_counter() - t0 < 60.0

@@ -11,13 +11,15 @@ Proves:
  Group 4 - simulate: trace and report artifacts, decay verdict, same
            seed gives byte-identical traces that match a pinned golden
            digest, the decay check is skipped (with its reason) below 100
-           trials or before the cycle entry, bad inputs exit 1
+           trials, down to one trial without a warning, or before the cycle
+           entry, bad inputs exit 1
  Group 5 - usage errors
 """
 
 import hashlib
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -279,6 +281,20 @@ def test_simulate_small_run_skips_decay_check(scenario_path, outdir, capsys):
                      horizon=40) == 0
     out, _ = capsys.readouterr()
     assert "decay check skipped (needs >= 100 trials)" in out
+
+
+def test_simulate_one_trial_skips_decay_check_without_warning(scenario_path, outdir,
+                                                              capsys):
+    # one trial has no sample sd; the run must neither warn nor fail
+    _, schedule_path = _synth(scenario_path, outdir)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _simulate(scenario_path, outdir, schedule_path, 1, trials=1,
+                         horizon=300) == 0
+    out, err = capsys.readouterr()
+    assert "decay check skipped (needs >= 100 trials)" in out
+    assert "error:" not in err
+    assert len((outdir / "assembly_cell.trace.csv").read_text().splitlines()) == 301
 
 
 def test_simulate_horizon_before_cycle_entry_skips_decay_check(scenario_path, outdir,

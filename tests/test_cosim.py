@@ -6,9 +6,12 @@ Proves:
            an array of steps equal to the stacked single-step calls
  Group 2 - schedules: indexing, serialization, validation
  Group 3 - simulate: bit-exact reproducibility, a fully deterministic
-           closed-form case, delivery statistics, trace bookkeeping, and
-           exact agreement with the one-step-at-a-time oracle across
-           block boundaries
+           closed-form case, delivery statistics, trace bookkeeping,
+           agreement with the one-step-at-a-time, full-trajectory oracle
+           across block boundaries (paths, deliveries and cost exactly,
+           streamed decay statistics to 1e-12, check verdicts exactly),
+           no numpy warning at one or two trials, and memory that does
+           not grow with trials x horizon
  Group 4 - running cost: exact cycle averages for the worked example
  Group 5 - the empirical decay check passes where delivery is rich
            enough and fails where the schedule starves a link
@@ -17,6 +20,8 @@ Proves:
 
 import dataclasses
 import io
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +48,7 @@ from fadectrl.errors import (
     ValueOutOfRange,
 )
 from fadectrl.scenario import load_scenario_text
-from oracles import integer_uniforms, stepwise_simulate
+from oracles import full_lyapunov_check, integer_uniforms, stepwise_simulate
 
 OPTIMAL = Schedule(prefix_inputs=(), cycle_inputs=(7, 7, 4, 7), alpha0=4)
 # reaches the self-loop at state 2 and stays: long-run mean 27/40
@@ -200,6 +205,9 @@ def test_simulate_bit_exact_reproducibility(scenario):
     assert np.array_equal(one.deliveries, two.deliveries)
     for x, y in zip(one.states, two.states):
         assert np.array_equal(x, y)
+    for name in ("decay_mean", "decay_sd"):
+        for x, y in zip(getattr(one, name), getattr(two, name)):
+            assert x.tobytes() == y.tobytes()
     other = simulate(scenario, OPTIMAL, SimConfig(80, 64, 124, x0=scenario.x0))
     assert not np.array_equal(one.deliveries, other.deliveries)
 
@@ -211,10 +219,13 @@ def test_simulate_trace_bookkeeping(scenario):
     assert trace.alpha_slow == (4, 2, 5)  # ceil(90 / 40) slow steps
     assert trace.inputs_slow == (7, 7, 4)
     assert trace.entry_fast == 0
-    assert trace.states[0].shape == (8, 91, 2)
-    assert trace.states[1].shape == (8, 91, 1)
+    assert trace.states[0].shape == (1, 91, 2)  # trial 0's path
+    assert trace.states[1].shape == (1, 91, 1)
     assert trace.deliveries.shape == (8, 90, 2)
-    assert np.array_equal(trace.states[0][:, 0, :], np.ones((8, 2)))
+    assert np.array_equal(trace.states[0][:, 0, :], np.ones((1, 2)))
+    for stats in (trace.decay_mean, trace.decay_sd):
+        assert [s.shape for s in stats] == [(90,), (90,)]
+        assert all(np.isfinite(s).all() for s in stats)
 
 
 def test_simulate_sure_delivery_closed_form():
@@ -222,10 +233,16 @@ def test_simulate_sure_delivery_closed_form():
     trace = simulate(scn, Schedule((), (1,), 1), SimConfig(12, 128, 77, x0=scn.x0))
     assert np.all(trace.deliveries == 1)
     for l in range(13):
-        assert np.array_equal(trace.states[0][:, l, 0], np.full(128, 0.5 ** l))
+        assert np.array_equal(trace.states[0][:, l, 0], np.full(1, 0.5 ** l))
+    # every trial follows x(l) = 0.5^l, so V drops from 0.25^l to 0.25^(l+1)
+    # against the bound 0.9 * 0.25^l: the mean residual is -0.65 * 0.25^l
+    # and the trials do not spread
+    want = -0.65 * 0.25 ** np.arange(12)
+    assert np.allclose(trace.decay_mean[0], want, rtol=1e-12, atol=0)
+    assert np.all(trace.decay_sd[0] <= 1e-12 * np.abs(want))
     # power 0.25 every fast step, no input weight: the average is constant
     assert np.array_equal(trace.running_cost, np.full(12, 0.25))
-    check = empirical_lyapunov_check(trace, scn.wcs, from_step=0)
+    check = empirical_lyapunov_check(trace, from_step=0)
     assert check.passed
 
 
@@ -255,10 +272,11 @@ def test_simulate_schedule_validation(scenario):
                                      2 * SIM_BLOCK + 3])
 @pytest.mark.parametrize("schedule", [STARVING, OPTIMAL], ids=["prefix", "cycle"])
 def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
-    # both schedules change the success probabilities inside a block
-    config = SimConfig(horizon, 7, 2**64 - 1, x0=scenario.x0)
+    # both schedules change the success probabilities inside a block; 101
+    # trials are enough for the decay check and an odd array extent
+    config = SimConfig(horizon, 101, 2**64 - 1, x0=scenario.x0)
     got = simulate(scenario, schedule, config)
-    want = stepwise_simulate(scenario, schedule, config)
+    want, full_states = stepwise_simulate(scenario, schedule, config)
     assert len(got.states) == len(want.states) == 2
     for x, y in zip(got.states, want.states):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -267,6 +285,54 @@ def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
     assert (got.alpha_slow, got.inputs_slow, got.entry_fast) == (
         want.alpha_slow, want.inputs_slow, want.entry_fast)
     assert 0 < got.deliveries.mean() < 1  # both branches of the recursion ran
+    # numpy's einsum and std round by array extent: blocks may differ by ulps
+    for name in ("decay_mean", "decay_sd"):
+        for x, y in zip(getattr(got, name), getattr(want, name)):
+            assert x.shape == y.shape == (horizon,)
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12)
+    for start in sorted({0, want.entry_fast, horizon // 2, horizon - 1}):
+        if start >= horizon:
+            continue
+        streamed = empirical_lyapunov_check(got, from_step=start)
+        full = full_lyapunov_check(full_states, scenario.wcs, start)
+        assert streamed.passed == full.passed
+        for a, b in zip(streamed.plants, full.plants, strict=True):
+            assert (a.plant, a.passed, a.worst_step) == (b.plant, b.passed, b.worst_step)
+            assert a.worst_margin == pytest.approx(b.worst_margin, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+def test_simulate_few_trials_raises_no_warning(scenario, trials):
+    # the per-step sample sd needs two trials; one trial leaves it NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = simulate(scenario, OPTIMAL, SimConfig(300, trials, 1, x0=scenario.x0))
+    for mean, sd in zip(trace.decay_mean, trace.decay_sd):
+        assert np.isfinite(mean).all()
+        assert np.isnan(sd).all() if trials == 1 else np.isfinite(sd).all()
+
+
+def _simulate_peak_bytes(scenario, trials, horizon):
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        simulate(scenario, OPTIMAL, SimConfig(horizon, trials, 1, x0=scenario.x0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario):
+    # keeping every trial's trajectory costs trials x dim doubles per fast
+    # step (38 MB here); streaming keeps one block of them, so a step adds
+    # only its uint8 deliveries, trial 0's states and two statistics
+    trials, horizon = 400, 4000
+    plants = scenario.wcs.plants
+    full_states = sum(trials * (horizon + 1) * p.dim * 8 for p in plants)
+    per_step = trials * len(plants) + 8 * sum(p.dim + 2 for p in plants)
+    short = _simulate_peak_bytes(scenario, trials, SIM_BLOCK)
+    long = _simulate_peak_bytes(scenario, trials, horizon)
+    assert long < full_states / 2
+    assert long - short < 2 * per_step * (horizon - SIM_BLOCK)
 
 
 def test_simulate_needs_success_coverage(scenario):
@@ -305,7 +371,7 @@ def test_cost_trace_matches_simulation_column(scenario):
 
 def test_decay_check_passes_under_optimal_schedule(scenario):
     trace = simulate(scenario, OPTIMAL, SimConfig(160, 2000, 7, x0=scenario.x0))
-    check = empirical_lyapunov_check(trace, scenario.wcs)
+    check = empirical_lyapunov_check(trace)
     assert check.passed
     assert all(p.passed for p in check.plants)
     assert all(p.worst_margin > 0 for p in check.plants)
@@ -315,7 +381,7 @@ def test_decay_check_catches_starved_link(scenario):
     trace = simulate(scenario, STARVING, SimConfig(200, 400, 11, x0=scenario.x0))
     assert trace.alpha_slow == (4, 3, 3, 3, 3)
     assert trace.entry_fast == 40
-    check = empirical_lyapunov_check(trace, scenario.wcs)
+    check = empirical_lyapunov_check(trace)
     assert not check.passed
     assert not check.plants[0].passed  # link 1 sees 0.09 < its 0.29 threshold
     assert check.plants[1].passed      # link 2 sees 0.25 > its 0.10 threshold
@@ -324,13 +390,13 @@ def test_decay_check_catches_starved_link(scenario):
 def test_decay_check_needs_trials(scenario):
     trace = simulate(scenario, OPTIMAL, SimConfig(40, 50, 1, x0=scenario.x0))
     with pytest.raises(InsufficientTrials):
-        empirical_lyapunov_check(trace, scenario.wcs)
+        empirical_lyapunov_check(trace)
 
 
 def test_decay_check_window_validation(scenario):
     trace = simulate(scenario, OPTIMAL, SimConfig(40, 120, 1, x0=scenario.x0))
     with pytest.raises(ValueOutOfRange):
-        empirical_lyapunov_check(trace, scenario.wcs, from_step=40)
+        empirical_lyapunov_check(trace, from_step=40)
 
 
 # ── Group 6: CSV export ──────────────────────────────────────────────────────
