@@ -24,6 +24,7 @@ the derived one (consistency_gaps reports where the two disagree).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,7 +93,8 @@ def derive_tables(h, gamma, eta) -> tuple:
     local-state distributions gamma[i][a-1] and the decode probabilities
     eta[i][a-1], None where the fading tables do not cover state a."""
     transmit = [
-        [None if row is None else sum(p * b for p, b in zip(row, flags)) for row in rows]
+        [None if row is None else sum((p for p, b in zip(row, flags) if b), Fraction(0))
+         for row in rows]
         for flags, rows in zip(h, gamma)
     ]
     success = [

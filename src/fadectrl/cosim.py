@@ -11,12 +11,18 @@ finalizer: every draw is keyed by (seed, stream, step, draw, trial)
 with stream 2*i for link i's deliveries and 2*i+1 for plant i's noise,
 so results are bit-reproducible and independent of evaluation order
 (parallel trials would reproduce the serial run exactly).  Since a key
-depends on its counter alone, `simulate` derives the draws of SIM_BLOCK
-fast steps in one array operation and runs only the plant recursion
-step by step.  Normal variates come from Box-Muller on two such uniforms.
+depends on its counter alone, `simulate` derives the draws of a block of
+SIM_BLOCK (64) fast steps in one array operation, small enough that the
+block's draws stay in cache, and runs only the plant recursion step by
+step.  Normal variates come from Box-Muller on two such uniforms.
 
-The states are streamed: each plant's trials live in a working buffer of
-SIM_BLOCK + 1 steps.  After each block the across-trial mean and sample
+The states are streamed: each plant's trials live in a time-major
+working buffer of shape (SIM_BLOCK + 1, trials, dim), so every fast step
+reads and writes one contiguous (trials, dim) slab.  The block's noise
+(the normals times the Cholesky factor) is formed once; a scalar plant
+steps x <- c x + w with c the closed- or open-loop coefficient, which is
+bit-identical to the 1 x 1 matrix product, while larger plants keep the
+matrix product.  After each block the across-trial mean and sample
 standard deviation of the decay residual V(x(l+1)) - rho V(x(l)) - tr(Q Xi)
 are recorded per fast step, trial 0's path is kept for the CSV, and the
 block's last state carries over.  Memory grows with trials x SIM_BLOCK,
@@ -48,18 +54,25 @@ from .errors import (
 from .mas import successor_index
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# splitmix64 finalizer: z ^= z >> shift, then z *= mult, twice; then z ^= z >> 31
+_FIN_ROUNDS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+               (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 _U64_MAX = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 # fast steps simulate advances at once: it derives their draws in one call
-# per stream and keeps (trials, SIM_BLOCK + 1, dim) plant states per plant
-SIM_BLOCK = 256
+# per stream and keeps (SIM_BLOCK + 1, trials, dim) plant states per plant;
+# at 64 a block's draws for 1000 trials stay in cache
+SIM_BLOCK = 64
 
 
 def _fin(z):
-    """splitmix64 finalizer, elementwise on uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer, elementwise and in place on a uint64 array."""
+    t = np.empty_like(z)  # the one scratch array
+    for shift, mult in _FIN_ROUNDS:
+        z ^= np.right_shift(z, shift, out=t)
+        z *= mult
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def counter_uniforms(seed: int, stream: int, step, draw: int,
@@ -78,23 +91,33 @@ def counter_uniforms(seed: int, stream: int, step, draw: int,
     for comp in ([stream], steps, [draw]):
         key = _fin(key + (np.asarray(comp, dtype=np.uint64) + np.uint64(1)) * _GOLDEN)
     tids = np.arange(1, trials + 1, dtype=np.uint64)
-    bits = _fin(key[:, None] + tids * _GOLDEN)
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    tids *= _GOLDEN
+    bits = _fin(np.add(key[:, None], tids))
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 1.0
+    u *= _INV_2_53
     return u if np.ndim(step) else u[0]
 
 
 def counter_normals(seed: int, stream: int, step, count: int,
                     trials: int) -> np.ndarray:
     """(trials, count) standard normals via Box-Muller on the substream;
-    (steps, trials, count) for a 1-D array of steps."""
-    cols = []
+    (steps, trials, count) for a 1-D array of steps.  Uniform pair j gives
+    columns 2j (cosine) and 2j + 1 (sine); an odd count skips the last sine."""
+    out = np.empty(np.shape(step) + (trials, count))
+    trig = np.empty(out.shape[:-1])
     for j in range((count + 1) // 2):
-        u1 = counter_uniforms(seed, stream, step, 2 * j, trials)
-        u2 = counter_uniforms(seed, stream, step, 2 * j + 1, trials)
-        r = np.sqrt(-2.0 * np.log(u1))
-        cols.append(r * np.cos(2.0 * np.pi * u2))
-        cols.append(r * np.sin(2.0 * np.pi * u2))
-    return np.stack(cols[:count], axis=-1)
+        r = counter_uniforms(seed, stream, step, 2 * j, trials)
+        theta = counter_uniforms(seed, stream, step, 2 * j + 1, trials)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
+        np.multiply(r, np.cos(theta, out=trig), out=out[..., 2 * j])
+        if 2 * j + 1 < count:
+            np.multiply(r, np.sin(theta, out=trig), out=out[..., 2 * j + 1])
+    return out
 
 
 def _require_json_int(value, field: str):
@@ -265,9 +288,9 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
         raise DimensionMismatch("%d initial vectors for %d plants" % (len(x0), q))
     buffers, paths, factors = [], [], []
     for i, plant in enumerate(plants):
-        x = np.zeros((trials, min(SIM_BLOCK, horizon) + 1, plant.dim))
+        x = np.zeros((min(SIM_BLOCK, horizon) + 1, trials, plant.dim))
         if x0 is not None:
-            x[:, 0, :] = np.asarray(x0[i], dtype=float).reshape(plant.dim)
+            x[0] = np.asarray(x0[i], dtype=float).reshape(plant.dim)
         buffers.append(x)
         paths.append(np.empty((1, horizon + 1, plant.dim)))
         paths[i][0, 0] = x[0, 0]
@@ -285,22 +308,27 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
             u = counter_uniforms(config.seed, 2 * i, steps, 0, trials)
             ok = u <= lam_table[i, state_cols[start:stop], None]
             deliveries[:, start:stop, i] = ok.T
-            z = counter_normals(config.seed, 2 * i + 1, steps, plant.dim, trials)
-            x = buffers[i]  # column 0 holds the state carried into the block
-            for b in range(n):
-                x[:, b + 1, :] = np.where(
-                    ok[b, :, None],
-                    x[:, b, :] @ plant.a_c.T,
-                    x[:, b, :] @ plant.a_o.T,
-                ) + z[b] @ factors[i].T
-            block = x[:, : n + 1]
-            v = np.einsum("tld,de,tle->tl", block, plant.q, block)
-            d = v[:, 1:] - float(plant.rho) * v[:, :-1] - plant.noise_floor
+            w = counter_normals(config.seed, 2 * i + 1, steps, plant.dim, trials) @ factors[i].T
+            x = buffers[i]  # row 0 holds the state carried into the block
+            if plant.dim == 1:
+                # x @ [[a]] is exactly x * a: pick each step's coefficient once
+                c = np.where(ok, plant.a_c[0, 0], plant.a_o[0, 0])
+                for b in range(n):
+                    np.multiply(x[b, :, 0], c[b], out=x[b + 1, :, 0])
+                    x[b + 1] += w[b]
+            else:
+                for b in range(n):
+                    np.add(np.where(ok[b, :, None], x[b] @ plant.a_c.T, x[b] @ plant.a_o.T),
+                           w[b], out=x[b + 1])
+            block = x[: n + 1]
+            v = np.einsum("ltd,de,lte->lt", block, plant.q, block)
+            # (trials, n), C-contiguous: reducing over its rows adds in trial order
+            d = np.ascontiguousarray((v[1:] - float(plant.rho) * v[:-1] - plant.noise_floor).T)
             decay_mean[i][start:stop] = d.mean(axis=0)
             if trials > 1:  # one trial has no sample sd
                 decay_sd[i][start:stop] = d.std(axis=0, ddof=1)
-            paths[i][0, start + 1 : stop + 1] = x[0, 1 : n + 1]
-            x[:, 0] = x[:, n]
+            paths[i][0, start + 1 : stop + 1] = x[1 : n + 1, 0]
+            x[0] = x[n]
 
     return SimTrace(
         tau=tau,
@@ -371,11 +399,16 @@ def write_trace_csv(trace: SimTrace, fileobj):
     header += ["delivered%d" % (i + 1) for i in range(trace.deliveries.shape[2])]
     header.append("running_cost")
     writer.writerow(header)
+    # Python floats and ints once per column: repr of a float is its shortest
+    # round-trip spelling, as for the numpy scalar
+    paths = [x[0].tolist() for x in trace.states]
+    delivered = trace.deliveries[0].tolist()
+    cost = trace.running_cost.tolist()
     for l in range(trace.horizon):
         k = l // trace.tau
         row = [l, k, trace.alpha_slow[k]]
-        for x in trace.states:
-            row += [repr(float(v)) for v in x[0, l, :]]
-        row += [int(b) for b in trace.deliveries[0, l, :]]
-        row.append(repr(float(trace.running_cost[l])))
+        for path in paths:
+            row += map(repr, path[l])
+        row += delivered[l]
+        row.append(repr(cost[l]))
         writer.writerow(row)

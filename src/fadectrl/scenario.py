@@ -97,6 +97,10 @@ class _Collector:
     def __init__(self, source):
         self.source = source
         self.errors = []
+        # (type, YAML number) -> its exact Fraction, for this document only;
+        # the type is part of the key since 2**60 == 1.152921504606847e18
+        # while their decimal spellings differ
+        self.fractions = {}
 
     def err(self, line, path, msg):
         where = "%s:%s" % (self.source, line) if line else self.source
@@ -149,13 +153,17 @@ def _exact(v, ctx, line, path, lo=None, hi=None):
     if isinstance(v, float) and not math.isfinite(v):
         ctx.err(line, path, "must be a finite number, got %s" % (v,))
         return None
-    if isinstance(v, int):
-        f = Fraction(v)
-    else:
-        try:
-            f = Fraction(str(v))
-        except ValueError:
+    key = (type(v), v)
+    f = ctx.fractions.get(key)
+    if f is None:
+        if isinstance(v, int):
             f = Fraction(v)
+        else:
+            try:
+                f = Fraction(str(v))
+            except ValueError:
+                f = Fraction(v)
+        ctx.fractions[key] = f
     if lo is not None and f < lo:
         ctx.err(line, path, "must be >= %s, got %s" % (lo, v))
         return None
@@ -607,11 +615,15 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
                 s_override = tuple(vals)
 
     x0 = None
-    sim_sec = doc.get("simulation")
-    if isinstance(sim_sec, dict) and wcs_model is not None:
+    sim_sec = _as_map(doc, "simulation", ctx, "simulation", required=False)
+    if sim_sec is not None:
         sln = _line(sim_sec)
+        for key in _keys(sim_sec):
+            if key != "initial_plant_states":
+                ctx.err(sln, "simulation", "unknown key %r; the section takes only "
+                        "'initial_plant_states'" % (key,))
         raw = sim_sec.get("initial_plant_states")
-        if raw is not None:
+        if raw is not None and wcs_model is not None:
             if not isinstance(raw, list) or len(raw) != wcs_model.link_count:
                 ctx.err(sln, "simulation.initial_plant_states",
                         "must list %d vectors" % wcs_model.link_count)

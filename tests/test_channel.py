@@ -72,6 +72,20 @@ def test_success_prob_scales_by_decode():
     assert all(isinstance(p, Fraction) for p in success.values[0])
 
 
+def test_transmit_sums_stay_exact():
+    # a policy that never transmits sums no probability at all: its entry
+    # must still be an exact zero, as every other entry is an exact sum
+    transmit, success = derive_tables(
+        ((0, 0), (1, 1)),
+        gamma=(((F("0.6"), F("0.4")),), ((F("0.1"), F("0.2")),)),
+        eta=((F("0.9"),), (F("0.5"),)),
+    )
+    assert transmit.values == ((F(0),), (F("0.3"),))
+    assert success.values == ((F(0),), (F("0.15"),))
+    for table in (transmit, success):
+        assert all(isinstance(p, Fraction) for row in table.values for p in row)
+
+
 def test_expected_power_prices_transmissions():
     transmit, _ = _tiny()
     power = expected_power(SimpleNamespace(transmit=transmit, wcs=_two_plants()), 1)

@@ -3,13 +3,16 @@
 Proves:
  Group 1 - counter RNG: determinism, stream separation, value ranges,
            agreement with an integer recomputation, and block calls over
-           an array of steps equal to the stacked single-step calls
+           an array of steps equal to the stacked single-step calls, and
+           an odd normal count the prefix of the next even one
  Group 2 - schedules: indexing, serialization, validation
  Group 3 - simulate: bit-exact reproducibility, a fully deterministic
            closed-form case, delivery statistics, trace bookkeeping,
            agreement with the one-step-at-a-time, full-trajectory oracle
            across block boundaries (paths, deliveries and cost exactly,
            streamed decay statistics to 1e-12, check verdicts exactly),
+           also for a 3-dim plant with correlated noise and a scalar plant
+           with a non-unit noise factor,
            no numpy warning at one or two trials, and memory that does
            not grow with trials x horizon
  Group 4 - running cost: exact cycle averages for the worked example
@@ -96,6 +99,56 @@ simulation:
   initial_plant_states: [[1.0]]
 """
 
+# a 3-dim plant with correlated noise (two uniform pairs per step, the last
+# sine unused) and a scalar plant whose noise factor sqrt(2) is not 1; both
+# links deliver with fixed probabilities strictly between 0 and 1
+MIXED_PLANTS = """\
+name: mixed plant probe
+fast_steps_per_slow: 5
+
+plants:
+  - name: cart
+    a_closed: [[0.5, 0.1, 0.0], [0.0, 0.4, 0.2], [0.1, 0.0, 0.3]]
+    a_open: [[1.1, 0.3, 0.0], [0.0, 0.9, 0.4], [0.2, 0.1, 1.0]]
+    quality_weight: lyapunov
+    decay_rate: 0.9
+    noise_cov: [[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 0.5]]
+    power_price: 0.25
+  - name: belt
+    a_closed: 0.3
+    a_open: -1.2
+    quality_weight: 1.0
+    decay_rate: 0.9
+    noise_cov: 2.0
+    power_price: 0.5
+
+agents:
+  count: 1
+  kappa: 2
+  weights:
+    1: {1: 1}
+  initial_state: [0]
+
+constraints:
+  states: [1]
+  inputs: [[0]]
+
+channel:
+  local_states: 1
+  transmit_policy:
+    - [1]
+    - [1]
+  fading:
+    1: {decode: [0.6, 0.7], dist: [[1.0], [1.0]]}
+
+cost:
+  input_weight: 0
+  input_costs: [3, 3]
+
+simulation:
+  initial_plant_states: [[1.0, -1.0, 0.5], [2.0]]
+"""
+
 
 # ── Group 1: counter RNG ─────────────────────────────────────────────────────
 
@@ -163,6 +216,14 @@ def test_block_normals_equal_stacked_scalar_calls(seed, stream, steps, count, tr
     stacked = np.stack([counter_normals(seed, stream, l, count, trials) for l in steps])
     assert block.shape == (len(steps), trials, count)
     assert block.tobytes() == stacked.tobytes()
+
+
+def test_odd_normal_count_is_a_prefix_of_the_next_even_one():
+    for step in (5, np.arange(5, 5 + SIM_BLOCK + 3)):
+        three = counter_normals(3, 1, step, 3, 50)
+        four = counter_normals(3, 1, step, 4, 50)
+        assert three.shape == four.shape[:-1] + (3,)
+        assert three.tobytes() == np.ascontiguousarray(four[..., :3]).tobytes()
 
 
 # ── Group 2: schedules ───────────────────────────────────────────────────────
@@ -268,8 +329,10 @@ def test_simulate_schedule_validation(scenario):
         simulate(scenario, Schedule((), (7, 7, 4, 7), 2), SimConfig(40, 4, 1))
 
 
-@pytest.mark.parametrize("horizon", [1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1,
-                                     2 * SIM_BLOCK + 3])
+# one block and its edges, then runs of several blocks that end inside a
+# block or on its edge
+@pytest.mark.parametrize("horizon", sorted({1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1,
+                                            2 * SIM_BLOCK + 3, 255, 256, 257, 515}))
 @pytest.mark.parametrize("schedule", [STARVING, OPTIMAL], ids=["prefix", "cycle"])
 def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
     # both schedules change the success probabilities inside a block; 101
@@ -299,6 +362,26 @@ def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
         for a, b in zip(streamed.plants, full.plants, strict=True):
             assert (a.plant, a.passed, a.worst_step) == (b.plant, b.passed, b.worst_step)
             assert a.worst_margin == pytest.approx(b.worst_margin, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [1, SIM_BLOCK + 1, 2 * SIM_BLOCK + 3])
+def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon):
+    # covers the matmul recursion at dim 3 and the scalar recursion with a
+    # noise factor other than 1 (the bundled conveyor's factor is exactly 1)
+    scn = load_scenario_text(MIXED_PLANTS)
+    assert [p.dim for p in scn.wcs.plants] == [3, 1]
+    assert scn.wcs.plants[1].noise_factor()[0, 0] == np.sqrt(2.0)
+    schedule = Schedule((), (1,), 1)
+    config = SimConfig(horizon, 37, 2**63 + 5, x0=scn.x0)
+    got = simulate(scn, schedule, config)
+    want, _ = stepwise_simulate(scn, schedule, config)
+    for x, y in zip(got.states, want.states, strict=True):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert got.deliveries.tobytes() == want.deliveries.tobytes()
+    assert 0 < got.deliveries.mean() < 1
+    for name in ("decay_mean", "decay_sd"):
+        for x, y in zip(getattr(got, name), getattr(want, name), strict=True):
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("trials", [1, 2])

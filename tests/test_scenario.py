@@ -246,6 +246,36 @@ def test_channel_facts_are_located(bundled_text, old, new, field, message):
     _reject_once(bundled_text, old, new, field, message)
 
 
+@pytest.mark.parametrize("old, new, field, message", [
+    ("simulation:\n  initial_plant_states: [[1.0, 1.0], [1.0]]",
+     "simulation: [[1.0, 1.0], [1.0]]",
+     "simulation", "'simulation' must be a mapping"),
+    ("  initial_plant_states: [[1.0, 1.0], [1.0]]",
+     "  initial_plant_state: [[1.0, 1.0], [1.0]]",
+     "simulation", "unknown key 'initial_plant_state'"),
+], ids=["not_a_mapping", "misspelt_key"])
+def test_simulation_section_is_checked(bundled_text, old, new, field, message):
+    # either edit used to load with the plants silently starting at zero
+    _reject_once(bundled_text, old, new, field, message)
+
+
+def test_repeated_numbers_are_range_checked_each_time(bundled_text):
+    # 1.5 is a valid power price, read first; as a decode probability it
+    # must still fail its own bound
+    broken = bundled_text.replace("    power_price: 0.5\n", "    power_price: 1.5\n")
+    _reject_once(broken, "1: {decode: [0.18, 0.44]", "1: {decode: [1.5, 0.44]",
+                 "channel.fading[1].decode[0]", "must be <= 1")
+
+
+def test_equal_int_and_float_keep_their_own_spelling():
+    # 2**60 == 1.152921504606847e+18 in Python, but the float's decimal
+    # spelling is 24 larger; each is read exactly as written
+    scn = load_scenario_text(MINIMAL.replace(
+        "input_costs: [3, 3]", "input_costs: [1152921504606846976, 1.152921504606847e+18]"))
+    assert scn.cost.input_cost(1, 1) == 2**60
+    assert scn.cost.input_cost(1, 2) == 1152921504606847000
+
+
 # ── Group 3: parse errors ────────────────────────────────────────────────────
 
 def test_invalid_yaml():
