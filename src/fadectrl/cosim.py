@@ -20,13 +20,16 @@ The states are streamed: each plant's trials live in a time-major
 working buffer of shape (SIM_BLOCK + 1, trials, dim), so every fast step
 reads and writes one contiguous (trials, dim) slab.  The block's noise
 (the normals times the Cholesky factor) is formed once; a scalar plant
-steps x <- c x + w with c the closed- or open-loop coefficient, which is
-bit-identical to the 1 x 1 matrix product, while larger plants keep the
-matrix product.  After each block the across-trial mean and sample
-standard deviation of the decay residual V(x(l+1)) - rho V(x(l)) - tr(Q Xi)
-are recorded per fast step, trial 0's path is kept for the CSV, and the
-block's last state carries over.  Memory grows with trials x SIM_BLOCK,
-not with trials x horizon.
+forms it as z f and steps x <- c x + w with c the closed- or open-loop
+coefficient, both bit-identical to the 1 x 1 matrix products, while
+larger plants keep the matrix products.  After each block the
+across-trial mean and sample standard deviation of the decay residual
+V(x(l+1)) - rho V(x(l)) - tr(Q Xi) are recorded per fast step (V = q x^2
+for a scalar plant, else the sum over e of x_e (x Q)_e), trial 0's path
+is kept for the CSV, and the block's last state carries over.  The
+deliveries live time-major, (horizon, links, trials), so a block writes
+whole rows.  Memory grows with trials x SIM_BLOCK plus the delivery
+bytes, not with trials x horizon x dim.
 
 The running-average cost column is deterministic: the radio power term
 enters through its per-state expectation, not the sampled deliveries,
@@ -196,7 +199,7 @@ class SimTrace:
     alpha_slow: tuple
     inputs_slow: tuple
     states: tuple          # per plant: trial 0's path, (1, horizon+1, dim)
-    deliveries: np.ndarray  # (trials, horizon, links) of 0/1
+    deliveries: np.ndarray  # (trials, horizon, links) of 0/1, a view of time-major rows
     running_cost: np.ndarray
     entry_fast: int
     seed: int
@@ -298,7 +301,9 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     decay_mean = tuple(np.empty(horizon) for _ in plants)
     decay_sd = tuple(np.full(horizon, np.nan) for _ in plants)
 
-    deliveries = np.zeros((trials, horizon, q), dtype=np.uint8)
+    # time-major, so a block writes whole (trials,) rows; the trace keeps
+    # the (trials, horizon, links) view of it
+    delivered = np.empty((horizon, q, trials), dtype=np.uint8)
     state_cols = np.repeat(np.asarray(alpha_slow) - 1, tau)[:horizon]
     for start in range(0, horizon, SIM_BLOCK):
         stop = min(start + SIM_BLOCK, horizon)
@@ -307,21 +312,29 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
         for i, plant in enumerate(plants):
             u = counter_uniforms(config.seed, 2 * i, steps, 0, trials)
             ok = u <= lam_table[i, state_cols[start:stop], None]
-            deliveries[:, start:stop, i] = ok.T
-            w = counter_normals(config.seed, 2 * i + 1, steps, plant.dim, trials) @ factors[i].T
+            delivered[start:stop, i] = ok
+            w = counter_normals(config.seed, 2 * i + 1, steps, plant.dim, trials)
             x = buffers[i]  # row 0 holds the state carried into the block
+            block = x[: n + 1]
             if plant.dim == 1:
-                # x @ [[a]] is exactly x * a: pick each step's coefficient once
+                # x @ [[a]] is exactly x * a and z @ [[f]] exactly z * f: pick
+                # each step's coefficient once
+                w *= factors[i][0, 0]
                 c = np.where(ok, plant.a_c[0, 0], plant.a_o[0, 0])
                 for b in range(n):
                     np.multiply(x[b, :, 0], c[b], out=x[b + 1, :, 0])
                     x[b + 1] += w[b]
+                v = np.square(block[..., 0])
+                v *= plant.q[0, 0]
             else:
+                w = w @ factors[i].T
                 for b in range(n):
                     np.add(np.where(ok[b, :, None], x[b] @ plant.a_c.T, x[b] @ plant.a_o.T),
                            w[b], out=x[b + 1])
-            block = x[: n + 1]
-            v = np.einsum("ltd,de,lte->lt", block, plant.q, block)
+                # V = sum_e x_e (x Q)_e, one matrix-vector product per column
+                v = block[..., 0] * (block @ plant.q[:, 0])
+                for e in range(1, plant.dim):
+                    v += block[..., e] * (block @ plant.q[:, e])
             # (trials, n), C-contiguous: reducing over its rows adds in trial order
             d = np.ascontiguousarray((v[1:] - float(plant.rho) * v[:-1] - plant.noise_floor).T)
             decay_mean[i][start:stop] = d.mean(axis=0)
@@ -335,7 +348,7 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
         alpha_slow=alpha_slow,
         inputs_slow=inputs_slow,
         states=tuple(paths),
-        deliveries=deliveries,
+        deliveries=delivered.transpose(2, 0, 1),
         running_cost=_running_average(scenario, alpha_slow, inputs_slow, horizon),
         entry_fast=len(schedule.prefix_inputs) * tau,
         seed=config.seed,

@@ -88,24 +88,27 @@ class StageCost:
 
 def joint_stage_cost(scenario, a: int, u: int):
     """Total expected cost of one slow step spent at a applying u."""
+    return _stage_costs(scenario, a, (u,))[0]
+
+
+def _stage_costs(scenario, a: int, inputs) -> list:
+    """joint_stage_cost(scenario, a, u) for each u in inputs, with the
+    radio power term computed once."""
     cost = scenario.cost
-    return cost.tau * expected_power(scenario, a) + cost.lam * cost.input_cost(a, u)
+    radio = cost.tau * expected_power(scenario, a)
+    return [radio + cost.lam * cost.input_cost(a, u) for u in inputs]
 
 
 @dataclass(frozen=True)
 class Edge:
     weight: object
-    steering: tuple    # cost-minimal admissible inputs, ascending
-    admissible: tuple  # every admissible input that realizes the edge
+    steering: tuple  # cost-minimal admissible inputs, ascending
 
 
 @dataclass(frozen=True)
 class TransitionGraph:
     vertices: tuple
     edges: dict  # (a, b) -> Edge
-
-    def successors(self, a: int) -> tuple:
-        return tuple(b for (x, b) in sorted(self.edges) if x == a)
 
     def weight(self, a: int, b: int):
         return self.edges[(a, b)].weight
@@ -120,15 +123,15 @@ def out_edges(scenario, a: int, targets) -> dict:
     steering[0] is the cheapest input with ties going to the smallest.
     """
     inputs = sorted(scenario.constraints.inputs_for(a))
+    hits = [(u, b) for u, b in zip(inputs, successors(scenario.mas, a, inputs).tolist())
+            if b in targets]
     per_target = {}
-    for u, b in zip(inputs, successors(scenario.mas, a, inputs).tolist()):
-        if b in targets:
-            per_target.setdefault(b, []).append((u, joint_stage_cost(scenario, a, u)))
+    for (u, b), c in zip(hits, _stage_costs(scenario, a, [u for u, _ in hits])):
+        per_target.setdefault(b, []).append((u, c))
     edges = {}
     for b, cands in sorted(per_target.items()):
         w = min(c for _, c in cands)
-        steering = tuple(u for u, c in cands if c == w)
-        edges[b] = Edge(w, steering, tuple(u for u, _ in cands))
+        edges[b] = Edge(w, tuple(u for u, c in cands if c == w))
     return edges
 
 

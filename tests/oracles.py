@@ -37,10 +37,24 @@ from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
 from fadectrl.synthesis import Edge, TransitionGraph
 
 
+def graph_successors(graph: TransitionGraph, a: int) -> tuple:
+    """Targets of a's out-edges, ascending."""
+    return tuple(b for (x, b) in sorted(graph.edges) if x == a)
+
+
+def admissible_inputs(scenario, a: int, b: int) -> tuple:
+    """Every admissible input at a that steers a to b, ascending, by the
+    agent law in STP form."""
+    nn = scenario.mas.state_count
+    return tuple(u for u in sorted(scenario.constraints.inputs_for(a))
+                 if step_logical(scenario.mas, LogicalVector(nn, a),
+                                 LogicalVector(nn, u)).index == b)
+
+
 def simple_cycles(graph: TransitionGraph) -> set:
     """Every simple directed cycle, as a vertex tuple with first == last,
     rotated to start at its smallest vertex (each cycle appears once)."""
-    adjacency = {a: graph.successors(a) for a in graph.vertices}
+    adjacency = {a: graph_successors(graph, a) for a in graph.vertices}
     found = set()
     for root in graph.vertices:
         stack = [(root, (root,))]
@@ -133,7 +147,7 @@ def brute_scc(graph: TransitionGraph) -> tuple:
         seen = {root}
         todo = [root]
         while todo:
-            for w in graph.successors(todo.pop()):
+            for w in graph_successors(graph, todo.pop()):
                 if w not in seen:
                     seen.add(w)
                     todo.append(w)
@@ -155,7 +169,7 @@ def random_scc_graph(rng, max_vertices: int = 9, max_weight: int = 50) -> Transi
     edges = {}
 
     def put(a, b):
-        edges[(a, b)] = Edge(rng.randint(0, max_weight), (1,), (1,))
+        edges[(a, b)] = Edge(rng.randint(0, max_weight), (1,))
 
     for i in range(n):
         put(order[i], order[(i + 1) % n])

@@ -27,8 +27,14 @@ from fadectrl import stabilization
 from fadectrl.cli import OUTDIR_ENV, main
 
 # SHA-256 of the bundled cell's trace CSV under its synthesized schedule,
-# seed 7, 100 trials, 400 fast steps
+# seed 7, 100 trials, 400 fast steps.  The arm's recursion runs through
+# BLAS matmul, so the digest holds for a given dgemm kernel: OpenBLAS's
+# FMA kernels (Haswell and later) give it, a kernel without FMA
+# (OPENBLAS_CORETYPE=Prescott) rounds differently and does not
 GOLDEN_TRACE_SHA256 = "0d5dc8ac149b2212b1b8db47c9a9474d7d416b2b3ff8fe1091ec46f78aaf9145"
+# SHA-256 of that run's simulate report from its second line on (the first
+# names the scenario path): pins the printed cost and decay margins
+GOLDEN_REPORT_SHA256 = "ad7aa1c163dd2b3bf9ee6382c2e639db82a11f5d82d2e5b220821a8df0a1df6c"
 
 
 @pytest.fixture()
@@ -272,7 +278,11 @@ def test_simulate_golden_digest(scenario_path, outdir, capsys):
                      horizon=400) == 0
     digest = hashlib.sha256((outdir / "assembly_cell.trace.csv").read_bytes())
     assert digest.hexdigest() == GOLDEN_TRACE_SHA256
-    capsys.readouterr()
+    report = (outdir / "assembly_cell.simreport.txt").read_text()
+    assert report.startswith("co-simulation of %s\n" % scenario_path)
+    digest = hashlib.sha256(report.split("\n", 1)[1].encode())
+    assert digest.hexdigest() == GOLDEN_REPORT_SHA256
+    assert capsys.readouterr().out.endswith(report)
 
 
 def test_simulate_small_run_skips_decay_check(scenario_path, outdir, capsys):

@@ -12,7 +12,8 @@ Proves:
            across block boundaries (paths, deliveries and cost exactly,
            streamed decay statistics to 1e-12, check verdicts exactly),
            also for a 3-dim plant with correlated noise and a scalar plant
-           with a non-unit noise factor,
+           with a non-unit noise factor, and for a 2-dim plant with an
+           explicit non-diagonal quality weight and a scalar one with Q = 2.5,
            no numpy warning at one or two trials, and memory that does
            not grow with trials x horizon
  Group 4 - running cost: exact cycle averages for the worked example
@@ -147,6 +148,56 @@ cost:
 
 simulation:
   initial_plant_states: [[1.0, -1.0, 0.5], [2.0]]
+"""
+
+# quality weights given explicitly: a non-diagonal Q for a 2-dim plant and
+# Q = 2.5 for a scalar one, so a V that drops or misreads Q shows in the
+# decay statistics
+QUALITY_WEIGHTS = """\
+name: quality weight probe
+fast_steps_per_slow: 3
+
+plants:
+  - name: arm
+    a_closed: [[0.4, 0.2], [-0.1, 0.5]]
+    a_open: [[1.2, 0.3], [0.2, 0.9]]
+    quality_weight: [[2.0, 0.7], [0.7, 1.5]]
+    decay_rate: 0.9
+    noise_cov: identity
+    power_price: 0.25
+  - name: belt
+    a_closed: 0.3
+    a_open: -1.2
+    quality_weight: 2.5
+    decay_rate: 0.9
+    noise_cov: 0.5
+    power_price: 0.5
+
+agents:
+  count: 1
+  kappa: 2
+  weights:
+    1: {1: 1}
+  initial_state: [0]
+
+constraints:
+  states: [1]
+  inputs: [[0]]
+
+channel:
+  local_states: 1
+  transmit_policy:
+    - [1]
+    - [1]
+  fading:
+    1: {decode: [0.6, 0.7], dist: [[1.0], [1.0]]}
+
+cost:
+  input_weight: 0
+  input_costs: [3, 3]
+
+simulation:
+  initial_plant_states: [[1.0, -1.0], [2.0]]
 """
 
 
@@ -364,15 +415,8 @@ def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
             assert a.worst_margin == pytest.approx(b.worst_margin, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("horizon", [1, SIM_BLOCK + 1, 2 * SIM_BLOCK + 3])
-def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon):
-    # covers the matmul recursion at dim 3 and the scalar recursion with a
-    # noise factor other than 1 (the bundled conveyor's factor is exactly 1)
-    scn = load_scenario_text(MIXED_PLANTS)
-    assert [p.dim for p in scn.wcs.plants] == [3, 1]
-    assert scn.wcs.plants[1].noise_factor()[0, 0] == np.sqrt(2.0)
+def _assert_matches_stepwise_oracle(scn, config):
     schedule = Schedule((), (1,), 1)
-    config = SimConfig(horizon, 37, 2**63 + 5, x0=scn.x0)
     got = simulate(scn, schedule, config)
     want, _ = stepwise_simulate(scn, schedule, config)
     for x, y in zip(got.states, want.states, strict=True):
@@ -382,6 +426,26 @@ def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon):
     for name in ("decay_mean", "decay_sd"):
         for x, y in zip(getattr(got, name), getattr(want, name), strict=True):
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [1, SIM_BLOCK + 1, 2 * SIM_BLOCK + 3])
+def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon):
+    # covers the matmul recursion at dim 3 and the scalar recursion with a
+    # noise factor other than 1 (the bundled conveyor's factor is exactly 1)
+    scn = load_scenario_text(MIXED_PLANTS)
+    assert [p.dim for p in scn.wcs.plants] == [3, 1]
+    assert scn.wcs.plants[1].noise_factor()[0, 0] == np.sqrt(2.0)
+    _assert_matches_stepwise_oracle(scn, SimConfig(horizon, 37, 2**63 + 5, x0=scn.x0))
+
+
+@pytest.mark.parametrize("horizon", [1, SIM_BLOCK + 1, 2 * SIM_BLOCK + 3])
+def test_simulate_matches_stepwise_oracle_on_quality_weights(horizon):
+    # every other scenario here gives its scalar plant Q = 1, so only this
+    # one tells q x^2 from x^2 in the decay statistics
+    scn = load_scenario_text(QUALITY_WEIGHTS)
+    arm, belt = scn.wcs.plants
+    assert arm.q[0, 1] == 0.7 and belt.q[0, 0] == 2.5
+    _assert_matches_stepwise_oracle(scn, SimConfig(horizon, 29, 11, x0=scn.x0))
 
 
 @pytest.mark.parametrize("trials", [1, 2])
