@@ -113,12 +113,17 @@ def _thresholds(scn: Scenario, override_arg):
     """
     override = None
     if override_arg:
-        parts = [p for p in override_arg.split(",") if p.strip()]
+        parts = [p.strip() for p in override_arg.split(",") if p.strip()]
         if len(parts) != scn.wcs.link_count:
             raise ParseError(
                 "--s-override needs %d comma-separated values" % scn.wcs.link_count
             )
-        override = tuple(Fraction(p.strip()) for p in parts)
+        override = []
+        for p in parts:
+            try:
+                override.append(Fraction(p))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError("--s-override value %r is not a number" % p) from None
         if any(not 0 <= s <= 1 for s in override):
             raise ParseError("--s-override values must lie in [0, 1]")
     elif scn.s_override is not None:

@@ -16,20 +16,18 @@ SIM_BLOCK (64) fast steps in one array operation, small enough that the
 block's draws stay in cache, and runs only the plant recursion step by
 step.  Normal variates come from Box-Muller on two such uniforms.
 
-The states are streamed: each plant's trials live in a time-major
-working buffer of shape (SIM_BLOCK + 1, trials, dim), so every fast step
-reads and writes one contiguous (trials, dim) slab.  The block's noise
-(the normals times the Cholesky factor) is formed once; a scalar plant
-forms it as z f and steps x <- c x + w with c the closed- or open-loop
-coefficient, both bit-identical to the 1 x 1 matrix products, while
-larger plants keep the matrix products.  After each block the
-across-trial mean and sample standard deviation of the decay residual
-V(x(l+1)) - rho V(x(l)) - tr(Q Xi) are recorded per fast step (V = q x^2
-for a scalar plant, else the sum over e of x_e (x Q)_e), trial 0's path
-is kept for the CSV, and the block's last state carries over.  The
-deliveries live time-major, (horizon, links, trials), so a block writes
-whole rows.  Memory grows with trials x SIM_BLOCK plus the delivery
-bytes, not with trials x horizon x dim.
+The states are streamed through a plant-major working buffer of shape
+(SIM_BLOCK + 1, dim, trials) per plant.  Every plant dimension takes the
+same step, with each sum in index order on elementwise numpy operations,
+so a trace is the same on every BLAS kernel: noise w_e = sum_d F[e, d] z_d
+(F the Cholesky factor), step x'_e = sum_d A[e, d] x_d + w_e (A each
+trial's closed- or open-loop matrix), and V = sum_{d, e} Q[d, e] x_d x_e.
+After each block the across-trial mean and sample standard deviation of
+the decay residual V(x(l+1)) - rho V(x(l)) - tr(Q Xi) are recorded per
+fast step, trial 0's path is kept for the CSV, and the block's last state
+carries over.  Deliveries live time-major, (horizon, links, trials), so a
+block writes whole rows.  Memory grows with trials x SIM_BLOCK plus the
+delivery bytes, not with trials x horizon x dim.
 
 The running-average cost column is deterministic: the radio power term
 enters through its per-state expectation, not the sampled deliveries,
@@ -63,7 +61,7 @@ _FIN_ROUNDS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
 _U64_MAX = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 # fast steps simulate advances at once: it derives their draws in one call
-# per stream and keeps (SIM_BLOCK + 1, trials, dim) plant states per plant;
+# per stream and keeps (SIM_BLOCK + 1, dim, trials) plant states per plant;
 # at 64 a block's draws for 1000 trials stay in cache
 SIM_BLOCK = 64
 
@@ -291,12 +289,12 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
         raise DimensionMismatch("%d initial vectors for %d plants" % (len(x0), q))
     buffers, paths, factors = [], [], []
     for i, plant in enumerate(plants):
-        x = np.zeros((min(SIM_BLOCK, horizon) + 1, trials, plant.dim))
+        x = np.zeros((min(SIM_BLOCK, horizon) + 1, plant.dim, trials))
         if x0 is not None:
-            x[0] = np.asarray(x0[i], dtype=float).reshape(plant.dim)
+            x[0] = np.asarray(x0[i], dtype=float).reshape(plant.dim, 1)
         buffers.append(x)
         paths.append(np.empty((1, horizon + 1, plant.dim)))
-        paths[i][0, 0] = x[0, 0]
+        paths[i][0, 0] = x[0, :, 0]
         factors.append(plant.noise_factor())
     decay_mean = tuple(np.empty(horizon) for _ in plants)
     decay_sd = tuple(np.full(horizon, np.nan) for _ in plants)
@@ -310,37 +308,36 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
         n = stop - start
         steps = np.arange(start, stop)
         for i, plant in enumerate(plants):
-            u = counter_uniforms(config.seed, 2 * i, steps, 0, trials)
-            ok = u <= lam_table[i, state_cols[start:stop], None]
+            # compared as drawn, so the block's uniforms are freed at once
+            lam = lam_table[i, state_cols[start:stop], None]
+            ok = counter_uniforms(config.seed, 2 * i, steps, 0, trials) <= lam
             delivered[start:stop, i] = ok
-            w = counter_normals(config.seed, 2 * i + 1, steps, plant.dim, trials)
+            dims = range(plant.dim)
+            z = counter_normals(config.seed, 2 * i + 1, steps, plant.dim, trials)
+            # w_e = sum_d F[e, d] z_d; each sum here runs in index order
+            w = z[:, None, :, 0] * factors[i][:, 0, None]
+            for d in dims[1:]:
+                w += z[:, None, :, d] * factors[i][:, d, None]
+            del z
+            # each trial's step matrix: A_c where its packet arrived, else A_o
+            a = np.where(ok[:, None, None], plant.a_c[..., None], plant.a_o[..., None])
             x = buffers[i]  # row 0 holds the state carried into the block
-            block = x[: n + 1]
-            if plant.dim == 1:
-                # x @ [[a]] is exactly x * a and z @ [[f]] exactly z * f: pick
-                # each step's coefficient once
-                w *= factors[i][0, 0]
-                c = np.where(ok, plant.a_c[0, 0], plant.a_o[0, 0])
-                for b in range(n):
-                    np.multiply(x[b, :, 0], c[b], out=x[b + 1, :, 0])
-                    x[b + 1] += w[b]
-                v = np.square(block[..., 0])
-                v *= plant.q[0, 0]
-            else:
-                w = w @ factors[i].T
-                for b in range(n):
-                    np.add(np.where(ok[b, :, None], x[b] @ plant.a_c.T, x[b] @ plant.a_o.T),
-                           w[b], out=x[b + 1])
-                # V = sum_e x_e (x Q)_e, one matrix-vector product per column
-                v = block[..., 0] * (block @ plant.q[:, 0])
-                for e in range(1, plant.dim):
-                    v += block[..., e] * (block @ plant.q[:, e])
+            for x_l, x_next, a_l, w_l in zip(x, x[1:], a, w):
+                np.multiply(a_l[:, 0], x_l[0], out=x_next)
+                for d in dims[1:]:
+                    x_next += a_l[:, d] * x_l[d]
+                x_next += w_l
+            del a, w, a_l, w_l  # a view of a row keeps its whole array alive
+            v = np.zeros((n + 1, trials))
+            for d in dims:
+                for e in dims:
+                    v += x[: n + 1, d] * x[: n + 1, e] * plant.q[d, e]
             # (trials, n), C-contiguous: reducing over its rows adds in trial order
-            d = np.ascontiguousarray((v[1:] - float(plant.rho) * v[:-1] - plant.noise_floor).T)
-            decay_mean[i][start:stop] = d.mean(axis=0)
+            r = np.ascontiguousarray((v[1:] - float(plant.rho) * v[:-1] - plant.noise_floor).T)
+            decay_mean[i][start:stop] = r.mean(axis=0)
             if trials > 1:  # one trial has no sample sd
-                decay_sd[i][start:stop] = d.std(axis=0, ddof=1)
-            paths[i][0, start + 1 : stop + 1] = x[1 : n + 1, 0]
+                decay_sd[i][start:stop] = r.std(axis=0, ddof=1)
+            paths[i][0, start + 1 : stop + 1] = x[1 : n + 1, :, 0]
             x[0] = x[n]
 
     return SimTrace(

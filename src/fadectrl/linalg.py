@@ -86,18 +86,27 @@ def bisect_threshold(predicate, tol: float = BISECT_TOL) -> float:
     return hi
 
 
+def _dot(u, v) -> float:
+    """u . v summed in index order, so the same on every BLAS kernel."""
+    s = 0.0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
 def chol_semidefinite(m, tol: float = 1e-10) -> np.ndarray:
     """Lower Cholesky factor of a PSD matrix, zero rows where rank drops.
 
     Standard algorithm with the pivot clamped at zero; a diagonal entry
-    below -tol*scale means the matrix is not PSD.
+    below -tol*scale means the matrix is not PSD.  Its dot products are
+    index-order sums, so the factor does not depend on the BLAS kernel.
     """
     m = require_symmetric(m, what="covariance")
     n = m.shape[0]
     scale = max(1.0, float(np.max(np.abs(m))))
     l = np.zeros_like(m)
     for j in range(n):
-        d = m[j, j] - l[j, :j] @ l[j, :j]
+        d = m[j, j] - _dot(l[j, :j], l[j, :j])
         if d < -tol * scale:
             raise PreconditionViolated(
                 "covariance not positive semidefinite (pivot %.3e)" % d
@@ -106,5 +115,5 @@ def chol_semidefinite(m, tol: float = 1e-10) -> np.ndarray:
             continue  # rank-deficient direction: leave the row zero
         l[j, j] = np.sqrt(d)
         for i in range(j + 1, n):
-            l[i, j] = (m[i, j] - l[i, :j] @ l[j, :j]) / l[j, j]
+            l[i, j] = (m[i, j] - _dot(l[i, :j], l[j, :j])) / l[j, j]
     return l

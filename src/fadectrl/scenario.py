@@ -173,6 +173,17 @@ def _exact(v, ctx, line, path, lo=None, hi=None):
     return f
 
 
+def _exact_list(v, n, ctx, line, path, what, lo=None, hi=None):
+    """Tuple of n exact numbers, or None once the list or its bad entries
+    are reported."""
+    if not isinstance(v, list) or len(v) != n:
+        ctx.err(line, path, "must list %d %s" % (n, what))
+        return None
+    errors = len(ctx.errors)  # _exact reports every entry it rejects
+    row = tuple([_exact(x, ctx, line, "%s[%d]" % (path, j), lo, hi) for j, x in enumerate(v)])
+    return row if len(ctx.errors) == errors else None
+
+
 def _matrix(v, ctx, line, path):
     """Scalar or list-of-lists to a square float matrix of finite entries."""
     if isinstance(v, (int, float)) and not isinstance(v, bool):
@@ -453,27 +464,25 @@ def _parse_channel(doc, model, constraints, wcs_model, ctx):
                     if e is None:
                         ok = False
                         continue
-                    drow = dist[i]
-                    if not isinstance(drow, list) or len(drow) != r:
-                        ctx.err(rln, path + ".dist[%d]" % i,
-                                "must list %d probabilities" % r)
+                    probs = _exact_list(dist[i], r, ctx, rln, path + ".dist[%d]" % i,
+                                        "probabilities", lo=0, hi=1)
+                    if probs is None:
                         ok = False
                         continue
-                    probs = []
-                    for c, p in enumerate(drow):
-                        pv = _exact(p, ctx, rln, path + ".dist[%d][%d]" % (i, c), lo=0, hi=1)
-                        if pv is None:
-                            ok = False
-                            break
-                        probs.append(pv)
+                    mass = sum(probs)
+                    # within the tolerance a row may sum past 1, but the share
+                    # its radio transmits in is a probability
+                    sent = sum(p for p, b in zip(probs, flags[i]) if b) if mass > 1 else 0
+                    if abs(mass - 1) > ROW_MASS_TOL:
+                        ctx.err(rln, path + ".dist[%d]" % i,
+                                "probabilities sum to %s, expected 1" % float(mass))
+                        ok = False
+                    elif sent > 1:
+                        ctx.err(rln, path + ".dist[%d]" % i,
+                                "transmitting probabilities sum to %s, above 1" % float(sent))
+                        ok = False
                     else:
-                        mass = sum(probs)
-                        if abs(mass - 1) > ROW_MASS_TOL:
-                            ctx.err(rln, path + ".dist[%d]" % i,
-                                    "probabilities sum to %s, expected 1" % float(mass))
-                            ok = False
-                            continue
-                        gamma[i][a - 1] = tuple(probs)
+                        gamma[i][a - 1] = probs
                         eta[i][a - 1] = e
             if ok:
                 transmit, derived = derive_tables(flags, gamma, eta)
@@ -484,24 +493,10 @@ def _parse_channel(doc, model, constraints, wcs_model, ctx):
         if not isinstance(direct_raw, list) or len(direct_raw) != q:
             ctx.err(ln, "channel.success_direct", "must list %d rows (one per link)" % q)
         else:
-            rows = []
-            ok = True
-            for i, row in enumerate(direct_raw):
-                if not isinstance(row, list) or len(row) != nn:
-                    ctx.err(ln, "channel.success_direct[%d]" % i,
-                            "must list %d probabilities" % nn)
-                    ok = False
-                    continue
-                vals = []
-                for a, p in enumerate(row):
-                    pv = _exact(p, ctx, ln, "channel.success_direct[%d][%d]" % (i, a),
-                                lo=0, hi=1)
-                    if pv is None:
-                        ok = False
-                        break
-                    vals.append(pv)
-                rows.append(tuple(vals))
-            if ok:
+            rows = [_exact_list(row, nn, ctx, ln, "channel.success_direct[%d]" % i,
+                                "probabilities", lo=0, hi=1)
+                    for i, row in enumerate(direct_raw)]
+            if None not in rows:
                 direct = SuccessTable(nn, rows)
 
     if derived is None and direct is None and flags is not None:
@@ -540,16 +535,10 @@ def _parse_cost(doc, model, ctx):
         row_raw = _as_list(sec, "input_costs", ctx, "cost.input_costs")
         if row_raw is None:
             return None
-        if len(row_raw) != nn:
-            ctx.err(ln, "cost.input_costs", "must list %d entries" % nn)
+        row = _exact_list(row_raw, nn, ctx, ln, "cost.input_costs", "entries", lo=0)
+        if row is None:
             return None
-        row = []
-        for u, v in enumerate(row_raw):
-            ev = _exact(v, ctx, ln, "cost.input_costs[%d]" % u, lo=0)
-            if ev is None:
-                return None
-            row.append(ev)
-        g = (tuple(row),) * nn  # one row object, shared by every state
+        g = (row,) * nn  # one row object, shared by every state
     elif "table" in sec:
         tab_raw = _as_list(sec, "table", ctx, "cost.table")
         if tab_raw is None or len(tab_raw) != nn:
@@ -557,16 +546,10 @@ def _parse_cost(doc, model, ctx):
             return None
         rows = []
         for a, rrow in enumerate(tab_raw):
-            if not isinstance(rrow, list) or len(rrow) != nn:
-                ctx.err(ln, "cost.table[%d]" % a, "must list %d entries" % nn)
+            row = _exact_list(rrow, nn, ctx, ln, "cost.table[%d]" % a, "entries", lo=0)
+            if row is None:
                 return None
-            out = []
-            for u, v in enumerate(rrow):
-                ev = _exact(v, ctx, ln, "cost.table[%d][%d]" % (a, u), lo=0)
-                if ev is None:
-                    return None
-                out.append(ev)
-            rows.append(tuple(out))
+            rows.append(row)
         g = tuple(rows)
     else:
         ctx.err(ln, "cost", "missing input_costs or table")
@@ -601,18 +584,9 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
 
     s_override = None
     if "thresholds_override" in doc and wcs_model is not None:
-        raw = doc["thresholds_override"]
-        if not isinstance(raw, list) or len(raw) != wcs_model.link_count:
-            ctx.err(_line(doc), "thresholds_override",
-                    "must list %d probabilities" % wcs_model.link_count)
-        else:
-            vals = []
-            for i, v in enumerate(raw):
-                ev = _exact(v, ctx, _line(doc), "thresholds_override[%d]" % i, lo=0, hi=1)
-                if ev is not None:
-                    vals.append(ev)
-            if len(vals) == len(raw):
-                s_override = tuple(vals)
+        s_override = _exact_list(doc["thresholds_override"], wcs_model.link_count, ctx,
+                                 _line(doc), "thresholds_override", "probabilities",
+                                 lo=0, hi=1)
 
     x0 = None
     sim_sec = _as_map(doc, "simulation", ctx, "simulation", required=False)

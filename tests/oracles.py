@@ -261,13 +261,9 @@ def stepwise_simulate(scenario, schedule, config):
             ok = counter_uniforms(config.seed, 2 * i, l, 0, trials) <= lam_table[i, a - 1]
             deliveries[:, l, i] = ok
             z = counter_normals(config.seed, 2 * i + 1, l, plant.dim, trials)
-            noise = z @ factors[i].T
             x = states[i]
-            x[:, l + 1, :] = np.where(
-                ok[:, None],
-                x[:, l, :] @ plant.a_c.T,
-                x[:, l, :] @ plant.a_o.T,
-            ) + noise
+            step = np.where(ok[:, None, None], plant.a_c, plant.a_o)
+            x[:, l + 1, :] = _rows_times(step, x[:, l, :]) + _rows_times(factors[i], z)
     residuals = [_decay_residuals(x, plant) for x, plant in zip(states, plants)]
     trace = SimTrace(
         tau=tau,
@@ -282,6 +278,16 @@ def stepwise_simulate(scenario, schedule, config):
         decay_sd=tuple(d.std(axis=0, ddof=1) for d in residuals),
     )
     return trace, tuple(states)
+
+
+def _rows_times(m, x) -> np.ndarray:
+    """x @ m.T for (trials, dim) rows, m shared or one per trial, each sum
+    over d of m[e, d] x_d taken in index order, so no BLAS kernel enters."""
+    m = np.broadcast_to(m, x.shape[:1] + m.shape[-2:])
+    y = m[:, :, 0] * x[:, None, 0]
+    for d in range(1, x.shape[1]):
+        y += m[:, :, d] * x[:, None, d]
+    return y
 
 
 def _decay_residuals(x, plant) -> np.ndarray:

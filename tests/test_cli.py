@@ -10,7 +10,8 @@ Proves:
            each stabilization stage runs once
  Group 4 - simulate: trace and report artifacts, decay verdict, same
            seed gives byte-identical traces that match a pinned golden
-           digest, the decay check is skipped (with its reason) below 100
+           digest, also on a BLAS kernel without FMA in a child process,
+           the decay check is skipped (with its reason) below 100
            trials, down to one trial without a warning, or before the cycle
            entry, bad inputs exit 1
  Group 5 - usage errors
@@ -18,20 +19,23 @@ Proves:
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import fadectrl
 from fadectrl import stabilization
 from fadectrl.cli import OUTDIR_ENV, main
 
 # SHA-256 of the bundled cell's trace CSV under its synthesized schedule,
-# seed 7, 100 trials, 400 fast steps.  The arm's recursion runs through
-# BLAS matmul, so the digest holds for a given dgemm kernel: OpenBLAS's
-# FMA kernels (Haswell and later) give it, a kernel without FMA
-# (OPENBLAS_CORETYPE=Prescott) rounds differently and does not
-GOLDEN_TRACE_SHA256 = "0d5dc8ac149b2212b1b8db47c9a9474d7d416b2b3ff8fe1091ec46f78aaf9145"
+# seed 7, 100 trials, 400 fast steps.  The plant steps sum in index order
+# without BLAS, so the digest holds on every OpenBLAS kernel
+GOLDEN_TRACE_SHA256 = "9131c25a691d73bcd23d4065a86c1260c49a8ff4703fe408cb9747397e639275"
 # SHA-256 of that run's simulate report from its second line on (the first
 # names the scenario path): pins the printed cost and decay margins
 GOLDEN_REPORT_SHA256 = "ad7aa1c163dd2b3bf9ee6382c2e639db82a11f5d82d2e5b220821a8df0a1df6c"
@@ -116,6 +120,11 @@ def test_check_override_validation(scenario_path, outdir, capsys):
     assert main(["check", str(scenario_path), "--s-override", "1.5,0.5"]) == 1
     _, err = capsys.readouterr()
     assert "must lie in [0, 1]" in err
+
+    for bad in ("1/0", "abc"):
+        assert main(["check", str(scenario_path), "--s-override", bad + ",0.1"]) == 1
+        _, err = capsys.readouterr()
+        assert "error: --s-override value '%s' is not a number" % bad in err
 
 
 def test_override_below_computed_threshold_warns(scenario_path, outdir,
@@ -283,6 +292,24 @@ def test_simulate_golden_digest(scenario_path, outdir, capsys):
     digest = hashlib.sha256(report.split("\n", 1)[1].encode())
     assert digest.hexdigest() == GOLDEN_REPORT_SHA256
     assert capsys.readouterr().out.endswith(report)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+def test_simulate_golden_digest_on_prescott_kernel(scenario_path, tmp_path):
+    # OpenBLAS's Prescott kernels have no FMA, so a plant step through BLAS
+    # would round differently there; the golden run's trace must not
+    src = str(Path(fadectrl.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", **{OUTDIR_ENV: str(tmp_path)})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    schedule = tmp_path / "assembly_cell.schedule.json"
+    for argv in (["synthesize", str(scenario_path)],
+                 ["simulate", str(scenario_path), "--schedule", str(schedule),
+                  "--seed", "7", "--trials", "100", "--horizon", "400"]):
+        subprocess.run([sys.executable, "-m", "fadectrl.cli", *argv], env=env,
+                       check=True, capture_output=True)
+    digest = hashlib.sha256((tmp_path / "assembly_cell.trace.csv").read_bytes())
+    assert digest.hexdigest() == GOLDEN_TRACE_SHA256
 
 
 def test_simulate_small_run_skips_decay_check(scenario_path, outdir, capsys):

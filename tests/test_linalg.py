@@ -6,8 +6,11 @@ Proves:
            radius >= 1
  Group 2 - symmetric eigenvalues vs numpy oracle and invariants
  Group 3 - bisect_threshold boundary semantics
- Group 4 - semidefinite Cholesky, including rank-deficient input
+ Group 4 - semidefinite Cholesky, including rank-deficient input, equal
+           bit for bit to an index-order pure-Python factorization
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -154,3 +157,38 @@ def test_chol_rank_deficient_keeps_zero_rows():
 def test_chol_rejects_indefinite():
     with pytest.raises(PreconditionViolated):
         chol_semidefinite(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+def _chol_index_order(m, tol=1e-10):
+    """Cholesky of a PSD list-of-lists in Python floats, each dot product
+    summed in index order: the reference for every BLAS kernel."""
+    n = len(m)
+    scale = max(1.0, max(abs(v) for row in m for v in row))
+    l = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        s = 0.0
+        for k in range(j):
+            s += l[j][k] * l[j][k]
+        d = m[j][j] - s
+        if d <= tol * scale:
+            continue
+        l[j][j] = math.sqrt(d)
+        for i in range(j + 1, n):
+            s = 0.0
+            for k in range(j):
+                s += l[i][k] * l[j][k]
+            l[i][j] = (m[i][j] - s) / l[j][j]
+    return l
+
+
+def test_chol_matches_index_order_reference_bit_for_bit():
+    # a BLAS dot product may round differently from kernel to kernel; the
+    # factor must not
+    rng = np.random.default_rng(31)
+    for _ in range(800):
+        n = int(rng.integers(2, 7))
+        g = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+        m = g @ g.T
+        m = 0.5 * (m + m.T)  # exactly symmetric, so validation keeps it as is
+        want = np.array(_chol_index_order(m.tolist()))
+        assert chol_semidefinite(m).tobytes() == want.tobytes()

@@ -140,6 +140,22 @@ def test_dist_row_mass_is_checked(bundled_text):
     assert re.match(r"^<string>:\d+: channel\.fading\[1\]\.dist\[0\]: ", violations[0])
 
 
+def test_dist_row_transmitting_mass_above_one_is_located(bundled_text):
+    # a row 1e-10 over 1 passes the mass tolerance; only when every local
+    # state transmits does its transmit probability exceed 1
+    over = bundled_text.replace(
+        "2: {decode: [0.66, 0.37], dist: [[0.1, 0.1, 0.3, 0.5],",
+        "2: {decode: [0.66, 0.37], dist: [[0.1, 0.1, 0.3000000001, 0.5],",
+    )
+    assert over != bundled_text
+    load_scenario_text(over)
+    everywhere = over.replace("    - [1, 1, 1, 0]\n", "    - [1, 1, 1, 1]\n")
+    violations = _reject(everywhere)
+    assert len(violations) == 1
+    assert re.match(r"^<string>:\d+: channel\.fading\[2\]\.dist\[0\]: transmitting "
+                    r"probabilities sum to 1\.0000000001, above 1$", violations[0])
+
+
 def test_initial_state_must_be_admissible(bundled_text):
     broken = bundled_text.replace("initial_state: [1, 0]", "initial_state: [2, 2]")
     violations = _reject(broken)
