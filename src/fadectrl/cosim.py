@@ -291,7 +291,12 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     for i, plant in enumerate(plants):
         x = np.zeros((min(SIM_BLOCK, horizon) + 1, plant.dim, trials))
         if x0 is not None:
-            x[0] = np.asarray(x0[i], dtype=float).reshape(plant.dim, 1)
+            v = np.asarray(x0[i], dtype=float)
+            if v.size != plant.dim:
+                raise DimensionMismatch(
+                    "initial vector of plant %d%s has %d entries, not its dimension %d"
+                    % (i + 1, " (%s)" % plant.name if plant.name else "", v.size, plant.dim))
+            x[0] = v.reshape(plant.dim, 1)
         buffers.append(x)
         paths.append(np.empty((1, horizon + 1, plant.dim)))
         paths[i][0, 0] = x[0, :, 0]

@@ -158,18 +158,6 @@ class ConstraintSets:
                 "state %d outside the admissible state set" % a
             ) from None
 
-    def validate_against(self, model: MasModel):
-        nn = model.state_count
-        for a in self.state_set:
-            if not 1 <= a <= nn:
-                raise IndexOutOfRange("admissible state %d outside 1..%d" % (a, nn))
-        for a, us in self.input_map.items():
-            for u in us:
-                if not 1 <= u <= nn:
-                    raise IndexOutOfRange(
-                        "admissible input %d at state %d outside 1..%d" % (u, a, nn)
-                    )
-
 
 def one_step_reach(model: MasModel, constraints: ConstraintSets, a: int) -> tuple:
     """Sorted admissible one-step successors of a that stay in C_alpha."""

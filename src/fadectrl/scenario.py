@@ -11,7 +11,10 @@ entries may also be value tuples, mapping keys may not.  Probabilities
 and costs are re-read as exact fractions of their decimal spelling so
 downstream comparisons and cycle means are exact.  Validation collects
 every violation (with file line numbers) before rejecting, and a
-rejected scenario produces no objects at all.
+rejected scenario produces no objects at all.  Each section parser
+returns its object exactly when it reported no violation since it
+began, so a check that needs an earlier value runs only on a clean one
+and reports nothing twice.
 """
 
 from __future__ import annotations
@@ -123,11 +126,10 @@ def _as_map(doc, key, ctx, path, required=True):
     return v
 
 
-def _as_list(container, key, ctx, path, required=True):
+def _as_list(container, key, ctx, path):
     v = container.get(key)
     if v is None:
-        if required:
-            ctx.err(_line(container), path, "missing required key '%s'" % key)
+        ctx.err(_line(container), path, "missing required key '%s'" % key)
         return None
     if not isinstance(v, list):
         ctx.err(_line(container), path, "'%s' must be a list" % key)
@@ -135,12 +137,15 @@ def _as_list(container, key, ctx, path, required=True):
     return v
 
 
-def _as_int(v, ctx, line, path, lo=None):
+def _as_int(v, ctx, line, path, lo=None, hi=None):
     if not isinstance(v, int) or isinstance(v, bool):
         ctx.err(line, path, "expected an integer, got %r" % (v,))
         return None
     if lo is not None and v < lo:
         ctx.err(line, path, "must be >= %d, got %d" % (lo, v))
+        return None
+    if hi is not None and v > hi:
+        ctx.err(line, path, "must be <= %d, got %d" % (hi, v))
         return None
     return v
 
@@ -156,13 +161,7 @@ def _exact(v, ctx, line, path, lo=None, hi=None):
     key = (type(v), v)
     f = ctx.fractions.get(key)
     if f is None:
-        if isinstance(v, int):
-            f = Fraction(v)
-        else:
-            try:
-                f = Fraction(str(v))
-            except ValueError:
-                f = Fraction(v)
+        f = Fraction(v) if isinstance(v, int) else Fraction(str(v))
         ctx.fractions[key] = f
     if lo is not None and f < lo:
         ctx.err(line, path, "must be >= %s, got %s" % (lo, v))
@@ -226,128 +225,145 @@ def _state_index(v, model: MasModel, ctx, line, path):
     return None
 
 
+def _index_set(v, model, ctx, line, path, what):
+    """Set of basis indices from a nonempty list of indices or value
+    tuples, or None once the list or its bad entries are reported."""
+    if not isinstance(v, list):
+        ctx.err(line, path, "must be a list")
+        return None
+    errors = len(ctx.errors)
+    got = frozenset([_state_index(x, model, ctx, line, "%s[%d]" % (path, i))
+                     for i, x in enumerate(v)])
+    if len(ctx.errors) > errors:
+        return None
+    if not got:
+        ctx.err(line, path, "%s is empty" % what)
+        return None
+    return got
+
+
 def _parse_agents(doc, ctx):
+    """(model, initial state); each is None exactly when its part of the
+    section reported a violation."""
     sec = _as_map(doc, "agents", ctx, "agents")
     if sec is None:
         return None, None
+    errors = len(ctx.errors)
     ln = _line(sec)
     n = _as_int(sec.get("count"), ctx, ln, "agents.count", lo=1)
     kappa = _as_int(sec.get("kappa"), ctx, ln, "agents.kappa", lo=2)
     weights_sec = sec.get("weights")
-    if n is None or kappa is None or not isinstance(weights_sec, dict):
-        if not isinstance(weights_sec, dict):
-            ctx.err(ln, "agents.weights", "must map agent id -> {neighbor: weight}")
+    if not isinstance(weights_sec, dict):
+        ctx.err(ln, "agents.weights", "must map agent id -> {neighbor: weight}")
+    if len(ctx.errors) > errors:
         return None, None
     wln = _line(weights_sec, ln)
-    maps = [dict() for _ in range(n)]
-    ok = True
-    declared = set(_keys(weights_sec))
     for j in range(1, n + 1):
-        if j not in declared:
+        if j not in weights_sec:
             ctx.err(wln, "agents.weights", "agent %d has no weight map" % j)
-            ok = False
-    for j in sorted(declared, key=str):
+    for j in sorted(_keys(weights_sec), key=str):
         row = weights_sec[j]
-        jid = _as_int(j, ctx, wln, "agents.weights key %r" % (j,), lo=1)
-        if jid is None or jid > n:
-            ctx.err(wln, "agents.weights", "agent id %r outside 1..%d" % (j, n))
-            ok = False
+        jid = _as_int(j, ctx, wln, "agents.weights key %r" % (j,), lo=1, hi=n)
+        if jid is None:
             continue
         if not isinstance(row, dict):
             ctx.err(wln, "agents.weights[%d]" % jid, "must be a mapping")
-            ok = False
             continue
         rln = _line(row, wln)
         for l in sorted(_keys(row), key=str):
-            lid = _as_int(l, ctx, rln, "agents.weights[%d] neighbor %r" % (jid, l), lo=1)
-            a = _as_int(row[l], ctx, rln, "agents.weights[%d][%r]" % (jid, l), lo=0)
-            if lid is None or a is None or lid > n:
-                ok = False
-                continue
-            if a >= kappa:
-                ctx.err(rln, "agents.weights[%d][%d]" % (jid, lid),
-                        "weight %d outside 0..%d" % (a, kappa - 1))
-                ok = False
-                continue
-            maps[jid - 1][lid - 1] = a
-    for j in range(n):
-        if ok and j not in maps[j]:
-            ctx.err(wln, "agents.weights[%d]" % (j + 1),
-                    "missing the agent's own weight")
-            ok = False
-    if not ok:
+            _as_int(l, ctx, rln, "agents.weights[%d] neighbor %r" % (jid, l), lo=1, hi=n)
+            _as_int(row[l], ctx, rln, "agents.weights[%d][%r]" % (jid, l), lo=0, hi=kappa - 1)
+        if jid not in row:
+            ctx.err(wln, "agents.weights[%d]" % jid, "missing the agent's own weight")
+    if len(ctx.errors) > errors:
         return None, None
+    rows = [weights_sec[j] for j in range(1, n + 1)]
     try:
-        model = MasModel(n, kappa, tuple(maps))
+        model = MasModel(n, kappa, tuple(
+            {l - 1: row[l] for l in sorted(_keys(row), key=str)} for row in rows))
     except ToolkitError as e:
         ctx.err(ln, "agents", str(e))
         return None, None
-    alpha0 = None
     if "initial_state" not in sec:
         ctx.err(ln, "agents.initial_state", "missing required key")
-    else:
-        alpha0 = _state_index(sec["initial_state"], model, ctx, ln, "agents.initial_state")
-    return model, alpha0
+        return model, None
+    return model, _state_index(sec["initial_state"], model, ctx, ln, "agents.initial_state")
 
 
 def _parse_constraints(doc, model, ctx):
     sec = _as_map(doc, "constraints", ctx, "constraints")
     if sec is None or model is None:
         return None
+    errors = len(ctx.errors)
     ln = _line(sec)
-    states_raw = _as_list(sec, "states", ctx, "constraints.states")
-    if states_raw is None:
-        return None
-    states = []
-    for i, s in enumerate(states_raw):
-        idx = _state_index(s, model, ctx, ln, "constraints.states[%d]" % i)
-        if idx is not None:
-            states.append(idx)
-    if not states:
-        ctx.err(ln, "constraints.states", "admissible state set is empty")
-        return None
+    states = _as_list(sec, "states", ctx, "constraints.states")
+    if states is not None:
+        states = _index_set(states, model, ctx, ln, "constraints.states",
+                            "admissible state set")
     inputs_raw = sec.get("inputs")
-    input_map = {}
     if isinstance(inputs_raw, list):
-        inputs = []
-        for i, u in enumerate(inputs_raw):
-            idx = _state_index(u, model, ctx, ln, "constraints.inputs[%d]" % i)
-            if idx is not None:
-                inputs.append(idx)
-        if not inputs:
-            ctx.err(ln, "constraints.inputs", "admissible input set is empty")
-            return None
-        input_map = {a: frozenset(inputs) for a in states}
+        inputs = _index_set(inputs_raw, model, ctx, ln, "constraints.inputs",
+                            "admissible input set")
+        input_map = {a: inputs for a in states or ()}
     elif isinstance(inputs_raw, dict):
         iln = _line(inputs_raw, ln)
-        for key in _keys(inputs_raw):
-            a = _state_index(key, model, ctx, iln, "constraints.inputs key %r" % (key,))
-            lst = inputs_raw[key]
-            if a is None or not isinstance(lst, list):
-                ctx.err(iln, "constraints.inputs[%r]" % (key,), "must be a list")
-                continue
-            got = []
-            for i, u in enumerate(lst):
-                idx = _state_index(u, model, ctx, iln,
-                                   "constraints.inputs[%r][%d]" % (key, i))
-                if idx is not None:
-                    got.append(idx)
-            input_map[a] = frozenset(got)
-        missing = [a for a in states if a not in input_map]
+        input_map = {
+            _state_index(key, model, ctx, iln, "constraints.inputs key %r" % (key,)):
+                _index_set(inputs_raw[key], model, ctx, iln, "constraints.inputs[%r]" % (key,),
+                           "admissible input set")
+            for key in _keys(inputs_raw)
+        }
+        missing = sorted(set(states or ()) - set(input_map))
         if missing:
             ctx.err(iln, "constraints.inputs",
                     "no input set for admissible states %s" % missing)
-            return None
     else:
         ctx.err(ln, "constraints.inputs", "must be a list or a per-state mapping")
+    if len(ctx.errors) > errors:
         return None
     try:
-        cons = ConstraintSets(frozenset(states), input_map)
-        cons.validate_against(model)
+        return ConstraintSets(states, input_map)
     except ToolkitError as e:
         ctx.err(ln, "constraints", str(e))
         return None
-    return cons
+
+
+def _parse_plant(sec, i, doc, ctx):
+    """One plant, or None once its violations are reported."""
+    path = "plants[%d]" % i
+    if not isinstance(sec, dict):
+        ctx.err(_line(doc), path, "each plant must be a mapping")
+        return None
+    errors = len(ctx.errors)
+    ln = _line(sec)
+    a_c = _matrix(sec.get("a_closed"), ctx, ln, path + ".a_closed")
+    a_o = _matrix(sec.get("a_open"), ctx, ln, path + ".a_open")
+    rho = _exact(sec.get("decay_rate"), ctx, ln, path + ".decay_rate")
+    mu = _exact(sec.get("power_price"), ctx, ln, path + ".power_price")
+    qspec = sec.get("quality_weight", "lyapunov")
+    if qspec not in ("lyapunov", "identity"):
+        qw = _matrix(qspec, ctx, ln, path + ".quality_weight")
+    xspec = sec.get("noise_cov", "identity")
+    if xspec != "identity":
+        xi = _matrix(xspec, ctx, ln, path + ".noise_cov")
+    if len(ctx.errors) > errors:
+        return None
+    if qspec == "lyapunov":
+        try:
+            qw = default_lyapunov_weight(a_c)
+        except ToolkitError as e:
+            ctx.err(ln, path + ".quality_weight", str(e))
+            return None
+    elif qspec == "identity":
+        qw = np.eye(a_c.shape[0])
+    if xspec == "identity":
+        xi = np.eye(a_c.shape[0])
+    try:
+        return Plant(a_c, a_o, qw, float(rho), xi, mu,
+                     name=str(sec.get("name", "plant%d" % (i + 1))))
+    except ToolkitError as e:
+        ctx.err(ln, path, str(e))
+        return None
 
 
 def _parse_plants(doc, ctx):
@@ -355,54 +371,85 @@ def _parse_plants(doc, ctx):
     if not isinstance(plants_raw, list) or not plants_raw:
         ctx.err(_line(doc), "plants", "must be a nonempty list")
         return None
-    plants = []
-    broken = False
-    for i, sec in enumerate(plants_raw):
-        path = "plants[%d]" % i
-        if not isinstance(sec, dict):
-            ctx.err(_line(doc), path, "each plant must be a mapping")
-            broken = True
-            continue
-        ln = _line(sec)
-        a_c = _matrix(sec.get("a_closed"), ctx, ln, path + ".a_closed")
-        a_o = _matrix(sec.get("a_open"), ctx, ln, path + ".a_open")
-        rho = _exact(sec.get("decay_rate"), ctx, ln, path + ".decay_rate")
-        mu = _exact(sec.get("power_price"), ctx, ln, path + ".power_price")
-        if a_c is None or a_o is None or rho is None or mu is None:
-            broken = True
-            continue
-        qspec = sec.get("quality_weight", "lyapunov")
-        if qspec == "lyapunov":
-            try:
-                qw = default_lyapunov_weight(a_c)
-            except ToolkitError as e:
-                ctx.err(ln, path + ".quality_weight", str(e))
-                broken = True
-                continue
-        elif qspec == "identity":
-            qw = np.eye(a_c.shape[0])
-        else:
-            qw = _matrix(qspec, ctx, ln, path + ".quality_weight")
-            if qw is None:
-                broken = True
-                continue
-        xspec = sec.get("noise_cov", "identity")
-        if xspec == "identity":
-            xi = np.eye(a_c.shape[0])
-        else:
-            xi = _matrix(xspec, ctx, ln, path + ".noise_cov")
-            if xi is None:
-                broken = True
-                continue
-        try:
-            plants.append(Plant(a_c, a_o, qw, float(rho), xi, mu,
-                                name=str(sec.get("name", "plant%d" % (i + 1)))))
-        except ToolkitError as e:
-            ctx.err(ln, path, str(e))
-            broken = True
-    if broken:
+    errors = len(ctx.errors)
+    plants = tuple([_parse_plant(sec, i, doc, ctx) for i, sec in enumerate(plants_raw)])
+    return WcsModel(plants) if len(ctx.errors) == errors else None
+
+
+def _transmit_policy(sec, q, ctx, ln):
+    """Per-link rows of zero/one transmit flags, or None once reported."""
+    errors = len(ctx.errors)
+    r = _as_int(sec.get("local_states"), ctx, ln, "channel.local_states", lo=1)
+    rows = _as_list(sec, "transmit_policy", ctx, "channel.transmit_policy")
+    if len(ctx.errors) > errors:
         return None
-    return WcsModel(tuple(plants))
+    if len(rows) != q:
+        ctx.err(ln, "channel.transmit_policy", "%d rows for %d links" % (len(rows), q))
+        return None
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != r or any(b not in (0, 1) for b in row):
+            ctx.err(ln, "channel.transmit_policy[%d]" % i,
+                    "must be a list of %d zero/one flags" % r)
+    if len(ctx.errors) > errors:
+        return None
+    return [[int(b) for b in row] for row in rows]
+
+
+def _fading_row(row, flags, ctx, line, path):
+    """Per link, (decode probability, local-state distribution) of one
+    agent state's fading row, or None once its violations are reported."""
+    if not isinstance(row, dict):
+        ctx.err(line, path, "must be a mapping")
+        return None
+    errors = len(ctx.errors)
+    decode = _as_list(row, "decode", ctx, path + ".decode")
+    dist = _as_list(row, "dist", ctx, path + ".dist")
+    if len(ctx.errors) > errors:
+        return None
+    if len(decode) != len(flags) or len(dist) != len(flags):
+        ctx.err(line, path, "decode/dist must carry one entry per link (%d)" % len(flags))
+        return None
+    links = []
+    for i, sends in enumerate(flags):
+        e = _exact(decode[i], ctx, line, path + ".decode[%d]" % i, lo=0, hi=1)
+        probs = _exact_list(dist[i], len(sends), ctx, line, path + ".dist[%d]" % i,
+                            "probabilities", lo=0, hi=1)
+        if probs is None:
+            continue
+        mass = sum(probs)
+        # within the tolerance a row may sum past 1, but the share
+        # its radio transmits in is a probability
+        sent = sum(p for p, b in zip(probs, sends) if b) if mass > 1 else 0
+        if abs(mass - 1) > ROW_MASS_TOL:
+            ctx.err(line, path + ".dist[%d]" % i,
+                    "probabilities sum to %s, expected 1" % float(mass))
+        elif sent > 1:
+            ctx.err(line, path + ".dist[%d]" % i,
+                    "transmitting probabilities sum to %s, above 1" % float(sent))
+        links.append((e, probs))
+    return links if len(ctx.errors) == errors else None
+
+
+def _fading_tables(fading_raw, flags, model, ctx, ln):
+    """(transmit, derived) tables from the fading rows, or None once reported."""
+    if not isinstance(fading_raw, dict):
+        ctx.err(ln, "channel.fading", "must map agent state -> row")
+        return None
+    gamma = [[None] * model.state_count for _ in flags]
+    eta = [[None] * model.state_count for _ in flags]
+    errors = len(ctx.errors)
+    for key in _keys(fading_raw):
+        row = fading_raw[key]
+        rln = _line(row, _line(fading_raw, ln))
+        a = _state_index(key, model, ctx, rln, "channel.fading key %r" % (key,))
+        links = _fading_row(row, flags, ctx, rln, "channel.fading[%r]" % (key,))
+        if a is not None and links is not None:
+            for i, (e, probs) in enumerate(links):
+                eta[i][a - 1] = e
+                gamma[i][a - 1] = probs
+    if len(ctx.errors) > errors:
+        return None
+    return derive_tables(flags, gamma, eta)
 
 
 def _parse_channel(doc, model, constraints, wcs_model, ctx):
@@ -410,82 +457,14 @@ def _parse_channel(doc, model, constraints, wcs_model, ctx):
     sec = _as_map(doc, "channel", ctx, "channel")
     if sec is None or model is None or wcs_model is None:
         return None, None, ()
+    errors = len(ctx.errors)
     ln = _line(sec)
     q = wcs_model.link_count
     nn = model.state_count
-    r = _as_int(sec.get("local_states"), ctx, ln, "channel.local_states", lo=1)
-    pol_raw = _as_list(sec, "transmit_policy", ctx, "channel.transmit_policy")
-    flags = None
-    if r is not None and pol_raw is not None:
-        if len(pol_raw) != q:
-            ctx.err(ln, "channel.transmit_policy",
-                    "%d rows for %d links" % (len(pol_raw), q))
-        else:
-            ok = True
-            for i, row in enumerate(pol_raw):
-                if (not isinstance(row, list) or len(row) != r
-                        or any(b not in (0, 1) for b in row)):
-                    ctx.err(ln, "channel.transmit_policy[%d]" % i,
-                            "must be a list of %d zero/one flags" % r)
-                    ok = False
-            if ok:
-                flags = [[int(b) for b in row] for row in pol_raw]
-
-    fading_raw = sec.get("fading")
-    transmit = derived = None
-    if fading_raw is not None and flags is not None:
-        if not isinstance(fading_raw, dict):
-            ctx.err(ln, "channel.fading", "must map agent state -> row")
-        else:
-            gamma = [[None] * nn for _ in range(q)]
-            eta = [[None] * nn for _ in range(q)]
-            ok = True
-            for key in _keys(fading_raw):
-                row = fading_raw[key]
-                rln = _line(row, _line(fading_raw, ln))
-                a = _state_index(key, model, ctx, rln, "channel.fading key %r" % (key,))
-                if a is None or not isinstance(row, dict):
-                    if a is not None:
-                        ctx.err(rln, "channel.fading[%r]" % (key,), "must be a mapping")
-                    ok = False
-                    continue
-                path = "channel.fading[%r]" % (key,)
-                decode = _as_list(row, "decode", ctx, path + ".decode")
-                dist = _as_list(row, "dist", ctx, path + ".dist")
-                if decode is None or dist is None:
-                    ok = False
-                    continue
-                if len(decode) != q or len(dist) != q:
-                    ctx.err(rln, path, "decode/dist must carry one entry per link (%d)" % q)
-                    ok = False
-                    continue
-                for i in range(q):
-                    e = _exact(decode[i], ctx, rln, path + ".decode[%d]" % i, lo=0, hi=1)
-                    if e is None:
-                        ok = False
-                        continue
-                    probs = _exact_list(dist[i], r, ctx, rln, path + ".dist[%d]" % i,
-                                        "probabilities", lo=0, hi=1)
-                    if probs is None:
-                        ok = False
-                        continue
-                    mass = sum(probs)
-                    # within the tolerance a row may sum past 1, but the share
-                    # its radio transmits in is a probability
-                    sent = sum(p for p, b in zip(probs, flags[i]) if b) if mass > 1 else 0
-                    if abs(mass - 1) > ROW_MASS_TOL:
-                        ctx.err(rln, path + ".dist[%d]" % i,
-                                "probabilities sum to %s, expected 1" % float(mass))
-                        ok = False
-                    elif sent > 1:
-                        ctx.err(rln, path + ".dist[%d]" % i,
-                                "transmitting probabilities sum to %s, above 1" % float(sent))
-                        ok = False
-                    else:
-                        gamma[i][a - 1] = probs
-                        eta[i][a - 1] = e
-            if ok:
-                transmit, derived = derive_tables(flags, gamma, eta)
+    flags = _transmit_policy(sec, q, ctx, ln)
+    tables = None
+    if flags is not None and sec.get("fading") is not None:
+        tables = _fading_tables(sec["fading"], flags, model, ctx, ln)
 
     direct_raw = sec.get("success_direct")
     direct = None
@@ -498,63 +477,51 @@ def _parse_channel(doc, model, constraints, wcs_model, ctx):
                     for i, row in enumerate(direct_raw)]
             if None not in rows:
                 direct = SuccessTable(nn, rows)
+    if len(ctx.errors) > errors:
+        return None, None, ()
 
-    if derived is None and direct is None and flags is not None:
+    transmit, derived = tables or (None, None)
+    if direct is not None:
+        warnings = () if derived is None else tuple(
+            "measured success table overrides derived value at link %d, "
+            "state %d: measured %s vs derived %s" % (i + 1, a, float(d), float(e))
+            for i, a, d, e in consistency_gaps(direct, derived))
+        return transmit, direct, warnings
+    if derived is None:
         ctx.err(ln, "channel", "needs fading tables, a direct success table, or both")
+        return None, None, ()
     # every admissible state must have a usable success probability
-    if constraints is not None and flags is not None:
-        for a in sorted(constraints.state_set):
-            have = direct is not None or (derived is not None and
-                                          all(row[a - 1] is not None for row in derived.values))
-            if not have:
-                ctx.err(ln, "channel", "state %d is admissible but not covered" % a)
-    if direct is None or derived is None:
-        return transmit, direct if direct is not None else derived, ()
-    warnings = tuple(
-        "measured success table overrides derived value at link %d, "
-        "state %d: measured %s vs derived %s" % (i + 1, a, float(d), float(e))
-        for i, a, d, e in consistency_gaps(direct, derived)
-    )
-    return transmit, direct, warnings
+    for a in sorted(constraints.state_set if constraints is not None else ()):
+        if any(row[a - 1] is None for row in derived.values):
+            ctx.err(ln, "channel", "state %d is admissible but not covered" % a)
+    return (transmit, derived, ()) if len(ctx.errors) == errors else (None, None, ())
 
 
 def _parse_cost(doc, model, ctx):
     sec = _as_map(doc, "cost", ctx, "cost")
     if sec is None or model is None:
         return None
+    errors = len(ctx.errors)
     ln = _line(sec)
     tau = _as_int(doc.get("fast_steps_per_slow"), ctx, _line(doc),
                   "fast_steps_per_slow", lo=1)
     lam = _exact(sec.get("input_weight"), ctx, ln, "cost.input_weight", lo=0)
     nn = model.state_count
-    g = None
     if "input_costs" in sec and "table" in sec:
         ctx.err(ln, "cost", "give either input_costs or table, not both")
-        return None
-    if "input_costs" in sec:
-        row_raw = _as_list(sec, "input_costs", ctx, "cost.input_costs")
-        if row_raw is None:
-            return None
-        row = _exact_list(row_raw, nn, ctx, ln, "cost.input_costs", "entries", lo=0)
-        if row is None:
-            return None
+    elif "input_costs" in sec:
+        row = _exact_list(sec["input_costs"], nn, ctx, ln, "cost.input_costs", "entries", lo=0)
         g = (row,) * nn  # one row object, shared by every state
     elif "table" in sec:
-        tab_raw = _as_list(sec, "table", ctx, "cost.table")
-        if tab_raw is None or len(tab_raw) != nn:
+        table = sec["table"]
+        if not isinstance(table, list) or len(table) != nn:
             ctx.err(ln, "cost.table", "must list %d rows (one per state)" % nn)
-            return None
-        rows = []
-        for a, rrow in enumerate(tab_raw):
-            row = _exact_list(rrow, nn, ctx, ln, "cost.table[%d]" % a, "entries", lo=0)
-            if row is None:
-                return None
-            rows.append(row)
-        g = tuple(rows)
+        else:
+            g = tuple([_exact_list(row, nn, ctx, ln, "cost.table[%d]" % a, "entries", lo=0)
+                       for a, row in enumerate(table)])
     else:
         ctx.err(ln, "cost", "missing input_costs or table")
-        return None
-    if tau is None or lam is None:
+    if len(ctx.errors) > errors:
         return None
     try:
         return StageCost(tau, lam, g)

@@ -14,8 +14,9 @@ Proves:
            also for a 3-dim plant with correlated noise and a scalar plant
            with a non-unit noise factor, and for a 2-dim plant with an
            explicit non-diagonal quality weight and a scalar one with Q = 2.5,
-           no numpy warning at one or two trials, and memory that does
-           not grow with trials x horizon
+           no numpy warning at one or two trials, memory that does not
+           grow with trials x horizon, and initial vectors of the wrong
+           length rejected with the plant named
  Group 4 - running cost: exact cycle averages for the worked example
  Group 5 - the empirical decay check passes where delivery is rich
            enough and fails where the schedule starves a link
@@ -24,6 +25,7 @@ Proves:
 
 import dataclasses
 import io
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -378,6 +380,17 @@ def test_simulate_schedule_validation(scenario):
         simulate(scenario, Schedule((), (4,), 4), SimConfig(40, 4, 1))
     with pytest.raises(ScheduleViolation):
         simulate(scenario, Schedule((), (7, 7, 4, 7), 2), SimConfig(40, 4, 1))
+
+
+@pytest.mark.parametrize("x0, message", [
+    (((1.0, 2.0, 3.0), (1.0,)), "plant 1 (arm) has 3 entries, not its dimension 2"),
+    (((1.0, 2.0), (1.0, 2.0)), "plant 2 (conveyor) has 2 entries, not its dimension 1"),
+    (((1.0, 2.0), ()), "plant 2 (conveyor) has 0 entries, not its dimension 1"),
+], ids=["arm_long", "conveyor_long", "conveyor_empty"])
+def test_simulate_checks_initial_vector_lengths(scenario, x0, message):
+    # a wrong length used to end in numpy's own reshape error
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        simulate(scenario, OPTIMAL, SimConfig(10, 2, 1, x0))
 
 
 # one block and its edges, then runs of several blocks that end inside a

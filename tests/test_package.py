@@ -3,14 +3,22 @@
 Proves:
  Group 1 - no module checks a runtime invariant with `assert`, which
            `python -O` strips; invariants raise a ToolkitError instead
+ Group 2 - every third-party import is declared in pyproject.toml: the
+           package's in `dependencies`, the tests' there or in the `test`
+           extra
 """
 
 import ast
+import re
+import sys
+from importlib.metadata import packages_distributions
 from pathlib import Path
 
 import fadectrl
 
 PACKAGE = Path(fadectrl.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+PYPROJECT = TESTS.parent / "pyproject.toml"
 
 
 def test_no_assert_statements():
@@ -23,3 +31,57 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _normalized(name):
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def _declared(key):
+    """Distributions in pyproject.toml's `key = [...]` list, read with a
+    pattern since Python 3.10 has no tomllib."""
+    block = re.search(r"^%s = \[(.*?)\]" % key, PYPROJECT.read_text(), re.M | re.S)
+    assert block, key
+    return {_normalized(re.match(r"[A-Za-z0-9._-]+", req).group())
+            for req in re.findall(r'"([^"]+)"', block.group(1))}
+
+
+def _third_party_imports(paths, local):
+    """Top-level module name -> first file importing it, for every module
+    that is neither in the standard library nor local."""
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    found.setdefault(top, path.name)
+    return found
+
+
+def _undeclared(imports, allowed):
+    dists = packages_distributions()
+    return sorted(
+        "%s imports %s" % (where, top) for top, where in imports.items()
+        if not {_normalized(d) for d in dists.get(top, [top])} & allowed
+    )
+
+
+def test_package_imports_are_dependencies():
+    imports = _third_party_imports(sorted(PACKAGE.glob("*.py")), {"fadectrl"})
+    assert {"numpy", "yaml"} <= set(imports)
+    assert _undeclared(imports, _declared("dependencies")) == []
+
+
+def test_test_imports_are_dependencies_or_test_extras():
+    paths = sorted(TESTS.glob("*.py"))
+    imports = _third_party_imports(paths, {"fadectrl"} | {p.stem for p in paths})
+    assert {"pytest", "hypothesis"} <= set(imports)
+    allowed = _declared("dependencies") | _declared("test")
+    assert _undeclared(imports, allowed) == []

@@ -2,27 +2,40 @@
 
 Proves:
  Group 1 - the bundled scenario loads into exact, fully wired objects
- Group 2 - malformed documents are rejected with located messages, and
-           every violation in a document is reported at once
+ Group 2 - malformed documents are rejected with located messages, each
+           violation reported exactly once, and every violation in a
+           document is reported at once
  Group 3 - parse failures (invalid YAML, a key written twice, a tuple
            mapping key) and unreadable paths raise ParseError, and the
            libyaml and pure-Python loaders agree on documents and errors
  Group 4 - small synthetic documents exercise the alternate spellings
            (per-state input maps, scalar plants, no direct table, a
            Lyapunov weight for a slow-but-stable loop)
+ Group 5 - any one edit of the bundled document (a value replaced, a key
+           deleted or a key added) is rejected, or loads to a complete
+           scenario whose thresholds, stabilization and synthesis end in
+           a result or a ToolkitError
 """
 
+import copy
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fadectrl.errors import ParseError, ValidationError
+from fadectrl.cli import _thresholds
+from fadectrl.errors import ParseError, ToolkitError, ValidationError
 from fadectrl.scenario import _LineLoader, _LineMixin, load_scenario, load_scenario_text
+from fadectrl.stabilization import stabilize
+from fadectrl.synthesis import synthesize
 
-GENSCENARIO = Path(__file__).resolve().parents[1] / "perfbench" / "genscenario.py"
+ROOT = Path(__file__).resolve().parents[1]
+GENSCENARIO = ROOT / "perfbench" / "genscenario.py"
+BUNDLED_DOC = yaml.safe_load((ROOT / "scenarios" / "assembly_cell.yaml").read_text())
 
 MINIMAL = """\
 name: single loop probe
@@ -275,6 +288,28 @@ def test_simulation_section_is_checked(bundled_text, old, new, field, message):
     _reject_once(bundled_text, old, new, field, message)
 
 
+@pytest.mark.parametrize("old, new, field, message", [
+    # used to load with agent 1's weight on neighbour 5 dropped, and no model
+    ("1: {1: 1, 2: 2}", "1: {1: 1, 2: 2, 5: 1}",
+     "agents.weights[1] neighbor 5", "must be <= 2, got 5"),
+    ("    2: {1: 1, 2: 1}\n", "    2: {1: 1, 2: 1}\n    x: {1: 1}\n",
+     "agents.weights key 'x'", "expected an integer, got 'x'"),
+    ("    2: {1: 1, 2: 1}\n", "    2: {1: 1, 2: 1}\n    3: {3: 1}\n",
+     "agents.weights key 3", "must be <= 2, got 3"),
+    ("1: {1: 1, 2: 2}", "1: {1: 1, 2: 3}", "agents.weights[1][2]", "must be <= 2, got 3"),
+    ("2: {1: 1, 2: 1}", "2: {1: 1}", "agents.weights[2]", "missing the agent's own weight"),
+    ("    2: {1: 1, 2: 1}\n", "", "agents.weights", "agent 2 has no weight map"),
+], ids=["neighbour_past_count", "agent_key_not_an_integer", "agent_key_past_count",
+        "weight_past_kappa", "own_weight_missing", "weight_map_missing"])
+def test_agent_weight_violations_are_reported_once(bundled_text, old, new, field, message):
+    _reject_once(bundled_text, old, new, field, message)
+
+
+def test_per_state_input_key_is_reported_once():
+    _reject_once(MINIMAL, "    2: [[1]]\n", "    2: [[1]]\n    3: [[1]]\n",
+                 "constraints.inputs key 3", "index 3 outside 1..2")
+
+
 def test_repeated_numbers_are_range_checked_each_time(bundled_text):
     # 1.5 is a valid power price, read first; as a decode probability it
     # must still fail its own bound
@@ -439,3 +474,63 @@ def test_channel_needs_some_success_source():
         "needs fading tables, a direct success table, or both" in v
         for v in violations
     )
+
+
+# ── Group 5: single edits of the bundled document ────────────────────────────
+
+def _node_paths(node, path=()):
+    """Path of every node of a YAML document below its root, and whether
+    the node is a mapping."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,), isinstance(child, dict)
+        yield from _node_paths(child, path + (key,))
+
+
+NODES = [p for p, _ in _node_paths(BUNDLED_DOC)]
+MAPPINGS = [()] + [p for p, is_map in _node_paths(BUNDLED_DOC) if is_map]
+VALUES = st.sampled_from([
+    None, True, 0, 1, 2, 3, 5, -1, 0.5, 1.5, float("nan"), float("inf"), "x",
+    "lyapunov", "identity", [], {}, [0], [1, 0], [[1.0]], [[0.5, 0.1], [0.1, 0.5]]])
+KEYS = st.sampled_from([
+    0, 1, 2, 3, 5, "x", "name", "inputs", "table", "fading", "success_direct",
+    "initial_state", "thresholds_override", "simulation", "quality_weight", "noise_cov"])
+EDITS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(NODES), VALUES),
+    st.tuples(st.just("delete"), st.sampled_from(NODES)),
+    st.tuples(st.just("add"), st.sampled_from(MAPPINGS), KEYS, VALUES),
+)
+
+
+def _edited(edit):
+    """The bundled document with one edit applied, as YAML text."""
+    doc = copy.deepcopy(BUNDLED_DOC)
+    op, path, *args = edit
+    if op == "add":  # a new key and its value in the mapping at path
+        path += (args[0],)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if op == "delete":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(args[-1])
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(edit=EDITS)
+@example(edit=("add", ("agents", "weights", 1), 5, 1))
+def test_one_edit_is_rejected_or_runs_to_a_result(edit):
+    try:
+        scn = load_scenario_text(_edited(edit))
+    except (ParseError, ValidationError):
+        return
+    for name in ("mas", "constraints", "wcs", "success", "cost", "alpha0"):
+        assert getattr(scn, name) is not None, name
+    try:  # the thresholds the CLI uses: the document's override, else computed
+        _, thresholds = _thresholds(scn, None)
+        synthesize(scn, stabilize(scn, thresholds))
+    except ToolkitError:
+        pass
