@@ -24,6 +24,7 @@ from pathlib import Path
 from .cosim import (
     Schedule,
     SimConfig,
+    _replay_slow,
     empirical_lyapunov_check,
     simulate,
     write_trace_csv,
@@ -184,6 +185,7 @@ def cmd_check(args) -> int:
 
 
 def _synthesis_report(scn, result: SynthesisResult, head: int = 12) -> list:
+    states, inputs = _replay_slow(scn, result.schedule, head)
     lines = []
     cyc = " -> ".join(str(a) for a in result.cycle_states)
     lines.append("optimal cycle: %s" % cyc)
@@ -191,13 +193,14 @@ def _synthesis_report(scn, result: SynthesisResult, head: int = 12) -> list:
     lines.append("long-run average cost per fast step: %s" % _fmt(result.optimal_cost))
     if result.prefix_states:
         lines.append("prefix states: %s" % " -> ".join(str(a) for a in result.prefix_states))
-        lines.append("prefix inputs: %s" % " ".join(str(u) for u in result.prefix_inputs))
+        lines.append("prefix inputs: %s"
+                     % " ".join(str(u) for u in result.schedule.prefix_inputs))
     else:
         lines.append("prefix: (start state lies on the cycle)")
     lines.append("schedule head (inputs, slow steps 0..%d): %s"
-                 % (head - 1, " ".join(str(u) for u in result.schedule(head))))
+                 % (head - 1, " ".join(str(u) for u in inputs)))
     lines.append("trajectory head (states, slow steps 0..%d): %s"
-                 % (head - 1, " ".join(str(a) for a in result.trajectory(head))))
+                 % (head - 1, " ".join(str(a) for a in states)))
     return lines
 
 
@@ -221,9 +224,8 @@ def cmd_synthesize(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
     (outdir / (stem + ".report.txt")).write_text(text)
-    schedule = Schedule.from_synthesis(result)
     with open(outdir / (stem + ".schedule.json"), "w") as fh:
-        json.dump(schedule.to_dict(), fh, indent=2)
+        json.dump(result.schedule.to_dict(), fh, indent=2)
         fh.write("\n")
     if args.dot:
         dot_path = Path(args.dot)

@@ -145,10 +145,6 @@ class Schedule:
             return self.prefix_inputs[k]
         return self.cycle_inputs[(k - len(self.prefix_inputs)) % len(self.cycle_inputs)]
 
-    @staticmethod
-    def from_synthesis(result) -> "Schedule":
-        return Schedule(result.prefix_inputs, result.cycle_inputs, result.alpha0)
-
     def to_dict(self) -> dict:
         return {
             "alpha0": self.alpha0,

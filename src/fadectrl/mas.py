@@ -33,6 +33,17 @@ from .errors import (
 INDEX_MAX = np.iinfo(np.int64).max
 
 
+def require_index_range(n: int, kappa: int):
+    """Raise DimensionMismatch unless the kappa^n joint states of n agents
+    over kappa >= 2 values, and the n kappa^2 bound of one successor's digit
+    sum, fit 64-bit index arithmetic.  2^64 already overflows, so kappa ** n
+    is formed only for n < 64."""
+    if n >= 64 or max(kappa ** n, n * kappa ** 2) > INDEX_MAX:
+        raise DimensionMismatch(
+            "%d agents over %d values overflow 64-bit index arithmetic" % (n, kappa)
+        )
+
+
 @dataclass(frozen=True)
 class MasModel:
     """n agents over {0..kappa-1}; weights[j] maps l -> a_{j,l} (0-based).
@@ -68,11 +79,7 @@ class MasModel:
                         "weight a[%d,%d] = %d outside 0..%d"
                         % (j, l, a, self.kappa - 1)
                     )
-        if max(self.kappa ** self.n, self.n * self.kappa ** 2) > INDEX_MAX:
-            raise DimensionMismatch(
-                "%d agents over %d values overflow 64-bit index arithmetic"
-                % (self.n, self.kappa)
-            )
+        require_index_range(self.n, self.kappa)
 
     @property
     def state_count(self) -> int:

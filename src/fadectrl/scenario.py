@@ -29,17 +29,34 @@ import yaml
 
 from .channel import SuccessTable, consistency_gaps, derive_tables
 from .errors import ParseError, ToolkitError, ValidationError
-from .mas import ConstraintSets, MasModel, to_index
+from .mas import ConstraintSets, MasModel, require_index_range, to_index
 from .synthesis import StageCost
 from .wcs import Plant, WcsModel, default_lyapunov_weight
 
 ROW_MASS_TOL = 1e-9
 
 
+class _Map(dict):
+    """A YAML mapping; `line` is its 1-based source line."""
+
+    __slots__ = ("line",)
+
+
 class _LineMixin:
-    """Loader mixin that stamps each mapping with its 1-based source line
-    and rejects a key written twice in one mapping (a merged ``<<`` key
-    may still be overridden) or a key that cannot be hashed."""
+    """Loader mixin that builds each mapping as a `_Map` that knows its
+    source line, and rejects a key written twice in one mapping (a merged
+    ``<<`` key may still be overridden) or a key that cannot be hashed."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # SafeConstructor's own map constructor builds a plain dict
+        cls.add_constructor("tag:yaml.org,2002:map", cls.construct_line_map)
+
+    def construct_line_map(self, node):
+        data = _Map()
+        data.line = node.start_mark.line + 1
+        yield data
+        data.update(self.construct_mapping(node))
 
     def construct_mapping(self, node, deep=False):
         lines = {}
@@ -60,24 +77,16 @@ class _LineMixin:
                     problem="duplicate key %r at line %d, first written at line %d"
                     % (key, line, lines[key]))
             lines[key] = line
-        mapping = super().construct_mapping(node, deep=deep)
-        mapping["__line__"] = node.start_mark.line + 1
-        return mapping
+        return super().construct_mapping(node, deep=deep)
 
 
 class _LineLoader(_LineMixin, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The line-stamping loader on libyaml's parser when PyYAML was built
+    """The line-keeping loader on libyaml's parser when PyYAML was built
     with it, else on the pure-Python one; both give equal documents."""
 
 
 def _line(obj, default=0):
-    if isinstance(obj, dict):
-        return obj.get("__line__", default)
-    return default
-
-
-def _keys(mapping):
-    return [k for k in mapping if k != "__line__"]
+    return obj.line if isinstance(obj, _Map) else default
 
 
 @dataclass
@@ -252,6 +261,11 @@ def _parse_agents(doc, ctx):
     ln = _line(sec)
     n = _as_int(sec.get("count"), ctx, ln, "agents.count", lo=1)
     kappa = _as_int(sec.get("kappa"), ctx, ln, "agents.kappa", lo=2)
+    if n is not None and kappa is not None:
+        try:  # before the per-agent checks below walk 1..count
+            require_index_range(n, kappa)
+        except ToolkitError as e:
+            ctx.err(ln, "agents", str(e))
     weights_sec = sec.get("weights")
     if not isinstance(weights_sec, dict):
         ctx.err(ln, "agents.weights", "must map agent id -> {neighbor: weight}")
@@ -261,7 +275,7 @@ def _parse_agents(doc, ctx):
     for j in range(1, n + 1):
         if j not in weights_sec:
             ctx.err(wln, "agents.weights", "agent %d has no weight map" % j)
-    for j in sorted(_keys(weights_sec), key=str):
+    for j in sorted(weights_sec, key=str):
         row = weights_sec[j]
         jid = _as_int(j, ctx, wln, "agents.weights key %r" % (j,), lo=1, hi=n)
         if jid is None:
@@ -270,7 +284,7 @@ def _parse_agents(doc, ctx):
             ctx.err(wln, "agents.weights[%d]" % jid, "must be a mapping")
             continue
         rln = _line(row, wln)
-        for l in sorted(_keys(row), key=str):
+        for l in sorted(row, key=str):
             _as_int(l, ctx, rln, "agents.weights[%d] neighbor %r" % (jid, l), lo=1, hi=n)
             _as_int(row[l], ctx, rln, "agents.weights[%d][%r]" % (jid, l), lo=0, hi=kappa - 1)
         if jid not in row:
@@ -280,7 +294,7 @@ def _parse_agents(doc, ctx):
     rows = [weights_sec[j] for j in range(1, n + 1)]
     try:
         model = MasModel(n, kappa, tuple(
-            {l - 1: row[l] for l in sorted(_keys(row), key=str)} for row in rows))
+            {l - 1: row[l] for l in sorted(row, key=str)} for row in rows))
     except ToolkitError as e:
         ctx.err(ln, "agents", str(e))
         return None, None
@@ -311,7 +325,7 @@ def _parse_constraints(doc, model, ctx):
             _state_index(key, model, ctx, iln, "constraints.inputs key %r" % (key,)):
                 _index_set(inputs_raw[key], model, ctx, iln, "constraints.inputs[%r]" % (key,),
                            "admissible input set")
-            for key in _keys(inputs_raw)
+            for key in inputs_raw
         }
         missing = sorted(set(states or ()) - set(input_map))
         if missing:
@@ -438,7 +452,7 @@ def _fading_tables(fading_raw, flags, model, ctx, ln):
     gamma = [[None] * model.state_count for _ in flags]
     eta = [[None] * model.state_count for _ in flags]
     errors = len(ctx.errors)
-    for key in _keys(fading_raw):
+    for key in fading_raw:
         row = fading_raw[key]
         rln = _line(row, _line(fading_raw, ln))
         a = _state_index(key, model, ctx, rln, "channel.fading key %r" % (key,))
@@ -559,7 +573,7 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
     sim_sec = _as_map(doc, "simulation", ctx, "simulation", required=False)
     if sim_sec is not None:
         sln = _line(sim_sec)
-        for key in _keys(sim_sec):
+        for key in sim_sec:
             if key != "initial_plant_states":
                 ctx.err(sln, "simulation", "unknown key %r; the section takes only "
                         "'initial_plant_states'" % (key,))

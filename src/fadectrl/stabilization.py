@@ -7,11 +7,8 @@ which needs the largest control-invariant subset I(Omega): the fixed
 point of discarding states with no admissible successor inside the
 current candidate set.  Reachability from alpha0 is explored layer by
 layer; a state enters the layer of its first discovery.  `stabilize`
-runs the three stages once for a scenario, and synthesis reads the
-record it returns.
-
-Internally sets of delta indices live in bitmasks (bit a-1 <=> state a);
-the public surface speaks frozensets and sorted tuples.
+runs the three stages once for a scenario, and synthesis extends the
+record it returns.  Sets of states are frozensets of delta indices.
 """
 
 from __future__ import annotations
@@ -20,24 +17,6 @@ from dataclasses import dataclass
 
 from .errors import InitialStateViolatesConstraint, PreconditionViolated
 from .mas import ConstraintSets, MasModel, one_step_reach
-
-
-def _to_mask(states) -> int:
-    mask = 0
-    for a in states:
-        mask |= 1 << (a - 1)
-    return mask
-
-
-def _from_mask(mask: int) -> frozenset:
-    out = []
-    a = 1
-    while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -87,20 +66,13 @@ def largest_invariant(region: PerformanceRegion, model: MasModel,
     left the candidate set; the fixed point is the unique maximal
     control-invariant subset (union of all invariant subsets of Omega).
     """
-    reach_mask = {
-        a: _to_mask(one_step_reach(model, constraints, a))
-        for a in sorted(region.omega)
-    }
-    mask = _to_mask(region.omega)
+    reach = {a: one_step_reach(model, constraints, a) for a in sorted(region.omega)}
+    current = frozenset(region.omega)
     while True:
-        nxt = 0
-        for a, rm in reach_mask.items():
-            bit = 1 << (a - 1)
-            if mask & bit and rm & mask:
-                nxt |= bit
-        if nxt == mask:
-            return _from_mask(mask)
-        mask = nxt
+        kept = frozenset(a for a in current if not current.isdisjoint(reach[a]))
+        if kept == current:
+            return current
+        current = kept
 
 
 def reachable_layers(model: MasModel, constraints: ConstraintSets,
@@ -111,19 +83,19 @@ def reachable_layers(model: MasModel, constraints: ConstraintSets,
             "start state %d outside the admissible state set" % alpha0
         )
     layers = [frozenset({alpha0})]
-    visited = 0  # deliberately excludes alpha0; see class docstring
-    frontier = frozenset({alpha0})
+    visited = frozenset()  # deliberately excludes alpha0; see class docstring
+    frontier = layers[0]
     while frontier:
         candidates = set()
         for a in sorted(frontier):
             candidates.update(one_step_reach(model, constraints, a))
-        fresh = frozenset(a for a in candidates if not visited & (1 << (a - 1)))
+        fresh = frozenset(candidates - visited)
         if not fresh:
             break
         layers.append(fresh)
-        visited |= _to_mask(fresh)
+        visited |= fresh
         frontier = fresh
-    return ReachabilityLayers(tuple(layers), _from_mask(visited))
+    return ReachabilityLayers(tuple(layers), visited)
 
 
 @dataclass(frozen=True)

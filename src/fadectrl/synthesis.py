@@ -35,6 +35,7 @@ from numbers import Rational
 import numpy as np
 
 from .channel import expected_power
+from .cosim import Schedule
 from .errors import (
     DimensionMismatch,
     Infeasible,
@@ -44,6 +45,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .mas import one_step_reach, successors
+from .stabilization import Stabilization
 
 
 @dataclass(frozen=True)
@@ -315,50 +317,23 @@ def _rotate_cycle(cycle, to_vertex) -> tuple:
 
 
 @dataclass(frozen=True)
-class SynthesisResult:
-    """Optimal eventually-periodic schedule and everything that led to it."""
+class SynthesisResult(Stabilization):
+    """The stabilization record extended by the optimal eventually periodic
+    schedule: the restricted graph, the prefix into its minimum-mean cycle,
+    and the cycle.  `schedule` holds the inputs; `cosim` replays it."""
 
-    alpha0: int
-    region: object
-    invariant: frozenset
-    layers: object
-    phi: frozenset
     graph: TransitionGraph
     prefix_states: tuple
-    prefix_inputs: tuple
     cycle_states: tuple  # first == last, starts at the entry state
-    cycle_inputs: tuple
     mean_weight: object
     optimal_cost: object
-
-    @property
-    def entry_step(self) -> int:
-        return len(self.prefix_states)
-
-    @property
-    def period(self) -> int:
-        return len(self.cycle_inputs)
-
-    def state_at(self, k: int) -> int:
-        if k < self.entry_step:
-            return self.prefix_states[k]
-        return self.cycle_states[(k - self.entry_step) % self.period]
-
-    def input_at(self, k: int) -> int:
-        if k < self.entry_step:
-            return self.prefix_inputs[k]
-        return self.cycle_inputs[(k - self.entry_step) % self.period]
-
-    def trajectory(self, count: int) -> tuple:
-        return tuple(self.state_at(k) for k in range(count))
-
-    def schedule(self, count: int) -> tuple:
-        return tuple(self.input_at(k) for k in range(count))
+    schedule: Schedule
 
 
-def synthesize(scenario, stab) -> SynthesisResult:
+def synthesize(scenario, stab: Stabilization) -> SynthesisResult:
     """Minimum average-cost schedule that reaches and holds the healthy set,
-    given the scenario's stabilization record (`stabilization.stabilize`).
+    given the scenario's stabilization record (`stabilization.stabilize`),
+    returned as that record extended.
 
     Raises Infeasible when no invariant subset of the performance region
     is reachable from alpha0.
@@ -417,18 +392,13 @@ def synthesize(scenario, stab) -> SynthesisResult:
     )
 
     return SynthesisResult(
-        alpha0=alpha0,
-        region=stab.region,
-        invariant=stab.invariant,
-        layers=layers,
-        phi=stab.phi,
+        stab.region, stab.invariant, layers, stab.phi,
         graph=graph,
         prefix_states=prefix_states,
-        prefix_inputs=prefix_inputs,
         cycle_states=cycle,
-        cycle_inputs=cycle_inputs,
         mean_weight=mean,
         optimal_cost=mean / scenario.cost.tau,
+        schedule=Schedule(prefix_inputs, cycle_inputs, alpha0),
     )
 
 

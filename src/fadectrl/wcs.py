@@ -80,6 +80,13 @@ class Plant:
             raise ValueOutOfRange("decay rate %r outside (0, 1)" % (self.rho,))
         if not self.mu > 0:
             raise ValueOutOfRange("power price %r must be positive" % (self.mu,))
+        for m, what in ((self.a_c, "closed-loop"), (self.a_o, "open-loop")):
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(m.T @ self.q @ m).all()
+            if not finite:  # decay_threshold would search on inf and nan
+                raise ValueOutOfRange(
+                    "%s matrix of plant %s: A' Q A is not finite in float64"
+                    % (what, self.name or "(unnamed)"))
 
     @property
     def dim(self) -> int:

@@ -2,10 +2,11 @@
 
 Proves:
  Group 1 - thresholds: values on stdout, warnings on stderr, non-finite
-           matrix entries exit 1
+           matrix entries and a plant whose A' Q A overflows exit 1
  Group 2 - check: verdict in text and exit status (0 feasible, 2 not),
            warnings for overrides below the computed thresholds
- Group 3 - synthesize: report/schedule/DOT artifacts, infeasible runs
+ Group 3 - synthesize: report/schedule/DOT artifacts, report and schedule
+           bytes pinned with the start on and off the cycle, infeasible runs
            and scenarios without channel tables leave nothing behind,
            each stabilization stage runs once
  Group 4 - simulate: trace and report artifacts, decay verdict, same
@@ -39,6 +40,17 @@ GOLDEN_TRACE_SHA256 = "9131c25a691d73bcd23d4065a86c1260c49a8ff4703fe408cb9747397
 # SHA-256 of that run's simulate report from its second line on (the first
 # names the scenario path): pins the printed cost and decay margins
 GOLDEN_REPORT_SHA256 = "ad7aa1c163dd2b3bf9ee6382c2e639db82a11f5d82d2e5b220821a8df0a1df6c"
+# per start state of the bundled cell: SHA-256 of the synthesize report from
+# its second line on, and the schedule JSON's bytes.  Start 1 lies off the
+# cycle, so its report prints prefix states and inputs
+GOLDEN_SYNTHESIS = {
+    "[1, 0]": ("03fa6ba3db42f5ff677c5933d50590808a76cd6f5a5bdec73b8da4bf49be6c61",
+               '{\n  "alpha0": 4,\n  "prefix_inputs": [],\n  "cycle_inputs": [\n'
+               '    7,\n    7,\n    4,\n    7\n  ]\n}\n'),
+    "1": ("d31c7583de8e212723f6fbe0282f9cef774186183f5f147088d22f3c00bf05be",
+          '{\n  "alpha0": 1,\n  "prefix_inputs": [\n    4\n  ],\n  "cycle_inputs": [\n'
+          '    7,\n    7,\n    4,\n    7\n  ]\n}\n'),
+}
 
 
 @pytest.fixture()
@@ -72,6 +84,22 @@ def test_thresholds_rejects_non_finite_matrix(scenario_path, outdir, tmp_path_fa
     assert main(["thresholds", str(broken)]) == 1
     _, err = capsys.readouterr()
     assert "plants[1].a_closed: matrix entries must be finite" in err
+    assert "infeasible" not in err
+
+
+def test_thresholds_rejects_plant_that_overflows_float64(scenario_path, outdir,
+                                                        tmp_path_factory, capsys):
+    # A_o' Q A_o overflows, so the threshold search would see inf and nan
+    # and call a conveyor that sure delivery stabilizes infeasible
+    text = scenario_path.read_text()
+    broken = tmp_path_factory.mktemp("overflow") / "assembly_cell.yaml"
+    broken.write_text(text.replace("    a_open: 1.0\n", "    a_open: 1.0e+300\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["thresholds", str(broken)]) == 1
+    _, err = capsys.readouterr()
+    assert ("plants[1]: open-loop matrix of plant conveyor: A' Q A is not finite "
+            "in float64") in err
     assert "infeasible" not in err
 
 
@@ -176,6 +204,22 @@ def test_synthesize_artifacts(scenario_path, outdir, capsys):
         "prefix_inputs": [],
         "cycle_inputs": [7, 7, 4, 7],
     }
+
+
+@pytest.mark.parametrize("start", sorted(GOLDEN_SYNTHESIS))
+def test_synthesize_golden_artifacts(scenario_path, outdir, tmp_path_factory, capsys,
+                                     start):
+    text = scenario_path.read_text()
+    cell = tmp_path_factory.mktemp("start") / "assembly_cell.yaml"
+    cell.write_text(text.replace("  initial_state: [1, 0]", "  initial_state: " + start))
+    assert ("initial_state: %s " % start) in cell.read_text()
+    assert main(["synthesize", str(cell)]) == 0
+    report = (outdir / "assembly_cell.report.txt").read_text()
+    assert report.startswith("schedule synthesis for %s\n" % cell)
+    assert capsys.readouterr().out == report
+    report_sha256, schedule_json = GOLDEN_SYNTHESIS[start]
+    assert hashlib.sha256(report.split("\n", 1)[1].encode()).hexdigest() == report_sha256
+    assert (outdir / "assembly_cell.schedule.json").read_text() == schedule_json
 
 
 def test_synthesize_dot_export(scenario_path, outdir, capsys):

@@ -297,8 +297,7 @@ def test_schedule_needs_a_cycle():
 
 
 def test_schedule_from_synthesis(synthesis):
-    sched = Schedule.from_synthesis(synthesis)
-    assert sched == OPTIMAL
+    assert synthesis.schedule == OPTIMAL
 
 
 def test_sim_config_validation():

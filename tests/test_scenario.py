@@ -3,11 +3,14 @@
 Proves:
  Group 1 - the bundled scenario loads into exact, fully wired objects
  Group 2 - malformed documents are rejected with located messages, each
-           violation reported exactly once, and every violation in a
-           document is reported at once
+           violation reported exactly once (an agent count past the index
+           range before any per-agent check), and every violation in a
+           document is reported at once; a mapping shown in a message
+           shows only its data
  Group 3 - parse failures (invalid YAML, a key written twice, a tuple
            mapping key) and unreadable paths raise ParseError, and the
-           libyaml and pure-Python loaders agree on documents and errors
+           libyaml and pure-Python loaders agree on documents, the line of
+           every mapping, and errors
  Group 4 - small synthetic documents exercise the alternate spellings
            (per-state input maps, scalar plants, no direct table, a
            Lyapunov weight for a slow-but-stable loop)
@@ -19,6 +22,7 @@ Proves:
 
 import copy
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +33,13 @@ from hypothesis import strategies as st
 
 from fadectrl.cli import _thresholds
 from fadectrl.errors import ParseError, ToolkitError, ValidationError
-from fadectrl.scenario import _LineLoader, _LineMixin, load_scenario, load_scenario_text
+from fadectrl.scenario import (
+    _Collector,
+    _LineLoader,
+    _LineMixin,
+    load_scenario,
+    load_scenario_text,
+)
 from fadectrl.stabilization import stabilize
 from fadectrl.synthesis import synthesize
 
@@ -305,6 +315,37 @@ def test_agent_weight_violations_are_reported_once(bundled_text, old, new, field
     _reject_once(bundled_text, old, new, field, message)
 
 
+def test_agent_count_past_the_index_range_is_one_violation(bundled_text, monkeypatch):
+    # the bound is checked before the per-agent checks walk 1..count; a
+    # loader that walks them anyway stops at its second violation here
+    # instead of filling memory
+    record = _Collector.err
+
+    def record_one(ctx, *args):
+        assert not ctx.errors, "second violation %s after %s" % (args, ctx.errors)
+        record(ctx, *args)
+
+    monkeypatch.setattr(_Collector, "err", record_one)
+    t0 = time.perf_counter()
+    _reject_once(bundled_text, "  count: 2\n", "  count: 1000000000\n", "agents",
+                 "1000000000 agents over 3 values overflow 64-bit index arithmetic")
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("1: {1: 1, 2: 2}", "1: {1: 1, 2: 2, 3: {}}",
+     "agents.weights[1][3]: expected an integer, got {}"),
+    ("    decay_rate: 0.9\n", "    decay_rate: {}\n",
+     "plants[1].decay_rate: expected a number, got {}"),
+    ("  local_states: 4\n", "  local_states: {x: 1}\n",
+     "channel.local_states: expected an integer, got {'x': 1}"),
+], ids=["weight", "decay_rate", "local_states"])
+def test_a_mapping_in_a_message_shows_only_its_data(bundled_text, old, new, message):
+    violations = _reject(bundled_text.replace(old, new))
+    assert any(v.endswith(message) for v in violations)
+    assert not any("__line__" in v for v in violations)
+
+
 def test_per_state_input_key_is_reported_once():
     _reject_once(MINIMAL, "    2: [[1]]\n", "    2: [[1]]\n    3: [[1]]\n",
                  "constraints.inputs key 3", "index 3 outside 1..2")
@@ -376,13 +417,24 @@ def test_line_loader_uses_libyaml_when_present():
     assert issubclass(_LineLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
+def _mapping_lines(node):
+    """Source line of every mapping in a loaded document, in document order."""
+    if isinstance(node, dict):
+        yield node.line
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _mapping_lines(child)
+
+
 def test_libyaml_and_python_loaders_give_equal_documents(bundled_text):
     for text in (bundled_text, _grid_text()):
         fast = yaml.load(text, Loader=_LineLoader)
         slow = yaml.load(text, Loader=_PythonLineLoader)
         assert fast == slow
         assert repr(fast) == repr(slow)  # same key order and int/float types
-        assert fast["channel"]["__line__"] == slow["channel"]["__line__"] > 1
+        assert list(_mapping_lines(fast)) == list(_mapping_lines(slow))
+        assert fast["channel"].line > 1
 
 
 @pytest.mark.parametrize("old, new, message", [

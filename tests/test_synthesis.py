@@ -9,19 +9,20 @@ Proves:
  Group 4 - Karp's minimum-mean cycle vs the DFS enumeration oracle and
            the scalar Karp oracle: exact past int64, tie-breaking pinned
            and checked on tie-heavy random graphs
- Group 5 - end-to-end synthesis: frozen schedule, prefix handling,
-           infeasibility, DOT export
+ Group 5 - end-to-end synthesis: the stabilization record extended by a
+           frozen schedule, prefix handling, infeasibility, DOT export
 """
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fadectrl.cosim import Schedule, _replay_slow
 from fadectrl.errors import (
     DimensionMismatch,
     Infeasible,
@@ -30,7 +31,7 @@ from fadectrl.errors import (
     ValueOutOfRange,
 )
 from fadectrl.mas import one_step_reach, successor_index
-from fadectrl.stabilization import stabilize
+from fadectrl.stabilization import Stabilization, stabilize
 from fadectrl.synthesis import (
     Edge,
     StageCost,
@@ -336,25 +337,28 @@ def test_karp_matches_enumeration_oracle():
 # ── Group 5: end-to-end synthesis ────────────────────────────────────────────
 
 def test_synthesis_frozen_result(synthesis):
-    assert synthesis.alpha0 == 4
+    assert isinstance(synthesis, Stabilization)
     assert synthesis.region.omega == PHI
     assert synthesis.invariant == PHI
     assert synthesis.phi == PHI
     assert synthesis.prefix_states == ()
-    assert synthesis.prefix_inputs == ()
     assert synthesis.cycle_states == (4, 2, 5, 6, 4)
-    assert synthesis.cycle_inputs == (7, 7, 4, 7)
+    assert synthesis.schedule == Schedule((), (7, 7, 4, 7), alpha0=4)
     assert synthesis.mean_weight == 24
     assert synthesis.optimal_cost == Fraction(3, 5)
-    assert synthesis.entry_step == 0 and synthesis.period == 4
 
 
-def test_synthesis_schedule_pattern(synthesis):
-    assert synthesis.trajectory(9) == (4, 2, 5, 6, 4, 2, 5, 6, 4)
-    for k in range(20):
-        expect = 4 if k % 4 == 2 else 7
-        assert synthesis.input_at(k) == expect
-    assert synthesis.schedule(8) == (7, 7, 4, 7, 7, 7, 4, 7)
+def test_synthesis_extends_the_stabilization_it_was_given(scenario):
+    stab = stabilize(scenario, scenario.s_override)
+    result = synthesize(scenario, stab)
+    for f in fields(Stabilization):
+        assert getattr(result, f.name) is getattr(stab, f.name)
+
+
+def test_synthesis_schedule_pattern(scenario, synthesis):
+    states, inputs = _replay_slow(scenario, synthesis.schedule, 20)
+    assert states[:9] == (4, 2, 5, 6, 4, 2, 5, 6, 4)
+    assert inputs == tuple(4 if k % 4 == 2 else 7 for k in range(20))
 
 
 def test_synthesized_cycle_is_minimum_over_enumeration(scenario, synthesis):
@@ -368,12 +372,12 @@ def test_synthesis_with_off_cycle_start(scenario):
     off_cycle = replace(scenario, alpha0=1)
     result = synthesize(off_cycle, stabilize(off_cycle, scenario.s_override))
     assert result.prefix_states == (1,)
-    assert result.prefix_inputs == (4,)
+    assert result.schedule == Schedule((4,), (7, 7, 4, 7), alpha0=1)
     assert result.cycle_states == (4, 2, 5, 6, 4)
     assert result.mean_weight == 24
-    assert result.trajectory(6) == (1, 4, 2, 5, 6, 4)
-    assert result.state_at(0) == 1 and result.input_at(0) == 4
-    assert result.entry_step == 1
+    states, inputs = _replay_slow(off_cycle, result.schedule, 6)
+    assert states == (1, 4, 2, 5, 6, 4)
+    assert inputs == (4, 7, 7, 4, 7, 7)
 
 
 def test_synthesis_infeasible_thresholds(scenario):
