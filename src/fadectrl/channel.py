@@ -14,17 +14,17 @@ transmission attempts:
 
     expected_power(alpha) = sum_i mu_i * transmit_i(alpha).
 
-The scenario loader validates the fading tables and derives both tables
-once (derive_tables); they may cover only the admissible agent states,
-and probabilities are kept as exact numbers (fractions).  A measured
-success table can be supplied directly and then takes precedence over
-the derived one (consistency_gaps reports where the two disagree).
+The scenario loader validates the fading tables and fills both tables
+in the same pass, from each row's transmit share; they may cover only
+the admissible agent states, and probabilities are kept as exact
+numbers (fractions).  A measured success table can be supplied directly
+and then takes precedence over the derived one (consistency_gaps
+reports where the two disagree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -86,23 +86,6 @@ class SuccessTable:
                 if p is not None:
                     out[i, a] = float(p)
         return out
-
-
-def derive_tables(h, gamma, eta) -> tuple:
-    """(transmit, success) tables from the policy flags h[i][c], the
-    local-state distributions gamma[i][a-1] and the decode probabilities
-    eta[i][a-1], None where the fading tables do not cover state a."""
-    transmit = [
-        [None if row is None else sum((p for p, b in zip(row, flags) if b), Fraction(0))
-         for row in rows]
-        for flags, rows in zip(h, gamma)
-    ]
-    success = [
-        [None if t is None else e * t for t, e in zip(trow, erow)]
-        for trow, erow in zip(transmit, eta)
-    ]
-    n = len(gamma[0])
-    return SuccessTable(n, transmit), SuccessTable(n, success)
 
 
 def expected_power(scenario, state: int):

@@ -22,6 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cosim import (
+    MIN_CHECK_TRIALS,
     Schedule,
     SimConfig,
     _replay_slow,
@@ -46,25 +47,24 @@ def create_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("thresholds", help="compute per-plant delivery thresholds")
-    p.add_argument("scenario", help="scenario YAML file")
+    commands = {}
+    for name, text in (
+            ("thresholds", "compute per-plant delivery thresholds"),
+            ("check", "region/invariance/reachability feasibility check"),
+            ("synthesize", "synthesize the optimal schedule"),
+            ("simulate", "Monte-Carlo co-simulation under a schedule")):
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].add_argument("scenario", help="scenario YAML file")
+    for name in ("check", "synthesize"):
+        commands[name].add_argument(
+            "--s-override", metavar="P1,P2,...",
+            help="comma-separated per-link thresholds to use instead of the computed ones")
 
-    p = sub.add_parser("check", help="region/invariance/reachability feasibility check")
-    p.add_argument("scenario", help="scenario YAML file")
-    p.add_argument("--s-override", metavar="P1,P2,...",
-                   help="comma-separated per-link thresholds to use instead "
-                   "of the computed ones")
-
-    p = sub.add_parser("synthesize", help="synthesize the optimal schedule")
-    p.add_argument("scenario", help="scenario YAML file")
-    p.add_argument("--s-override", metavar="P1,P2,...",
-                   help="comma-separated per-link thresholds to use instead "
-                   "of the computed ones")
+    p = commands["synthesize"]
     p.add_argument("--dot", metavar="FILE",
                    help="also write the restricted transition graph as DOT")
 
-    p = sub.add_parser("simulate", help="Monte-Carlo co-simulation under a schedule")
-    p.add_argument("scenario", help="scenario YAML file")
+    p = commands["simulate"]
     p.add_argument("--schedule", required=True, help="schedule JSON from 'synthesize'")
     p.add_argument("--seed", required=True, type=int, help="64-bit RNG seed")
     p.add_argument("--trials", required=True, type=int, help="Monte-Carlo trials")
@@ -106,7 +106,7 @@ def _label(plant) -> str:
 
 
 def _thresholds(scn: Scenario, override_arg):
-    """(per-plant computed thresholds or None, effective thresholds).
+    """(effective thresholds, whether they are an override).
 
     An override below its link's computed threshold, or on a plant whose
     threshold cannot be computed, is used as given with a warning: the
@@ -130,8 +130,7 @@ def _thresholds(scn: Scenario, override_arg):
     elif scn.s_override is not None:
         override = scn.s_override
     if override is None:
-        computed = tuple(decay_threshold(p) for p in scn.wcs.plants)
-        return computed, computed
+        return tuple(decay_threshold(p) for p in scn.wcs.plants), False
     for i, (plant, s) in enumerate(zip(scn.wcs.plants, override)):
         link = "link %d%s: threshold override %.10g" % (i + 1, _label(plant), s)
         try:
@@ -142,7 +141,7 @@ def _thresholds(scn: Scenario, override_arg):
         if s < certified:
             _warn("%s is below the computed threshold %.10g; the decay bound "
                   "is not certified" % (link, certified))
-    return None, override
+    return override, True
 
 
 def cmd_thresholds(args) -> int:
@@ -156,14 +155,14 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def _analysis_report(scn, computed, effective, stab: Stabilization) -> list:
+def _analysis_report(scn, overridden: bool, stab: Stabilization) -> list:
     lines = []
     lines.append("links: %d, agent states: %d, admissible: %d"
                  % (scn.wcs.link_count, scn.mas.state_count, len(scn.constraints.state_set)))
     lines.append("thresholds:")
-    tag = "  [override]" if computed is None else ""
-    for i, plant in enumerate(scn.wcs.plants):
-        lines.append("  link %d%s: s = %s%s" % (i + 1, _label(plant), _fmt(effective[i]), tag))
+    tag = "  [override]" if overridden else ""
+    for i, (plant, s) in enumerate(zip(scn.wcs.plants, stab.region.thresholds)):
+        lines.append("  link %d%s: s = %s%s" % (i + 1, _label(plant), _fmt(s), tag))
     lines.append("performance region: %s" % _states(stab.region.omega))
     lines.append("invariant core:     %s" % _states(stab.invariant))
     lines.append("reachable from %d:   %s (max depth %d)"
@@ -176,10 +175,10 @@ def _analysis_report(scn, computed, effective, stab: Stabilization) -> list:
 def cmd_check(args) -> int:
     scn = load_scenario(args.scenario)
     _emit_warnings(scn)
-    computed, effective = _thresholds(scn, args.s_override)
-    stab = stabilize(scn, effective)
+    thresholds, overridden = _thresholds(scn, args.s_override)
+    stab = stabilize(scn, thresholds)
     print("feasibility check for %s" % args.scenario)
-    for line in _analysis_report(scn, computed, effective, stab):
+    for line in _analysis_report(scn, overridden, stab):
         print(line)
     return 0 if stab.feasible else 2
 
@@ -207,10 +206,10 @@ def _synthesis_report(scn, result: SynthesisResult, head: int = 12) -> list:
 def cmd_synthesize(args) -> int:
     scn = load_scenario(args.scenario)
     _emit_warnings(scn)
-    computed, effective = _thresholds(scn, args.s_override)
-    stab = stabilize(scn, effective)
+    thresholds, overridden = _thresholds(scn, args.s_override)
+    stab = stabilize(scn, thresholds)
     report = ["schedule synthesis for %s" % args.scenario]
-    report += _analysis_report(scn, computed, effective, stab)
+    report += _analysis_report(scn, overridden, stab)
     if not stab.feasible:
         report.append("no schedule exists for these thresholds")
         print("\n".join(report))
@@ -258,8 +257,8 @@ def cmd_simulate(args) -> int:
     report.append("seed %d, trials %d, horizon %d fast steps (tau = %d)"
                   % (args.seed, args.trials, args.horizon, trace.tau))
     report.append("final running average cost: %.10g" % trace.running_cost[-1])
-    if args.trials < 100:
-        report.append("decay check skipped (needs >= 100 trials)")
+    if args.trials < MIN_CHECK_TRIALS:
+        report.append("decay check skipped (needs >= %d trials)" % MIN_CHECK_TRIALS)
     elif trace.entry_fast >= args.horizon:
         report.append("decay check skipped (horizon %d ends at or before the cycle "
                       "entry at fast step %d)" % (args.horizon, trace.entry_fast))
@@ -299,10 +298,7 @@ def main(argv=None) -> int:
     except Infeasible as e:
         print("infeasible: %s" % e, file=sys.stderr)
         return 2
-    except ToolkitError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (ToolkitError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

@@ -64,6 +64,8 @@ _INV_2_53 = 2.0 ** -53
 # per stream and keeps (SIM_BLOCK + 1, dim, trials) plant states per plant;
 # at 64 a block's draws for 1000 trials stay in cache
 SIM_BLOCK = 64
+# trials the decay check needs before its 3-sigma rule is applied
+MIN_CHECK_TRIALS = 100
 
 
 def _fin(z):
@@ -334,7 +336,7 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
                 for e in dims:
                     v += x[: n + 1, d] * x[: n + 1, e] * plant.q[d, e]
             # (trials, n), C-contiguous: reducing over its rows adds in trial order
-            r = np.ascontiguousarray((v[1:] - float(plant.rho) * v[:-1] - plant.noise_floor).T)
+            r = np.ascontiguousarray((v[1:] - float(plant.rho) * v[:-1] - plant.q_xi_trace).T)
             decay_mean[i][start:stop] = r.mean(axis=0)
             if trials > 1:  # one trial has no sample sd
                 decay_sd[i][start:stop] = r.std(axis=0, ddof=1)
@@ -378,10 +380,9 @@ def empirical_lyapunov_check(trace: SimTrace, from_step: int = None) -> Lyapunov
     the per-state conditional bound into this testable one).  The
     per-step statistics are the ones `simulate` gathered during the run.
     """
-    if trace.trials < 100:
-        raise InsufficientTrials(
-            "%d trials; need >= 100 for the 3-sigma check" % trace.trials
-        )
+    if trace.trials < MIN_CHECK_TRIALS:
+        raise InsufficientTrials("%d trials; need >= %d for the 3-sigma check"
+                                 % (trace.trials, MIN_CHECK_TRIALS))
     start = trace.entry_fast if from_step is None else from_step
     if not 0 <= start < trace.horizon:
         raise ValueOutOfRange("check window starts outside the trace")

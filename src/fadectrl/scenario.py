@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import SuccessTable, consistency_gaps, derive_tables
+from .channel import SuccessTable, consistency_gaps
 from .errors import ParseError, ToolkitError, ValidationError
 from .mas import ConstraintSets, MasModel, require_index_range, to_index
 from .synthesis import StageCost
@@ -410,8 +410,8 @@ def _transmit_policy(sec, q, ctx, ln):
 
 
 def _fading_row(row, flags, ctx, line, path):
-    """Per link, (decode probability, local-state distribution) of one
-    agent state's fading row, or None once its violations are reported."""
+    """Per link, (transmit share, decode probability times that share) of
+    one agent state's fading row, or None once its violations are reported."""
     if not isinstance(row, dict):
         ctx.err(line, path, "must be a mapping")
         return None
@@ -431,26 +431,28 @@ def _fading_row(row, flags, ctx, line, path):
         if probs is None:
             continue
         mass = sum(probs)
-        # within the tolerance a row may sum past 1, but the share
-        # its radio transmits in is a probability
-        sent = sum(p for p, b in zip(probs, sends) if b) if mass > 1 else 0
+        # an exact zero for a link that never transmits
+        sent = sum((p for p, b in zip(probs, sends) if b), Fraction(0))
         if abs(mass - 1) > ROW_MASS_TOL:
             ctx.err(line, path + ".dist[%d]" % i,
                     "probabilities sum to %s, expected 1" % float(mass))
-        elif sent > 1:
+        elif sent > 1:  # within the tolerance a row may sum past 1
             ctx.err(line, path + ".dist[%d]" % i,
                     "transmitting probabilities sum to %s, above 1" % float(sent))
-        links.append((e, probs))
+        elif e is not None:
+            links.append((sent, e * sent))
     return links if len(ctx.errors) == errors else None
 
 
 def _fading_tables(fading_raw, flags, model, ctx, ln):
-    """(transmit, derived) tables from the fading rows, or None once reported."""
+    """(transmit, derived success) tables from the fading rows, None at a
+    state they do not cover; or None once a violation is reported."""
     if not isinstance(fading_raw, dict):
         ctx.err(ln, "channel.fading", "must map agent state -> row")
         return None
-    gamma = [[None] * model.state_count for _ in flags]
-    eta = [[None] * model.state_count for _ in flags]
+    n = model.state_count
+    transmit = [[None] * n for _ in flags]
+    success = [[None] * n for _ in flags]
     errors = len(ctx.errors)
     for key in fading_raw:
         row = fading_raw[key]
@@ -458,12 +460,11 @@ def _fading_tables(fading_raw, flags, model, ctx, ln):
         a = _state_index(key, model, ctx, rln, "channel.fading key %r" % (key,))
         links = _fading_row(row, flags, ctx, rln, "channel.fading[%r]" % (key,))
         if a is not None and links is not None:
-            for i, (e, probs) in enumerate(links):
-                eta[i][a - 1] = e
-                gamma[i][a - 1] = probs
+            for i, (t, p) in enumerate(links):
+                transmit[i][a - 1], success[i][a - 1] = t, p
     if len(ctx.errors) > errors:
         return None
-    return derive_tables(flags, gamma, eta)
+    return SuccessTable(n, transmit), SuccessTable(n, success)
 
 
 def _parse_channel(doc, model, constraints, wcs_model, ctx):
@@ -513,12 +514,13 @@ def _parse_channel(doc, model, constraints, wcs_model, ctx):
 
 def _parse_cost(doc, model, ctx):
     sec = _as_map(doc, "cost", ctx, "cost")
-    if sec is None or model is None:
-        return None
     errors = len(ctx.errors)
-    ln = _line(sec)
+    # tau does not depend on the agent model, so it is checked without one
     tau = _as_int(doc.get("fast_steps_per_slow"), ctx, _line(doc),
                   "fast_steps_per_slow", lo=1)
+    if sec is None or model is None:
+        return None
+    ln = _line(sec)
     lam = _exact(sec.get("input_weight"), ctx, ln, "cost.input_weight", lo=0)
     nn = model.state_count
     if "input_costs" in sec and "table" in sec:

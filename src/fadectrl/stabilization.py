@@ -6,7 +6,9 @@ threshold.  Control must then (a) reach Omega and (b) stay inside it,
 which needs the largest control-invariant subset I(Omega): the fixed
 point of discarding states with no admissible successor inside the
 current candidate set.  Reachability from alpha0 is explored layer by
-layer; a state enters the layer of its first discovery.  `stabilize`
+layer; a state enters the layer of its first discovery, and the search
+tree records the smallest state of the previous layer that reaches it,
+so synthesis walks a shortest prefix back from any state.  `stabilize`
 runs the three stages once for a scenario, and synthesis extends the
 record it returns.  Sets of states are frozensets of delta indices.
 """
@@ -34,11 +36,17 @@ class ReachabilityLayers:
     The start state is excluded from the visited bookkeeping, so it may
     legitimately re-appear in one later layer (it is then genuinely
     re-reachable); all layers beyond the zeroth are pairwise disjoint.
-    union collects every layer k >= 1.
+    parent maps each state b of a layer k >= 1 to the smallest state of
+    layer k - 1 that reaches b in one step.
     """
 
     layers: tuple
-    union: frozenset
+    parent: dict
+
+    @property
+    def union(self) -> frozenset:
+        """Every state of the layers k >= 1."""
+        return frozenset(self.parent)
 
 
 def omega_set(success, thresholds, constraints: ConstraintSets) -> PerformanceRegion:
@@ -83,19 +91,17 @@ def reachable_layers(model: MasModel, constraints: ConstraintSets,
             "start state %d outside the admissible state set" % alpha0
         )
     layers = [frozenset({alpha0})]
-    visited = frozenset()  # deliberately excludes alpha0; see class docstring
-    frontier = layers[0]
-    while frontier:
-        candidates = set()
-        for a in sorted(frontier):
-            candidates.update(one_step_reach(model, constraints, a))
-        fresh = frozenset(candidates - visited)
+    parent = {}  # its keys are the visited states, alpha0 excluded at first
+    while True:
+        fresh = {}
+        for a in sorted(layers[-1]):  # ascending, so the first parent is the smallest
+            for b in one_step_reach(model, constraints, a):
+                if b not in parent:
+                    fresh.setdefault(b, a)
         if not fresh:
-            break
-        layers.append(fresh)
-        visited |= fresh
-        frontier = fresh
-    return ReachabilityLayers(tuple(layers), visited)
+            return ReachabilityLayers(tuple(layers), parent)
+        layers.append(frozenset(fresh))
+        parent.update(fresh)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .errors import (
     PreconditionViolated,
     ValueOutOfRange,
 )
-from .mas import one_step_reach, successors
+from .mas import successors
 from .stabilization import Stabilization
 
 
@@ -359,33 +359,21 @@ def synthesize(scenario, stab: Stabilization) -> SynthesisResult:
     if best is None:
         raise NoCycle("restricted graph on %s has no cycle" % (sorted(stab.phi),))
     mean, cycle = best
+    # walk the search tree back from the first layer that meets the cycle;
+    # layer 0 is {alpha0}, so a start on the cycle gets the empty prefix
     cyc_verts = frozenset(cycle[:-1])
-
-    if alpha0 in cyc_verts:
-        cycle = _rotate_cycle(cycle, alpha0)
-        prefix_states = ()
-    else:
-        entry_depth = None
-        for k in range(1, len(layers.layers)):
-            if layers.layers[k] & cyc_verts:
-                entry_depth = k
-                break
-        if entry_depth is None:
-            raise InvariantViolated(
-                "cycle %s lies outside the reachable set from %d" % (cycle, alpha0)
-            )
-        chain = [min(layers.layers[entry_depth] & cyc_verts)]
-        for k in range(entry_depth - 1, 0, -1):
-            preds = [a for a in sorted(layers.layers[k])
-                     if chain[0] in one_step_reach(scenario.mas, scenario.constraints, a)]
-            chain.insert(0, preds[0])
-        chain.insert(0, alpha0)
-        cycle = _rotate_cycle(cycle, chain[-1])
-        prefix_states = tuple(chain[:-1])
-
-    full_path = list(prefix_states) + [cycle[0]]
+    depth = next((k for k, layer in enumerate(layers.layers) if layer & cyc_verts), None)
+    if depth is None:
+        raise InvariantViolated(
+            "cycle %s lies outside the reachable set from %d" % (cycle, alpha0)
+        )
+    path = [min(layers.layers[depth] & cyc_verts)]
+    for _ in range(depth):
+        path.append(layers.parent[path[-1]])
+    path.reverse()  # alpha0 to the cycle's entry state
+    cycle = _rotate_cycle(cycle, path[-1])
     prefix_inputs = tuple(out_edges(scenario, a, {b})[b].steering[0]
-                          for a, b in zip(full_path, full_path[1:]))
+                          for a, b in zip(path, path[1:]))
     cycle_inputs = tuple(
         graph.edges[(cycle[i], cycle[i + 1])].steering[0]
         for i in range(len(cycle) - 1)
@@ -394,7 +382,7 @@ def synthesize(scenario, stab: Stabilization) -> SynthesisResult:
     return SynthesisResult(
         stab.region, stab.invariant, layers, stab.phi,
         graph=graph,
-        prefix_states=prefix_states,
+        prefix_states=tuple(path[:-1]),
         cycle_states=cycle,
         mean_weight=mean,
         optimal_cost=mean / scenario.cost.tau,

@@ -23,7 +23,7 @@ on the open loop (the stated precondition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,13 @@ def _square(m, what: str) -> np.ndarray:
 
 @dataclass
 class Plant:
-    """One control loop: closed/open dynamics, quality weight, noise."""
+    """One control loop: closed/open dynamics, quality weight, noise.
+
+    The quadratic terms of the decay bound are formed once, at
+    construction, and must be finite in float64: aqa_closed = A_c' Q A_c,
+    aqa_open = A_o' Q A_o, and q_xi_trace = trace(Q Xi), the bound's
+    stationary noise floor.
+    """
 
     a_c: np.ndarray
     a_o: np.ndarray
@@ -57,6 +63,9 @@ class Plant:
     xi: np.ndarray
     mu: object  # transmission power price; exact number or float
     name: str = ""
+    aqa_closed: np.ndarray = field(init=False, repr=False)
+    aqa_open: np.ndarray = field(init=False, repr=False)
+    q_xi_trace: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.a_c = _square(self.a_c, "closed-loop matrix")
@@ -80,23 +89,23 @@ class Plant:
             raise ValueOutOfRange("decay rate %r outside (0, 1)" % (self.rho,))
         if not self.mu > 0:
             raise ValueOutOfRange("power price %r must be positive" % (self.mu,))
-        for m, what in ((self.a_c, "closed-loop"), (self.a_o, "open-loop")):
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.isfinite(m.T @ self.q @ m).all()
-            if not finite:  # decay_threshold would search on inf and nan
-                raise ValueOutOfRange(
-                    "%s matrix of plant %s: A' Q A is not finite in float64"
-                    % (what, self.name or "(unnamed)"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.aqa_closed = self.a_c.T @ self.q @ self.a_c
+            self.aqa_open = self.a_o.T @ self.q @ self.a_o
+            # summed elementwise so that no BLAS kernel enters
+            self.q_xi_trace = float(np.sum(self.q * self.xi.T))
+        # decay_threshold would search on inf and nan, simulate would
+        # report a nan margin
+        for value, what, term in ((self.aqa_closed, "closed-loop matrix", "A' Q A"),
+                                  (self.aqa_open, "open-loop matrix", "A' Q A"),
+                                  (self.q_xi_trace, "noise covariance", "tr(Q Xi)")):
+            if not np.isfinite(value).all():
+                raise ValueOutOfRange("%s of plant %s: %s is not finite in float64"
+                                      % (what, self.name or "(unnamed)", term))
 
     @property
     def dim(self) -> int:
         return self.a_c.shape[0]
-
-    @property
-    def noise_floor(self) -> float:
-        """trace(Q Xi), the stationary additive term of the decay bound,
-        summed elementwise so that no BLAS kernel enters."""
-        return float(np.sum(self.q * self.xi.T))
 
     def noise_factor(self) -> np.ndarray:
         return chol_semidefinite(self.xi)
@@ -136,12 +145,12 @@ def decay_threshold(plant: Plant) -> float:
     monotone certificate and PreconditionViolated is raised.  Raises
     Infeasible when even sure delivery cannot sustain the rate.
     """
-    gain = plant.a_c.T @ plant.q @ plant.a_c - plant.a_o.T @ plant.q @ plant.a_o
+    gain = plant.aqa_closed - plant.aqa_open
     if max(sym_eigenvalues(gain)) > -DEFINITE_MARGIN:
         raise PreconditionViolated(
             "closed loop does not strictly improve on open loop in Q-metric"
         )
-    open_term = plant.a_o.T @ plant.q @ plant.a_o - float(plant.rho) * plant.q
+    open_term = plant.aqa_open - float(plant.rho) * plant.q
 
     def certified(theta: float) -> bool:
         return max(sym_eigenvalues(theta * gain + open_term)) <= 0.0

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: cycles are found
 by plain DFS enumeration and by a scalar Karp on Fractions, invariance by
-checking every subset, the counter RNG is recomputed on Python integers,
+checking every subset, a prefix into a cycle by scanning the reachable
+layers again, the counter RNG is recomputed on Python integers,
 the co-simulation runs one fast step and one draw call at a time over
 every trial's full trajectory (and the decay check reads it whole), and the
 agent law is rebuilt in the paper's semi-tensor-product (STP) form, so
@@ -14,9 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
+from fadectrl.channel import SuccessTable
 from fadectrl.cosim import (
     LyapunovCheck,
     PlantCheck,
@@ -34,7 +37,7 @@ from fadectrl.errors import (
     ValueOutOfDomain,
 )
 from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
-from fadectrl.synthesis import Edge, TransitionGraph
+from fadectrl.synthesis import Edge, StageCost, TransitionGraph, out_edges
 
 
 def graph_successors(graph: TransitionGraph, a: int) -> tuple:
@@ -213,6 +216,49 @@ def random_mas_instance(rng):
     return model, constraints, omega
 
 
+def random_scenario(rng):
+    """A scenario-shaped namespace over a `random_mas_instance`, enough for
+    `stabilize` at threshold 1 and `synthesize`: one link that succeeds
+    exactly on omega, random transmit shares and small integer input
+    costs (so equal-cost inputs are common), and a random start."""
+    model, constraints, omega = random_mas_instance(rng)
+    nn = model.state_count
+    return SimpleNamespace(
+        mas=model,
+        constraints=constraints,
+        alpha0=rng.choice(sorted(constraints.state_set)),
+        success=SuccessTable(nn, ([Fraction(a in omega) for a in range(1, nn + 1)],)),
+        transmit=SuccessTable(nn, ([Fraction(rng.randint(0, 4), 4) for _ in range(nn)],)),
+        wcs=SimpleNamespace(power_prices=(Fraction(1),)),
+        cost=StageCost(rng.randint(1, 3), Fraction(1),
+                       [[rng.randint(0, 3) for _ in range(nn)] for _ in range(nn)]),
+    )
+
+
+def layer_scan_prefix(scenario, layers, cycle) -> tuple:
+    """(prefix states, prefix inputs, entry state) of the schedule into a
+    cycle, found by scanning the reachable layers again: the entry is the
+    smallest cycle state of the first layer that meets the cycle, and each
+    earlier state is the smallest state of its layer whose one-step reach
+    contains the next one.  Each input is the cheapest that steers a
+    state to the next, ties to the smallest."""
+    alpha0 = scenario.alpha0
+    cyc_verts = frozenset(cycle[:-1])
+    if alpha0 in cyc_verts:
+        return (), (), alpha0
+    entry_depth = next(k for k in range(1, len(layers.layers))
+                       if layers.layers[k] & cyc_verts)
+    chain = [min(layers.layers[entry_depth] & cyc_verts)]
+    for k in range(entry_depth - 1, 0, -1):
+        preds = [a for a in sorted(layers.layers[k])
+                 if chain[0] in one_step_reach(scenario.mas, scenario.constraints, a)]
+        chain.insert(0, preds[0])
+    chain.insert(0, alpha0)
+    inputs = tuple(out_edges(scenario, a, {b})[b].steering[0]
+                   for a, b in zip(chain, chain[1:]))
+    return tuple(chain[:-1]), inputs, chain[-1]
+
+
 # ── Co-simulation ────────────────────────────────────────────────────────────
 
 _MASK64 = (1 << 64) - 1
@@ -293,7 +339,7 @@ def _rows_times(m, x) -> np.ndarray:
 def _decay_residuals(x, plant) -> np.ndarray:
     """(trials, horizon) of V(x(l+1)) - rho V(x(l)) - tr(Q Xi)."""
     v = np.einsum("tld,de,tle->tl", x, plant.q, x)
-    return v[:, 1:] - float(plant.rho) * v[:, :-1] - plant.noise_floor
+    return v[:, 1:] - float(plant.rho) * v[:, :-1] - plant.q_xi_trace
 
 
 def full_lyapunov_check(states, wcs_model, start: int) -> LyapunovCheck:

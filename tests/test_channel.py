@@ -1,25 +1,20 @@
 """State-dependent fading links.
 
 Proves:
- Group 1 - probability algebra on a small synthetic setup, exactly
+ Group 1 - probability algebra on tiny scenario documents, exactly
  Group 2 - the bundled scenario's tables reproduce the measured
            success rows (one documented disagreement aside)
  Group 3 - table validation and index contracts (the fading tables
            themselves are validated by the loader, see test_scenario)
 """
 
+import dataclasses
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fadectrl.channel import (
-    SuccessTable,
-    consistency_gaps,
-    derive_tables,
-    expected_power,
-)
+from fadectrl.channel import SuccessTable, consistency_gaps, expected_power
 from fadectrl.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -27,32 +22,43 @@ from fadectrl.errors import (
     ValueOutOfRange,
 )
 from fadectrl.scenario import load_scenario_text
-from fadectrl.wcs import Plant, WcsModel
 
 F = Fraction
 
+# two links priced 0.25 and 0.5, one agent over kappa values, two local
+# channel states; the fading rows and the admissible states vary per test
+TINY = """\
+fast_steps_per_slow: 1
+plants:
+  - {name: arm, a_closed: 0.1, a_open: 1.1, quality_weight: 1.0,
+     decay_rate: 0.9, noise_cov: 1.0, power_price: 0.25}
+  - {name: conveyor, a_closed: 0.2, a_open: 1.2, quality_weight: 1.0,
+     decay_rate: 0.9, noise_cov: 1.0, power_price: 0.5}
+agents: {count: 1, kappa: %(kappa)d, weights: {1: {1: 1}}, initial_state: 1}
+constraints: {states: %(states)s, inputs: [1]}
+channel:
+  local_states: 2
+  transmit_policy: %(policy)s
+  fading:
+%(fading)s
+cost: {input_weight: 0, input_costs: %(costs)s}
+"""
+
+
+def _tiny_scenario(policy="[[1, 0], [1, 1]]", fading=(
+        "    1: {decode: [0.9, 0.7], dist: [[0.6, 0.4], [0.5, 0.5]]}",
+        "    2: {decode: [0.5, 0.3], dist: [[0.2, 0.8], [0.1, 0.9]]}"),
+        states="[1, 2]", kappa=3):
+    """By default link 1 transmits only in local state 0 and link 2 always,
+    and the fading tables leave agent state 3 uncovered."""
+    return load_scenario_text(TINY % {
+        "kappa": kappa, "states": states, "policy": policy,
+        "fading": "\n".join(fading), "costs": [0] * kappa})
+
 
 def _tiny():
-    """Two links, two agent states, two local channel states; link 1
-    transmits only in local state 0, link 2 always; link 2 does not
-    cover state 2."""
-    return derive_tables(
-        ((1, 0), (1, 1)),
-        gamma=(
-            ((F("0.6"), F("0.4")), (F("0.2"), F("0.8"))),
-            ((F("0.5"), F("0.5")), None),
-        ),
-        eta=(
-            (F("0.9"), F("0.5")),
-            (F("0.7"), None),
-        ),
-    )
-
-
-def _two_plants():
-    arm = Plant([[0.1]], [[1.1]], [[1.0]], 0.9, [[1.0]], F("0.25"))
-    conveyor = Plant([[0.2]], [[1.2]], [[1.0]], 0.9, [[1.0]], F("0.5"))
-    return WcsModel((arm, conveyor))
+    scn = _tiny_scenario()
+    return scn.transmit, scn.success
 
 
 # ── Group 1: probability algebra ─────────────────────────────────────────────
@@ -62,6 +68,7 @@ def test_transmit_prob_masks_by_policy():
     assert transmit.prob(0, 1) == F("0.6")
     assert transmit.prob(0, 2) == F("0.2")
     assert transmit.prob(1, 1) == 1
+    assert transmit.prob(1, 2) == 1
 
 
 def test_success_prob_scales_by_decode():
@@ -69,59 +76,57 @@ def test_success_prob_scales_by_decode():
     assert success.prob(0, 1) == F("0.9") * F("0.6")
     assert success.prob(0, 2) == F("0.5") * F("0.2")
     assert success.prob(1, 1) == F("0.7")
-    assert all(isinstance(p, Fraction) for p in success.values[0])
+    assert success.prob(1, 2) == F("0.3")
+    assert all(isinstance(p, Fraction) for p in success.values[0][:2])
 
 
 def test_transmit_sums_stay_exact():
     # a policy that never transmits sums no probability at all: its entry
     # must still be an exact zero, as every other entry is an exact sum
-    transmit, success = derive_tables(
-        ((0, 0), (1, 1)),
-        gamma=(((F("0.6"), F("0.4")),), ((F("0.1"), F("0.2")),)),
-        eta=((F("0.9"),), (F("0.5"),)),
-    )
-    assert transmit.values == ((F(0),), (F("0.3"),))
-    assert success.values == ((F(0),), (F("0.15"),))
-    for table in (transmit, success):
-        assert all(isinstance(p, Fraction) for row in table.values for p in row)
+    scn = _tiny_scenario(policy="[[0, 0], [1, 0]]", fading=(
+        "    1: {decode: [0.9, 0.5], dist: [[0.6, 0.4], [0.3, 0.7]]}",), states="[1]", kappa=2)
+    assert scn.transmit.values == ((F(0), None), (F("0.3"), None))
+    assert scn.success.values == ((F(0), None), (F("0.15"), None))
+    for table in (scn.transmit, scn.success):
+        assert all(isinstance(p, Fraction) for row in table.values for p in row[:1])
 
 
 def test_expected_power_prices_transmissions():
-    transmit, _ = _tiny()
-    power = expected_power(SimpleNamespace(transmit=transmit, wcs=_two_plants()), 1)
+    scn = _tiny_scenario()
+    power = expected_power(scn, 1)
     assert power == F("0.25") * F("0.6") + F("0.5") * 1
     assert isinstance(power, Fraction)
     with pytest.raises(PreconditionViolated, match="no channel tables"):
-        expected_power(SimpleNamespace(transmit=None, wcs=_two_plants()), 1)
+        expected_power(dataclasses.replace(scn, transmit=None), 1)
 
 
 def test_derived_success_table():
     _, table = _tiny()
     assert table.prob(0, 1) == F("0.54")
-    assert table.values[1][1] is None
+    assert table.values[1][2] is None
     arr = table.as_array()
-    assert arr.shape == (2, 2)
-    assert np.isnan(arr[1, 1]) and arr[0, 0] == 0.54
+    assert arr.shape == (2, 3)
+    assert np.isnan(arr[1, 2]) and arr[0, 0] == 0.54
 
 
 def test_uncovered_state_contracts():
     transmit, success = _tiny()
-    assert transmit.values[1] == (1, None)
+    assert transmit.values[1] == (1, 1, None)
     with pytest.raises(PreconditionViolated):
-        transmit.prob(1, 2)
+        transmit.prob(1, 3)
     with pytest.raises(PreconditionViolated):
-        success.prob(1, 2)
+        success.prob(1, 3)
     with pytest.raises(IndexOutOfRange):
         transmit.prob(2, 1)
     with pytest.raises(IndexOutOfRange):
-        transmit.prob(0, 3)
+        transmit.prob(0, 4)
 
 
 def test_consistency_gaps_reports_disagreements():
     _, derived = _tiny()
-    direct = SuccessTable(2, ((F("0.54"), F("0.2")), (F("0.7"), None)))
+    direct = SuccessTable(3, ((F("0.54"), F("0.2"), None), (F("0.7"), F("0.3"), None)))
     assert consistency_gaps(direct, derived) == [(0, 2, F("0.2"), F("0.1"))]
-    agree = SuccessTable(2, ((F("0.54"), F("0.105")), (F("0.7"), None)))
+    agree = SuccessTable(3, ((F("0.54"), F("0.105"), None), (F("0.7"), F("0.3"), None)))
     assert consistency_gaps(agree, derived) == []
 
 

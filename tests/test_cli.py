@@ -2,7 +2,8 @@
 
 Proves:
  Group 1 - thresholds: values on stdout, warnings on stderr, non-finite
-           matrix entries and a plant whose A' Q A overflows exit 1
+           matrix entries and a plant whose A' Q A overflows exit 1, and
+           so does every command on a plant whose tr(Q Xi) overflows
  Group 2 - check: verdict in text and exit status (0 feasible, 2 not),
            warnings for overrides below the computed thresholds
  Group 3 - synthesize: report/schedule/DOT artifacts, report and schedule
@@ -101,6 +102,31 @@ def test_thresholds_rejects_plant_that_overflows_float64(scenario_path, outdir,
     assert ("plants[1]: open-loop matrix of plant conveyor: A' Q A is not finite "
             "in float64") in err
     assert "infeasible" not in err
+
+
+def test_plant_whose_noise_floor_overflows_is_a_located_error(scenario_path, outdir,
+                                                              tmp_path_factory, capsys):
+    # A' Q A stays finite, but tr(Q Xi) is inf: simulate used to report a
+    # nan decay margin as a FAIL with exit status 0
+    text = scenario_path.read_text()
+    broken = tmp_path_factory.mktemp("overflow") / "assembly_cell.yaml"
+    broken.write_text(text.replace("    quality_weight: 1.0\n", "    quality_weight: 1.0e+300\n")
+                      .replace("    noise_cov: 1.0\n", "    noise_cov: 1.0e+300\n"))
+    _, schedule_path = _synth(scenario_path, outdir)
+    capsys.readouterr()
+    for argv in (["thresholds"], ["synthesize"],
+                 ["simulate", "--schedule", str(schedule_path), "--seed", "1",
+                  "--trials", "100", "--horizon", "200"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([argv[0], str(broken), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(
+            "error: 1 validation error(s):\n  %s:26: plants[1]: noise covariance of plant "
+            "conveyor: tr(Q Xi) is not finite in float64\n" % broken)
+    assert sorted(p.name for p in outdir.iterdir()) == ["assembly_cell.report.txt",
+                                                          "assembly_cell.schedule.json"]
 
 
 @pytest.mark.parametrize("old, new, key, line", [

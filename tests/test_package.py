@@ -6,9 +6,13 @@ Proves:
  Group 2 - every third-party import is declared in pyproject.toml: the
            package's in `dependencies`, the tests' there or in the `test`
            extra
+ Group 3 - every function the benchmark traces (perfbench/tracing.py's
+           TARGETS) is a callable of the module it names, read with `ast`
+           so that no benchmark module is imported
 """
 
 import ast
+import importlib
 import re
 import sys
 from importlib.metadata import packages_distributions
@@ -19,6 +23,7 @@ import fadectrl
 PACKAGE = Path(fadectrl.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 PYPROJECT = TESTS.parent / "pyproject.toml"
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
 
 def test_no_assert_statements():
@@ -85,3 +90,24 @@ def test_test_imports_are_dependencies_or_test_extras():
     assert {"pytest", "hypothesis"} <= set(imports)
     allowed = _declared("dependencies") | _declared("test")
     assert _undeclared(imports, allowed) == []
+
+
+def _traced_targets():
+    """(module, function) of each TARGETS entry in perfbench/tracing.py."""
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]):
+            return [tuple(ast.literal_eval(e) for e in entry.elts[:2])
+                    for entry in node.value.elts]
+    raise AssertionError("no TARGETS in %s" % TRACING)
+
+
+def test_traced_functions_exist():
+    targets = _traced_targets()
+    assert ("fadectrl.mas", "one_step_reach") in targets
+    missing = [
+        "%s.%s" % (module, name) for module, name in targets
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []

@@ -346,6 +346,19 @@ def test_a_mapping_in_a_message_shows_only_its_data(bundled_text, old, new, mess
     assert not any("__line__" in v for v in violations)
 
 
+def test_bad_tau_is_reported_with_bad_agent_weights(bundled_text):
+    # tau does not depend on the agent model, so a broken agents section
+    # does not hide it: every violation of the document is reported at once
+    broken = (bundled_text.replace("1: {1: 1, 2: 2}", "1: {1: 1, 2: 2, 3: {}}")
+              .replace("fast_steps_per_slow: 40\n", "fast_steps_per_slow: {a: 1}\n"))
+    violations = _reject(broken)
+    assert [v.split(": ", 1)[1] for v in violations] == [
+        "agents.weights[1] neighbor 3: must be <= 2, got 3",
+        "agents.weights[1][3]: expected an integer, got {}",
+        "fast_steps_per_slow: expected an integer, got {'a': 1}",
+    ]
+
+
 def test_per_state_input_key_is_reported_once():
     _reject_once(MINIMAL, "    2: [[1]]\n", "    2: [[1]]\n    3: [[1]]\n",
                  "constraints.inputs key 3", "index 3 outside 1..2")
@@ -582,7 +595,7 @@ def test_one_edit_is_rejected_or_runs_to_a_result(edit):
     for name in ("mas", "constraints", "wcs", "success", "cost", "alpha0"):
         assert getattr(scn, name) is not None, name
     try:  # the thresholds the CLI uses: the document's override, else computed
-        _, thresholds = _thresholds(scn, None)
+        thresholds, _ = _thresholds(scn, None)
         synthesize(scn, stabilize(scn, thresholds))
     except ToolkitError:
         pass

@@ -3,7 +3,8 @@
 Proves:
  Group 1 - the bundled worked example's frozen sets, one stage at a time
            and through stabilize
- Group 2 - structural properties (disjoint layers, threshold monotonicity)
+ Group 2 - structural properties (disjoint layers, the search tree's
+           smallest parents, threshold monotonicity)
  Group 3 - largest_invariant vs the exhaustive subset oracle
  Group 4 - error contracts
 """
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from fadectrl.errors import InitialStateViolatesConstraint, PreconditionViolated
-from fadectrl.mas import ConstraintSets, MasModel
+from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
 from fadectrl.stabilization import (
     PerformanceRegion,
     largest_invariant,
@@ -51,6 +52,9 @@ def test_reachable_layers_frozen():
         frozenset({4}),
     )
     assert reach.union == frozenset(range(1, 7))
+    # 1 is reached from 3 alone; layer 3 re-reaches the start 4 from each
+    # layer-2 state, and the smallest, 1, is its parent
+    assert reach.parent == {2: 4, 3: 4, 1: 3, 5: 2, 6: 2, 4: 1}
 
 
 def test_feasibility_frozen(scenario):
@@ -82,6 +86,23 @@ def test_layers_beyond_start_are_disjoint():
             assert not layer & seen
             seen |= layer
         assert reach.union == seen
+
+
+def test_search_tree_parents_are_smallest_predecessors():
+    rng = random.Random(37)
+    for _ in range(60):
+        model, constraints, _ = random_mas_instance(rng)
+        alpha0 = rng.choice(sorted(constraints.state_set))
+        reach = reachable_layers(model, constraints, alpha0)
+        assert set(reach.parent) == set().union(*reach.layers[1:])
+        for k in range(1, len(reach.layers)):
+            previous = reach.layers[k - 1]
+            for b in reach.layers[k]:
+                a = reach.parent[b]
+                assert a in previous
+                assert b in one_step_reach(model, constraints, a)
+                assert not any(b in one_step_reach(model, constraints, c)
+                               for c in previous if c < a)
 
 
 def test_omega_shrinks_with_thresholds(scenario):

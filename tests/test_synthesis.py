@@ -10,7 +10,9 @@ Proves:
            the scalar Karp oracle: exact past int64, tie-breaking pinned
            and checked on tie-heavy random graphs
  Group 5 - end-to-end synthesis: the stabilization record extended by a
-           frozen schedule, prefix handling, infeasibility, DOT export
+           frozen schedule, prefix handling (the search-tree walk equals a
+           scan of the layers from every bundled start and on random
+           instances), infeasibility, DOT export
 """
 
 import math
@@ -50,7 +52,9 @@ from oracles import (
     brute_scc,
     cycle_mean,
     graph_successors,
+    layer_scan_prefix,
     random_scc_graph,
+    random_scenario,
     scalar_karp,
     simple_cycles,
 )
@@ -378,6 +382,41 @@ def test_synthesis_with_off_cycle_start(scenario):
     states, inputs = _replay_slow(off_cycle, result.schedule, 6)
     assert states == (1, 4, 2, 5, 6, 4)
     assert inputs == (4, 7, 7, 4, 7, 7)
+
+
+def _assert_prefix_matches_layer_scan(scenario, result):
+    states, inputs, entry = layer_scan_prefix(scenario, result.layers,
+                                              result.cycle_states)
+    assert result.prefix_states == states
+    assert result.schedule.prefix_inputs == inputs
+    assert result.cycle_states[0] == entry
+
+
+def test_prefix_walk_equals_layer_scan_from_every_bundled_start(scenario):
+    prefixes = set()
+    for alpha0 in sorted(scenario.constraints.state_set):
+        start = replace(scenario, alpha0=alpha0)
+        result = synthesize(start, stabilize(start, scenario.s_override))
+        _assert_prefix_matches_layer_scan(start, result)
+        prefixes.add(len(result.prefix_states))
+    assert prefixes == {0, 1, 2}  # starts on the cycle and one or two steps off
+
+
+def test_prefix_walk_equals_layer_scan_on_random_instances():
+    rng = random.Random(13)
+    checked = 0
+    for _ in range(400):
+        scn = random_scenario(rng)
+        stab = stabilize(scn, (1,))
+        if not stab.feasible:
+            continue
+        try:
+            result = synthesize(scn, stab)
+        except NoCycle:
+            continue
+        _assert_prefix_matches_layer_scan(scn, result)
+        checked += bool(result.prefix_states)
+    assert checked >= 50  # enough draws start off the cycle
 
 
 def test_synthesis_infeasible_thresholds(scenario):

@@ -9,8 +9,8 @@ Proves:
    5. weaker decay rates need less delivery
    6. precondition and infeasibility contracts
  Group 2 - model plumbing
-   7. noise_floor arithmetic
-   8. construction-time validation
+   7. the quadratic terms and noise floor stored at construction
+   8. construction-time validation, a non-finite noise floor included
 """
 
 import numpy as np
@@ -101,10 +101,13 @@ def test_threshold_infeasible_rate():
 
 def test_noise_floor_is_weighted_trace():
     arm = _arm()
-    assert abs(arm.noise_floor - np.trace(arm.q @ np.eye(2))) < 1e-12
+    assert abs(arm.q_xi_trace - np.trace(arm.q @ np.eye(2))) < 1e-12
     xi = np.array([[2.0, 0.0], [0.0, 3.0]])
     noisy = Plant(A_C1, A_O1, arm.q, 0.95, xi, 0.25)
-    assert abs(noisy.noise_floor - np.trace(arm.q @ xi)) < 1e-12
+    assert abs(noisy.q_xi_trace - np.trace(arm.q @ xi)) < 1e-12
+    # the quadratic terms are formed once, at construction
+    assert np.array_equal(noisy.aqa_closed, A_C1.T @ arm.q @ A_C1)
+    assert np.array_equal(noisy.aqa_open, A_O1.T @ arm.q @ A_O1)
 
 
 def test_default_weight_satisfies_equation():
@@ -126,6 +129,10 @@ def test_plant_validation():
         Plant(np.eye(2), [[1.0]], np.eye(2), 0.9, np.eye(2), 0.5)
     with pytest.raises(PreconditionViolated):
         Plant(np.eye(2) * 0.1, np.eye(2), [[1.0, 0.5], [0.0, 1.0]], 0.9, np.eye(2), 0.5)
+    # A' Q A stays finite, but trace(Q Xi) overflows float64
+    with pytest.raises(ValueOutOfRange,
+                       match=r"noise covariance of plant belt: tr\(Q Xi\) is not finite"):
+        Plant([[0.2]], [[1.0]], [[1e300]], 0.9, [[1e300]], 0.5, name="belt")
 
 
 def test_wcs_model_plumbing():
