@@ -11,12 +11,10 @@ from .cosim import (
     Schedule,
     SimConfig,
     SimTrace,
-    average_cost_trace,
     empirical_lyapunov_check,
     simulate,
     write_trace_csv,
 )
-from .linalg import bisect_threshold, solve_dlyap, sym_eigenvalues
 from .mas import (
     ConstraintSets,
     MasModel,
@@ -38,7 +36,6 @@ from .synthesis import (
     SynthesisResult,
     TransitionGraph,
     build_graph,
-    joint_stage_cost,
     karp_min_mean_cycle,
     synthesize,
     tarjan_scc,
@@ -46,7 +43,6 @@ from .synthesis import (
 )
 from .wcs import (
     Plant,
-    WcsModel,
     decay_threshold,
     default_lyapunov_weight,
 )

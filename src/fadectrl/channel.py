@@ -95,8 +95,8 @@ def expected_power(scenario, state: int):
             "expected radio power undefined: scenario has no channel tables"
         )
     return sum(
-        mu * scenario.transmit.prob(i, state)
-        for i, mu in enumerate(scenario.wcs.power_prices)
+        plant.mu * scenario.transmit.prob(i, state)
+        for i, plant in enumerate(scenario.plants)
     )
 
 

@@ -8,7 +8,8 @@ Subcommands:
 
 Artifacts land in the directory named by FADECTRL_OUTDIR (default: the
 current directory).  Exit status: 0 on success, 2 when the scenario is
-infeasible for the requested thresholds, 1 on any input or usage error.
+infeasible for the requested thresholds, 1 on any input or usage error
+(a run too large to allocate included).
 Scenarios that fail validation produce no artifacts.
 """
 
@@ -115,9 +116,9 @@ def _thresholds(scn: Scenario, override_arg):
     override = None
     if override_arg:
         parts = [p.strip() for p in override_arg.split(",") if p.strip()]
-        if len(parts) != scn.wcs.link_count:
+        if len(parts) != len(scn.plants):
             raise ParseError(
-                "--s-override needs %d comma-separated values" % scn.wcs.link_count
+                "--s-override needs %d comma-separated values" % len(scn.plants)
             )
         override = []
         for p in parts:
@@ -130,8 +131,8 @@ def _thresholds(scn: Scenario, override_arg):
     elif scn.s_override is not None:
         override = scn.s_override
     if override is None:
-        return tuple(decay_threshold(p) for p in scn.wcs.plants), False
-    for i, (plant, s) in enumerate(zip(scn.wcs.plants, override)):
+        return tuple(decay_threshold(p) for p in scn.plants), False
+    for i, (plant, s) in enumerate(zip(scn.plants, override)):
         link = "link %d%s: threshold override %.10g" % (i + 1, _label(plant), s)
         try:
             certified = decay_threshold(plant)
@@ -148,7 +149,7 @@ def cmd_thresholds(args) -> int:
     scn = load_scenario(args.scenario)
     _emit_warnings(scn)
     print("delivery-probability thresholds for %s" % args.scenario)
-    for i, plant in enumerate(scn.wcs.plants):
+    for i, plant in enumerate(scn.plants):
         s = decay_threshold(plant)
         print("  link %d%s: s = %.10g   [decay rate %.6g]"
               % (i + 1, _label(plant), s, float(plant.rho)))
@@ -158,10 +159,10 @@ def cmd_thresholds(args) -> int:
 def _analysis_report(scn, overridden: bool, stab: Stabilization) -> list:
     lines = []
     lines.append("links: %d, agent states: %d, admissible: %d"
-                 % (scn.wcs.link_count, scn.mas.state_count, len(scn.constraints.state_set)))
+                 % (len(scn.plants), scn.mas.state_count, len(scn.constraints.state_set)))
     lines.append("thresholds:")
     tag = "  [override]" if overridden else ""
-    for i, (plant, s) in enumerate(zip(scn.wcs.plants, stab.region.thresholds)):
+    for i, (plant, s) in enumerate(zip(scn.plants, stab.region.thresholds)):
         lines.append("  link %d%s: s = %s%s" % (i + 1, _label(plant), _fmt(s), tag))
     lines.append("performance region: %s" % _states(stab.region.omega))
     lines.append("invariant core:     %s" % _states(stab.invariant))
@@ -265,7 +266,7 @@ def cmd_simulate(args) -> int:
     else:
         check = empirical_lyapunov_check(trace)
         for pc in check.plants:
-            name = scn.wcs.plants[pc.plant].name or "plant %d" % (pc.plant + 1)
+            name = scn.plants[pc.plant].name or "plant %d" % (pc.plant + 1)
             report.append(
                 "decay check %s: %s (worst margin %.4g at fast step %d)"
                 % (name, "PASS" if pc.passed else "FAIL", pc.worst_margin, pc.worst_step)
@@ -300,6 +301,9 @@ def main(argv=None) -> int:
         return 2
     except (ToolkitError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy's message names the allocation that failed
+        print("error: %s" % (str(e) or "out of memory"), file=sys.stderr)
         return 1
 
 

@@ -198,7 +198,6 @@ class SimTrace:
     deliveries: np.ndarray  # (trials, horizon, links) of 0/1, a view of time-major rows
     running_cost: np.ndarray
     entry_fast: int
-    seed: int
     # per plant, (horizon,): across-trial mean and sample sd (NaN for one
     # trial) of V(x(l+1)) - rho V(x(l)) - tr(Q Xi) at each fast step l
     decay_mean: tuple
@@ -244,25 +243,23 @@ def _replay_slow(scenario, schedule: Schedule, n_slow: int):
     return tuple(states), tuple(inputs)
 
 
+def _slow_steps(tau: int, horizon: int) -> np.ndarray:
+    """Slow step l // tau of each fast step l < horizon.  Dividing by
+    min(tau, horizon) gives the same quotients (all 0 when tau >= horizon)
+    and keeps a tau past 64 bits out of numpy."""
+    return np.arange(horizon) // min(tau, horizon)
+
+
 def _running_average(scenario, alpha_slow, inputs_slow, horizon: int) -> np.ndarray:
     """Deterministic running average of the joint cost over fast steps."""
     cost = scenario.cost
     power = {a: float(expected_power(scenario, a)) for a in set(alpha_slow)}
     lam = float(cost.lam)
     tau = cost.tau
-    per_fast = np.repeat([power[a] for a in alpha_slow], tau)[:horizon]
+    per_fast = np.array([power[a] for a in alpha_slow])[_slow_steps(tau, horizon)]
     per_fast[::tau] += [lam * float(cost.input_cost(a, u))
                         for a, u in zip(alpha_slow, inputs_slow)]
     return np.cumsum(per_fast) / np.arange(1, horizon + 1)
-
-
-def average_cost_trace(scenario, schedule: Schedule, horizon: int) -> np.ndarray:
-    """Running average cost over `horizon` fast steps (no sampling)."""
-    if horizon < 1:
-        raise ValueOutOfRange("horizon must be >= 1 fast steps")
-    n_slow = -(-horizon // scenario.cost.tau)
-    alpha_slow, inputs_slow = _replay_slow(scenario, schedule, n_slow)
-    return _running_average(scenario, alpha_slow, inputs_slow, horizon)
 
 
 def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
@@ -273,7 +270,7 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     n_slow = -(-horizon // tau)
     alpha_slow, inputs_slow = _replay_slow(scenario, schedule, n_slow)
 
-    plants = scenario.wcs.plants
+    plants = scenario.plants
     q = len(plants)
     lam_table = scenario.success.as_array()  # (links, N)
     for a in set(alpha_slow):
@@ -305,7 +302,7 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     # time-major, so a block writes whole (trials,) rows; the trace keeps
     # the (trials, horizon, links) view of it
     delivered = np.empty((horizon, q, trials), dtype=np.uint8)
-    state_cols = np.repeat(np.asarray(alpha_slow) - 1, tau)[:horizon]
+    state_cols = (np.asarray(alpha_slow) - 1)[_slow_steps(tau, horizon)]
     for start in range(0, horizon, SIM_BLOCK):
         stop = min(start + SIM_BLOCK, horizon)
         n = stop - start
@@ -351,7 +348,6 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
         deliveries=delivered.transpose(2, 0, 1),
         running_cost=_running_average(scenario, alpha_slow, inputs_slow, horizon),
         entry_fast=len(schedule.prefix_inputs) * tau,
-        seed=config.seed,
         decay_mean=decay_mean,
         decay_sd=decay_sd,
     )

@@ -150,13 +150,6 @@ class ConstraintSets:
             if not us:
                 raise ValueOutOfDomain("state %d has an empty input set" % a)
 
-    @staticmethod
-    def uniform(state_set, input_set) -> "ConstraintSets":
-        """Same admissible input set at every admissible state."""
-        states = frozenset(state_set)
-        inputs = frozenset(input_set)
-        return ConstraintSets(states, {a: inputs for a in states})
-
     def inputs_for(self, a: int) -> frozenset:
         try:
             return self.input_map[a]

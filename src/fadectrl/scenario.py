@@ -31,7 +31,7 @@ from .channel import SuccessTable, consistency_gaps
 from .errors import ParseError, ToolkitError, ValidationError
 from .mas import ConstraintSets, MasModel, require_index_range, to_index
 from .synthesis import StageCost
-from .wcs import Plant, WcsModel, default_lyapunov_weight
+from .wcs import Plant, default_lyapunov_weight
 
 ROW_MASS_TOL = 1e-9
 
@@ -94,7 +94,7 @@ class Scenario:
     source: str
     mas: MasModel
     constraints: ConstraintSets
-    wcs: WcsModel
+    plants: tuple             # one Plant per link; link i carries plant i's packets
     success: SuccessTable     # measured if given, else derived
     transmit: object          # SuccessTable, or None without fading tables
     cost: StageCost
@@ -387,7 +387,7 @@ def _parse_plants(doc, ctx):
         return None
     errors = len(ctx.errors)
     plants = tuple([_parse_plant(sec, i, doc, ctx) for i, sec in enumerate(plants_raw)])
-    return WcsModel(plants) if len(ctx.errors) == errors else None
+    return plants if len(ctx.errors) == errors else None
 
 
 def _transmit_policy(sec, q, ctx, ln):
@@ -444,42 +444,39 @@ def _fading_row(row, flags, ctx, line, path):
     return links if len(ctx.errors) == errors else None
 
 
-def _fading_tables(fading_raw, flags, model, ctx, ln):
-    """(transmit, derived success) tables from the fading rows, None at a
-    state they do not cover; or None once a violation is reported."""
+def _fading_rows(fading_raw, flags, model, ctx, ln):
+    """{agent state: its `_fading_row`} for the states the fading rows
+    cover, or None once a violation is reported."""
     if not isinstance(fading_raw, dict):
         ctx.err(ln, "channel.fading", "must map agent state -> row")
         return None
-    n = model.state_count
-    transmit = [[None] * n for _ in flags]
-    success = [[None] * n for _ in flags]
     errors = len(ctx.errors)
+    rows = {}
     for key in fading_raw:
         row = fading_raw[key]
         rln = _line(row, _line(fading_raw, ln))
         a = _state_index(key, model, ctx, rln, "channel.fading key %r" % (key,))
         links = _fading_row(row, flags, ctx, rln, "channel.fading[%r]" % (key,))
         if a is not None and links is not None:
-            for i, (t, p) in enumerate(links):
-                transmit[i][a - 1], success[i][a - 1] = t, p
-    if len(ctx.errors) > errors:
-        return None
-    return SuccessTable(n, transmit), SuccessTable(n, success)
+            rows[a] = links
+    return rows if len(ctx.errors) == errors else None
 
 
-def _parse_channel(doc, model, constraints, wcs_model, ctx):
-    """(transmit table or None, success table to use, warnings)."""
+def _parse_channel(doc, model, constraints, plants, ctx):
+    """(`_fading_rows` or None, measured success table or None), or None
+    once a violation is reported.  The N-wide derived tables wait for
+    `_channel_tables`, which runs on a clean document only."""
     sec = _as_map(doc, "channel", ctx, "channel")
-    if sec is None or model is None or wcs_model is None:
-        return None, None, ()
+    if sec is None or model is None or plants is None:
+        return None
     errors = len(ctx.errors)
     ln = _line(sec)
-    q = wcs_model.link_count
+    q = len(plants)
     nn = model.state_count
     flags = _transmit_policy(sec, q, ctx, ln)
-    tables = None
+    rows = None
     if flags is not None and sec.get("fading") is not None:
-        tables = _fading_tables(sec["fading"], flags, model, ctx, ln)
+        rows = _fading_rows(sec["fading"], flags, model, ctx, ln)
 
     direct_raw = sec.get("success_direct")
     direct = None
@@ -487,29 +484,44 @@ def _parse_channel(doc, model, constraints, wcs_model, ctx):
         if not isinstance(direct_raw, list) or len(direct_raw) != q:
             ctx.err(ln, "channel.success_direct", "must list %d rows (one per link)" % q)
         else:
-            rows = [_exact_list(row, nn, ctx, ln, "channel.success_direct[%d]" % i,
-                                "probabilities", lo=0, hi=1)
-                    for i, row in enumerate(direct_raw)]
-            if None not in rows:
-                direct = SuccessTable(nn, rows)
+            measured = [_exact_list(row, nn, ctx, ln, "channel.success_direct[%d]" % i,
+                                    "probabilities", lo=0, hi=1)
+                        for i, row in enumerate(direct_raw)]
+            if None not in measured:
+                direct = SuccessTable(nn, measured)
     if len(ctx.errors) > errors:
-        return None, None, ()
+        return None
+    if direct is None:
+        if rows is None:
+            ctx.err(ln, "channel", "needs fading tables, a direct success table, or both")
+            return None
+        # every admissible state must have a usable success probability
+        for a in sorted(constraints.state_set if constraints is not None else ()):
+            if a not in rows:
+                ctx.err(ln, "channel", "state %d is admissible but not covered" % a)
+    return (rows, direct) if len(ctx.errors) == errors else None
 
-    transmit, derived = tables or (None, None)
-    if direct is not None:
-        warnings = () if derived is None else tuple(
-            "measured success table overrides derived value at link %d, "
-            "state %d: measured %s vs derived %s" % (i + 1, a, float(d), float(e))
-            for i, a, d, e in consistency_gaps(direct, derived))
-        return transmit, direct, warnings
-    if derived is None:
-        ctx.err(ln, "channel", "needs fading tables, a direct success table, or both")
-        return None, None, ()
-    # every admissible state must have a usable success probability
-    for a in sorted(constraints.state_set if constraints is not None else ()):
-        if any(row[a - 1] is None for row in derived.values):
-            ctx.err(ln, "channel", "state %d is admissible but not covered" % a)
-    return (transmit, derived, ()) if len(ctx.errors) == errors else (None, None, ())
+
+def _channel_tables(channel, n, q):
+    """(transmit table or None, success table to use, warnings) over n agent
+    states and q links, from a clean `_parse_channel` result; the derived
+    tables hold None at a state the fading rows do not cover."""
+    rows, direct = channel
+    transmit = derived = None
+    if rows is not None:
+        shares = [[None] * n for _ in range(q)]
+        success = [[None] * n for _ in range(q)]
+        for a, links in rows.items():
+            for i, (t, p) in enumerate(links):
+                shares[i][a - 1], success[i][a - 1] = t, p
+        transmit, derived = SuccessTable(n, shares), SuccessTable(n, success)
+    if direct is None:
+        return transmit, derived, ()
+    warnings = () if derived is None else tuple(
+        "measured success table overrides derived value at link %d, "
+        "state %d: measured %s vs derived %s" % (i + 1, a, float(d), float(e))
+        for i, a, d, e in consistency_gaps(direct, derived))
+    return transmit, direct, warnings
 
 
 def _parse_cost(doc, model, ctx):
@@ -527,7 +539,8 @@ def _parse_cost(doc, model, ctx):
         ctx.err(ln, "cost", "give either input_costs or table, not both")
     elif "input_costs" in sec:
         row = _exact_list(sec["input_costs"], nn, ctx, ln, "cost.input_costs", "entries", lo=0)
-        g = (row,) * nn  # one row object, shared by every state
+        if row is not None:  # N entries listed, so N is bounded by the document
+            g = (row,) * nn  # one row object, shared by every state
     elif "table" in sec:
         table = sec["table"]
         if not isinstance(table, list) or len(table) != nn:
@@ -557,8 +570,8 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
     ctx = _Collector(source)
     model, alpha0 = _parse_agents(doc, ctx)
     constraints = _parse_constraints(doc, model, ctx)
-    wcs_model = _parse_plants(doc, ctx)
-    transmit, success, warnings = _parse_channel(doc, model, constraints, wcs_model, ctx)
+    plants = _parse_plants(doc, ctx)
+    channel = _parse_channel(doc, model, constraints, plants, ctx)
     cost = _parse_cost(doc, model, ctx)
 
     if alpha0 is not None and constraints is not None and alpha0 not in constraints.state_set:
@@ -566,8 +579,8 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
                 "state %d is not in the admissible state set" % alpha0)
 
     s_override = None
-    if "thresholds_override" in doc and wcs_model is not None:
-        s_override = _exact_list(doc["thresholds_override"], wcs_model.link_count, ctx,
+    if "thresholds_override" in doc and plants is not None:
+        s_override = _exact_list(doc["thresholds_override"], len(plants), ctx,
                                  _line(doc), "thresholds_override", "probabilities",
                                  lo=0, hi=1)
 
@@ -580,15 +593,15 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
                 ctx.err(sln, "simulation", "unknown key %r; the section takes only "
                         "'initial_plant_states'" % (key,))
         raw = sim_sec.get("initial_plant_states")
-        if raw is not None and wcs_model is not None:
-            if not isinstance(raw, list) or len(raw) != wcs_model.link_count:
+        if raw is not None and plants is not None:
+            if not isinstance(raw, list) or len(raw) != len(plants):
                 ctx.err(sln, "simulation.initial_plant_states",
-                        "must list %d vectors" % wcs_model.link_count)
+                        "must list %d vectors" % len(plants))
             else:
                 vecs = []
                 for i, v in enumerate(raw):
                     vec = v if isinstance(v, list) else [v]
-                    plant = wcs_model.plants[i]
+                    plant = plants[i]
                     if len(vec) != plant.dim or not all(
                             isinstance(c, (int, float)) and not isinstance(c, bool)
                             and math.isfinite(c) for c in vec):
@@ -596,16 +609,18 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
                                 "must list %d finite numbers" % plant.dim)
                     else:
                         vecs.append(tuple(float(c) for c in vec))
-                if len(vecs) == wcs_model.link_count:
+                if len(vecs) == len(plants):
                     x0 = tuple(vecs)
 
     ctx.raise_if_any()
+    # the clean cost section listed N entries, so N-wide tables are bounded
+    transmit, success, warnings = _channel_tables(channel, model.state_count, len(plants))
 
     return Scenario(
         source=source,
         mas=model,
         constraints=constraints,
-        wcs=wcs_model,
+        plants=plants,
         success=success,
         transmit=transmit,
         cost=cost,

@@ -88,14 +88,9 @@ class StageCost:
         return self.g[a - 1][u - 1]
 
 
-def joint_stage_cost(scenario, a: int, u: int):
-    """Total expected cost of one slow step spent at a applying u."""
-    return _stage_costs(scenario, a, (u,))[0]
-
-
 def _stage_costs(scenario, a: int, inputs) -> list:
-    """joint_stage_cost(scenario, a, u) for each u in inputs, with the
-    radio power term computed once."""
+    """Total expected cost of one slow step spent at a applying u, for
+    each u in inputs, with the radio power term computed once."""
     cost = scenario.cost
     radio = cost.tau * expected_power(scenario, a)
     return [radio + cost.lam * cost.input_cost(a, u) for u in inputs]

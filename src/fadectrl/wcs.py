@@ -18,7 +18,11 @@ theta on negative semidefiniteness of
     M(theta) = theta (A_c' Q A_c - A_o' Q A_o) + A_o' Q A_o - rho Q,
 
 which is monotone in theta whenever the closed loop strictly improves
-on the open loop (the stated precondition).
+on the open loop (the stated precondition).  numpy does the dense
+numerics; this module adds the error contracts (non-contraction,
+infeasibility, indefiniteness) the toolkit reports.  The noise factor
+is a Cholesky whose dot products are index-order sums, so it does not
+depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -27,16 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, PreconditionViolated, ValueOutOfRange
-from .linalg import (
-    bisect_threshold,
-    chol_semidefinite,
-    require_symmetric,
-    solve_dlyap,
-    sym_eigenvalues,
+from .errors import (
+    DimensionMismatch,
+    Infeasible,
+    PreconditionViolated,
+    Unstable,
+    ValueOutOfRange,
 )
 
 DEFINITE_MARGIN = 1e-12
+# midpoints decay_threshold tries: the bracket ends 2**-30 < 1e-9 wide
+_BISECT_STEPS = 30
 
 
 def _square(m, what: str) -> np.ndarray:
@@ -44,6 +49,49 @@ def _square(m, what: str) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("%s must be square, got %s" % (what, m.shape))
     return m
+
+
+def require_symmetric(m, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch("%s must be square, got shape %s" % (what, m.shape))
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if np.max(np.abs(m - m.T)) > tol * scale:
+        raise PreconditionViolated("%s is not symmetric" % what)
+    return 0.5 * (m + m.T)
+
+
+def _dot(u, v) -> float:
+    """u . v summed in index order, so the same on every BLAS kernel."""
+    s = 0.0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
+def chol_semidefinite(m, tol: float = 1e-10) -> np.ndarray:
+    """Lower Cholesky factor of a PSD matrix, zero rows where rank drops.
+
+    Standard algorithm with the pivot clamped at zero; a diagonal entry
+    below -tol*scale means the matrix is not PSD.  Its dot products are
+    index-order sums, so the factor does not depend on the BLAS kernel.
+    """
+    m = require_symmetric(m, what="covariance")
+    n = m.shape[0]
+    scale = max(1.0, float(np.max(np.abs(m))))
+    l = np.zeros_like(m)
+    for j in range(n):
+        d = m[j, j] - _dot(l[j, :j], l[j, :j])
+        if d < -tol * scale:
+            raise PreconditionViolated(
+                "covariance not positive semidefinite (pivot %.3e)" % d
+            )
+        if d <= tol * scale:
+            continue  # rank-deficient direction: leave the row zero
+        l[j, j] = np.sqrt(d)
+        for i in range(j + 1, n):
+            l[i, j] = (m[i, j] - _dot(l[i, :j], l[j, :j])) / l[j, j]
+    return l
 
 
 @dataclass
@@ -78,12 +126,12 @@ class Plant:
         self.q = require_symmetric(_square(self.q, "quality weight"), what="quality weight")
         if self.q.shape != self.a_c.shape:
             raise DimensionMismatch("quality weight shape %s" % (self.q.shape,))
-        if min(sym_eigenvalues(self.q)) <= 0:
+        if min(np.linalg.eigvalsh(self.q)) <= 0:
             raise PreconditionViolated("quality weight must be positive definite")
         self.xi = require_symmetric(_square(self.xi, "noise covariance"), what="noise covariance")
         if self.xi.shape != self.a_c.shape:
             raise DimensionMismatch("noise covariance shape %s" % (self.xi.shape,))
-        if min(sym_eigenvalues(self.xi)) < -1e-10:
+        if min(np.linalg.eigvalsh(self.xi)) < -1e-10:
             raise PreconditionViolated("noise covariance must be positive semidefinite")
         if not 0.0 < float(self.rho) < 1.0:
             raise ValueOutOfRange("decay rate %r outside (0, 1)" % (self.rho,))
@@ -111,30 +159,23 @@ class Plant:
         return chol_semidefinite(self.xi)
 
 
-@dataclass
-class WcsModel:
-    """All loops sharing the medium; link i carries plant i's packets."""
-
-    plants: tuple
-
-    def __post_init__(self):
-        self.plants = tuple(self.plants)
-        if not self.plants:
-            raise DimensionMismatch("need at least one plant")
-
-    @property
-    def link_count(self) -> int:
-        return len(self.plants)
-
-    @property
-    def power_prices(self) -> tuple:
-        return tuple(p.mu for p in self.plants)
-
-
 def default_lyapunov_weight(a_c) -> np.ndarray:
-    """Q solving A_c' Q A_c - Q + I = 0 (the closed loop's natural weight)."""
+    """Q solving A_c' Q A_c - Q + I = 0 (the closed loop's natural weight).
+
+    The solution exists and is unique iff the spectral radius of A_c is
+    below one; otherwise Unstable is raised.  Row-major vectorization
+    turns the equation into (A_c' kron A_c' - I) vec(Q) = -vec(I).
+    """
     a_c = _square(a_c, "closed-loop matrix")
-    return solve_dlyap(a_c, np.eye(a_c.shape[0]))
+    if not np.isfinite(a_c).all():
+        raise Unstable("state matrix has non-finite entries")
+    radius = float(np.max(np.abs(np.linalg.eigvals(a_c)), initial=0.0))
+    if radius >= 1.0:
+        raise Unstable("spectral radius %.6g >= 1" % radius)
+    n = a_c.shape[0]
+    q = np.linalg.solve(np.kron(a_c.T, a_c.T) - np.eye(n * n), -np.eye(n).ravel())
+    q = q.reshape(n, n)
+    return 0.5 * (q + q.T)
 
 
 def decay_threshold(plant: Plant) -> float:
@@ -143,16 +184,29 @@ def decay_threshold(plant: Plant) -> float:
     Precondition: A_c' Q A_c - A_o' Q A_o strictly negative definite
     (every eigenvalue <= -DEFINITE_MARGIN); otherwise the ratio has no
     monotone certificate and PreconditionViolated is raised.  Raises
-    Infeasible when even sure delivery cannot sustain the rate.
+    Infeasible when even sure delivery cannot sustain the rate, and
+    returns 0.0 when the open loop alone does.  Otherwise the result is
+    the upper end of a bisection bracket of width 2**-30 on [0, 1].
     """
     gain = plant.aqa_closed - plant.aqa_open
-    if max(sym_eigenvalues(gain)) > -DEFINITE_MARGIN:
+    if max(np.linalg.eigvalsh(require_symmetric(gain))) > -DEFINITE_MARGIN:
         raise PreconditionViolated(
             "closed loop does not strictly improve on open loop in Q-metric"
         )
     open_term = plant.aqa_open - float(plant.rho) * plant.q
 
     def certified(theta: float) -> bool:
-        return max(sym_eigenvalues(theta * gain + open_term)) <= 0.0
+        return max(np.linalg.eigvalsh(require_symmetric(theta * gain + open_term))) <= 0.0
 
-    return bisect_threshold(certified)
+    if not certified(1.0):
+        raise Infeasible("predicate false at theta = 1")
+    if certified(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -5,9 +5,11 @@ by plain DFS enumeration and by a scalar Karp on Fractions, invariance by
 checking every subset, a prefix into a cycle by scanning the reachable
 layers again, the counter RNG is recomputed on Python integers,
 the co-simulation runs one fast step and one draw call at a time over
-every trial's full trajectory (and the decay check reads it whole), and the
-agent law is rebuilt in the paper's semi-tensor-product (STP) form, so
-the fast implementations have something honest to be compared against.
+every trial's full trajectory (and the decay check reads it whole), the
+running cost is summed one fast step at a time, a threshold comes from a
+generic bisection on a caller's predicate, and the agent law is rebuilt
+in the paper's semi-tensor-product (STP) form, so the fast
+implementations have something honest to be compared against.
 """
 
 from __future__ import annotations
@@ -19,22 +21,24 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fadectrl.channel import SuccessTable
+from fadectrl.channel import SuccessTable, expected_power
 from fadectrl.cosim import (
     LyapunovCheck,
     PlantCheck,
     SimTrace,
     _replay_slow,
-    average_cost_trace,
     counter_normals,
     counter_uniforms,
 )
 from fadectrl.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    Infeasible,
     NoCycle,
+    PreconditionViolated,
     ToolkitError,
     ValueOutOfDomain,
+    ValueOutOfRange,
 )
 from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
 from fadectrl.synthesis import Edge, StageCost, TransitionGraph, out_edges
@@ -211,7 +215,7 @@ def random_mas_instance(rng):
     nn = model.state_count
     states = rng.sample(range(1, nn + 1), rng.randint(1, min(8, nn)))
     inputs = rng.sample(range(1, nn + 1), rng.randint(1, min(4, nn)))
-    constraints = ConstraintSets.uniform(frozenset(states), frozenset(inputs))
+    constraints = ConstraintSets(states, {a: inputs for a in states})
     omega = frozenset(a for a in states if rng.random() < 0.6)
     return model, constraints, omega
 
@@ -229,7 +233,7 @@ def random_scenario(rng):
         alpha0=rng.choice(sorted(constraints.state_set)),
         success=SuccessTable(nn, ([Fraction(a in omega) for a in range(1, nn + 1)],)),
         transmit=SuccessTable(nn, ([Fraction(rng.randint(0, 4), 4) for _ in range(nn)],)),
-        wcs=SimpleNamespace(power_prices=(Fraction(1),)),
+        plants=(SimpleNamespace(mu=Fraction(1)),),
         cost=StageCost(rng.randint(1, 3), Fraction(1),
                        [[rng.randint(0, 3) for _ in range(nn)] for _ in range(nn)]),
     )
@@ -292,7 +296,7 @@ def stepwise_simulate(scenario, schedule, config):
     horizon, trials = config.horizon_fast, config.trials
     alpha_slow, inputs_slow = _replay_slow(scenario, schedule, -(-horizon // tau))
     lam_table = scenario.success.as_array()
-    plants = scenario.wcs.plants
+    plants = scenario.plants
     factors = [plant.noise_factor() for plant in plants]
     states = []
     for i, plant in enumerate(plants):
@@ -319,7 +323,6 @@ def stepwise_simulate(scenario, schedule, config):
         deliveries=deliveries,
         running_cost=average_cost_trace(scenario, schedule, horizon),
         entry_fast=len(schedule.prefix_inputs) * tau,
-        seed=config.seed,
         decay_mean=tuple(d.mean(axis=0) for d in residuals),
         decay_sd=tuple(d.std(axis=0, ddof=1) for d in residuals),
     )
@@ -342,12 +345,12 @@ def _decay_residuals(x, plant) -> np.ndarray:
     return v[:, 1:] - float(plant.rho) * v[:, :-1] - plant.q_xi_trace
 
 
-def full_lyapunov_check(states, wcs_model, start: int) -> LyapunovCheck:
+def full_lyapunov_check(states, plants, start: int) -> LyapunovCheck:
     """The 3-sigma decay check on full (trials, horizon+1, dim) states, from
     fast step `start` on: what the streamed statistics must reproduce."""
     results = []
     all_ok = True
-    for i, plant in enumerate(wcs_model.plants):
+    for i, plant in enumerate(plants):
         x = states[i]
         d = _decay_residuals(x, plant)[:, start:]
         mean = d.mean(axis=0)
@@ -358,6 +361,68 @@ def full_lyapunov_check(states, wcs_model, start: int) -> LyapunovCheck:
         results.append(PlantCheck(i, ok, float(margin[worst]), start + worst))
         all_ok = all_ok and ok
     return LyapunovCheck(all_ok, tuple(results))
+
+
+def average_cost_trace(scenario, schedule, horizon: int) -> np.ndarray:
+    """Running average cost over `horizon` fast steps, one fast step at a
+    time: every step costs the power expectation of its agent state, and
+    the first fast step of each slow step adds lambda times its input cost."""
+    cost = scenario.cost
+    alpha_slow, inputs_slow = _replay_slow(scenario, schedule, -(-horizon // cost.tau))
+    power = {}
+    per_fast = []
+    for l in range(horizon):
+        k, r = divmod(l, cost.tau)
+        a = alpha_slow[k]
+        if a not in power:
+            power[a] = float(expected_power(scenario, a))
+        c = power[a]
+        if r == 0:
+            c += float(cost.lam) * float(cost.input_cost(a, inputs_slow[k]))
+        per_fast.append(c)
+    return np.cumsum(per_fast) / np.arange(1, horizon + 1)
+
+
+# ── Thresholds ───────────────────────────────────────────────────────────────
+
+def bisect_threshold(predicate, tol: float = 1e-9) -> float:
+    """Smallest theta in [0, 1] with predicate(theta) true, to within tol.
+
+    The predicate must be monotone (false below the threshold, true
+    above).  predicate(1) false raises Infeasible; predicate(0) true
+    returns 0.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueOutOfRange("tolerance %g outside (0, 1)" % tol)
+    if not predicate(1.0):
+        raise Infeasible("predicate false at theta = 1")
+    if predicate(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _max_sym_eigenvalue(m) -> float:
+    return max(np.linalg.eigvalsh(0.5 * (m + m.T)))
+
+
+def bisection_threshold(plant) -> float:
+    """The plant's delivery threshold by `bisect_threshold` on negative
+    semidefiniteness of theta (A_c'QA_c - A_o'QA_o) + A_o'QA_o - rho Q,
+    each matrix symmetrized as (M + M')/2 before its eigenvalues."""
+    gain = plant.aqa_closed - plant.aqa_open
+    if _max_sym_eigenvalue(gain) > -1e-12:
+        raise PreconditionViolated("closed loop does not strictly improve on open loop")
+    open_term = plant.aqa_open - float(plant.rho) * plant.q
+    return bisect_threshold(lambda theta: _max_sym_eigenvalue(theta * gain + open_term) <= 0.0)
 
 
 # ── Semi-tensor product algebra ──────────────────────────────────────────────

@@ -28,7 +28,6 @@ from fadectrl.cosim import (
     Schedule,
     SimConfig,
     _replay_slow,
-    average_cost_trace,
     empirical_lyapunov_check,
     simulate,
 )
@@ -55,8 +54,8 @@ def verdict(capsys, label):
 def test_acceptance_1_thresholds(scenario, capsys):
     with verdict(capsys, "1 (delivery thresholds)"):
         t0 = time.perf_counter()
-        s1 = decay_threshold(scenario.wcs.plants[0])
-        s2 = decay_threshold(scenario.wcs.plants[1])
+        s1 = decay_threshold(scenario.plants[0])
+        s2 = decay_threshold(scenario.plants[1])
         elapsed = time.perf_counter() - t0
         assert abs(s2 - 0.104167) <= 1e-6
         assert abs(s1 - 0.29) <= 0.01
@@ -159,8 +158,8 @@ def test_acceptance_7_monte_carlo_verification(scenario, capsys):
 def test_acceptance_8_cost_convergence(scenario, capsys):
     with verdict(capsys, "8 (cost convergence)"):
         t0 = time.perf_counter()
-        optimal = average_cost_trace(scenario, OPTIMAL, 40_000)
-        self_loop = average_cost_trace(
+        optimal = oracles.average_cost_trace(scenario, OPTIMAL, 40_000)
+        self_loop = oracles.average_cost_trace(
             scenario, Schedule((7,), (4,), 4), 40_000
         )
         elapsed = time.perf_counter() - t0

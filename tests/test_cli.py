@@ -1,9 +1,12 @@
 """Command-line front end, driven in-process through main(argv).
 
 Proves:
- Group 1 - thresholds: values on stdout, warnings on stderr, non-finite
-           matrix entries and a plant whose A' Q A overflows exit 1, and
-           so does every command on a plant whose tr(Q Xi) overflows
+ Group 1 - thresholds: values on stdout (the bundled cell's pinned to the
+           byte), warnings on stderr, non-finite matrix entries and a plant
+           whose A' Q A overflows exit 1, and so does every command on a
+           plant whose tr(Q Xi) overflows; 2^40 agent states are rejected
+           by the cost section's length check before any per-state table
+           is built
  Group 2 - check: verdict in text and exit status (0 feasible, 2 not),
            warnings for overrides below the computed thresholds
  Group 3 - synthesize: report/schedule/DOT artifacts, report and schedule
@@ -15,7 +18,8 @@ Proves:
            digest, also on a BLAS kernel without FMA in a child process,
            the decay check is skipped (with its reason) below 100
            trials, down to one trial without a warning, or before the cycle
-           entry, bad inputs exit 1
+           entry, a slow step of 10^12 or 10^30 fast steps runs, bad inputs
+           exit 1, and so does a run too large to allocate, with no artifacts
  Group 5 - usage errors
 """
 
@@ -23,15 +27,18 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
 import fadectrl
-from fadectrl import stabilization
+from fadectrl import load_scenario, stabilization
+from fadectrl.channel import expected_power
 from fadectrl.cli import OUTDIR_ENV, main
 
 # SHA-256 of the bundled cell's trace CSV under its synthesized schedule,
@@ -73,6 +80,34 @@ def test_thresholds_output(scenario_path, outdir, capsys):
     assert "link 1 (arm): s = 0.28937708" in out
     assert "link 2 (conveyor): s = 0.10416666" in out
     assert "warning: measured success table overrides derived value" in err
+
+
+def test_thresholds_stdout_is_pinned(scenario_path, outdir, capsys):
+    assert main(["thresholds", str(scenario_path)]) == 0
+    out, _ = capsys.readouterr()
+    assert out == ("delivery-probability thresholds for %s\n"
+                   "  link 1 (arm): s = 0.2893770859   [decay rate 0.95]\n"
+                   "  link 2 (conveyor): s = 0.104166667   [decay rate 0.9]\n"
+                   % scenario_path)
+
+
+def test_agent_states_past_the_document_are_located_errors(scenario_path, outdir,
+                                                           tmp_path_factory, capsys):
+    # N = 1048576^2 = 2^40 fits 64-bit indices, but a clean cost section
+    # would list N entries; a loader that builds per-state channel tables
+    # before that check runs out of memory instead
+    text = scenario_path.read_text()
+    broken = tmp_path_factory.mktemp("kappa") / "assembly_cell.yaml"
+    broken.write_text(text.replace("  kappa: 3\n", "  kappa: 1048576\n"))
+    t0 = time.perf_counter()
+    assert main(["thresholds", str(broken)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(r":\d+: cost\.input_costs: must list 1099511627776 entries\n", err)
+    assert re.search(r":\d+: channel\.success_direct\[0\]: must list 1099511627776 "
+                     r"probabilities\n", err)
+    assert "Traceback" not in err
 
 
 def test_thresholds_rejects_non_finite_matrix(scenario_path, outdir, tmp_path_factory,
@@ -418,6 +453,60 @@ def test_simulate_horizon_before_cycle_entry_skips_decay_check(scenario_path, ou
     assert "error:" not in err
     assert len((outdir / "assembly_cell.trace.csv").read_text().splitlines()) == 41
     assert "decay check skipped" in (outdir / "assembly_cell.simreport.txt").read_text()
+
+
+@pytest.mark.parametrize("tau", [10 ** 12, 10 ** 30], ids=["1e12", "1e30"])
+def test_simulate_with_a_huge_slow_step(scenario_path, outdir, tmp_path_factory, capsys,
+                                        tau):
+    # the slow-step index of each fast step used to come from tau copies
+    # per slow step, a 7.28 TiB allocation for a 400-step run at 10^12;
+    # 10^30 does not fit numpy's 64-bit integers at all
+    text = scenario_path.read_text()
+    slow = tmp_path_factory.mktemp("tau") / "assembly_cell.yaml"
+    slow.write_text(text.replace("fast_steps_per_slow: 40\n",
+                                 "fast_steps_per_slow: %d\n" % tau))
+    rc, schedule_path = _synth(slow, outdir)
+    assert rc == 0
+    assert _simulate(slow, outdir, schedule_path, 1, trials=100, horizon=400) == 0
+    out, err = capsys.readouterr()
+    assert "error:" not in err
+    rows = (outdir / "assembly_cell.trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 400
+    assert {row.split(",")[1] for row in rows} == {"0"}  # slow step k
+    # all 400 steps sit in slow step 0: the power expectation at the start
+    # state every step, plus the first input's cost once
+    scn = load_scenario(slow)
+    schedule = json.loads(schedule_path.read_text())
+    u0 = (schedule["prefix_inputs"] + schedule["cycle_inputs"])[0]
+    exact = (expected_power(scn, scn.alpha0)
+             + scn.cost.lam * scn.cost.input_cost(scn.alpha0, u0) / 400)
+    assert float(rows[-1].split(",")[-1]) == pytest.approx(float(exact), rel=1e-12, abs=0)
+    assert "final running average cost: %.10g\n" % float(exact) in out
+
+
+def test_simulate_too_large_to_allocate_is_an_error(scenario_path, outdir, capsys):
+    # 10^6 trials x 10^6 steps: the 2 TB delivery buffer cannot be
+    # allocated.  The child's address space is capped at 4 GiB, so the
+    # request fails at once, without touching memory, whatever the
+    # machine's overcommit policy
+    _, schedule_path = _synth(scenario_path, outdir)
+    capsys.readouterr()
+    src = str(Path(fadectrl.__file__).resolve().parents[1])
+    env = dict(os.environ, **{OUTDIR_ENV: str(outdir)})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+            "from fadectrl.cli import main; sys.exit(main(sys.argv[1:]))")
+    run = subprocess.run(
+        [sys.executable, "-c", code, "simulate", str(scenario_path),
+         "--schedule", str(schedule_path), "--seed", "1",
+         "--trials", "1000000", "--horizon", "1000000"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert re.search(r"\nerror: Unable to allocate .* for an array\b", run.stderr)
+    assert sorted(p.name for p in outdir.iterdir()) == ["assembly_cell.report.txt",
+                                                          "assembly_cell.schedule.json"]
 
 
 def test_simulate_rejects_bad_schedule_json(scenario_path, outdir, capsys):

@@ -39,7 +39,6 @@ from fadectrl.cosim import (
     SIM_BLOCK,
     Schedule,
     SimConfig,
-    average_cost_trace,
     counter_normals,
     counter_uniforms,
     empirical_lyapunov_check,
@@ -54,7 +53,12 @@ from fadectrl.errors import (
     ValueOutOfRange,
 )
 from fadectrl.scenario import load_scenario_text
-from oracles import full_lyapunov_check, integer_uniforms, stepwise_simulate
+from oracles import (
+    average_cost_trace,
+    full_lyapunov_check,
+    integer_uniforms,
+    stepwise_simulate,
+)
 
 OPTIMAL = Schedule(prefix_inputs=(), cycle_inputs=(7, 7, 4, 7), alpha0=4)
 # reaches the self-loop at state 2 and stays: long-run mean 27/40
@@ -420,7 +424,7 @@ def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
         if start >= horizon:
             continue
         streamed = empirical_lyapunov_check(got, from_step=start)
-        full = full_lyapunov_check(full_states, scenario.wcs, start)
+        full = full_lyapunov_check(full_states, scenario.plants, start)
         assert streamed.passed == full.passed
         for a, b in zip(streamed.plants, full.plants, strict=True):
             assert (a.plant, a.passed, a.worst_step) == (b.plant, b.passed, b.worst_step)
@@ -445,8 +449,8 @@ def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon):
     # covers the matmul recursion at dim 3 and the scalar recursion with a
     # noise factor other than 1 (the bundled conveyor's factor is exactly 1)
     scn = load_scenario_text(MIXED_PLANTS)
-    assert [p.dim for p in scn.wcs.plants] == [3, 1]
-    assert scn.wcs.plants[1].noise_factor()[0, 0] == np.sqrt(2.0)
+    assert [p.dim for p in scn.plants] == [3, 1]
+    assert scn.plants[1].noise_factor()[0, 0] == np.sqrt(2.0)
     _assert_matches_stepwise_oracle(scn, SimConfig(horizon, 37, 2**63 + 5, x0=scn.x0))
 
 
@@ -455,7 +459,7 @@ def test_simulate_matches_stepwise_oracle_on_quality_weights(horizon):
     # every other scenario here gives its scalar plant Q = 1, so only this
     # one tells q x^2 from x^2 in the decay statistics
     scn = load_scenario_text(QUALITY_WEIGHTS)
-    arm, belt = scn.wcs.plants
+    arm, belt = scn.plants
     assert arm.q[0, 1] == 0.7 and belt.q[0, 0] == 2.5
     _assert_matches_stepwise_oracle(scn, SimConfig(horizon, 29, 11, x0=scn.x0))
 
@@ -485,7 +489,7 @@ def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario):
     # step (38 MB here); streaming keeps one block of them, so a step adds
     # only its uint8 deliveries, trial 0's states and two statistics
     trials, horizon = 400, 4000
-    plants = scenario.wcs.plants
+    plants = scenario.plants
     full_states = sum(trials * (horizon + 1) * p.dim * 8 for p in plants)
     per_step = trials * len(plants) + 8 * sum(p.dim + 2 for p in plants)
     short = _simulate_peak_bytes(scenario, trials, SIM_BLOCK)

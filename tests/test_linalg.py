@@ -1,11 +1,13 @@
-"""Dense numeric kernel.
+"""Dense linear algebra inside `fadectrl.wcs`.
 
 Proves:
- Group 1 - solve_dlyap: worked 2x2 value, Kronecker-vectorization oracle,
-           slow-but-stable dynamics, Unstable exactly for spectral
-           radius >= 1
- Group 2 - symmetric eigenvalues vs numpy oracle and invariants
- Group 3 - bisect_threshold boundary semantics
+ Group 1 - the Lyapunov weight A_c' Q A_c - Q + I = 0: worked 2x2 value,
+           Kronecker-vectorization oracle, slow-but-stable dynamics,
+           Unstable exactly for spectral radius >= 1
+ Group 2 - the `require_symmetric` contract
+ Group 3 - the threshold bisection's boundary semantics: 0.0 when the open
+           loop already meets the rate, Infeasible when sure delivery does
+           not, and a known threshold found to within the bracket width
  Group 4 - semidefinite Cholesky, including rank-deficient input, equal
            bit for bit to an index-order pure-Python factorization
 """
@@ -20,14 +22,13 @@ from fadectrl.errors import (
     Infeasible,
     PreconditionViolated,
     Unstable,
-    ValueOutOfRange,
 )
-from fadectrl.linalg import (
-    bisect_threshold,
+from fadectrl.wcs import (
+    Plant,
     chol_semidefinite,
+    decay_threshold,
+    default_lyapunov_weight,
     require_symmetric,
-    solve_dlyap,
-    sym_eigenvalues,
 )
 
 A_C1 = np.array([[-0.1, -0.1], [0.1, 0.2]])
@@ -35,15 +36,15 @@ A_C1 = np.array([[-0.1, -0.1], [0.1, 0.2]])
 
 # ── Group 1: discrete Lyapunov equation ──────────────────────────────────────
 
-def _dlyap_kron_oracle(a, c):
-    # a' q a - q + c = 0 vectorized row-major: (a' kron a') vec(q) - vec(q) = -vec(c)
+def _dlyap_kron_oracle(a):
+    # a' q a - q + I = 0 vectorized row-major: (a' kron a') vec(q) - vec(q) = -vec(I)
     n = a.shape[0]
     lhs = np.kron(a.T, a.T) - np.eye(n * n)
-    return np.linalg.solve(lhs, -c.ravel()).reshape(n, n)
+    return np.linalg.solve(lhs, -np.eye(n).ravel()).reshape(n, n)
 
 
 def test_dlyap_worked_value():
-    q = solve_dlyap(A_C1, np.eye(2))
+    q = default_lyapunov_weight(A_C1)
     expect = np.array([[1.02010510, 0.03031228], [0.03031228, 1.05102975]])
     assert np.max(np.abs(q - expect)) < 1e-7
 
@@ -53,60 +54,37 @@ def test_dlyap_matches_kronecker_oracle():
     for n in (1, 2, 3, 4):
         a = rng.normal(size=(n, n))
         a *= 0.8 / max(np.abs(np.linalg.eigvals(a)))
-        c = rng.normal(size=(n, n))
-        c = c @ c.T + np.eye(n)
-        q = solve_dlyap(a, c)
-        assert np.max(np.abs(q - _dlyap_kron_oracle(a, c))) < 1e-8
+        q = default_lyapunov_weight(a)
+        assert np.max(np.abs(q - _dlyap_kron_oracle(a))) < 1e-8
         # the solution of a'qa - q + I = 0 for a stable a is positive definite
-        assert np.max(np.abs(a.T @ q @ a - q + c)) <= 1e-9
-        assert min(np.linalg.eigvalsh(0.5 * (q + q.T))) > 0
+        assert np.max(np.abs(a.T @ q @ a - q + np.eye(n))) <= 1e-9
+        assert np.array_equal(q, q.T)
+        assert min(np.linalg.eigvalsh(q)) > 0
 
 
 def test_dlyap_slow_stable_scalar():
     # a fixed-point iteration needs ~10^4 sweeps here; the direct solve
     # returns the exact value 1 / (1 - 0.999^2)
-    q = solve_dlyap(np.array([[0.999]]), np.eye(1))
+    q = default_lyapunov_weight(np.array([[0.999]]))
     assert abs(q[0, 0] - 1.0 / (1.0 - 0.999 ** 2)) < 1e-9
     assert abs(q[0, 0] - 500.2501250625) < 1e-6
 
 
 def test_dlyap_unstable_raises():
+    with pytest.raises(Unstable, match="spectral radius 1.1 >= 1"):
+        default_lyapunov_weight(np.array([[1.1, 0.0], [0.0, 0.5]]))
     with pytest.raises(Unstable):
-        solve_dlyap(np.array([[1.1, 0.0], [0.0, 0.5]]), np.eye(2))
-    with pytest.raises(Unstable):
-        solve_dlyap(np.eye(2), np.eye(2))  # spectral radius exactly 1
-    with pytest.raises(Unstable):
-        solve_dlyap(np.array([[np.nan]]), np.eye(1))
+        default_lyapunov_weight(np.eye(2))  # spectral radius exactly 1
+    with pytest.raises(Unstable, match="non-finite entries"):
+        default_lyapunov_weight(np.array([[np.nan]]))
 
 
 def test_dlyap_shape_errors():
     with pytest.raises(DimensionMismatch):
-        solve_dlyap(np.ones((2, 3)), np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        solve_dlyap(np.eye(2), np.eye(3))
+        default_lyapunov_weight(np.ones((2, 3)))
 
 
-# ── Group 2: symmetric eigenvalues ────────────────────────────────────────────
-
-def test_eigenvalues_analytic_2x2():
-    vals = sym_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(vals, [1.0, 3.0], atol=1e-12)
-
-
-def test_eigenvalues_match_numpy_oracle():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 3, 5, 8):
-        m = rng.normal(size=(n, n))
-        m = 0.5 * (m + m.T)
-        vals = sym_eigenvalues(m)
-        assert np.all(np.diff(vals) >= -1e-12)  # ascending
-        assert np.allclose(vals, np.linalg.eigvalsh(m), atol=1e-9)
-        # trace and determinant are preserved by the spectrum
-        assert abs(vals.sum() - np.trace(m)) < 1e-9
-        assert abs(np.prod(vals) - np.linalg.det(m)) < 1e-8 * max(
-            1.0, abs(np.linalg.det(m))
-        )
-
+# ── Group 2: symmetric input ─────────────────────────────────────────────────
 
 def test_require_symmetric_contract():
     with pytest.raises(PreconditionViolated):
@@ -115,22 +93,32 @@ def test_require_symmetric_contract():
         require_symmetric(np.ones((2, 3)))
     out = require_symmetric(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert np.array_equal(out, out.T)
+    # within the tolerance the matrix is averaged with its transpose
+    near = np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]])
+    assert np.array_equal(require_symmetric(near), 0.5 * (near + near.T))
 
 
-# ── Group 3: bisection ───────────────────────────────────────────────────────
+# ── Group 3: the threshold bisection ─────────────────────────────────────────
+
+def _scalar_plant(target: float) -> Plant:
+    """A scalar loop with threshold `target`: with a_c = 0, a_o = 1 and
+    q = 1, theta (0 - 1) + 1 - rho <= 0 at theta >= 1 - rho."""
+    return Plant([[0.0]], [[1.0]], [[1.0]], 1.0 - target, [[1.0]], 1.0)
+
 
 def test_bisect_finds_known_threshold():
     for target in (0.3737, 0.5, 1e-4, 0.9999):
-        got = bisect_threshold(lambda t, s=target: t >= s)
-        assert target <= got <= target + 2e-9
+        got = decay_threshold(_scalar_plant(target))
+        # the bracket ends 2**-30 wide; the certificate itself rounds
+        assert target - 1e-12 <= got <= target + 2 ** -30 + 1e-12
 
 
 def test_bisect_boundary_semantics():
-    assert bisect_threshold(lambda t: True) == 0.0
-    with pytest.raises(Infeasible):
-        bisect_threshold(lambda t: False)
-    with pytest.raises(ValueOutOfRange):
-        bisect_threshold(lambda t: t >= 0.5, tol=2.0)
+    # the open loop alone meets the rate: a_o^2 = 0.81 <= rho = 0.9
+    assert decay_threshold(Plant([[0.2]], [[0.9]], [[1.0]], 0.9, [[1.0]], 1.0)) == 0.0
+    # even sure delivery leaves a_c^2 = 0.25 above rho = 0.2
+    with pytest.raises(Infeasible, match="predicate false at theta = 1"):
+        decay_threshold(Plant([[0.5]], [[1.5]], [[1.0]], 0.2, [[1.0]], 1.0))
 
 
 # ── Group 4: semidefinite Cholesky ───────────────────────────────────────────

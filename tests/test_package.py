@@ -9,6 +9,8 @@ Proves:
  Group 3 - every function the benchmark traces (perfbench/tracing.py's
            TARGETS) is a callable of the module it names, read with `ast`
            so that no benchmark module is imported
+ Group 4 - every name the package exports has a caller: another package
+           module uses it, or README's library example does
 """
 
 import ast
@@ -24,6 +26,7 @@ PACKAGE = Path(fadectrl.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 PYPROJECT = TESTS.parent / "pyproject.toml"
 TRACING = TESTS.parent / "perfbench" / "tracing.py"
+README = TESTS.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -111,3 +114,33 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def _used_names(tree) -> set:
+    """Names a module reads: bare names and attribute names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_export_has_a_caller():
+    init = PACKAGE / "__init__.py"
+    exported = sorted(
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    assert "decay_threshold" in exported
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path != init:
+            used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    example = re.search(r"^## Library\n+```python\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    assert example
+    used |= _used_names(ast.parse(example.group(1)))
+    assert [name for name in exported if name not in used] == []

@@ -110,7 +110,7 @@ def test_bundled_scenario_identity(scenario):
     assert scenario.mas.n == 2 and scenario.mas.kappa == 3
     assert scenario.constraints.state_set == frozenset({1, 2, 3, 4, 5, 6})
     assert scenario.constraints.inputs_for(4) == frozenset({4, 5, 7, 8})
-    assert scenario.wcs.link_count == 2
+    assert len(scenario.plants) == 2
     # link 1 transmits in local states 0..2 of state 2's row [0.1, 0.1, 0.3, 0.5]
     assert scenario.transmit.prob(0, 2) == Fraction("0.5")
     assert scenario.transmit.prob(1, 2) == Fraction("0.4")
@@ -411,7 +411,7 @@ def test_duplicate_keys_are_rejected(bundled_text, old, new, key, line):
 def test_merge_keys_may_be_overridden():
     text = MINIMAL.replace("  - a_closed: 0.5\n", "  - &loop\n    a_closed: 0.5\n") + (
         "spare: {<<: *loop, a_closed: 0.25}\n")
-    assert load_scenario_text(text).wcs.plants[0].a_c[0, 0] == 0.5
+    assert load_scenario_text(text).plants[0].a_c[0, 0] == 0.5
 
 
 class _PythonLineLoader(_LineMixin, yaml.SafeLoader):
@@ -523,7 +523,7 @@ def test_lyapunov_weight_for_slow_stable_loop():
     text = MINIMAL.replace("  - a_closed: 0.5\n", "  - a_closed: 0.999\n").replace(
         "    quality_weight: 1.0\n", "    quality_weight: lyapunov\n")
     scn = load_scenario_text(text)
-    q = scn.wcs.plants[0].q
+    q = scn.plants[0].q
     assert abs(q[0, 0] - 1.0 / (1.0 - 0.999 ** 2)) < 1e-9
 
 
@@ -592,7 +592,7 @@ def test_one_edit_is_rejected_or_runs_to_a_result(edit):
         scn = load_scenario_text(_edited(edit))
     except (ParseError, ValidationError):
         return
-    for name in ("mas", "constraints", "wcs", "success", "cost", "alpha0"):
+    for name in ("mas", "constraints", "plants", "success", "cost", "alpha0"):
         assert getattr(scn, name) is not None, name
     try:  # the thresholds the CLI uses: the document's override, else computed
         thresholds, _ = _thresholds(scn, None)

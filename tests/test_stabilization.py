@@ -26,7 +26,7 @@ from fadectrl.stabilization import (
 from oracles import brute_invariant, random_mas_instance
 
 MODEL = MasModel(2, 3, ({0: 1, 1: 2}, {0: 1, 1: 1}))
-CONSTRAINTS = ConstraintSets.uniform(frozenset(range(1, 7)), frozenset({4, 5, 7, 8}))
+CONSTRAINTS = ConstraintSets(range(1, 7), {a: {4, 5, 7, 8} for a in range(1, 7)})
 THRESHOLDS = (Fraction("0.29"), Fraction("0.10"))
 
 

@@ -38,8 +38,8 @@ from fadectrl.synthesis import (
     Edge,
     StageCost,
     TransitionGraph,
+    _stage_costs,
     build_graph,
-    joint_stage_cost,
     karp_min_mean_cycle,
     out_edges,
     synthesize,
@@ -115,10 +115,9 @@ def test_loaded_input_costs_share_one_row(scenario):
 
 
 def test_joint_stage_cost_exact(scenario):
-    c = joint_stage_cost(scenario, 2, 4)
+    c, = _stage_costs(scenario, 2, (4,))
     assert c == 27 and isinstance(c, Fraction)
-    c = joint_stage_cost(scenario, 5, 5)
-    assert c == 32
+    assert _stage_costs(scenario, 5, (5, 4)) == [32, 26]
 
 
 # ── Group 2: the frozen graph ────────────────────────────────────────────────
@@ -166,7 +165,7 @@ def test_out_edges_cover_reach_exactly(scenario):
             for u in inputs:
                 assert successor_index(mas, a, u) == b
                 assert u in constraints.inputs_for(a)
-            costs = {u: joint_stage_cost(scenario, a, u) for u in inputs}
+            costs = dict(zip(inputs, _stage_costs(scenario, a, inputs)))
             assert edge.weight == min(costs.values())
             assert edge.steering == tuple(u for u in sorted(costs)
                                           if costs[u] == edge.weight)

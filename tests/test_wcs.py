@@ -8,26 +8,36 @@ Proves:
    4. scaling the quality weight leaves the threshold unchanged
    5. weaker decay rates need less delivery
    6. precondition and infeasibility contracts
+   7. the same float, bit for bit, as the generic bisection oracle on the
+      bundled plants and on random stable 1-4-dim plants
  Group 2 - model plumbing
-   7. the quadratic terms and noise floor stored at construction
-   8. construction-time validation, a non-finite noise floor included
+   8. the quadratic terms and noise floor stored at construction
+   9. construction-time validation, a non-finite noise floor included
+  10. a loaded scenario's plants are its links, priced by their mu
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fadectrl.channel import expected_power
 from fadectrl.errors import (
     DimensionMismatch,
     Infeasible,
     PreconditionViolated,
+    ToolkitError,
     ValueOutOfRange,
 )
 from fadectrl.wcs import (
     Plant,
-    WcsModel,
     decay_threshold,
     default_lyapunov_weight,
 )
+from oracles import bisection_threshold
 
 A_C1 = np.array([[-0.1, -0.1], [0.1, 0.2]])
 A_O1 = np.array([[-1.0, -0.4], [-0.5, 0.3]])
@@ -97,6 +107,44 @@ def test_threshold_infeasible_rate():
         decay_threshold(p)
 
 
+def _outcome(threshold, plant):
+    """The threshold's float as hex, or the type of the error it raised."""
+    try:
+        return threshold(plant).hex()
+    except ToolkitError as e:
+        return type(e)
+
+
+def test_threshold_equals_bisection_oracle_on_bundled_plants(scenario):
+    got = [decay_threshold(p).hex() for p in scenario.plants]
+    assert got == [bisection_threshold(p).hex() for p in scenario.plants]
+    assert [float.fromhex(h) for h in got] == pytest.approx([S1_FROZEN, S2_CLOSED_FORM],
+                                                           abs=2 ** -30)
+
+
+@st.composite
+def _stable_plants(draw):
+    """A plant of dimension 1-4 whose closed loop is stable (radius below
+    0.95) and whose open loop is its closed loop scaled up and perturbed,
+    with the Lyapunov or the identity weight."""
+    n = draw(st.integers(1, 4))
+    entries = hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0, width=64))
+    a_c = draw(entries)
+    radius = max(np.abs(np.linalg.eigvals(a_c)))
+    assume(radius > 1e-3)
+    a_c = a_c * (draw(st.floats(0.05, 0.95)) / radius)
+    a_o = draw(st.floats(1.5, 4.0)) * a_c + 0.1 * draw(entries)
+    q = default_lyapunov_weight(a_c) if draw(st.booleans()) else np.eye(n)
+    return Plant(a_c, a_o, q, draw(st.floats(0.05, 0.99)), np.eye(n), 1.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(plant=_stable_plants())
+def test_threshold_equals_bisection_oracle(plant):
+    got = _outcome(decay_threshold, plant)
+    assert got == _outcome(bisection_threshold, plant)
+
+
 # ── Group 2: model plumbing ──────────────────────────────────────────────────
 
 def test_noise_floor_is_weighted_trace():
@@ -135,9 +183,10 @@ def test_plant_validation():
         Plant([[0.2]], [[1.0]], [[1e300]], 0.9, [[1e300]], 0.5, name="belt")
 
 
-def test_wcs_model_plumbing():
-    model = WcsModel((_arm(), _conveyor()))
-    assert model.link_count == 2
-    assert model.power_prices == (0.25, 0.5)
-    with pytest.raises(DimensionMismatch):
-        WcsModel(())
+def test_wcs_model_plumbing(scenario):
+    # link i carries plant i's packets; its power price is that plant's mu
+    assert [p.name for p in scenario.plants] == ["arm", "conveyor"]
+    assert [p.mu for p in scenario.plants] == [Fraction("0.25"), Fraction("0.5")]
+    for a in sorted(scenario.constraints.state_set):
+        assert expected_power(scenario, a) == sum(
+            p.mu * scenario.transmit.prob(i, a) for i, p in enumerate(scenario.plants))
