@@ -6,7 +6,7 @@ eventually-periodic agent schedule (minimum-mean cycle), and verifies
 the closed loop by Monte-Carlo co-simulation.
 """
 
-from .channel import SuccessTable, expected_power
+from .channel import expected_power
 from .cosim import (
     Schedule,
     SimConfig,

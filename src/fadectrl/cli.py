@@ -9,7 +9,8 @@ Subcommands:
 Artifacts land in the directory named by FADECTRL_OUTDIR (default: the
 current directory).  Exit status: 0 on success, 2 when the scenario is
 infeasible for the requested thresholds, 1 on any input or usage error
-(a run too large to allocate included).
+(a run too large to allocate, or an artifact that cannot be written,
+included).
 Scenarios that fail validation produce no artifacts.
 """
 
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,8 +76,29 @@ def create_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(path, e: OSError) -> ToolkitError:
+    return ToolkitError("cannot write %s: %s" % (path, e.strerror or e))
+
+
 def _outdir() -> Path:
-    return Path(os.environ.get(OUTDIR_ENV, "."))
+    """The artifact directory, created if missing."""
+    outdir = Path(os.environ.get(OUTDIR_ENV, "."))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _cannot_write(outdir, e) from e
+    return outdir
+
+
+@contextmanager
+def _artifact(path: Path, newline=None):
+    """path opened for writing; an OSError while opening or writing it
+    is an error that names the path."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as e:
+        raise _cannot_write(path, e) from e
 
 
 def _fmt(x) -> str:
@@ -221,19 +244,15 @@ def cmd_synthesize(args) -> int:
     print(text, end="")
 
     outdir = _outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
-    (outdir / (stem + ".report.txt")).write_text(text)
-    with open(outdir / (stem + ".schedule.json"), "w") as fh:
+    with _artifact(outdir / (stem + ".report.txt")) as fh:
+        fh.write(text)
+    with _artifact(outdir / (stem + ".schedule.json")) as fh:
         json.dump(result.schedule.to_dict(), fh, indent=2)
         fh.write("\n")
     if args.dot:
-        dot_path = Path(args.dot)
-        if not dot_path.is_absolute():
-            dot_path = outdir / dot_path
-        dot_path.write_text(
-            to_dot(result.graph, scn.mas.state_count, result.cycle_states)
-        )
+        with _artifact(outdir / args.dot) as fh:  # an absolute --dot replaces outdir
+            fh.write(to_dot(result.graph, scn.mas.state_count, result.cycle_states))
     print("artifacts: %s.report.txt, %s.schedule.json%s in %s"
           % (stem, stem, (", " + args.dot) if args.dot else "", outdir),
           file=sys.stderr)
@@ -246,7 +265,7 @@ def cmd_simulate(args) -> int:
     try:
         with open(args.schedule) as fh:
             schedule = Schedule.from_dict(json.load(fh))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError("cannot read schedule %s: %s" % (args.schedule, e)) from e
     except (json.JSONDecodeError, ParseError) as e:
         raise ParseError("schedule %s is not valid: %s" % (args.schedule, e)) from e
@@ -276,11 +295,11 @@ def cmd_simulate(args) -> int:
     print(text, end="")
 
     outdir = _outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
-    with open(outdir / (stem + ".trace.csv"), "w", newline="") as fh:
+    with _artifact(outdir / (stem + ".trace.csv"), newline="") as fh:
         write_trace_csv(trace, fh)
-    (outdir / (stem + ".simreport.txt")).write_text(text)
+    with _artifact(outdir / (stem + ".simreport.txt")) as fh:
+        fh.write(text)
     print("artifacts: %s.trace.csv, %s.simreport.txt in %s" % (stem, stem, outdir),
           file=sys.stderr)
     return 0

@@ -48,7 +48,6 @@ from .errors import (
     InitialStateViolatesConstraint,
     InsufficientTrials,
     ParseError,
-    PreconditionViolated,
     ScheduleViolation,
     ValueOutOfRange,
 )
@@ -272,12 +271,10 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
 
     plants = scenario.plants
     q = len(plants)
-    lam_table = scenario.success.as_array()  # (links, N)
-    for a in set(alpha_slow):
-        if np.isnan(lam_table[:, a - 1]).any():
-            raise PreconditionViolated(
-                "success probabilities missing at visited state %d" % a
-            )
+    visited = sorted(set(alpha_slow))
+    # (links, visited states): the replay keeps every visited state admissible,
+    # and the loader gives every admissible state a success probability
+    lam_table = np.array([scenario.success[a] for a in visited], dtype=float).T
 
     x0 = config.x0
     if x0 is not None and len(x0) != q:
@@ -302,7 +299,7 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     # time-major, so a block writes whole (trials,) rows; the trace keeps
     # the (trials, horizon, links) view of it
     delivered = np.empty((horizon, q, trials), dtype=np.uint8)
-    state_cols = (np.asarray(alpha_slow) - 1)[_slow_steps(tau, horizon)]
+    state_cols = np.searchsorted(visited, alpha_slow)[_slow_steps(tau, horizon)]
     for start in range(0, horizon, SIM_BLOCK):
         stop = min(start + SIM_BLOCK, horizon)
         n = stop - start

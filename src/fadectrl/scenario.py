@@ -10,11 +10,11 @@ Agent states and inputs may be written as 1-based basis indices; list
 entries may also be value tuples, mapping keys may not.  Probabilities
 and costs are re-read as exact fractions of their decimal spelling so
 downstream comparisons and cycle means are exact.  Validation collects
-every violation (with file line numbers) before rejecting, and a
-rejected scenario produces no objects at all.  Each section parser
-returns its object exactly when it reported no violation since it
-began, so a check that needs an earlier value runs only on a clean one
-and reports nothing twice.
+every violation (with file line numbers) before rejecting, a mapping
+with fixed keys takes no other key, and a rejected scenario produces no
+objects at all.  Each section parser returns its object exactly when it
+reported no violation since it began, so a check that needs an earlier
+value runs only on a clean one and reports nothing twice.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import SuccessTable, consistency_gaps
+from .channel import consistency_gaps
 from .errors import ParseError, ToolkitError, ValidationError
 from .mas import ConstraintSets, MasModel, require_index_range, to_index
 from .synthesis import StageCost
@@ -95,8 +95,8 @@ class Scenario:
     mas: MasModel
     constraints: ConstraintSets
     plants: tuple             # one Plant per link; link i carries plant i's packets
-    success: SuccessTable     # measured if given, else derived
-    transmit: object          # SuccessTable, or None without fading tables
+    success: dict             # {agent state: per-link success}, measured if given
+    transmit: object          # {agent state: per-link transmit share}, or None
     cost: StageCost
     alpha0: int
     s_override: tuple = None
@@ -123,7 +123,17 @@ class _Collector:
             raise ValidationError(self.errors)
 
 
-def _as_map(doc, key, ctx, path, required=True):
+def _known_keys(sec, keys, ctx, path):
+    """Report each key of the mapping sec that is not one of keys."""
+    for key in sec:
+        if key not in keys:
+            ctx.err(_line(sec), path, "unknown key %r; the section takes only %s"
+                    % (key, ", ".join(map(repr, keys))))
+
+
+def _as_map(doc, key, ctx, path, keys, required=True):
+    """The mapping doc[key], its unknown keys reported, or None once
+    reported missing or not a mapping."""
     v = doc.get(key)
     if v is None:
         if required:
@@ -132,6 +142,7 @@ def _as_map(doc, key, ctx, path, required=True):
     if not isinstance(v, dict):
         ctx.err(_line(doc), path, "'%s' must be a mapping" % key)
         return None
+    _known_keys(v, keys, ctx, path)
     return v
 
 
@@ -254,7 +265,8 @@ def _index_set(v, model, ctx, line, path, what):
 def _parse_agents(doc, ctx):
     """(model, initial state); each is None exactly when its part of the
     section reported a violation."""
-    sec = _as_map(doc, "agents", ctx, "agents")
+    sec = _as_map(doc, "agents", ctx, "agents",
+                  ("count", "kappa", "weights", "initial_state"))
     if sec is None:
         return None, None
     errors = len(ctx.errors)
@@ -305,7 +317,7 @@ def _parse_agents(doc, ctx):
 
 
 def _parse_constraints(doc, model, ctx):
-    sec = _as_map(doc, "constraints", ctx, "constraints")
+    sec = _as_map(doc, "constraints", ctx, "constraints", ("states", "inputs"))
     if sec is None or model is None:
         return None
     errors = len(ctx.errors)
@@ -348,6 +360,8 @@ def _parse_plant(sec, i, doc, ctx):
     if not isinstance(sec, dict):
         ctx.err(_line(doc), path, "each plant must be a mapping")
         return None
+    _known_keys(sec, ("name", "a_closed", "a_open", "quality_weight", "decay_rate",
+                      "noise_cov", "power_price"), ctx, path)
     errors = len(ctx.errors)
     ln = _line(sec)
     a_c = _matrix(sec.get("a_closed"), ctx, ln, path + ".a_closed")
@@ -410,11 +424,13 @@ def _transmit_policy(sec, q, ctx, ln):
 
 
 def _fading_row(row, flags, ctx, line, path):
-    """Per link, (transmit share, decode probability times that share) of
-    one agent state's fading row, or None once its violations are reported."""
+    """(per-link transmit shares, per-link decode probability times that
+    share) of one agent state's fading row, or None once its violations
+    are reported."""
     if not isinstance(row, dict):
         ctx.err(line, path, "must be a mapping")
         return None
+    _known_keys(row, ("decode", "dist"), ctx, path)
     errors = len(ctx.errors)
     decode = _as_list(row, "decode", ctx, path + ".decode")
     dist = _as_list(row, "dist", ctx, path + ".dist")
@@ -423,7 +439,7 @@ def _fading_row(row, flags, ctx, line, path):
     if len(decode) != len(flags) or len(dist) != len(flags):
         ctx.err(line, path, "decode/dist must carry one entry per link (%d)" % len(flags))
         return None
-    links = []
+    shares, success = [], []
     for i, sends in enumerate(flags):
         e = _exact(decode[i], ctx, line, path + ".decode[%d]" % i, lo=0, hi=1)
         probs = _exact_list(dist[i], len(sends), ctx, line, path + ".dist[%d]" % i,
@@ -440,33 +456,36 @@ def _fading_row(row, flags, ctx, line, path):
             ctx.err(line, path + ".dist[%d]" % i,
                     "transmitting probabilities sum to %s, above 1" % float(sent))
         elif e is not None:
-            links.append((sent, e * sent))
-    return links if len(ctx.errors) == errors else None
+            shares.append(sent)
+            success.append(e * sent)
+    return (tuple(shares), tuple(success)) if len(ctx.errors) == errors else None
 
 
 def _fading_rows(fading_raw, flags, model, ctx, ln):
-    """{agent state: its `_fading_row`} for the states the fading rows
-    cover, or None once a violation is reported."""
+    """({agent state: transmit shares}, {agent state: derived success}) over
+    the states the fading rows cover, or None once a violation is reported."""
     if not isinstance(fading_raw, dict):
         ctx.err(ln, "channel.fading", "must map agent state -> row")
         return None
     errors = len(ctx.errors)
-    rows = {}
+    transmit, success = {}, {}
     for key in fading_raw:
         row = fading_raw[key]
         rln = _line(row, _line(fading_raw, ln))
         a = _state_index(key, model, ctx, rln, "channel.fading key %r" % (key,))
-        links = _fading_row(row, flags, ctx, rln, "channel.fading[%r]" % (key,))
-        if a is not None and links is not None:
-            rows[a] = links
-    return rows if len(ctx.errors) == errors else None
+        probs = _fading_row(row, flags, ctx, rln, "channel.fading[%r]" % (key,))
+        if a is not None and probs is not None:
+            transmit[a], success[a] = probs
+    return (transmit, success) if len(ctx.errors) == errors else None
 
 
 def _parse_channel(doc, model, constraints, plants, ctx):
-    """(`_fading_rows` or None, measured success table or None), or None
-    once a violation is reported.  The N-wide derived tables wait for
-    `_channel_tables`, which runs on a clean document only."""
-    sec = _as_map(doc, "channel", ctx, "channel")
+    """(transmit mapping or None, success mapping to use, warnings), or None
+    once a violation is reported.  Every mapping holds only states the
+    document lists: the fading rows' states, or all N states of a measured
+    table, which then takes precedence."""
+    sec = _as_map(doc, "channel", ctx, "channel",
+                  ("local_states", "transmit_policy", "fading", "success_direct"))
     if sec is None or model is None or plants is None:
         return None
     errors = len(ctx.errors)
@@ -474,9 +493,9 @@ def _parse_channel(doc, model, constraints, plants, ctx):
     q = len(plants)
     nn = model.state_count
     flags = _transmit_policy(sec, q, ctx, ln)
-    rows = None
+    transmit = derived = None
     if flags is not None and sec.get("fading") is not None:
-        rows = _fading_rows(sec["fading"], flags, model, ctx, ln)
+        transmit, derived = _fading_rows(sec["fading"], flags, model, ctx, ln) or (None, None)
 
     direct_raw = sec.get("success_direct")
     direct = None
@@ -488,35 +507,18 @@ def _parse_channel(doc, model, constraints, plants, ctx):
                                     "probabilities", lo=0, hi=1)
                         for i, row in enumerate(direct_raw)]
             if None not in measured:
-                direct = SuccessTable(nn, measured)
+                direct = dict(enumerate(zip(*measured), start=1))
     if len(ctx.errors) > errors:
         return None
     if direct is None:
-        if rows is None:
+        if derived is None:
             ctx.err(ln, "channel", "needs fading tables, a direct success table, or both")
             return None
         # every admissible state must have a usable success probability
         for a in sorted(constraints.state_set if constraints is not None else ()):
-            if a not in rows:
+            if a not in derived:
                 ctx.err(ln, "channel", "state %d is admissible but not covered" % a)
-    return (rows, direct) if len(ctx.errors) == errors else None
-
-
-def _channel_tables(channel, n, q):
-    """(transmit table or None, success table to use, warnings) over n agent
-    states and q links, from a clean `_parse_channel` result; the derived
-    tables hold None at a state the fading rows do not cover."""
-    rows, direct = channel
-    transmit = derived = None
-    if rows is not None:
-        shares = [[None] * n for _ in range(q)]
-        success = [[None] * n for _ in range(q)]
-        for a, links in rows.items():
-            for i, (t, p) in enumerate(links):
-                shares[i][a - 1], success[i][a - 1] = t, p
-        transmit, derived = SuccessTable(n, shares), SuccessTable(n, success)
-    if direct is None:
-        return transmit, derived, ()
+        return (transmit, derived, ()) if len(ctx.errors) == errors else None
     warnings = () if derived is None else tuple(
         "measured success table overrides derived value at link %d, "
         "state %d: measured %s vs derived %s" % (i + 1, a, float(d), float(e))
@@ -525,7 +527,7 @@ def _channel_tables(channel, n, q):
 
 
 def _parse_cost(doc, model, ctx):
-    sec = _as_map(doc, "cost", ctx, "cost")
+    sec = _as_map(doc, "cost", ctx, "cost", ("input_weight", "input_costs", "table"))
     errors = len(ctx.errors)
     # tau does not depend on the agent model, so it is checked without one
     tau = _as_int(doc.get("fast_steps_per_slow"), ctx, _line(doc),
@@ -568,6 +570,9 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
         raise ParseError("%s: document must be a key-value mapping" % source)
 
     ctx = _Collector(source)
+    _known_keys(doc, ("name", "fast_steps_per_slow", "plants", "agents", "constraints",
+                      "channel", "cost", "thresholds_override", "simulation"),
+                ctx, "top level")
     model, alpha0 = _parse_agents(doc, ctx)
     constraints = _parse_constraints(doc, model, ctx)
     plants = _parse_plants(doc, ctx)
@@ -585,13 +590,10 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
                                  lo=0, hi=1)
 
     x0 = None
-    sim_sec = _as_map(doc, "simulation", ctx, "simulation", required=False)
+    sim_sec = _as_map(doc, "simulation", ctx, "simulation", ("initial_plant_states",),
+                      required=False)
     if sim_sec is not None:
         sln = _line(sim_sec)
-        for key in sim_sec:
-            if key != "initial_plant_states":
-                ctx.err(sln, "simulation", "unknown key %r; the section takes only "
-                        "'initial_plant_states'" % (key,))
         raw = sim_sec.get("initial_plant_states")
         if raw is not None and plants is not None:
             if not isinstance(raw, list) or len(raw) != len(plants):
@@ -613,8 +615,7 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
                     x0 = tuple(vecs)
 
     ctx.raise_if_any()
-    # the clean cost section listed N entries, so N-wide tables are bounded
-    transmit, success, warnings = _channel_tables(channel, model.state_count, len(plants))
+    transmit, success, warnings = channel
 
     return Scenario(
         source=source,
@@ -636,6 +637,6 @@ def load_scenario(path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError("cannot read scenario %s: %s" % (p, e)) from e
     return load_scenario_text(text, str(p))

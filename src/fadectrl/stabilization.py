@@ -50,18 +50,20 @@ class ReachabilityLayers:
 
 
 def omega_set(success, thresholds, constraints: ConstraintSets) -> PerformanceRegion:
-    """Admissible states whose success probabilities clear all thresholds."""
+    """Admissible states whose success probabilities clear all thresholds;
+    success maps each admissible state to its per-link probabilities."""
     thresholds = tuple(thresholds)
-    if len(thresholds) != success.link_count:
-        raise PreconditionViolated(
-            "%d thresholds for %d links" % (len(thresholds), success.link_count)
-        )
     for s in thresholds:
         if not 0 <= s <= 1:
             raise PreconditionViolated("threshold %r outside [0, 1]" % (s,))
     keep = []
     for a in sorted(constraints.state_set):
-        if all(success.prob(i, a) >= thresholds[i] for i in range(len(thresholds))):
+        probs = success[a]
+        if len(probs) != len(thresholds):
+            raise PreconditionViolated(
+                "%d thresholds for %d links" % (len(thresholds), len(probs))
+            )
+        if all(p >= s for p, s in zip(probs, thresholds)):
             keep.append(a)
     return PerformanceRegion(frozenset(keep), thresholds)
 

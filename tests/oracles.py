@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fadectrl.channel import SuccessTable, expected_power
+from fadectrl.channel import expected_power
 from fadectrl.cosim import (
     LyapunovCheck,
     PlantCheck,
@@ -231,8 +231,8 @@ def random_scenario(rng):
         mas=model,
         constraints=constraints,
         alpha0=rng.choice(sorted(constraints.state_set)),
-        success=SuccessTable(nn, ([Fraction(a in omega) for a in range(1, nn + 1)],)),
-        transmit=SuccessTable(nn, ([Fraction(rng.randint(0, 4), 4) for _ in range(nn)],)),
+        success={a: (Fraction(a in omega),) for a in range(1, nn + 1)},
+        transmit={a: (Fraction(rng.randint(0, 4), 4),) for a in range(1, nn + 1)},
         plants=(SimpleNamespace(mu=Fraction(1)),),
         cost=StageCost(rng.randint(1, 3), Fraction(1),
                        [[rng.randint(0, 3) for _ in range(nn)] for _ in range(nn)]),
@@ -295,7 +295,6 @@ def stepwise_simulate(scenario, schedule, config):
     tau = scenario.cost.tau
     horizon, trials = config.horizon_fast, config.trials
     alpha_slow, inputs_slow = _replay_slow(scenario, schedule, -(-horizon // tau))
-    lam_table = scenario.success.as_array()
     plants = scenario.plants
     factors = [plant.noise_factor() for plant in plants]
     states = []
@@ -307,8 +306,8 @@ def stepwise_simulate(scenario, schedule, config):
     deliveries = np.zeros((trials, horizon, len(plants)), dtype=np.uint8)
     for l in range(horizon):
         a = alpha_slow[l // tau]
-        for i, plant in enumerate(plants):
-            ok = counter_uniforms(config.seed, 2 * i, l, 0, trials) <= lam_table[i, a - 1]
+        for i, (plant, p) in enumerate(zip(plants, scenario.success[a])):
+            ok = counter_uniforms(config.seed, 2 * i, l, 0, trials) <= float(p)
             deliveries[:, l, i] = ok
             z = counter_normals(config.seed, 2 * i + 1, l, plant.dim, trials)
             x = states[i]

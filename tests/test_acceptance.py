@@ -141,12 +141,11 @@ def test_acceptance_7_monte_carlo_verification(scenario, capsys):
         config = SimConfig(horizon_fast=160, trials=10_000, seed=2026,
                            x0=scenario.x0)
         trace = simulate(scenario, OPTIMAL, config)
-        lam = scenario.success.as_array()
         for slow, a in enumerate(trace.alpha_slow):
             window = trace.deliveries[:, slow * 40 : (slow + 1) * 40, :]
             count = window.shape[0] * window.shape[1]
             for link in range(2):
-                p = lam[link, a - 1]
+                p = float(scenario.success[a][link])
                 bound = 3.0 * np.sqrt(p * (1.0 - p) / count)
                 assert abs(window[:, :, link].mean() - p) <= bound
         check = empirical_lyapunov_check(trace)

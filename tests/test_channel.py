@@ -4,23 +4,18 @@ Proves:
  Group 1 - probability algebra on tiny scenario documents, exactly
  Group 2 - the bundled scenario's tables reproduce the measured
            success rows (one documented disagreement aside)
- Group 3 - table validation and index contracts (the fading tables
-           themselves are validated by the loader, see test_scenario)
+ Group 3 - the radio power of a state no fading row covers is a
+           precondition error (the fading tables themselves are validated
+           by the loader, see test_scenario)
 """
 
 import dataclasses
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from fadectrl.channel import SuccessTable, consistency_gaps, expected_power
-from fadectrl.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    PreconditionViolated,
-    ValueOutOfRange,
-)
+from fadectrl.channel import consistency_gaps, expected_power
+from fadectrl.errors import PreconditionViolated
 from fadectrl.scenario import load_scenario_text
 
 F = Fraction
@@ -65,19 +60,14 @@ def _tiny():
 
 def test_transmit_prob_masks_by_policy():
     transmit, _ = _tiny()
-    assert transmit.prob(0, 1) == F("0.6")
-    assert transmit.prob(0, 2) == F("0.2")
-    assert transmit.prob(1, 1) == 1
-    assert transmit.prob(1, 2) == 1
+    assert transmit == {1: (F("0.6"), 1), 2: (F("0.2"), 1)}
 
 
 def test_success_prob_scales_by_decode():
     _, success = _tiny()
-    assert success.prob(0, 1) == F("0.9") * F("0.6")
-    assert success.prob(0, 2) == F("0.5") * F("0.2")
-    assert success.prob(1, 1) == F("0.7")
-    assert success.prob(1, 2) == F("0.3")
-    assert all(isinstance(p, Fraction) for p in success.values[0][:2])
+    assert success == {1: (F("0.9") * F("0.6"), F("0.7")),
+                       2: (F("0.5") * F("0.2"), F("0.3"))}
+    assert all(isinstance(p, Fraction) for probs in success.values() for p in probs)
 
 
 def test_transmit_sums_stay_exact():
@@ -85,10 +75,10 @@ def test_transmit_sums_stay_exact():
     # must still be an exact zero, as every other entry is an exact sum
     scn = _tiny_scenario(policy="[[0, 0], [1, 0]]", fading=(
         "    1: {decode: [0.9, 0.5], dist: [[0.6, 0.4], [0.3, 0.7]]}",), states="[1]", kappa=2)
-    assert scn.transmit.values == ((F(0), None), (F("0.3"), None))
-    assert scn.success.values == ((F(0), None), (F("0.15"), None))
+    assert scn.transmit == {1: (F(0), F("0.3"))}
+    assert scn.success == {1: (F(0), F("0.15"))}
     for table in (scn.transmit, scn.success):
-        assert all(isinstance(p, Fraction) for row in table.values for p in row[:1])
+        assert all(isinstance(p, Fraction) for p in table[1])
 
 
 def test_expected_power_prices_transmissions():
@@ -102,32 +92,27 @@ def test_expected_power_prices_transmissions():
 
 def test_derived_success_table():
     _, table = _tiny()
-    assert table.prob(0, 1) == F("0.54")
-    assert table.values[1][2] is None
-    arr = table.as_array()
-    assert arr.shape == (2, 3)
-    assert np.isnan(arr[1, 2]) and arr[0, 0] == 0.54
+    assert table[1][0] == F("0.54")
+    assert sorted(table) == [1, 2]  # state 3 has no fading row
 
 
 def test_uncovered_state_contracts():
-    transmit, success = _tiny()
-    assert transmit.values[1] == (1, 1, None)
-    with pytest.raises(PreconditionViolated):
-        transmit.prob(1, 3)
-    with pytest.raises(PreconditionViolated):
-        success.prob(1, 3)
-    with pytest.raises(IndexOutOfRange):
-        transmit.prob(2, 1)
-    with pytest.raises(IndexOutOfRange):
-        transmit.prob(0, 4)
+    scn = _tiny_scenario()
+    assert 3 not in scn.transmit and 3 not in scn.success
+    with pytest.raises(PreconditionViolated, match="state 3"):
+        expected_power(scn, 3)
 
 
 def test_consistency_gaps_reports_disagreements():
     _, derived = _tiny()
-    direct = SuccessTable(3, ((F("0.54"), F("0.2"), None), (F("0.7"), F("0.3"), None)))
+    direct = {1: (F("0.54"), F("0.7")), 2: (F("0.2"), F("0.3")), 3: (F(0), F(0))}
     assert consistency_gaps(direct, derived) == [(0, 2, F("0.2"), F("0.1"))]
-    agree = SuccessTable(3, ((F("0.54"), F("0.105"), None), (F("0.7"), F("0.3"), None)))
+    agree = {1: (F("0.54"), F("0.7")), 2: (F("0.105"), F("0.3"))}
     assert consistency_gaps(agree, derived) == []
+    # ordered by link, then state
+    far = {1: (F(0), F(0)), 2: (F(0), F(0))}
+    assert [gap[:2] for gap in consistency_gaps(far, derived)] == [
+        (0, 1), (0, 2), (1, 1), (1, 2)]
 
 
 # ── Group 2: the bundled tables vs the measured rows ─────────────────────────
@@ -149,13 +134,13 @@ def test_bundled_derivation_matches_measurements(scenario, scenario_path):
         for a in range(1, 10):
             if (i, a) == (1, 5):
                 continue
-            assert abs(direct.prob(i, a) - derived.prob(i, a)) <= F("0.005")
+            assert abs(direct[a][i] - derived[a][i]) <= F("0.005")
 
 
 def test_bundled_success_prefers_measurements(scenario, scenario_path):
-    assert scenario.success.prob(0, 2) == F("0.33")
-    assert scenario.success.prob(1, 5) == F("0.10")
-    assert _derived_only(scenario_path).success.prob(1, 5) == F("0.075")
+    assert scenario.success[2][0] == F("0.33")
+    assert scenario.success[5][1] == F("0.10")
+    assert _derived_only(scenario_path).success[5][1] == F("0.075")
     assert any("link 2" in w and "state 5" in w for w in scenario.warnings)
 
 
@@ -166,23 +151,10 @@ def test_bundled_power_expectations(scenario):
         assert expected_power(scenario, a) == expect
 
 
-# ── Group 3: validation ──────────────────────────────────────────────────────
+# ── Group 3: states outside the fading rows ──────────────────────────────────
 
-def test_success_table_validation():
-    with pytest.raises(ValueOutOfRange):
-        SuccessTable(2, ((F("0.5"), F("1.5")),))
-    with pytest.raises(DimensionMismatch):
-        SuccessTable(2, ((F("0.5"),),))
-    table = SuccessTable(2, ((F("0.5"), None),))
-    with pytest.raises(PreconditionViolated):
-        table.prob(0, 2)
-    with pytest.raises(DimensionMismatch):
-        consistency_gaps(table, SuccessTable(1, ((F("0.5"),),)))
-
-
-@pytest.mark.parametrize("link, state", [(0, 0), (-1, 3), (0, 10), (2, 1)])
-def test_success_table_prob_checks_indices(scenario, link, state):
-    # state 0 used to wrap to state 9 and link -1 to the last link
-    for table in (scenario.success, scenario.transmit):
-        with pytest.raises(IndexOutOfRange):
-            table.prob(link, state)
+@pytest.mark.parametrize("state", [0, -1, 10])
+def test_expected_power_needs_a_fading_row(scenario, state):
+    # state 0 used to wrap to state 9 and -1 to state 8
+    with pytest.raises(PreconditionViolated, match="state %d" % state):
+        expected_power(scenario, state)

@@ -8,11 +8,13 @@ Proves:
            by the cost section's length check before any per-state table
            is built
  Group 2 - check: verdict in text and exit status (0 feasible, 2 not),
-           warnings for overrides below the computed thresholds
+           warnings for overrides below the computed thresholds, misspelt
+           optional keys exit 1
  Group 3 - synthesize: report/schedule/DOT artifacts, report and schedule
            bytes pinned with the start on and off the cycle, infeasible runs
-           and scenarios without channel tables leave nothing behind,
-           each stabilization stage runs once
+           and scenarios without channel tables or without a fading row
+           for a usable state leave nothing behind, an artifact that cannot
+           be written is one error line, each stabilization stage runs once
  Group 4 - simulate: trace and report artifacts, decay verdict, same
            seed gives byte-identical traces that match a pinned golden
            digest, also on a BLAS kernel without FMA in a child process,
@@ -20,7 +22,7 @@ Proves:
            trials, down to one trial without a warning, or before the cycle
            entry, a slow step of 10^12 or 10^30 fast steps runs, bad inputs
            exit 1, and so does a run too large to allocate, with no artifacts
- Group 5 - usage errors
+ Group 5 - usage errors; an input file that is not UTF-8 is named
 """
 
 import hashlib
@@ -70,6 +72,14 @@ def outdir(tmp_path, monkeypatch):
 def _synth(scenario_path, outdir, *extra):
     rc = main(["synthesize", str(scenario_path), *extra])
     return rc, outdir / "assembly_cell.schedule.json"
+
+
+def _one_error(err):
+    """The single `error:` line of a run's stderr, which has no traceback."""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    return errors[0]
 
 
 # ── Group 1: thresholds ──────────────────────────────────────────────────────
@@ -194,6 +204,21 @@ def test_check_feasible(scenario_path, outdir, capsys):
     assert "[override]" in out  # the bundled file pins its thresholds
 
 
+def test_check_rejects_misspelt_optional_keys(scenario_path, outdir, tmp_path_factory,
+                                             capsys):
+    # both used to be ignored: the computed thresholds applied and the arm
+    # kept an identity noise covariance
+    text = scenario_path.read_text()
+    broken = tmp_path_factory.mktemp("keys") / "assembly_cell.yaml"
+    broken.write_text(text.replace("thresholds_override:", "thresholds_overide:").replace(
+        "    noise_cov: identity\n", "    noise_covariance: [[4.0, 0], [0, 4.0]]\n"))
+    assert main(["check", str(broken)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(r":\d+: top level: unknown key 'thresholds_overide'", err)
+    assert re.search(r":\d+: plants\[0\]: unknown key 'noise_covariance'", err)
+
+
 def test_check_infeasible_thresholds(scenario_path, outdir, capsys):
     assert main(["check", str(scenario_path), "--s-override", "0.99,0.99"]) == 2
     out, _ = capsys.readouterr()
@@ -306,6 +331,47 @@ def test_synthesize_direct_table_only_is_an_error(scenario_path, outdir,
     assert "error: expected radio power undefined: scenario has no channel tables" in err
     assert "Traceback" not in err
     assert list(outdir.iterdir()) == []
+
+
+def test_synthesize_state_without_fading_row_is_an_error(scenario_path, outdir,
+                                                       tmp_path_factory, capsys):
+    # the measured table covers state 5, so the region is defined, but the
+    # radio power of state 5, which the schedule may visit, is not
+    text = scenario_path.read_text()
+    row = text[text.index("    5: {decode"):text.index("    6: {decode")]
+    cut = tmp_path_factory.mktemp("row5") / "assembly_cell.yaml"
+    cut.write_text(text.replace(row, ""))
+    assert main(["check", str(cut)]) == 0
+    capsys.readouterr()
+    assert main(["synthesize", str(cut)]) == 1
+    _, err = capsys.readouterr()
+    assert _one_error(err) == (
+        "error: expected radio power undefined at state 5: no fading row covers it")
+    assert list(outdir.iterdir()) == []
+
+
+def test_synthesize_dot_in_a_missing_directory_is_an_error(scenario_path, outdir, capsys):
+    rc, _ = _synth(scenario_path, outdir, "--dot", "nodir/g.dot")
+    assert rc == 1
+    _, err = capsys.readouterr()
+    assert _one_error(err).startswith("error: cannot write %s: " % (outdir / "nodir" / "g.dot"))
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_outdir_naming_a_file_is_an_error(scenario_path, tmp_path, monkeypatch, capsys,
+                                          command):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(GOLDEN_SYNTHESIS["[1, 0]"][1])
+    blocker = tmp_path / "out"
+    blocker.write_text("")
+    monkeypatch.setenv(OUTDIR_ENV, str(blocker))
+    argv = {"synthesize": [],
+            "simulate": ["--schedule", str(schedule), "--seed", "1", "--trials", "4",
+                         "--horizon", "40"]}[command]
+    assert main([command, str(scenario_path), *argv]) == 1
+    _, err = capsys.readouterr()
+    assert _one_error(err).startswith("error: cannot write %s: " % blocker)
+    assert blocker.read_text() == ""
 
 
 def test_synthesize_stabilizes_once(scenario_path, outdir, monkeypatch, capsys):
@@ -535,12 +601,28 @@ def test_simulate_rejects_missing_schedule(scenario_path, outdir, capsys):
     assert "cannot read schedule" in err
 
 
+def test_simulate_names_an_undecodable_schedule(scenario_path, outdir, capsys):
+    bad = outdir / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + GOLDEN_SYNTHESIS["[1, 0]"][1].encode())
+    assert _simulate(scenario_path, outdir, bad, seed=1) == 1
+    _, err = capsys.readouterr()
+    assert _one_error(err).startswith("error: cannot read schedule %s: 'utf-8' codec" % bad)
+
+
 # ── Group 5: usage errors ────────────────────────────────────────────────────
 
 def test_missing_scenario_file(outdir, capsys):
     assert main(["thresholds", str(outdir / "absent.yaml")]) == 1
     _, err = capsys.readouterr()
     assert "cannot read scenario" in err
+
+
+def test_undecodable_scenario_file_is_named(scenario_path, outdir, capsys):
+    bad = outdir / "utf16.yaml"
+    bad.write_bytes(b"\xff\xfe" + scenario_path.read_bytes())
+    assert main(["thresholds", str(bad)]) == 1
+    _, err = capsys.readouterr()
+    assert _one_error(err).startswith("error: cannot read scenario %s: 'utf-8' codec" % bad)
 
 
 def test_unknown_subcommand(outdir, capsys):

@@ -365,12 +365,11 @@ def test_simulate_sure_delivery_closed_form():
 
 def test_simulate_delivery_frequencies(scenario):
     trace = simulate(scenario, OPTIMAL, SimConfig(160, 3000, 42, x0=scenario.x0))
-    lam = scenario.success.as_array()
     for slow, a in enumerate(trace.alpha_slow):
         window = trace.deliveries[:, slow * 40 : (slow + 1) * 40, :]
         count = window.shape[0] * window.shape[1]
         for i in range(2):
-            p = lam[i, a - 1]
+            p = float(scenario.success[a][i])
             bound = 3.0 * np.sqrt(p * (1 - p) / count)
             assert abs(window[:, :, i].mean() - p) <= bound
 

@@ -6,18 +6,20 @@ Proves:
            violation reported exactly once (an agent count past the index
            range before any per-agent check), and every violation in a
            document is reported at once; a mapping shown in a message
-           shows only its data
+           shows only its data; an unknown key in any fixed-key mapping
+           is a located violation
  Group 3 - parse failures (invalid YAML, a key written twice, a tuple
            mapping key) and unreadable paths raise ParseError, and the
            libyaml and pure-Python loaders agree on documents, the line of
-           every mapping, and errors
+           every mapping, and errors; an undecodable file is named
  Group 4 - small synthetic documents exercise the alternate spellings
            (per-state input maps, scalar plants, no direct table, a
            Lyapunov weight for a slow-but-stable loop)
  Group 5 - any one edit of the bundled document (a value replaced, a key
            deleted or a key added) is rejected, or loads to a complete
-           scenario whose thresholds, stabilization and synthesis end in
-           a result or a ToolkitError
+           scenario that maps every admissible state to one success
+           probability per link, and whose thresholds, stabilization and
+           synthesis end in a result or a ToolkitError
 """
 
 import copy
@@ -112,8 +114,7 @@ def test_bundled_scenario_identity(scenario):
     assert scenario.constraints.inputs_for(4) == frozenset({4, 5, 7, 8})
     assert len(scenario.plants) == 2
     # link 1 transmits in local states 0..2 of state 2's row [0.1, 0.1, 0.3, 0.5]
-    assert scenario.transmit.prob(0, 2) == Fraction("0.5")
-    assert scenario.transmit.prob(1, 2) == Fraction("0.4")
+    assert scenario.transmit[2] == (Fraction("0.5"), Fraction("0.4"))
 
 
 def test_bundled_cost_and_thresholds_are_exact(scenario):
@@ -126,8 +127,8 @@ def test_bundled_cost_and_thresholds_are_exact(scenario):
 
 def test_bundled_success_precedence(scenario):
     # measured 0.10 wins over the derived 0.25 (decode) * 0.3 (transmit)
-    assert scenario.success.prob(1, 5) == Fraction("0.10")
-    assert scenario.transmit.prob(1, 5) == Fraction("0.3")
+    assert scenario.success[5][1] == Fraction("0.10")
+    assert scenario.transmit[5][1] == Fraction("0.3")
 
 
 def test_bundled_warning_text(scenario):
@@ -298,6 +299,21 @@ def test_simulation_section_is_checked(bundled_text, old, new, field, message):
     _reject_once(bundled_text, old, new, field, message)
 
 
+@pytest.mark.parametrize("old, new, field, key", [
+    ("thresholds_override:", "thresholds_overide:", "top level", "thresholds_overide"),
+    ("    noise_cov: identity\n", "    noise_covariance: [[4.0, 0], [0, 4.0]]\n",
+     "plants[0]", "noise_covariance"),
+    ("  kappa: 3\n", "  kappa: 3\n  kapa: 3\n", "agents", "kapa"),
+    ("constraints:\n", "constraints:\n  input: [1]\n", "constraints", "input"),
+    ("  local_states: 4\n", "  local_states: 4\n  local_state: 4\n", "channel", "local_state"),
+    ("    9: {decode:", "    9: {decoded: [1], decode:", "channel.fading[9]", "decoded"),
+    ("  input_weight: 1\n", "  input_weight: 1\n  input_wieght: 2\n", "cost", "input_wieght"),
+], ids=["top_level", "plant", "agents", "constraints", "channel", "fading_row", "cost"])
+def test_unknown_keys_are_located(bundled_text, old, new, field, key):
+    # each edit used to load with the misspelt key silently ignored
+    _reject_once(bundled_text, old, new, field, "unknown key %r; the section takes only" % key)
+
+
 @pytest.mark.parametrize("old, new, field, message", [
     # used to load with agent 1's weight on neighbour 5 dropped, and no model
     ("1: {1: 1, 2: 2}", "1: {1: 1, 2: 2, 5: 1}",
@@ -409,9 +425,13 @@ def test_duplicate_keys_are_rejected(bundled_text, old, new, key, line):
 
 
 def test_merge_keys_may_be_overridden():
-    text = MINIMAL.replace("  - a_closed: 0.5\n", "  - &loop\n    a_closed: 0.5\n") + (
-        "spare: {<<: *loop, a_closed: 0.25}\n")
-    assert load_scenario_text(text).plants[0].a_c[0, 0] == 0.5
+    text = MINIMAL.replace(
+        "    1: {decode: [1.0], dist: [[1.0]]}\n"
+        "    2: {decode: [0.5], dist: [[1.0]]}\n",
+        "    1: &row1 {decode: [1.0], dist: [[1.0]]}\n"
+        "    2: {<<: *row1, decode: [0.5]}\n")
+    assert text != MINIMAL
+    assert load_scenario_text(text).success == {1: (1,), 2: (Fraction(1, 2),)}
 
 
 class _PythonLineLoader(_LineMixin, yaml.SafeLoader):
@@ -471,6 +491,14 @@ def test_missing_file(tmp_path):
         load_scenario(tmp_path / "absent.yaml")
 
 
+def test_undecodable_file_is_named(tmp_path):
+    path = tmp_path / "utf16.yaml"
+    path.write_bytes(b"\xff\xfe" + MINIMAL.encode())
+    with pytest.raises(ParseError, match="cannot read scenario %s: 'utf-8' codec can't decode"
+                       % re.escape(str(path))):
+        load_scenario(path)
+
+
 # ── Group 4: synthetic documents ─────────────────────────────────────────────
 
 def test_minimal_scenario_loads_clean():
@@ -481,8 +509,8 @@ def test_minimal_scenario_loads_clean():
     assert scn.cost.tau == 4
     assert scn.source == "probe.yaml"
     assert scn.s_override is None and scn.x0 is None
-    assert scn.transmit.prob(0, 2) == 1
-    assert scn.success.prob(0, 2) == Fraction(1, 2)
+    assert scn.transmit == {1: (1,), 2: (1,)}
+    assert scn.success == {1: (1,), 2: (Fraction(1, 2),)}
 
 
 def test_cost_table_checks_every_row():
@@ -516,7 +544,7 @@ def test_direct_table_alone_suffices():
     )
     scn = load_scenario_text(text)
     assert scn.transmit is None
-    assert scn.success.prob(0, 1) == Fraction(1)
+    assert scn.success == {1: (1,), 2: (Fraction(1, 2),)}
 
 
 def test_lyapunov_weight_for_slow_stable_loop():
@@ -594,6 +622,13 @@ def test_one_edit_is_rejected_or_runs_to_a_result(edit):
         return
     for name in ("mas", "constraints", "plants", "success", "cost", "alpha0"):
         assert getattr(scn, name) is not None, name
+    # every admissible state has a success probability on each link, and
+    # every transmit entry a share on each link
+    links = len(scn.plants)
+    for a in scn.constraints.state_set:
+        assert len(scn.success[a]) == links, a
+    for shares in (scn.transmit or {}).values():
+        assert len(shares) == links
     try:  # the thresholds the CLI uses: the document's override, else computed
         thresholds, _ = _thresholds(scn, None)
         synthesize(scn, stabilize(scn, thresholds))

@@ -189,4 +189,4 @@ def test_wcs_model_plumbing(scenario):
     assert [p.mu for p in scenario.plants] == [Fraction("0.25"), Fraction("0.5")]
     for a in sorted(scenario.constraints.state_set):
         assert expected_power(scenario, a) == sum(
-            p.mu * scenario.transmit.prob(i, a) for i, p in enumerate(scenario.plants))
+            p.mu * t for p, t in zip(scenario.plants, scenario.transmit[a]))
