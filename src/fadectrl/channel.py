@@ -16,10 +16,10 @@ transmission attempts:
 
 The scenario loader validates the fading rows and maps each agent state
 a row describes to its per-link transmit shares and success
-probabilities, kept as exact numbers (fractions); the rows may cover
-only the admissible agent states.  A measured success table can be
-supplied directly for all states and then takes precedence over the
-derived one (consistency_gaps reports where the two disagree).
+probabilities, exact sums and products of the document's decimals; the
+rows may cover only the admissible agent states.  A measured success
+table can be supplied directly for all states and then takes precedence
+over the derived one (consistency_gaps reports where the two disagree).
 """
 
 from __future__ import annotations

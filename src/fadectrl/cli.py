@@ -11,16 +11,16 @@ current directory).  Exit status: 0 on success, 2 when the scenario is
 infeasible for the requested thresholds, 1 on any input or usage error
 (a run too large to allocate, or an artifact that cannot be written,
 included).
-Scenarios that fail validation produce no artifacts.
+A run that exits nonzero writes no artifact: a command writes all or none.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,22 +90,35 @@ def _outdir() -> Path:
     return outdir
 
 
-@contextmanager
-def _artifact(path: Path, newline=None):
-    """path opened for writing; an OSError while opening or writing it
-    is an error that names the path."""
+def _write_artifacts(artifacts: dict):
+    """Write every artifact or none.  Each path maps to its text or to a
+    function that streams it to a file; each goes to a temporary file beside
+    its path, and all are renamed into place once all are written."""
+    temps = {}
     try:
-        with open(path, "w", newline=newline) as fh:
-            yield fh
+        for path, content in artifacts.items():
+            if path.is_dir():  # a rename onto it would fail after others landed
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            temps[path] = path.with_name(".%s.%d.tmp" % (path.name, os.getpid()))
+            with open(temps[path], "w", newline="") as fh:
+                if callable(content):
+                    content(fh)
+                else:
+                    fh.write(content)
+        for path, temp in temps.items():
+            os.replace(temp, path)
     except OSError as e:
         raise _cannot_write(path, e) from e
+    finally:  # a temporary file is left only when something failed
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
-        return "%s (= %.10g)" % (x, float(x))
+        return "%d/%d (= %.10g)" % (x.numerator, x.denominator, x)
     xf = float(x)
     if xf.is_integer():
         return str(int(xf))
@@ -245,14 +258,13 @@ def cmd_synthesize(args) -> int:
 
     outdir = _outdir()
     stem = Path(args.scenario).stem
-    with _artifact(outdir / (stem + ".report.txt")) as fh:
-        fh.write(text)
-    with _artifact(outdir / (stem + ".schedule.json")) as fh:
-        json.dump(result.schedule.to_dict(), fh, indent=2)
-        fh.write("\n")
-    if args.dot:
-        with _artifact(outdir / args.dot) as fh:  # an absolute --dot replaces outdir
-            fh.write(to_dot(result.graph, scn.mas.state_count, result.cycle_states))
+    artifacts = {outdir / (stem + ".report.txt"): text,
+                 outdir / (stem + ".schedule.json"):
+                     json.dumps(result.schedule.to_dict(), indent=2) + "\n"}
+    if args.dot:  # an absolute --dot replaces outdir
+        artifacts[outdir / args.dot] = to_dot(result.graph, scn.mas.state_count,
+                                              result.cycle_states)
+    _write_artifacts(artifacts)
     print("artifacts: %s.report.txt, %s.schedule.json%s in %s"
           % (stem, stem, (", " + args.dot) if args.dot else "", outdir),
           file=sys.stderr)
@@ -296,10 +308,8 @@ def cmd_simulate(args) -> int:
 
     outdir = _outdir()
     stem = Path(args.scenario).stem
-    with _artifact(outdir / (stem + ".trace.csv"), newline="") as fh:
-        write_trace_csv(trace, fh)
-    with _artifact(outdir / (stem + ".simreport.txt")) as fh:
-        fh.write(text)
+    _write_artifacts({outdir / (stem + ".trace.csv"): lambda fh: write_trace_csv(trace, fh),
+                      outdir / (stem + ".simreport.txt"): text})
     print("artifacts: %s.trace.csv, %s.simreport.txt in %s" % (stem, stem, outdir),
           file=sys.stderr)
     return 0

@@ -7,8 +7,8 @@ or both), cost (input prices and the power/input weighting), optional
 thresholds_override and simulation defaults.
 
 Agent states and inputs may be written as 1-based basis indices; list
-entries may also be value tuples, mapping keys may not.  Probabilities
-and costs are re-read as exact fractions of their decimal spelling so
+entries may also be value tuples, mapping keys may not.  Each float is
+read once, as the exact fraction of its own decimal spelling, so
 downstream comparisons and cycle means are exact.  Validation collects
 every violation (with file line numbers) before rejecting, a mapping
 with fixed keys takes no other key, and a rejected scenario produces no
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -37,28 +38,44 @@ ROW_MASS_TOL = 1e-9
 
 
 class _Map(dict):
-    """A YAML mapping; `line` is its 1-based source line."""
+    """A YAML mapping; `line` is its 1-based source line and `lines` maps
+    each key written on another line to that line, or is None: a dict for
+    every flow-style row cost a 625-row document 2 MB of peak RSS."""
 
-    __slots__ = ("line",)
+    __slots__ = ("line", "lines")
+
+
+class _Number(Fraction):
+    """The exact value of a YAML float.  It prints as the float64 it spells
+    (`1.5`, `40.0`), so messages and names quote it as they quote a float."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return repr(float(self))
+
+    __str__ = __repr__
 
 
 class _LineMixin:
-    """Loader mixin that builds each mapping as a `_Map` that knows its
-    source line, and rejects a key written twice in one mapping (a merged
-    ``<<`` key may still be overridden) or a key that cannot be hashed."""
+    """Loader mixin: each mapping a `_Map` that knows its source lines, each
+    float exact, and no key written twice in one mapping (a merged ``<<``
+    key may still be overridden) or that cannot be hashed."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # SafeConstructor's own map constructor builds a plain dict
+        # SafeConstructor's own constructors build a plain dict and a float64
         cls.add_constructor("tag:yaml.org,2002:map", cls.construct_line_map)
+        cls.add_constructor("tag:yaml.org,2002:float", cls.construct_exact_float)
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.numbers = {}  # float spelling -> its value, one object per spelling
 
     def construct_line_map(self, node):
         data = _Map()
         data.line = node.start_mark.line + 1
         yield data
-        data.update(self.construct_mapping(node))
-
-    def construct_mapping(self, node, deep=False):
         lines = {}
         for key_node, _ in node.value:
             if key_node.tag == "tag:yaml.org,2002:merge":
@@ -77,7 +94,26 @@ class _LineMixin:
                     problem="duplicate key %r at line %d, first written at line %d"
                     % (key, line, lines[key]))
             lines[key] = line
-        return super().construct_mapping(node, deep=deep)
+        data.lines = {k: n for k, n in lines.items() if n != data.line} or None
+        data.update(self.construct_mapping(node))
+
+    def construct_exact_float(self, node):
+        """The exact `_Number` of a float scalar's text, underscores dropped,
+        or the float whose float64 image is not finite; an image of 0 reads
+        as 0 (1e-99999999 exactly needs a 10**99999999)."""
+        text = self.construct_scalar(node).replace("_", "")
+        number = self.numbers.get(text)
+        if number is None:
+            try:
+                number = self.construct_yaml_float(node)
+                if math.isfinite(number):
+                    number = _Number(text if number else 0)
+            except (ValueError, IndexError) as e:  # IndexError: an empty !!float
+                raise yaml.constructor.ConstructorError(
+                    None, None, "cannot read %r as a number: %s" % (text, e),
+                    node.start_mark) from None
+            self.numbers[text] = number
+        return number
 
 
 class _LineLoader(_LineMixin, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -109,10 +145,6 @@ class _Collector:
     def __init__(self, source):
         self.source = source
         self.errors = []
-        # (type, YAML number) -> its exact Fraction, for this document only;
-        # the type is part of the key since 2**60 == 1.152921504606847e18
-        # while their decimal spellings differ
-        self.fractions = {}
 
     def err(self, line, path, msg):
         where = "%s:%s" % (self.source, line) if line else self.source
@@ -124,11 +156,11 @@ class _Collector:
 
 
 def _known_keys(sec, keys, ctx, path):
-    """Report each key of the mapping sec that is not one of keys."""
+    """Report each key of the mapping sec that is not one of keys, at its line."""
     for key in sec:
         if key not in keys:
-            ctx.err(_line(sec), path, "unknown key %r; the section takes only %s"
-                    % (key, ", ".join(map(repr, keys))))
+            ctx.err((sec.lines or {}).get(key, sec.line), path, "unknown key %r; the "
+                    "section takes only %s" % (key, ", ".join(map(repr, keys))))
 
 
 def _as_map(doc, key, ctx, path, keys, required=True):
@@ -161,35 +193,24 @@ def _as_int(v, ctx, line, path, lo=None, hi=None):
     if not isinstance(v, int) or isinstance(v, bool):
         ctx.err(line, path, "expected an integer, got %r" % (v,))
         return None
-    if lo is not None and v < lo:
-        ctx.err(line, path, "must be >= %d, got %d" % (lo, v))
-        return None
-    if hi is not None and v > hi:
-        ctx.err(line, path, "must be <= %d, got %d" % (hi, v))
-        return None
-    return v
+    return _exact(v, ctx, line, path, lo, hi)
 
 
 def _exact(v, ctx, line, path, lo=None, hi=None):
-    """Exact rational from a YAML number (decimal spelling preserved)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    """A YAML number as the loader read it: an int, or a float's exact value."""
+    if isinstance(v, bool) or not isinstance(v, Real):
         ctx.err(line, path, "expected a number, got %r" % (v,))
         return None
-    if isinstance(v, float) and not math.isfinite(v):
+    if isinstance(v, float):  # the loader keeps only a non-finite float
         ctx.err(line, path, "must be a finite number, got %s" % (v,))
         return None
-    key = (type(v), v)
-    f = ctx.fractions.get(key)
-    if f is None:
-        f = Fraction(v) if isinstance(v, int) else Fraction(str(v))
-        ctx.fractions[key] = f
-    if lo is not None and f < lo:
+    if lo is not None and v < lo:
         ctx.err(line, path, "must be >= %s, got %s" % (lo, v))
         return None
-    if hi is not None and f > hi:
+    if hi is not None and v > hi:
         ctx.err(line, path, "must be <= %s, got %s" % (hi, v))
         return None
-    return f
+    return v
 
 
 def _exact_list(v, n, ctx, line, path, what, lo=None, hi=None):
@@ -205,7 +226,7 @@ def _exact_list(v, n, ctx, line, path, what, lo=None, hi=None):
 
 def _matrix(v, ctx, line, path):
     """Scalar or list-of-lists to a square float matrix of finite entries."""
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if isinstance(v, Real) and not isinstance(v, bool):
         v = [[v]]
     if not (isinstance(v, list) and v and all(isinstance(r, list) for r in v)):
         ctx.err(line, path, "expected a scalar or a square list-of-lists matrix")
@@ -554,11 +575,7 @@ def _parse_cost(doc, model, ctx):
         ctx.err(ln, "cost", "missing input_costs or table")
     if len(ctx.errors) > errors:
         return None
-    try:
-        return StageCost(tau, lam, g)
-    except ToolkitError as e:
-        ctx.err(ln, "cost", str(e))
-        return None
+    return StageCost(tau, lam, g)
 
 
 def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
@@ -605,7 +622,7 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
                     vec = v if isinstance(v, list) else [v]
                     plant = plants[i]
                     if len(vec) != plant.dim or not all(
-                            isinstance(c, (int, float)) and not isinstance(c, bool)
+                            isinstance(c, Real) and not isinstance(c, bool)
                             and math.isfinite(c) for c in vec):
                         ctx.err(sln, "simulation.initial_plant_states[%d]" % i,
                                 "must list %d finite numbers" % plant.dim)

@@ -37,7 +37,6 @@ import numpy as np
 from .channel import expected_power
 from .cosim import Schedule
 from .errors import (
-    DimensionMismatch,
     Infeasible,
     InvariantViolated,
     NoCycle,
@@ -51,38 +50,12 @@ from .stabilization import Stabilization
 @dataclass(frozen=True)
 class StageCost:
     """Slow-step cost data: fast steps per slow step, input price weight,
-    and the (state, input)-indexed input cost table."""
+    and the (state, input)-indexed input cost table, as the scenario
+    loader validated them."""
 
     tau: int
     lam: object
     g: tuple  # g[a-1][u-1] >= 0
-
-    def __post_init__(self):
-        if not isinstance(self.tau, int) or self.tau < 1:
-            raise ValueOutOfRange("tau must be a positive integer, got %r" % (self.tau,))
-        if self.lam < 0:
-            raise ValueOutOfRange("lambda weight must be nonnegative")
-        rows = tuple(self.g)
-        n = len(rows)
-        checked = {}  # id of a row object -> its checked tuple
-        for a, row in enumerate(rows):
-            if id(row) in checked:  # a shared row is checked once
-                continue
-            checked[id(row)] = entries = tuple(row)
-            if len(entries) != n:
-                raise DimensionMismatch(
-                    "input cost row %d has %d entries, expected %d" % (a + 1, len(entries), n)
-                )
-            for u, v in enumerate(entries):
-                if v < 0:
-                    raise ValueOutOfRange(
-                        "input cost g[%d][%d] = %r negative" % (a + 1, u + 1, v)
-                    )
-        object.__setattr__(self, "g", tuple(checked[id(row)] for row in rows))
-
-    @property
-    def n_states(self) -> int:
-        return len(self.g)
 
     def input_cost(self, a: int, u: int):
         return self.g[a - 1][u - 1]

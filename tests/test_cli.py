@@ -14,7 +14,8 @@ Proves:
            bytes pinned with the start on and off the cycle, infeasible runs
            and scenarios without channel tables or without a fading row
            for a usable state leave nothing behind, an artifact that cannot
-           be written is one error line, each stabilization stage runs once
+           be written is one error line and no artifact of the run is
+           written, each stabilization stage runs once
  Group 4 - simulate: trace and report artifacts, decay verdict, same
            seed gives byte-identical traces that match a pinned golden
            digest, also on a BLAS kernel without FMA in a child process,
@@ -355,6 +356,21 @@ def test_synthesize_dot_in_a_missing_directory_is_an_error(scenario_path, outdir
     assert rc == 1
     _, err = capsys.readouterr()
     assert _one_error(err).startswith("error: cannot write %s: " % (outdir / "nodir" / "g.dot"))
+    # the report and the schedule used to be left behind
+    assert list(outdir.iterdir()) == []
+
+
+def test_simulate_that_cannot_write_one_artifact_writes_none(scenario_path, outdir, capsys):
+    _, schedule_path = _synth(scenario_path, outdir)
+    blocker = outdir / "assembly_cell.simreport.txt"
+    blocker.mkdir()
+    before = sorted(outdir.iterdir())
+    capsys.readouterr()
+    assert _simulate(scenario_path, outdir, schedule_path, seed=1, trials=4, horizon=40) == 1
+    _, err = capsys.readouterr()
+    assert _one_error(err) == "error: cannot write %s: Is a directory" % blocker
+    # the trace used to be written before the report failed
+    assert sorted(outdir.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["synthesize", "simulate"])

@@ -7,14 +7,17 @@ Proves:
            range before any per-agent check), and every violation in a
            document is reported at once; a mapping shown in a message
            shows only its data; an unknown key in any fixed-key mapping
-           is a located violation
+           is a violation at the key's own line; a float is read exactly
+           from its spelling, once, and quoted as the float it spells
  Group 3 - parse failures (invalid YAML, a key written twice, a tuple
-           mapping key) and unreadable paths raise ParseError, and the
-           libyaml and pure-Python loaders agree on documents, the line of
-           every mapping, and errors; an undecodable file is named
+           mapping key, a float with no exact reading) and unreadable
+           paths raise ParseError, and the libyaml and pure-Python
+           loaders agree on documents, the line of every mapping and key,
+           and errors; an undecodable file is named
  Group 4 - small synthetic documents exercise the alternate spellings
            (per-state input maps, scalar plants, no direct table, a
-           Lyapunov weight for a slow-but-stable loop)
+           Lyapunov weight for a slow-but-stable loop) and every check of
+           the cost section
  Group 5 - any one edit of the bundled document (a value replaced, a key
            deleted or a key added) is rejected, or loads to a complete
            scenario that maps every admissible state to one success
@@ -257,6 +260,20 @@ def test_rejection_produces_no_object(bundled_text):
     ("initial_plant_states: [[1.0, 1.0], [1.0]]",
      "initial_plant_states: [[1.0, .nan], [1.0]]",
      "simulation.initial_plant_states[0]", "must list 2 finite numbers"),
+] + [
+    # a spelling whose float64 image is not finite is read as that float
+    case for spelling, shown in (("1.0e+400", "inf"), (".inf", "inf"), (".nan", "nan"))
+    for case in (
+        ("    power_price: 0.5\n", "    power_price: %s\n" % spelling,
+         "plants[1].power_price", "must be a finite number, got %s" % shown),
+        ("a_closed: [[-0.1, -0.1],", "a_closed: [[-0.1, %s]," % spelling,
+         "plants[0].a_closed", "matrix entries must be finite"),
+        ("initial_plant_states: [[1.0, 1.0], [1.0]]",
+         "initial_plant_states: [[1.0, 1.0], [%s]]" % spelling,
+         "simulation.initial_plant_states[1]", "must list 1 finite numbers"),
+        ("    - [0.05, 0.33,", "    - [%s, 0.33," % spelling,
+         "channel.success_direct[0][0]", "must be a finite number, got %s" % shown),
+    )
 ])
 def test_non_finite_numbers_are_rejected(bundled_text, old, new, field, message):
     _reject_once(bundled_text, old, new, field, message)
@@ -264,7 +281,7 @@ def test_non_finite_numbers_are_rejected(bundled_text, old, new, field, message)
 
 @pytest.mark.parametrize("old, new, field, message", [
     ("1: {decode: [0.18, 0.44]", "1: {decode: [1.5, 0.44]",
-     "channel.fading[1].decode[0]", "must be <= 1"),
+     "channel.fading[1].decode[0]", "must be <= 1, got 1.5"),
     ("1: {decode: [0.18, 0.44]", "1: {decode: [0.18]",
      "channel.fading[1]", "decode/dist must carry one entry per link (2)"),
     ("dist: [[0.0, 0.2, 0.1, 0.7], [0.2, 0.1, 0.5, 0.2]]}\n    2:",
@@ -312,6 +329,11 @@ def test_simulation_section_is_checked(bundled_text, old, new, field, message):
 def test_unknown_keys_are_located(bundled_text, old, new, field, key):
     # each edit used to load with the misspelt key silently ignored
     _reject_once(bundled_text, old, new, field, "unknown key %r; the section takes only" % key)
+    # located at the key's own line, not at its mapping's first line
+    broken = bundled_text.replace(old, new)
+    line = next(i for i, text in enumerate(broken.splitlines(), 1)
+                if re.search(r"\b%s:" % key, text))
+    assert _reject(broken)[0].startswith("<string>:%d: " % line)
 
 
 @pytest.mark.parametrize("old, new, field, message", [
@@ -388,6 +410,52 @@ def test_repeated_numbers_are_range_checked_each_time(bundled_text):
                  "channel.fading[1].decode[0]", "must be <= 1")
 
 
+@pytest.mark.parametrize("old, new, field, message", [
+    ("fast_steps_per_slow: 40\n", "fast_steps_per_slow: 40.0\n",
+     "fast_steps_per_slow", "expected an integer, got 40.0"),
+    ("  kappa: 3\n", "  kappa: {x: 2.50}\n",
+     "agents.kappa", "expected an integer, got {'x': 2.5}"),
+    ("1: {decode: [0.18, 0.44]", "1: {decode: [1_000.25, 0.44]",
+     "channel.fading[1].decode[0]", "must be <= 1, got 1000.25"),
+], ids=["integer", "nested", "underscores"])
+def test_a_quoted_float_reads_as_written(bundled_text, old, new, field, message):
+    # the exact value of a float prints as the float it spells
+    _reject_once(bundled_text, old, new, field, message)
+
+
+def test_decimals_past_float64_precision_are_exact(bundled_text):
+    scn = load_scenario_text(bundled_text.replace(
+        "0.15, 0.10, 0.12", "0.15, 0.10000000000000000001, 0.12"))
+    assert scn.success[5][1] == Fraction("0.10000000000000000001")  # not 1/10
+
+
+def test_each_spelling_is_one_object(scenario):
+    # 0.33 is written twice in the measured table; both entries share it
+    assert scenario.success[2][0] == Fraction("0.33")
+    assert scenario.success[2][0] is scenario.success[4][0]
+
+
+@pytest.mark.parametrize("spelling, text", [
+    ("!!float sNaN", "sNaN"), ("!!float abc", "abc"), ("!!float ''", ""),
+    ("!!float 1/3", "1/3"), ("1:30.5", "1:30.5")])
+def test_a_float_without_an_exact_reading_is_a_located_parse_error(bundled_text, spelling,
+                                                                  text):
+    # these used to raise a bare ValueError or IndexError, or read 1/3 or a
+    # base-60 float
+    broken = bundled_text.replace("    power_price: 0.5\n", "    power_price: %s\n" % spelling)
+    with pytest.raises(ParseError, match=r"(?s)cannot read '%s' as a number: .*line 32, "
+                       % re.escape(text)):
+        load_scenario_text(broken)
+
+
+def test_a_float_below_float64_range_reads_as_zero():
+    # its exact value would need a power of ten as long as its exponent
+    t0 = time.perf_counter()
+    scn = load_scenario_text(MINIMAL.replace("input_weight: 0", "input_weight: 1.0e-99999999"))
+    assert scn.cost.lam == 0
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_equal_int_and_float_keep_their_own_spelling():
     # 2**60 == 1.152921504606847e+18 in Python, but the float's decimal
     # spelling is 24 larger; each is read exactly as written
@@ -451,9 +519,10 @@ def test_line_loader_uses_libyaml_when_present():
 
 
 def _mapping_lines(node):
-    """Source line of every mapping in a loaded document, in document order."""
+    """Source line of every mapping and of each of its keys in a loaded
+    document, in document order."""
     if isinstance(node, dict):
-        yield node.line
+        yield node.line, node.lines
         node = list(node.values())
     if isinstance(node, list):
         for child in node:
@@ -516,10 +585,20 @@ def test_minimal_scenario_loads_clean():
 def test_cost_table_checks_every_row():
     scn = load_scenario_text(MINIMAL.replace("input_costs: [3, 3]", "table: [[3, 3], [1, 2]]"))
     assert scn.cost.g == ((3, 3), (1, 2))
-    _reject_once(MINIMAL, "input_costs: [3, 3]", "table: [[3, 3], [3, -1]]",
-                 "cost.table[1][1]", "must be >= 0")
-    _reject_once(MINIMAL, "input_costs: [3, 3]", "table: [[3, 3], [3]]",
-                 "cost.table[1]", "must list 2 entries")
+    # the loader is the only check of the cost section
+    for old, new, field, message in [
+        ("input_costs: [3, 3]", "table: [[3, 3], [3, -1]]", "cost.table[1][1]", "must be >= 0"),
+        ("input_costs: [3, 3]", "table: [[3, 3], [3]]", "cost.table[1]", "must list 2 entries"),
+        ("input_costs: [3, 3]", "input_costs: [0, -1]", "cost.input_costs[1]",
+         "must be >= 0, got -1"),
+        ("input_costs: [3, 3]", "input_costs: [3]", "cost.input_costs", "must list 2 entries"),
+        ("input_weight: 0", "input_weight: -1", "cost.input_weight", "must be >= 0, got -1"),
+        ("fast_steps_per_slow: 4", "fast_steps_per_slow: 0", "fast_steps_per_slow",
+         "must be >= 1, got 0"),
+        ("fast_steps_per_slow: 4", "fast_steps_per_slow: 2.0", "fast_steps_per_slow",
+         "expected an integer, got 2.0"),
+    ]:
+        _reject_once(MINIMAL, old, new, field, message)
 
 
 def test_per_state_input_maps():

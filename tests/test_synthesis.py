@@ -1,7 +1,8 @@
 """Schedule synthesis over the restricted transition graph.
 
 Proves:
- Group 1 - stage costs (exact arithmetic, input-indexed table)
+ Group 1 - stage costs (exact arithmetic, input-indexed table); the loader
+           checks the cost rows, see test_scenario
  Group 2 - the frozen nine-edge graph of the bundled worked example and
            the per-state out-edges it is built from
  Group 3 - strongly connected components vs a reachability oracle,
@@ -26,7 +27,6 @@ from hypothesis import strategies as st
 
 from fadectrl.cosim import Schedule, _replay_slow
 from fadectrl.errors import (
-    DimensionMismatch,
     Infeasible,
     NoCycle,
     PreconditionViolated,
@@ -36,7 +36,6 @@ from fadectrl.mas import one_step_reach, successor_index
 from fadectrl.stabilization import Stabilization, stabilize
 from fadectrl.synthesis import (
     Edge,
-    StageCost,
     TransitionGraph,
     _stage_costs,
     build_graph,
@@ -80,33 +79,6 @@ def _graph(scenario):
 
 
 # ── Group 1: stage costs ─────────────────────────────────────────────────────
-
-def test_stage_cost_validation():
-    with pytest.raises(ValueOutOfRange):
-        StageCost(0, 1, ((1,),))
-    with pytest.raises(ValueOutOfRange):
-        StageCost(2.0, 1, ((1,),))
-    with pytest.raises(ValueOutOfRange):
-        StageCost(1, -1, ((1,),))
-    with pytest.raises(ValueOutOfRange):
-        StageCost(1, 1, ((-1,),))
-    with pytest.raises(DimensionMismatch):
-        StageCost(1, 1, ((1, 2), (3,)))
-
-
-def test_shared_cost_row_is_still_checked():
-    with pytest.raises(ValueOutOfRange, match=r"g\[1\]\[2\] = -1 negative"):
-        StageCost(1, 1, ((0, -1, 2),) * 3)
-    with pytest.raises(DimensionMismatch, match="row 1 has 2 entries, expected 3"):
-        StageCost(1, 1, ((1, 2),) * 3)
-    ok = (1, 2, 3)
-    with pytest.raises(ValueOutOfRange, match=r"g\[3\]\[3\]"):
-        StageCost(1, 1, (ok, ok, (1, 2, -3)))  # a distinct row after a shared one
-    with pytest.raises(DimensionMismatch, match="row 3 has 2 entries"):
-        StageCost(1, 1, (ok, ok, (1, 2)))
-    shared = StageCost(1, 1, [[4, 5]] * 2)  # one list object, two states
-    assert shared.g == ((4, 5), (4, 5)) and shared.g[0] is shared.g[1]
-
 
 def test_loaded_input_costs_share_one_row(scenario):
     g = scenario.cost.g
