@@ -118,7 +118,11 @@ def _fmt(x) -> str:
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
-        return "%d/%d (= %.10g)" % (x.numerator, x.denominator, x)
+        exact = "%d/%d" % (x.numerator, x.denominator)
+        try:
+            return "%s (= %.10g)" % (exact, x)
+        except OverflowError:  # its float64 image is past float64's range
+            return exact
     xf = float(x)
     if xf.is_integer():
         return str(int(xf))

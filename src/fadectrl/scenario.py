@@ -57,16 +57,26 @@ class _Number(Fraction):
     __str__ = __repr__
 
 
+def _unreadable(node, e):
+    """The located parse error of a number scalar with no exact reading; its
+    mark has no source snippet, which only the pure-Python parser keeps."""
+    m = node.start_mark
+    return yaml.constructor.ConstructorError(
+        None, None, "cannot read %r as a number: %s" % (node.value.replace("_", ""), e),
+        yaml.Mark(m.name, m.index, m.line, m.column, None, None))
+
+
 class _LineMixin:
     """Loader mixin: each mapping a `_Map` that knows its source lines, each
-    float exact, and no key written twice in one mapping (a merged ``<<``
-    key may still be overridden) or that cannot be hashed."""
+    number exact or a non-finite float, and no key written twice in one
+    mapping (a merged ``<<`` key may be overridden) or that is unhashable."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # SafeConstructor's own constructors build a plain dict and a float64
+        # SafeConstructor's own constructors build a plain dict, a float64 and any int
         cls.add_constructor("tag:yaml.org,2002:map", cls.construct_line_map)
         cls.add_constructor("tag:yaml.org,2002:float", cls.construct_exact_float)
+        cls.add_constructor("tag:yaml.org,2002:int", cls.construct_exact_int)
 
     def __init__(self, stream):
         super().__init__(stream)
@@ -109,11 +119,20 @@ class _LineMixin:
                 if math.isfinite(number):
                     number = _Number(text if number else 0)
             except (ValueError, IndexError) as e:  # IndexError: an empty !!float
-                raise yaml.constructor.ConstructorError(
-                    None, None, "cannot read %r as a number: %s" % (text, e),
-                    node.start_mark) from None
+                raise _unreadable(node, e) from None
             self.numbers[text] = number
         return number
+
+    def construct_exact_int(self, node):
+        """An int, or as for a float the infinity that is its float64 image."""
+        try:
+            n = self.construct_yaml_int(node)
+            float(n)  # OverflowError past float64's range
+        except OverflowError:
+            return math.inf if n > 0 else -math.inf
+        except (ValueError, IndexError) as e:  # IndexError: an empty !!int
+            raise _unreadable(node, e) from None
+        return n
 
 
 class _LineLoader(_LineMixin, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -225,45 +244,29 @@ def _exact_list(v, n, ctx, line, path, what, lo=None, hi=None):
 
 
 def _matrix(v, ctx, line, path):
-    """Scalar or list-of-lists to a square float matrix of finite entries."""
-    if isinstance(v, Real) and not isinstance(v, bool):
-        v = [[v]]
-    if not (isinstance(v, list) and v and all(isinstance(r, list) for r in v)):
+    """Scalar or square list-of-lists of exact numbers to a float matrix,
+    or None once reported."""
+    errors = len(ctx.errors)
+    if isinstance(v, Real):
+        rows = [[_exact(v, ctx, line, path)]]
+    elif isinstance(v, list) and v:
+        rows = [_exact_list(r, len(v), ctx, line, "%s[%d]" % (path, i), "numbers")
+                for i, r in enumerate(v)]
+    else:
         ctx.err(line, path, "expected a scalar or a square list-of-lists matrix")
-        return None
-    if any(len(r) != len(v) for r in v):
-        ctx.err(line, path, "matrix must be square")
-        return None
-    try:
-        m = np.array(v, dtype=float)
-    except (TypeError, ValueError):
-        ctx.err(line, path, "matrix entries must be numbers")
-        return None
-    if not np.isfinite(m).all():
-        ctx.err(line, path, "matrix entries must be finite")
-        return None
-    return m
+    return np.array(rows, dtype=float) if len(ctx.errors) == errors else None
 
 
 def _state_index(v, model: MasModel, ctx, line, path):
     """Basis index (1-based int) or value tuple -> basis index."""
-    nn = model.state_count
-    if isinstance(v, int) and not isinstance(v, bool):
-        if 1 <= v <= nn:
-            return v
-        ctx.err(line, path, "index %d outside 1..%d" % (v, nn))
+    if not isinstance(v, list):
+        return _as_int(v, ctx, line, path, lo=1, hi=model.state_count)
+    if len(v) != model.n:
+        ctx.err(line, path, "tuple must have %d coordinates" % model.n)
         return None
-    if isinstance(v, list):
-        if len(v) != model.n:
-            ctx.err(line, path, "tuple must have %d coordinates" % model.n)
-            return None
-        if not all(isinstance(c, int) and not isinstance(c, bool)
-                   and 0 <= c < model.kappa for c in v):
-            ctx.err(line, path, "coordinates must be integers in 0..%d" % (model.kappa - 1))
-            return None
-        return int(to_index(model, v))
-    ctx.err(line, path, "expected a basis index or a value tuple")
-    return None
+    digits = [_as_int(c, ctx, line, "%s[%d]" % (path, j), lo=0, hi=model.kappa - 1)
+              for j, c in enumerate(v)]
+    return None if None in digits else int(to_index(model, digits))
 
 
 def _index_set(v, model, ctx, line, path, what):
@@ -617,19 +620,11 @@ def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
                 ctx.err(sln, "simulation.initial_plant_states",
                         "must list %d vectors" % len(plants))
             else:
-                vecs = []
-                for i, v in enumerate(raw):
-                    vec = v if isinstance(v, list) else [v]
-                    plant = plants[i]
-                    if len(vec) != plant.dim or not all(
-                            isinstance(c, Real) and not isinstance(c, bool)
-                            and math.isfinite(c) for c in vec):
-                        ctx.err(sln, "simulation.initial_plant_states[%d]" % i,
-                                "must list %d finite numbers" % plant.dim)
-                    else:
-                        vecs.append(tuple(float(c) for c in vec))
-                if len(vecs) == len(plants):
-                    x0 = tuple(vecs)
+                vecs = [_exact_list(v if isinstance(v, list) else [v], plant.dim, ctx, sln,
+                                    "simulation.initial_plant_states[%d]" % i, "numbers")
+                        for i, (v, plant) in enumerate(zip(raw, plants))]
+                if None not in vecs:
+                    x0 = tuple(tuple(map(float, vec)) for vec in vecs)
 
     ctx.raise_if_any()
     transmit, success, warnings = channel

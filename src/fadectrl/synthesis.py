@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
@@ -359,15 +358,15 @@ def synthesize(scenario, stab: Stabilization) -> SynthesisResult:
 
 
 def _fmt_number(x) -> str:
-    if isinstance(x, Rational):
-        f = Fraction(x)
-        if f.denominator == 1:
-            return str(f.numerator)
+    if isinstance(x, float) and not x.is_integer():  # inf and nan too
+        return "%g" % x
+    f = Fraction(x)
+    if f.denominator == 1:
+        return str(f.numerator)
+    try:
         return "%g" % float(f)
-    xf = float(x)
-    if xf.is_integer():
-        return str(int(xf))
-    return "%g" % xf
+    except OverflowError:  # past float64's range: the exact fraction alone
+        return "%d/%d" % (f.numerator, f.denominator)
 
 
 def to_dot(graph: TransitionGraph, n_states: int, highlight_cycle=()) -> str:

@@ -15,7 +15,9 @@ Proves:
            and scenarios without channel tables or without a fading row
            for a usable state leave nothing behind, an artifact that cannot
            be written is one error line and no artifact of the run is
-           written, each stabilization stage runs once
+           written, each stabilization stage runs once, an exact number
+           past float64's range prints as a fraction alone, and an integer
+           past that range is a located error
  Group 4 - simulate: trace and report artifacts, decay verdict, same
            seed gives byte-identical traces that match a pinned golden
            digest, also on a BLAS kernel without FMA in a child process,
@@ -130,7 +132,7 @@ def test_thresholds_rejects_non_finite_matrix(scenario_path, outdir, tmp_path_fa
     broken.write_text(text.replace("    a_closed: 0.2\n", "    a_closed: .nan\n"))
     assert main(["thresholds", str(broken)]) == 1
     _, err = capsys.readouterr()
-    assert "plants[1].a_closed: matrix entries must be finite" in err
+    assert "plants[1].a_closed: must be a finite number, got nan" in err
     assert "infeasible" not in err
 
 
@@ -316,6 +318,63 @@ def test_synthesize_dot_export(scenario_path, outdir, capsys):
     assert dot.startswith("digraph")
     assert "color=red" in dot
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tau, mean, cost, dot", [
+    (40, r"\d+", r"\d+/40", r"\d+"),
+    (3, r"\d+/40", r"\d+/120", r"\d+/\d+"),
+])
+def test_synthesize_prints_exact_numbers_past_float64_range(scenario_path, outdir,
+                                                            tmp_path_factory, capsys,
+                                                            tau, mean, cost, dot):
+    # every price is 10^300 times the bundled one, so a fraction among the
+    # cycle means and edge weights has no float64 image: it prints alone
+    # instead of ending in an OverflowError
+    text = scenario_path.read_text()
+    costs = [8, 10, 12, 14, 20, 14, 10, 18, 16]
+    big = tmp_path_factory.mktemp("e300") / "assembly_cell.yaml"
+    big.write_text(text.replace("  input_weight: 1\n", "  input_weight: 1.0e+300\n")
+                   .replace("input_costs: %s" % costs, "input_costs: [%s]"
+                            % ", ".join("%d.0e+300" % c for c in costs))
+                   .replace("fast_steps_per_slow: 40\n", "fast_steps_per_slow: %d\n" % tau))
+    assert big.read_text().count("e+300") == 10
+    assert main(["synthesize", str(big), "--dot", "graph.dot"]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert re.search(r"\nmean cycle weight: %s\n" % mean, out)
+    assert re.search(r"\nlong-run average cost per fast step: %s\n" % cost, out)
+    labels = re.findall(r'label="w=([^,]*), ', (outdir / "graph.dot").read_text())
+    assert len(labels) == 9 and all(re.fullmatch(dot, w) for w in labels)
+
+
+PAST_RANGE_INT = "1" + "0" * 400  # float64's image of it is inf
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("    a_closed: 0.2\n", "    a_closed: %s\n" % PAST_RANGE_INT,
+     r":26: plants\[1\]\.a_closed: must be a finite number, got inf\n"),
+    ("initial_plant_states: [[1.0, 1.0], [1.0]]",
+     "initial_plant_states: [[1.0, 1.0], [%s]]" % PAST_RANGE_INT,
+     r":72: simulation\.initial_plant_states\[1\]\[0\]: must be a finite number, got inf\n"),
+    ("    decay_rate: 0.9\n", "    decay_rate: %s\n" % PAST_RANGE_INT,
+     r":26: plants\[1\]\.decay_rate: must be a finite number, got inf\n"),
+    ("  input_weight: 1\n", "  input_weight: %s\n" % PAST_RANGE_INT,
+     r":66: cost\.input_weight: must be a finite number, got inf\n"),
+    ("    power_price: 0.5\n", "    power_price: !!int abc\n",
+     r"not valid YAML: cannot read 'abc' as a number: .*\n.*line 32, column 18\n"),
+], ids=["a_closed", "initial_plant_states", "decay_rate", "input_weight", "junk_int"])
+def test_integers_without_a_float64_image_are_located_errors(scenario_path, outdir,
+                                                            tmp_path_factory, capsys,
+                                                            old, new, message):
+    # each used to end in a traceback, or pass check and then end in one
+    broken = tmp_path_factory.mktemp("int") / "assembly_cell.yaml"
+    broken.write_text(scenario_path.read_text().replace(old, new))
+    assert main(["synthesize", str(broken)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(message, err)
+    assert list(outdir.iterdir()) == []
 
 
 def test_synthesize_direct_table_only_is_an_error(scenario_path, outdir,

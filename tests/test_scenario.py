@@ -8,9 +8,11 @@ Proves:
            document is reported at once; a mapping shown in a message
            shows only its data; an unknown key in any fixed-key mapping
            is a violation at the key's own line; a float is read exactly
-           from its spelling, once, and quoted as the float it spells
+           from its spelling, once, and quoted as the float it spells; an
+           int past float64's range reads as inf, and every number, matrix
+           entries and state indices included, is checked at its own path
  Group 3 - parse failures (invalid YAML, a key written twice, a tuple
-           mapping key, a float with no exact reading) and unreadable
+           mapping key, a float or int with no exact reading) and unreadable
            paths raise ParseError, and the libyaml and pure-Python
            loaders agree on documents, the line of every mapping and key,
            and errors; an undecodable file is named
@@ -246,31 +248,44 @@ def test_rejection_produces_no_object(bundled_text):
         load_scenario_text(bundled_text.replace("count: 2", "count: 0"))
 
 
+PAST_RANGE_INT = "1" + "0" * 400  # float64's image of it is inf
+
+
 @pytest.mark.parametrize("old, new, field, message", [
     ("    a_closed: 0.2\n", "    a_closed: .nan\n",
-     "plants[1].a_closed", "matrix entries must be finite"),
+     "plants[1].a_closed", "must be a finite number, got nan"),
     ("    a_open: 1.0\n", "    a_open: -.inf\n",
-     "plants[1].a_open", "matrix entries must be finite"),
+     "plants[1].a_open", "must be a finite number, got -inf"),
     ("a_closed: [[-0.1, -0.1], [0.1, 0.2]]", "a_closed: [[-0.1, .nan], [0.1, 0.2]]",
-     "plants[0].a_closed", "matrix entries must be finite"),
+     "plants[0].a_closed[0][1]", "must be a finite number, got nan"),
     ("    noise_cov: 1.0\n", "    noise_cov: .inf\n",
-     "plants[1].noise_cov", "matrix entries must be finite"),
+     "plants[1].noise_cov", "must be a finite number, got inf"),
     ("    decay_rate: 0.9\n", "    decay_rate: .inf\n",
      "plants[1].decay_rate", "must be a finite number"),
     ("initial_plant_states: [[1.0, 1.0], [1.0]]",
      "initial_plant_states: [[1.0, .nan], [1.0]]",
-     "simulation.initial_plant_states[0]", "must list 2 finite numbers"),
+     "simulation.initial_plant_states[0][1]", "must be a finite number, got nan"),
+    # an integer whose float64 image is not finite is read as that float
+    ("    a_closed: 0.2\n", "    a_closed: %s\n" % PAST_RANGE_INT,
+     "plants[1].a_closed", "must be a finite number, got inf"),
+    ("    decay_rate: 0.9\n", "    decay_rate: %s\n" % PAST_RANGE_INT,
+     "plants[1].decay_rate", "must be a finite number, got inf"),
+    ("  input_weight: 1\n", "  input_weight: %s\n" % PAST_RANGE_INT,
+     "cost.input_weight", "must be a finite number, got inf"),
+    ("fast_steps_per_slow: 40\n", "fast_steps_per_slow: -%s\n" % PAST_RANGE_INT,
+     "fast_steps_per_slow", "expected an integer, got -inf"),
 ] + [
     # a spelling whose float64 image is not finite is read as that float
-    case for spelling, shown in (("1.0e+400", "inf"), (".inf", "inf"), (".nan", "nan"))
+    case for spelling, shown in (("1.0e+400", "inf"), (".inf", "inf"), (".nan", "nan"),
+                                 (PAST_RANGE_INT, "inf"))
     for case in (
         ("    power_price: 0.5\n", "    power_price: %s\n" % spelling,
          "plants[1].power_price", "must be a finite number, got %s" % shown),
         ("a_closed: [[-0.1, -0.1],", "a_closed: [[-0.1, %s]," % spelling,
-         "plants[0].a_closed", "matrix entries must be finite"),
+         "plants[0].a_closed[0][1]", "must be a finite number, got %s" % shown),
         ("initial_plant_states: [[1.0, 1.0], [1.0]]",
          "initial_plant_states: [[1.0, 1.0], [%s]]" % spelling,
-         "simulation.initial_plant_states[1]", "must list 1 finite numbers"),
+         "simulation.initial_plant_states[1][0]", "must be a finite number, got %s" % shown),
         ("    - [0.05, 0.33,", "    - [%s, 0.33," % spelling,
          "channel.success_direct[0][0]", "must be a finite number, got %s" % shown),
     )
@@ -399,7 +414,7 @@ def test_bad_tau_is_reported_with_bad_agent_weights(bundled_text):
 
 def test_per_state_input_key_is_reported_once():
     _reject_once(MINIMAL, "    2: [[1]]\n", "    2: [[1]]\n    3: [[1]]\n",
-                 "constraints.inputs key 3", "index 3 outside 1..2")
+                 "constraints.inputs key 3", "must be <= 2, got 3")
 
 
 def test_repeated_numbers_are_range_checked_each_time(bundled_text):
@@ -437,11 +452,11 @@ def test_each_spelling_is_one_object(scenario):
 
 @pytest.mark.parametrize("spelling, text", [
     ("!!float sNaN", "sNaN"), ("!!float abc", "abc"), ("!!float ''", ""),
-    ("!!float 1/3", "1/3"), ("1:30.5", "1:30.5")])
+    ("!!float 1/3", "1/3"), ("1:30.5", "1:30.5"), ("!!int abc", "abc"), ("!!int ''", "")])
 def test_a_float_without_an_exact_reading_is_a_located_parse_error(bundled_text, spelling,
                                                                   text):
     # these used to raise a bare ValueError or IndexError, or read 1/3 or a
-    # base-60 float
+    # base-60 float; an int is read the same way
     broken = bundled_text.replace("    power_price: 0.5\n", "    power_price: %s\n" % spelling)
     with pytest.raises(ParseError, match=r"(?s)cannot read '%s' as a number: .*line 32, "
                        % re.escape(text)):
@@ -543,7 +558,14 @@ def test_libyaml_and_python_loaders_give_equal_documents(bundled_text):
     ("fast_steps_per_slow: 40\n", "fast_steps_per_slow: 40\nfast_steps_per_slow: 4\n",
      "duplicate key 'fast_steps_per_slow' at line 17, first written at line 16"),
     ("    2: {decode", "    [0, 1]: {decode", "mapping key [0, 1] at line 53 is not a scalar"),
-], ids=["duplicate", "tuple_key"])
+    # two integers past float64's range both read as inf
+    ("    1: {decode", "    %s: {}\n    2%s: {decode" % (PAST_RANGE_INT, PAST_RANGE_INT[1:]),
+     "duplicate key inf at line 53, first written at line 52"),
+    ("    power_price: 0.5\n", "    power_price: !!int abc\n",
+     "cannot read 'abc' as a number: invalid literal for int()"),
+    ("    power_price: 0.5\n", "    power_price: !!float abc\n",
+     "cannot read 'abc' as a number: "),
+], ids=["duplicate", "tuple_key", "past_range_int", "junk_int", "junk_float"])
 def test_libyaml_and_python_loaders_raise_equal_errors(bundled_text, old, new, message):
     broken = bundled_text.replace(old, new)
     errors = []

@@ -13,7 +13,8 @@ Proves:
  Group 5 - end-to-end synthesis: the stabilization record extended by a
            frozen schedule, prefix handling (the search-tree walk equals a
            scan of the layers from every bundled start and on random
-           instances), infeasibility, DOT export
+           instances), infeasibility, DOT export (a weight past float64's
+           range as its exact fraction)
 """
 
 import math
@@ -405,3 +406,10 @@ def test_dot_export(scenario, synthesis):
     assert "w=24" in dot and "u={δ_9^7}" in dot
     plain = to_dot(synthesis.graph, 9)
     assert "color=red" not in plain
+
+
+def test_dot_export_of_a_weight_past_float64_range():
+    # its float64 image overflows, so the label is the exact fraction alone
+    w = Fraction(10**400 + 1, 3)
+    dot = to_dot(TransitionGraph((1,), {(1, 1): Edge(w, (1,))}), 1)
+    assert 's1 -> s1 [label="w=%d/3, u={δ_1^1}"];' % (10**400 + 1) in dot
