@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError, SafeConstructor
 
 from .channel import consistency_gaps
 from .errors import ParseError, ToolkitError, ValidationError
@@ -34,7 +36,7 @@ from .mas import ConstraintSets, MasModel, require_index_range, to_index
 from .synthesis import StageCost
 from .wcs import Plant, default_lyapunov_weight
 
-ROW_MASS_TOL = 1e-9
+ROW_MASS_TOL = Fraction(1e-9)  # the float's exact value, for integer comparisons
 
 
 class _Map(dict):
@@ -61,83 +63,145 @@ def _unreadable(node, e):
     """The located parse error of a number scalar with no exact reading; its
     mark has no source snippet, which only the pure-Python parser keeps."""
     m = node.start_mark
-    return yaml.constructor.ConstructorError(
+    return ConstructorError(
         None, None, "cannot read %r as a number: %s" % (node.value.replace("_", ""), e),
         yaml.Mark(m.name, m.index, m.line, m.column, None, None))
 
 
-class _LineMixin:
-    """Loader mixin: each mapping a `_Map` that knows its source lines, each
-    number exact or a non-finite float, and no key written twice in one
-    mapping (a merged ``<<`` key may be overridden) or that is unhashable."""
+def _exact_float(loader, node):
+    """The exact `_Number` of a float's text, underscores dropped, or its float64
+    image if not finite; an image of 0 reads as 0 (1e-99999999 needs 10**99999999)."""
+    try:
+        number = loader.construct_yaml_float(node)
+        return _Number(node.value.replace("_", "") if number else 0) \
+            if math.isfinite(number) else number
+    except (ValueError, IndexError) as e:  # IndexError: an empty !!float
+        raise _unreadable(node, e) from None
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # SafeConstructor's own constructors build a plain dict, a float64 and any int
-        cls.add_constructor("tag:yaml.org,2002:map", cls.construct_line_map)
-        cls.add_constructor("tag:yaml.org,2002:float", cls.construct_exact_float)
-        cls.add_constructor("tag:yaml.org,2002:int", cls.construct_exact_int)
 
-    def __init__(self, stream):
-        super().__init__(stream)
-        self.numbers = {}  # float spelling -> its value, one object per spelling
+def _exact_int(loader, node):
+    """An int, or as for a float the infinity that is its float64 image; a
+    base-60 int (`1:30`) has no reading, as a base-60 float has none."""
+    try:
+        if ":" in node.value:
+            int(node.value)  # raises the ValueError that names the literal
+        n = loader.construct_yaml_int(node)
+        float(n)  # OverflowError past float64's range
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+    except (ValueError, IndexError) as e:  # IndexError: an empty !!int
+        raise _unreadable(node, e) from None
+    return n
 
-    def construct_line_map(self, node):
-        data = _Map()
-        data.line = node.start_mark.line + 1
-        yield data
-        lines = {}
-        for key_node, _ in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
+
+_TAG = "tag:yaml.org,2002:"
+_MERGE = object()  # what a `<<` key reads as; only a mapping key may be one
+_COLLECTIONS = {_TAG + "seq": list, _TAG + "omap": list, _TAG + "pairs": list,
+                _TAG + "map": _Map, _TAG + "set": set}
+# a scalar with a collection's tag has no constructor, as a collection with a scalar's has none
+_CONSTRUCTORS = {_TAG + "int": _exact_int, _TAG + "float": _exact_float,
+                 _TAG + "merge": lambda loader, node: _MERGE,
+                 **dict.fromkeys(_COLLECTIONS, SafeConstructor.construct_undefined)}
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser if built
+
+
+class _Builder:
+    """A loader's one document, built from its events with no node graph: each
+    mapping a `_Map` that knows its lines and repeats no key unless merged in
+    with ``<<``, each scalar constructed once per distinct text and tag."""
+
+    def __init__(self, loader):
+        self.loader, self.get = loader, loader.get_event
+        self.constructors = {**loader.yaml_constructors, **_CONSTRUCTORS}
+        self.anchors, self.scalars = {}, {}  # name -> (object, mark); (text, tag) -> object
+        self.named = isinstance(loader, yaml.composer.Composer)  # libyaml's errors don't
+
+    def document(self):
+        self.get()  # stream start
+        if type(self.get()) is yaml.StreamEndEvent:  # else a document start
+            return None
+        data = self.node(root := self.get())[0]
+        self.get()  # document end
+        if not self.loader.check_event(yaml.StreamEndEvent):
+            raise ComposerError("expected a single document in the stream", root.start_mark,
+                                "but found another document", self.get().start_mark)
+        return data
+
+    def node(self, event, key=False):
+        """(object, start mark) of the node that event begins."""
+        anchor, mark = event.anchor, event.start_mark
+        name = " %r" % (anchor,) if self.named else ""
+        if type(event) is yaml.AliasEvent:
+            if anchor not in self.anchors:
+                raise ComposerError(None, None, "found undefined alias" + name, mark)
+            data, mark = self.anchors[anchor]
+        elif anchor in self.anchors:
+            raise ComposerError("found duplicate anchor%s; first occurrence" % name,
+                                self.anchors[anchor][1], "second occurrence", mark)
+        else:  # a collection names itself under its anchor before its entries
+            data = (self.scalar if type(event) is yaml.ScalarEvent else self.collection)(event)
+            if anchor is not None:
+                self.anchors[anchor] = data, mark
+        if data is _MERGE and not key:
+            self.loader.construct_undefined(yaml.ScalarNode(_TAG + "merge", "<<", mark, mark))
+        return data, mark
+
+    def scalar(self, event):
+        implicit = event.tag is None or event.tag == "!"
+        memo = (event.value, event.implicit if implicit else event.tag)
+        if memo not in self.scalars:
+            tag = self.loader.resolve(yaml.ScalarNode, event.value, event.implicit) \
+                if implicit else event.tag
+            self.scalars[memo] = self.constructors.get(tag, self.constructors[None])(
+                self.loader, yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark))
+        return self.scalars[memo]
+
+    def collection(self, event):
+        """A list or `_Map`, or what PyYAML builds for `!!set`, `!!omap`, `!!pairs`."""
+        seq, start = type(event) is yaml.SequenceStartEvent, event.start_mark
+        tag = _TAG + ("seq" if seq else "map") if event.tag in (None, "!") else event.tag
+        if tag not in _COLLECTIONS or (_COLLECTIONS[tag] is list) != seq:
+            self.loader.construct_undefined(yaml.ScalarNode(tag, "", start, start))
+        data = _COLLECTIONS[tag]()
+        if event.anchor is not None:
+            self.anchors[event.anchor] = data, start
+        if seq:
+            while type(event := self.get()) is not yaml.SequenceEndEvent:
+                item, mark = self.node(event)
+                if tag != _TAG + "seq":  # one (key, value) pair per one-item mapping
+                    if not isinstance(item, dict) or len(item) != 1:
+                        raise ConstructorError(tag, start, "expected a one-item mapping", mark)
+                    (item,) = item.items()
+                data.append(item)
+            return data
+        lines, explicit, merged = {}, {}, []
+        while type(event := self.get()) is not yaml.MappingEndEvent:
+            key, mark = self.node(event, key=True)
+            if key is _MERGE:
+                value, mark = self.node(self.get())
+                sources = value if isinstance(value, list) else [value]
+                if not all(isinstance(source, dict) for source in sources):
+                    raise ConstructorError(None, None, "<< merges only mappings", mark)
+                merged += sources[::-1]  # the first one named wins
                 continue
-            # deep, so a sequence key is filled in before an error shows it
-            key = self.construct_object(key_node, deep=True)
-            line = key_node.start_mark.line + 1
+            line = mark.line + 1
             try:
-                duplicate = key in lines
+                first = lines.get(key)
             except TypeError:
-                raise yaml.constructor.ConstructorError(
-                    problem="mapping key %r at line %d is not a scalar; agent-state "
-                    "mapping keys must be 1-based basis indices" % (key, line)) from None
-            if duplicate:
-                raise yaml.constructor.ConstructorError(
-                    problem="duplicate key %r at line %d, first written at line %d"
-                    % (key, line, lines[key]))
+                raise ConstructorError(problem="mapping key %r at line %d is not a scalar; "
+                                       "agent-state mapping keys must be 1-based basis "
+                                       "indices" % (key, line)) from None
+            if first is not None and type(data) is _Map:
+                raise ConstructorError(problem="duplicate key %r at line %d, first written "
+                                       "at line %d" % (key, line, first))
             lines[key] = line
-        data.lines = {k: n for k, n in lines.items() if n != data.line} or None
-        data.update(self.construct_mapping(node))
-
-    def construct_exact_float(self, node):
-        """The exact `_Number` of a float scalar's text, underscores dropped,
-        or the float whose float64 image is not finite; an image of 0 reads
-        as 0 (1e-99999999 exactly needs a 10**99999999)."""
-        text = self.construct_scalar(node).replace("_", "")
-        number = self.numbers.get(text)
-        if number is None:
-            try:
-                number = self.construct_yaml_float(node)
-                if math.isfinite(number):
-                    number = _Number(text if number else 0)
-            except (ValueError, IndexError) as e:  # IndexError: an empty !!float
-                raise _unreadable(node, e) from None
-            self.numbers[text] = number
-        return number
-
-    def construct_exact_int(self, node):
-        """An int, or as for a float the infinity that is its float64 image."""
-        try:
-            n = self.construct_yaml_int(node)
-            float(n)  # OverflowError past float64's range
-        except OverflowError:
-            return math.inf if n > 0 else -math.inf
-        except (ValueError, IndexError) as e:  # IndexError: an empty !!int
-            raise _unreadable(node, e) from None
-        return n
-
-
-class _LineLoader(_LineMixin, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The line-keeping loader on libyaml's parser when PyYAML was built
-    with it, else on the pure-Python one; both give equal documents."""
+            explicit[key] = self.node(self.get())[0]
+        for source in merged + [explicit]:  # merged keys first, each overridden explicitly
+            data.update(source)
+        if type(data) is _Map:
+            data.line = start.line + 1
+            data.lines = {k: n for k, n in lines.items() if n != data.line} or None
+        return data
 
 
 def _line(obj, default=0):
@@ -166,6 +230,8 @@ class _Collector:
         self.errors = []
 
     def err(self, line, path, msg):
+        if type(path) is tuple:  # (list path, index), formatted only once reported
+            path = "%s[%d]" % path
         where = "%s:%s" % (self.source, line) if line else self.source
         self.errors.append("%s: %s: %s" % (where, path, msg))
 
@@ -191,8 +257,7 @@ def _as_map(doc, key, ctx, path, keys, required=True):
             ctx.err(_line(doc), path, "missing required section '%s'" % key)
         return None
     if not isinstance(v, dict):
-        ctx.err(_line(doc), path, "'%s' must be a mapping" % key)
-        return None
+        return ctx.err(_line(doc), path, "'%s' must be a mapping" % key)
     _known_keys(v, keys, ctx, path)
     return v
 
@@ -200,35 +265,29 @@ def _as_map(doc, key, ctx, path, keys, required=True):
 def _as_list(container, key, ctx, path):
     v = container.get(key)
     if v is None:
-        ctx.err(_line(container), path, "missing required key '%s'" % key)
-        return None
+        return ctx.err(_line(container), path, "missing required key '%s'" % key)
     if not isinstance(v, list):
-        ctx.err(_line(container), path, "'%s' must be a list" % key)
-        return None
+        return ctx.err(_line(container), path, "'%s' must be a list" % key)
     return v
 
 
 def _as_int(v, ctx, line, path, lo=None, hi=None):
     if not isinstance(v, int) or isinstance(v, bool):
-        ctx.err(line, path, "expected an integer, got %r" % (v,))
-        return None
+        return ctx.err(line, path, "expected an integer, got %r" % (v,))
     return _exact(v, ctx, line, path, lo, hi)
 
 
 def _exact(v, ctx, line, path, lo=None, hi=None):
     """A YAML number as the loader read it: an int, or a float's exact value."""
-    if isinstance(v, bool) or not isinstance(v, Real):
-        ctx.err(line, path, "expected a number, got %r" % (v,))
-        return None
-    if isinstance(v, float):  # the loader keeps only a non-finite float
-        ctx.err(line, path, "must be a finite number, got %s" % (v,))
-        return None
-    if lo is not None and v < lo:
-        ctx.err(line, path, "must be >= %s, got %s" % (lo, v))
-        return None
-    if hi is not None and v > hi:
-        ctx.err(line, path, "must be <= %s, got %s" % (hi, v))
-        return None
+    if type(v) is not int and type(v) is not _Number:  # the common cases skip the ABC
+        if isinstance(v, bool) or not isinstance(v, Real):
+            return ctx.err(line, path, "expected a number, got %r" % (v,))
+        if isinstance(v, float):  # the loader keeps only a non-finite float
+            return ctx.err(line, path, "must be a finite number, got %s" % (v,))
+    if lo is not None and v.numerator < lo * v.denominator:
+        return ctx.err(line, path, "must be >= %s, got %s" % (lo, v))
+    if hi is not None and v.numerator > hi * v.denominator:
+        return ctx.err(line, path, "must be <= %s, got %s" % (hi, v))
     return v
 
 
@@ -236,10 +295,9 @@ def _exact_list(v, n, ctx, line, path, what, lo=None, hi=None):
     """Tuple of n exact numbers, or None once the list or its bad entries
     are reported."""
     if not isinstance(v, list) or len(v) != n:
-        ctx.err(line, path, "must list %d %s" % (n, what))
-        return None
+        return ctx.err(line, path, "must list %d %s" % (n, what))
     errors = len(ctx.errors)  # _exact reports every entry it rejects
-    row = tuple([_exact(x, ctx, line, "%s[%d]" % (path, j), lo, hi) for j, x in enumerate(v)])
+    row = tuple([_exact(x, ctx, line, (path, j), lo, hi) for j, x in enumerate(v)])
     return row if len(ctx.errors) == errors else None
 
 
@@ -262,8 +320,7 @@ def _state_index(v, model: MasModel, ctx, line, path):
     if not isinstance(v, list):
         return _as_int(v, ctx, line, path, lo=1, hi=model.state_count)
     if len(v) != model.n:
-        ctx.err(line, path, "tuple must have %d coordinates" % model.n)
-        return None
+        return ctx.err(line, path, "tuple must have %d coordinates" % model.n)
     digits = [_as_int(c, ctx, line, "%s[%d]" % (path, j), lo=0, hi=model.kappa - 1)
               for j, c in enumerate(v)]
     return None if None in digits else int(to_index(model, digits))
@@ -273,16 +330,14 @@ def _index_set(v, model, ctx, line, path, what):
     """Set of basis indices from a nonempty list of indices or value
     tuples, or None once the list or its bad entries are reported."""
     if not isinstance(v, list):
-        ctx.err(line, path, "must be a list")
-        return None
+        return ctx.err(line, path, "must be a list")
     errors = len(ctx.errors)
     got = frozenset([_state_index(x, model, ctx, line, "%s[%d]" % (path, i))
                      for i, x in enumerate(v)])
     if len(ctx.errors) > errors:
         return None
     if not got:
-        ctx.err(line, path, "%s is empty" % what)
-        return None
+        return ctx.err(line, path, "%s is empty" % what)
     return got
 
 
@@ -374,16 +429,14 @@ def _parse_constraints(doc, model, ctx):
     try:
         return ConstraintSets(states, input_map)
     except ToolkitError as e:
-        ctx.err(ln, "constraints", str(e))
-        return None
+        return ctx.err(ln, "constraints", str(e))
 
 
 def _parse_plant(sec, i, doc, ctx):
     """One plant, or None once its violations are reported."""
     path = "plants[%d]" % i
     if not isinstance(sec, dict):
-        ctx.err(_line(doc), path, "each plant must be a mapping")
-        return None
+        return ctx.err(_line(doc), path, "each plant must be a mapping")
     _known_keys(sec, ("name", "a_closed", "a_open", "quality_weight", "decay_rate",
                       "noise_cov", "power_price"), ctx, path)
     errors = len(ctx.errors)
@@ -404,8 +457,7 @@ def _parse_plant(sec, i, doc, ctx):
         try:
             qw = default_lyapunov_weight(a_c)
         except ToolkitError as e:
-            ctx.err(ln, path + ".quality_weight", str(e))
-            return None
+            return ctx.err(ln, path + ".quality_weight", str(e))
     elif qspec == "identity":
         qw = np.eye(a_c.shape[0])
     if xspec == "identity":
@@ -414,15 +466,13 @@ def _parse_plant(sec, i, doc, ctx):
         return Plant(a_c, a_o, qw, float(rho), xi, mu,
                      name=str(sec.get("name", "plant%d" % (i + 1))))
     except ToolkitError as e:
-        ctx.err(ln, path, str(e))
-        return None
+        return ctx.err(ln, path, str(e))
 
 
 def _parse_plants(doc, ctx):
     plants_raw = doc.get("plants")
     if not isinstance(plants_raw, list) or not plants_raw:
-        ctx.err(_line(doc), "plants", "must be a nonempty list")
-        return None
+        return ctx.err(_line(doc), "plants", "must be a nonempty list")
     errors = len(ctx.errors)
     plants = tuple([_parse_plant(sec, i, doc, ctx) for i, sec in enumerate(plants_raw)])
     return plants if len(ctx.errors) == errors else None
@@ -436,8 +486,7 @@ def _transmit_policy(sec, q, ctx, ln):
     if len(ctx.errors) > errors:
         return None
     if len(rows) != q:
-        ctx.err(ln, "channel.transmit_policy", "%d rows for %d links" % (len(rows), q))
-        return None
+        return ctx.err(ln, "channel.transmit_policy", "%d rows for %d links" % (len(rows), q))
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != r or any(b not in (0, 1) for b in row):
             ctx.err(ln, "channel.transmit_policy[%d]" % i,
@@ -452,8 +501,7 @@ def _fading_row(row, flags, ctx, line, path):
     share) of one agent state's fading row, or None once its violations
     are reported."""
     if not isinstance(row, dict):
-        ctx.err(line, path, "must be a mapping")
-        return None
+        return ctx.err(line, path, "must be a mapping")
     _known_keys(row, ("decode", "dist"), ctx, path)
     errors = len(ctx.errors)
     decode = _as_list(row, "decode", ctx, path + ".decode")
@@ -461,8 +509,7 @@ def _fading_row(row, flags, ctx, line, path):
     if len(ctx.errors) > errors:
         return None
     if len(decode) != len(flags) or len(dist) != len(flags):
-        ctx.err(line, path, "decode/dist must carry one entry per link (%d)" % len(flags))
-        return None
+        return ctx.err(line, path, "decode/dist must carry one entry per link (%d)" % len(flags))
     shares, success = [], []
     for i, sends in enumerate(flags):
         e = _exact(decode[i], ctx, line, path + ".decode[%d]" % i, lo=0, hi=1)
@@ -470,12 +517,13 @@ def _fading_row(row, flags, ctx, line, path):
                             "probabilities", lo=0, hi=1)
         if probs is None:
             continue
-        mass = sum(probs)
-        # an exact zero for a link that never transmits
-        sent = sum((p for p, b in zip(probs, sends) if b), Fraction(0))
-        if abs(mass - 1) > ROW_MASS_TOL:
+        # the row in ints over the lcm of its denominators, compared exactly
+        scale = math.lcm(*[p.denominator for p in probs])
+        weights = [p.numerator * (scale // p.denominator) for p in probs]
+        mass, sent = sum(weights), Fraction(sum([w for w, b in zip(weights, sends) if b]), scale)
+        if abs(mass - scale) * ROW_MASS_TOL.denominator > ROW_MASS_TOL.numerator * scale:
             ctx.err(line, path + ".dist[%d]" % i,
-                    "probabilities sum to %s, expected 1" % float(mass))
+                    "probabilities sum to %s, expected 1" % (mass / scale))
         elif sent > 1:  # within the tolerance a row may sum past 1
             ctx.err(line, path + ".dist[%d]" % i,
                     "transmitting probabilities sum to %s, above 1" % float(sent))
@@ -489,8 +537,7 @@ def _fading_rows(fading_raw, flags, model, ctx, ln):
     """({agent state: transmit shares}, {agent state: derived success}) over
     the states the fading rows cover, or None once a violation is reported."""
     if not isinstance(fading_raw, dict):
-        ctx.err(ln, "channel.fading", "must map agent state -> row")
-        return None
+        return ctx.err(ln, "channel.fading", "must map agent state -> row")
     errors = len(ctx.errors)
     transmit, success = {}, {}
     for key in fading_raw:
@@ -536,8 +583,7 @@ def _parse_channel(doc, model, constraints, plants, ctx):
         return None
     if direct is None:
         if derived is None:
-            ctx.err(ln, "channel", "needs fading tables, a direct success table, or both")
-            return None
+            return ctx.err(ln, "channel", "needs fading tables, a direct success table, or both")
         # every admissible state must have a usable success probability
         for a in sorted(constraints.state_set if constraints is not None else ()):
             if a not in derived:
@@ -583,7 +629,7 @@ def _parse_cost(doc, model, ctx):
 
 def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
     try:
-        doc = yaml.load(text, Loader=_LineLoader)
+        doc = _Builder(_LOADER(text)).document()
     except yaml.YAMLError as e:
         raise ParseError("%s: not valid YAML: %s" % (source, e)) from e
     if not isinstance(doc, dict):

@@ -173,7 +173,11 @@ def default_lyapunov_weight(a_c) -> np.ndarray:
     if radius >= 1.0:
         raise Unstable("spectral radius %.6g >= 1" % radius)
     n = a_c.shape[0]
-    q = np.linalg.solve(np.kron(a_c.T, a_c.T) - np.eye(n * n), -np.eye(n).ravel())
+    try:
+        q = np.linalg.solve(np.kron(a_c.T, a_c.T) - np.eye(n * n), -np.eye(n).ravel())
+    except np.linalg.LinAlgError as e:  # a radius within rounding of 1
+        raise PreconditionViolated("Lyapunov equation is singular in float64 at spectral "
+                                   "radius %.12g: %s" % (radius, e)) from None
     q = q.reshape(n, n)
     return 0.5 * (q + q.T)
 

@@ -9,7 +9,10 @@ every trial's full trajectory (and the decay check reads it whole), the
 running cost is summed one fast step at a time, a threshold comes from a
 generic bisection on a caller's predicate, and the agent law is rebuilt
 in the paper's semi-tensor-product (STP) form, so the fast
-implementations have something honest to be compared against.
+implementations have something honest to be compared against.  The
+scenario loader's one-pass builder is compared against the reference
+loader it replaced: PyYAML's composer and constructor with line-keeping,
+exact-number constructors.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+import yaml
 
 from fadectrl.channel import expected_power
 from fadectrl.cosim import (
@@ -41,6 +45,7 @@ from fadectrl.errors import (
     ValueOutOfRange,
 )
 from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
+from fadectrl.scenario import _Map, _Number
 from fadectrl.synthesis import Edge, StageCost, TransitionGraph, out_edges
 
 
@@ -640,3 +645,89 @@ def build_structure_matrix(model: MasModel) -> LogicalMatrix:
             nxt = encode_tuple(step_tuple(model, al_t, u_t), model.kappa)
             cols.append(nxt.index)
     return LogicalMatrix(nn, nn * nn, tuple(cols))
+
+
+# ── Reference scenario loader ────────────────────────────────────────────────
+
+def _unreadable(node, e):
+    m = node.start_mark
+    return yaml.constructor.ConstructorError(
+        None, None, "cannot read %r as a number: %s" % (node.value.replace("_", ""), e),
+        yaml.Mark(m.name, m.index, m.line, m.column, None, None))
+
+
+class _LineMixin:
+    """Loader mixin: each mapping a `_Map` that knows its source lines, each
+    number exact or a non-finite float, and no key written twice in one
+    mapping (a merged ``<<`` key may be overridden) or that is unhashable."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # SafeConstructor's own constructors build a plain dict, a float64 and any int
+        cls.add_constructor("tag:yaml.org,2002:map", cls.construct_line_map)
+        cls.add_constructor("tag:yaml.org,2002:float", cls.construct_exact_float)
+        cls.add_constructor("tag:yaml.org,2002:int", cls.construct_exact_int)
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.numbers = {}  # float spelling -> its value, one object per spelling
+
+    def construct_line_map(self, node):
+        data = _Map()
+        data.line = node.start_mark.line + 1
+        yield data
+        lines = {}
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            # deep, so a sequence key is filled in before an error shows it
+            key = self.construct_object(key_node, deep=True)
+            line = key_node.start_mark.line + 1
+            try:
+                duplicate = key in lines
+            except TypeError:
+                raise yaml.constructor.ConstructorError(
+                    problem="mapping key %r at line %d is not a scalar; agent-state "
+                    "mapping keys must be 1-based basis indices" % (key, line)) from None
+            if duplicate:
+                raise yaml.constructor.ConstructorError(
+                    problem="duplicate key %r at line %d, first written at line %d"
+                    % (key, line, lines[key]))
+            lines[key] = line
+        data.lines = {k: n for k, n in lines.items() if n != data.line} or None
+        data.update(self.construct_mapping(node))
+
+    def construct_exact_float(self, node):
+        text = self.construct_scalar(node).replace("_", "")
+        number = self.numbers.get(text)
+        if number is None:
+            try:
+                number = self.construct_yaml_float(node)
+                if math.isfinite(number):
+                    number = _Number(text if number else 0)
+            except (ValueError, IndexError) as e:  # IndexError: an empty !!float
+                raise _unreadable(node, e) from None
+            self.numbers[text] = number
+        return number
+
+    def construct_exact_int(self, node):
+        """An int, or as for a float the infinity that is its float64 image;
+        a base-60 int has no reading."""
+        try:
+            if ":" in node.value:
+                raise ValueError("invalid literal for int() with base 10: %r" % node.value)
+            n = self.construct_yaml_int(node)
+            float(n)  # OverflowError past float64's range
+        except OverflowError:
+            return math.inf if n > 0 else -math.inf
+        except (ValueError, IndexError) as e:  # IndexError: an empty !!int
+            raise _unreadable(node, e) from None
+        return n
+
+
+class LineLoader(_LineMixin, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The reference loader on libyaml's parser when PyYAML was built with it."""
+
+
+class PythonLineLoader(_LineMixin, yaml.SafeLoader):
+    """The reference loader on the pure-Python parser."""

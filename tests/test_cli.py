@@ -177,6 +177,24 @@ def test_plant_whose_noise_floor_overflows_is_a_located_error(scenario_path, out
                                                           "assembly_cell.schedule.json"]
 
 
+def test_singular_lyapunov_equation_is_a_located_error(scenario_path, tmp_path_factory,
+                                                       capsys):
+    # a double eigenvalue of 1 - 1e-8: the plant is stable, but numpy's solve
+    # of the Lyapunov equation used to end in the unlocated "error: Singular matrix"
+    text = scenario_path.read_text()
+    broken = tmp_path_factory.mktemp("singular") / "assembly_cell.yaml"
+    broken.write_text(text.replace("    a_closed: [[-0.1, -0.1], [0.1, 0.2]]\n",
+                                   "    a_closed: [[0.0, 1.0], [-0.9999999800000001, "
+                                   "1.99999998]]\n"))
+    assert broken.read_text() != text
+    assert main(["thresholds", str(broken)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: 1 validation error(s):\n  %s:19: plants[0].quality_weight: "
+                   "Lyapunov equation is singular in float64 at spectral radius "
+                   "0.99999999: Singular matrix\n" % broken)
+
+
 @pytest.mark.parametrize("old, new, key, line", [
     ("    2: {decode", "    [0, 1]: {decode", "[0, 1]", 53),
     ("  inputs: [[1, 0], [1, 1], [2, 0], [2, 1]]   # basis indices 4, 5, 7, 8\n",

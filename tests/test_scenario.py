@@ -12,10 +12,13 @@ Proves:
            int past float64's range reads as inf, and every number, matrix
            entries and state indices included, is checked at its own path
  Group 3 - parse failures (invalid YAML, a key written twice, a tuple
-           mapping key, a float or int with no exact reading) and unreadable
-           paths raise ParseError, and the libyaml and pure-Python
-           loaders agree on documents, the line of every mapping and key,
-           and errors; an undecodable file is named
+           mapping key, a float or int with no exact reading, a tag of the
+           wrong kind) and unreadable paths raise ParseError; the one-pass
+           builder reads every document (the line of every mapping and key
+           included) and raises every error as the reference loader does,
+           on libyaml's parser and on the pure-Python one, and loads the
+           625-state grid with a traced peak under 2 MB; an undecodable file
+           is named
  Group 4 - small synthetic documents exercise the alternate spellings
            (per-state input maps, scalar plants, no direct table, a
            Lyapunov weight for a slow-but-stable loop) and every check of
@@ -30,6 +33,7 @@ Proves:
 import copy
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,15 +44,11 @@ from hypothesis import strategies as st
 
 from fadectrl.cli import _thresholds
 from fadectrl.errors import ParseError, ToolkitError, ValidationError
-from fadectrl.scenario import (
-    _Collector,
-    _LineLoader,
-    _LineMixin,
-    load_scenario,
-    load_scenario_text,
-)
+from fadectrl import scenario as scenario_module
+from fadectrl.scenario import _LOADER, _Builder, _Collector, load_scenario, load_scenario_text
 from fadectrl.stabilization import stabilize
 from fadectrl.synthesis import synthesize
+from oracles import LineLoader, PythonLineLoader
 
 ROOT = Path(__file__).resolve().parents[1]
 GENSCENARIO = ROOT / "perfbench" / "genscenario.py"
@@ -452,11 +452,13 @@ def test_each_spelling_is_one_object(scenario):
 
 @pytest.mark.parametrize("spelling, text", [
     ("!!float sNaN", "sNaN"), ("!!float abc", "abc"), ("!!float ''", ""),
-    ("!!float 1/3", "1/3"), ("1:30.5", "1:30.5"), ("!!int abc", "abc"), ("!!int ''", "")])
+    ("!!float 1/3", "1/3"), ("1:30.5", "1:30.5"), ("!!int abc", "abc"), ("!!int ''", ""),
+    ("1:30", "1:30")])
 def test_a_float_without_an_exact_reading_is_a_located_parse_error(bundled_text, spelling,
                                                                   text):
     # these used to raise a bare ValueError or IndexError, or read 1/3 or a
-    # base-60 float; an int is read the same way
+    # base-60 float; an int is read the same way, and a base-60 int no longer
+    # reads as its value (1:30 as 90)
     broken = bundled_text.replace("    power_price: 0.5\n", "    power_price: %s\n" % spelling)
     with pytest.raises(ParseError, match=r"(?s)cannot read '%s' as a number: .*line 32, "
                        % re.escape(text)):
@@ -485,6 +487,13 @@ def test_equal_int_and_float_keep_their_own_spelling():
 def test_invalid_yaml():
     with pytest.raises(ParseError, match="not valid YAML"):
         load_scenario_text("plants: [unclosed\n  - nope: {")
+
+
+@pytest.mark.parametrize("text", ["", "# a comment alone\n", "---\n", "--- 1\n...\n"])
+def test_an_empty_or_scalar_stream_is_not_a_scenario(text):
+    assert isinstance(_read_alike(text)[0][0], (type(None), int))
+    with pytest.raises(ParseError, match="document must be a key-value mapping"):
+        load_scenario_text(text)
 
 
 def test_document_must_be_a_mapping():
@@ -517,20 +526,37 @@ def test_merge_keys_may_be_overridden():
     assert load_scenario_text(text).success == {1: (1,), 2: (Fraction(1, 2),)}
 
 
-class _PythonLineLoader(_LineMixin, yaml.SafeLoader):
-    """The scenario loader on the pure-Python parser."""
+# the scenario builder on each parser, with the reference loader on the same one
+PARSERS = [(_LOADER, LineLoader), (yaml.SafeLoader, PythonLineLoader)]
 
 
-def _grid_text():
-    """grid256_synth's generated scenario; the generator is run from its
-    source, so nothing is written next to it."""
+def _build(text, loader=_LOADER):
+    return _Builder(loader(text)).document()
+
+
+def _grid_text(kappa=4, seed=1):
+    """A generated grid scenario; the generator is run from its source, so
+    nothing is written next to it."""
     gen = {"__name__": "genscenario"}
     exec(compile(GENSCENARIO.read_text(), str(GENSCENARIO), "exec"), gen)
-    return gen["to_yaml"](gen["make_spec"](4, 1, ("0.29", "0.10"), 200))
+    if kappa == 4:  # grid256_synth's; the kappa-5 grid is grid625_load's
+        return gen["to_yaml"](gen["make_spec"](4, seed, ("0.29", "0.10"), 200))
+    return gen["to_yaml"](gen["make_spec"](kappa, seed, ("0.55", "0.45"), 120))
 
 
-def test_line_loader_uses_libyaml_when_present():
-    assert issubclass(_LineLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+def test_line_loader_uses_libyaml_when_present(bundled_text, monkeypatch):
+    # the scenario reads the events of libyaml's parser when PyYAML has it
+    assert _LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    used = []
+
+    class Spy(_LOADER):
+        def __init__(self, stream):
+            used.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(scenario_module, "_LOADER", Spy)
+    load_scenario_text(bundled_text)
+    assert used == [bundled_text]
 
 
 def _mapping_lines(node):
@@ -544,14 +570,37 @@ def _mapping_lines(node):
             yield from _mapping_lines(child)
 
 
+def _read_alike(text):
+    """The document that text reads to, or the error it raises, the same for
+    the builder on each parser as for the reference loader on that parser;
+    the two parsers give the same documents."""
+    outcomes = []
+    for loader, reference in PARSERS:
+        read = []
+        for load in (lambda: _build(text, loader), lambda: yaml.load(text, Loader=reference)):
+            try:
+                doc = load()
+            except yaml.YAMLError as e:
+                read.append((type(e), str(e)))
+            else:
+                read.append((doc, repr(doc), list(_mapping_lines(doc))))
+        assert read[0] == read[1]
+        outcomes.append(read[0])
+    if not isinstance(outcomes[0][0], type):
+        assert outcomes[0] == outcomes[1]
+    return outcomes
+
+
 def test_libyaml_and_python_loaders_give_equal_documents(bundled_text):
     for text in (bundled_text, _grid_text()):
-        fast = yaml.load(text, Loader=_LineLoader)
-        slow = yaml.load(text, Loader=_PythonLineLoader)
-        assert fast == slow
-        assert repr(fast) == repr(slow)  # same key order and int/float types
-        assert list(_mapping_lines(fast)) == list(_mapping_lines(slow))
-        assert fast["channel"].line > 1
+        doc = _read_alike(text)[0][0]
+        assert doc["channel"].line > 1
+
+
+@pytest.mark.parametrize("kappa", [4, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generated_grids_read_as_the_reference_loader_reads_them(kappa, seed):
+    assert isinstance(_read_alike(_grid_text(kappa, seed))[0][0], dict)
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -565,16 +614,101 @@ def test_libyaml_and_python_loaders_give_equal_documents(bundled_text):
      "cannot read 'abc' as a number: invalid literal for int()"),
     ("    power_price: 0.5\n", "    power_price: !!float abc\n",
      "cannot read 'abc' as a number: "),
-], ids=["duplicate", "tuple_key", "past_range_int", "junk_int", "junk_float"])
+    ("    power_price: 0.5\n", "    power_price: 1:30\n",
+     "cannot read '1:30' as a number: invalid literal for int() with base 10: '1:30'"),
+], ids=["duplicate", "tuple_key", "past_range_int", "junk_int", "junk_float", "base60_int"])
 def test_libyaml_and_python_loaders_raise_equal_errors(bundled_text, old, new, message):
     broken = bundled_text.replace(old, new)
-    errors = []
-    for loader in (_LineLoader, _PythonLineLoader):
-        with pytest.raises(yaml.constructor.ConstructorError) as ei:
-            yaml.load(broken, Loader=loader)
-        errors.append(str(ei.value))
+    assert broken != bundled_text
+    errors = [error for _, error in _read_alike(broken)]
     assert errors[0] == errors[1]
     assert message in errors[0]
+
+
+ROWS_1_TO_3 = """\
+    1: {decode: [0.18, 0.44], dist: [[0.0, 0.2, 0.1, 0.7], [0.2, 0.1, 0.5, 0.2]]}
+    2: {decode: [0.66, 0.37], dist: [[0.1, 0.1, 0.3, 0.5], [0.2, 0.1, 0.1, 0.6]]}
+    3: {decode: [0.18, 0.31], dist: [[0.2, 0.1, 0.2, 0.5], [0.2, 0.1, 0.5, 0.2]]}
+"""
+# row 3 merges rows 2 and 1, the first named winning, and overrides decode
+MERGED_ROWS = """\
+    1: &one {decode: [0.18, 0.44], dist: [[0.0, 0.2, 0.1, 0.7], [0.2, 0.1, 0.5, 0.2]]}
+    2: &two {decode: [0.66, 0.37], dist: [[0.1, 0.1, 0.3, 0.5], [0.2, 0.1, 0.1, 0.6]]}
+    3: {<<: [*two, *one], decode: [0.18, 0.31]}
+"""
+PLOTS = "  initial_plant_states: [[1.0, 1.0], [1.0]]\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("    power_price: 0.5\n", "    power_price: *price\n", "found undefined alias"),
+    ("  count: 2\n  kappa: 3\n", "  count: &n 2\n  kappa: &n 3\n",
+     "found duplicate anchor"),
+    (PLOTS, PLOTS + "---\nname: again\n", "expected a single document in the stream"),
+    ("    noise_cov: identity\n", "    noise_cov: !foo identity\n",
+     "could not determine a constructor for the tag '!foo'"),
+    ("    a_closed: 0.2\n", "    a_closed: !foo [0.2]\n",
+     "could not determine a constructor for the tag '!foo'"),
+    ("name: assembly cell\n", "name: <<\n",
+     "could not determine a constructor for the tag 'tag:yaml.org,2002:merge'"),
+    # no YAML error: these read to the reference loader's documents
+    ("  states: [1, 2, 3, 4, 5, 6]\n", "  states: !!set {1, 2, 3, 4, 5, 6}\n", None),
+    ("name: assembly cell\n", "name: !!omap [{a: 1}, {b: [2]}]\n", None),
+    ("name: assembly cell\n", "name: !!pairs [{a: 1}, {a: 2}]\n", None),
+    ("  count: 2\n  kappa: 3\n", "  count: &n 2\n  kappa: *n\n", None),
+    (ROWS_1_TO_3, MERGED_ROWS, None),
+], ids=["undefined_alias", "duplicate_anchor", "second_document", "tag", "collection_tag",
+        "merge_value", "set", "omap", "pairs", "alias", "merged_list"])
+def test_anchors_tags_and_merges_read_as_the_reference_loader_reads_them(
+        bundled_text, old, new, message):
+    broken = bundled_text.replace(old, new)
+    assert broken != bundled_text
+    for outcome in _read_alike(broken):
+        if message is None:
+            assert isinstance(outcome[0], dict)
+        else:
+            assert message in outcome[1]
+
+
+@pytest.mark.parametrize("value, message", [
+    # `!!map abc` and `!!map [1]` used to end in a ValueError or TypeError traceback
+    ("!!map abc", "could not determine a constructor for the tag 'tag:yaml.org,2002:map'"),
+    ("!!map [1]", "could not determine a constructor for the tag 'tag:yaml.org,2002:map'"),
+    ("!!seq abc", "could not determine a constructor for the tag 'tag:yaml.org,2002:seq'"),
+    ("!!set [1]", "could not determine a constructor for the tag 'tag:yaml.org,2002:set'"),
+    ("!!omap {a: 1}", "could not determine a constructor for the tag 'tag:yaml.org,2002:omap'"),
+    ("!!omap [{a: 1, b: 2}]", "expected a one-item mapping"),
+    ("!!pairs [1]", "expected a one-item mapping"),
+    ("{<<: [{a: 1}, 2]}", "<< merges only mappings"),
+], ids=["map_scalar", "map_list", "seq_scalar", "set_list", "omap_mapping", "omap_two_items",
+        "pairs_scalar", "merge_scalar"])
+def test_a_tag_or_merge_of_the_wrong_kind_is_a_located_parse_error(bundled_text, value,
+                                                                   message):
+    broken = bundled_text.replace("name: assembly cell\n", "name: %s\n" % value)
+    for loader, _ in PARSERS:
+        with pytest.raises(yaml.YAMLError, match=r"(?s)" + re.escape(message) + ".*line 15, "):
+            _build(broken, loader)
+    with pytest.raises(ParseError, match=r"(?s)not valid YAML: .*" + re.escape(message)):
+        load_scenario_text(broken)
+
+
+def test_a_merged_list_of_mappings_keeps_the_first_named(bundled_text):
+    scn = load_scenario_text(bundled_text.replace(ROWS_1_TO_3, MERGED_ROWS))
+    assert scn.transmit[3] == scn.transmit[2] == (Fraction(1, 2), Fraction(2, 5))
+    with pytest.raises(ValidationError, match="constraints.states: 'states' must be a list"):
+        load_scenario_text(bundled_text.replace("  states: [1, 2, 3, 4, 5, 6]\n",
+                                                "  states: !!set {1, 2, 3, 4, 5, 6}\n"))
+
+
+def test_loading_a_625_state_grid_peaks_under_2_mb():
+    # libyaml's node graph and PyYAML's constructor peaked at 5.96 MB here
+    text = _grid_text(5, 1)
+    tracemalloc.start()
+    try:
+        load_scenario_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_missing_file(tmp_path):
@@ -717,8 +851,10 @@ def _edited(edit):
 @given(edit=EDITS)
 @example(edit=("add", ("agents", "weights", 1), 5, 1))
 def test_one_edit_is_rejected_or_runs_to_a_result(edit):
+    text = _edited(edit)
+    _read_alike(text)
     try:
-        scn = load_scenario_text(_edited(edit))
+        scn = load_scenario_text(text)
     except (ParseError, ValidationError):
         return
     for name in ("mas", "constraints", "plants", "success", "cost", "alpha0"):
