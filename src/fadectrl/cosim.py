@@ -11,23 +11,26 @@ finalizer: every draw is keyed by (seed, stream, step, draw, trial)
 with stream 2*i for link i's deliveries and 2*i+1 for plant i's noise,
 so results are bit-reproducible and independent of evaluation order
 (parallel trials would reproduce the serial run exactly).  Since a key
-depends on its counter alone, `simulate` derives the draws of a block of
-SIM_BLOCK (64) fast steps in one array operation, small enough that the
-block's draws stay in cache, and runs only the plant recursion step by
-step.  Normal variates come from Box-Muller on two such uniforms.
+depends on its counter alone, `simulate` hashes a block of fast steps'
+draws at once, one `counter_uniforms` call per plant for its delivery
+and Box-Muller uniforms, and runs only the plant recursion step by step.
+Normal variates come from Box-Muller on two such uniforms.
 
-The states are streamed through a plant-major working buffer of shape
-(SIM_BLOCK + 1, dim, trials) per plant.  Every plant dimension takes the
-same step, with each sum in index order on elementwise numpy operations,
-so a trace is the same on every BLAS kernel: noise w_e = sum_d F[e, d] z_d
-(F the Cholesky factor), step x'_e = sum_d A[e, d] x_d + w_e (A each
-trial's closed- or open-loop matrix), and V = sum_{d, e} Q[d, e] x_d x_e.
-After each block the across-trial mean and sample standard deviation of
-the decay residual V(x(l+1)) - rho V(x(l)) - tr(Q Xi) are recorded per
-fast step, trial 0's path is kept for the CSV, and the block's last state
-carries over.  Deliveries live time-major, (horizon, links, trials), so a
-block writes whole rows.  Memory grows with trials x SIM_BLOCK plus the
-delivery bytes, not with trials x horizon x dim.
+A block is `block_steps(trials)` fast steps, so that its arrays hold
+about 2**14 trial-steps (128 KiB of doubles) and stay in cache whatever
+the trial count.  The states are streamed through a plant-major working
+buffer of shape (block + 1, dim, trials) per plant.  Every plant
+dimension takes the same step, with each sum in index order on
+elementwise numpy operations, so a trace is the same on every BLAS
+kernel: noise w_e = sum_d F[e, d] z_d (F the Cholesky factor), step
+x'_e = sum_d A[e, d] x_d + w_e (A each trial's closed- or open-loop
+matrix), and V = sum_{d, e} Q[d, e] x_d x_e.  After each block the
+across-trial mean and sample standard deviation of the decay residual
+V(x(l+1)) - rho V(x(l)) - tr(Q Xi) are recorded per fast step, trial 0's
+path is kept for the CSV, and the block's last state carries over.
+Deliveries live time-major, (horizon, links, trials), so a block writes
+whole rows.  Memory is the delivery bytes plus a few dozen block arrays,
+not trials x horizon x dim.
 
 The running-average cost column is deterministic: the radio power term
 enters through its per-state expectation, not the sampled deliveries,
@@ -59,10 +62,6 @@ _FIN_ROUNDS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
                (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 _U64_MAX = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
-# fast steps simulate advances at once: it derives their draws in one call
-# per stream and keeps (SIM_BLOCK + 1, dim, trials) plant states per plant;
-# at 64 a block's draws for 1000 trials stay in cache
-SIM_BLOCK = 64
 # trials the decay check needs before its 3-sigma rule is applied
 MIN_CHECK_TRIALS = 100
 
@@ -77,49 +76,61 @@ def _fin(z):
     return z
 
 
-def counter_uniforms(seed: int, stream: int, step, draw: int,
-                     trials: int) -> np.ndarray:
+def block_steps(trials: int) -> int:
+    """Fast steps `simulate` advances at once: 64 up to 256 trials, then
+    2**14 trial-steps, but never fewer than 8."""
+    return max(8, min(64, 2**14 // trials))
+
+
+def counter_uniforms(seed: int, stream, step, draw, trials: int) -> np.ndarray:
     """One uniform in (0, 1] per trial for the keyed substream.
 
     `step` is a fast step, giving shape (trials,), or a 1-D array of them,
-    giving one row per step, equal to the stacked single-step calls.  The
-    keys are derived on arrays only: numpy wraps uint64 arrays silently but
-    warns when a scalar overflows.
+    giving one row per step.  `stream` and `draw` are one substream's, or
+    paired 1-D arrays naming one substream each, giving a leading axis.
+    Every row equals the single-step, single-substream call.  The keys are
+    derived on arrays only: numpy wraps uint64 arrays silently but warns
+    when a scalar overflows.
     """
-    steps = np.atleast_1d(np.asarray(step, dtype=np.uint64))
-    if steps.ndim != 1:
-        raise DimensionMismatch("step must be a scalar or a 1-D array")
-    key = np.array([seed], dtype=np.uint64)
-    for comp in ([stream], steps, [draw]):
-        key = _fin(key + (np.asarray(comp, dtype=np.uint64) + np.uint64(1)) * _GOLDEN)
+    steps, streams, draws = (np.atleast_1d(np.asarray(c, dtype=np.uint64))
+                             for c in (step, stream, draw))
+    if steps.ndim != 1 or streams.ndim != 1 or np.shape(stream) != np.shape(draw):
+        raise DimensionMismatch("step must be a scalar or a 1-D array, and "
+                                "stream and draw scalars or paired 1-D arrays")
+    # (substreams, steps) keys: the stream, step and draw counters in turn
+    key = _fin(np.uint64(seed) + (streams[:, None] + np.uint64(1)) * _GOLDEN)
+    key = _fin(key + (steps + np.uint64(1)) * _GOLDEN)
+    key = _fin(key + (draws[:, None] + np.uint64(1)) * _GOLDEN)
     tids = np.arange(1, trials + 1, dtype=np.uint64)
     tids *= _GOLDEN
-    bits = _fin(np.add(key[:, None], tids))
+    bits = _fin(np.add(key[..., None], tids))
     bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
-    u += 1.0
+    u = bits.view(np.float64)  # converted in place: no second array of the draws
+    np.add(bits, 1.0, out=u)
     u *= _INV_2_53
-    return u if np.ndim(step) else u[0]
+    return u.reshape(np.shape(stream) + np.shape(step) + (trials,))
 
 
-def counter_normals(seed: int, stream: int, step, count: int,
-                    trials: int) -> np.ndarray:
-    """(trials, count) standard normals via Box-Muller on the substream;
-    (steps, trials, count) for a 1-D array of steps.  Uniform pair j gives
-    columns 2j (cosine) and 2j + 1 (sine); an odd count skips the last sine."""
-    out = np.empty(np.shape(step) + (trials, count))
-    trig = np.empty(out.shape[:-1])
-    for j in range((count + 1) // 2):
-        r = counter_uniforms(seed, stream, step, 2 * j, trials)
-        theta = counter_uniforms(seed, stream, step, 2 * j + 1, trials)
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta *= 2.0 * np.pi
-        np.multiply(r, np.cos(theta, out=trig), out=out[..., 2 * j])
-        if 2 * j + 1 < count:
-            np.multiply(r, np.sin(theta, out=trig), out=out[..., 2 * j + 1])
-    return out
+def _plant_draws(seed: int, i: int, steps, dim: int, trials: int):
+    """Plant i's draws for a block of steps from one `counter_uniforms` call:
+    the delivery uniforms of stream 2i, (steps, trials), and the noise
+    normals z of stream 2i+1, (dim, steps, trials), each equal to its own
+    per-stream call.  The call's rows are the delivery draw, the Box-Muller
+    radii (noise draws 0, 2, ..) and the angles (1, 3, ..); z_d is radius
+    d // 2 times its angle's cosine (d even) or sine (d odd)."""
+    half = dim // 2
+    pairs = dim - half
+    u = counter_uniforms(seed, [2 * i] + [2 * i + 1] * 2 * pairs, steps,
+                         [0, *range(0, 2 * pairs, 2), *range(1, 2 * pairs, 2)], trials)
+    r, theta = u[1 : pairs + 1], u[pairs + 1 :]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    z = np.empty((dim,) + u.shape[1:])
+    np.multiply(r[:half], np.sin(theta[:half]), out=z[1::2])
+    np.multiply(r, np.cos(theta, out=theta), out=z[::2])
+    return u[0], z
 
 
 def _require_json_int(value, field: str):
@@ -279,9 +290,10 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     x0 = config.x0
     if x0 is not None and len(x0) != q:
         raise DimensionMismatch("%d initial vectors for %d plants" % (len(x0), q))
+    block = block_steps(trials)
     buffers, paths, factors = [], [], []
     for i, plant in enumerate(plants):
-        x = np.zeros((min(SIM_BLOCK, horizon) + 1, plant.dim, trials))
+        x = np.zeros((min(block, horizon) + 1, plant.dim, trials))
         if x0 is not None:
             v = np.asarray(x0[i], dtype=float)
             if v.size != plant.dim:
@@ -300,21 +312,20 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     # the (trials, horizon, links) view of it
     delivered = np.empty((horizon, q, trials), dtype=np.uint8)
     state_cols = np.searchsorted(visited, alpha_slow)[_slow_steps(tau, horizon)]
-    for start in range(0, horizon, SIM_BLOCK):
-        stop = min(start + SIM_BLOCK, horizon)
+    for start in range(0, horizon, block):
+        stop = min(start + block, horizon)
         n = stop - start
         steps = np.arange(start, stop)
         for i, plant in enumerate(plants):
-            # compared as drawn, so the block's uniforms are freed at once
-            lam = lam_table[i, state_cols[start:stop], None]
-            ok = counter_uniforms(config.seed, 2 * i, steps, 0, trials) <= lam
-            delivered[start:stop, i] = ok
             dims = range(plant.dim)
-            z = counter_normals(config.seed, 2 * i + 1, steps, plant.dim, trials)
+            uniforms, z = _plant_draws(config.seed, i, steps, plant.dim, trials)
+            ok = uniforms <= lam_table[i, state_cols[start:stop], None]
+            delivered[start:stop, i] = ok
+            del uniforms  # a view of the block's draws keeps them all alive
             # w_e = sum_d F[e, d] z_d; each sum here runs in index order
-            w = z[:, None, :, 0] * factors[i][:, 0, None]
+            w = z[0][:, None] * factors[i][:, 0, None]
             for d in dims[1:]:
-                w += z[:, None, :, d] * factors[i][:, d, None]
+                w += z[d][:, None] * factors[i][:, d, None]
             del z
             # each trial's step matrix: A_c where its packet arrived, else A_o
             a = np.where(ok[:, None, None], plant.a_c[..., None], plant.a_o[..., None])
@@ -336,6 +347,10 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
                 decay_sd[i][start:stop] = r.std(axis=0, ddof=1)
             paths[i][0, start + 1 : stop + 1] = x[1 : n + 1, :, 0]
             x[0] = x[n]
+            # freed before the next block's draws: a block array left alive
+            # into the next block fragments the heap, which glibc then trims
+            # and faults back in every block
+            del v, r
 
     return SimTrace(
         tau=tau,

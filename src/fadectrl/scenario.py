@@ -59,13 +59,27 @@ class _Number(Fraction):
     __str__ = __repr__
 
 
-def _unreadable(node, e):
-    """The located parse error of a number scalar with no exact reading; its
+def _unreadable(node, what, e=None):
+    """The located parse error of a scalar with no reading as `what`; its
     mark has no source snippet, which only the pure-Python parser keeps."""
     m = node.start_mark
+    text = node.value.replace("_", "") if what == "a number" else node.value  # numbers drop "_"
     return ConstructorError(
-        None, None, "cannot read %r as a number: %s" % (node.value.replace("_", ""), e),
+        None, None, "cannot read %r as %s%s" % (text, what, "" if e is None else ": %s" % e),
         yaml.Mark(m.name, m.index, m.line, m.column, None, None))
+
+
+def _reading(construct, what):
+    """PyYAML's constructor of `what`, with a text it has no reading for a
+    located parse error rather than its KeyError or AttributeError."""
+    def read(loader, node):
+        try:
+            return construct(loader, node)
+        except (KeyError, AttributeError):  # no boolean's or timestamp's spelling
+            raise _unreadable(node, what) from None
+        except ValueError as e:  # a date or time out of range
+            raise _unreadable(node, what, e) from None
+    return read
 
 
 def _exact_float(loader, node):
@@ -76,7 +90,7 @@ def _exact_float(loader, node):
         return _Number(node.value.replace("_", "") if number else 0) \
             if math.isfinite(number) else number
     except (ValueError, IndexError) as e:  # IndexError: an empty !!float
-        raise _unreadable(node, e) from None
+        raise _unreadable(node, "a number", e) from None
 
 
 def _exact_int(loader, node):
@@ -90,7 +104,7 @@ def _exact_int(loader, node):
     except OverflowError:
         return math.inf if n > 0 else -math.inf
     except (ValueError, IndexError) as e:  # IndexError: an empty !!int
-        raise _unreadable(node, e) from None
+        raise _unreadable(node, "a number", e) from None
     return n
 
 
@@ -100,6 +114,9 @@ _COLLECTIONS = {_TAG + "seq": list, _TAG + "omap": list, _TAG + "pairs": list,
                 _TAG + "map": _Map, _TAG + "set": set}
 # a scalar with a collection's tag has no constructor, as a collection with a scalar's has none
 _CONSTRUCTORS = {_TAG + "int": _exact_int, _TAG + "float": _exact_float,
+                 _TAG + "bool": _reading(SafeConstructor.construct_yaml_bool, "a boolean"),
+                 _TAG + "timestamp": _reading(SafeConstructor.construct_yaml_timestamp,
+                                              "a timestamp"),
                  _TAG + "merge": lambda loader, node: _MERGE,
                  **dict.fromkeys(_COLLECTIONS, SafeConstructor.construct_undefined)}
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser if built

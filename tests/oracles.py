@@ -31,7 +31,6 @@ from fadectrl.cosim import (
     PlantCheck,
     SimTrace,
     _replay_slow,
-    counter_normals,
     counter_uniforms,
 )
 from fadectrl.errors import (
@@ -287,6 +286,28 @@ def integer_uniforms(seed: int, stream: int, step: int, draw: int, trials: int) 
         key = _splitmix_finalize((key + (comp + 1) * _GOLDEN64) & _MASK64)
     return [((_splitmix_finalize((key + t * _GOLDEN64) & _MASK64) >> 11) + 1) * 2.0 ** -53
             for t in range(1, trials + 1)]
+
+
+def counter_normals(seed: int, stream: int, step, count: int,
+                    trials: int) -> np.ndarray:
+    """(trials, count) standard normals via Box-Muller on the substream;
+    (steps, trials, count) for a 1-D array of steps.  Uniform pair j gives
+    columns 2j (cosine) and 2j + 1 (sine); an odd count skips the last sine.
+    One `counter_uniforms` call per uniform: the per-stream construction
+    that `simulate`'s one call per plant and block must equal."""
+    out = np.empty(np.shape(step) + (trials, count))
+    trig = np.empty(out.shape[:-1])
+    for j in range((count + 1) // 2):
+        r = counter_uniforms(seed, stream, step, 2 * j, trials)
+        theta = counter_uniforms(seed, stream, step, 2 * j + 1, trials)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
+        np.multiply(r, np.cos(theta, out=trig), out=out[..., 2 * j])
+        if 2 * j + 1 < count:
+            np.multiply(r, np.sin(theta, out=trig), out=out[..., 2 * j + 1])
+    return out
 
 
 def stepwise_simulate(scenario, schedule, config):

@@ -17,7 +17,8 @@ Proves:
            be written is one error line and no artifact of the run is
            written, each stabilization stage runs once, an exact number
            past float64's range prints as a fraction alone, and an integer
-           past that range is a located error
+           past that range, or a bool or timestamp with no reading, is a
+           located error
  Group 4 - simulate: trace and report artifacts, decay verdict, same
            seed gives byte-identical traces that match a pinned golden
            digest, also on a BLAS kernel without FMA in a child process,
@@ -380,7 +381,12 @@ PAST_RANGE_INT = "1" + "0" * 400  # float64's image of it is inf
      r":66: cost\.input_weight: must be a finite number, got inf\n"),
     ("    power_price: 0.5\n", "    power_price: !!int abc\n",
      r"not valid YAML: cannot read 'abc' as a number: .*\n.*line 32, column 18\n"),
-], ids=["a_closed", "initial_plant_states", "decay_rate", "input_weight", "junk_int"])
+    ("    power_price: 0.5\n", "    power_price: !!bool maybe\n",
+     r"not valid YAML: cannot read 'maybe' as a boolean\n.*line 32, column 18\n"),
+    ("    power_price: 0.5\n", "    power_price: !!timestamp x\n",
+     r"not valid YAML: cannot read 'x' as a timestamp\n.*line 32, column 18\n"),
+], ids=["a_closed", "initial_plant_states", "decay_rate", "input_weight", "junk_int",
+        "junk_bool", "junk_timestamp"])
 def test_integers_without_a_float64_image_are_located_errors(scenario_path, outdir,
                                                             tmp_path_factory, capsys,
                                                             old, new, message):

@@ -2,21 +2,27 @@
 
 Proves:
  Group 1 - counter RNG: determinism, stream separation, value ranges,
-           agreement with an integer recomputation, and block calls over
-           an array of steps equal to the stacked single-step calls, and
-           an odd normal count the prefix of the next even one
+           agreement with an integer recomputation, block calls over an
+           array of steps and fused calls over paired (stream, draw) arrays
+           equal to the stacked single calls, a plant's one call per block
+           equal to its per-stream deliveries and Box-Muller normals for
+           dims 1-3, an odd normal count the prefix of the next even one,
+           and a block of 64 steps up to 256 trials and about 2**14
+           trial-steps past that
  Group 2 - schedules: indexing, serialization, validation
  Group 3 - simulate: bit-exact reproducibility, a fully deterministic
            closed-form case, delivery statistics, trace bookkeeping,
            agreement with the one-step-at-a-time, full-trajectory oracle
            across block boundaries (paths, deliveries and cost exactly,
            streamed decay statistics to 1e-12, check verdicts exactly),
-           also for a 3-dim plant with correlated noise and a scalar plant
+           at 101 trials and on the shorter blocks of 1031 trials, also
+           for a 3-dim plant with correlated noise and a scalar plant
            with a non-unit noise factor, and for a 2-dim plant with an
            explicit non-diagonal quality weight and a scalar one with Q = 2.5,
            no numpy warning at one or two trials, memory that does not
-           grow with trials x horizon, and initial vectors of the wrong
-           length rejected with the plant named
+           grow with trials x horizon, a working set beyond the deliveries
+           within one budget at 1000 and 4000 trials, and initial vectors
+           of the wrong length rejected with the plant named
  Group 4 - running cost: exact cycle averages for the worked example
  Group 5 - the empirical decay check passes where delivery is rich
            enough and fails where the schedule starves a link
@@ -36,10 +42,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadectrl.cosim import (
-    SIM_BLOCK,
+    MIN_CHECK_TRIALS,
     Schedule,
     SimConfig,
-    counter_normals,
+    _plant_draws,
+    block_steps,
     counter_uniforms,
     empirical_lyapunov_check,
     simulate,
@@ -55,6 +62,7 @@ from fadectrl.errors import (
 from fadectrl.scenario import load_scenario_text
 from oracles import (
     average_cost_trace,
+    counter_normals,
     full_lyapunov_check,
     integer_uniforms,
     stepwise_simulate,
@@ -66,6 +74,8 @@ SELF_LOOP = Schedule(prefix_inputs=(7,), cycle_inputs=(4,), alpha0=4)
 # parks on state 3 where link 1's success probability is far below its
 # threshold: the decay check must catch plant 1 and clear plant 2
 STARVING = Schedule(prefix_inputs=(8,), cycle_inputs=(7,), alpha0=4)
+# stays on state 1 of a one-agent scenario
+STAY = Schedule((), (1,), 1)
 
 SURE_DELIVERY = """\
 name: sure delivery probe
@@ -275,8 +285,56 @@ def test_block_normals_equal_stacked_scalar_calls(seed, stream, steps, count, tr
     assert block.tobytes() == stacked.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                                  min_size=1, max_size=5),
+       steps=STEP_ARRAYS, trials=st.integers(1, 9))
+@example(seed=2**64 - 1, pairs=[(2, 0), (3, 0), (3, 1)], steps=[2**62, 0], trials=3)
+def test_paired_substreams_equal_single_substream_calls(seed, pairs, steps, trials):
+    streams, draws = (list(c) for c in zip(*pairs))
+    fused = counter_uniforms(seed, streams, np.array(steps), draws, trials)
+    single = np.stack([counter_uniforms(seed, c, np.array(steps), d, trials) for c, d in pairs])
+    assert fused.shape == (len(pairs), len(steps), trials)
+    assert fused.tobytes() == single.tobytes()
+    assert counter_uniforms(seed, streams, steps[0], draws, trials).tobytes() == \
+        np.ascontiguousarray(single[:, 0]).tobytes()
+
+
+def test_substreams_must_pair_up():
+    with pytest.raises(DimensionMismatch):
+        counter_uniforms(1, [0, 1], 5, [0], 3)
+    with pytest.raises(DimensionMismatch):
+        counter_uniforms(1, 0, 5, [0], 3)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_plant_block_draws_equal_per_stream_calls(seed, dim):
+    # simulate's one call per plant and block gives the deliveries and the
+    # Box-Muller normals of the per-stream construction, element for element
+    trials = 1031
+    steps = np.arange(40, 40 + block_steps(trials) + 3)
+    for plant in (0, 3):
+        uniforms, z = _plant_draws(seed, plant, steps, dim, trials)
+        want = counter_uniforms(seed, 2 * plant, steps, 0, trials)
+        assert uniforms.shape == want.shape and uniforms.tobytes() == want.tobytes()
+        normals = counter_normals(seed, 2 * plant + 1, steps, dim, trials)
+        assert z.shape == (dim, len(steps), trials)
+        assert z.tobytes() == np.ascontiguousarray(normals.transpose(2, 0, 1)).tobytes()
+
+
+def test_block_steps_bound_the_block_by_the_trial_count():
+    for trials in range(1, 257):
+        assert block_steps(trials) == 64
+    for trials in (257, 1000, 1031, 2048, 4000, 10**6):
+        block = block_steps(trials)
+        assert 8 <= block < 64
+        assert block * trials <= 2**14 or block == 8
+    assert block_steps(1000) == 16
+
+
 def test_odd_normal_count_is_a_prefix_of_the_next_even_one():
-    for step in (5, np.arange(5, 5 + SIM_BLOCK + 3)):
+    for step in (5, np.arange(5, 5 + block_steps(50) + 3)):
         three = counter_normals(3, 1, step, 3, 50)
         four = counter_normals(3, 1, step, 4, 50)
         assert three.shape == four.shape[:-1] + (3,)
@@ -395,19 +453,35 @@ def test_simulate_checks_initial_vector_lengths(scenario, x0, message):
         simulate(scenario, OPTIMAL, SimConfig(10, 2, 1, x0))
 
 
-# one block and its edges, then runs of several blocks that end inside a
-# block or on its edge
-@pytest.mark.parametrize("horizon", sorted({1, SIM_BLOCK - 1, SIM_BLOCK, SIM_BLOCK + 1,
-                                            2 * SIM_BLOCK + 3, 255, 256, 257, 515}))
+def _edges(block):
+    """One block and its edges, then a run of several blocks that ends inside one."""
+    return {block - 1, block, block + 1, 2 * block + 3}
+
+
+@pytest.mark.parametrize("horizon", sorted({1, 255, 256, 257, 515} | _edges(block_steps(101))))
 @pytest.mark.parametrize("schedule", [STARVING, OPTIMAL], ids=["prefix", "cycle"])
 def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
     # both schedules change the success probabilities inside a block; 101
-    # trials are enough for the decay check and an odd array extent
+    # trials are enough for the decay check and an odd array extent, and
+    # take the longest block
     config = SimConfig(horizon, 101, 2**64 - 1, x0=scenario.x0)
+    _assert_matches_stepwise_oracle(scenario, schedule, config)
+
+
+@pytest.mark.parametrize("horizon", sorted(_edges(block_steps(1031))))
+@pytest.mark.parametrize("schedule", [STARVING, OPTIMAL], ids=["prefix", "cycle"])
+def test_simulate_matches_stepwise_oracle_on_short_blocks(scenario, schedule, horizon):
+    # past 256 trials a block is shorter than 64 steps
+    assert block_steps(1031) < 64
+    config = SimConfig(horizon, 1031, 7, x0=scenario.x0)
+    _assert_matches_stepwise_oracle(scenario, schedule, config)
+
+
+def _assert_matches_stepwise_oracle(scenario, schedule, config):
+    horizon = config.horizon_fast
     got = simulate(scenario, schedule, config)
     want, full_states = stepwise_simulate(scenario, schedule, config)
-    assert len(got.states) == len(want.states) == 2
-    for x, y in zip(got.states, want.states):
+    for x, y in zip(got.states, want.states, strict=True):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
     assert got.deliveries.tobytes() == want.deliveries.tobytes()
     assert got.running_cost.tobytes() == want.running_cost.tobytes()
@@ -416,9 +490,11 @@ def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
     assert 0 < got.deliveries.mean() < 1  # both branches of the recursion ran
     # numpy's einsum and std round by array extent: blocks may differ by ulps
     for name in ("decay_mean", "decay_sd"):
-        for x, y in zip(getattr(got, name), getattr(want, name)):
+        for x, y in zip(getattr(got, name), getattr(want, name), strict=True):
             assert x.shape == y.shape == (horizon,)
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12)
+    if config.trials < MIN_CHECK_TRIALS:
+        return
     for start in sorted({0, want.entry_fast, horizon // 2, horizon - 1}):
         if start >= horizon:
             continue
@@ -430,37 +506,24 @@ def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
             assert a.worst_margin == pytest.approx(b.worst_margin, rel=1e-12, abs=1e-12)
 
 
-def _assert_matches_stepwise_oracle(scn, config):
-    schedule = Schedule((), (1,), 1)
-    got = simulate(scn, schedule, config)
-    want, _ = stepwise_simulate(scn, schedule, config)
-    for x, y in zip(got.states, want.states, strict=True):
-        assert x.shape == y.shape and x.tobytes() == y.tobytes()
-    assert got.deliveries.tobytes() == want.deliveries.tobytes()
-    assert 0 < got.deliveries.mean() < 1
-    for name in ("decay_mean", "decay_sd"):
-        for x, y in zip(getattr(got, name), getattr(want, name), strict=True):
-            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("horizon", [1, SIM_BLOCK + 1, 2 * SIM_BLOCK + 3])
+@pytest.mark.parametrize("horizon", [1, block_steps(37) + 1, 2 * block_steps(37) + 3])
 def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon):
     # covers the matmul recursion at dim 3 and the scalar recursion with a
     # noise factor other than 1 (the bundled conveyor's factor is exactly 1)
     scn = load_scenario_text(MIXED_PLANTS)
     assert [p.dim for p in scn.plants] == [3, 1]
     assert scn.plants[1].noise_factor()[0, 0] == np.sqrt(2.0)
-    _assert_matches_stepwise_oracle(scn, SimConfig(horizon, 37, 2**63 + 5, x0=scn.x0))
+    _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 37, 2**63 + 5, x0=scn.x0))
 
 
-@pytest.mark.parametrize("horizon", [1, SIM_BLOCK + 1, 2 * SIM_BLOCK + 3])
+@pytest.mark.parametrize("horizon", [1, block_steps(29) + 1, 2 * block_steps(29) + 3])
 def test_simulate_matches_stepwise_oracle_on_quality_weights(horizon):
     # every other scenario here gives its scalar plant Q = 1, so only this
     # one tells q x^2 from x^2 in the decay statistics
     scn = load_scenario_text(QUALITY_WEIGHTS)
     arm, belt = scn.plants
     assert arm.q[0, 1] == 0.7 and belt.q[0, 0] == 2.5
-    _assert_matches_stepwise_oracle(scn, SimConfig(horizon, 29, 11, x0=scn.x0))
+    _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 29, 11, x0=scn.x0))
 
 
 @pytest.mark.parametrize("trials", [1, 2])
@@ -491,10 +554,21 @@ def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario):
     plants = scenario.plants
     full_states = sum(trials * (horizon + 1) * p.dim * 8 for p in plants)
     per_step = trials * len(plants) + 8 * sum(p.dim + 2 for p in plants)
-    short = _simulate_peak_bytes(scenario, trials, SIM_BLOCK)
+    block = block_steps(trials)
+    short = _simulate_peak_bytes(scenario, trials, block)
     long = _simulate_peak_bytes(scenario, trials, horizon)
     assert long < full_states / 2
-    assert long - short < 2 * per_step * (horizon - SIM_BLOCK)
+    assert long - short < 2 * per_step * (horizon - block)
+
+
+@pytest.mark.parametrize("trials", [1000, 4000])
+def test_simulate_working_set_does_not_grow_with_trials(scenario, trials):
+    # a block holds about 2**14 trial-steps whatever the trial count, so
+    # beyond the deliveries the traced peak stays within one budget: 5.7 and
+    # 22 MB here when every block was 64 steps long
+    horizon = 100
+    deliveries = trials * horizon * len(scenario.plants)  # uint8
+    assert _simulate_peak_bytes(scenario, trials, horizon) - deliveries < 4 * 2**20
 
 
 def test_simulate_needs_success_coverage(scenario):

@@ -12,8 +12,9 @@ Proves:
            int past float64's range reads as inf, and every number, matrix
            entries and state indices included, is checked at its own path
  Group 3 - parse failures (invalid YAML, a key written twice, a tuple
-           mapping key, a float or int with no exact reading, a tag of the
-           wrong kind) and unreadable paths raise ParseError; the one-pass
+           mapping key, a float, int, bool or timestamp with no reading, a
+           tag of the wrong kind) and unreadable paths raise ParseError, on
+           both parsers' builders; the one-pass
            builder reads every document (the line of every mapping and key
            included) and raises every error as the reference loader does,
            on libyaml's parser and on the pure-Python one, and loads the
@@ -462,6 +463,28 @@ def test_a_float_without_an_exact_reading_is_a_located_parse_error(bundled_text,
     broken = bundled_text.replace("    power_price: 0.5\n", "    power_price: %s\n" % spelling)
     with pytest.raises(ParseError, match=r"(?s)cannot read '%s' as a number: .*line 32, "
                        % re.escape(text)):
+        load_scenario_text(broken)
+
+
+BAD_BOOLS_AND_TIMESTAMPS = [
+    ("!!bool maybe", "cannot read 'maybe' as a boolean\n"),
+    ("!!bool ''", "cannot read '' as a boolean\n"),
+    ("!!timestamp x", "cannot read 'x' as a timestamp\n"),
+    ("!!timestamp 2020-13-45", "cannot read '2020-13-45' as a timestamp: month must be in"),
+    ("2020-13-45", "cannot read '2020-13-45' as a timestamp: month must be in"),
+]
+
+
+@pytest.mark.parametrize("loader", [_LOADER, yaml.SafeLoader], ids=["libyaml", "python"])
+@pytest.mark.parametrize("spelling, message", BAD_BOOLS_AND_TIMESTAMPS)
+def test_a_bool_or_timestamp_without_a_reading_is_a_located_error(bundled_text, loader,
+                                                                  spelling, message):
+    # these used to raise a bare KeyError, AttributeError or ValueError
+    broken = bundled_text.replace("    power_price: 0.5\n", "    power_price: %s\n" % spelling)
+    with pytest.raises(yaml.constructor.ConstructorError) as e:
+        _build(broken, loader)
+    assert message in str(e.value) and "line 32, column 18" in str(e.value)
+    with pytest.raises(ParseError, match=r"(?s)%s.*line 32, column 18" % re.escape(message)):
         load_scenario_text(broken)
 
 
