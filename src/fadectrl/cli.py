@@ -25,7 +25,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cosim import (
-    MIN_CHECK_TRIALS,
     Schedule,
     SimConfig,
     _replay_slow,
@@ -33,13 +32,14 @@ from .cosim import (
     simulate,
     write_trace_csv,
 )
-from .errors import Infeasible, ParseError, ToolkitError
+from .errors import Infeasible, InsufficientTrials, ParseError, ToolkitError, ValueOutOfRange
 from .scenario import Scenario, load_scenario
 from .stabilization import Stabilization, stabilize
 from .synthesis import SynthesisResult, synthesize, to_dot
 from .wcs import decay_threshold
 
 OUTDIR_ENV = "FADECTRL_OUTDIR"
+REPORT_HEAD = 12  # slow steps of schedule and trajectory the synthesis report lists
 
 
 def create_parser() -> argparse.ArgumentParser:
@@ -146,6 +146,14 @@ def _label(plant) -> str:
     return " (%s)" % plant.name if plant.name else ""
 
 
+def _link_threshold(i: int, plant) -> float:
+    """decay_threshold of link i + 1, its error naming the link."""
+    try:
+        return decay_threshold(plant)
+    except ToolkitError as e:
+        raise type(e)("link %d%s: %s" % (i + 1, _label(plant), e)) from None
+
+
 def _thresholds(scn: Scenario, override_arg):
     """(effective thresholds, whether they are an override).
 
@@ -171,7 +179,7 @@ def _thresholds(scn: Scenario, override_arg):
     elif scn.s_override is not None:
         override = scn.s_override
     if override is None:
-        return tuple(decay_threshold(p) for p in scn.plants), False
+        return tuple(_link_threshold(i, p) for i, p in enumerate(scn.plants)), False
     for i, (plant, s) in enumerate(zip(scn.plants, override)):
         link = "link %d%s: threshold override %.10g" % (i + 1, _label(plant), s)
         try:
@@ -190,7 +198,7 @@ def cmd_thresholds(args) -> int:
     _emit_warnings(scn)
     print("delivery-probability thresholds for %s" % args.scenario)
     for i, plant in enumerate(scn.plants):
-        s = decay_threshold(plant)
+        s = _link_threshold(i, plant)
         print("  link %d%s: s = %.10g   [decay rate %.6g]"
               % (i + 1, _label(plant), s, float(plant.rho)))
     return 0
@@ -224,11 +232,9 @@ def cmd_check(args) -> int:
     return 0 if stab.feasible else 2
 
 
-def _synthesis_report(scn, result: SynthesisResult, head: int = 12) -> list:
-    states, inputs = _replay_slow(scn, result.schedule, head)
-    lines = []
-    cyc = " -> ".join(str(a) for a in result.cycle_states)
-    lines.append("optimal cycle: %s" % cyc)
+def _synthesis_report(scn, result: SynthesisResult) -> list:
+    states, inputs = _replay_slow(scn, result.schedule, REPORT_HEAD)
+    lines = ["optimal cycle: %s" % " -> ".join(str(a) for a in result.cycle_states)]
     lines.append("mean cycle weight: %s" % _fmt(result.mean_weight))
     lines.append("long-run average cost per fast step: %s" % _fmt(result.optimal_cost))
     if result.prefix_states:
@@ -238,9 +244,9 @@ def _synthesis_report(scn, result: SynthesisResult, head: int = 12) -> list:
     else:
         lines.append("prefix: (start state lies on the cycle)")
     lines.append("schedule head (inputs, slow steps 0..%d): %s"
-                 % (head - 1, " ".join(str(u) for u in inputs)))
+                 % (REPORT_HEAD - 1, " ".join(str(u) for u in inputs)))
     lines.append("trajectory head (states, slow steps 0..%d): %s"
-                 % (head - 1, " ".join(str(a) for a in states)))
+                 % (REPORT_HEAD - 1, " ".join(str(a) for a in states)))
     return lines
 
 
@@ -266,8 +272,10 @@ def cmd_synthesize(args) -> int:
                  outdir / (stem + ".schedule.json"):
                      json.dumps(result.schedule.to_dict(), indent=2) + "\n"}
     if args.dot:  # an absolute --dot replaces outdir
-        artifacts[outdir / args.dot] = to_dot(result.graph, scn.mas.state_count,
-                                              result.cycle_states)
+        dot = outdir / args.dot
+        if dot.resolve() in {p.resolve() for p in (Path(args.scenario), *artifacts)}:
+            raise ParseError("--dot %s names the scenario or another artifact" % args.dot)
+        artifacts[dot] = to_dot(result.graph, scn.mas.state_count, result.cycle_states)
     _write_artifacts(artifacts)
     print("artifacts: %s.report.txt, %s.schedule.json%s in %s"
           % (stem, stem, (", " + args.dot) if args.dot else "", outdir),
@@ -285,21 +293,18 @@ def cmd_simulate(args) -> int:
         raise ParseError("cannot read schedule %s: %s" % (args.schedule, e)) from e
     except (json.JSONDecodeError, ParseError) as e:
         raise ParseError("schedule %s is not valid: %s" % (args.schedule, e)) from e
-    config = SimConfig(horizon_fast=args.horizon, trials=args.trials,
-                       seed=args.seed, x0=scn.x0)
-    trace = simulate(scn, schedule, config)
+    trace = simulate(scn, schedule,
+                     SimConfig(horizon_fast=args.horizon, trials=args.trials, seed=args.seed))
 
     report = ["co-simulation of %s" % args.scenario]
     report.append("seed %d, trials %d, horizon %d fast steps (tau = %d)"
                   % (args.seed, args.trials, args.horizon, trace.tau))
     report.append("final running average cost: %.10g" % trace.running_cost[-1])
-    if args.trials < MIN_CHECK_TRIALS:
-        report.append("decay check skipped (needs >= %d trials)" % MIN_CHECK_TRIALS)
-    elif trace.entry_fast >= args.horizon:
-        report.append("decay check skipped (horizon %d ends at or before the cycle "
-                      "entry at fast step %d)" % (args.horizon, trace.entry_fast))
-    else:
+    try:
         check = empirical_lyapunov_check(trace)
+    except (InsufficientTrials, ValueOutOfRange) as e:
+        report.append("decay check skipped (%s)" % e)
+    else:
         for pc in check.plants:
             name = scn.plants[pc.plant].name or "plant %d" % (pc.plant + 1)
             report.append(

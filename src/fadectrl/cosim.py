@@ -4,7 +4,8 @@ Agents move on the slow scale k; plants and radios run on the fast
 scale l with tau fast steps per slow step (k = floor(l / tau)).  At
 fast step l each link i delivers independently with the success
 probability of the current agent state, and each plant applies its
-closed- or open-loop matrix accordingly plus Gaussian process noise.
+closed- or open-loop matrix accordingly plus Gaussian process noise,
+from the scenario's initial plant states (zeros when it gives none).
 
 Randomness is a stateless counter construction on the splitmix64
 finalizer: every draw is keyed by (seed, stream, step, draw, trial)
@@ -188,7 +189,6 @@ class SimConfig:
     horizon_fast: int
     trials: int
     seed: int
-    x0: tuple = None  # per-plant initial vectors; zeros when omitted
 
     def __post_init__(self):
         if self.horizon_fast < 1:
@@ -204,7 +204,7 @@ class SimTrace:
     tau: int
     alpha_slow: tuple
     inputs_slow: tuple
-    states: tuple          # per plant: trial 0's path, (1, horizon+1, dim)
+    states: tuple          # per plant: trial 0's path, (horizon+1, dim)
     deliveries: np.ndarray  # (trials, horizon, links) of 0/1, a view of time-major rows
     running_cost: np.ndarray
     entry_fast: int
@@ -277,40 +277,29 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     tau = scenario.cost.tau
     horizon = config.horizon_fast
     trials = config.trials
-    n_slow = -(-horizon // tau)
-    alpha_slow, inputs_slow = _replay_slow(scenario, schedule, n_slow)
+    alpha_slow, inputs_slow = _replay_slow(scenario, schedule, -(-horizon // tau))
 
     plants = scenario.plants
-    q = len(plants)
     visited = sorted(set(alpha_slow))
     # (links, visited states): the replay keeps every visited state admissible,
     # and the loader gives every admissible state a success probability
     lam_table = np.array([scenario.success[a] for a in visited], dtype=float).T
 
-    x0 = config.x0
-    if x0 is not None and len(x0) != q:
-        raise DimensionMismatch("%d initial vectors for %d plants" % (len(x0), q))
     block = block_steps(trials)
     buffers, paths, factors = [], [], []
     for i, plant in enumerate(plants):
         x = np.zeros((min(block, horizon) + 1, plant.dim, trials))
-        if x0 is not None:
-            v = np.asarray(x0[i], dtype=float)
-            if v.size != plant.dim:
-                raise DimensionMismatch(
-                    "initial vector of plant %d%s has %d entries, not its dimension %d"
-                    % (i + 1, " (%s)" % plant.name if plant.name else "", v.size, plant.dim))
-            x[0] = v.reshape(plant.dim, 1)
+        if scenario.x0 is not None:  # the loader checked each vector's length
+            x[0] = np.reshape(scenario.x0[i], (plant.dim, 1))
         buffers.append(x)
-        paths.append(np.empty((1, horizon + 1, plant.dim)))
-        paths[i][0, 0] = x[0, :, 0]
+        paths.append(np.empty((horizon + 1, plant.dim)))
         factors.append(plant.noise_factor())
     decay_mean = tuple(np.empty(horizon) for _ in plants)
     decay_sd = tuple(np.full(horizon, np.nan) for _ in plants)
 
     # time-major, so a block writes whole (trials,) rows; the trace keeps
     # the (trials, horizon, links) view of it
-    delivered = np.empty((horizon, q, trials), dtype=np.uint8)
+    delivered = np.empty((horizon, len(plants), trials), dtype=np.uint8)
     state_cols = np.searchsorted(visited, alpha_slow)[_slow_steps(tau, horizon)]
     for start in range(0, horizon, block):
         stop = min(start + block, horizon)
@@ -345,7 +334,7 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
             decay_mean[i][start:stop] = r.mean(axis=0)
             if trials > 1:  # one trial has no sample sd
                 decay_sd[i][start:stop] = r.std(axis=0, ddof=1)
-            paths[i][0, start + 1 : stop + 1] = x[1 : n + 1, :, 0]
+            paths[i][start : stop + 1] = x[: n + 1, :, 0]
             x[0] = x[n]
             # freed before the next block's draws: a block array left alive
             # into the next block fragments the heap, which glibc then trims
@@ -379,21 +368,22 @@ class LyapunovCheck:
     plants: tuple
 
 
-def empirical_lyapunov_check(trace: SimTrace, from_step: int = None) -> LyapunovCheck:
+def empirical_lyapunov_check(trace: SimTrace) -> LyapunovCheck:
     """Test the expected one-step decay bound on the simulated ensemble.
 
     For every fast step l at or after the cycle entry, the across-trial
     mean of  V(x(l+1)) - rho V(x(l)) - trace(Q Xi)  must not exceed
     three standard errors of that mean (law of total expectation turns
-    the per-state conditional bound into this testable one).  The
-    per-step statistics are the ones `simulate` gathered during the run.
+    the per-state conditional bound into this testable one), on the
+    per-step statistics `simulate` gathered.  A trace that cannot be
+    checked raises InsufficientTrials or ValueOutOfRange with the reason.
     """
     if trace.trials < MIN_CHECK_TRIALS:
-        raise InsufficientTrials("%d trials; need >= %d for the 3-sigma check"
-                                 % (trace.trials, MIN_CHECK_TRIALS))
-    start = trace.entry_fast if from_step is None else from_step
-    if not 0 <= start < trace.horizon:
-        raise ValueOutOfRange("check window starts outside the trace")
+        raise InsufficientTrials("needs >= %d trials" % MIN_CHECK_TRIALS)
+    start = trace.entry_fast
+    if start >= trace.horizon:
+        raise ValueOutOfRange("horizon %d ends at or before the cycle entry at fast step %d"
+                              % (trace.horizon, start))
     results = []
     for i, (mean, sd) in enumerate(zip(trace.decay_mean, trace.decay_sd)):
         mean = mean[start:]
@@ -415,13 +405,13 @@ def write_trace_csv(trace: SimTrace, fileobj):
     writer = csv.writer(fileobj, lineterminator="\n")
     header = ["l", "k", "alpha"]
     for i, x in enumerate(trace.states):
-        header += ["x%d_%d" % (i + 1, d + 1) for d in range(x.shape[2])]
+        header += ["x%d_%d" % (i + 1, d + 1) for d in range(x.shape[1])]
     header += ["delivered%d" % (i + 1) for i in range(trace.deliveries.shape[2])]
     header.append("running_cost")
     writer.writerow(header)
     # Python floats and ints once per column: repr of a float is its shortest
     # round-trip spelling, as for the numpy scalar
-    paths = [x[0].tolist() for x in trace.states]
+    paths = [x.tolist() for x in trace.states]
     delivered = trace.deliveries[0].tolist()
     cost = trace.running_cost.tolist()
     for l in range(trace.horizon):

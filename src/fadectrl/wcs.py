@@ -40,6 +40,8 @@ from .errors import (
 )
 
 DEFINITE_MARGIN = 1e-12
+_SYMMETRY_TOL = 1e-9  # largest |m - m'| entry, relative to the largest |m| entry
+_PIVOT_TOL = 1e-10  # a Cholesky pivot, relative to the largest |m| entry
 # midpoints decay_threshold tries: the bracket ends 2**-30 < 1e-9 wide
 _BISECT_STEPS = 30
 
@@ -51,12 +53,12 @@ def _square(m, what: str) -> np.ndarray:
     return m
 
 
-def require_symmetric(m, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
+def require_symmetric(m, what: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch("%s must be square, got shape %s" % (what, m.shape))
     scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.T)) > tol * scale:
+    if np.max(np.abs(m - m.T)) > _SYMMETRY_TOL * scale:
         raise PreconditionViolated("%s is not symmetric" % what)
     return 0.5 * (m + m.T)
 
@@ -69,11 +71,11 @@ def _dot(u, v) -> float:
     return s
 
 
-def chol_semidefinite(m, tol: float = 1e-10) -> np.ndarray:
+def chol_semidefinite(m) -> np.ndarray:
     """Lower Cholesky factor of a PSD matrix, zero rows where rank drops.
 
-    Standard algorithm with the pivot clamped at zero; a diagonal entry
-    below -tol*scale means the matrix is not PSD.  Its dot products are
+    Standard algorithm with the pivot clamped at zero; a pivot below
+    -_PIVOT_TOL * scale means the matrix is not PSD.  Its dot products are
     index-order sums, so the factor does not depend on the BLAS kernel.
     """
     m = require_symmetric(m, what="covariance")
@@ -82,11 +84,11 @@ def chol_semidefinite(m, tol: float = 1e-10) -> np.ndarray:
     l = np.zeros_like(m)
     for j in range(n):
         d = m[j, j] - _dot(l[j, :j], l[j, :j])
-        if d < -tol * scale:
+        if d < -_PIVOT_TOL * scale:
             raise PreconditionViolated(
                 "covariance not positive semidefinite (pivot %.3e)" % d
             )
-        if d <= tol * scale:
+        if d <= _PIVOT_TOL * scale:
             continue  # rank-deficient direction: leave the row zero
         l[j, j] = np.sqrt(d)
         for i in range(j + 1, n):

@@ -326,8 +326,8 @@ def stepwise_simulate(scenario, schedule, config):
     states = []
     for i, plant in enumerate(plants):
         x = np.zeros((trials, horizon + 1, plant.dim))
-        if config.x0 is not None:
-            x[:, 0, :] = np.asarray(config.x0[i], dtype=float).reshape(plant.dim)
+        if scenario.x0 is not None:
+            x[:, 0, :] = scenario.x0[i]
         states.append(x)
     deliveries = np.zeros((trials, horizon, len(plants)), dtype=np.uint8)
     for l in range(horizon):
@@ -344,7 +344,7 @@ def stepwise_simulate(scenario, schedule, config):
         tau=tau,
         alpha_slow=alpha_slow,
         inputs_slow=inputs_slow,
-        states=tuple(x[:1] for x in states),
+        states=tuple(x[0] for x in states),
         deliveries=deliveries,
         running_cost=average_cost_trace(scenario, schedule, horizon),
         entry_fast=len(schedule.prefix_inputs) * tau,

@@ -138,8 +138,7 @@ def test_acceptance_6_invariant_vs_brute_force(capsys):
 def test_acceptance_7_monte_carlo_verification(scenario, capsys):
     with verdict(capsys, "7 (Monte-Carlo verification)"):
         t0 = time.perf_counter()
-        config = SimConfig(horizon_fast=160, trials=10_000, seed=2026,
-                           x0=scenario.x0)
+        config = SimConfig(horizon_fast=160, trials=10_000, seed=2026)
         trace = simulate(scenario, OPTIMAL, config)
         for slow, a in enumerate(trace.alpha_slow):
             window = trace.deliveries[:, slow * 40 : (slow + 1) * 40, :]

@@ -4,7 +4,9 @@ Proves:
  Group 1 - thresholds: values on stdout (the bundled cell's pinned to the
            byte), warnings on stderr, non-finite matrix entries and a plant
            whose A' Q A overflows exit 1, and so does every command on a
-           plant whose tr(Q Xi) overflows; 2^40 agent states are rejected
+           plant whose tr(Q Xi) overflows; a threshold that cannot be
+           computed is an error naming its link, from every command that
+           computes it; 2^40 agent states are rejected
            by the cost section's length check before any per-state table
            is built
  Group 2 - check: verdict in text and exit status (0 feasible, 2 not),
@@ -15,10 +17,11 @@ Proves:
            and scenarios without channel tables or without a fading row
            for a usable state leave nothing behind, an artifact that cannot
            be written is one error line and no artifact of the run is
-           written, each stabilization stage runs once, an exact number
-           past float64's range prints as a fraction alone, and an integer
-           past that range, or a bool or timestamp with no reading, is a
-           located error
+           written, a --dot naming the scenario, the report or the schedule
+           is refused with nothing written, each stabilization stage runs
+           once, an exact number past float64's range prints as a fraction
+           alone, and an integer past that range, or a bool or timestamp
+           with no reading, is a located error
  Group 4 - simulate: trace and report artifacts, decay verdict, same
            seed gives byte-identical traces that match a pinned golden
            digest, also on a BLAS kernel without FMA in a child process,
@@ -151,6 +154,34 @@ def test_thresholds_rejects_plant_that_overflows_float64(scenario_path, outdir,
     assert ("plants[1]: open-loop matrix of plant conveyor: A' Q A is not finite "
             "in float64") in err
     assert "infeasible" not in err
+
+
+@pytest.mark.parametrize("old, new, status, error", [
+    ("    decay_rate: 0.9\n", "    decay_rate: 0.01\n", 2,
+     "infeasible: link 2 (conveyor): predicate false at theta = 1"),
+    ("    a_closed: 0.2\n", "    a_closed: 1.0\n", 1,
+     "error: link 2 (conveyor): closed loop does not strictly improve on open loop "
+     "in Q-metric"),
+], ids=["infeasible", "no_improvement"])
+def test_a_threshold_that_cannot_be_computed_names_its_link(scenario_path, outdir,
+                                                           tmp_path_factory, capsys,
+                                                           old, new, status, error):
+    # the conveyor's threshold cannot be computed; the message used to omit its link
+    text = scenario_path.read_text().replace(old, new)
+    cell = tmp_path_factory.mktemp("uncomputable") / "assembly_cell.yaml"
+    cell.write_text(text.replace("thresholds_override: [0.29, 0.10]\n", ""))
+    for command in ("thresholds", "check", "synthesize"):
+        assert main([command, str(cell)]) == status
+        _, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert [x for x in err.splitlines() if not x.startswith("warning:")] == [error]
+    assert list(outdir.iterdir()) == []
+    # an override for that link is used with a warning, whose text is unchanged
+    cell.write_text(text)
+    main(["check", str(cell)])
+    _, err = capsys.readouterr()
+    assert ("warning: link 2 (conveyor): threshold override 0.1 is uncertified: no "
+            "computed threshold (%s)\n" % error.split(": ", 2)[2]) in err
 
 
 def test_plant_whose_noise_floor_overflows_is_a_located_error(scenario_path, outdir,
@@ -441,6 +472,24 @@ def test_synthesize_dot_in_a_missing_directory_is_an_error(scenario_path, outdir
     assert _one_error(err).startswith("error: cannot write %s: " % (outdir / "nodir" / "g.dot"))
     # the report and the schedule used to be left behind
     assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["report", "schedule", "scenario", "scenario_relative"])
+def test_synthesize_dot_naming_the_scenario_or_an_artifact_is_refused(
+        scenario_path, outdir, tmp_path_factory, capsys, target):
+    # the DOT graph used to replace the report, the schedule or the scenario
+    cell = tmp_path_factory.mktemp("cell") / "assembly_cell.yaml"
+    text = scenario_path.read_text()
+    cell.write_text(text)
+    dot = {"report": "assembly_cell.report.txt",
+           "schedule": "./assembly_cell.schedule.json",
+           "scenario": str(cell),
+           "scenario_relative": os.path.relpath(cell, outdir)}[target]
+    assert main(["synthesize", str(cell), "--dot", dot]) == 1
+    _, err = capsys.readouterr()
+    assert _one_error(err) == "error: --dot %s names the scenario or another artifact" % dot
+    assert list(outdir.iterdir()) == []
+    assert cell.read_text() == text
 
 
 def test_simulate_that_cannot_write_one_artifact_writes_none(scenario_path, outdir, capsys):

@@ -20,18 +20,19 @@ Proves:
            with a non-unit noise factor, and for a 2-dim plant with an
            explicit non-diagonal quality weight and a scalar one with Q = 2.5,
            no numpy warning at one or two trials, memory that does not
-           grow with trials x horizon, a working set beyond the deliveries
-           within one budget at 1000 and 4000 trials, and initial vectors
-           of the wrong length rejected with the plant named
+           grow with trials x horizon, and a working set beyond the
+           deliveries within one budget at 1000 and 4000 trials; trial 0's
+           path starts at the document's initial plant states
  Group 4 - running cost: exact cycle averages for the worked example
  Group 5 - the empirical decay check passes where delivery is rich
-           enough and fails where the schedule starves a link
+           enough and fails where the schedule starves a link; below 100
+           trials, or with no step past the cycle entry, it raises the
+           reason the CLI prints for skipping it
  Group 6 - CSV export determinism
 """
 
 import dataclasses
 import io
-import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -374,7 +375,7 @@ def test_sim_config_validation():
 # ── Group 3: simulation ──────────────────────────────────────────────────────
 
 def test_simulate_bit_exact_reproducibility(scenario):
-    config = SimConfig(horizon_fast=80, trials=64, seed=123, x0=scenario.x0)
+    config = SimConfig(horizon_fast=80, trials=64, seed=123)
     one = simulate(scenario, OPTIMAL, config)
     two = simulate(scenario, OPTIMAL, config)
     assert np.array_equal(one.deliveries, two.deliveries)
@@ -383,21 +384,21 @@ def test_simulate_bit_exact_reproducibility(scenario):
     for name in ("decay_mean", "decay_sd"):
         for x, y in zip(getattr(one, name), getattr(two, name)):
             assert x.tobytes() == y.tobytes()
-    other = simulate(scenario, OPTIMAL, SimConfig(80, 64, 124, x0=scenario.x0))
+    other = simulate(scenario, OPTIMAL, SimConfig(80, 64, 124))
     assert not np.array_equal(one.deliveries, other.deliveries)
 
 
 def test_simulate_trace_bookkeeping(scenario):
-    trace = simulate(scenario, OPTIMAL, SimConfig(90, 8, 5, x0=scenario.x0))
+    trace = simulate(scenario, OPTIMAL, SimConfig(90, 8, 5))
     assert trace.tau == 40
     assert trace.horizon == 90 and trace.trials == 8
     assert trace.alpha_slow == (4, 2, 5)  # ceil(90 / 40) slow steps
     assert trace.inputs_slow == (7, 7, 4)
     assert trace.entry_fast == 0
-    assert trace.states[0].shape == (1, 91, 2)  # trial 0's path
-    assert trace.states[1].shape == (1, 91, 1)
+    assert trace.states[0].shape == (91, 2)  # trial 0's path
+    assert trace.states[1].shape == (91, 1)
     assert trace.deliveries.shape == (8, 90, 2)
-    assert np.array_equal(trace.states[0][:, 0, :], np.ones((1, 2)))
+    assert np.array_equal(trace.states[0][0], np.ones(2))  # the document's start
     for stats in (trace.decay_mean, trace.decay_sd):
         assert [s.shape for s in stats] == [(90,), (90,)]
         assert all(np.isfinite(s).all() for s in stats)
@@ -405,10 +406,10 @@ def test_simulate_trace_bookkeeping(scenario):
 
 def test_simulate_sure_delivery_closed_form():
     scn = load_scenario_text(SURE_DELIVERY)
-    trace = simulate(scn, Schedule((), (1,), 1), SimConfig(12, 128, 77, x0=scn.x0))
+    trace = simulate(scn, Schedule((), (1,), 1), SimConfig(12, 128, 77))
     assert np.all(trace.deliveries == 1)
     for l in range(13):
-        assert np.array_equal(trace.states[0][:, l, 0], np.full(1, 0.5 ** l))
+        assert trace.states[0][l, 0] == 0.5 ** l
     # every trial follows x(l) = 0.5^l, so V drops from 0.25^l to 0.25^(l+1)
     # against the bound 0.9 * 0.25^l: the mean residual is -0.65 * 0.25^l
     # and the trials do not spread
@@ -417,12 +418,12 @@ def test_simulate_sure_delivery_closed_form():
     assert np.all(trace.decay_sd[0] <= 1e-12 * np.abs(want))
     # power 0.25 every fast step, no input weight: the average is constant
     assert np.array_equal(trace.running_cost, np.full(12, 0.25))
-    check = empirical_lyapunov_check(trace, from_step=0)
-    assert check.passed
+    assert trace.entry_fast == 0
+    assert empirical_lyapunov_check(trace).passed
 
 
 def test_simulate_delivery_frequencies(scenario):
-    trace = simulate(scenario, OPTIMAL, SimConfig(160, 3000, 42, x0=scenario.x0))
+    trace = simulate(scenario, OPTIMAL, SimConfig(160, 3000, 42))
     for slow, a in enumerate(trace.alpha_slow):
         window = trace.deliveries[:, slow * 40 : (slow + 1) * 40, :]
         count = window.shape[0] * window.shape[1]
@@ -442,17 +443,6 @@ def test_simulate_schedule_validation(scenario):
         simulate(scenario, Schedule((), (7, 7, 4, 7), 2), SimConfig(40, 4, 1))
 
 
-@pytest.mark.parametrize("x0, message", [
-    (((1.0, 2.0, 3.0), (1.0,)), "plant 1 (arm) has 3 entries, not its dimension 2"),
-    (((1.0, 2.0), (1.0, 2.0)), "plant 2 (conveyor) has 2 entries, not its dimension 1"),
-    (((1.0, 2.0), ()), "plant 2 (conveyor) has 0 entries, not its dimension 1"),
-], ids=["arm_long", "conveyor_long", "conveyor_empty"])
-def test_simulate_checks_initial_vector_lengths(scenario, x0, message):
-    # a wrong length used to end in numpy's own reshape error
-    with pytest.raises(DimensionMismatch, match=re.escape(message)):
-        simulate(scenario, OPTIMAL, SimConfig(10, 2, 1, x0))
-
-
 def _edges(block):
     """One block and its edges, then a run of several blocks that ends inside one."""
     return {block - 1, block, block + 1, 2 * block + 3}
@@ -464,7 +454,7 @@ def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
     # both schedules change the success probabilities inside a block; 101
     # trials are enough for the decay check and an odd array extent, and
     # take the longest block
-    config = SimConfig(horizon, 101, 2**64 - 1, x0=scenario.x0)
+    config = SimConfig(horizon, 101, 2**64 - 1)
     _assert_matches_stepwise_oracle(scenario, schedule, config)
 
 
@@ -473,7 +463,7 @@ def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
 def test_simulate_matches_stepwise_oracle_on_short_blocks(scenario, schedule, horizon):
     # past 256 trials a block is shorter than 64 steps
     assert block_steps(1031) < 64
-    config = SimConfig(horizon, 1031, 7, x0=scenario.x0)
+    config = SimConfig(horizon, 1031, 7)
     _assert_matches_stepwise_oracle(scenario, schedule, config)
 
 
@@ -495,10 +485,11 @@ def _assert_matches_stepwise_oracle(scenario, schedule, config):
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12)
     if config.trials < MIN_CHECK_TRIALS:
         return
+    # the check runs from the cycle entry: moving the entry moves its window
     for start in sorted({0, want.entry_fast, horizon // 2, horizon - 1}):
         if start >= horizon:
             continue
-        streamed = empirical_lyapunov_check(got, from_step=start)
+        streamed = empirical_lyapunov_check(dataclasses.replace(got, entry_fast=start))
         full = full_lyapunov_check(full_states, scenario.plants, start)
         assert streamed.passed == full.passed
         for a, b in zip(streamed.plants, full.plants, strict=True):
@@ -513,7 +504,7 @@ def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon):
     scn = load_scenario_text(MIXED_PLANTS)
     assert [p.dim for p in scn.plants] == [3, 1]
     assert scn.plants[1].noise_factor()[0, 0] == np.sqrt(2.0)
-    _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 37, 2**63 + 5, x0=scn.x0))
+    _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 37, 2**63 + 5))
 
 
 @pytest.mark.parametrize("horizon", [1, block_steps(29) + 1, 2 * block_steps(29) + 3])
@@ -523,7 +514,7 @@ def test_simulate_matches_stepwise_oracle_on_quality_weights(horizon):
     scn = load_scenario_text(QUALITY_WEIGHTS)
     arm, belt = scn.plants
     assert arm.q[0, 1] == 0.7 and belt.q[0, 0] == 2.5
-    _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 29, 11, x0=scn.x0))
+    _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 29, 11))
 
 
 @pytest.mark.parametrize("trials", [1, 2])
@@ -531,7 +522,7 @@ def test_simulate_few_trials_raises_no_warning(scenario, trials):
     # the per-step sample sd needs two trials; one trial leaves it NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = simulate(scenario, OPTIMAL, SimConfig(300, trials, 1, x0=scenario.x0))
+        trace = simulate(scenario, OPTIMAL, SimConfig(300, trials, 1))
     for mean, sd in zip(trace.decay_mean, trace.decay_sd):
         assert np.isfinite(mean).all()
         assert np.isnan(sd).all() if trials == 1 else np.isfinite(sd).all()
@@ -540,7 +531,7 @@ def test_simulate_few_trials_raises_no_warning(scenario, trials):
 def _simulate_peak_bytes(scenario, trials, horizon):
     tracemalloc.start()  # numpy reports its array buffers to tracemalloc
     try:
-        simulate(scenario, OPTIMAL, SimConfig(horizon, trials, 1, x0=scenario.x0))
+        simulate(scenario, OPTIMAL, SimConfig(horizon, trials, 1))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -597,7 +588,7 @@ def test_cost_trace_long_run_values(scenario):
 
 
 def test_cost_trace_matches_simulation_column(scenario):
-    trace = simulate(scenario, OPTIMAL, SimConfig(100, 4, 3, x0=scenario.x0))
+    trace = simulate(scenario, OPTIMAL, SimConfig(100, 4, 3))
     assert np.array_equal(
         trace.running_cost, average_cost_trace(scenario, OPTIMAL, 100)
     )
@@ -606,7 +597,7 @@ def test_cost_trace_matches_simulation_column(scenario):
 # ── Group 5: the decay check ─────────────────────────────────────────────────
 
 def test_decay_check_passes_under_optimal_schedule(scenario):
-    trace = simulate(scenario, OPTIMAL, SimConfig(160, 2000, 7, x0=scenario.x0))
+    trace = simulate(scenario, OPTIMAL, SimConfig(160, 2000, 7))
     check = empirical_lyapunov_check(trace)
     assert check.passed
     assert all(p.passed for p in check.plants)
@@ -614,7 +605,7 @@ def test_decay_check_passes_under_optimal_schedule(scenario):
 
 
 def test_decay_check_catches_starved_link(scenario):
-    trace = simulate(scenario, STARVING, SimConfig(200, 400, 11, x0=scenario.x0))
+    trace = simulate(scenario, STARVING, SimConfig(200, 400, 11))
     assert trace.alpha_slow == (4, 3, 3, 3, 3)
     assert trace.entry_fast == 40
     check = empirical_lyapunov_check(trace)
@@ -624,22 +615,25 @@ def test_decay_check_catches_starved_link(scenario):
 
 
 def test_decay_check_needs_trials(scenario):
-    trace = simulate(scenario, OPTIMAL, SimConfig(40, 50, 1, x0=scenario.x0))
-    with pytest.raises(InsufficientTrials):
+    # the message is the reason `fadectrl simulate` prints for skipping the check
+    trace = simulate(scenario, OPTIMAL, SimConfig(40, 99, 1))
+    with pytest.raises(InsufficientTrials, match=r"^needs >= 100 trials$"):
         empirical_lyapunov_check(trace)
 
 
 def test_decay_check_window_validation(scenario):
-    trace = simulate(scenario, OPTIMAL, SimConfig(40, 120, 1, x0=scenario.x0))
-    with pytest.raises(ValueOutOfRange):
-        empirical_lyapunov_check(trace, from_step=40)
+    trace = simulate(scenario, STARVING, SimConfig(40, 120, 1))
+    assert trace.entry_fast == 40
+    with pytest.raises(ValueOutOfRange, match=r"^horizon 40 ends at or before the "
+                                              r"cycle entry at fast step 40$"):
+        empirical_lyapunov_check(trace)
 
 
 # ── Group 6: CSV export ──────────────────────────────────────────────────────
 
 def test_trace_csv_layout_and_determinism(scenario):
     def render():
-        trace = simulate(scenario, OPTIMAL, SimConfig(50, 3, 9, x0=scenario.x0))
+        trace = simulate(scenario, OPTIMAL, SimConfig(50, 3, 9))
         buf = io.StringIO()
         write_trace_csv(trace, buf)
         return buf.getvalue()

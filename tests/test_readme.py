@@ -3,7 +3,7 @@
 Proves:
  Group 1 - the `## Library` block, run verbatim from the repository root,
            prints the cycle mean and cost it states, then a passing decay
-           check
+           check, with every warning an error
 """
 
 import os
@@ -23,7 +23,8 @@ def test_library_example_runs():
     block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)
     assert block
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", block.group(1)], cwd=ROOT,
+    # -W error, as CI's tier-1 step runs the in-process tests
+    run = subprocess.run([sys.executable, "-W", "error", "-c", block.group(1)], cwd=ROOT,
                          capture_output=True, text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=path))
     assert run.returncode == 0, run.stderr

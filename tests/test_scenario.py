@@ -326,9 +326,20 @@ def test_channel_facts_are_located(bundled_text, old, new, field, message):
     ("  initial_plant_states: [[1.0, 1.0], [1.0]]",
      "  initial_plant_state: [[1.0, 1.0], [1.0]]",
      "simulation", "unknown key 'initial_plant_state'"),
-], ids=["not_a_mapping", "misspelt_key"])
+] + [
+    # `simulate` reads the initial states the loader checked here
+    ("initial_plant_states: [[1.0, 1.0], [1.0]]", "initial_plant_states: " + states,
+     "simulation.initial_plant_states" + index, message)
+    for states, index, message in (
+        ("[[1.0, 1.0, 1.0], [1.0]]", "[0]", "must list 2 numbers"),
+        ("[[1.0, 1.0], [1.0, 2.0]]", "[1]", "must list 1 numbers"),
+        ("[[1.0, 1.0], []]", "[1]", "must list 1 numbers"),
+        ("[[1.0, 1.0]]", "", "must list 2 vectors"),
+    )
+], ids=["not_a_mapping", "misspelt_key", "arm_long", "conveyor_long", "conveyor_empty",
+        "one_vector"])
 def test_simulation_section_is_checked(bundled_text, old, new, field, message):
-    # either edit used to load with the plants silently starting at zero
+    # the first two edits used to load with the plants silently starting at zero
     _reject_once(bundled_text, old, new, field, message)
 
 
