@@ -11,7 +11,8 @@ Proves:
            is built
  Group 2 - check: verdict in text and exit status (0 feasible, 2 not),
            warnings for overrides below the computed thresholds, misspelt
-           optional keys exit 1
+           optional keys exit 1; the exact stdout, stderr and exit status
+           of check and synthesize for every source of thresholds
  Group 3 - synthesize: report/schedule/DOT artifacts, report and schedule
            bytes pinned with the start on and off the cycle, infeasible runs
            and scenarios without channel tables or without a fading row
@@ -322,6 +323,99 @@ def test_override_below_computed_threshold_warns(scenario_path, outdir,
     assert ("warning: link 2 (conveyor): threshold override 0.1 is uncertified: "
             "no computed threshold") in err
     assert "feasible: yes" in out
+
+
+MEASURED_WARNING = ("warning: measured success table overrides derived value at link 2, "
+                    "state 5: measured 0.1 vs derived 0.075\n")
+NO_IMPROVEMENT = "closed loop does not strictly improve on open loop in Q-metric"
+BUNDLED_OVERRIDE = ("  link 1 (arm): s = 29/100 (= 0.29)  [override]\n"
+                    "  link 2 (conveyor): s = 1/10 (= 0.1)  [override]\n")
+CYCLE_4256 = ("optimal cycle: 4 -> 2 -> 5 -> 6 -> 4\n"
+              "mean cycle weight: 24\n"
+              "long-run average cost per fast step: 3/5 (= 0.6)\n"
+              "prefix: (start state lies on the cycle)\n"
+              "schedule head (inputs, slow steps 0..11): 7 7 4 7 7 7 4 7 7 7 4 7\n"
+              "trajectory head (states, slow steps 0..11): 4 2 5 6 4 2 5 6 4 2 5 6\n")
+CYCLE_426 = ("optimal cycle: 4 -> 2 -> 6 -> 4\n"
+             "mean cycle weight: 26\n"
+             "long-run average cost per fast step: 13/20 (= 0.65)\n"
+             "prefix: (start state lies on the cycle)\n"
+             "schedule head (inputs, slow steps 0..11): 7 8 7 7 8 7 7 8 7 7 8 7\n"
+             "trajectory head (states, slow steps 0..11): 4 2 6 4 2 6 4 2 6 4 2 6\n")
+NO_SCHEDULE = "no schedule exists for these thresholds\n"
+
+
+def _below(link, s, computed):
+    return ("warning: %s: threshold override %s is below the computed threshold %s; "
+            "the decay bound is not certified\n" % (link, s, computed))
+
+
+@pytest.mark.parametrize("uncomputable, override, flags, status, thresholds, usable, "
+                         "synthesis, warned", [
+    (False, True, [], 0, BUNDLED_OVERRIDE, "[2, 4, 5, 6]", CYCLE_4256,
+     _below("link 2 (conveyor)", "0.1", "0.104166667")),
+    (False, True, ["--s-override", "0.3,0.2"], 2,
+     "  link 1 (arm): s = 3/10 (= 0.3)  [override]\n"
+     "  link 2 (conveyor): s = 1/5 (= 0.2)  [override]\n", "[]", NO_SCHEDULE, ""),
+    (False, True, ["--s-override", "0.2,0.05"], 0,
+     "  link 1 (arm): s = 1/5 (= 0.2)  [override]\n"
+     "  link 2 (conveyor): s = 1/20 (= 0.05)  [override]\n", "[2, 4, 5, 6]", CYCLE_4256,
+     _below("link 1 (arm)", "0.2", "0.2893770859")
+     + _below("link 2 (conveyor)", "0.05", "0.104166667")),
+    (False, True, ["--s-override", "0.9,0.9"], 2,
+     "  link 1 (arm): s = 9/10 (= 0.9)  [override]\n"
+     "  link 2 (conveyor): s = 9/10 (= 0.9)  [override]\n", "[]", NO_SCHEDULE, ""),
+    (False, False, [], 0,
+     "  link 1 (arm): s = 0.2893770859\n"
+     "  link 2 (conveyor): s = 0.104166667\n", "[2, 4, 6]", CYCLE_426, ""),
+    (True, True, [], 0, BUNDLED_OVERRIDE, "[2, 4, 5, 6]", CYCLE_4256,
+     "warning: link 2 (conveyor): threshold override 0.1 is uncertified: no computed "
+     "threshold (%s)\n" % NO_IMPROVEMENT),
+    (True, False, [], 1, None, None, None,
+     "error: link 2 (conveyor): %s\n" % NO_IMPROVEMENT),
+], ids=["bundled_override", "override_0.3_0.2", "override_0.2_0.05", "override_0.9_0.9",
+        "computed", "uncomputable_with_override", "uncomputable"])
+def test_check_and_synthesize_for_every_threshold_source(
+        scenario_path, outdir, tmp_path_factory, capsys, uncomputable, override, flags,
+        status, thresholds, usable, synthesis, warned):
+    # the exact stdout, stderr and exit status of both commands for each
+    # source of thresholds: the document's override, --s-override, the
+    # computed values, and a conveyor whose threshold cannot be computed
+    text = scenario_path.read_text()
+    if uncomputable:
+        text = text.replace("    a_closed: 0.2\n    a_open: 1.0\n",
+                            "    a_closed: 1.0\n    a_open: 0.2\n")
+    if not override:
+        text = text.replace("thresholds_override: [0.29, 0.10]\n", "")
+    cell = tmp_path_factory.mktemp("source") / "assembly_cell.yaml"
+    cell.write_text(text)
+    assert ("a_closed: 1.0\n" in text) == uncomputable
+    assert ("thresholds_override" in text) == override
+    for command, title in (("check", "feasibility check"),
+                           ("synthesize", "schedule synthesis")):
+        assert main([command, str(cell), *flags]) == status
+        out, err = capsys.readouterr()
+        if thresholds is None:
+            assert (out, err) == ("", MEASURED_WARNING + warned)
+            continue
+        analysis = ("%s for %s\n" % (title, cell)
+                    + "links: 2, agent states: 9, admissible: 6\nthresholds:\n"
+                    + thresholds
+                    + "performance region: %s\n" % usable
+                    + "invariant core:     %s\n" % usable
+                    + "reachable from 4:   [1, 2, 3, 4, 5, 6] (max depth 3)\n"
+                    + "feasible: %s, usable states: %s\n"
+                    % ("no" if usable == "[]" else "yes", usable))
+        if command == "check":
+            assert (out, err) == (analysis, MEASURED_WARNING + warned)
+            continue
+        assert out == analysis + synthesis
+        artifacts = ("artifacts: assembly_cell.report.txt, assembly_cell.schedule.json "
+                     "in %s\n" % outdir) if status == 0 else ""
+        assert err == MEASURED_WARNING + warned + artifacts
+    written = sorted(p.name for p in outdir.iterdir())
+    assert written == (["assembly_cell.report.txt", "assembly_cell.schedule.json"]
+                       if status == 0 else [])
 
 
 # ── Group 3: synthesize ──────────────────────────────────────────────────────
