@@ -33,10 +33,9 @@ from .cosim import (
     write_trace_csv,
 )
 from .errors import Infeasible, InsufficientTrials, ParseError, ToolkitError, ValueOutOfRange
-from .scenario import Scenario, load_scenario
-from .stabilization import Stabilization, stabilize
+from .scenario import load_scenario
+from .stabilization import Stabilization, link_name, link_threshold, stabilize
 from .synthesis import SynthesisResult, synthesize, to_dot
-from .wcs import decay_threshold
 
 OUTDIR_ENV = "FADECTRL_OUTDIR"
 REPORT_HEAD = 12  # slow steps of schedule and trajectory the synthesis report lists
@@ -115,59 +114,48 @@ def _write_artifacts(artifacts: dict):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        exact = "%d/%d" % (x.numerator, x.denominator)
-        try:
-            return "%s (= %.10g)" % (exact, x)
-        except OverflowError:  # its float64 image is past float64's range
-            return exact
-    xf = float(x)
-    if xf.is_integer():
-        return str(int(xf))
-    return "%.10g" % xf
+    """An exact number as its fraction and float; a computed threshold, a
+    float in [0, 1], as its float."""
+    if not isinstance(x, Fraction):
+        return "%.10g" % x
+    if x.denominator == 1:
+        return str(x.numerator)
+    exact = "%d/%d" % (x.numerator, x.denominator)
+    try:
+        return "%s (= %.10g)" % (exact, x)
+    except OverflowError:  # its float64 image is past float64's range
+        return exact
 
 
 def _states(seq) -> str:
     return "[" + ", ".join(str(a) for a in sorted(seq)) + "]"
 
 
-def _warn(message: str):
-    print("warning: %s" % message, file=sys.stderr)
+def _emit_warnings(warnings):
+    for w in warnings:
+        print("warning: %s" % w, file=sys.stderr)
 
 
-def _emit_warnings(scn: Scenario):
-    for w in scn.warnings:
-        _warn(w)
+def cmd_thresholds(args) -> int:
+    scn = load_scenario(args.scenario)
+    _emit_warnings(scn.warnings)
+    print("delivery-probability thresholds for %s" % args.scenario)
+    for i, plant in enumerate(scn.plants):
+        print("  %s: s = %.10g   [decay rate %.6g]"
+              % (link_name(plant, i), link_threshold(scn, i), float(plant.rho)))
+    return 0
 
 
-def _label(plant) -> str:
-    return " (%s)" % plant.name if plant.name else ""
-
-
-def _link_threshold(i: int, plant) -> float:
-    """decay_threshold of link i + 1, its error naming the link."""
-    try:
-        return decay_threshold(plant)
-    except ToolkitError as e:
-        raise type(e)("link %d%s: %s" % (i + 1, _label(plant), e)) from None
-
-
-def _thresholds(scn: Scenario, override_arg):
-    """(effective thresholds, whether they are an override).
-
-    An override below its link's computed threshold, or on a plant whose
-    threshold cannot be computed, is used as given with a warning: the
-    decay bound is not certified for that link.
-    """
+def _stabilized(args):
+    """(scenario, stabilization) of check and synthesize, warnings printed.
+    `stabilize` picks the thresholds; --s-override's values are read here."""
+    scn = load_scenario(args.scenario)
+    _emit_warnings(scn.warnings)
     override = None
-    if override_arg:
-        parts = [p.strip() for p in override_arg.split(",") if p.strip()]
+    if args.s_override:
+        parts = [p.strip() for p in args.s_override.split(",") if p.strip()]
         if len(parts) != len(scn.plants):
-            raise ParseError(
-                "--s-override needs %d comma-separated values" % len(scn.plants)
-            )
+            raise ParseError("--s-override needs %d comma-separated values" % len(scn.plants))
         override = []
         for p in parts:
             try:
@@ -176,42 +164,19 @@ def _thresholds(scn: Scenario, override_arg):
                 raise ParseError("--s-override value %r is not a number" % p) from None
         if any(not 0 <= s <= 1 for s in override):
             raise ParseError("--s-override values must lie in [0, 1]")
-    elif scn.s_override is not None:
-        override = scn.s_override
-    if override is None:
-        return tuple(_link_threshold(i, p) for i, p in enumerate(scn.plants)), False
-    for i, (plant, s) in enumerate(zip(scn.plants, override)):
-        link = "link %d%s: threshold override %.10g" % (i + 1, _label(plant), s)
-        try:
-            certified = decay_threshold(plant)
-        except ToolkitError as e:
-            _warn("%s is uncertified: no computed threshold (%s)" % (link, e))
-            continue
-        if s < certified:
-            _warn("%s is below the computed threshold %.10g; the decay bound "
-                  "is not certified" % (link, certified))
-    return override, True
+    stab = stabilize(scn, override)
+    _emit_warnings(stab.warnings)
+    return scn, stab
 
 
-def cmd_thresholds(args) -> int:
-    scn = load_scenario(args.scenario)
-    _emit_warnings(scn)
-    print("delivery-probability thresholds for %s" % args.scenario)
-    for i, plant in enumerate(scn.plants):
-        s = _link_threshold(i, plant)
-        print("  link %d%s: s = %.10g   [decay rate %.6g]"
-              % (i + 1, _label(plant), s, float(plant.rho)))
-    return 0
-
-
-def _analysis_report(scn, overridden: bool, stab: Stabilization) -> list:
-    lines = []
-    lines.append("links: %d, agent states: %d, admissible: %d"
-                 % (len(scn.plants), scn.mas.state_count, len(scn.constraints.state_set)))
-    lines.append("thresholds:")
-    tag = "  [override]" if overridden else ""
+def _analysis_report(title: str, args, scn, stab: Stabilization) -> list:
+    lines = ["%s for %s" % (title, args.scenario),
+             "links: %d, agent states: %d, admissible: %d"
+             % (len(scn.plants), scn.mas.state_count, len(scn.constraints.state_set)),
+             "thresholds:"]
+    tag = "  [override]" if stab.overridden else ""
     for i, (plant, s) in enumerate(zip(scn.plants, stab.region.thresholds)):
-        lines.append("  link %d%s: s = %s%s" % (i + 1, _label(plant), _fmt(s), tag))
+        lines.append("  %s: s = %s%s" % (link_name(plant, i), _fmt(s), tag))
     lines.append("performance region: %s" % _states(stab.region.omega))
     lines.append("invariant core:     %s" % _states(stab.invariant))
     lines.append("reachable from %d:   %s (max depth %d)"
@@ -222,13 +187,8 @@ def _analysis_report(scn, overridden: bool, stab: Stabilization) -> list:
 
 
 def cmd_check(args) -> int:
-    scn = load_scenario(args.scenario)
-    _emit_warnings(scn)
-    thresholds, overridden = _thresholds(scn, args.s_override)
-    stab = stabilize(scn, thresholds)
-    print("feasibility check for %s" % args.scenario)
-    for line in _analysis_report(scn, overridden, stab):
-        print(line)
+    scn, stab = _stabilized(args)
+    print("\n".join(_analysis_report("feasibility check", args, scn, stab)))
     return 0 if stab.feasible else 2
 
 
@@ -251,12 +211,8 @@ def _synthesis_report(scn, result: SynthesisResult) -> list:
 
 
 def cmd_synthesize(args) -> int:
-    scn = load_scenario(args.scenario)
-    _emit_warnings(scn)
-    thresholds, overridden = _thresholds(scn, args.s_override)
-    stab = stabilize(scn, thresholds)
-    report = ["schedule synthesis for %s" % args.scenario]
-    report += _analysis_report(scn, overridden, stab)
+    scn, stab = _stabilized(args)
+    report = _analysis_report("schedule synthesis", args, scn, stab)
     if not stab.feasible:
         report.append("no schedule exists for these thresholds")
         print("\n".join(report))
@@ -285,7 +241,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     scn = load_scenario(args.scenario)
-    _emit_warnings(scn)
+    _emit_warnings(scn.warnings)
     try:
         with open(args.schedule) as fh:
             schedule = Schedule.from_dict(json.load(fh))

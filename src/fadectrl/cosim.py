@@ -179,6 +179,8 @@ class Schedule:
                 raise ParseError("'%s' must be a list" % key)
             for i, u in enumerate(values):
                 _require_json_int(u, "%s[%d]" % (key, i))
+        if not inputs["cycle_inputs"]:
+            raise ParseError("'cycle_inputs' must not be empty")
         alpha0 = d.get("alpha0", 0)
         _require_json_int(alpha0, "alpha0")
         return Schedule(inputs["prefix_inputs"], inputs["cycle_inputs"], alpha0)
@@ -286,14 +288,13 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     lam_table = np.array([scenario.success[a] for a in visited], dtype=float).T
 
     block = block_steps(trials)
-    buffers, paths, factors = [], [], []
+    buffers, paths = [], []
     for i, plant in enumerate(plants):
         x = np.zeros((min(block, horizon) + 1, plant.dim, trials))
         if scenario.x0 is not None:  # the loader checked each vector's length
             x[0] = np.reshape(scenario.x0[i], (plant.dim, 1))
         buffers.append(x)
         paths.append(np.empty((horizon + 1, plant.dim)))
-        factors.append(plant.noise_factor())
     decay_mean = tuple(np.empty(horizon) for _ in plants)
     decay_sd = tuple(np.full(horizon, np.nan) for _ in plants)
 
@@ -312,9 +313,9 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
             delivered[start:stop, i] = ok
             del uniforms  # a view of the block's draws keeps them all alive
             # w_e = sum_d F[e, d] z_d; each sum here runs in index order
-            w = z[0][:, None] * factors[i][:, 0, None]
+            w = z[0][:, None] * plant.noise_factor[:, 0, None]
             for d in dims[1:]:
-                w += z[d][:, None] * factors[i][:, d, None]
+                w += z[d][:, None] * plant.noise_factor[:, d, None]
             del z
             # each trial's step matrix: A_c where its packet arrived, else A_o
             a = np.where(ok[:, None, None], plant.a_c[..., None], plant.a_o[..., None])

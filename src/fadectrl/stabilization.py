@@ -1,5 +1,8 @@
 """Set stabilization of the agent system toward channel-healthy states.
 
+The first stage picks the per-link delivery thresholds s: an override (the
+caller's, else the scenario's) as given, warning on each link whose decay
+bound it does not certify, or else each link's computed `decay_threshold`.
 The performance region Omega(s) collects the admissible agent states
 whose per-link success probabilities clear every plant's delivery
 threshold.  Control must then (a) reach Omega and (b) stay inside it,
@@ -9,7 +12,7 @@ current candidate set.  Reachability from alpha0 is explored layer by
 layer; a state enters the layer of its first discovery, and the search
 tree records the smallest state of the previous layer that reaches it,
 so synthesis walks a shortest prefix back from any state.  `stabilize`
-runs the three stages once for a scenario, and synthesis extends the
+runs the four stages once for a scenario, and synthesis extends the
 record it returns.  Sets of states are frozensets of delta indices.
 """
 
@@ -17,8 +20,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InitialStateViolatesConstraint, PreconditionViolated
+from .errors import InitialStateViolatesConstraint, PreconditionViolated, ToolkitError
 from .mas import ConstraintSets, MasModel, one_step_reach
+from .wcs import decay_threshold
+
+
+def link_name(plant, i: int) -> str:
+    """'link <i + 1>', followed by the plant's name when it has one."""
+    return "link %d (%s)" % (i + 1, plant.name) if plant.name else "link %d" % (i + 1)
+
+
+def link_threshold(scenario, i: int) -> float:
+    """The computed threshold of link i + 1; its error names the link."""
+    plant = scenario.plants[i]
+    try:
+        return decay_threshold(plant)
+    except ToolkitError as e:
+        raise type(e)("%s: %s" % (link_name(plant, i), e)) from None
+
+
+def _uncertified(plants, override):
+    """A warning for each link whose computed threshold does not certify its override."""
+    for i, (plant, s) in enumerate(zip(plants, override)):
+        link = "%s: threshold override %.10g" % (link_name(plant, i), s)
+        try:
+            computed = decay_threshold(plant)
+        except ToolkitError as e:
+            yield "%s is uncertified: no computed threshold (%s)" % (link, e)
+            continue
+        if s < computed:
+            yield ("%s is below the computed threshold %.10g; the decay bound is not "
+                   "certified" % (link, computed))
 
 
 @dataclass(frozen=True)
@@ -109,12 +141,15 @@ def reachable_layers(model: MasModel, constraints: ConstraintSets,
 @dataclass(frozen=True)
 class Stabilization:
     """Omega, I(Omega), the reachable layers from alpha0, and the feasible
-    core Phi = I(Omega) intersected with the reachable set."""
+    core Phi = I(Omega) intersected with the reachable set; whether the
+    thresholds were an override, and the override's uncertified links."""
 
     region: PerformanceRegion
     invariant: frozenset
     layers: ReachabilityLayers
     phi: frozenset
+    overridden: bool
+    warnings: tuple
 
     @property
     def feasible(self) -> bool:
@@ -122,9 +157,18 @@ class Stabilization:
         return bool(self.phi)
 
 
-def stabilize(scenario, thresholds) -> Stabilization:
-    """Run the three set-stabilization stages of a scenario under the thresholds."""
+def stabilize(scenario, override=None) -> Stabilization:
+    """Pick the thresholds of a scenario, `override` else its
+    `s_override` else the computed ones, and run the three
+    set-stabilization stages under them."""
+    if override is None:
+        override = scenario.s_override
+    overridden = override is not None
+    thresholds = (tuple(override) if overridden else
+                  tuple(link_threshold(scenario, i) for i in range(len(scenario.plants))))
     region = omega_set(scenario.success, thresholds, scenario.constraints)
+    warnings = tuple(_uncertified(scenario.plants, thresholds)) if overridden else ()
     invariant = largest_invariant(region, scenario.mas, scenario.constraints)
     layers = reachable_layers(scenario.mas, scenario.constraints, scenario.alpha0)
-    return Stabilization(region, invariant, layers, invariant & layers.union)
+    return Stabilization(region, invariant, layers, invariant & layers.union,
+                         overridden, warnings)

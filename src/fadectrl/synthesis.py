@@ -28,7 +28,7 @@ on integer numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -347,7 +347,7 @@ def synthesize(scenario, stab: Stabilization) -> SynthesisResult:
     )
 
     return SynthesisResult(
-        stab.region, stab.invariant, layers, stab.phi,
+        *(getattr(stab, f.name) for f in fields(Stabilization)),
         graph=graph,
         prefix_states=tuple(path[:-1]),
         cycle_states=cycle,

@@ -78,7 +78,7 @@ def chol_semidefinite(m) -> np.ndarray:
     -_PIVOT_TOL * scale means the matrix is not PSD.  Its dot products are
     index-order sums, so the factor does not depend on the BLAS kernel.
     """
-    m = require_symmetric(m, what="covariance")
+    m = require_symmetric(m, what="noise covariance")
     n = m.shape[0]
     scale = max(1.0, float(np.max(np.abs(m))))
     l = np.zeros_like(m)
@@ -86,7 +86,7 @@ def chol_semidefinite(m) -> np.ndarray:
         d = m[j, j] - _dot(l[j, :j], l[j, :j])
         if d < -_PIVOT_TOL * scale:
             raise PreconditionViolated(
-                "covariance not positive semidefinite (pivot %.3e)" % d
+                "noise covariance not positive semidefinite (pivot %.3e)" % d
             )
         if d <= _PIVOT_TOL * scale:
             continue  # rank-deficient direction: leave the row zero
@@ -103,7 +103,8 @@ class Plant:
     The quadratic terms of the decay bound are formed once, at
     construction, and must be finite in float64: aqa_closed = A_c' Q A_c,
     aqa_open = A_o' Q A_o, and q_xi_trace = trace(Q Xi), the bound's
-    stationary noise floor.
+    stationary noise floor.  So is noise_factor, the Cholesky factor of Xi
+    the co-simulation draws with: a Xi it cannot factor is rejected here.
     """
 
     a_c: np.ndarray
@@ -116,15 +117,14 @@ class Plant:
     aqa_closed: np.ndarray = field(init=False, repr=False)
     aqa_open: np.ndarray = field(init=False, repr=False)
     q_xi_trace: float = field(init=False, repr=False)
+    noise_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.a_c = _square(self.a_c, "closed-loop matrix")
         self.a_o = _square(self.a_o, "open-loop matrix")
         if self.a_o.shape != self.a_c.shape:
-            raise DimensionMismatch(
-                "open/closed matrices disagree: %s vs %s"
-                % (self.a_o.shape, self.a_c.shape)
-            )
+            raise DimensionMismatch("open/closed matrices disagree: %s vs %s"
+                                    % (self.a_o.shape, self.a_c.shape))
         self.q = require_symmetric(_square(self.q, "quality weight"), what="quality weight")
         if self.q.shape != self.a_c.shape:
             raise DimensionMismatch("quality weight shape %s" % (self.q.shape,))
@@ -135,6 +135,7 @@ class Plant:
             raise DimensionMismatch("noise covariance shape %s" % (self.xi.shape,))
         if min(np.linalg.eigvalsh(self.xi)) < -1e-10:
             raise PreconditionViolated("noise covariance must be positive semidefinite")
+        self.noise_factor = chol_semidefinite(self.xi)
         if not 0.0 < float(self.rho) < 1.0:
             raise ValueOutOfRange("decay rate %r outside (0, 1)" % (self.rho,))
         if not self.mu > 0:
@@ -156,9 +157,6 @@ class Plant:
     @property
     def dim(self) -> int:
         return self.a_c.shape[0]
-
-    def noise_factor(self) -> np.ndarray:
-        return chol_semidefinite(self.xi)
 
 
 def default_lyapunov_weight(a_c) -> np.ndarray:

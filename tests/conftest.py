@@ -24,4 +24,4 @@ def scenario():
 def synthesis(scenario):
     from fadectrl import stabilize, synthesize
 
-    return synthesize(scenario, stabilize(scenario, scenario.s_override))
+    return synthesize(scenario, stabilize(scenario))

@@ -46,6 +46,7 @@ from fadectrl.errors import (
 from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
 from fadectrl.scenario import _Map, _Number
 from fadectrl.synthesis import Edge, StageCost, TransitionGraph, out_edges
+from fadectrl.wcs import Plant
 
 
 def graph_successors(graph: TransitionGraph, a: int) -> tuple:
@@ -227,8 +228,10 @@ def random_mas_instance(rng):
 def random_scenario(rng):
     """A scenario-shaped namespace over a `random_mas_instance`, enough for
     `stabilize` at threshold 1 and `synthesize`: one link that succeeds
-    exactly on omega, random transmit shares and small integer input
-    costs (so equal-cost inputs are common), and a random start."""
+    exactly on omega, its plant a scalar loop whose computed threshold
+    (5/48) the threshold 1 clears, random transmit shares and small
+    integer input costs (so equal-cost inputs are common), and a random
+    start."""
     model, constraints, omega = random_mas_instance(rng)
     nn = model.state_count
     return SimpleNamespace(
@@ -237,7 +240,7 @@ def random_scenario(rng):
         alpha0=rng.choice(sorted(constraints.state_set)),
         success={a: (Fraction(a in omega),) for a in range(1, nn + 1)},
         transmit={a: (Fraction(rng.randint(0, 4), 4),) for a in range(1, nn + 1)},
-        plants=(SimpleNamespace(mu=Fraction(1)),),
+        plants=(Plant([[0.2]], [[1.0]], [[1.0]], 0.9, [[1.0]], Fraction(1)),),
         cost=StageCost(rng.randint(1, 3), Fraction(1),
                        [[rng.randint(0, 3) for _ in range(nn)] for _ in range(nn)]),
     )
@@ -322,7 +325,7 @@ def stepwise_simulate(scenario, schedule, config):
     horizon, trials = config.horizon_fast, config.trials
     alpha_slow, inputs_slow = _replay_slow(scenario, schedule, -(-horizon // tau))
     plants = scenario.plants
-    factors = [plant.noise_factor() for plant in plants]
+    factors = [plant.noise_factor for plant in plants]
     states = []
     for i, plant in enumerate(plants):
         x = np.zeros((trials, horizon + 1, plant.dim))

@@ -15,15 +15,19 @@ the whole gate can be read at a glance:
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import fadectrl
 import oracles
-from fadectrl.cli import OUTDIR_ENV, main
 from fadectrl.cosim import (
     Schedule,
     SimConfig,
@@ -167,21 +171,22 @@ def test_acceptance_8_cost_convergence(scenario, capsys):
         assert elapsed < 5.0
 
 
-def test_acceptance_9_deterministic_traces(scenario_path, tmp_path, monkeypatch,
-                                           capsys):
+def test_acceptance_9_deterministic_traces(scenario_path, tmp_path, capsys):
     with verdict(capsys, "9 (same-seed determinism)"):
         schedule_file = tmp_path / "schedule.json"
         schedule_file.write_text(json.dumps(OPTIMAL.to_dict()))
+        src = str(Path(fadectrl.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         blobs = []
         for run in ("a", "b"):
             outdir = tmp_path / run
-            monkeypatch.setenv(OUTDIR_ENV, str(outdir))
-            rc = main([
+            child = subprocess.run([
+                sys.executable, "-W", "error", "-m", "fadectrl.cli",
                 "simulate", str(scenario_path),
                 "--schedule", str(schedule_file),
                 "--seed", "1", "--trials", "1000", "--horizon", "160",
-            ])
-            assert rc == 0
+            ], capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=path, FADECTRL_OUTDIR=str(outdir)))
+            assert child.returncode == 0, child.stderr
             blobs.append((outdir / "assembly_cell.trace.csv").read_bytes())
-        capsys.readouterr()
         assert blobs[0] == blobs[1]

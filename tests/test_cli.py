@@ -6,7 +6,9 @@ Proves:
            whose A' Q A overflows exit 1, and so does every command on a
            plant whose tr(Q Xi) overflows; a threshold that cannot be
            computed is an error naming its link, from every command that
-           computes it; 2^40 agent states are rejected
+           computes it; a noise covariance the co-simulation's Cholesky
+           cannot factor is a located error of every command; 2^40 agent
+           states are rejected
            by the cost section's length check before any per-state table
            is built
  Group 2 - check: verdict in text and exit status (0 feasible, 2 not),
@@ -208,6 +210,30 @@ def test_plant_whose_noise_floor_overflows_is_a_located_error(scenario_path, out
             "conveyor: tr(Q Xi) is not finite in float64\n" % broken)
     assert sorted(p.name for p in outdir.iterdir()) == ["assembly_cell.report.txt",
                                                           "assembly_cell.schedule.json"]
+
+
+def test_noise_covariance_its_cholesky_rejects_is_a_located_error(scenario_path, outdir,
+                                                                  tmp_path_factory, capsys):
+    # eigenvalues -5e-11 and 1 pass the eigenvalue check, but the Cholesky
+    # factor simulate draws its noise with meets a pivot of -0.25: check and
+    # synthesize used to exit 0 and simulate 1 with an unlocated error
+    text = scenario_path.read_text()
+    broken = tmp_path_factory.mktemp("cholesky") / "assembly_cell.yaml"
+    broken.write_text(text.replace(
+        "    noise_cov: identity\n",
+        "    noise_cov: [[2.0e-10, 1.58113883e-5], [1.58113883e-5, 1.0]]\n"))
+    assert broken.read_text() != text
+    schedule = outdir / "cell.schedule.json"
+    schedule.write_text(GOLDEN_SYNTHESIS["[1, 0]"][1])
+    for argv in (["check"], ["synthesize"],
+                 ["simulate", "--schedule", str(schedule), "--seed", "1",
+                  "--trials", "100", "--horizon", "200"]):
+        assert main([argv[0], str(broken), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: 1 validation error(s):\n  %s:19: plants[0]: noise "
+                                  "covariance not positive semidefinite (pivot -2.500e-01)\n"
+                              % broken)
+    assert [p.name for p in outdir.iterdir()] == ["cell.schedule.json"]
 
 
 def test_singular_lyapunov_equation_is_a_located_error(scenario_path, tmp_path_factory,
@@ -829,6 +855,7 @@ def test_simulate_rejects_bad_schedule_json(scenario_path, outdir, capsys):
         ('{"cycle_inputs": 7, "alpha0": 4}', "'cycle_inputs' must be a list"),
         ('{"cycle_inputs": [7, 7, 4, 7], "alpha0": 4.5}', "alpha0"),
         ('{"alpha0": 4}', "no 'cycle_inputs'"),
+        ('{"cycle_inputs": [], "alpha0": 4}', "'cycle_inputs' must not be empty"),
     ):
         bad.write_text(text)
         assert _simulate(scenario_path, outdir, bad, seed=1) == 1, text

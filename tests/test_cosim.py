@@ -56,6 +56,7 @@ from fadectrl.cosim import (
 from fadectrl.errors import (
     DimensionMismatch,
     InsufficientTrials,
+    ParseError,
     PreconditionViolated,
     ScheduleViolation,
     ValueOutOfRange,
@@ -357,6 +358,9 @@ def test_schedule_serialization_roundtrip():
 def test_schedule_needs_a_cycle():
     with pytest.raises(ValueOutOfRange):
         Schedule((1,), ())
+    # its JSON form names the field, as every other malformed field does
+    with pytest.raises(ParseError, match=r"^'cycle_inputs' must not be empty$"):
+        Schedule.from_dict({"prefix_inputs": [1], "cycle_inputs": []})
 
 
 def test_schedule_from_synthesis(synthesis):
@@ -503,7 +507,7 @@ def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon):
     # noise factor other than 1 (the bundled conveyor's factor is exactly 1)
     scn = load_scenario_text(MIXED_PLANTS)
     assert [p.dim for p in scn.plants] == [3, 1]
-    assert scn.plants[1].noise_factor()[0, 0] == np.sqrt(2.0)
+    assert scn.plants[1].noise_factor[0, 0] == np.sqrt(2.0)
     _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 37, 2**63 + 5))
 
 

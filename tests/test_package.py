@@ -11,6 +11,9 @@ Proves:
            so that no benchmark module is imported
  Group 4 - every name the package exports has a caller: another package
            module uses it, or README's library example does
+ Group 5 - no test module but test_cli.py imports fadectrl.cli: the
+           others reach the pipeline through the library, as README's
+           example does
 """
 
 import ast
@@ -144,3 +147,25 @@ def test_every_export_has_a_caller():
     assert example
     used |= _used_names(ast.parse(example.group(1)))
     assert [name for name in exported if name not in used] == []
+
+
+def _imports_cli(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            modules = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
+        else:
+            continue
+        if any(m == "fadectrl.cli" or m.startswith("fadectrl.cli.") for m in modules):
+            return True
+    return False
+
+
+def test_only_the_cli_tests_import_the_cli():
+    paths = sorted(TESTS.glob("*.py"))
+    assert TESTS / "test_cli.py" in paths
+    assert _imports_cli(ast.parse((TESTS / "test_cli.py").read_text()))
+    importing = [path.name for path in paths
+                 if _imports_cli(ast.parse(path.read_text(), filename=str(path)))]
+    assert importing == ["test_cli.py"]

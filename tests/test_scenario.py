@@ -43,7 +43,6 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fadectrl.cli import _thresholds
 from fadectrl.errors import ParseError, ToolkitError, ValidationError
 from fadectrl import scenario as scenario_module
 from fadectrl.scenario import _LOADER, _Builder, _Collector, load_scenario, load_scenario_text
@@ -900,8 +899,7 @@ def test_one_edit_is_rejected_or_runs_to_a_result(edit):
         assert len(scn.success[a]) == links, a
     for shares in (scn.transmit or {}).values():
         assert len(shares) == links
-    try:  # the thresholds the CLI uses: the document's override, else computed
-        thresholds, _ = _thresholds(scn, None)
-        synthesize(scn, stabilize(scn, thresholds))
+    try:  # the document's override, else the computed thresholds
+        synthesize(scn, stabilize(scn))
     except ToolkitError:
         pass

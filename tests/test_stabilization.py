@@ -7,14 +7,21 @@ Proves:
            smallest parents, threshold monotonicity)
  Group 3 - largest_invariant vs the exhaustive subset oracle
  Group 4 - error contracts
+ Group 5 - the thresholds stabilize picks: an override as given, the
+           document's when none is passed, else the computed ones; an
+           override the computed threshold does not certify is recorded
+           as a warning, and a threshold that cannot be computed without
+           an override is an error naming its link
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from fadectrl.errors import InitialStateViolatesConstraint, PreconditionViolated
+from fadectrl.scenario import load_scenario_text
 from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
 from fadectrl.stabilization import (
     PerformanceRegion,
@@ -23,6 +30,7 @@ from fadectrl.stabilization import (
     reachable_layers,
     stabilize,
 )
+from fadectrl.wcs import decay_threshold
 from oracles import brute_invariant, random_mas_instance
 
 MODEL = MasModel(2, 3, ({0: 1, 1: 2}, {0: 1, 1: 1}))
@@ -149,3 +157,63 @@ def test_omega_threshold_validation(scenario):
     with pytest.raises(PreconditionViolated):
         omega_set(scenario.success, (Fraction("0.29"), Fraction("1.5")),
                   scenario.constraints)
+
+
+# ── Group 5: the thresholds ──────────────────────────────────────────────────
+
+BUNDLED_OVERRIDE = "thresholds_override: [0.29, 0.10]\n"
+NO_IMPROVEMENT = "closed loop does not strictly improve on open loop in Q-metric"
+
+
+def _cell(scenario_path, override=True, uncomputable=False):
+    """The bundled cell, without its override, or with a conveyor whose
+    closed loop does not beat its open loop (no computed threshold)."""
+    text = scenario_path.read_text()
+    if uncomputable:
+        text = text.replace("    a_closed: 0.2\n    a_open: 1.0\n",
+                            "    a_closed: 1.0\n    a_open: 0.2\n")
+    if not override:
+        text = text.replace(BUNDLED_OVERRIDE, "")
+    assert (BUNDLED_OVERRIDE in text) == override
+    assert ("a_closed: 1.0\n" in text) == uncomputable
+    return load_scenario_text(text)
+
+
+def test_stabilize_without_override_uses_computed_thresholds(scenario_path):
+    scn = _cell(scenario_path, override=False)
+    stab = stabilize(scn)
+    assert stab.region.thresholds == tuple(decay_threshold(p) for p in scn.plants)
+    assert not stab.overridden and stab.warnings == ()
+    assert stab.phi == frozenset({2, 4, 6})  # state 5's conveyor link is below 5/48
+
+
+def test_stabilize_uses_the_document_override_with_its_warning(scenario):
+    stab = stabilize(scenario)
+    assert stab.region.thresholds == THRESHOLDS
+    assert stab.overridden
+    assert stab.warnings == ("link 2 (conveyor): threshold override 0.1 is below the "
+                             "computed threshold 0.104166667; the decay bound is not "
+                             "certified",)
+
+
+def test_stabilize_override_argument_replaces_the_document_override(scenario):
+    stab = stabilize(scenario, (Fraction("0.3"), Fraction("0.11")))
+    assert stab.region.thresholds == (Fraction("0.3"), Fraction("0.11"))
+    assert stab.overridden and stab.warnings == ()
+    assert stab.region.omega == frozenset({2, 4, 6})
+
+
+def test_stabilize_warns_on_an_override_without_computed_threshold(scenario_path):
+    stab = stabilize(_cell(scenario_path, uncomputable=True))
+    assert stab.region.thresholds == THRESHOLDS
+    assert stab.overridden
+    assert stab.warnings == ("link 2 (conveyor): threshold override 0.1 is uncertified: "
+                             "no computed threshold (%s)" % NO_IMPROVEMENT,)
+    assert stab.phi == frozenset({2, 4, 5, 6})
+
+
+def test_stabilize_names_the_link_whose_threshold_cannot_be_computed(scenario_path):
+    scn = _cell(scenario_path, override=False, uncomputable=True)
+    with pytest.raises(PreconditionViolated,
+                       match=r"^link 2 \(conveyor\): %s$" % re.escape(NO_IMPROVEMENT)):
+        stabilize(scn)

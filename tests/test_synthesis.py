@@ -325,7 +325,7 @@ def test_synthesis_frozen_result(synthesis):
 
 
 def test_synthesis_extends_the_stabilization_it_was_given(scenario):
-    stab = stabilize(scenario, scenario.s_override)
+    stab = stabilize(scenario)
     result = synthesize(scenario, stab)
     for f in fields(Stabilization):
         assert getattr(result, f.name) is getattr(stab, f.name)
@@ -346,7 +346,7 @@ def test_synthesized_cycle_is_minimum_over_enumeration(scenario, synthesis):
 
 def test_synthesis_with_off_cycle_start(scenario):
     off_cycle = replace(scenario, alpha0=1)
-    result = synthesize(off_cycle, stabilize(off_cycle, scenario.s_override))
+    result = synthesize(off_cycle, stabilize(off_cycle))
     assert result.prefix_states == (1,)
     assert result.schedule == Schedule((4,), (7, 7, 4, 7), alpha0=1)
     assert result.cycle_states == (4, 2, 5, 6, 4)
@@ -368,7 +368,7 @@ def test_prefix_walk_equals_layer_scan_from_every_bundled_start(scenario):
     prefixes = set()
     for alpha0 in sorted(scenario.constraints.state_set):
         start = replace(scenario, alpha0=alpha0)
-        result = synthesize(start, stabilize(start, scenario.s_override))
+        result = synthesize(start, stabilize(start))
         _assert_prefix_matches_layer_scan(start, result)
         prefixes.add(len(result.prefix_states))
     assert prefixes == {0, 1, 2}  # starts on the cycle and one or two steps off
