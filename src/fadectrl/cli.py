@@ -152,7 +152,7 @@ def _stabilized(args):
     scn = load_scenario(args.scenario)
     _emit_warnings(scn.warnings)
     override = None
-    if args.s_override:
+    if args.s_override is not None:  # "" is a malformed override, not none
         parts = [p.strip() for p in args.s_override.split(",") if p.strip()]
         if len(parts) != len(scn.plants):
             raise ParseError("--s-override needs %d comma-separated values" % len(scn.plants))

@@ -28,10 +28,11 @@ x'_e = sum_d A[e, d] x_d + w_e (A each trial's closed- or open-loop
 matrix), and V = sum_{d, e} Q[d, e] x_d x_e.  After each block the
 across-trial mean and sample standard deviation of the decay residual
 V(x(l+1)) - rho V(x(l)) - tr(Q Xi) are recorded per fast step, trial 0's
-path is kept for the CSV, and the block's last state carries over.
-Deliveries live time-major, (horizon, links, trials), so a block writes
-whole rows.  Memory is the delivery bytes plus a few dozen block arrays,
-not trials x horizon x dim.
+path and deliveries are kept for the CSV, each step's count of trials
+whose packet arrived is recorded, and the block's last state carries
+over.  Memory is a few dozen block arrays plus a few values per fast
+step, link and plant dimension, O(trials x block + horizon x (links +
+dims)): nothing grows with trials x horizon.
 
 The running-average cost column is deterministic: the radio power term
 enters through its per-state expectation, not the sampled deliveries,
@@ -65,6 +66,8 @@ _U64_MAX = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 # trials the decay check needs before its 3-sigma rule is applied
 MIN_CHECK_TRIALS = 100
+# trace rows `write_trace_csv` turns into Python objects at a time
+_CSV_CHUNK_ROWS = 256
 
 
 def _fin(z):
@@ -204,10 +207,13 @@ class SimConfig:
 @dataclass
 class SimTrace:
     tau: int
+    trials: int
     alpha_slow: tuple
     inputs_slow: tuple
     states: tuple          # per plant: trial 0's path, (horizon+1, dim)
-    deliveries: np.ndarray  # (trials, horizon, links) of 0/1, a view of time-major rows
+    deliveries: np.ndarray  # trial 0's, (horizon, links) of 0/1
+    # (horizon, links): the number of trials whose packet arrived at each step
+    delivery_counts: np.ndarray
     running_cost: np.ndarray
     entry_fast: int
     # per plant, (horizon,): across-trial mean and sample sd (NaN for one
@@ -217,10 +223,6 @@ class SimTrace:
 
     @property
     def horizon(self) -> int:
-        return self.deliveries.shape[1]
-
-    @property
-    def trials(self) -> int:
         return self.deliveries.shape[0]
 
 
@@ -298,9 +300,8 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     decay_mean = tuple(np.empty(horizon) for _ in plants)
     decay_sd = tuple(np.full(horizon, np.nan) for _ in plants)
 
-    # time-major, so a block writes whole (trials,) rows; the trace keeps
-    # the (trials, horizon, links) view of it
-    delivered = np.empty((horizon, len(plants), trials), dtype=np.uint8)
+    delivered = np.empty((horizon, len(plants)), dtype=np.uint8)
+    counts = np.empty((horizon, len(plants)), dtype=np.int64)
     state_cols = np.searchsorted(visited, alpha_slow)[_slow_steps(tau, horizon)]
     for start in range(0, horizon, block):
         stop = min(start + block, horizon)
@@ -310,7 +311,8 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
             dims = range(plant.dim)
             uniforms, z = _plant_draws(config.seed, i, steps, plant.dim, trials)
             ok = uniforms <= lam_table[i, state_cols[start:stop], None]
-            delivered[start:stop, i] = ok
+            delivered[start:stop, i] = ok[:, 0]
+            counts[start:stop, i] = np.count_nonzero(ok, axis=1)
             del uniforms  # a view of the block's draws keeps them all alive
             # w_e = sum_d F[e, d] z_d; each sum here runs in index order
             w = z[0][:, None] * plant.noise_factor[:, 0, None]
@@ -344,10 +346,12 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
 
     return SimTrace(
         tau=tau,
+        trials=trials,
         alpha_slow=alpha_slow,
         inputs_slow=inputs_slow,
         states=tuple(paths),
-        deliveries=delivered.transpose(2, 0, 1),
+        deliveries=delivered,
+        delivery_counts=counts,
         running_cost=_running_average(scenario, alpha_slow, inputs_slow, horizon),
         entry_fast=len(schedule.prefix_inputs) * tau,
         decay_mean=decay_mean,
@@ -407,19 +411,22 @@ def write_trace_csv(trace: SimTrace, fileobj):
     header = ["l", "k", "alpha"]
     for i, x in enumerate(trace.states):
         header += ["x%d_%d" % (i + 1, d + 1) for d in range(x.shape[1])]
-    header += ["delivered%d" % (i + 1) for i in range(trace.deliveries.shape[2])]
+    header += ["delivered%d" % (i + 1) for i in range(trace.deliveries.shape[1])]
     header.append("running_cost")
     writer.writerow(header)
-    # Python floats and ints once per column: repr of a float is its shortest
+    # Python floats and ints once per column, a chunk of rows at a time so
+    # memory does not grow with the horizon: repr of a float is its shortest
     # round-trip spelling, as for the numpy scalar
-    paths = [x.tolist() for x in trace.states]
-    delivered = trace.deliveries[0].tolist()
-    cost = trace.running_cost.tolist()
-    for l in range(trace.horizon):
-        k = l // trace.tau
-        row = [l, k, trace.alpha_slow[k]]
-        for path in paths:
-            row += map(repr, path[l])
-        row += delivered[l]
-        row.append(repr(cost[l]))
-        writer.writerow(row)
+    for start in range(0, trace.horizon, _CSV_CHUNK_ROWS):
+        rows = slice(start, start + _CSV_CHUNK_ROWS)
+        paths = [x[rows].tolist() for x in trace.states]
+        delivered = trace.deliveries[rows].tolist()
+        cost = trace.running_cost[rows].tolist()
+        for j, l in enumerate(range(start, start + len(cost))):
+            k = l // trace.tau
+            row = [l, k, trace.alpha_slow[k]]
+            for path in paths:
+                row += map(repr, path[j])
+            row += delivered[j]
+            row.append(repr(cost[j]))
+            writer.writerow(row)

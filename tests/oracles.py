@@ -317,9 +317,11 @@ def stepwise_simulate(scenario, schedule, config):
     """The co-simulation one fast step at a time, each draw keyed by its own
     scalar-step counter call, keeping every trial's full trajectory.
 
-    Returns (trace, states): the SimTrace the streaming `simulate` must
-    equal, its decay statistics taken from the full arrays, and per plant
-    the (trials, horizon+1, dim) states for `full_lyapunov_check`.
+    Returns (trace, states, deliveries): the SimTrace the streaming
+    `simulate` must equal, its delivery counts and decay statistics taken
+    from the full arrays; per plant the (trials, horizon+1, dim) states for
+    `full_lyapunov_check`; and every trial's (trials, horizon, links) 0/1
+    deliveries.
     """
     tau = scenario.cost.tau
     horizon, trials = config.horizon_fast, config.trials
@@ -345,16 +347,18 @@ def stepwise_simulate(scenario, schedule, config):
     residuals = [_decay_residuals(x, plant) for x, plant in zip(states, plants)]
     trace = SimTrace(
         tau=tau,
+        trials=trials,
         alpha_slow=alpha_slow,
         inputs_slow=inputs_slow,
         states=tuple(x[0] for x in states),
-        deliveries=deliveries,
+        deliveries=deliveries[0],
+        delivery_counts=deliveries.sum(axis=0, dtype=np.int64),
         running_cost=average_cost_trace(scenario, schedule, horizon),
         entry_fast=len(schedule.prefix_inputs) * tau,
         decay_mean=tuple(d.mean(axis=0) for d in residuals),
         decay_sd=tuple(d.std(axis=0, ddof=1) for d in residuals),
     )
-    return trace, tuple(states)
+    return trace, tuple(states), deliveries
 
 
 def _rows_times(m, x) -> np.ndarray:

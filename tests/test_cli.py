@@ -321,6 +321,16 @@ def test_check_override_validation(scenario_path, outdir, capsys):
         assert "error: --s-override value '%s' is not a number" % bad in err
 
 
+@pytest.mark.parametrize("command", ["check", "synthesize"])
+def test_empty_override_is_rejected(scenario_path, outdir, command, capsys):
+    # an empty --s-override gives no values, so it must not fall back to the
+    # document's thresholds_override
+    assert main([command, str(scenario_path), "--s-override", ""]) == 1
+    out, err = capsys.readouterr()
+    assert "error: --s-override needs 2 comma-separated values" in err
+    assert "[override]" not in out
+
+
 def test_override_below_computed_threshold_warns(scenario_path, outdir,
                                                  tmp_path_factory, capsys):
     # the bundled thresholds_override [0.29, 0.10] sits above the arm's
@@ -819,10 +829,10 @@ def test_simulate_with_a_huge_slow_step(scenario_path, outdir, tmp_path_factory,
 
 
 def test_simulate_too_large_to_allocate_is_an_error(scenario_path, outdir, capsys):
-    # 10^6 trials x 10^6 steps: the 2 TB delivery buffer cannot be
-    # allocated.  The child's address space is capped at 4 GiB, so the
-    # request fails at once, without touching memory, whatever the
-    # machine's overcommit policy
+    # 10^9 trials: one block's state buffer of the arm, 9 steps x 2 dims
+    # of doubles per trial, is 144 GB and cannot be allocated.  The child's
+    # address space is capped at 4 GiB, so the request fails at once,
+    # without touching memory, whatever the machine's overcommit policy
     _, schedule_path = _synth(scenario_path, outdir)
     capsys.readouterr()
     src = str(Path(fadectrl.__file__).resolve().parents[1])
@@ -833,7 +843,7 @@ def test_simulate_too_large_to_allocate_is_an_error(scenario_path, outdir, capsy
     run = subprocess.run(
         [sys.executable, "-c", code, "simulate", str(scenario_path),
          "--schedule", str(schedule_path), "--seed", "1",
-         "--trials", "1000000", "--horizon", "1000000"],
+         "--trials", "1000000000", "--horizon", "1000"],
         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 1
     assert run.stdout == ""

@@ -11,24 +11,27 @@ Proves:
            trial-steps past that
  Group 2 - schedules: indexing, serialization, validation
  Group 3 - simulate: bit-exact reproducibility, a fully deterministic
-           closed-form case, delivery statistics, trace bookkeeping,
-           agreement with the one-step-at-a-time, full-trajectory oracle
-           across block boundaries (paths, deliveries and cost exactly,
-           streamed decay statistics to 1e-12, check verdicts exactly),
-           at 101 trials and on the shorter blocks of 1031 trials, also
-           for a 3-dim plant with correlated noise and a scalar plant
-           with a non-unit noise factor, and for a 2-dim plant with an
-           explicit non-diagonal quality weight and a scalar one with Q = 2.5,
-           no numpy warning at one or two trials, memory that does not
-           grow with trials x horizon, and a working set beyond the
-           deliveries within one budget at 1000 and 4000 trials; trial 0's
-           path starts at the document's initial plant states
+           closed-form case, delivery rates from the per-step delivery
+           counts, trace bookkeeping, agreement with the one-step-at-a-time,
+           full-trajectory oracle across block boundaries (trial 0's paths
+           and deliveries, every step's delivery count and the cost
+           exactly, streamed decay statistics to 1e-12, check verdicts
+           exactly), at 101 trials and on the shorter blocks of 1031
+           trials, also for a 3-dim plant with correlated noise and a
+           scalar plant with a non-unit noise factor, and for a 2-dim plant
+           with an explicit non-diagonal quality weight and a scalar one
+           with Q = 2.5, no numpy warning at one or two trials, memory
+           whose growth per step does not depend on the trials, and a
+           working set within one budget at 1000 and 4000 trials over 2000
+           steps; trial 0's path starts at the document's initial plant
+           states
  Group 4 - running cost: exact cycle averages for the worked example
  Group 5 - the empirical decay check passes where delivery is rich
            enough and fails where the schedule starves a link; below 100
            trials, or with no step past the cycle entry, it raises the
            reason the CLI prints for skipping it
- Group 6 - CSV export determinism
+ Group 6 - CSV export determinism, and a peak that does not grow with
+           the horizon
 """
 
 import dataclasses
@@ -383,13 +386,14 @@ def test_simulate_bit_exact_reproducibility(scenario):
     one = simulate(scenario, OPTIMAL, config)
     two = simulate(scenario, OPTIMAL, config)
     assert np.array_equal(one.deliveries, two.deliveries)
+    assert np.array_equal(one.delivery_counts, two.delivery_counts)
     for x, y in zip(one.states, two.states):
         assert np.array_equal(x, y)
     for name in ("decay_mean", "decay_sd"):
         for x, y in zip(getattr(one, name), getattr(two, name)):
             assert x.tobytes() == y.tobytes()
     other = simulate(scenario, OPTIMAL, SimConfig(80, 64, 124))
-    assert not np.array_equal(one.deliveries, other.deliveries)
+    assert not np.array_equal(one.delivery_counts, other.delivery_counts)
 
 
 def test_simulate_trace_bookkeeping(scenario):
@@ -401,7 +405,9 @@ def test_simulate_trace_bookkeeping(scenario):
     assert trace.entry_fast == 0
     assert trace.states[0].shape == (91, 2)  # trial 0's path
     assert trace.states[1].shape == (91, 1)
-    assert trace.deliveries.shape == (8, 90, 2)
+    assert trace.deliveries.shape == (90, 2)  # trial 0's
+    assert trace.delivery_counts.shape == (90, 2)
+    assert np.all((0 <= trace.delivery_counts) & (trace.delivery_counts <= 8))
     assert np.array_equal(trace.states[0][0], np.ones(2))  # the document's start
     for stats in (trace.decay_mean, trace.decay_sd):
         assert [s.shape for s in stats] == [(90,), (90,)]
@@ -412,6 +418,7 @@ def test_simulate_sure_delivery_closed_form():
     scn = load_scenario_text(SURE_DELIVERY)
     trace = simulate(scn, Schedule((), (1,), 1), SimConfig(12, 128, 77))
     assert np.all(trace.deliveries == 1)
+    assert np.all(trace.delivery_counts == 128)
     for l in range(13):
         assert trace.states[0][l, 0] == 0.5 ** l
     # every trial follows x(l) = 0.5^l, so V drops from 0.25^l to 0.25^(l+1)
@@ -429,12 +436,12 @@ def test_simulate_sure_delivery_closed_form():
 def test_simulate_delivery_frequencies(scenario):
     trace = simulate(scenario, OPTIMAL, SimConfig(160, 3000, 42))
     for slow, a in enumerate(trace.alpha_slow):
-        window = trace.deliveries[:, slow * 40 : (slow + 1) * 40, :]
-        count = window.shape[0] * window.shape[1]
+        window = trace.delivery_counts[slow * 40 : (slow + 1) * 40, :]
+        count = trace.trials * window.shape[0]
         for i in range(2):
             p = float(scenario.success[a][i])
             bound = 3.0 * np.sqrt(p * (1 - p) / count)
-            assert abs(window[:, :, i].mean() - p) <= bound
+            assert abs(window[:, i].sum() / count - p) <= bound
 
 
 def test_simulate_schedule_validation(scenario):
@@ -474,14 +481,18 @@ def test_simulate_matches_stepwise_oracle_on_short_blocks(scenario, schedule, ho
 def _assert_matches_stepwise_oracle(scenario, schedule, config):
     horizon = config.horizon_fast
     got = simulate(scenario, schedule, config)
-    want, full_states = stepwise_simulate(scenario, schedule, config)
+    want, full_states, full_deliveries = stepwise_simulate(scenario, schedule, config)
     for x, y in zip(got.states, want.states, strict=True):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
-    assert got.deliveries.tobytes() == want.deliveries.tobytes()
+    # trial 0's deliveries, and per step the number of trials delivered
+    assert got.deliveries.shape == full_deliveries[0].shape
+    assert got.deliveries.tobytes() == full_deliveries[0].tobytes()
+    assert got.delivery_counts.shape == want.delivery_counts.shape
+    assert got.delivery_counts.tobytes() == want.delivery_counts.tobytes()
     assert got.running_cost.tobytes() == want.running_cost.tobytes()
-    assert (got.alpha_slow, got.inputs_slow, got.entry_fast) == (
-        want.alpha_slow, want.inputs_slow, want.entry_fast)
-    assert 0 < got.deliveries.mean() < 1  # both branches of the recursion ran
+    assert (got.trials, got.alpha_slow, got.inputs_slow, got.entry_fast) == (
+        want.trials, want.alpha_slow, want.inputs_slow, want.entry_fast)
+    assert 0 < full_deliveries.mean() < 1  # both branches of the recursion ran
     # numpy's einsum and std round by array extent: blocks may differ by ulps
     for name in ("decay_mean", "decay_sd"):
         for x, y in zip(getattr(got, name), getattr(want, name), strict=True):
@@ -544,11 +555,12 @@ def _simulate_peak_bytes(scenario, trials, horizon):
 def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario):
     # keeping every trial's trajectory costs trials x dim doubles per fast
     # step (38 MB here); streaming keeps one block of them, so a step adds
-    # only its uint8 deliveries, trial 0's states and two statistics
+    # only trial 0's states and deliveries, the delivery counts and two
+    # statistics, none of which grows with the trials
     trials, horizon = 400, 4000
     plants = scenario.plants
     full_states = sum(trials * (horizon + 1) * p.dim * 8 for p in plants)
-    per_step = trials * len(plants) + 8 * sum(p.dim + 2 for p in plants)
+    per_step = 8 * sum(p.dim + 2 for p in plants)
     block = block_steps(trials)
     short = _simulate_peak_bytes(scenario, trials, block)
     long = _simulate_peak_bytes(scenario, trials, horizon)
@@ -558,12 +570,10 @@ def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario):
 
 @pytest.mark.parametrize("trials", [1000, 4000])
 def test_simulate_working_set_does_not_grow_with_trials(scenario, trials):
-    # a block holds about 2**14 trial-steps whatever the trial count, so
-    # beyond the deliveries the traced peak stays within one budget: 5.7 and
-    # 22 MB here when every block was 64 steps long
-    horizon = 100
-    deliveries = trials * horizon * len(scenario.plants)  # uint8
-    assert _simulate_peak_bytes(scenario, trials, horizon) - deliveries < 4 * 2**20
+    # a block holds about 2**14 trial-steps whatever the trial count, and
+    # only trial 0's deliveries are kept, so the traced peak stays within one
+    # budget: 5.2 and 17.8 MiB here when every trial's deliveries were kept
+    assert _simulate_peak_bytes(scenario, trials, 2000) < 4 * 2**20
 
 
 def test_simulate_needs_success_coverage(scenario):
@@ -652,3 +662,31 @@ def test_trace_csv_layout_and_determinism(scenario):
     assert float(first[3]) == 1.0  # the configured start state
     assert first[6] in ("0", "1")
     assert float(first[8]) > 0
+
+
+class _LineSink:
+    """A text file that keeps only its line count and its last write."""
+
+    lines = 0
+    last = ""
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        self.last = text
+
+
+def test_trace_csv_memory_does_not_grow_with_horizon(scenario):
+    # turning the whole trace into Python rows at once took 6.6 MB at this
+    # horizon; a fixed chunk of rows at a time keeps the peak in one budget
+    horizon = 20_000
+    trace = simulate(scenario, OPTIMAL, SimConfig(horizon, 2, 3))
+    sink = _LineSink()
+    tracemalloc.start()
+    try:
+        write_trace_csv(trace, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sink.lines == horizon + 1  # the header and every step's row
+    assert sink.last.startswith("%d,%d," % (horizon - 1, (horizon - 1) // trace.tau))
