@@ -34,6 +34,23 @@ over.  Memory is a few dozen block arrays plus a few values per fast
 step, link and plant dimension, O(trials x block + horizon x (links +
 dims)): nothing grows with trials x horizon.
 
+Once the agent tour is replayed, the plants share nothing: each one's
+rollout (`_rollout`) reads its own streams and its link's success
+probabilities.  Where `os.fork` and `os.sched_getaffinity` exist (Linux)
+and both the usable CPUs and the plants number more than one, the
+plants are dealt round-robin over min(plants, CPUs) processes: this one
+and forked workers, which send their arrays back as raw bytes over a
+pipe.  A worker's error reaches the caller as the same type and
+message, its warnings are issued again here, and every worker is reaped
+before `simulate` returns or raises.  Elsewhere every plant runs in this
+process through the same function.  Traces are byte-identical whatever
+the CPU count, and the working-set bound above holds per process, each
+working on one plant's block at a time.  Workers are forked, not
+spawned: a spawned one would first import numpy and this package again
+(0.1-0.2 s), about as long as a plant's rollout at 1000 trials x 2000
+steps.  On Python 3.12 and later `os.fork` emits a DeprecationWarning,
+since numpy's OpenBLAS has started a thread by then.
+
 The running-average cost column is deterministic: the radio power term
 enters through its per-state expectation, not the sampled deliveries,
 matching the cost functional the synthesizer optimizes.
@@ -42,7 +59,11 @@ matching the cost functional the synthesizer optimizes.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import os
+import pickle
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,8 +297,176 @@ def _running_average(scenario, alpha_slow, inputs_slow, horizon: int) -> np.ndar
     return np.cumsum(per_fast) / np.arange(1, horizon + 1)
 
 
+def _plant_outputs(dim: int, horizon: int):
+    """The arrays one plant's rollout fills: trial 0's path (horizon + 1,
+    dim) and deliveries (horizon,) of 0/1, the per-step delivery counts,
+    and the decay residual's per-step mean and sample sd (NaN for one
+    trial)."""
+    return (np.empty((horizon + 1, dim)), np.empty(horizon, dtype=np.uint8),
+            np.empty(horizon, dtype=np.int64), np.empty(horizon), np.full(horizon, np.nan))
+
+
+def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int, out):
+    """Monte-Carlo rollout of plant i over the fast steps of `state_cols`
+    (each step's column of `success`, its link's success probabilities),
+    from the initial state x0 (zeros for None), into the arrays of
+    `_plant_outputs`.  It reads nothing of any other plant."""
+    path, delivered, counts, decay_mean, decay_sd = out
+    horizon = len(state_cols)
+    block = block_steps(trials)
+    dims = range(plant.dim)
+    x = np.zeros((min(block, horizon) + 1, plant.dim, trials))
+    if x0 is not None:  # the loader checked the vector's length
+        x[0] = np.reshape(x0, (plant.dim, 1))
+    for start in range(0, horizon, block):
+        stop = min(start + block, horizon)
+        n = stop - start
+        uniforms, z = _plant_draws(seed, i, np.arange(start, stop), plant.dim, trials)
+        ok = uniforms <= success[state_cols[start:stop], None]
+        delivered[start:stop] = ok[:, 0]
+        counts[start:stop] = np.count_nonzero(ok, axis=1)
+        del uniforms  # a view of the block's draws keeps them all alive
+        # w_e = sum_d F[e, d] z_d; each sum here runs in index order
+        w = z[0][:, None] * plant.noise_factor[:, 0, None]
+        for d in dims[1:]:
+            w += z[d][:, None] * plant.noise_factor[:, d, None]
+        del z
+        # each trial's step matrix: A_c where its packet arrived, else A_o
+        a = np.where(ok[:, None, None], plant.a_c[..., None], plant.a_o[..., None])
+        # row 0 of x holds the state carried into the block
+        for x_l, x_next, a_l, w_l in zip(x, x[1:], a, w):
+            np.multiply(a_l[:, 0], x_l[0], out=x_next)
+            for d in dims[1:]:
+                x_next += a_l[:, d] * x_l[d]
+            x_next += w_l
+        del a, w, a_l, w_l  # a view of a row keeps its whole array alive
+        v = np.zeros((n + 1, trials))
+        for d in dims:
+            for e in dims:
+                v += x[: n + 1, d] * x[: n + 1, e] * plant.q[d, e]
+        # (trials, n), C-contiguous: reducing over its rows adds in trial order
+        r = np.ascontiguousarray((v[1:] - float(plant.rho) * v[:-1] - plant.q_xi_trace).T)
+        decay_mean[start:stop] = r.mean(axis=0)
+        if trials > 1:  # one trial has no sample sd
+            decay_sd[start:stop] = r.std(axis=0, ddof=1)
+        path[start : stop + 1] = x[: n + 1, :, 0]
+        x[0] = x[n]
+        # freed before the next block's draws: a block array left alive
+        # into the next block fragments the heap, which glibc then trims
+        # and faults back in every block
+        del v, r
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork workers."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _worker(tasks, share, outs, fd: int, read_ends):
+    """A forked worker's whole life; it never returns.  It closes the pipe
+    read ends it inherited, runs its share of the tasks with warnings
+    recorded, writes its arrays' raw bytes (only if every task succeeded)
+    and a pickled (error, warnings) tail to `fd`, and exits 0 (results
+    sent), 1 (an error sent) or 2 (the send failed: a broken pipe when the
+    parent is gone).  It writes nothing to stdout or stderr."""
+    status = 2
+    try:
+        for r in read_ends:
+            os.close(r)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                for k in share:
+                    tasks[k]()
+                arrays, error, sent = [a for k in share for a in outs[k]], None, 0
+            except BaseException as e:  # re-raised by the parent
+                arrays, error, sent = [], (type(e), str(e)), 1
+        caught = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        with open(fd, "wb") as pipe:
+            for chunk in arrays + [pickle.dumps((error, caught))]:
+                pipe.write(chunk)
+        status = sent
+    finally:
+        os._exit(status)
+
+
+def _receive(data: bytes, code: int, outs):
+    """Fill `outs` from a worker's bytes, re-issue its warnings and re-raise
+    its error as the same type and message (or as the nearest base class
+    that takes a message alone: MemoryError for numpy's allocation error,
+    which is built from a shape and a dtype)."""
+    if code not in (0, 1):
+        raise ChildProcessError("co-simulation worker ended with exit code %d" % code)
+    offset = 0
+    if code == 0:
+        for a in (a for arrays in outs for a in arrays):
+            a[...] = np.frombuffer(data, a.dtype, a.size, offset).reshape(a.shape)
+            offset += a.nbytes
+    # bytes that this module's own forked worker wrote
+    error, caught = pickle.loads(memoryview(data)[offset:])
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+    if error is not None:
+        cls, message = error
+        for base in cls.__mro__:
+            try:
+                err = base(message)
+            except TypeError:
+                continue
+            raise err
+
+
+def _run_shares(tasks, outs):
+    """Run every task; task k fills the arrays outs[k].
+
+    With n = min(tasks, usable CPUs) above one, the tasks are dealt
+    round-robin over n processes: this one runs tasks 0, n, 2n, .. and a
+    forked worker (`_worker`) each other share.  Each worker's pipe is read
+    to EOF, then the worker is reaped and its arrays copied in.  Whatever
+    happens, every worker still alive at the end is killed and reaped, so
+    no call leaves a process behind.
+    """
+    import signal  # here, not at the top: 1 ms that the other commands need not pay
+
+    n = min(len(tasks), _usable_cpus())
+    workers = []  # [pid, pipe read end, share] of each worker, in share order
+    try:
+        for j in range(1, n):
+            r, w = os.pipe()
+            workers.append([None, r, range(j, len(tasks), n)])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(tasks, workers[-1][2], outs, w, [fd for _, fd, _ in workers])
+            finally:
+                os.close(w)
+            workers[-1][0] = pid
+        for k in range(0, len(tasks), n):
+            tasks[k]()
+        while workers:
+            pid, r, share = workers[0]
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            os.close(r)
+            _receive(data, code, [outs[k] for k in share])
+    finally:
+        for pid, r, _ in workers:
+            os.close(r)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
-    """Monte-Carlo rollout of all plants under the scheduled agent tour."""
+    """Monte-Carlo rollout of all plants under the scheduled agent tour.
+
+    The tour fixes every link's success probability at every fast step, so
+    each plant's rollout is an independent job (`_rollout`); the jobs run
+    in forked workers where `_run_shares` finds more than one CPU, and the
+    trace is the same bytes either way."""
     tau = scenario.cost.tau
     horizon = config.horizon_fast
     trials = config.trials
@@ -288,70 +477,23 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     # (links, visited states): the replay keeps every visited state admissible,
     # and the loader gives every admissible state a success probability
     lam_table = np.array([scenario.success[a] for a in visited], dtype=float).T
-
-    block = block_steps(trials)
-    buffers, paths = [], []
-    for i, plant in enumerate(plants):
-        x = np.zeros((min(block, horizon) + 1, plant.dim, trials))
-        if scenario.x0 is not None:  # the loader checked each vector's length
-            x[0] = np.reshape(scenario.x0[i], (plant.dim, 1))
-        buffers.append(x)
-        paths.append(np.empty((horizon + 1, plant.dim)))
-    decay_mean = tuple(np.empty(horizon) for _ in plants)
-    decay_sd = tuple(np.full(horizon, np.nan) for _ in plants)
-
-    delivered = np.empty((horizon, len(plants)), dtype=np.uint8)
-    counts = np.empty((horizon, len(plants)), dtype=np.int64)
     state_cols = np.searchsorted(visited, alpha_slow)[_slow_steps(tau, horizon)]
-    for start in range(0, horizon, block):
-        stop = min(start + block, horizon)
-        n = stop - start
-        steps = np.arange(start, stop)
-        for i, plant in enumerate(plants):
-            dims = range(plant.dim)
-            uniforms, z = _plant_draws(config.seed, i, steps, plant.dim, trials)
-            ok = uniforms <= lam_table[i, state_cols[start:stop], None]
-            delivered[start:stop, i] = ok[:, 0]
-            counts[start:stop, i] = np.count_nonzero(ok, axis=1)
-            del uniforms  # a view of the block's draws keeps them all alive
-            # w_e = sum_d F[e, d] z_d; each sum here runs in index order
-            w = z[0][:, None] * plant.noise_factor[:, 0, None]
-            for d in dims[1:]:
-                w += z[d][:, None] * plant.noise_factor[:, d, None]
-            del z
-            # each trial's step matrix: A_c where its packet arrived, else A_o
-            a = np.where(ok[:, None, None], plant.a_c[..., None], plant.a_o[..., None])
-            x = buffers[i]  # row 0 holds the state carried into the block
-            for x_l, x_next, a_l, w_l in zip(x, x[1:], a, w):
-                np.multiply(a_l[:, 0], x_l[0], out=x_next)
-                for d in dims[1:]:
-                    x_next += a_l[:, d] * x_l[d]
-                x_next += w_l
-            del a, w, a_l, w_l  # a view of a row keeps its whole array alive
-            v = np.zeros((n + 1, trials))
-            for d in dims:
-                for e in dims:
-                    v += x[: n + 1, d] * x[: n + 1, e] * plant.q[d, e]
-            # (trials, n), C-contiguous: reducing over its rows adds in trial order
-            r = np.ascontiguousarray((v[1:] - float(plant.rho) * v[:-1] - plant.q_xi_trace).T)
-            decay_mean[i][start:stop] = r.mean(axis=0)
-            if trials > 1:  # one trial has no sample sd
-                decay_sd[i][start:stop] = r.std(axis=0, ddof=1)
-            paths[i][start : stop + 1] = x[: n + 1, :, 0]
-            x[0] = x[n]
-            # freed before the next block's draws: a block array left alive
-            # into the next block fragments the heap, which glibc then trims
-            # and faults back in every block
-            del v, r
+
+    outs = [_plant_outputs(plant.dim, horizon) for plant in plants]
+    _run_shares([functools.partial(_rollout, config.seed, i, plant,
+                                   None if scenario.x0 is None else scenario.x0[i],
+                                   lam_table[i], state_cols, trials, outs[i])
+                 for i, plant in enumerate(plants)], outs)
+    paths, delivered, counts, decay_mean, decay_sd = zip(*outs)
 
     return SimTrace(
         tau=tau,
         trials=trials,
         alpha_slow=alpha_slow,
         inputs_slow=inputs_slow,
-        states=tuple(paths),
-        deliveries=delivered,
-        delivery_counts=counts,
+        states=paths,
+        deliveries=np.stack(delivered, axis=1),
+        delivery_counts=np.stack(counts, axis=1),
         running_cost=_running_average(scenario, alpha_slow, inputs_slow, horizon),
         entry_fast=len(schedule.prefix_inputs) * tau,
         decay_mean=decay_mean,

@@ -23,8 +23,18 @@ Proves:
            with Q = 2.5, no numpy warning at one or two trials, memory
            whose growth per step does not depend on the trials, and a
            working set within one budget at 1000 and 4000 trials over 2000
-           steps; trial 0's path starts at the document's initial plant
-           states
+           steps (both measured in-process, where tracemalloc sees every
+           plant); trial 0's path starts at the document's initial plant
+           states; each oracle comparison also runs with the plants in
+           forked workers and gets the same bytes
+ Group 3b - plants in forked workers: the same trace bytes as in-process
+           on the bundled cell and on three plants over 1, 2 and 3 CPUs,
+           and every task's arrays back in place when a worker takes two;
+           no process left behind after a success, a worker's error or
+           this process's own error; a worker's error reaches the caller
+           as its type and message (numpy-style allocation errors as
+           MemoryError), its warnings reach the caller, and it prints
+           nothing; it exits on a broken pipe
  Group 4 - running cost: exact cycle averages for the worked example
  Group 5 - the empirical decay check passes where delivery is rich
            enough and fails where the schedule starves a link; below 100
@@ -35,7 +45,9 @@ Proves:
 """
 
 import dataclasses
+import functools
 import io
+import os
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -45,6 +57,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fadectrl.cosim as cosim
 from fadectrl.cosim import (
     MIN_CHECK_TRIALS,
     Schedule,
@@ -221,6 +234,63 @@ simulation:
   initial_plant_states: [[1.0, -1.0], [2.0]]
 """
 
+
+# three plants, so that plants dealt over two processes share one and over
+# three get one each
+THREE_PLANTS = """\
+name: three plant probe
+fast_steps_per_slow: 5
+
+plants:
+  - name: cart
+    a_closed: [[0.5, 0.1, 0.0], [0.0, 0.4, 0.2], [0.1, 0.0, 0.3]]
+    a_open: [[1.1, 0.3, 0.0], [0.0, 0.9, 0.4], [0.2, 0.1, 1.0]]
+    quality_weight: lyapunov
+    decay_rate: 0.9
+    noise_cov: [[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 0.5]]
+    power_price: 0.25
+  - name: belt
+    a_closed: 0.3
+    a_open: -1.2
+    quality_weight: 1.0
+    decay_rate: 0.9
+    noise_cov: 2.0
+    power_price: 0.5
+  - name: lift
+    a_closed: [[0.2, 0.1], [0.0, 0.6]]
+    a_open: [[1.3, 0.0], [0.4, 0.8]]
+    quality_weight: [[1.0, 0.2], [0.2, 3.0]]
+    decay_rate: 0.9
+    noise_cov: [[0.5, 0.1], [0.1, 0.25]]
+    power_price: 0.75
+
+agents:
+  count: 1
+  kappa: 2
+  weights:
+    1: {1: 1}
+  initial_state: [0]
+
+constraints:
+  states: [1]
+  inputs: [[0]]
+
+channel:
+  local_states: 1
+  transmit_policy:
+    - [1]
+    - [1]
+    - [1]
+  fading:
+    1: {decode: [0.6, 0.7, 0.8], dist: [[1.0], [1.0], [1.0]]}
+
+cost:
+  input_weight: 0
+  input_costs: [3, 3]
+
+simulation:
+  initial_plant_states: [[1.0, -1.0, 0.5], [2.0], [-0.5, 1.5]]
+"""
 
 # ── Group 1: counter RNG ─────────────────────────────────────────────────────
 
@@ -461,26 +531,46 @@ def _edges(block):
 
 @pytest.mark.parametrize("horizon", sorted({1, 255, 256, 257, 515} | _edges(block_steps(101))))
 @pytest.mark.parametrize("schedule", [STARVING, OPTIMAL], ids=["prefix", "cycle"])
-def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
+def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon, monkeypatch):
     # both schedules change the success probabilities inside a block; 101
     # trials are enough for the decay check and an odd array extent, and
     # take the longest block
     config = SimConfig(horizon, 101, 2**64 - 1)
-    _assert_matches_stepwise_oracle(scenario, schedule, config)
+    _assert_matches_stepwise_oracle(monkeypatch, scenario, schedule, config)
 
 
 @pytest.mark.parametrize("horizon", sorted(_edges(block_steps(1031))))
 @pytest.mark.parametrize("schedule", [STARVING, OPTIMAL], ids=["prefix", "cycle"])
-def test_simulate_matches_stepwise_oracle_on_short_blocks(scenario, schedule, horizon):
+def test_simulate_matches_stepwise_oracle_on_short_blocks(scenario, schedule, horizon,
+                                                          monkeypatch):
     # past 256 trials a block is shorter than 64 steps
     assert block_steps(1031) < 64
     config = SimConfig(horizon, 1031, 7)
-    _assert_matches_stepwise_oracle(scenario, schedule, config)
+    _assert_matches_stepwise_oracle(monkeypatch, scenario, schedule, config)
 
 
-def _assert_matches_stepwise_oracle(scenario, schedule, config):
+def _on_cpus(monkeypatch, cpus):
+    """Make `simulate` see `cpus` usable CPUs: the seam of its worker count."""
+    monkeypatch.setattr(cosim, "_usable_cpus", lambda: cpus)
+
+
+def _trace_bytes(trace):
+    """Every field of a trace, each array as its dtype, shape and bytes."""
+    arrays = [*trace.states, trace.deliveries, trace.delivery_counts,
+              *trace.decay_mean, *trace.decay_sd, trace.running_cost]
+    return ((trace.tau, trace.trials, trace.alpha_slow, trace.inputs_slow, trace.entry_fast),
+            [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+def _assert_matches_stepwise_oracle(monkeypatch, scenario, schedule, config):
+    # in-process and, where the platform forks, with the plants dealt over
+    # two processes: the same bytes, checked against the oracle
     horizon = config.horizon_fast
+    _on_cpus(monkeypatch, 1)
     got = simulate(scenario, schedule, config)
+    if hasattr(os, "fork"):
+        _on_cpus(monkeypatch, 2)
+        assert _trace_bytes(simulate(scenario, schedule, config)) == _trace_bytes(got)
     want, full_states, full_deliveries = stepwise_simulate(scenario, schedule, config)
     for x, y in zip(got.states, want.states, strict=True):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -513,23 +603,23 @@ def _assert_matches_stepwise_oracle(scenario, schedule, config):
 
 
 @pytest.mark.parametrize("horizon", [1, block_steps(37) + 1, 2 * block_steps(37) + 3])
-def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon):
+def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon, monkeypatch):
     # covers the matmul recursion at dim 3 and the scalar recursion with a
     # noise factor other than 1 (the bundled conveyor's factor is exactly 1)
     scn = load_scenario_text(MIXED_PLANTS)
     assert [p.dim for p in scn.plants] == [3, 1]
     assert scn.plants[1].noise_factor[0, 0] == np.sqrt(2.0)
-    _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 37, 2**63 + 5))
+    _assert_matches_stepwise_oracle(monkeypatch, scn, STAY, SimConfig(horizon, 37, 2**63 + 5))
 
 
 @pytest.mark.parametrize("horizon", [1, block_steps(29) + 1, 2 * block_steps(29) + 3])
-def test_simulate_matches_stepwise_oracle_on_quality_weights(horizon):
+def test_simulate_matches_stepwise_oracle_on_quality_weights(horizon, monkeypatch):
     # every other scenario here gives its scalar plant Q = 1, so only this
     # one tells q x^2 from x^2 in the decay statistics
     scn = load_scenario_text(QUALITY_WEIGHTS)
     arm, belt = scn.plants
     assert arm.q[0, 1] == 0.7 and belt.q[0, 0] == 2.5
-    _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 29, 11))
+    _assert_matches_stepwise_oracle(monkeypatch, scn, STAY, SimConfig(horizon, 29, 11))
 
 
 @pytest.mark.parametrize("trials", [1, 2])
@@ -543,7 +633,10 @@ def test_simulate_few_trials_raises_no_warning(scenario, trials):
         assert np.isnan(sd).all() if trials == 1 else np.isfinite(sd).all()
 
 
-def _simulate_peak_bytes(scenario, trials, horizon):
+def _simulate_peak_bytes(monkeypatch, scenario, trials, horizon):
+    # tracemalloc sees this process alone: every plant runs in it, one after
+    # another, so each plant's working set is held to the budget
+    _on_cpus(monkeypatch, 1)
     tracemalloc.start()  # numpy reports its array buffers to tracemalloc
     try:
         simulate(scenario, OPTIMAL, SimConfig(horizon, trials, 1))
@@ -552,7 +645,7 @@ def _simulate_peak_bytes(scenario, trials, horizon):
         tracemalloc.stop()
 
 
-def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario):
+def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario, monkeypatch):
     # keeping every trial's trajectory costs trials x dim doubles per fast
     # step (38 MB here); streaming keeps one block of them, so a step adds
     # only trial 0's states and deliveries, the delivery counts and two
@@ -562,24 +655,174 @@ def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario):
     full_states = sum(trials * (horizon + 1) * p.dim * 8 for p in plants)
     per_step = 8 * sum(p.dim + 2 for p in plants)
     block = block_steps(trials)
-    short = _simulate_peak_bytes(scenario, trials, block)
-    long = _simulate_peak_bytes(scenario, trials, horizon)
+    short = _simulate_peak_bytes(monkeypatch, scenario, trials, block)
+    long = _simulate_peak_bytes(monkeypatch, scenario, trials, horizon)
     assert long < full_states / 2
     assert long - short < 2 * per_step * (horizon - block)
 
 
 @pytest.mark.parametrize("trials", [1000, 4000])
-def test_simulate_working_set_does_not_grow_with_trials(scenario, trials):
+def test_simulate_working_set_does_not_grow_with_trials(scenario, trials, monkeypatch):
     # a block holds about 2**14 trial-steps whatever the trial count, and
     # only trial 0's deliveries are kept, so the traced peak stays within one
     # budget: 5.2 and 17.8 MiB here when every trial's deliveries were kept
-    assert _simulate_peak_bytes(scenario, trials, 2000) < 4 * 2**20
+    assert _simulate_peak_bytes(monkeypatch, scenario, trials, 2000) < 4 * 2**20
 
 
 def test_simulate_needs_success_coverage(scenario):
     gutted = dataclasses.replace(scenario, transmit=None)
     with pytest.raises(PreconditionViolated):
         simulate(gutted, OPTIMAL, SimConfig(40, 4, 1))
+
+
+# ── Group 3b: plants in forked workers ──────────────────────────────────────
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _AllocationFailed(MemoryError):
+    """Built from a shape and a dtype, as numpy's allocation error is."""
+
+    def __init__(self, shape, dtype):
+        super().__init__("Unable to allocate 1.00 TiB for an array with shape %s and "
+                         "data type %s" % (shape, dtype))
+
+
+def _rollout_failing_in_worker(monkeypatch, plant, error=None, warning=None):
+    """Make plant `plant`'s rollout warn and then raise (or go on) when it
+    runs outside this process."""
+    rollout, parent = cosim._rollout, os.getpid()
+
+    def patched(seed, i, *args):
+        if i == plant and os.getpid() != parent:
+            if warning:
+                warnings.warn(warning, RuntimeWarning)
+            if error:
+                raise error
+        return rollout(seed, i, *args)
+
+    monkeypatch.setattr(cosim, "_rollout", patched)
+
+
+@needs_fork
+def test_forked_trace_equals_in_process_trace_on_the_bundled_cell(scenario, monkeypatch):
+    config = SimConfig(400, 1000, 1)
+    _on_cpus(monkeypatch, 1)
+    serial = _trace_bytes(simulate(scenario, OPTIMAL, config))
+    _on_cpus(monkeypatch, 2)
+    assert _trace_bytes(simulate(scenario, OPTIMAL, config)) == serial
+
+
+@needs_fork
+def test_forked_trace_equals_in_process_trace_on_three_plants(monkeypatch):
+    # two processes take plants {0, 2} and {1}; three take one plant each
+    scn = load_scenario_text(THREE_PLANTS)
+    assert [p.dim for p in scn.plants] == [3, 1, 2]
+    config = SimConfig(2 * block_steps(37) + 3, 37, 2**63 + 5)
+    traces = []
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        traces.append(_trace_bytes(simulate(scn, STAY, config)))
+    assert traces[1] == traces[0]
+    assert traces[2] == traces[0]
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_every_task_fills_its_own_arrays_whatever_the_deal(monkeypatch, cpus):
+    # five tasks, so that a worker takes two: its arrays must come back in
+    # task order (two CPUs: this process 0, 2, 4, a worker 1, 3; three:
+    # this process 0, 3, the workers 1, 4 and 2)
+    outs = [(np.zeros((2, 3)), np.zeros(4, dtype=np.uint8)) for _ in range(5)]
+
+    def fill(k):
+        outs[k][0][...] = k + 0.5
+        outs[k][1][...] = np.arange(4) + 10 * k
+
+    _on_cpus(monkeypatch, cpus)
+    cosim._run_shares([functools.partial(fill, k) for k in range(5)], outs)
+    for k, (a, b) in enumerate(outs):
+        assert np.all(a == k + 0.5)
+        assert np.array_equal(b, np.arange(4) + 10 * k)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_workers_are_reaped_after_success_and_after_an_error(scenario, monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
+    _assert_no_child_left()
+    # the worker's error reaches the caller as its own type and message
+    _rollout_failing_in_worker(monkeypatch, 1, ScheduleViolation("plant 1 failed in a worker"))
+    with pytest.raises(ScheduleViolation, match=r"^plant 1 failed in a worker$"):
+        simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_worker_is_killed_when_this_process_fails(scenario, monkeypatch):
+    rollout = cosim._rollout
+
+    def failing(seed, i, *args):
+        if i == 0:
+            raise ValueOutOfRange("plant 0 failed in this process")
+        return rollout(seed, i, *args)
+
+    _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cosim, "_rollout", failing)
+    with pytest.raises(ValueOutOfRange, match=r"^plant 0 failed in this process$"):
+        simulate(scenario, OPTIMAL, SimConfig(2000, 1000, 1))
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_worker_allocation_error_is_a_memory_error_with_its_message(scenario, monkeypatch):
+    # numpy's error takes (shape, dtype), so it comes back as the MemoryError
+    # it derives from, with numpy's message, which the CLI prints
+    _on_cpus(monkeypatch, 2)
+    _rollout_failing_in_worker(monkeypatch, 1, _AllocationFailed((2**37,), "float64"))
+    with pytest.raises(MemoryError) as caught:
+        simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
+    assert type(caught.value) is MemoryError
+    assert str(caught.value) == str(_AllocationFailed((2**37,), "float64"))
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_worker_warnings_reach_the_caller_and_it_writes_nothing(scenario, monkeypatch, capfd):
+    _on_cpus(monkeypatch, 2)
+    _rollout_failing_in_worker(monkeypatch, 1, warning="plant 1 warned in a worker")
+    with pytest.warns(RuntimeWarning, match=r"^plant 1 warned in a worker$"):
+        trace = simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
+    _on_cpus(monkeypatch, 1)
+    assert _trace_bytes(trace) == _trace_bytes(simulate(scenario, OPTIMAL, SimConfig(80, 16, 1)))
+    _on_cpus(monkeypatch, 2)
+    _rollout_failing_in_worker(monkeypatch, 1, ValueOutOfRange("plant 1 failed in a worker"))
+    with pytest.raises(ValueOutOfRange):
+        simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
+    assert capfd.readouterr() == ("", "")
+
+
+@needs_fork
+def test_worker_exits_on_a_broken_pipe():
+    # with the parent's read end gone, the worker's first write fails: it
+    # exits with status 2 instead of blocking or printing
+    r, w = os.pipe()
+    os.close(r)
+    outs = [(np.zeros(2**17),)]  # 1 MiB: more than a pipe buffers
+    pid = os.fork()
+    if pid == 0:
+        try:
+            cosim._worker([lambda: None], [0], outs, w, [])
+        finally:
+            os._exit(3)  # never reached: the worker exits itself
+    os.close(w)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 2
 
 
 # ── Group 4: running cost ────────────────────────────────────────────────────
