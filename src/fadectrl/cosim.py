@@ -36,20 +36,21 @@ dims)): nothing grows with trials x horizon.
 
 Once the agent tour is replayed, the plants share nothing: each one's
 rollout (`_rollout`) reads its own streams and its link's success
-probabilities.  Where `os.fork` and `os.sched_getaffinity` exist (Linux)
-and both the usable CPUs and the plants number more than one, the
-plants are dealt round-robin over min(plants, CPUs) processes: this one
-and forked workers, which send their arrays back as raw bytes over a
-pipe.  A worker's error reaches the caller as the same type and
-message, its warnings are issued again here, and every worker is reaped
-before `simulate` returns or raises.  Elsewhere every plant runs in this
-process through the same function.  Traces are byte-identical whatever
-the CPU count, and the working-set bound above holds per process, each
-working on one plant's block at a time.  Workers are forked, not
-spawned: a spawned one would first import numpy and this package again
-(0.1-0.2 s), about as long as a plant's rollout at 1000 trials x 2000
-steps.  On Python 3.12 and later `os.fork` emits a DeprecationWarning,
-since numpy's OpenBLAS has started a thread by then.
+probabilities and returns its arrays.  Where `os.fork` and
+`os.sched_getaffinity` exist (Linux) and both the usable CPUs and the
+plants number more than one, the plants are dealt round-robin over
+min(plants, CPUs) processes: this one and forked workers, which each
+send one pickled reply over a pipe.  Warnings are issued here in plant
+order, a worker's error reaches the caller as the same type and message,
+one that dies before it replies is a ToolkitError, and every worker is
+reaped before `simulate` returns or raises.  Elsewhere every plant runs
+in this process through the same function.  Traces and warnings are the
+same whatever the CPU count, and the working-set bound above holds per
+process.  Workers are forked, not spawned: a spawned one would first
+import numpy and this package again (0.1-0.2 s), about as long as a
+plant's rollout at 1000 trials x 2000 steps.  On Python 3.12 and later
+`os.fork` emits a DeprecationWarning, since numpy's OpenBLAS has started
+a thread by then.
 
 The running-average cost column is deterministic: the radio power term
 enters through its per-state expectation, not the sampled deliveries,
@@ -58,6 +59,7 @@ matching the cost functional the synthesizer optimizes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
@@ -75,6 +77,7 @@ from .errors import (
     InsufficientTrials,
     ParseError,
     ScheduleViolation,
+    ToolkitError,
     ValueOutOfRange,
 )
 from .mas import successor_index
@@ -297,22 +300,17 @@ def _running_average(scenario, alpha_slow, inputs_slow, horizon: int) -> np.ndar
     return np.cumsum(per_fast) / np.arange(1, horizon + 1)
 
 
-def _plant_outputs(dim: int, horizon: int):
-    """The arrays one plant's rollout fills: trial 0's path (horizon + 1,
-    dim) and deliveries (horizon,) of 0/1, the per-step delivery counts,
-    and the decay residual's per-step mean and sample sd (NaN for one
-    trial)."""
-    return (np.empty((horizon + 1, dim)), np.empty(horizon, dtype=np.uint8),
-            np.empty(horizon, dtype=np.int64), np.empty(horizon), np.full(horizon, np.nan))
-
-
-def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int, out):
+def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int):
     """Monte-Carlo rollout of plant i over the fast steps of `state_cols`
     (each step's column of `success`, its link's success probabilities),
-    from the initial state x0 (zeros for None), into the arrays of
-    `_plant_outputs`.  It reads nothing of any other plant."""
-    path, delivered, counts, decay_mean, decay_sd = out
+    from the initial state x0 (zeros for None).  Returns trial 0's path
+    (horizon + 1, dim) and deliveries (horizon,) of 0/1, the per-step
+    delivery counts, and the decay residual's per-step mean and sample sd
+    (NaN for one trial).  It reads nothing of any other plant."""
     horizon = len(state_cols)
+    path, delivered = np.empty((horizon + 1, plant.dim)), np.empty(horizon, dtype=np.uint8)
+    counts, decay_mean = np.empty(horizon, dtype=np.int64), np.empty(horizon)
+    decay_sd = np.full(horizon, np.nan)
     block = block_steps(trials)
     dims = range(plant.dim)
     x = np.zeros((min(block, horizon) + 1, plant.dim, trials))
@@ -355,6 +353,7 @@ def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int, out
         # into the next block fragments the heap, which glibc then trims
         # and faults back in every block
         del v, r
+    return path, delivered, counts, decay_mean, decay_sd
 
 
 def _usable_cpus() -> int:
@@ -364,100 +363,101 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _worker(tasks, share, outs, fd: int, read_ends):
+def _run_share(tasks, share):
+    """Run tasks[k] for each k of `share` in turn, each with its warnings
+    recorded, up to the first error.  Returns (results, error or None,
+    each task's warnings as (message, category, filename, lineno))."""
+    results, error, caught = [], None, []
+    for k in share:
+        with warnings.catch_warnings(record=True) as log:
+            try:
+                results.append(tasks[k]())
+            except Exception as e:
+                error = e
+        caught.append([(str(w.message), w.category, w.filename, w.lineno) for w in log])
+        if error is not None:
+            break
+    return results, error, caught
+
+
+def _worker(tasks, share, fd: int, read_ends):
     """A forked worker's whole life; it never returns.  It closes the pipe
-    read ends it inherited, runs its share of the tasks with warnings
-    recorded, writes its arrays' raw bytes (only if every task succeeded)
-    and a pickled (error, warnings) tail to `fd`, and exits 0 (results
-    sent), 1 (an error sent) or 2 (the send failed: a broken pipe when the
-    parent is gone).  It writes nothing to stdout or stderr."""
+    read ends it inherited, writes the pickled `_run_share` reply to `fd`
+    and exits 0, or 2 if it cannot (a broken pipe when the parent is gone).
+    An error is sent as its nearest class that takes its message alone:
+    MemoryError for numpy's allocation error, built from a shape and a
+    dtype.  It writes nothing to stdout or stderr."""
     status = 2
     try:
         for r in read_ends:
             os.close(r)
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                for k in share:
-                    tasks[k]()
-                arrays, error, sent = [a for k in share for a in outs[k]], None, 0
-            except BaseException as e:  # re-raised by the parent
-                arrays, error, sent = [], (type(e), str(e)), 1
-        caught = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        results, error, caught = _run_share(tasks, share)
+        for cls in type(error).__mro__ if error is not None else ():
+            with contextlib.suppress(TypeError):
+                error = cls(str(error))
+                break
         with open(fd, "wb") as pipe:
-            for chunk in arrays + [pickle.dumps((error, caught))]:
-                pipe.write(chunk)
-        status = sent
+            pickle.dump((results, error, caught), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
     finally:
         os._exit(status)
 
 
-def _receive(data: bytes, code: int, outs):
-    """Fill `outs` from a worker's bytes, re-issue its warnings and re-raise
-    its error as the same type and message (or as the nearest base class
-    that takes a message alone: MemoryError for numpy's allocation error,
-    which is built from a shape and a dtype)."""
-    if code not in (0, 1):
-        raise ChildProcessError("co-simulation worker ended with exit code %d" % code)
-    offset = 0
-    if code == 0:
-        for a in (a for arrays in outs for a in arrays):
-            a[...] = np.frombuffer(data, a.dtype, a.size, offset).reshape(a.shape)
-            offset += a.nbytes
-    # bytes that this module's own forked worker wrote
-    error, caught = pickle.loads(memoryview(data)[offset:])
-    for message, category, filename, lineno in caught:
-        warnings.warn_explicit(message, category, filename, lineno)
-    if error is not None:
-        cls, message = error
-        for base in cls.__mro__:
-            try:
-                err = base(message)
-            except TypeError:
-                continue
-            raise err
-
-
-def _run_shares(tasks, outs):
-    """Run every task; task k fills the arrays outs[k].
+def _run_tasks(tasks):
+    """Every task's result, in task order.
 
     With n = min(tasks, usable CPUs) above one, the tasks are dealt
     round-robin over n processes: this one runs tasks 0, n, 2n, .. and a
     forked worker (`_worker`) each other share.  Each worker's pipe is read
-    to EOF, then the worker is reaped and its arrays copied in.  Whatever
-    happens, every worker still alive at the end is killed and reaped, so
-    no call leaves a process behind.
-    """
+    to EOF and the worker reaped; one that ends without a reply is a
+    ToolkitError naming its exit status or signal.  Then, in task order,
+    each task's warnings are issued through one registry per file, so a
+    location warns once whatever the deal, up to the first error, which is
+    raised.  Every worker still alive at the end is killed and reaped, so
+    no call leaves a process behind."""
     import signal  # here, not at the top: 1 ms that the other commands need not pay
 
     n = min(len(tasks), _usable_cpus())
-    workers = []  # [pid, pipe read end, share] of each worker, in share order
+    shares = [range(j, len(tasks), n) for j in range(n)]
+    workers = []  # [pid, pipe read end] of each worker, in share order
     try:
-        for j in range(1, n):
+        for share in shares[1:]:
             r, w = os.pipe()
-            workers.append([None, r, range(j, len(tasks), n)])
+            workers.append([None, r])
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _worker(tasks, workers[-1][2], outs, w, [fd for _, fd, _ in workers])
+                    _worker(tasks, share, w, [fd for _, fd in workers])
             finally:
                 os.close(w)
             workers[-1][0] = pid
-        for k in range(0, len(tasks), n):
-            tasks[k]()
+        replies = [_run_share(tasks, shares[0])]
         while workers:
-            pid, r, share = workers[0]
+            pid, r = workers[0]
             with open(r, "rb", closefd=False) as pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             workers.pop(0)
             os.close(r)
-            _receive(data, code, [outs[k] for k in share])
+            if code:  # a negative code is the signal that ended the worker
+                raise ToolkitError("co-simulation worker ended with %s before it replied" % (
+                    "signal %d" % -code if code < 0 else "exit status %d" % code))
+            replies.append(pickle.loads(data))  # bytes this module's own worker wrote
     finally:
-        for pid, r, _ in workers:
+        for pid, r in workers:
             os.close(r)
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    registries, results = {}, []
+    for k in range(len(tasks)):
+        done, error, caught = replies[k % n]
+        for w in caught[k // n]:  # (message, category, filename, lineno)
+            warnings.warn_explicit(*w, registry=registries.setdefault(w[2], {}))
+        if k // n == len(done):
+            raise error
+        results.append(done[k // n])
+    return results
 
 
 def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
@@ -465,7 +465,7 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
 
     The tour fixes every link's success probability at every fast step, so
     each plant's rollout is an independent job (`_rollout`); the jobs run
-    in forked workers where `_run_shares` finds more than one CPU, and the
+    in forked workers where `_run_tasks` finds more than one CPU, and the
     trace is the same bytes either way."""
     tau = scenario.cost.tau
     horizon = config.horizon_fast
@@ -479,12 +479,11 @@ def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     lam_table = np.array([scenario.success[a] for a in visited], dtype=float).T
     state_cols = np.searchsorted(visited, alpha_slow)[_slow_steps(tau, horizon)]
 
-    outs = [_plant_outputs(plant.dim, horizon) for plant in plants]
-    _run_shares([functools.partial(_rollout, config.seed, i, plant,
-                                   None if scenario.x0 is None else scenario.x0[i],
-                                   lam_table[i], state_cols, trials, outs[i])
-                 for i, plant in enumerate(plants)], outs)
-    paths, delivered, counts, decay_mean, decay_sd = zip(*outs)
+    paths, delivered, counts, decay_mean, decay_sd = zip(*_run_tasks(
+        [functools.partial(_rollout, config.seed, i, plant,
+                           None if scenario.x0 is None else scenario.x0[i],
+                           lam_table[i], state_cols, trials)
+         for i, plant in enumerate(plants)]))
 
     return SimTrace(
         tau=tau,

@@ -31,7 +31,8 @@ Proves:
            the decay check is skipped (with its reason) below 100
            trials, down to one trial without a warning, or before the cycle
            entry, a slow step of 10^12 or 10^30 fast steps runs, bad inputs
-           exit 1, and so does a run too large to allocate, with no artifacts
+           exit 1, and so do a run too large to allocate and a co-simulation
+           worker killed by a signal, with no artifacts and no traceback
  Group 5 - usage errors; an input file that is not UTF-8 is named
 """
 
@@ -40,6 +41,7 @@ import json
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -49,6 +51,7 @@ from pathlib import Path
 import pytest
 
 import fadectrl
+import fadectrl.cosim as cosim
 from fadectrl import load_scenario, stabilization
 from fadectrl.channel import expected_power
 from fadectrl.cli import OUTDIR_ENV, main
@@ -851,6 +854,33 @@ def test_simulate_too_large_to_allocate_is_an_error(scenario_path, outdir, capsy
     assert re.search(r"\nerror: Unable to allocate .* for an array\b", run.stderr)
     assert sorted(p.name for p in outdir.iterdir()) == ["assembly_cell.report.txt",
                                                           "assembly_cell.schedule.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+def test_simulate_worker_killed_by_a_signal_is_an_error(scenario_path, outdir, capsys,
+                                                        monkeypatch):
+    # the kernel's OOM killer ends a process with SIGKILL, leaving no reply:
+    # one error line naming the signal, no traceback, no artifact, no child
+    _, schedule_path = _synth(scenario_path, outdir)
+    capsys.readouterr()
+    rollout, parent = cosim._rollout, os.getpid()
+
+    def killed_in_worker(seed, i, *args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rollout(seed, i, *args)
+
+    monkeypatch.setattr(cosim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cosim, "_rollout", killed_in_worker)
+    assert _simulate(scenario_path, outdir, schedule_path, seed=1) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error(err) == ("error: co-simulation worker ended with signal %d "
+                               "before it replied" % signal.SIGKILL)
+    assert sorted(p.name for p in outdir.iterdir()) == ["assembly_cell.report.txt",
+                                                          "assembly_cell.schedule.json"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_rejects_bad_schedule_json(scenario_path, outdir, capsys):

@@ -29,12 +29,14 @@ Proves:
            forked workers and gets the same bytes
  Group 3b - plants in forked workers: the same trace bytes as in-process
            on the bundled cell and on three plants over 1, 2 and 3 CPUs,
-           and every task's arrays back in place when a worker takes two;
-           no process left behind after a success, a worker's error or
-           this process's own error; a worker's error reaches the caller
-           as its type and message (numpy-style allocation errors as
-           MemoryError), its warnings reach the caller, and it prints
-           nothing; it exits on a broken pipe
+           and five tasks' results back in task order when a worker takes
+           two; no process left behind after a success, a worker's error or
+           this process's own error, and an interrupt here kills a worker
+           at once; a worker's error reaches the caller as its type and
+           message (numpy-style allocation errors as MemoryError), its
+           warnings reach the caller, and it prints nothing; stderr is the
+           same over 1, 2 and 3 CPUs where every plant warns at the same
+           lines; a worker exits on a broken pipe
  Group 4 - running cost: exact cycle averages for the worked example
  Group 5 - the empirical decay check passes where delivery is rich
            enough and fails where the schedule starves a link; below 100
@@ -48,6 +50,8 @@ import dataclasses
 import functools
 import io
 import os
+import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -734,21 +738,23 @@ def test_forked_trace_equals_in_process_trace_on_three_plants(monkeypatch):
 
 @needs_fork
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_every_task_fills_its_own_arrays_whatever_the_deal(monkeypatch, cpus):
-    # five tasks, so that a worker takes two: its arrays must come back in
-    # task order (two CPUs: this process 0, 2, 4, a worker 1, 3; three:
+def test_five_tasks_come_back_in_task_order_whatever_the_deal(monkeypatch, cpus):
+    # five tasks, so that a worker takes two: their results must come back
+    # in task order (two CPUs: this process 0, 2, 4, a worker 1, 3; three:
     # this process 0, 3, the workers 1, 4 and 2)
-    outs = [(np.zeros((2, 3)), np.zeros(4, dtype=np.uint8)) for _ in range(5)]
-
-    def fill(k):
-        outs[k][0][...] = k + 0.5
-        outs[k][1][...] = np.arange(4) + 10 * k
+    def task(k):
+        return np.full((2, 3), k + 0.5), np.arange(4, dtype=np.uint8) + 10 * k, os.getpid()
 
     _on_cpus(monkeypatch, cpus)
-    cosim._run_shares([functools.partial(fill, k) for k in range(5)], outs)
-    for k, (a, b) in enumerate(outs):
-        assert np.all(a == k + 0.5)
-        assert np.array_equal(b, np.arange(4) + 10 * k)
+    results = cosim._run_tasks([functools.partial(task, k) for k in range(5)])
+    assert len(results) == 5
+    for k, (a, b, _) in enumerate(results):
+        assert a.shape == (2, 3) and np.all(a == k + 0.5)
+        assert b.dtype == np.uint8 and np.array_equal(b, np.arange(4) + 10 * k)
+    pids = [pid for _, _, pid in results]
+    assert [pids[k] == os.getpid() for k in range(5)] == [k % cpus == 0 for k in range(5)]
+    assert pids[1] == pids[1 + cpus] != os.getpid()
+    assert len(set(pids)) == cpus
     _assert_no_child_left()
 
 
@@ -765,7 +771,7 @@ def test_workers_are_reaped_after_success_and_after_an_error(scenario, monkeypat
 
 
 @needs_fork
-def test_worker_is_killed_when_this_process_fails(scenario, monkeypatch):
+def test_no_worker_left_when_this_process_fails(scenario, monkeypatch):
     rollout = cosim._rollout
 
     def failing(seed, i, *args):
@@ -777,6 +783,20 @@ def test_worker_is_killed_when_this_process_fails(scenario, monkeypatch):
     monkeypatch.setattr(cosim, "_rollout", failing)
     with pytest.raises(ValueOutOfRange, match=r"^plant 0 failed in this process$"):
         simulate(scenario, OPTIMAL, SimConfig(2000, 1000, 1))
+    _assert_no_child_left()
+
+    # an interrupt here does not wait for a worker that would take a minute:
+    # the worker is killed
+    def interrupted(seed, i, *args):
+        if i == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(cosim, "_rollout", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
+    assert time.monotonic() - start < 30
     _assert_no_child_left()
 
 
@@ -808,17 +828,49 @@ def test_worker_warnings_reach_the_caller_and_it_writes_nothing(scenario, monkey
     assert capfd.readouterr() == ("", "")
 
 
+def _overflowing_cell(scenario_path):
+    """The bundled cell with both plants' open loops at 1e100: every plant
+    step overflows, and numpy warns at several lines of each rollout."""
+    text = scenario_path.read_text()
+    for old, new in (("a_open: [[-1.0, -0.4]", "a_open: [[-1.0e+100, -0.4]"),
+                     ("a_open: 1.0\n", "a_open: 1.0e+100\n")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return load_scenario_text(text)
+
+
+def _print_warnings(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+@needs_fork
+def test_stderr_is_the_same_whatever_the_cpu_count(scenario_path, monkeypatch, capfd):
+    # each warning location prints once, as when every plant runs here
+    scn = _overflowing_cell(scenario_path)
+    printed = []
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = _print_warnings
+            simulate(scn, OPTIMAL, SimConfig(400, 100, 1))
+        printed.append(capfd.readouterr())
+    assert printed[0].out == "" and "RuntimeWarning: overflow" in printed[0].err
+    assert printed[1] == printed[0]
+    assert printed[2] == printed[0]
+
+
 @needs_fork
 def test_worker_exits_on_a_broken_pipe():
     # with the parent's read end gone, the worker's first write fails: it
     # exits with status 2 instead of blocking or printing
     r, w = os.pipe()
     os.close(r)
-    outs = [(np.zeros(2**17),)]  # 1 MiB: more than a pipe buffers
     pid = os.fork()
     if pid == 0:
         try:
-            cosim._worker([lambda: None], [0], outs, w, [])
+            # a 1 MiB result: more than a pipe buffers
+            cosim._worker([lambda: np.zeros(2**17)], [0], w, [])
         finally:
             os._exit(3)  # never reached: the worker exits itself
     os.close(w)
