@@ -10,7 +10,7 @@ Artifacts land in the directory named by FADECTRL_OUTDIR (default: the
 current directory).  Exit status: 0 on success, 2 when the scenario is
 infeasible for the requested thresholds, 1 on any input or usage error
 (a run too large to allocate, or an artifact that cannot be written,
-included).
+included), and 1 when stdout closes before the report is written.
 A run that exits nonzero writes no artifact: a command writes all or none.
 """
 
@@ -18,24 +18,16 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cosim import (
-    Schedule,
-    SimConfig,
-    _replay_slow,
-    empirical_lyapunov_check,
-    simulate,
-    write_trace_csv,
-)
 from .errors import Infeasible, InsufficientTrials, ParseError, ToolkitError, ValueOutOfRange
 from .scenario import load_scenario
 from .stabilization import Stabilization, link_name, link_threshold, stabilize
-from .synthesis import SynthesisResult, synthesize, to_dot
 
 OUTDIR_ENV = "FADECTRL_OUTDIR"
 REPORT_HEAD = 12  # slow steps of schedule and trajectory the synthesis report lists
@@ -192,7 +184,9 @@ def cmd_check(args) -> int:
     return 0 if stab.feasible else 2
 
 
-def _synthesis_report(scn, result: SynthesisResult) -> list:
+def _synthesis_report(scn, result) -> list:
+    from .cosim import _replay_slow
+
     states, inputs = _replay_slow(scn, result.schedule, REPORT_HEAD)
     lines = ["optimal cycle: %s" % " -> ".join(str(a) for a in result.cycle_states)]
     lines.append("mean cycle weight: %s" % _fmt(result.mean_weight))
@@ -217,10 +211,12 @@ def cmd_synthesize(args) -> int:
         report.append("no schedule exists for these thresholds")
         print("\n".join(report))
         return 2
+    from .synthesis import synthesize, to_dot
+
     result = synthesize(scn, stab)
     report += _synthesis_report(scn, result)
     text = "\n".join(report) + "\n"
-    print(text, end="")
+    print(text, end="", flush=True)  # a closed stdout fails here, before any artifact
 
     outdir = _outdir()
     stem = Path(args.scenario).stem
@@ -240,6 +236,14 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .cosim import (
+        Schedule,
+        SimConfig,
+        empirical_lyapunov_check,
+        simulate,
+        write_trace_csv,
+    )
+
     scn = load_scenario(args.scenario)
     _emit_warnings(scn.warnings)
     try:
@@ -269,7 +273,7 @@ def cmd_simulate(args) -> int:
             )
         report.append("decay check overall: %s" % ("PASS" if check.passed else "FAIL"))
     text = "\n".join(report) + "\n"
-    print(text, end="")
+    print(text, end="", flush=True)  # a closed stdout fails here, before any artifact
 
     outdir = _outdir()
     stem = Path(args.scenario).stem
@@ -301,5 +305,25 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None) -> int:
+    """`main` for a process that ends when it returns: the `fadectrl`
+    script and `python -m fadectrl.cli`.  A reader that closes stdout early
+    gets exit status 1, with no traceback.  Every object left is then
+    frozen out of the collector, so the interpreter's teardown collections
+    skip the loaded modules; `main` itself keeps nothing frozen, since
+    tests and the benchmark call it again and again."""
+    try:
+        status = main(argv)
+        if sys.stdout is not None:  # None in a process started with no fd 1
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: stdout goes to devnull, so the
+        # exit-time flush of what is still buffered cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

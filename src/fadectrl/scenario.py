@@ -33,7 +33,6 @@ from yaml.constructor import ConstructorError, SafeConstructor
 from .channel import consistency_gaps
 from .errors import ParseError, ToolkitError, ValidationError
 from .mas import ConstraintSets, MasModel, require_index_range, to_index
-from .synthesis import StageCost
 from .wcs import Plant, default_lyapunov_weight
 
 ROW_MASS_TOL = Fraction(1e-9)  # the float's exact value, for integer comparisons
@@ -223,6 +222,20 @@ class _Builder:
 
 def _line(obj, default=0):
     return obj.line if isinstance(obj, _Map) else default
+
+
+@dataclass(frozen=True)
+class StageCost:
+    """Slow-step cost data: fast steps per slow step, input price weight,
+    and the (state, input)-indexed input cost table, as the scenario
+    loader validated them."""
+
+    tau: int
+    lam: object
+    g: tuple  # g[a-1][u-1] >= 0
+
+    def input_cost(self, a: int, u: int):
+        return self.g[a - 1][u - 1]
 
 
 @dataclass

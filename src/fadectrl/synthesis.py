@@ -46,20 +46,6 @@ from .mas import successors
 from .stabilization import Stabilization
 
 
-@dataclass(frozen=True)
-class StageCost:
-    """Slow-step cost data: fast steps per slow step, input price weight,
-    and the (state, input)-indexed input cost table, as the scenario
-    loader validated them."""
-
-    tau: int
-    lam: object
-    g: tuple  # g[a-1][u-1] >= 0
-
-    def input_cost(self, a: int, u: int):
-        return self.g[a - 1][u - 1]
-
-
 def _stage_costs(scenario, a: int, inputs) -> list:
     """Total expected cost of one slow step spent at a applying u, for
     each u in inputs, with the radio power term computed once."""

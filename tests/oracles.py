@@ -44,8 +44,8 @@ from fadectrl.errors import (
     ValueOutOfRange,
 )
 from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
-from fadectrl.scenario import _Map, _Number
-from fadectrl.synthesis import Edge, StageCost, TransitionGraph, out_edges
+from fadectrl.scenario import StageCost, _Map, _Number
+from fadectrl.synthesis import Edge, TransitionGraph, out_edges
 from fadectrl.wcs import Plant
 
 

@@ -34,8 +34,17 @@ Proves:
            exit 1, and so do a run too large to allocate and a co-simulation
            worker killed by a signal, with no artifacts and no traceback
  Group 5 - usage errors; an input file that is not UTF-8 is named
+ Group 6 - the process around main (`python -m fadectrl.cli`, which the
+           `fadectrl` script shares): a stdout closed before the report is
+           written is exit status 1 with no traceback and no artifact,
+           buffered or not, while a process started with no stdout at all
+           runs as it always did; `thresholds` loads neither the synthesizer nor
+           the co-simulation and `simulate` not the synthesizer; `run`
+           leaves the heap frozen for the interpreter's teardown and keeps
+           main's exit statuses 0, 1 and 2, while `main` freezes nothing
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -93,6 +102,14 @@ def _one_error(err):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1, err
     return errors[0]
+
+
+def _child_env(**extra):
+    """This environment for a `python` child that imports this tree's fadectrl."""
+    src = str(Path(fadectrl.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 # ── Group 1: thresholds ──────────────────────────────────────────────────────
@@ -751,9 +768,7 @@ def test_simulate_golden_digest(scenario_path, outdir, capsys):
 def test_simulate_golden_digest_on_prescott_kernel(scenario_path, tmp_path):
     # OpenBLAS's Prescott kernels have no FMA, so a plant step through BLAS
     # would round differently there; the golden run's trace must not
-    src = str(Path(fadectrl.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", **{OUTDIR_ENV: str(tmp_path)})
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env(OPENBLAS_CORETYPE="Prescott", **{OUTDIR_ENV: str(tmp_path)})
     schedule = tmp_path / "assembly_cell.schedule.json"
     for argv in (["synthesize", str(scenario_path)],
                  ["simulate", str(scenario_path), "--schedule", str(schedule),
@@ -938,3 +953,87 @@ def test_unknown_subcommand(outdir, capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
     capsys.readouterr()
+
+
+# ── Group 6: the process around main ─────────────────────────────────────────
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["check", "synthesize"])
+def test_a_closed_stdout_is_exit_1_without_a_traceback_or_an_artifact(
+        scenario_path, outdir, tmp_path_factory, capsys, command, buffered):
+    # a reader such as `head -c 100` that closes the pipe early: buffered, the
+    # report fails at the exit-time flush; unbuffered, at its print
+    assert main([command, str(scenario_path)]) == 0
+    err = capsys.readouterr().err.splitlines(keepends=True)
+    child_outdir = tmp_path_factory.mktemp("closed_stdout")
+    env = _child_env(**{OUTDIR_ENV: str(child_outdir)})
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "fadectrl.cli", command, str(scenario_path)],
+                             stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                             timeout=120)
+    finally:
+        os.close(write)
+    assert run.returncode == 1
+    assert run.stderr == "".join(line for line in err if not line.startswith("artifacts:"))
+    assert list(child_outdir.iterdir()) == []
+
+
+def test_a_process_started_without_stdout_runs_as_before(scenario_path, tmp_path):
+    # with fd 1 closed, Python sets sys.stdout to None and print writes nothing
+    run = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                          "fadectrl.cli", "synthesize", str(scenario_path)],
+                         stderr=subprocess.PIPE, text=True, timeout=120,
+                         env=_child_env(**{OUTDIR_ENV: str(tmp_path)}))
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["assembly_cell.report.txt",
+                                                           "assembly_cell.schedule.json"]
+
+
+def _loaded_modules(argv, env) -> set:
+    """The fadectrl modules a `python -m fadectrl.cli` child imports."""
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "fadectrl.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return set(re.findall(r"^import time:.*\|\s*(fadectrl(?:\.\w+)*)$", run.stderr, re.M))
+
+
+def test_each_command_loads_only_the_stages_it_runs(scenario_path, tmp_path):
+    schedule = tmp_path / "assembly_cell.schedule.json"
+    schedule.write_text(GOLDEN_SYNTHESIS["[1, 0]"][1])
+    env = _child_env(**{OUTDIR_ENV: str(tmp_path)})
+    loading = {"fadectrl", "fadectrl.channel", "fadectrl.errors", "fadectrl.mas",
+               "fadectrl.scenario", "fadectrl.stabilization", "fadectrl.wcs"}
+    assert _loaded_modules(["thresholds", str(scenario_path)], env) == loading
+    assert _loaded_modules(["simulate", str(scenario_path), "--schedule", str(schedule),
+                            "--seed", "1", "--trials", "4", "--horizon", "40"],
+                           env) == loading | {"fadectrl.cosim"}
+
+
+# reports, from an atexit hook, whether anything is frozen when teardown begins
+_RUN_IN_A_CHILD = """
+import atexit, gc, sys
+from fadectrl.cli import run
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0, file=sys.stderr))
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags, status", [([], 0), (["--s-override", "0.99,0.99"], 2),
+                                           (["--s-override", "x,y"], 1)])
+def test_run_freezes_the_heap_for_teardown_and_keeps_the_exit_status(
+        scenario_path, outdir, capsys, flags, status):
+    argv = ["check", str(scenario_path), *flags]
+    frozen = gc.get_freeze_count()
+    assert main(argv) == status
+    assert gc.get_freeze_count() == frozen  # main keeps nothing frozen
+    capsys.readouterr()
+    run = subprocess.run([sys.executable, "-c", _RUN_IN_A_CHILD, *argv], capture_output=True,
+                         text=True, env=_child_env(), timeout=120)
+    assert run.returncode == status, run.stderr
+    assert run.stderr.splitlines()[-1] == "frozen: True"

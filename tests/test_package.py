@@ -10,7 +10,9 @@ Proves:
            TARGETS) is a callable of the module it names, read with `ast`
            so that no benchmark module is imported
  Group 4 - every name the package exports has a caller: another package
-           module uses it, or README's library example does
+           module uses it, or README's library example does; every name in
+           the export table resolves as an attribute of the package and is
+           bound by `from fadectrl import *`
  Group 5 - no test module but test_cli.py imports fadectrl.cli: the
            others reach the pipeline through the library, as README's
            example does
@@ -130,13 +132,19 @@ def _used_names(tree) -> set:
     return used
 
 
+def _export_table() -> dict:
+    """`__init__`'s export -> module table, read with `ast`."""
+    init = PACKAGE / "__init__.py"
+    for node in ast.parse(init.read_text(), filename=str(init)).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no _EXPORTS in %s" % init)
+
+
 def test_every_export_has_a_caller():
     init = PACKAGE / "__init__.py"
-    exported = sorted(
-        alias.asname or alias.name
-        for node in ast.parse(init.read_text()).body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    )
+    exported = sorted(_export_table())
     assert "decay_threshold" in exported
     used = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -147,6 +155,18 @@ def test_every_export_has_a_caller():
     assert example
     used |= _used_names(ast.parse(example.group(1)))
     assert [name for name in exported if name not in used] == []
+
+
+def test_every_export_resolves_and_star_import_binds_it():
+    table = _export_table()
+    assert sorted(fadectrl.__all__) == sorted(table)
+    for name, module in table.items():
+        defining = importlib.import_module("fadectrl." + module)
+        assert getattr(fadectrl, name) is getattr(defining, name), name
+    assert set(table) <= set(dir(fadectrl))
+    namespace = {}
+    exec("from fadectrl import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(table)
 
 
 def _imports_cli(tree) -> bool:
