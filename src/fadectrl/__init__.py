@@ -15,7 +15,6 @@ import importlib
 # export -> the module that defines it
 _EXPORTS = {
     "expected_power": "channel",
-    "Schedule": "cosim",
     "SimConfig": "cosim",
     "SimTrace": "cosim",
     "empirical_lyapunov_check": "cosim",
@@ -23,6 +22,7 @@ _EXPORTS = {
     "write_trace_csv": "cosim",
     "ConstraintSets": "mas",
     "MasModel": "mas",
+    "Schedule": "mas",
     "one_step_reach": "mas",
     "successors": "mas",
     "Scenario": "scenario",

@@ -73,14 +73,11 @@ import numpy as np
 from .channel import expected_power
 from .errors import (
     DimensionMismatch,
-    InitialStateViolatesConstraint,
     InsufficientTrials,
-    ParseError,
-    ScheduleViolation,
     ToolkitError,
     ValueOutOfRange,
 )
-from .mas import successor_index
+from .mas import Schedule, _replay_slow
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # splitmix64 finalizer: z ^= z >> shift, then z *= mult, twice; then z ^= z >> 31
@@ -161,58 +158,6 @@ def _plant_draws(seed: int, i: int, steps, dim: int, trials: int):
     return u[0], z
 
 
-def _require_json_int(value, field: str):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError("%s must be an integer, got %r" % (field, value))
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Eventually periodic input sequence: prefix once, then the cycle."""
-
-    prefix_inputs: tuple
-    cycle_inputs: tuple
-    alpha0: int = 0  # 0 = unspecified; otherwise must match the scenario
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix_inputs", tuple(int(u) for u in self.prefix_inputs))
-        object.__setattr__(self, "cycle_inputs", tuple(int(u) for u in self.cycle_inputs))
-        if not self.cycle_inputs:
-            raise ValueOutOfRange("schedule needs a nonempty cycle")
-
-    def input_at(self, k: int) -> int:
-        if k < len(self.prefix_inputs):
-            return self.prefix_inputs[k]
-        return self.cycle_inputs[(k - len(self.prefix_inputs)) % len(self.cycle_inputs)]
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha0": self.alpha0,
-            "prefix_inputs": list(self.prefix_inputs),
-            "cycle_inputs": list(self.cycle_inputs),
-        }
-
-    @staticmethod
-    def from_dict(d) -> "Schedule":
-        """Schedule from its JSON form (an object of integer lists and an
-        integer alpha0); ParseError names the first malformed field."""
-        if not isinstance(d, dict):
-            raise ParseError("schedule must be a JSON object, got %s" % type(d).__name__)
-        if "cycle_inputs" not in d:
-            raise ParseError("schedule has no 'cycle_inputs'")
-        inputs = {key: d.get(key, []) for key in ("prefix_inputs", "cycle_inputs")}
-        for key, values in inputs.items():
-            if not isinstance(values, list):
-                raise ParseError("'%s' must be a list" % key)
-            for i, u in enumerate(values):
-                _require_json_int(u, "%s[%d]" % (key, i))
-        if not inputs["cycle_inputs"]:
-            raise ParseError("'cycle_inputs' must not be empty")
-        alpha0 = d.get("alpha0", 0)
-        _require_json_int(alpha0, "alpha0")
-        return Schedule(inputs["prefix_inputs"], inputs["cycle_inputs"], alpha0)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     horizon_fast: int
@@ -248,37 +193,6 @@ class SimTrace:
     @property
     def horizon(self) -> int:
         return self.deliveries.shape[0]
-
-
-def _replay_slow(scenario, schedule: Schedule, n_slow: int):
-    """Agent states and inputs for slow steps 0..n_slow-1, validated."""
-    constraints = scenario.constraints
-    alpha = scenario.alpha0
-    if alpha not in constraints.state_set:
-        raise InitialStateViolatesConstraint(
-            "initial agent state %d outside the admissible set" % alpha
-        )
-    if schedule.alpha0 and schedule.alpha0 != alpha:
-        raise ScheduleViolation(
-            "schedule was synthesized for start state %d, scenario starts at %d"
-            % (schedule.alpha0, alpha)
-        )
-    states, inputs = [], []
-    for k in range(n_slow):
-        u = schedule.input_at(k)
-        if u not in constraints.inputs_for(alpha):
-            raise ScheduleViolation(
-                "input %d at slow step %d not admissible in state %d" % (u, k, alpha)
-            )
-        states.append(alpha)
-        inputs.append(u)
-        alpha = successor_index(scenario.mas, alpha, u)
-        if alpha not in constraints.state_set:
-            raise ScheduleViolation(
-                "schedule leaves the admissible state set at slow step %d "
-                "(state %d)" % (k + 1, alpha)
-            )
-    return tuple(states), tuple(inputs)
 
 
 def _slow_steps(tau: int, horizon: int) -> np.ndarray:

@@ -13,11 +13,18 @@ tuples, leftmost coordinate most significant:
 The paper writes the same law in semi-tensor-product form, as one
 N x N^2 logical matrix F with alpha(k+1) = F |x| u(k) |x| alpha(k); here
 it is evaluated directly on arrays of indices by `successors`, the only
-place the law is computed.
+place the law is computed.  Every set-level question (the one-step reach
+of a set of states, the cheapest edges of a graph) is asked of one
+`successors` call over all the admissible (state, input) pairs it needs.
+
+A `Schedule` is an eventually periodic input sequence; `_replay_slow`
+walks the law under it from a scenario's start state, checking every
+input and state against the constraints.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,8 +33,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InitialStateViolatesConstraint,
+    ParseError,
+    ScheduleViolation,
     StateNotInConstraint,
     ValueOutOfDomain,
+    ValueOutOfRange,
 )
 
 INDEX_MAX = np.iinfo(np.int64).max
@@ -108,7 +119,9 @@ def to_digits(model: MasModel, indices) -> np.ndarray:
         raise IndexOutOfRange(
             "basis index %d outside 1..%d" % (bad.flat[0], model.state_count)
         )
-    return (idx[..., None] - 1) // model.place_values % model.kappa
+    digits = (idx[..., None] - 1) // model.place_values
+    digits %= model.kappa
+    return digits
 
 
 def to_index(model: MasModel, digits) -> np.ndarray:
@@ -117,9 +130,15 @@ def to_index(model: MasModel, digits) -> np.ndarray:
 
 
 def successors(model: MasModel, states, inputs) -> np.ndarray:
-    """Next-state indices of paired (broadcast) 1-based state/input indices."""
-    nxt = to_digits(model, states) @ model.weight_matrix.T + to_digits(model, inputs)
-    return to_index(model, nxt % model.kappa)
+    """Next-state indices of paired (broadcast) 1-based state/input indices.
+    The digit arithmetic runs in place, so a call over P pairs holds about
+    two (P, n) arrays at once."""
+    states, inputs = np.broadcast_arrays(np.asarray(states, dtype=np.int64),
+                                         np.asarray(inputs, dtype=np.int64))
+    nxt = to_digits(model, states) @ model.weight_matrix.T
+    nxt += to_digits(model, inputs)
+    nxt %= model.kappa
+    return to_index(model, nxt)
 
 
 def successor_index(model: MasModel, a: int, u: int) -> int:
@@ -159,7 +178,125 @@ class ConstraintSets:
             ) from None
 
 
-def one_step_reach(model: MasModel, constraints: ConstraintSets, a: int) -> tuple:
-    """Sorted admissible one-step successors of a that stay in C_alpha."""
-    nxt = successors(model, a, sorted(constraints.inputs_for(a))).tolist()
-    return tuple(sorted(constraints.state_set.intersection(nxt)))
+def admissible_pairs(constraints: ConstraintSets, states) -> tuple:
+    """(sources, inputs): every admissible (state, input) pair of the given
+    states as two int64 arrays, grouped by state in the given order."""
+    sets = [constraints.inputs_for(a) for a in states]
+    counts = np.fromiter(map(len, sets), np.int64, len(sets))
+    sources = np.repeat(np.asarray(states, dtype=np.int64), counts)
+    inputs = np.fromiter(itertools.chain.from_iterable(sets), np.int64, len(sources))
+    return sources, inputs
+
+
+def one_step_reach(model: MasModel, constraints: ConstraintSets, states) -> dict:
+    """{a: sorted admissible one-step successors of a that stay in C_alpha}
+    for every given state, ascending, from one `successors` call over
+    their admissible (state, input) pairs."""
+    states = sorted(set(states))
+    src, inp = admissible_pairs(constraints, states)
+    nxt = successors(model, src, inp)
+    keep = np.isin(nxt, np.fromiter(constraints.state_set, np.int64,
+                                    len(constraints.state_set)))
+    src, nxt = src[keep], nxt[keep]
+    order = np.lexsort((nxt, src))
+    src, nxt = src[order], nxt[order]
+    fresh = np.ones(len(src), dtype=bool)  # the first of each (state, successor) run
+    fresh[1:] = (src[1:] != src[:-1]) | (nxt[1:] != nxt[:-1])
+    src, nxt = src[fresh], nxt[fresh].tolist()
+    bounds = np.searchsorted(src, states, side="right").tolist()
+    return {a: tuple(nxt[lo:hi]) for a, lo, hi in zip(states, [0] + bounds, bounds)}
+
+
+def _require_int(value, field: str) -> int:
+    """value as an int: a Python or numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueOutOfRange("%s must be an integer, got %r" % (field, value))
+    return int(value)
+
+
+def _require_json_int(value, field: str):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError("%s must be an integer, got %r" % (field, value))
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Eventually periodic input sequence: prefix once, then the cycle.
+    Inputs and alpha0 are integers (Python or numpy, not bool); anything
+    else is a ValueOutOfRange naming its field."""
+
+    prefix_inputs: tuple
+    cycle_inputs: tuple
+    alpha0: int = 0  # 0 = unspecified; otherwise must match the scenario
+
+    def __post_init__(self):
+        for name in ("prefix_inputs", "cycle_inputs"):
+            object.__setattr__(self, name, tuple(
+                _require_int(u, "%s[%d]" % (name, i))
+                for i, u in enumerate(getattr(self, name))))
+        object.__setattr__(self, "alpha0", _require_int(self.alpha0, "alpha0"))
+        if not self.cycle_inputs:
+            raise ValueOutOfRange("schedule needs a nonempty cycle")
+
+    def input_at(self, k: int) -> int:
+        if k < len(self.prefix_inputs):
+            return self.prefix_inputs[k]
+        return self.cycle_inputs[(k - len(self.prefix_inputs)) % len(self.cycle_inputs)]
+
+    def to_dict(self) -> dict:
+        return {
+            "alpha0": self.alpha0,
+            "prefix_inputs": list(self.prefix_inputs),
+            "cycle_inputs": list(self.cycle_inputs),
+        }
+
+    @staticmethod
+    def from_dict(d) -> "Schedule":
+        """Schedule from its JSON form (an object of integer lists and an
+        integer alpha0); ParseError names the first malformed field."""
+        if not isinstance(d, dict):
+            raise ParseError("schedule must be a JSON object, got %s" % type(d).__name__)
+        if "cycle_inputs" not in d:
+            raise ParseError("schedule has no 'cycle_inputs'")
+        inputs = {key: d.get(key, []) for key in ("prefix_inputs", "cycle_inputs")}
+        for key, values in inputs.items():
+            if not isinstance(values, list):
+                raise ParseError("'%s' must be a list" % key)
+            for i, u in enumerate(values):
+                _require_json_int(u, "%s[%d]" % (key, i))
+        if not inputs["cycle_inputs"]:
+            raise ParseError("'cycle_inputs' must not be empty")
+        alpha0 = d.get("alpha0", 0)
+        _require_json_int(alpha0, "alpha0")
+        return Schedule(inputs["prefix_inputs"], inputs["cycle_inputs"], alpha0)
+
+
+def _replay_slow(scenario, schedule: Schedule, n_slow: int):
+    """Agent states and inputs for slow steps 0..n_slow-1, validated."""
+    constraints = scenario.constraints
+    alpha = scenario.alpha0
+    if alpha not in constraints.state_set:
+        raise InitialStateViolatesConstraint(
+            "initial agent state %d outside the admissible set" % alpha
+        )
+    if schedule.alpha0 and schedule.alpha0 != alpha:
+        raise ScheduleViolation(
+            "schedule was synthesized for start state %d, scenario starts at %d"
+            % (schedule.alpha0, alpha)
+        )
+    states, inputs = [], []
+    for k in range(n_slow):
+        u = schedule.input_at(k)
+        if u not in constraints.inputs_for(alpha):
+            raise ScheduleViolation(
+                "input %d at slow step %d not admissible in state %d" % (u, k, alpha)
+            )
+        states.append(alpha)
+        inputs.append(u)
+        alpha = successor_index(scenario.mas, alpha, u)
+        if alpha not in constraints.state_set:
+            raise ScheduleViolation(
+                "schedule leaves the admissible state set at slow step %d "
+                "(state %d)" % (k + 1, alpha)
+            )
+    return tuple(states), tuple(inputs)

@@ -8,10 +8,12 @@ whose per-link success probabilities clear every plant's delivery
 threshold.  Control must then (a) reach Omega and (b) stay inside it,
 which needs the largest control-invariant subset I(Omega): the fixed
 point of discarding states with no admissible successor inside the
-current candidate set.  Reachability from alpha0 is explored layer by
-layer; a state enters the layer of its first discovery, and the search
-tree records the smallest state of the previous layer that reaches it,
-so synthesis walks a shortest prefix back from any state.  `stabilize`
+current candidate set, reached by a backward worklist.  Reachability
+from alpha0 is explored layer by layer; a state enters the layer of its
+first discovery, and the search tree records the smallest state of the
+previous layer that reaches it, so synthesis walks a shortest prefix
+back from any state.  Each stage asks `one_step_reach` once per set of
+states (Omega, or one layer's frontier), not once per state.  `stabilize`
 runs the four stages once for a scenario, and synthesis extends the
 record it returns.  Sets of states are frozensets of delta indices.
 """
@@ -104,22 +106,34 @@ def largest_invariant(region: PerformanceRegion, model: MasModel,
                       constraints: ConstraintSets) -> frozenset:
     """Largest subset of Omega closed under some admissible input.
 
-    Iteratively removes states all of whose admissible successors have
-    left the candidate set; the fixed point is the unique maximal
-    control-invariant subset (union of all invariant subsets of Omega).
+    A backward worklist (the safety-game attractor): each state counts
+    its successors inside Omega, a state whose count is zero leaves, and
+    each leaving state decrements its predecessors' counts, so every edge
+    is touched once.  What stays is the unique maximal control-invariant
+    subset (union of all invariant subsets of Omega).
     """
-    reach = {a: one_step_reach(model, constraints, a) for a in sorted(region.omega)}
-    current = frozenset(region.omega)
-    while True:
-        kept = frozenset(a for a in current if not current.isdisjoint(reach[a]))
-        if kept == current:
-            return current
-        current = kept
+    omega = frozenset(region.omega)
+    count, preds = {}, {b: [] for b in omega}
+    for a, succ in one_step_reach(model, constraints, omega).items():
+        inside = [b for b in succ if b in omega]
+        count[a] = len(inside)
+        for b in inside:
+            preds[b].append(a)
+    doomed = [a for a, c in count.items() if not c]
+    removed = set(doomed)
+    while doomed:
+        for a in preds[doomed.pop()]:
+            count[a] -= 1
+            if not count[a]:
+                doomed.append(a)
+                removed.add(a)
+    return omega - removed
 
 
 def reachable_layers(model: MasModel, constraints: ConstraintSets,
                      alpha0: int) -> ReachabilityLayers:
-    """Breadth-first reachable sets from alpha0 under the constraints."""
+    """Breadth-first reachable sets from alpha0 under the constraints, one
+    `one_step_reach` call per layer."""
     if alpha0 not in constraints.state_set:
         raise InitialStateViolatesConstraint(
             "start state %d outside the admissible state set" % alpha0
@@ -128,8 +142,9 @@ def reachable_layers(model: MasModel, constraints: ConstraintSets,
     parent = {}  # its keys are the visited states, alpha0 excluded at first
     while True:
         fresh = {}
-        for a in sorted(layers[-1]):  # ascending, so the first parent is the smallest
-            for b in one_step_reach(model, constraints, a):
+        # ascending sources, so the first parent is the smallest
+        for a, succ in one_step_reach(model, constraints, layers[-1]).items():
+            for b in succ:
                 if b not in parent:
                     fresh.setdefault(b, a)
         if not fresh:

@@ -18,11 +18,17 @@ component with Karp's dynamic program:
 H[k][v] the cheapest k-edge walk from a fixed source.  On the critical
 n-edge walk every contiguous cycle has mean exactly eps* (removing one
 would beat the shortest-path bound), so a simple minimum-mean cycle
-falls out of the walk's first vertex repeat.
+falls out of the walk's first vertex repeat.  The program stores H
+alone: walking the n edges back, each parent is recomputed as the
+smallest source u with H[k-1][u] + w(u, v) = H[k][v].
 
-Cycle means are exact Fractions: each component's weights are scaled to
-integers by the lcm of their denominators, and the dynamic program runs
-on integer numpy arrays.
+The edges come from one builder, `cheapest_edges`, which also steers
+the prefix: one `successors` call over the sources' admissible pairs,
+the stage costs as integers over one common scale, and the per-target
+minimum with its ascending steering inputs from one sort.  Cycle means
+are exact Fractions: each component's weights are scaled to integers by
+the lcm of their denominators, and the dynamic program runs on integer
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import expected_power
-from .cosim import Schedule
 from .errors import (
     Infeasible,
     InvariantViolated,
@@ -42,16 +47,8 @@ from .errors import (
     PreconditionViolated,
     ValueOutOfRange,
 )
-from .mas import successors
+from .mas import Schedule, admissible_pairs, successors
 from .stabilization import Stabilization
-
-
-def _stage_costs(scenario, a: int, inputs) -> list:
-    """Total expected cost of one slow step spent at a applying u, for
-    each u in inputs, with the radio power term computed once."""
-    cost = scenario.cost
-    radio = cost.tau * expected_power(scenario, a)
-    return [radio + cost.lam * cost.input_cost(a, u) for u in inputs]
 
 
 @dataclass(frozen=True)
@@ -69,40 +66,90 @@ class TransitionGraph:
         return self.edges[(a, b)].weight
 
 
-def out_edges(scenario, a: int, targets) -> dict:
-    """{b: Edge} for each successor b in targets that an admissible input
-    steers a to.
+def _exact(x, what: str) -> Fraction:
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError) as e:  # inf, nan
+        raise ValueOutOfRange("%s is not a finite rational: %s" % (what, e)) from None
 
-    The edge weight is the minimum joint stage cost over those inputs;
-    steering lists the inputs attaining it in ascending order, so
-    steering[0] is the cheapest input with ties going to the smallest.
+
+def cheapest_edges(scenario, sources, targets) -> dict:
+    """{(a, b): Edge}, ascending, for each source a and each target b that
+    an admissible input steers a to.
+
+    The edge weight is the least stage cost over those inputs; steering
+    lists the inputs attaining it in ascending order, so steering[0] is
+    the cheapest input with ties going to the smallest.  One `successors`
+    call covers every admissible pair of the sources.  The radio term
+    tau * expected_power(a) is computed once per source and lambda * g(a, u)
+    once per distinct cost row and input; both are scaled to integers by
+    the lcm L of their denominators, so each weight is an integer over L,
+    and within one source the costs order as their lambda * g terms.
+    Raises ValueOutOfRange on a stage cost that is not a finite rational.
     """
-    inputs = sorted(scenario.constraints.inputs_for(a))
-    hits = [(u, b) for u, b in zip(inputs, successors(scenario.mas, a, inputs).tolist())
-            if b in targets]
-    per_target = {}
-    for (u, b), c in zip(hits, _stage_costs(scenario, a, [u for u, _ in hits])):
-        per_target.setdefault(b, []).append((u, c))
-    edges = {}
-    for b, cands in sorted(per_target.items()):
-        w = min(c for _, c in cands)
-        edges[b] = Edge(w, tuple(u for u, c in cands if c == w))
-    return edges
+    sources = sorted(set(sources))
+    cost = scenario.cost
+    src, inp = admissible_pairs(scenario.constraints, sources)
+    nxt = successors(scenario.mas, src, inp)
+    radio = [_exact(cost.tau * expected_power(scenario, a), "radio cost at state %d" % a)
+             for a in sources]
+    hit = np.isin(nxt, np.array(sorted(set(targets)), dtype=np.int64))
+    if not hit.any():
+        return {}
+    pos = np.searchsorted(sources, src[hit])  # each pair's source, as its position
+    inp, nxt = inp[hit], nxt[hit]
+
+    # lambda * g once per distinct (cost row, input): rows are told apart by
+    # identity, since a loaded `input_costs` row is one object shared by all
+    row_ids, rows, src_row = {}, [], []
+    for a in sources:
+        row = cost.g[a - 1]
+        if id(row) not in row_ids:
+            row_ids[id(row)] = len(rows)
+            rows.append(row)
+        src_row.append(row_ids[id(row)])
+    n_inputs = scenario.mas.state_count
+    keys, which = np.unique(np.array(src_row)[pos] * n_inputs + (inp - 1),
+                            return_inverse=True)
+    price = [_exact(cost.lam * rows[k // n_inputs][k % n_inputs],
+                    "input cost of input %d" % (k % n_inputs + 1)) for k in keys.tolist()]
+
+    scale = math.lcm(*{f.denominator for f in radio + price})
+    radio = [f.numerator * (scale // f.denominator) for f in radio]
+    price = [f.numerator * (scale // f.denominator) for f in price]
+    try:
+        rank = np.array(price, dtype=np.int64)[which]
+    except OverflowError:  # past int64: order by dense rank instead
+        dense = {v: i for i, v in enumerate(sorted(set(price)))}
+        rank = np.array([dense[v] for v in price], dtype=np.int64)[which]
+
+    # by source, target, cost, input: each (a, b) run starts with its cheapest
+    # inputs, ascending
+    order = np.lexsort((inp, rank, nxt, pos))
+    pos, nxt, inp, rank, which = pos[order], nxt[order], inp[order], rank[order], which[order]
+    first = np.ones(len(pos), dtype=bool)
+    first[1:] = (pos[1:] != pos[:-1]) | (nxt[1:] != nxt[:-1])
+    starts = np.flatnonzero(first)
+    cheapest = rank == rank[starts][np.cumsum(first) - 1]
+    ties = np.add.reduceat(cheapest, starts, dtype=np.intp)
+    inputs = inp.tolist()
+    return {(sources[p], b): Edge(Fraction(radio[p] + price[k], scale),
+                                  tuple(inputs[i:i + t]))
+            for p, b, k, i, t in zip(pos[starts].tolist(), nxt[starts].tolist(),
+                                     which[starts].tolist(), starts.tolist(),
+                                     ties.tolist())}
 
 
 def build_graph(scenario, vertices) -> TransitionGraph:
     """Transition graph of the scenario restricted to the given vertex set:
-    the out-edges of every vertex that stay inside the set."""
+    the cheapest edges between its vertices."""
     verts = tuple(sorted(set(vertices)))
-    vert_set = frozenset(verts)
     outside = [a for a in verts if a not in scenario.constraints.state_set]
     if outside:
         raise PreconditionViolated(
             "vertices %s outside the admissible state set" % (outside,)
         )
-    edges = {(a, b): edge for a in verts
-             for b, edge in out_edges(scenario, a, vert_set).items()}
-    return TransitionGraph(verts, edges)
+    return TransitionGraph(verts, cheapest_edges(scenario, verts, verts))
 
 
 def tarjan_scc(graph: TransitionGraph) -> tuple:
@@ -166,11 +213,13 @@ def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
     component carries no edge cycle (a singleton without self-loop) and
     ValueOutOfRange on a non-finite weight.
 
-    Among equal-mean cycles the result is fixed by these tie-breaks:
-    each DP step keeps the smallest source vertex that attains the
-    minimum; the max over k keeps the first k; the min over v keeps the
-    smallest v; the cycle is the first vertex repeat on the forward
-    parent walk from that v, rotated to start at its smallest vertex.
+    The dynamic program keeps the table H alone; the n-edge walk back
+    from the minimizing v recomputes each step's parent from H.  Among
+    equal-mean cycles the result is fixed by these tie-breaks: each
+    parent is the smallest source vertex that attains H[k][v]; the max
+    over k keeps the first k; the min over v keeps the smallest v; the
+    cycle is the first vertex repeat on the forward walk from that v,
+    rotated to start at its smallest vertex.
     """
     verts = sorted(component)
     pos = {v: i for i, v in enumerate(verts)}
@@ -179,8 +228,8 @@ def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
                   for (a, b), edge in graph.edges.items() if a in pos and b in pos)
     if not arcs:
         raise NoCycle("component %s has no directed cycle" % (sorted(component),))
-    try:
-        exact = [Fraction(w) for _, _, w in arcs]
+    try:  # Fraction(w) of a Fraction is a slow no-op
+        exact = [w if type(w) is Fraction else Fraction(w) for _, _, w in arcs]
     except (OverflowError, ValueError) as e:  # inf, nan
         raise ValueOutOfRange("edge weight is not a finite rational: %s" % e) from None
     scale = math.lcm(*(w.denominator for w in exact))
@@ -196,28 +245,21 @@ def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
     # edges grouped by target, sources ascending within a group
     starts = np.flatnonzero(np.r_[True, tgt[1:] != tgt[:-1]])
     targets = tgt[starts]
-    counts = np.diff(np.r_[starts, len(arcs)])
-    edge_ids = np.arange(len(arcs))
     # a missing walk starts above 2 bound and, losing at most top per
     # step, stays above bound for all n steps
     unreached = 2 * bound + top + 1
     h = np.full((n + 1, n), unreached, dtype=dtype)
-    parent = np.zeros((n + 1, n), dtype=np.intp)
     h[0, 0] = 0  # source: the smallest vertex of the component
     for k in range(1, n + 1):
-        cand = h[k - 1][src] + w
-        best = np.minimum.reduceat(cand, starts)
-        hit = np.where(cand == np.repeat(best, counts), edge_ids, len(arcs))
-        h[k, targets] = best
-        parent[k, targets] = src[np.minimum.reduceat(hit, starts)]
-    reached = h <= bound
+        h[k, targets] = np.minimum.reduceat(h[k - 1][src] + w, starts)
 
     # max_k (H[n][v] - H[k][v]) / (n - k) per v, as num / den, compared
     # exactly by cross-multiplication
     num = np.zeros(n, dtype=dtype)
     den = np.zeros(n, dtype=np.int64)
+    reached_n = h[n] <= bound
     for k in range(n):
-        ok = reached[n] & reached[k]
+        ok = reached_n & (h[k] <= bound)
         diff = np.where(ok, h[n] - h[k], 0)
         better = ok & ((den == 0) | (diff * den > num * (n - k)))
         num = np.where(better, diff, num)
@@ -232,12 +274,16 @@ def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
         raise NoCycle("component %s has no directed cycle" % (sorted(component),))
     best_mean = Fraction(nums[best_v], dens[best_v] * scale)
 
-    # walk the n-edge parent chain back from the minimizer, then take the
-    # first vertex repeat on the forward walk: a simple min-mean cycle
+    # walk the n-edge chain back from the minimizer, each parent the
+    # smallest source that attains h[k][v], then take the first vertex
+    # repeat on the forward walk: a simple min-mean cycle
+    group = dict(zip(targets.tolist(), zip(starts.tolist(), [*starts[1:].tolist(), len(arcs)])))
     walk = [best_v]
     v = best_v
     for k in range(n, 0, -1):
-        v = int(parent[k, v])
+        lo, hi = group[v]
+        cand = h[k - 1][src[lo:hi]] + w[lo:hi]
+        v = int(src[lo + np.flatnonzero(cand == h[k, v])[0]])
         walk.append(v)
     walk.reverse()
 
@@ -273,7 +319,7 @@ def _rotate_cycle(cycle, to_vertex) -> tuple:
 class SynthesisResult(Stabilization):
     """The stabilization record extended by the optimal eventually periodic
     schedule: the restricted graph, the prefix into its minimum-mean cycle,
-    and the cycle.  `schedule` holds the inputs; `cosim` replays it."""
+    and the cycle.  `schedule` holds the inputs; `mas._replay_slow` replays it."""
 
     graph: TransitionGraph
     prefix_states: tuple
@@ -325,8 +371,8 @@ def synthesize(scenario, stab: Stabilization) -> SynthesisResult:
         path.append(layers.parent[path[-1]])
     path.reverse()  # alpha0 to the cycle's entry state
     cycle = _rotate_cycle(cycle, path[-1])
-    prefix_inputs = tuple(out_edges(scenario, a, {b})[b].steering[0]
-                          for a, b in zip(path, path[1:]))
+    steps = cheapest_edges(scenario, path[:-1], path[1:])
+    prefix_inputs = tuple(steps[(a, b)].steering[0] for a, b in zip(path, path[1:]))
     cycle_inputs = tuple(
         graph.edges[(cycle[i], cycle[i + 1])].steering[0]
         for i in range(len(cycle) - 1)

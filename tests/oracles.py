@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own algorithms: cycles are found
 by plain DFS enumeration and by a scalar Karp on Fractions, invariance by
-checking every subset, a prefix into a cycle by scanning the reachable
+checking every subset and by the plain fixed point, the one-step reach,
+the reachable layers and the cheapest edges one state at a time in
+Fraction arithmetic, a prefix into a cycle by scanning the reachable
 layers again, the counter RNG is recomputed on Python integers,
 the co-simulation runs one fast step and one draw call at a time over
 every trial's full trajectory (and the decay check reads it whole), the
@@ -20,19 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import yaml
 
 from fadectrl.channel import expected_power
-from fadectrl.cosim import (
-    LyapunovCheck,
-    PlantCheck,
-    SimTrace,
-    _replay_slow,
-    counter_uniforms,
-)
+from fadectrl.cosim import LyapunovCheck, PlantCheck, SimTrace, counter_uniforms
 from fadectrl.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -43,10 +40,94 @@ from fadectrl.errors import (
     ValueOutOfDomain,
     ValueOutOfRange,
 )
-from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
+from fadectrl.mas import ConstraintSets, MasModel, _replay_slow, successors
 from fadectrl.scenario import StageCost, _Map, _Number
-from fadectrl.synthesis import Edge, TransitionGraph, out_edges
+from fadectrl.stabilization import ReachabilityLayers
+from fadectrl.synthesis import Edge, TransitionGraph
 from fadectrl.wcs import Plant
+
+
+GENSCENARIO = Path(__file__).resolve().parents[1] / "perfbench" / "genscenario.py"
+
+
+def grid_text(kappa=4, seed=1):
+    """A generated grid scenario's YAML; the generator is run from its
+    source, so nothing is written next to it."""
+    gen = {"__name__": "genscenario"}
+    exec(compile(GENSCENARIO.read_text(), str(GENSCENARIO), "exec"), gen)
+    if kappa == 4:  # grid256_synth's; the kappa-5 grid is grid625_load's
+        return gen["to_yaml"](gen["make_spec"](4, seed, ("0.29", "0.10"), 200))
+    return gen["to_yaml"](gen["make_spec"](kappa, seed, ("0.55", "0.45"), 120))
+
+
+def reach_of(model: MasModel, constraints: ConstraintSets, a: int) -> tuple:
+    """Sorted admissible one-step successors of one state a that stay in
+    C_alpha: one `successors` call per state."""
+    nxt = successors(model, a, sorted(constraints.inputs_for(a))).tolist()
+    return tuple(sorted(constraints.state_set.intersection(nxt)))
+
+
+def fixed_point_invariant(model: MasModel, constraints: ConstraintSets, omega) -> frozenset:
+    """Largest control-invariant subset of omega by the plain fixed point:
+    drop every state with no successor left in the candidate set, until
+    nothing changes."""
+    reach = {a: reach_of(model, constraints, a) for a in omega}
+    current = frozenset(omega)
+    while True:
+        kept = frozenset(a for a in current if not current.isdisjoint(reach[a]))
+        if kept == current:
+            return current
+        current = kept
+
+
+def state_by_state_layers(model: MasModel, constraints: ConstraintSets,
+                          alpha0: int) -> ReachabilityLayers:
+    """Breadth-first layers from alpha0, one state's reach at a time; the
+    sources of a layer ascend, so each state's parent is the smallest."""
+    layers = [frozenset({alpha0})]
+    parent = {}
+    while True:
+        fresh = {}
+        for a in sorted(layers[-1]):
+            for b in reach_of(model, constraints, a):
+                if b not in parent:
+                    fresh.setdefault(b, a)
+        if not fresh:
+            return ReachabilityLayers(tuple(layers), parent)
+        layers.append(frozenset(fresh))
+        parent.update(fresh)
+
+
+def stage_costs(scenario, a: int, inputs) -> list:
+    """Total expected cost of one slow step spent at a applying u, for
+    each u in inputs, in Fraction arithmetic."""
+    cost = scenario.cost
+    radio = cost.tau * expected_power(scenario, a)
+    return [radio + cost.lam * cost.input_cost(a, u) for u in inputs]
+
+
+def out_edges(scenario, a: int, targets) -> dict:
+    """{b: Edge} for each successor b in targets that an admissible input
+    steers a to, one state at a time: the weight is the least stage cost
+    over those inputs, steering the inputs attaining it, ascending."""
+    inputs = sorted(scenario.constraints.inputs_for(a))
+    hits = [(u, b) for u, b in zip(inputs, successors(scenario.mas, a, inputs).tolist())
+            if b in targets]
+    per_target = {}
+    for (u, b), c in zip(hits, stage_costs(scenario, a, [u for u, _ in hits])):
+        per_target.setdefault(b, []).append((u, c))
+    edges = {}
+    for b, cands in sorted(per_target.items()):
+        w = min(c for _, c in cands)
+        edges[b] = Edge(w, tuple(u for u, c in cands if c == w))
+    return edges
+
+
+def state_by_state_graph(scenario, vertices) -> TransitionGraph:
+    """The restricted graph built from each vertex's `out_edges`."""
+    verts = tuple(sorted(set(vertices)))
+    return TransitionGraph(verts, {(a, b): edge for a in verts
+                                   for b, edge in out_edges(scenario, a, verts).items()})
 
 
 def graph_successors(graph: TransitionGraph, a: int) -> tuple:
@@ -200,7 +281,7 @@ def brute_invariant(model: MasModel, constraints: ConstraintSets, omega) -> froz
     best = set()
     for bits in range(1, 1 << len(members)):
         subset = {members[i] for i in range(len(members)) if bits >> i & 1}
-        if all(set(one_step_reach(model, constraints, a)) & subset
+        if all(set(reach_of(model, constraints, a)) & subset
                for a in subset):
             best |= subset
     return frozenset(best)
@@ -262,7 +343,7 @@ def layer_scan_prefix(scenario, layers, cycle) -> tuple:
     chain = [min(layers.layers[entry_depth] & cyc_verts)]
     for k in range(entry_depth - 1, 0, -1):
         preds = [a for a in sorted(layers.layers[k])
-                 if chain[0] in one_step_reach(scenario.mas, scenario.constraints, a)]
+                 if chain[0] in reach_of(scenario.mas, scenario.constraints, a)]
         chain.insert(0, preds[0])
     chain.insert(0, alpha0)
     inputs = tuple(out_edges(scenario, a, {b})[b].steering[0]

@@ -28,13 +28,8 @@ import numpy as np
 
 import fadectrl
 import oracles
-from fadectrl.cosim import (
-    Schedule,
-    SimConfig,
-    _replay_slow,
-    empirical_lyapunov_check,
-    simulate,
-)
+from fadectrl.cosim import SimConfig, empirical_lyapunov_check, simulate
+from fadectrl.mas import Schedule, _replay_slow
 from fadectrl.stabilization import PerformanceRegion, largest_invariant, stabilize
 from fadectrl.synthesis import build_graph, karp_min_mean_cycle
 from fadectrl.wcs import decay_threshold

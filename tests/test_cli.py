@@ -1010,6 +1010,9 @@ def test_each_command_loads_only_the_stages_it_runs(scenario_path, tmp_path):
     loading = {"fadectrl", "fadectrl.channel", "fadectrl.errors", "fadectrl.mas",
                "fadectrl.scenario", "fadectrl.stabilization", "fadectrl.wcs"}
     assert _loaded_modules(["thresholds", str(scenario_path)], env) == loading
+    # the schedule and its replay live in fadectrl.mas: no co-simulation here
+    assert _loaded_modules(["synthesize", str(scenario_path)],
+                           env) == loading | {"fadectrl.synthesis"}
     assert _loaded_modules(["simulate", str(scenario_path), "--schedule", str(schedule),
                             "--seed", "1", "--trials", "4", "--horizon", "40"],
                            env) == loading | {"fadectrl.cosim"}

@@ -64,7 +64,6 @@ from hypothesis import strategies as st
 import fadectrl.cosim as cosim
 from fadectrl.cosim import (
     MIN_CHECK_TRIALS,
-    Schedule,
     SimConfig,
     _plant_draws,
     block_steps,
@@ -81,6 +80,7 @@ from fadectrl.errors import (
     ScheduleViolation,
     ValueOutOfRange,
 )
+from fadectrl.mas import Schedule
 from fadectrl.scenario import load_scenario_text
 from oracles import (
     average_cost_trace,

@@ -12,25 +12,37 @@ Proves:
  Group 2 - structure matrix: exhaustive agreement with the direct update,
            the basis-product route gives the same column, and F equals
            the vectorized law on the worked and on random models
- Group 3 - constrained one-step reach (frozen successor sets)
+ Group 3 - constrained one-step reach: the frozen successor sets, and the
+           batched call equal to the per-state reference on any subset
  Group 4 - validation contracts
+ Group 5 - schedules: integer inputs and start state only, replayed under
+           the constraints
 """
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fadectrl.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    ParseError,
+    ScheduleViolation,
     StateNotInConstraint,
     ValueOutOfDomain,
+    ValueOutOfRange,
 )
 from fadectrl.mas import (
     ConstraintSets,
     MasModel,
+    Schedule,
+    _replay_slow,
+    admissible_pairs,
     one_step_reach,
     successor_index,
     successors,
@@ -42,6 +54,7 @@ from oracles import (
     build_structure_matrix,
     decode_index,
     random_mas_instance,
+    reach_of,
     step_logical,
     step_tuple,
     stp,
@@ -164,8 +177,48 @@ def test_structure_matrix_equals_vectorized_law():
 # ── Group 3: constrained transitions ─────────────────────────────────────────
 
 def test_one_step_reach_frozen_table():
+    assert one_step_reach(MODEL, CONSTRAINTS, REACH) == REACH
+    assert list(one_step_reach(MODEL, CONSTRAINTS, {6, 1, 3})) == [1, 3, 6]
+    assert one_step_reach(MODEL, CONSTRAINTS, [5, 5]) == {5: REACH[5]}
+    assert one_step_reach(MODEL, CONSTRAINTS, ()) == {}
     for a, expect in REACH.items():
-        assert one_step_reach(MODEL, CONSTRAINTS, a) == expect
+        assert reach_of(MODEL, CONSTRAINTS, a) == expect
+
+
+def test_one_step_reach_is_one_successor_call(monkeypatch):
+    import fadectrl.mas as mas
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return successors(*args)
+
+    monkeypatch.setattr(mas, "successors", counted)
+    assert one_step_reach(MODEL, CONSTRAINTS, range(1, 7)) == REACH
+    assert len(calls) == 1
+
+
+def test_one_step_reach_rejects_an_inadmissible_state():
+    with pytest.raises(StateNotInConstraint):
+        one_step_reach(MODEL, CONSTRAINTS, (1, 7))
+
+
+def test_admissible_pairs_cover_each_state_input_once():
+    cs = ConstraintSets(frozenset({1, 2}), {1: {4, 5}, 2: {7}})
+    src, inp = admissible_pairs(cs, (2, 1))
+    assert src.tolist() == [2, 1, 1]
+    assert sorted(zip(src.tolist(), inp.tolist())) == [(1, 4), (1, 5), (2, 7)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.data())
+def test_batched_reach_equals_per_state_reference(seed, data):
+    model, constraints, _ = random_mas_instance(random.Random(seed))
+    states = data.draw(st.sets(st.sampled_from(sorted(constraints.state_set))))
+    got = one_step_reach(model, constraints, states)
+    assert got == {a: reach_of(model, constraints, a) for a in sorted(states)}
+    assert list(got) == sorted(states)
 
 
 # ── Group 4: validation ──────────────────────────────────────────────────────
@@ -204,3 +257,44 @@ def test_per_state_input_map():
     cs = ConstraintSets(frozenset({1, 2}), {1: {4, 5}, 2: {7}})
     assert cs.inputs_for(1) == frozenset({4, 5})
     assert cs.inputs_for(2) == frozenset({7})
+
+
+# ── Group 5: schedules ───────────────────────────────────────────────────────
+
+def test_schedule_keeps_integer_inputs_as_ints():
+    sched = Schedule(np.array([7, 8]), (np.int32(4),), np.int64(4))
+    assert sched == Schedule((7, 8), (4,), 4)
+    assert all(type(u) is int for u in sched.prefix_inputs + sched.cycle_inputs)
+    assert type(sched.alpha0) is int
+
+
+@pytest.mark.parametrize("args, field", [
+    (((7.9,), (4,), 4), "prefix_inputs[0]"),  # was replayed as input 7
+    (((), (True,)), "cycle_inputs[0]"),        # was replayed as input 1
+    (((), (4, "x")), "cycle_inputs[1]"),       # was a bare ValueError
+    (((), (4,), 4.0), "alpha0"),               # was never checked
+    (((), (4,), None), "alpha0"),
+    (((), (4,), np.bool_(True)), "alpha0"),
+])
+def test_schedule_rejects_non_integers_naming_the_field(args, field):
+    with pytest.raises(ValueOutOfRange, match=r"^%s must be an integer, got " % re.escape(field)):
+        Schedule(*args)
+
+
+def test_schedule_json_form_still_raises_parse_errors():
+    with pytest.raises(ParseError, match=r"^cycle_inputs\[0\] must be an integer"):
+        Schedule.from_dict({"cycle_inputs": [1.5]})
+    with pytest.raises(ParseError, match=r"^alpha0 must be an integer"):
+        Schedule.from_dict({"cycle_inputs": [1], "alpha0": True})
+
+
+def test_replay_walks_the_law_and_checks_the_constraints():
+    scn = type("Scn", (), {"mas": MODEL, "constraints": CONSTRAINTS, "alpha0": 4})
+    states, inputs = _replay_slow(scn, Schedule((8,), (7,), 4), 3)
+    assert inputs == (8, 7, 7)
+    assert states == (4, successor_index(MODEL, 4, 8),
+                      successor_index(MODEL, successor_index(MODEL, 4, 8), 7))
+    with pytest.raises(ScheduleViolation, match="start state 5"):
+        _replay_slow(scn, Schedule((), (7,), 5), 1)
+    with pytest.raises(ScheduleViolation, match="not admissible"):
+        _replay_slow(scn, Schedule((), (1,)), 1)

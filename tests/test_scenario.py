@@ -48,10 +48,9 @@ from fadectrl import scenario as scenario_module
 from fadectrl.scenario import _LOADER, _Builder, _Collector, load_scenario, load_scenario_text
 from fadectrl.stabilization import stabilize
 from fadectrl.synthesis import synthesize
-from oracles import LineLoader, PythonLineLoader
+from oracles import LineLoader, PythonLineLoader, grid_text
 
 ROOT = Path(__file__).resolve().parents[1]
-GENSCENARIO = ROOT / "perfbench" / "genscenario.py"
 BUNDLED_DOC = yaml.safe_load((ROOT / "scenarios" / "assembly_cell.yaml").read_text())
 
 MINIMAL = """\
@@ -567,16 +566,6 @@ def _build(text, loader=_LOADER):
     return _Builder(loader(text)).document()
 
 
-def _grid_text(kappa=4, seed=1):
-    """A generated grid scenario; the generator is run from its source, so
-    nothing is written next to it."""
-    gen = {"__name__": "genscenario"}
-    exec(compile(GENSCENARIO.read_text(), str(GENSCENARIO), "exec"), gen)
-    if kappa == 4:  # grid256_synth's; the kappa-5 grid is grid625_load's
-        return gen["to_yaml"](gen["make_spec"](4, seed, ("0.29", "0.10"), 200))
-    return gen["to_yaml"](gen["make_spec"](kappa, seed, ("0.55", "0.45"), 120))
-
-
 def test_line_loader_uses_libyaml_when_present(bundled_text, monkeypatch):
     # the scenario reads the events of libyaml's parser when PyYAML has it
     assert _LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -625,7 +614,7 @@ def _read_alike(text):
 
 
 def test_libyaml_and_python_loaders_give_equal_documents(bundled_text):
-    for text in (bundled_text, _grid_text()):
+    for text in (bundled_text, grid_text()):
         doc = _read_alike(text)[0][0]
         assert doc["channel"].line > 1
 
@@ -633,7 +622,7 @@ def test_libyaml_and_python_loaders_give_equal_documents(bundled_text):
 @pytest.mark.parametrize("kappa", [4, 5])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_generated_grids_read_as_the_reference_loader_reads_them(kappa, seed):
-    assert isinstance(_read_alike(_grid_text(kappa, seed))[0][0], dict)
+    assert isinstance(_read_alike(grid_text(kappa, seed))[0][0], dict)
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -734,7 +723,7 @@ def test_a_merged_list_of_mappings_keeps_the_first_named(bundled_text):
 
 def test_loading_a_625_state_grid_peaks_under_2_mb():
     # libyaml's node graph and PyYAML's constructor peaked at 5.96 MB here
-    text = _grid_text(5, 1)
+    text = grid_text(5, 1)
     tracemalloc.start()
     try:
         load_scenario_text(text)

@@ -5,7 +5,8 @@ Proves:
            and through stabilize
  Group 2 - structural properties (disjoint layers, the search tree's
            smallest parents, threshold monotonicity)
- Group 3 - largest_invariant vs the exhaustive subset oracle
+ Group 3 - the worklist core vs the exhaustive subset oracle and the plain
+           fixed point, and the batched layers vs the state-by-state search
  Group 4 - error contracts
  Group 5 - the thresholds stabilize picks: an override as given, the
            document's when none is passed, else the computed ones; an
@@ -19,10 +20,12 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fadectrl.errors import InitialStateViolatesConstraint, PreconditionViolated
 from fadectrl.scenario import load_scenario_text
-from fadectrl.mas import ConstraintSets, MasModel, one_step_reach
+from fadectrl.mas import ConstraintSets, MasModel
 from fadectrl.stabilization import (
     PerformanceRegion,
     largest_invariant,
@@ -31,7 +34,13 @@ from fadectrl.stabilization import (
     stabilize,
 )
 from fadectrl.wcs import decay_threshold
-from oracles import brute_invariant, random_mas_instance
+from oracles import (
+    brute_invariant,
+    fixed_point_invariant,
+    random_mas_instance,
+    reach_of,
+    state_by_state_layers,
+)
 
 MODEL = MasModel(2, 3, ({0: 1, 1: 2}, {0: 1, 1: 1}))
 CONSTRAINTS = ConstraintSets(range(1, 7), {a: {4, 5, 7, 8} for a in range(1, 7)})
@@ -108,8 +117,8 @@ def test_search_tree_parents_are_smallest_predecessors():
             for b in reach.layers[k]:
                 a = reach.parent[b]
                 assert a in previous
-                assert b in one_step_reach(model, constraints, a)
-                assert not any(b in one_step_reach(model, constraints, c)
+                assert b in reach_of(model, constraints, a)
+                assert not any(b in reach_of(model, constraints, c)
                                for c in previous if c < a)
 
 
@@ -142,6 +151,48 @@ def test_invariant_matches_subset_oracle():
         got = largest_invariant(region, model, constraints)
         assert got == brute_invariant(model, constraints, omega)
         assert got <= omega
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32))
+def test_worklist_core_equals_subset_oracle_and_fixed_point(seed):
+    model, constraints, omega = random_mas_instance(random.Random(seed))
+    got = largest_invariant(PerformanceRegion(omega, ()), model, constraints)
+    assert type(got) is frozenset
+    assert got == brute_invariant(model, constraints, omega)
+    assert got == fixed_point_invariant(model, constraints, omega)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.data())
+def test_batched_layers_equal_state_by_state_search(seed, data):
+    model, constraints, _ = random_mas_instance(random.Random(seed))
+    alpha0 = data.draw(st.sampled_from(sorted(constraints.state_set)))
+    got = reachable_layers(model, constraints, alpha0)
+    expect = state_by_state_layers(model, constraints, alpha0)
+    assert got.layers == expect.layers
+    assert got.parent == expect.parent
+
+
+def test_one_reach_call_for_the_core_and_one_per_layer(monkeypatch):
+    import fadectrl.mas as mas
+    import fadectrl.stabilization as stabilization
+
+    calls = []
+
+    def counted(model, constraints, states):
+        calls.append(frozenset(states))
+        return mas.one_step_reach(model, constraints, states)
+
+    monkeypatch.setattr(stabilization, "one_step_reach", counted)
+    largest_invariant(PerformanceRegion(frozenset({2, 4, 5, 6}), ()), MODEL, CONSTRAINTS)
+    assert calls == [frozenset({2, 4, 5, 6})]
+    calls.clear()
+    reach = reachable_layers(MODEL, CONSTRAINTS, 4)
+    assert calls == list(reach.layers)
 
 
 # ── Group 4: error contracts ─────────────────────────────────────────────────

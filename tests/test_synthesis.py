@@ -1,15 +1,18 @@
 """Schedule synthesis over the restricted transition graph.
 
 Proves:
- Group 1 - stage costs (exact arithmetic, input-indexed table); the loader
-           checks the cost rows, see test_scenario
- Group 2 - the frozen nine-edge graph of the bundled worked example and
-           the per-state out-edges it is built from
+ Group 1 - stage costs (exact arithmetic, input-indexed table, a
+           non-finite cost rejected); the loader checks the cost rows, see
+           test_scenario
+ Group 2 - the frozen nine-edge graph of the bundled worked example, and
+           the one cheapest-edge builder against the per-state reference on
+           random models and on a generated N = 256 grid
  Group 3 - strongly connected components vs a reachability oracle,
            including a path deeper than the recursion limit
  Group 4 - Karp's minimum-mean cycle vs the DFS enumeration oracle and
            the scalar Karp oracle: exact past int64, tie-breaking pinned
-           and checked on tie-heavy random graphs
+           and checked on tie-heavy random graphs, the walk back's parents
+           included
  Group 5 - end-to-end synthesis: the stabilization record extended by a
            frozen schedule, prefix handling (the search-tree walk equals a
            scan of the layers from every bundled start and on random
@@ -22,26 +25,32 @@ import random
 from dataclasses import fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fadectrl.cosim import Schedule, _replay_slow
 from fadectrl.errors import (
     Infeasible,
     NoCycle,
     PreconditionViolated,
     ValueOutOfRange,
 )
-from fadectrl.mas import one_step_reach, successor_index
+from fadectrl.mas import (
+    Schedule,
+    _replay_slow,
+    one_step_reach,
+    successor_index,
+    successors,
+)
+from fadectrl.scenario import StageCost, load_scenario_text
 from fadectrl.stabilization import Stabilization, stabilize
 from fadectrl.synthesis import (
     Edge,
     TransitionGraph,
-    _stage_costs,
     build_graph,
+    cheapest_edges,
     karp_min_mean_cycle,
-    out_edges,
     synthesize,
     tarjan_scc,
     to_dot,
@@ -52,11 +61,15 @@ from oracles import (
     brute_scc,
     cycle_mean,
     graph_successors,
+    grid_text,
     layer_scan_prefix,
+    out_edges,
     random_scc_graph,
     random_scenario,
     scalar_karp,
     simple_cycles,
+    stage_costs,
+    state_by_state_graph,
 )
 
 PHI = frozenset({2, 4, 5, 6})
@@ -88,9 +101,50 @@ def test_loaded_input_costs_share_one_row(scenario):
 
 
 def test_joint_stage_cost_exact(scenario):
-    c, = _stage_costs(scenario, 2, (4,))
+    edges = cheapest_edges(scenario, (2, 5), scenario.constraints.state_set)
+    c = edges[(2, 2)].weight
     assert c == 27 and isinstance(c, Fraction)
-    assert _stage_costs(scenario, 5, (5, 4)) == [32, 26]
+    assert (edges[(5, 4)], edges[(5, 6)]) == (Edge(32, (5,)), Edge(26, (4,)))
+    assert stage_costs(scenario, 5, (5, 4)) == [32, 26]  # the reference agrees
+
+
+def _with_input_cost(scenario, a, u, value):
+    """The scenario with g(a, u) replaced by value in a hand-built StageCost."""
+    g = [list(row) for row in scenario.cost.g]
+    g[a - 1][u - 1] = value
+    return replace(scenario, cost=StageCost(scenario.cost.tau, scenario.cost.lam, g))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_stage_cost_is_rejected(scenario, bad):
+    # input 7 steers 4 to 2, an edge of the restricted graph
+    scn = _with_input_cost(scenario, 4, 7, bad)
+    with pytest.raises(ValueOutOfRange, match="not a finite rational"):
+        build_graph(scn, PHI)
+    with pytest.raises(ValueOutOfRange):
+        synthesize(scn, stabilize(scn))
+
+
+def test_fractional_hand_built_costs_stay_exact(scenario):
+    scn = _with_input_cost(scenario, 6, 7, Fraction(1, 3))
+    graph = build_graph(scn, PHI)
+    assert graph == state_by_state_graph(scn, PHI)
+    assert graph.edges[(6, 4)].weight == stage_costs(scn, 6, (7,))[0]
+
+
+def test_costs_past_int64_on_the_common_scale_stay_exact(scenario):
+    # coprime denominators near 10^6 put the common scale near 10^66, so the
+    # scaled input costs overflow int64 and are ordered by rank instead
+    primes = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+              1000117, 1000121, 1000133, 1000151, 1000159)
+    nn = scenario.mas.state_count
+    g = [[Fraction(5 * (a + u) % 7, primes[(a + 2 * u) % 11]) for u in range(nn)]
+         for a in range(nn)]
+    scn = replace(scenario, cost=StageCost(scenario.cost.tau, scenario.cost.lam, g))
+    states = scn.constraints.state_set
+    graph = build_graph(scn, states)
+    assert math.lcm(*(e.weight.denominator for e in graph.edges.values())) > 2 ** 63
+    _assert_same_graph(graph, state_by_state_graph(scn, states))
 
 
 # ── Group 2: the frozen graph ────────────────────────────────────────────────
@@ -117,31 +171,99 @@ def test_graph_rejects_inadmissible_vertices(scenario):
         build_graph(scenario, frozenset({2, 7}))
 
 
-def test_out_edges_frozen_values(scenario):
+def test_cheapest_edges_frozen_values(scenario):
     admissible = scenario.constraints.state_set
     # (source, target) -> the one admissible input that realizes the edge
     for (a, b), inputs in {(4, 2): (7,), (4, 3): (8,), (2, 2): (4,), (6, 4): (7,)}.items():
         assert admissible_inputs(scenario, a, b) == inputs
+        assert cheapest_edges(scenario, {a}, admissible)[(a, b)].steering == inputs
         assert out_edges(scenario, a, admissible)[b].steering == inputs
-    assert 4 not in out_edges(scenario, 4, admissible)
-    assert set(out_edges(scenario, 4, {2, 4})) == {2}
+    assert (4, 4) not in cheapest_edges(scenario, {4}, admissible)
+    assert set(cheapest_edges(scenario, {4}, {2, 4})) == {(4, 2)}
+    assert cheapest_edges(scenario, (), admissible) == {}
+    assert cheapest_edges(scenario, {4}, ()) == {}
 
 
-def test_out_edges_cover_reach_exactly(scenario):
+def test_cheapest_edges_cover_reach_exactly(scenario):
     mas, constraints = scenario.mas, scenario.constraints
-    for a in sorted(constraints.state_set):
-        edges = out_edges(scenario, a, constraints.state_set)
-        assert tuple(edges) == one_step_reach(mas, constraints, a)
-        for b, edge in edges.items():
-            inputs = admissible_inputs(scenario, a, b)
-            assert inputs
-            for u in inputs:
-                assert successor_index(mas, a, u) == b
-                assert u in constraints.inputs_for(a)
-            costs = dict(zip(inputs, _stage_costs(scenario, a, inputs)))
-            assert edge.weight == min(costs.values())
-            assert edge.steering == tuple(u for u in sorted(costs)
-                                          if costs[u] == edge.weight)
+    states = sorted(constraints.state_set)
+    edges = cheapest_edges(scenario, states, constraints.state_set)
+    assert list(edges) == sorted(edges)
+    reach = one_step_reach(mas, constraints, states)
+    assert sorted(edges) == [(a, b) for a in states for b in reach[a]]
+    for (a, b), edge in edges.items():
+        inputs = admissible_inputs(scenario, a, b)
+        assert inputs
+        for u in inputs:
+            assert successor_index(mas, a, u) == b
+            assert u in constraints.inputs_for(a)
+        costs = dict(zip(inputs, stage_costs(scenario, a, inputs)))
+        assert edge.weight == min(costs.values())
+        assert edge.steering == tuple(u for u in sorted(costs)
+                                      if costs[u] == edge.weight)
+
+
+def test_cheapest_edges_is_one_successor_call(scenario, monkeypatch):
+    import fadectrl.synthesis as synthesis
+
+    calls, original = [], synthesis.successors
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(synthesis, "successors", counted)
+    build_graph(scenario, scenario.constraints.state_set)
+    assert len(calls) == 1
+
+
+def _assert_same_graph(got, expect):
+    assert got.vertices == expect.vertices
+    assert list(got.edges) == list(expect.edges)
+    for key, edge in expect.edges.items():
+        assert got.edges[key].weight == edge.weight
+        assert isinstance(got.edges[key].weight, Fraction)
+        assert got.edges[key].steering == edge.steering
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.data())
+def test_build_graph_equals_per_state_reference_on_random_models(seed, data):
+    scn = random_scenario(random.Random(seed))
+    states = sorted(scn.constraints.state_set)
+    verts = data.draw(st.sets(st.sampled_from(states), min_size=1))
+    _assert_same_graph(build_graph(scn, verts), state_by_state_graph(scn, verts))
+
+
+def test_inputs_tied_on_one_edge_all_steer_it(monkeypatch):
+    # the agent law adds the input, so each input steers a state to its own
+    # successor; a coarsened law sends pairs of inputs to the same one, and
+    # the builder must keep every cheapest input of an edge, ascending
+    import fadectrl.synthesis as synthesis
+    import oracles
+
+    def coarse(model, states, inputs):
+        return successors(model, states, (np.asarray(inputs) - 1) // 2 * 2 + 1)
+
+    monkeypatch.setattr(synthesis, "successors", coarse)
+    monkeypatch.setattr(oracles, "successors", coarse)
+    rng = random.Random(5)
+    tied = 0
+    for _ in range(200):
+        scn = random_scenario(rng)
+        states = scn.constraints.state_set
+        graph = build_graph(scn, states)
+        _assert_same_graph(graph, state_by_state_graph(scn, states))
+        tied += sum(len(e.steering) > 1 for e in graph.edges.values())
+    assert tied >= 30  # ties did occur
+
+
+def test_build_graph_equals_per_state_reference_on_the_n256_grid():
+    scn = load_scenario_text(grid_text(4, 1))
+    stab = stabilize(scn)
+    assert len(stab.phi) == 200
+    for verts in (stab.phi, scn.constraints.state_set):
+        _assert_same_graph(build_graph(scn, verts), state_by_state_graph(scn, verts))
 
 
 # ── Group 3: strongly connected components ───────────────────────────────────
@@ -296,6 +418,21 @@ def test_karp_rejects_non_finite_weight(bad):
                                      (2, 1): Edge(bad, (1,))})
     with pytest.raises(ValueOutOfRange):
         karp_min_mean_cycle(graph, frozenset({1, 2}))
+
+
+@TIE_SETTINGS
+@given(_graph_strategy(st.sampled_from((0, 1, 2))))
+def test_karp_walk_back_cycle_has_the_brute_force_minimum_mean(graph):
+    for comp in tarjan_scc(graph):
+        found = _karp_or_none(lambda g, c: karp_min_mean_cycle(g, comp), graph)
+        assert found == _karp_or_none(lambda g, c: scalar_karp(g, comp), graph)
+        if found is None:
+            continue
+        mean, cycle = found
+        sub = TransitionGraph(tuple(sorted(comp)), {
+            (a, b): e for (a, b), e in graph.edges.items() if a in comp and b in comp})
+        assert mean == brute_min_mean(sub) == cycle_mean(graph, cycle)
+        assert len(set(cycle[:-1])) == len(cycle) - 1  # simple
 
 
 def test_karp_matches_enumeration_oracle():
