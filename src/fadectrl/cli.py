@@ -25,6 +25,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+# before numpy's first import (through `scenario`): OpenBLAS then starts no
+# thread of its own, so `simulate` forks a single-threaded process; a count
+# the user set stands
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import Infeasible, InsufficientTrials, ParseError, ToolkitError, ValueOutOfRange
 from .scenario import load_scenario
 from .stabilization import Stabilization, link_name, link_threshold, stabilize

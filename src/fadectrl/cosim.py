@@ -48,9 +48,13 @@ in this process through the same function.  Traces and warnings are the
 same whatever the CPU count, and the working-set bound above holds per
 process.  Workers are forked, not spawned: a spawned one would first
 import numpy and this package again (0.1-0.2 s), about as long as a
-plant's rollout at 1000 trials x 2000 steps.  On Python 3.12 and later
-`os.fork` emits a DeprecationWarning, since numpy's OpenBLAS has started
-a thread by then.
+plant's rollout at 1000 trials x 2000 steps.  A CLI process forks with
+one thread, since the CLI starts OpenBLAS with one thread before numpy's
+first import.  A library caller whose numpy has already started OpenBLAS
+threads forks a multi-threaded process, for which Python 3.12 and later
+emit a DeprecationWarning.  The worker is safe all the same: its rollout
+is elementwise numpy arithmetic and never calls into BLAS, so it never
+touches the threads or locks the fork did not copy.
 
 The running-average cost column is deterministic: the radio power term
 enters through its per-state expectation, not the sampled deliveries,

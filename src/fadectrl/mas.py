@@ -13,9 +13,12 @@ tuples, leftmost coordinate most significant:
 The paper writes the same law in semi-tensor-product form, as one
 N x N^2 logical matrix F with alpha(k+1) = F |x| u(k) |x| alpha(k); here
 it is evaluated directly on arrays of indices by `successors`, the only
-place the law is computed.  Every set-level question (the one-step reach
-of a set of states, the cheapest edges of a graph) is asked of one
-`successors` call over all the admissible (state, input) pairs it needs.
+place the law is computed.  Since the input enters as a digit-wise sum
+mod kappa, u -> successor is a bijection for each state: distinct inputs
+reach distinct successors, so one input realizes each (state, successor)
+pair.  Every set-level question (the one-step reach of a set of states,
+the edges of a graph) is asked of one `successors` call over all the
+admissible (state, input) pairs it needs.
 
 A `Schedule` is an eventually periodic input sequence; `_replay_slow`
 walks the law under it from a scenario's start state, checking every
@@ -199,10 +202,7 @@ def one_step_reach(model: MasModel, constraints: ConstraintSets, states) -> dict
                                     len(constraints.state_set)))
     src, nxt = src[keep], nxt[keep]
     order = np.lexsort((nxt, src))
-    src, nxt = src[order], nxt[order]
-    fresh = np.ones(len(src), dtype=bool)  # the first of each (state, successor) run
-    fresh[1:] = (src[1:] != src[:-1]) | (nxt[1:] != nxt[:-1])
-    src, nxt = src[fresh], nxt[fresh].tolist()
+    src, nxt = src[order], nxt[order].tolist()
     bounds = np.searchsorted(src, states, side="right").tolist()
     return {a: tuple(nxt[lo:hi]) for a, lo, hi in zip(states, [0] + bounds, bounds)}
 

@@ -7,11 +7,13 @@ One slow step at agent state alpha under input u costs
 (the radio power accrues every fast step, tau of them per slow step).
 On the feasible core Phi (invariant-and-reachable states) the relevant
 object is the directed graph with an edge a -> b whenever some
-admissible input steers a to b in one step, weighted by the cheapest
-such input.  The long-run average cost of any eventually periodic
-schedule is the mean weight of the cycle it settles into, so the
-optimum is the minimum-mean cycle, found per strongly connected
-component with Karp's dynamic program:
+admissible input steers a to b in one step.  The agent law adds the
+input digit by digit mod kappa, so distinct inputs steer a state to
+distinct successors: exactly one input realizes each edge, and the
+edge is weighted by that input's stage cost.  The long-run average
+cost of any eventually periodic schedule is the mean weight of the
+cycle it settles into, so the optimum is the minimum-mean cycle, found
+per strongly connected component with Karp's dynamic program:
 
     eps* = min_v max_k ( H[n][v] - H[k][v] ) / (n - k),
 
@@ -24,11 +26,11 @@ smallest source u with H[k-1][u] + w(u, v) = H[k][v].
 
 The edges come from one builder, `cheapest_edges`, which also steers
 the prefix: one `successors` call over the sources' admissible pairs,
-the stage costs as integers over one common scale, and the per-target
-minimum with its ascending steering inputs from one sort.  Cycle means
-are exact Fractions: each component's weights are scaled to integers by
-the lcm of their denominators, and the dynamic program runs on integer
-numpy arrays.
+the stage costs as integers over one common scale, and the edges
+ordered by (source, target) with one sort.  Cycle means are exact
+Fractions: each component's weights are scaled to integers by the lcm
+of their denominators, and the dynamic program runs on integer numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .stabilization import Stabilization
 @dataclass(frozen=True)
 class Edge:
     weight: object
-    steering: tuple  # cost-minimal admissible inputs, ascending
+    input: int  # the one admissible input that steers the source to the target
 
 
 @dataclass(frozen=True)
@@ -77,15 +79,14 @@ def cheapest_edges(scenario, sources, targets) -> dict:
     """{(a, b): Edge}, ascending, for each source a and each target b that
     an admissible input steers a to.
 
-    The edge weight is the least stage cost over those inputs; steering
-    lists the inputs attaining it in ascending order, so steering[0] is
-    the cheapest input with ties going to the smallest.  One `successors`
-    call covers every admissible pair of the sources.  The radio term
-    tau * expected_power(a) is computed once per source and lambda * g(a, u)
-    once per distinct cost row and input; both are scaled to integers by
-    the lcm L of their denominators, so each weight is an integer over L,
-    and within one source the costs order as their lambda * g terms.
-    Raises ValueOutOfRange on a stage cost that is not a finite rational.
+    Distinct inputs steer a source to distinct successors, so each edge
+    holds the one input that realizes it, weighted by that input's stage
+    cost.  One `successors` call covers every admissible pair of the
+    sources.  The radio term tau * expected_power(a) is computed once per
+    source and lambda * g(a, u) once per distinct cost row and input; both
+    are scaled to integers by the lcm L of their denominators, so each
+    weight is an integer over L.  Raises ValueOutOfRange on a stage cost
+    that is not a finite rational.
     """
     sources = sorted(set(sources))
     cost = scenario.cost
@@ -117,32 +118,15 @@ def cheapest_edges(scenario, sources, targets) -> dict:
     scale = math.lcm(*{f.denominator for f in radio + price})
     radio = [f.numerator * (scale // f.denominator) for f in radio]
     price = [f.numerator * (scale // f.denominator) for f in price]
-    try:
-        rank = np.array(price, dtype=np.int64)[which]
-    except OverflowError:  # past int64: order by dense rank instead
-        dense = {v: i for i, v in enumerate(sorted(set(price)))}
-        rank = np.array([dense[v] for v in price], dtype=np.int64)[which]
-
-    # by source, target, cost, input: each (a, b) run starts with its cheapest
-    # inputs, ascending
-    order = np.lexsort((inp, rank, nxt, pos))
-    pos, nxt, inp, rank, which = pos[order], nxt[order], inp[order], rank[order], which[order]
-    first = np.ones(len(pos), dtype=bool)
-    first[1:] = (pos[1:] != pos[:-1]) | (nxt[1:] != nxt[:-1])
-    starts = np.flatnonzero(first)
-    cheapest = rank == rank[starts][np.cumsum(first) - 1]
-    ties = np.add.reduceat(cheapest, starts, dtype=np.intp)
-    inputs = inp.tolist()
-    return {(sources[p], b): Edge(Fraction(radio[p] + price[k], scale),
-                                  tuple(inputs[i:i + t]))
-            for p, b, k, i, t in zip(pos[starts].tolist(), nxt[starts].tolist(),
-                                     which[starts].tolist(), starts.tolist(),
-                                     ties.tolist())}
+    order = np.lexsort((nxt, pos))
+    return {(sources[p], b): Edge(Fraction(radio[p] + price[k], scale), u)
+            for p, b, k, u in zip(pos[order].tolist(), nxt[order].tolist(),
+                                  which[order].tolist(), inp[order].tolist())}
 
 
 def build_graph(scenario, vertices) -> TransitionGraph:
     """Transition graph of the scenario restricted to the given vertex set:
-    the cheapest edges between its vertices."""
+    the edges between its vertices."""
     verts = tuple(sorted(set(vertices)))
     outside = [a for a in verts if a not in scenario.constraints.state_set]
     if outside:
@@ -372,11 +356,9 @@ def synthesize(scenario, stab: Stabilization) -> SynthesisResult:
     path.reverse()  # alpha0 to the cycle's entry state
     cycle = _rotate_cycle(cycle, path[-1])
     steps = cheapest_edges(scenario, path[:-1], path[1:])
-    prefix_inputs = tuple(steps[(a, b)].steering[0] for a, b in zip(path, path[1:]))
-    cycle_inputs = tuple(
-        graph.edges[(cycle[i], cycle[i + 1])].steering[0]
-        for i in range(len(cycle) - 1)
-    )
+    prefix_inputs = tuple(steps[(a, b)].input for a, b in zip(path, path[1:]))
+    cycle_inputs = tuple(graph.edges[(cycle[i], cycle[i + 1])].input
+                         for i in range(len(cycle) - 1))
 
     return SynthesisResult(
         *(getattr(stab, f.name) for f in fields(Stabilization)),
@@ -411,8 +393,7 @@ def to_dot(graph: TransitionGraph, n_states: int, highlight_cycle=()) -> str:
     for a in graph.vertices:
         lines.append('  s%d [label="δ_%d^%d"];' % (a, n_states, a))
     for (a, b), edge in sorted(graph.edges.items()):
-        inputs = ",".join("δ_%d^%d" % (n_states, u) for u in edge.steering)
-        attrs = 'label="w=%s, u={%s}"' % (_fmt_number(edge.weight), inputs)
+        attrs = 'label="w=%s, u={δ_%d^%d}"' % (_fmt_number(edge.weight), n_states, edge.input)
         if (a, b) in hot:
             attrs += ", color=red, penwidth=2.0"
         lines.append("  s%d -> s%d [%s];" % (a, b, attrs))

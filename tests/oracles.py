@@ -109,7 +109,9 @@ def stage_costs(scenario, a: int, inputs) -> list:
 def out_edges(scenario, a: int, targets) -> dict:
     """{b: Edge} for each successor b in targets that an admissible input
     steers a to, one state at a time: the weight is the least stage cost
-    over those inputs, steering the inputs attaining it, ascending."""
+    over those inputs, the input the smallest attaining it.  This keeps a
+    minimum over inputs, which the law never needs, so it does not lean
+    on the one-input-per-edge fact the builder relies on."""
     inputs = sorted(scenario.constraints.inputs_for(a))
     hits = [(u, b) for u, b in zip(inputs, successors(scenario.mas, a, inputs).tolist())
             if b in targets]
@@ -119,7 +121,7 @@ def out_edges(scenario, a: int, targets) -> dict:
     edges = {}
     for b, cands in sorted(per_target.items()):
         w = min(c for _, c in cands)
-        edges[b] = Edge(w, tuple(u for u, c in cands if c == w))
+        edges[b] = Edge(w, min(u for u, c in cands if c == w))
     return edges
 
 
@@ -262,7 +264,7 @@ def random_scc_graph(rng, max_vertices: int = 9, max_weight: int = 50) -> Transi
     edges = {}
 
     def put(a, b):
-        edges[(a, b)] = Edge(rng.randint(0, max_weight), (1,))
+        edges[(a, b)] = Edge(rng.randint(0, max_weight), 1)
 
     for i in range(n):
         put(order[i], order[(i + 1) % n])
@@ -346,7 +348,7 @@ def layer_scan_prefix(scenario, layers, cycle) -> tuple:
                  if chain[0] in reach_of(scenario.mas, scenario.constraints, a)]
         chain.insert(0, preds[0])
     chain.insert(0, alpha0)
-    inputs = tuple(out_edges(scenario, a, {b})[b].steering[0]
+    inputs = tuple(out_edges(scenario, a, {b})[b].input
                    for a, b in zip(chain, chain[1:]))
     return tuple(chain[:-1]), inputs, chain[-1]
 

@@ -41,7 +41,10 @@ Proves:
            runs as it always did; `thresholds` loads neither the synthesizer nor
            the co-simulation and `simulate` not the synthesizer; `run`
            leaves the heap frozen for the interpreter's teardown and keeps
-           main's exit statuses 0, 1 and 2, while `main` freezes nothing
+           main's exit statuses 0, 1 and 2, while `main` freezes nothing;
+           a `simulate` started either way forks with one OS thread, since
+           the CLI starts OpenBLAS with one thread unless the user set a
+           count, and the library sets none
 """
 
 import gc
@@ -1040,3 +1043,56 @@ def test_run_freezes_the_heap_for_teardown_and_keeps_the_exit_status(
                          text=True, env=_child_env(), timeout=120)
     assert run.returncode == status, run.stderr
     assert run.stderr.splitlines()[-1] == "frozen: True"
+
+
+# starts the CLI the way the `fadectrl` script or `python -m fadectrl.cli`
+# does, with two usable CPUs whatever its affinity (so each plant of the
+# bundled cell rolls out in its own process), and reports the OS thread
+# count at each `os.fork`
+_COUNT_THREADS_AT_FORK = """
+import os, sys
+threads, fork = [], os.fork
+def counted_fork():
+    threads.append(len(os.listdir("/proc/self/task")))
+    return fork()
+os.fork = counted_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+try:
+    %s
+finally:
+    print("threads at fork:", threads, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("start", [
+    "from fadectrl.cli import run; sys.exit(run())",
+    "import runpy; runpy.run_module('fadectrl.cli', run_name='__main__', alter_sys=True)",
+], ids=["script", "module"])
+def test_simulate_forks_a_single_threaded_process(scenario_path, tmp_path, start):
+    # numpy's OpenBLAS starts a thread of its own at import unless told not
+    # to; the CLI tells it before that import
+    schedule = tmp_path / "assembly_cell.schedule.json"
+    schedule.write_text(GOLDEN_SYNTHESIS["[1, 0]"][1])
+    env = _child_env(**{OUTDIR_ENV: str(tmp_path)})
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    run = subprocess.run([sys.executable, "-c", _COUNT_THREADS_AT_FORK % start, "simulate",
+                          str(scenario_path), "--schedule", str(schedule), "--seed", "1",
+                          "--trials", "4", "--horizon", "40"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == "threads at fork: [1]"
+
+
+def test_only_the_cli_sets_the_openblas_thread_count():
+    env = _child_env(OPENBLAS_NUM_THREADS="3")
+    run = subprocess.run([sys.executable, "-c", "import os, fadectrl.cli; "
+                          "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "3\n"), run.stderr  # the user's count stands
+    env.pop("OPENBLAS_NUM_THREADS")
+    library = ", ".join("fadectrl." + name for name in sorted(set(fadectrl._EXPORTS.values())))
+    run = subprocess.run([sys.executable, "-c", "import os, fadectrl, %s; "
+                          "print(os.environ.get('OPENBLAS_NUM_THREADS'))" % library],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "None\n"), run.stderr

@@ -8,7 +8,8 @@ reference for the library's vectorized evaluation.
 
 Proves:
  Group 1 - modular update on tuples and basis vectors; index/digit
-           helpers agree with the STP embedding
+           helpers agree with the STP embedding; on any model, distinct
+           inputs steer a state to distinct successors
  Group 2 - structure matrix: exhaustive agreement with the direct update,
            the basis-product route gives the same column, and F equals
            the vectorized law on the worked and on random models
@@ -129,6 +130,33 @@ def test_fixed_input_update_is_a_bijection():
     for u in range(1, 10):
         image = {successor_index(MODEL, a, u) for a in range(1, 10)}
         assert image == set(range(1, 10))
+
+
+@st.composite
+def mas_models(draw):
+    """Any weight map of up to 4 agents over up to 5 values, N <= 125,
+    singular ones included."""
+    n = draw(st.integers(1, 4))
+    kappa = draw(st.integers(2, (5, 5, 5, 3)[n - 1]))
+    weights = []
+    for j in range(n):
+        wmap = {j: draw(st.integers(0, kappa - 1))}
+        for l in range(n):
+            if l != j and draw(st.booleans()):
+                wmap[l] = draw(st.integers(0, kappa - 1))
+        weights.append(wmap)
+    return MasModel(n, kappa, tuple(weights))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mas_models())
+def test_distinct_inputs_steer_a_state_to_distinct_successors(model):
+    # the input enters as a digit-wise sum mod kappa, so for each state
+    # u -> successor is a bijection whatever the weights: one input realizes
+    # each (state, successor) pair, which the edge builder relies on
+    idx = np.arange(1, model.state_count + 1)
+    nxt = successors(model, idx[:, None], idx[None, :])
+    assert (np.sort(nxt, axis=1) == idx).all()
 
 
 # ── Group 2: the structure matrix ────────────────────────────────────────────

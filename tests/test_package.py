@@ -2,7 +2,8 @@
 
 Proves:
  Group 1 - no module checks a runtime invariant with `assert`, which
-           `python -O` strips; invariants raise a ToolkitError instead
+           `python -O` strips; invariants raise a ToolkitError instead; no
+           module but cli.py writes the process environment
  Group 2 - every third-party import is declared in pyproject.toml: the
            package's in `dependencies`, the tests' there or in the `test`
            extra
@@ -44,6 +45,41 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+_ENVIRON_WRITES = {"setdefault", "update", "pop", "popitem", "clear",
+                   "__setitem__", "__delitem__"}
+
+
+def _environ_writes(tree):
+    """Lines that change os.environ or the process environment."""
+    def environ(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "environ"
+                or isinstance(node, ast.Name) and node.id == "environ")
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and environ(node.value)):
+            yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr in _ENVIRON_WRITES and environ(node.func.value)
+                or node.func.attr in ("putenv", "unsetenv")):
+            yield node.lineno
+
+
+def test_only_the_cli_writes_the_environment():
+    # importing the library has no process-wide side effect; the CLI sets
+    # OpenBLAS's thread count before numpy's first import
+    found = {
+        "%s:%d" % (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _environ_writes(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert {name for name in found if not name.startswith("cli.py:")} == set()
+    assert found, "the CLI's write is no longer seen"
+    probe = "import os\nos.environ['A'] = '1'\ndel os.environ['A']\nos.putenv('A', '1')\n" \
+            "os.environ.update(A='1')\nx = os.environ['A']\nos.environ.get('A')\n"
+    assert sorted(_environ_writes(ast.parse(probe))) == [2, 3, 4, 5]
 
 
 def _normalized(name):

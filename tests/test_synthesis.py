@@ -5,8 +5,10 @@ Proves:
            non-finite cost rejected); the loader checks the cost rows, see
            test_scenario
  Group 2 - the frozen nine-edge graph of the bundled worked example, and
-           the one cheapest-edge builder against the per-state reference on
-           random models and on a generated N = 256 grid
+           the one edge builder against the per-state reference on random
+           models and on a generated N = 256 grid: one edge per admissible
+           (state, input) pair whose successor is a target, held with that
+           input
  Group 3 - strongly connected components vs a reachability oracle,
            including a path deeper than the recursion limit
  Group 4 - Karp's minimum-mean cycle vs the DFS enumeration oracle and
@@ -25,7 +27,6 @@ import random
 from dataclasses import fields, replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from fadectrl.errors import (
 from fadectrl.mas import (
     Schedule,
     _replay_slow,
+    admissible_pairs,
     one_step_reach,
     successor_index,
     successors,
@@ -74,7 +76,7 @@ from oracles import (
 
 PHI = frozenset({2, 4, 5, 6})
 
-# (source, target) -> (weight, cheapest steering input)
+# (source, target) -> (weight, the one input that realizes the edge)
 FROZEN_EDGES = {
     (2, 2): (27, 4),
     (2, 5): (23, 7),
@@ -104,7 +106,7 @@ def test_joint_stage_cost_exact(scenario):
     edges = cheapest_edges(scenario, (2, 5), scenario.constraints.state_set)
     c = edges[(2, 2)].weight
     assert c == 27 and isinstance(c, Fraction)
-    assert (edges[(5, 4)], edges[(5, 6)]) == (Edge(32, (5,)), Edge(26, (4,)))
+    assert (edges[(5, 4)], edges[(5, 6)]) == (Edge(32, 5), Edge(26, 4))
     assert stage_costs(scenario, 5, (5, 4)) == [32, 26]  # the reference agrees
 
 
@@ -134,7 +136,7 @@ def test_fractional_hand_built_costs_stay_exact(scenario):
 
 def test_costs_past_int64_on_the_common_scale_stay_exact(scenario):
     # coprime denominators near 10^6 put the common scale near 10^66, so the
-    # scaled input costs overflow int64 and are ordered by rank instead
+    # scaled input costs overflow int64 and stay exact Python integers
     primes = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
               1000117, 1000121, 1000133, 1000151, 1000159)
     nn = scenario.mas.state_count
@@ -156,8 +158,8 @@ def test_graph_has_exactly_the_frozen_edges(scenario):
     for (a, b), (weight, steer) in FROZEN_EDGES.items():
         edge = graph.edges[(a, b)]
         assert edge.weight == weight
-        assert edge.steering == (steer,)
-        assert steer in admissible_inputs(scenario, a, b)
+        assert edge.input == steer
+        assert admissible_inputs(scenario, a, b) == (steer,)
 
 
 def test_graph_adjacency_helpers(scenario):
@@ -174,10 +176,10 @@ def test_graph_rejects_inadmissible_vertices(scenario):
 def test_cheapest_edges_frozen_values(scenario):
     admissible = scenario.constraints.state_set
     # (source, target) -> the one admissible input that realizes the edge
-    for (a, b), inputs in {(4, 2): (7,), (4, 3): (8,), (2, 2): (4,), (6, 4): (7,)}.items():
-        assert admissible_inputs(scenario, a, b) == inputs
-        assert cheapest_edges(scenario, {a}, admissible)[(a, b)].steering == inputs
-        assert out_edges(scenario, a, admissible)[b].steering == inputs
+    for (a, b), u in {(4, 2): 7, (4, 3): 8, (2, 2): 4, (6, 4): 7}.items():
+        assert admissible_inputs(scenario, a, b) == (u,)
+        assert cheapest_edges(scenario, {a}, admissible)[(a, b)].input == u
+        assert out_edges(scenario, a, admissible)[b].input == u
     assert (4, 4) not in cheapest_edges(scenario, {4}, admissible)
     assert set(cheapest_edges(scenario, {4}, {2, 4})) == {(4, 2)}
     assert cheapest_edges(scenario, (), admissible) == {}
@@ -192,15 +194,10 @@ def test_cheapest_edges_cover_reach_exactly(scenario):
     reach = one_step_reach(mas, constraints, states)
     assert sorted(edges) == [(a, b) for a in states for b in reach[a]]
     for (a, b), edge in edges.items():
-        inputs = admissible_inputs(scenario, a, b)
-        assert inputs
-        for u in inputs:
-            assert successor_index(mas, a, u) == b
-            assert u in constraints.inputs_for(a)
-        costs = dict(zip(inputs, stage_costs(scenario, a, inputs)))
-        assert edge.weight == min(costs.values())
-        assert edge.steering == tuple(u for u in sorted(costs)
-                                      if costs[u] == edge.weight)
+        assert admissible_inputs(scenario, a, b) == (edge.input,)
+        assert successor_index(mas, a, edge.input) == b
+        assert edge.input in constraints.inputs_for(a)
+        assert [edge.weight] == stage_costs(scenario, a, (edge.input,))
 
 
 def test_cheapest_edges_is_one_successor_call(scenario, monkeypatch):
@@ -223,7 +220,7 @@ def _assert_same_graph(got, expect):
     for key, edge in expect.edges.items():
         assert got.edges[key].weight == edge.weight
         assert isinstance(got.edges[key].weight, Fraction)
-        assert got.edges[key].steering == edge.steering
+        assert got.edges[key].input == edge.input
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -235,35 +232,45 @@ def test_build_graph_equals_per_state_reference_on_random_models(seed, data):
     _assert_same_graph(build_graph(scn, verts), state_by_state_graph(scn, verts))
 
 
-def test_inputs_tied_on_one_edge_all_steer_it(monkeypatch):
-    # the agent law adds the input, so each input steers a state to its own
-    # successor; a coarsened law sends pairs of inputs to the same one, and
-    # the builder must keep every cheapest input of an edge, ascending
-    import fadectrl.synthesis as synthesis
-    import oracles
-
-    def coarse(model, states, inputs):
-        return successors(model, states, (np.asarray(inputs) - 1) // 2 * 2 + 1)
-
-    monkeypatch.setattr(synthesis, "successors", coarse)
-    monkeypatch.setattr(oracles, "successors", coarse)
-    rng = random.Random(5)
-    tied = 0
-    for _ in range(200):
-        scn = random_scenario(rng)
-        states = scn.constraints.state_set
-        graph = build_graph(scn, states)
-        _assert_same_graph(graph, state_by_state_graph(scn, states))
-        tied += sum(len(e.steering) > 1 for e in graph.edges.values())
-    assert tied >= 30  # ties did occur
-
-
 def test_build_graph_equals_per_state_reference_on_the_n256_grid():
     scn = load_scenario_text(grid_text(4, 1))
     stab = stabilize(scn)
     assert len(stab.phi) == 200
     for verts in (stab.phi, scn.constraints.state_set):
         _assert_same_graph(build_graph(scn, verts), state_by_state_graph(scn, verts))
+
+
+def _assert_one_edge_per_pair(scn, sources, targets):
+    # each admissible (state, input) pair whose successor is a target is
+    # one edge, held with that input
+    src, inp = admissible_pairs(scn.constraints, sorted(sources))
+    hits = [(a, b, u) for a, b, u in zip(src.tolist(), successors(scn.mas, src, inp).tolist(),
+                                         inp.tolist()) if b in targets]
+    edges = cheapest_edges(scn, sources, targets)
+    assert len(edges) == len(hits)
+    assert {key: edge.input for key, edge in edges.items()} == {(a, b): u for a, b, u in hits}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.data())
+def test_cheapest_edges_is_one_edge_per_pair_on_random_models(seed, data):
+    scn = random_scenario(random.Random(seed))
+    states = sorted(scn.constraints.state_set)
+    sources = data.draw(st.sets(st.sampled_from(states), min_size=1))
+    targets = data.draw(st.sets(st.sampled_from(states)))
+    _assert_one_edge_per_pair(scn, sources, targets)
+
+
+def test_cheapest_edges_is_one_edge_per_pair_on_the_n256_grid():
+    scn = load_scenario_text(grid_text(4, 1))
+    states = scn.constraints.state_set
+    src, inp = admissible_pairs(scn.constraints, sorted(states))
+    nxt = successors(scn.mas, src, inp)
+    # each state's admissible inputs reach pairwise distinct successors
+    assert len(set(zip(src.tolist(), nxt.tolist()))) == len(src) == 3264
+    phi = stabilize(scn).phi
+    for sources, targets in ((states, states), (phi, phi), (states, phi)):
+        _assert_one_edge_per_pair(scn, sources, targets)
 
 
 # ── Group 3: strongly connected components ───────────────────────────────────
@@ -273,7 +280,7 @@ def test_scc_single_component(scenario):
 
 
 def test_scc_split_components():
-    unit = Edge(1, (1,))
+    unit = Edge(1, 1)
     graph = TransitionGraph(
         (1, 2, 3, 4),
         {(1, 2): unit, (2, 1): unit, (2, 3): unit, (3, 3): unit, (4, 1): unit},
@@ -283,7 +290,7 @@ def test_scc_split_components():
 
 def test_scc_matches_reachability_oracle():
     rng = random.Random(31)
-    unit = Edge(1, (1,))
+    unit = Edge(1, 1)
     for _ in range(300):
         verts = tuple(range(1, rng.randint(1, 9) + 1))
         edges = {(rng.choice(verts), rng.choice(verts)): unit
@@ -294,7 +301,7 @@ def test_scc_matches_reachability_oracle():
 
 def test_scc_long_chain():
     # one DFS path 3000 vertices deep, beyond the default recursion limit
-    unit = Edge(1, (1,))
+    unit = Edge(1, 1)
     verts = tuple(range(1, 3001))
     graph = TransitionGraph(verts, {(a, a + 1): unit for a in verts[:-1]})
     assert tarjan_scc(graph) == tuple(frozenset({a}) for a in verts)
@@ -309,8 +316,8 @@ def test_karp_frozen_answer(scenario):
 
 
 def test_karp_exact_on_fractional_weights():
-    third = Edge(Fraction(1, 3), (1,))
-    half = Edge(Fraction(1, 2), (1,))
+    third = Edge(Fraction(1, 3), 1)
+    half = Edge(Fraction(1, 2), 1)
     graph = TransitionGraph((1, 2), {(1, 2): third, (2, 1): half})
     mean, cycle = karp_min_mean_cycle(graph, frozenset({1, 2}))
     assert mean == Fraction(5, 12)
@@ -318,7 +325,7 @@ def test_karp_exact_on_fractional_weights():
 
 
 def test_karp_no_cycle():
-    graph = TransitionGraph((1, 2), {(1, 2): Edge(1, (1,))})
+    graph = TransitionGraph((1, 2), {(1, 2): Edge(1, 1)})
     with pytest.raises(NoCycle):
         karp_min_mean_cycle(graph, frozenset({1}))
 
@@ -331,7 +338,7 @@ def test_karp_pinned_tie_break():
     # 1 -> 3 -> 2 -> 2 first repeats at 2, so the loop at 2 is returned even
     # though the other cycle holds the smallest vertex.
     weights = {(1, 3): 0, (2, 1): 5, (2, 2): 0, (2, 3): 1, (3, 1): 0, (3, 2): 4}
-    graph = TransitionGraph((1, 2, 3), {e: Edge(w, (1,)) for e, w in weights.items()})
+    graph = TransitionGraph((1, 2, 3), {e: Edge(w, 1) for e, w in weights.items()})
     assert tarjan_scc(graph) == (frozenset({1, 2, 3}),)
     assert {c for c in simple_cycles(graph) if cycle_mean(graph, c) == 0} == {
         (1, 3, 1), (2, 2)}
@@ -347,7 +354,7 @@ def _graph_strategy(weights):
         pairs = st.tuples(st.integers(1, n), st.integers(1, n))
         edges = draw(st.dictionaries(pairs, weights, max_size=3 * n))
         return TransitionGraph(tuple(range(1, n + 1)),
-                               {e: Edge(w, (1,)) for e, w in edges.items()})
+                               {e: Edge(w, 1) for e, w in edges.items()})
     return graphs()
 
 
@@ -394,7 +401,7 @@ def test_karp_exact_past_int64():
         if len(graph.edges) < 4:
             continue
         graph = TransitionGraph(graph.vertices, {
-            e: Edge(Fraction(edge.weight * 1000000 + rng.randint(0, 9), primes[i % 11]), (1,))
+            e: Edge(Fraction(edge.weight * 1000000 + rng.randint(0, 9), primes[i % 11]), 1)
             for i, (e, edge) in enumerate(sorted(graph.edges.items()))})
         assert math.lcm(*(e.weight.denominator for e in graph.edges.values())) > 2 ** 62
         checked += 1
@@ -405,8 +412,8 @@ def test_karp_exact_past_int64():
 
 
 def test_karp_float_weights_are_exact():
-    graph = TransitionGraph((1, 2), {(1, 2): Edge(0.1, (1,)),
-                                     (2, 1): Edge(0.2, (1,))})
+    graph = TransitionGraph((1, 2), {(1, 2): Edge(0.1, 1),
+                                     (2, 1): Edge(0.2, 1)})
     mean, cycle = karp_min_mean_cycle(graph, frozenset({1, 2}))
     assert mean == (Fraction(0.1) + Fraction(0.2)) / 2
     assert cycle == (1, 2, 1)
@@ -414,8 +421,8 @@ def test_karp_float_weights_are_exact():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_karp_rejects_non_finite_weight(bad):
-    graph = TransitionGraph((1, 2), {(1, 2): Edge(1, (1,)),
-                                     (2, 1): Edge(bad, (1,))})
+    graph = TransitionGraph((1, 2), {(1, 2): Edge(1, 1),
+                                     (2, 1): Edge(bad, 1)})
     with pytest.raises(ValueOutOfRange):
         karp_min_mean_cycle(graph, frozenset({1, 2}))
 
@@ -548,5 +555,5 @@ def test_dot_export(scenario, synthesis):
 def test_dot_export_of_a_weight_past_float64_range():
     # its float64 image overflows, so the label is the exact fraction alone
     w = Fraction(10**400 + 1, 3)
-    dot = to_dot(TransitionGraph((1,), {(1, 1): Edge(w, (1,))}), 1)
+    dot = to_dot(TransitionGraph((1,), {(1, 1): Edge(w, 1)}), 1)
     assert 's1 -> s1 [label="w=%d/3, u={δ_1^1}"];' % (10**400 + 1) in dot
