@@ -38,8 +38,14 @@ OUTDIR_ENV = "FADECTRL_OUTDIR"
 REPORT_HEAD = 12  # slow steps of schedule and trajectory the synthesis report lists
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, as any input error; argparse's 2 reads as infeasible
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def create_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fadectrl",
         description="Schedule mobile agents so every wireless control loop "
         "keeps its expected decay guarantee at minimum long-run cost.",
@@ -212,6 +218,8 @@ def _synthesis_report(scn, result) -> list:
 
 
 def cmd_synthesize(args) -> int:
+    if args.dot == "":  # an empty name is a malformed --dot, not none
+        raise ParseError("--dot needs a file name")
     scn, stab = _stabilized(args)
     report = _analysis_report("schedule synthesis", args, scn, stab)
     if not stab.feasible:

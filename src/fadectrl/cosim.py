@@ -17,12 +17,13 @@ draws at once, one `counter_uniforms` call per plant for its delivery
 and Box-Muller uniforms, and runs only the plant recursion step by step.
 Normal variates come from Box-Muller on two such uniforms.
 
-A block is `block_steps(trials)` fast steps, so that its arrays hold
-about 2**14 trial-steps (128 KiB of doubles) and stay in cache whatever
-the trial count.  The states are streamed through a plant-major working
-buffer of shape (block + 1, dim, trials) per plant.  Every plant
-dimension takes the same step, with each sum in index order on
-elementwise numpy operations, so a trace is the same on every BLAS
+A block is `block_steps(trials)` fast steps: 64 up to 256 trials,
+2**14 // trials up to 2048 and 8 beyond, so its arrays hold at most
+2**14 trial-steps (128 KiB of doubles, which stay in cache) up to 2048
+trials, and 8 x trials past that.  The states are streamed through a
+plant-major working buffer of shape (block + 1, dim, trials) per plant.
+Every plant dimension takes the same step, with each sum in index order
+on elementwise numpy operations, so a trace is the same on every BLAS
 kernel: noise w_e = sum_d F[e, d] z_d (F the Cholesky factor), step
 x'_e = sum_d A[e, d] x_d + w_e (A each trial's closed- or open-loop
 matrix), and V = sum_{d, e} Q[d, e] x_d x_e.  After each block the

@@ -214,11 +214,6 @@ def _require_int(value, field: str) -> int:
     return int(value)
 
 
-def _require_json_int(value, field: str):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError("%s must be an integer, got %r" % (field, value))
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Eventually periodic input sequence: prefix once, then the cycle.
@@ -252,23 +247,26 @@ class Schedule:
 
     @staticmethod
     def from_dict(d) -> "Schedule":
-        """Schedule from its JSON form (an object of integer lists and an
-        integer alpha0); ParseError names the first malformed field."""
+        """Schedule from its JSON form (an object of the integer lists
+        prefix_inputs and cycle_inputs and an integer alpha0, and no other
+        key); ParseError names the first malformed or unknown field."""
         if not isinstance(d, dict):
             raise ParseError("schedule must be a JSON object, got %s" % type(d).__name__)
+        unknown = [key for key in d if key not in ("alpha0", "prefix_inputs", "cycle_inputs")]
+        if unknown:
+            raise ParseError("schedule has an unknown key %r" % unknown[0])
         if "cycle_inputs" not in d:
             raise ParseError("schedule has no 'cycle_inputs'")
         inputs = {key: d.get(key, []) for key in ("prefix_inputs", "cycle_inputs")}
         for key, values in inputs.items():
             if not isinstance(values, list):
                 raise ParseError("'%s' must be a list" % key)
-            for i, u in enumerate(values):
-                _require_json_int(u, "%s[%d]" % (key, i))
         if not inputs["cycle_inputs"]:
             raise ParseError("'cycle_inputs' must not be empty")
-        alpha0 = d.get("alpha0", 0)
-        _require_json_int(alpha0, "alpha0")
-        return Schedule(inputs["prefix_inputs"], inputs["cycle_inputs"], alpha0)
+        try:
+            return Schedule(inputs["prefix_inputs"], inputs["cycle_inputs"], d.get("alpha0", 0))
+        except ValueOutOfRange as e:  # a non-integer, named by its field
+            raise ParseError(str(e)) from None
 
 
 def _replay_slow(scenario, schedule: Schedule, n_slow: int):

@@ -26,11 +26,12 @@ smallest source u with H[k-1][u] + w(u, v) = H[k][v].
 
 The edges come from one builder, `cheapest_edges`, which also steers
 the prefix: one `successors` call over the sources' admissible pairs,
-the stage costs as integers over one common scale, and the edges
-ordered by (source, target) with one sort.  Cycle means are exact
-Fractions: each component's weights are scaled to integers by the lcm
-of their denominators, and the dynamic program runs on integer numpy
-arrays.
+and the edges ordered by (source, target) with one sort.  Each edge's
+weight is its exact stage cost as an integer over one common scale L,
+the lcm of the cost terms' denominators; the graph keeps L, and
+`TransitionGraph.weight` gives the exact Fraction.  Karp's dynamic
+program runs on those integers in numpy arrays, and a cycle mean is the
+exact Fraction num / (den * L).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .stabilization import Stabilization
 
 @dataclass(frozen=True)
 class Edge:
-    weight: object
+    weight: int  # the stage cost times the graph's scale
     input: int  # the one admissible input that steers the source to the target
 
 
@@ -63,9 +64,11 @@ class Edge:
 class TransitionGraph:
     vertices: tuple
     edges: dict  # (a, b) -> Edge
+    scale: int  # every edge weight is an integer over this common denominator
 
-    def weight(self, a: int, b: int):
-        return self.edges[(a, b)].weight
+    def weight(self, a: int, b: int) -> Fraction:
+        """The exact stage cost of edge a -> b."""
+        return Fraction(self.edges[(a, b)].weight, self.scale)
 
 
 def _exact(x, what: str) -> Fraction:
@@ -75,18 +78,19 @@ def _exact(x, what: str) -> Fraction:
         raise ValueOutOfRange("%s is not a finite rational: %s" % (what, e)) from None
 
 
-def cheapest_edges(scenario, sources, targets) -> dict:
-    """{(a, b): Edge}, ascending, for each source a and each target b that
-    an admissible input steers a to.
+def cheapest_edges(scenario, sources, targets) -> tuple:
+    """({(a, b): Edge}, L): an edge, ascending, for each source a and each
+    target b that an admissible input steers a to, and the common scale L
+    of their weights.
 
     Distinct inputs steer a source to distinct successors, so each edge
     holds the one input that realizes it, weighted by that input's stage
     cost.  One `successors` call covers every admissible pair of the
     sources.  The radio term tau * expected_power(a) is computed once per
     source and lambda * g(a, u) once per distinct cost row and input; both
-    are scaled to integers by the lcm L of their denominators, so each
-    weight is an integer over L.  Raises ValueOutOfRange on a stage cost
-    that is not a finite rational.
+    are scaled to integers by the lcm L of their denominators, and each
+    weight is the stage cost times L.  Raises ValueOutOfRange on a stage
+    cost that is not a finite rational.
     """
     sources = sorted(set(sources))
     cost = scenario.cost
@@ -95,8 +99,6 @@ def cheapest_edges(scenario, sources, targets) -> dict:
     radio = [_exact(cost.tau * expected_power(scenario, a), "radio cost at state %d" % a)
              for a in sources]
     hit = np.isin(nxt, np.array(sorted(set(targets)), dtype=np.int64))
-    if not hit.any():
-        return {}
     pos = np.searchsorted(sources, src[hit])  # each pair's source, as its position
     inp, nxt = inp[hit], nxt[hit]
 
@@ -119,9 +121,9 @@ def cheapest_edges(scenario, sources, targets) -> dict:
     radio = [f.numerator * (scale // f.denominator) for f in radio]
     price = [f.numerator * (scale // f.denominator) for f in price]
     order = np.lexsort((nxt, pos))
-    return {(sources[p], b): Edge(Fraction(radio[p] + price[k], scale), u)
+    return {(sources[p], b): Edge(radio[p] + price[k], u)
             for p, b, k, u in zip(pos[order].tolist(), nxt[order].tolist(),
-                                  which[order].tolist(), inp[order].tolist())}
+                                  which[order].tolist(), inp[order].tolist())}, scale
 
 
 def build_graph(scenario, vertices) -> TransitionGraph:
@@ -133,7 +135,7 @@ def build_graph(scenario, vertices) -> TransitionGraph:
         raise PreconditionViolated(
             "vertices %s outside the admissible state set" % (outside,)
         )
-    return TransitionGraph(verts, cheapest_edges(scenario, verts, verts))
+    return TransitionGraph(verts, *cheapest_edges(scenario, verts, verts))
 
 
 def tarjan_scc(graph: TransitionGraph) -> tuple:
@@ -191,11 +193,12 @@ def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
 
     The cycle is a tuple of vertices with first == last, rotated to
     start at its smallest vertex.  The mean is an exact Fraction: the
-    weights are scaled to integers by the lcm L of their denominators
-    and the dynamic program runs on integer arrays (int64 while every
-    intermediate fits, Python ints otherwise).  Raises NoCycle when the
+    dynamic program runs on the graph's integer weights in arrays (int64
+    while every intermediate fits, Python ints otherwise), and the mean
+    is divided by the graph's scale last.  Raises NoCycle when the
     component carries no edge cycle (a singleton without self-loop) and
-    ValueOutOfRange on a non-finite weight.
+    ValueOutOfRange on a weight that is not an int or a scale that is
+    not a positive int.
 
     The dynamic program keeps the table H alone; the n-edge walk back
     from the minimizing v recomputes each step's parent from H.  Among
@@ -205,6 +208,9 @@ def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
     cycle is the first vertex repeat on the forward walk from that v,
     rotated to start at its smallest vertex.
     """
+    scale = graph.scale
+    if not isinstance(scale, int) or scale < 1:
+        raise ValueOutOfRange("graph scale %r is not a positive integer" % (scale,))
     verts = sorted(component)
     pos = {v: i for i, v in enumerate(verts)}
     n = len(verts)
@@ -212,18 +218,15 @@ def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
                   for (a, b), edge in graph.edges.items() if a in pos and b in pos)
     if not arcs:
         raise NoCycle("component %s has no directed cycle" % (sorted(component),))
-    try:  # Fraction(w) of a Fraction is a slow no-op
-        exact = [w if type(w) is Fraction else Fraction(w) for _, _, w in arcs]
-    except (OverflowError, ValueError) as e:  # inf, nan
-        raise ValueOutOfRange("edge weight is not a finite rational: %s" % e) from None
-    scale = math.lcm(*(w.denominator for w in exact))
-    weights = [w.numerator * (scale // w.denominator) for w in exact]
-    top = max(1, max(abs(w) for w in weights))
+    tgt, src, weights = zip(*arcs)
+    for x in weights:
+        if not isinstance(x, int):  # an int64 array would truncate it silently
+            raise ValueOutOfRange("edge weight %r is not an integer" % (x,))
+    top = max(1, max(map(abs, weights)))
     bound = n * top  # |H[k][v]| <= bound for every walk that exists
     # the cross-multiplied ratios stay below 2 n^2 top
     dtype = np.int64 if (n + 1) * top * (n + 1) < 2 ** 62 else object
-    tgt = np.array([b for b, _, _ in arcs], dtype=np.intp)
-    src = np.array([a for _, a, _ in arcs], dtype=np.intp)
+    tgt, src = np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp)
     w = np.array(weights, dtype=dtype)
 
     # edges grouped by target, sources ascending within a group
@@ -256,7 +259,7 @@ def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
             best_v = v
     if best_v is None:
         raise NoCycle("component %s has no directed cycle" % (sorted(component),))
-    best_mean = Fraction(nums[best_v], dens[best_v] * scale)
+    mean = Fraction(nums[best_v], dens[best_v] * scale)
 
     # walk the n-edge chain back from the minimizer, each parent the
     # smallest source that attains h[k][v], then take the first vertex
@@ -272,23 +275,20 @@ def karp_min_mean_cycle(graph: TransitionGraph, component) -> tuple:
     walk.reverse()
 
     last_seen = {}
-    cycle_span = None
-    for t, v in enumerate(walk):
+    for t, v in enumerate(walk):  # n + 1 vertices of n: one repeats
         if v in last_seen:
-            cycle_span = (last_seen[v], t)
             break
         last_seen[v] = t
-    start, stop = cycle_span
-    cycle = [verts[v] for v in walk[start:stop + 1]]
+    cycle = [verts[u] for u in walk[last_seen[v]:t + 1]]
 
     length = len(cycle) - 1
-    total = sum(Fraction(graph.weight(cycle[i], cycle[i + 1])) for i in range(length))
-    if total / length != best_mean:
+    total = sum(graph.edges[e].weight for e in zip(cycle, cycle[1:]))
+    if total * dens[best_v] != nums[best_v] * length:
         raise InvariantViolated(
             "extracted cycle %s has mean %s, not the minimum %s"
-            % (cycle, total / length, best_mean)
+            % (cycle, Fraction(total, length * scale), mean)
         )
-    return best_mean, _rotate_cycle(cycle, min(cycle))
+    return mean, _rotate_cycle(cycle, min(cycle))
 
 
 def _rotate_cycle(cycle, to_vertex) -> tuple:
@@ -331,17 +331,15 @@ def synthesize(scenario, stab: Stabilization) -> SynthesisResult:
         )
     graph = build_graph(scenario, stab.phi)
 
-    best = None
+    found = []  # (mean, cycle) per component that carries a cycle
     for comp in tarjan_scc(graph):
         try:
-            mean, cycle = karp_min_mean_cycle(graph, comp)
+            found.append(karp_min_mean_cycle(graph, comp))
         except NoCycle:
-            continue
-        if best is None or mean < best[0]:
-            best = (mean, cycle)
-    if best is None:
+            pass
+    if not found:
         raise NoCycle("restricted graph on %s has no cycle" % (sorted(stab.phi),))
-    mean, cycle = best
+    mean, cycle = min(found, key=lambda result: result[0])  # the first of equal means
     # walk the search tree back from the first layer that meets the cycle;
     # layer 0 is {alpha0}, so a start on the cycle gets the empty prefix
     cyc_verts = frozenset(cycle[:-1])
@@ -355,10 +353,9 @@ def synthesize(scenario, stab: Stabilization) -> SynthesisResult:
         path.append(layers.parent[path[-1]])
     path.reverse()  # alpha0 to the cycle's entry state
     cycle = _rotate_cycle(cycle, path[-1])
-    steps = cheapest_edges(scenario, path[:-1], path[1:])
+    steps, _ = cheapest_edges(scenario, path[:-1], path[1:])
     prefix_inputs = tuple(steps[(a, b)].input for a, b in zip(path, path[1:]))
-    cycle_inputs = tuple(graph.edges[(cycle[i], cycle[i + 1])].input
-                         for i in range(len(cycle) - 1))
+    cycle_inputs = tuple(graph.edges[e].input for e in zip(cycle, cycle[1:]))
 
     return SynthesisResult(
         *(getattr(stab, f.name) for f in fields(Stabilization)),
@@ -371,29 +368,22 @@ def synthesize(scenario, stab: Stabilization) -> SynthesisResult:
     )
 
 
-def _fmt_number(x) -> str:
-    if isinstance(x, float) and not x.is_integer():  # inf and nan too
-        return "%g" % x
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
+def _fmt_number(f: Fraction) -> str:
     try:
-        return "%g" % float(f)
+        return str(f) if f.denominator == 1 else "%g" % float(f)
     except OverflowError:  # past float64's range: the exact fraction alone
-        return "%d/%d" % (f.numerator, f.denominator)
+        return str(f)
 
 
 def to_dot(graph: TransitionGraph, n_states: int, highlight_cycle=()) -> str:
     """Graphviz rendering; the minimum-mean cycle's edges are bolded red."""
-    hot = set()
-    if highlight_cycle:
-        hot = {(highlight_cycle[i], highlight_cycle[i + 1])
-               for i in range(len(highlight_cycle) - 1)}
+    hot = set(zip(highlight_cycle, highlight_cycle[1:]))
     lines = ["digraph transitions {", "  rankdir=LR;", "  node [shape=circle];"]
     for a in graph.vertices:
         lines.append('  s%d [label="δ_%d^%d"];' % (a, n_states, a))
     for (a, b), edge in sorted(graph.edges.items()):
-        attrs = 'label="w=%s, u={δ_%d^%d}"' % (_fmt_number(edge.weight), n_states, edge.input)
+        attrs = 'label="w=%s, u={δ_%d^%d}"' % (_fmt_number(graph.weight(a, b)), n_states,
+                                              edge.input)
         if (a, b) in hot:
             attrs += ", color=red, penwidth=2.0"
         lines.append("  s%d -> s%d [%s];" % (a, b, attrs))

@@ -107,11 +107,12 @@ def stage_costs(scenario, a: int, inputs) -> list:
 
 
 def out_edges(scenario, a: int, targets) -> dict:
-    """{b: Edge} for each successor b in targets that an admissible input
-    steers a to, one state at a time: the weight is the least stage cost
-    over those inputs, the input the smallest attaining it.  This keeps a
-    minimum over inputs, which the law never needs, so it does not lean
-    on the one-input-per-edge fact the builder relies on."""
+    """{b: (weight, input)} for each successor b in targets that an
+    admissible input steers a to, one state at a time: the weight is the
+    least stage cost over those inputs, as a Fraction, the input the
+    smallest attaining it.  This keeps a minimum over inputs, which the
+    law never needs, so it does not lean on the one-input-per-edge fact
+    the builder relies on."""
     inputs = sorted(scenario.constraints.inputs_for(a))
     hits = [(u, b) for u, b in zip(inputs, successors(scenario.mas, a, inputs).tolist())
             if b in targets]
@@ -121,15 +122,24 @@ def out_edges(scenario, a: int, targets) -> dict:
     edges = {}
     for b, cands in sorted(per_target.items()):
         w = min(c for _, c in cands)
-        edges[b] = Edge(w, min(u for u, c in cands if c == w))
+        edges[b] = (w, min(u for u, c in cands if c == w))
     return edges
+
+
+def exact_graph(vertices, weighted: dict) -> TransitionGraph:
+    """The graph with edge (a, b) of exact weight w and input u for each
+    weighted[(a, b)] = (w, u): every weight an integer over the lcm of the
+    weights' denominators, the graph's scale."""
+    scale = math.lcm(*(Fraction(w).denominator for w, _ in weighted.values()))
+    return TransitionGraph(tuple(vertices), {e: Edge(int(Fraction(w) * scale), u)
+                                             for e, (w, u) in weighted.items()}, scale)
 
 
 def state_by_state_graph(scenario, vertices) -> TransitionGraph:
     """The restricted graph built from each vertex's `out_edges`."""
     verts = tuple(sorted(set(vertices)))
-    return TransitionGraph(verts, {(a, b): edge for a in verts
-                                   for b, edge in out_edges(scenario, a, verts).items()})
+    return exact_graph(verts, {(a, b): edge for a in verts
+                               for b, edge in out_edges(scenario, a, verts).items()})
 
 
 def graph_successors(graph: TransitionGraph, a: int) -> tuple:
@@ -190,9 +200,9 @@ def scalar_karp(graph: TransitionGraph, component) -> tuple:
     pos = {v: i for i, v in enumerate(verts)}
     n = len(verts)
     incoming = [[] for _ in range(n)]  # per vertex: (src position, weight)
-    for (a, b), edge in sorted(graph.edges.items()):
+    for a, b in sorted(graph.edges):
         if a in pos and b in pos:
-            incoming[pos[b]].append((pos[a], Fraction(edge.weight)))
+            incoming[pos[b]].append((pos[a], graph.weight(a, b)))
 
     h = [[None] * n for _ in range(n + 1)]
     parent = [[None] * n for _ in range(n + 1)]
@@ -273,7 +283,7 @@ def random_scc_graph(rng, max_vertices: int = 9, max_weight: int = 50) -> Transi
         b = rng.choice(verts)
         if (a, b) not in edges:
             put(a, b)
-    return TransitionGraph(verts, edges)
+    return TransitionGraph(verts, edges, 1)
 
 
 def brute_invariant(model: MasModel, constraints: ConstraintSets, omega) -> frozenset:
@@ -348,7 +358,7 @@ def layer_scan_prefix(scenario, layers, cycle) -> tuple:
                  if chain[0] in reach_of(scenario.mas, scenario.constraints, a)]
         chain.insert(0, preds[0])
     chain.insert(0, alpha0)
-    inputs = tuple(out_edges(scenario, a, {b})[b].input
+    inputs = tuple(out_edges(scenario, a, {b})[b][1]
                    for a, b in zip(chain, chain[1:]))
     return tuple(chain[:-1]), inputs, chain[-1]
 

@@ -20,8 +20,8 @@ Proves:
            and scenarios without channel tables or without a fading row
            for a usable state leave nothing behind, an artifact that cannot
            be written is one error line and no artifact of the run is
-           written, a --dot naming the scenario, the report or the schedule
-           is refused with nothing written, each stabilization stage runs
+           written, an empty --dot or one naming the scenario, the report or
+           the schedule is refused with nothing written, each stabilization stage runs
            once, an exact number past float64's range prints as a fraction
            alone, and an integer past that range, or a bool or timestamp
            with no reading, is a located error
@@ -33,7 +33,9 @@ Proves:
            entry, a slow step of 10^12 or 10^30 fast steps runs, bad inputs
            exit 1, and so do a run too large to allocate and a co-simulation
            worker killed by a signal, with no artifacts and no traceback
- Group 5 - usage errors; an input file that is not UTF-8 is named
+ Group 5 - usage errors (an unknown command, a missing option, a
+           malformed value) are exit status 1, --help is 0; an input file
+           that is not UTF-8 is named
  Group 6 - the process around main (`python -m fadectrl.cli`, which the
            `fadectrl` script shares): a stdout closed before the report is
            written is exit status 1 with no traceback and no artifact,
@@ -627,6 +629,16 @@ def test_synthesize_dot_in_a_missing_directory_is_an_error(scenario_path, outdir
     assert list(outdir.iterdir()) == []
 
 
+def test_synthesize_empty_dot_is_an_error(scenario_path, outdir, capsys):
+    # it used to write the report and the schedule and no DOT file, exit 0
+    rc, _ = _synth(scenario_path, outdir, "--dot", "")
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert _one_error(err) == "error: --dot needs a file name"
+    assert out == ""
+    assert list(outdir.iterdir()) == []
+
+
 @pytest.mark.parametrize("target", ["report", "schedule", "scenario", "scenario_relative"])
 def test_synthesize_dot_naming_the_scenario_or_an_artifact_is_refused(
         scenario_path, outdir, tmp_path_factory, capsys, target):
@@ -914,6 +926,9 @@ def test_simulate_rejects_bad_schedule_json(scenario_path, outdir, capsys):
         ('{"cycle_inputs": [7, 7, 4, 7], "alpha0": 4.5}', "alpha0"),
         ('{"alpha0": 4}', "no 'cycle_inputs'"),
         ('{"cycle_inputs": [], "alpha0": 4}', "'cycle_inputs' must not be empty"),
+        # a misspelt prefix used to be ignored: the run went on with none
+        ('{"prefix_input": [7], "cycle_inputs": [7, 7, 4, 7], "alpha0": 4}',
+         "schedule has an unknown key 'prefix_input'"),
     ):
         bad.write_text(text)
         assert _simulate(scenario_path, outdir, bad, seed=1) == 1, text
@@ -953,9 +968,49 @@ def test_undecodable_scenario_file_is_named(scenario_path, outdir, capsys):
 
 
 def test_unknown_subcommand(outdir, capsys):
-    with pytest.raises(SystemExit):
+    # argparse's own status, 2, would read as infeasible
+    with pytest.raises(SystemExit) as exit_:
         main(["frobnicate"])
-    capsys.readouterr()
+    assert exit_.value.code == 1
+    _, err = capsys.readouterr()
+    assert "fadectrl: error: argument command: invalid choice: 'frobnicate'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "{scn}"],
+     "fadectrl simulate: error: the following arguments are required: "
+     "--schedule, --seed, --trials, --horizon"),
+    (["simulate", "{scn}", "--schedule", "s.json", "--seed", "abc", "--trials", "4",
+      "--horizon", "8"],
+     "fadectrl simulate: error: argument --seed: invalid int value: 'abc'"),
+    (["check"], "fadectrl check: error: the following arguments are required: scenario"),
+    (["check", "{scn}", "--frob"], "fadectrl: error: unrecognized arguments: --frob"),
+    ([], "fadectrl: error: the following arguments are required: command"),
+], ids=["missing_options", "malformed_int", "missing_scenario", "unknown_option", "no_command"])
+def test_a_usage_error_is_exit_1(scenario_path, outdir, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main([a.format(scn=scenario_path) for a in argv])
+    assert exit_.value.code == 1
+    _, err = capsys.readouterr()
+    assert err.startswith("usage: ") and err.endswith(message + "\n"), err
+    assert list(outdir.iterdir()) == []
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        out, _ = capsys.readouterr()
+        assert out.startswith("usage: fadectrl")
+
+
+def test_a_usage_error_is_exit_1_in_a_child_process(scenario_path):
+    run = subprocess.run([sys.executable, "-m", "fadectrl.cli", "simulate", str(scenario_path)],
+                         env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert "the following arguments are required: --schedule" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 # ── Group 6: the process around main ─────────────────────────────────────────

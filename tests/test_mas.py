@@ -16,8 +16,8 @@ Proves:
  Group 3 - constrained one-step reach: the frozen successor sets, and the
            batched call equal to the per-state reference on any subset
  Group 4 - validation contracts
- Group 5 - schedules: integer inputs and start state only, replayed under
-           the constraints
+ Group 5 - schedules: integer inputs and start state only, no unknown key
+           in the JSON form, replayed under the constraints
 """
 
 import itertools
@@ -314,6 +314,14 @@ def test_schedule_json_form_still_raises_parse_errors():
         Schedule.from_dict({"cycle_inputs": [1.5]})
     with pytest.raises(ParseError, match=r"^alpha0 must be an integer"):
         Schedule.from_dict({"cycle_inputs": [1], "alpha0": True})
+
+
+def test_schedule_json_form_rejects_an_unknown_key():
+    # a misspelt "prefix_inputs" used to leave the prefix empty, silently
+    with pytest.raises(ParseError, match=r"^schedule has an unknown key 'prefix_input'$"):
+        Schedule.from_dict({"prefix_input": [7], "cycle_inputs": [7], "alpha0": 4})
+    sched = Schedule((8,), (7,), 4)
+    assert Schedule.from_dict(sched.to_dict()) == sched
 
 
 def test_replay_walks_the_law_and_checks_the_constraints():

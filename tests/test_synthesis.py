@@ -1,9 +1,9 @@
 """Schedule synthesis over the restricted transition graph.
 
 Proves:
- Group 1 - stage costs (exact arithmetic, input-indexed table, a
-           non-finite cost rejected); the loader checks the cost rows, see
-           test_scenario
+ Group 1 - stage costs (exact, as integers over one common scale that
+           the graph keeps, input-indexed table, a non-finite cost
+           rejected); the loader checks the cost rows, see test_scenario
  Group 2 - the frozen nine-edge graph of the bundled worked example, and
            the one edge builder against the per-state reference on random
            models and on a generated N = 256 grid: one edge per admissible
@@ -11,8 +11,10 @@ Proves:
            input
  Group 3 - strongly connected components vs a reachability oracle,
            including a path deeper than the recursion limit
- Group 4 - Karp's minimum-mean cycle vs the DFS enumeration oracle and
-           the scalar Karp oracle: exact past int64, tie-breaking pinned
+ Group 4 - Karp's minimum-mean cycle on the graph's integer weights vs
+           the DFS enumeration oracle and the scalar Karp oracle: the mean
+           divided by the graph's scale last, a weight or scale that is not
+           an int rejected, exact past int64, tie-breaking pinned
            and checked on tie-heavy random graphs, the walk back's parents
            included
  Group 5 - end-to-end synthesis: the stabilization record extended by a
@@ -27,6 +29,7 @@ import random
 from dataclasses import fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +65,7 @@ from oracles import (
     brute_min_mean,
     brute_scc,
     cycle_mean,
+    exact_graph,
     graph_successors,
     grid_text,
     layer_scan_prefix,
@@ -103,10 +107,10 @@ def test_loaded_input_costs_share_one_row(scenario):
 
 
 def test_joint_stage_cost_exact(scenario):
-    edges = cheapest_edges(scenario, (2, 5), scenario.constraints.state_set)
+    edges, scale = cheapest_edges(scenario, (2, 5), scenario.constraints.state_set)
     c = edges[(2, 2)].weight
-    assert c == 27 and isinstance(c, Fraction)
-    assert (edges[(5, 4)], edges[(5, 6)]) == (Edge(32, 5), Edge(26, 4))
+    assert c == 27 * scale and isinstance(c, int) and isinstance(scale, int)
+    assert (edges[(5, 4)], edges[(5, 6)]) == (Edge(32 * scale, 5), Edge(26 * scale, 4))
     assert stage_costs(scenario, 5, (5, 4)) == [32, 26]  # the reference agrees
 
 
@@ -130,8 +134,9 @@ def test_non_finite_stage_cost_is_rejected(scenario, bad):
 def test_fractional_hand_built_costs_stay_exact(scenario):
     scn = _with_input_cost(scenario, 6, 7, Fraction(1, 3))
     graph = build_graph(scn, PHI)
-    assert graph == state_by_state_graph(scn, PHI)
-    assert graph.edges[(6, 4)].weight == stage_costs(scn, 6, (7,))[0]
+    _assert_same_graph(graph, state_by_state_graph(scn, PHI))
+    assert graph.weight(6, 4) == stage_costs(scn, 6, (7,))[0]
+    assert graph.weight(6, 4).denominator == 3
 
 
 def test_costs_past_int64_on_the_common_scale_stay_exact(scenario):
@@ -145,7 +150,8 @@ def test_costs_past_int64_on_the_common_scale_stay_exact(scenario):
     scn = replace(scenario, cost=StageCost(scenario.cost.tau, scenario.cost.lam, g))
     states = scn.constraints.state_set
     graph = build_graph(scn, states)
-    assert math.lcm(*(e.weight.denominator for e in graph.edges.values())) > 2 ** 63
+    assert math.lcm(*(graph.weight(a, b).denominator for a, b in graph.edges)) > 2 ** 63
+    assert graph.scale > 2 ** 63
     _assert_same_graph(graph, state_by_state_graph(scn, states))
 
 
@@ -156,16 +162,15 @@ def test_graph_has_exactly_the_frozen_edges(scenario):
     assert graph.vertices == (2, 4, 5, 6)
     assert set(graph.edges) == set(FROZEN_EDGES)
     for (a, b), (weight, steer) in FROZEN_EDGES.items():
-        edge = graph.edges[(a, b)]
-        assert edge.weight == weight
-        assert edge.input == steer
+        assert graph.weight(a, b) == weight
+        assert graph.edges[(a, b)].input == steer
         assert admissible_inputs(scenario, a, b) == (steer,)
 
 
 def test_graph_adjacency_helpers(scenario):
     graph = _graph(scenario)
     assert graph_successors(graph, 2) == (2, 5, 6)
-    assert graph.weight(6, 4) == 24
+    assert graph.weight(6, 4) == 24 and isinstance(graph.weight(6, 4), Fraction)
 
 
 def test_graph_rejects_inadmissible_vertices(scenario):
@@ -178,18 +183,18 @@ def test_cheapest_edges_frozen_values(scenario):
     # (source, target) -> the one admissible input that realizes the edge
     for (a, b), u in {(4, 2): 7, (4, 3): 8, (2, 2): 4, (6, 4): 7}.items():
         assert admissible_inputs(scenario, a, b) == (u,)
-        assert cheapest_edges(scenario, {a}, admissible)[(a, b)].input == u
-        assert out_edges(scenario, a, admissible)[b].input == u
-    assert (4, 4) not in cheapest_edges(scenario, {4}, admissible)
-    assert set(cheapest_edges(scenario, {4}, {2, 4})) == {(4, 2)}
-    assert cheapest_edges(scenario, (), admissible) == {}
-    assert cheapest_edges(scenario, {4}, ()) == {}
+        assert cheapest_edges(scenario, {a}, admissible)[0][(a, b)].input == u
+        assert out_edges(scenario, a, admissible)[b][1] == u
+    assert (4, 4) not in cheapest_edges(scenario, {4}, admissible)[0]
+    assert set(cheapest_edges(scenario, {4}, {2, 4})[0]) == {(4, 2)}
+    assert cheapest_edges(scenario, (), admissible)[0] == {}
+    assert cheapest_edges(scenario, {4}, ())[0] == {}
 
 
 def test_cheapest_edges_cover_reach_exactly(scenario):
     mas, constraints = scenario.mas, scenario.constraints
     states = sorted(constraints.state_set)
-    edges = cheapest_edges(scenario, states, constraints.state_set)
+    edges, scale = cheapest_edges(scenario, states, constraints.state_set)
     assert list(edges) == sorted(edges)
     reach = one_step_reach(mas, constraints, states)
     assert sorted(edges) == [(a, b) for a in states for b in reach[a]]
@@ -197,7 +202,7 @@ def test_cheapest_edges_cover_reach_exactly(scenario):
         assert admissible_inputs(scenario, a, b) == (edge.input,)
         assert successor_index(mas, a, edge.input) == b
         assert edge.input in constraints.inputs_for(a)
-        assert [edge.weight] == stage_costs(scenario, a, (edge.input,))
+        assert [Fraction(edge.weight, scale)] == stage_costs(scenario, a, (edge.input,))
 
 
 def test_cheapest_edges_is_one_successor_call(scenario, monkeypatch):
@@ -218,8 +223,8 @@ def _assert_same_graph(got, expect):
     assert got.vertices == expect.vertices
     assert list(got.edges) == list(expect.edges)
     for key, edge in expect.edges.items():
-        assert got.edges[key].weight == edge.weight
-        assert isinstance(got.edges[key].weight, Fraction)
+        assert got.weight(*key) == expect.weight(*key)
+        assert isinstance(got.edges[key].weight, int)
         assert got.edges[key].input == edge.input
 
 
@@ -246,7 +251,7 @@ def _assert_one_edge_per_pair(scn, sources, targets):
     src, inp = admissible_pairs(scn.constraints, sorted(sources))
     hits = [(a, b, u) for a, b, u in zip(src.tolist(), successors(scn.mas, src, inp).tolist(),
                                          inp.tolist()) if b in targets]
-    edges = cheapest_edges(scn, sources, targets)
+    edges, _ = cheapest_edges(scn, sources, targets)
     assert len(edges) == len(hits)
     assert {key: edge.input for key, edge in edges.items()} == {(a, b): u for a, b, u in hits}
 
@@ -284,6 +289,7 @@ def test_scc_split_components():
     graph = TransitionGraph(
         (1, 2, 3, 4),
         {(1, 2): unit, (2, 1): unit, (2, 3): unit, (3, 3): unit, (4, 1): unit},
+        1,
     )
     assert tarjan_scc(graph) == (frozenset({1, 2}), frozenset({3}), frozenset({4}))
 
@@ -295,7 +301,7 @@ def test_scc_matches_reachability_oracle():
         verts = tuple(range(1, rng.randint(1, 9) + 1))
         edges = {(rng.choice(verts), rng.choice(verts)): unit
                  for _ in range(rng.randint(0, 2 * len(verts)))}
-        graph = TransitionGraph(verts, edges)
+        graph = TransitionGraph(verts, edges, 1)
         assert tarjan_scc(graph) == brute_scc(graph)
 
 
@@ -303,7 +309,7 @@ def test_scc_long_chain():
     # one DFS path 3000 vertices deep, beyond the default recursion limit
     unit = Edge(1, 1)
     verts = tuple(range(1, 3001))
-    graph = TransitionGraph(verts, {(a, a + 1): unit for a in verts[:-1]})
+    graph = TransitionGraph(verts, {(a, a + 1): unit for a in verts[:-1]}, 1)
     assert tarjan_scc(graph) == tuple(frozenset({a}) for a in verts)
 
 
@@ -316,16 +322,15 @@ def test_karp_frozen_answer(scenario):
 
 
 def test_karp_exact_on_fractional_weights():
-    third = Edge(Fraction(1, 3), 1)
-    half = Edge(Fraction(1, 2), 1)
-    graph = TransitionGraph((1, 2), {(1, 2): third, (2, 1): half})
+    graph = exact_graph((1, 2), {(1, 2): (Fraction(1, 3), 1), (2, 1): (Fraction(1, 2), 1)})
+    assert graph.scale == 6
     mean, cycle = karp_min_mean_cycle(graph, frozenset({1, 2}))
     assert mean == Fraction(5, 12)
     assert cycle == (1, 2, 1)
 
 
 def test_karp_no_cycle():
-    graph = TransitionGraph((1, 2), {(1, 2): Edge(1, 1)})
+    graph = TransitionGraph((1, 2), {(1, 2): Edge(1, 1)}, 1)
     with pytest.raises(NoCycle):
         karp_min_mean_cycle(graph, frozenset({1}))
 
@@ -338,7 +343,7 @@ def test_karp_pinned_tie_break():
     # 1 -> 3 -> 2 -> 2 first repeats at 2, so the loop at 2 is returned even
     # though the other cycle holds the smallest vertex.
     weights = {(1, 3): 0, (2, 1): 5, (2, 2): 0, (2, 3): 1, (3, 1): 0, (3, 2): 4}
-    graph = TransitionGraph((1, 2, 3), {e: Edge(w, 1) for e, w in weights.items()})
+    graph = TransitionGraph((1, 2, 3), {e: Edge(w, 1) for e, w in weights.items()}, 1)
     assert tarjan_scc(graph) == (frozenset({1, 2, 3}),)
     assert {c for c in simple_cycles(graph) if cycle_mean(graph, c) == 0} == {
         (1, 3, 1), (2, 2)}
@@ -346,15 +351,15 @@ def test_karp_pinned_tie_break():
 
 
 def _graph_strategy(weights):
-    """Digraphs on 1..n (self-loops allowed) with weights drawn from the
-    given strategy; small weight sets make equal-mean cycles common."""
+    """Digraphs on 1..n (self-loops allowed) with exact weights drawn from
+    the given strategy, over their common scale; small weight sets make
+    equal-mean cycles common."""
     @st.composite
     def graphs(draw):
         n = draw(st.integers(1, 7))
         pairs = st.tuples(st.integers(1, n), st.integers(1, n))
         edges = draw(st.dictionaries(pairs, weights, max_size=3 * n))
-        return TransitionGraph(tuple(range(1, n + 1)),
-                               {e: Edge(w, 1) for e, w in edges.items()})
+        return exact_graph(range(1, n + 1), {e: (w, 1) for e, w in edges.items()})
     return graphs()
 
 
@@ -389,8 +394,8 @@ def test_karp_equals_scalar_oracle_on_acceptance_graphs():
 
 
 def test_karp_exact_past_int64():
-    # four or more coprime denominators near 10^6 put the lcm scale above
-    # 10^24, so the scaled weights overflow int64 and the Python-int
+    # four or more coprime denominators near 10^6 put the graph's scale
+    # above 10^24, so the scaled weights overflow int64 and the Python-int
     # tables are used
     primes = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
               1000117, 1000121, 1000133, 1000151, 1000159)
@@ -400,10 +405,10 @@ def test_karp_exact_past_int64():
         graph = random_scc_graph(rng, max_vertices=6)
         if len(graph.edges) < 4:
             continue
-        graph = TransitionGraph(graph.vertices, {
-            e: Edge(Fraction(edge.weight * 1000000 + rng.randint(0, 9), primes[i % 11]), 1)
+        graph = exact_graph(graph.vertices, {
+            e: (Fraction(edge.weight * 1000000 + rng.randint(0, 9), primes[i % 11]), 1)
             for i, (e, edge) in enumerate(sorted(graph.edges.items()))})
-        assert math.lcm(*(e.weight.denominator for e in graph.edges.values())) > 2 ** 62
+        assert math.lcm(*(graph.weight(a, b).denominator for a, b in graph.edges)) > 2 ** 62
         checked += 1
         mean, cycle = karp_min_mean_cycle(graph, frozenset(graph.vertices))
         assert mean == brute_min_mean(graph)
@@ -411,20 +416,39 @@ def test_karp_exact_past_int64():
         assert cycle_mean(graph, cycle) == mean
 
 
-def test_karp_float_weights_are_exact():
-    graph = TransitionGraph((1, 2), {(1, 2): Edge(0.1, 1),
-                                     (2, 1): Edge(0.2, 1)})
-    mean, cycle = karp_min_mean_cycle(graph, frozenset({1, 2}))
-    assert mean == (Fraction(0.1) + Fraction(0.2)) / 2
-    assert cycle == (1, 2, 1)
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_karp_rejects_non_finite_weight(bad):
     graph = TransitionGraph((1, 2), {(1, 2): Edge(1, 1),
-                                     (2, 1): Edge(bad, 1)})
+                                     (2, 1): Edge(bad, 1)}, 1)
     with pytest.raises(ValueOutOfRange):
         karp_min_mean_cycle(graph, frozenset({1, 2}))
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, Fraction(1, 3), Fraction(2), np.int64(2)])
+def test_karp_rejects_a_weight_that_is_not_an_int(bad):
+    # an int64 table would truncate 0.1 to 0 and run on, silently wrong
+    graph = TransitionGraph((1, 2), {(1, 2): Edge(1, 1), (2, 1): Edge(bad, 1)}, 1)
+    with pytest.raises(ValueOutOfRange, match="edge weight .* is not an integer"):
+        karp_min_mean_cycle(graph, frozenset({1, 2}))
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.0, Fraction(1, 2), None])
+def test_karp_rejects_a_scale_that_is_not_a_positive_int(bad):
+    graph = TransitionGraph((1, 2), {(1, 2): Edge(1, 1), (2, 1): Edge(2, 1)}, bad)
+    with pytest.raises(ValueOutOfRange, match="scale .* is not a positive integer"):
+        karp_min_mean_cycle(graph, frozenset({1, 2}))
+
+
+def test_karp_divides_by_the_graph_scale_last():
+    # the same integers over scale 1 and over scale 7: the cycle is the
+    # same and the mean is 1/7 as large, exactly
+    weights = {(1, 2): 3, (2, 1): 4, (2, 2): 5, (1, 1): 9}
+    means = {}
+    for scale in (1, 7):
+        graph = TransitionGraph((1, 2), {e: Edge(w, 1) for e, w in weights.items()}, scale)
+        means[scale] = karp_min_mean_cycle(graph, frozenset({1, 2}))
+    assert means[1] == (Fraction(7, 2), (1, 2, 1))
+    assert means[7] == (Fraction(1, 2), (1, 2, 1))
 
 
 @TIE_SETTINGS
@@ -437,7 +461,8 @@ def test_karp_walk_back_cycle_has_the_brute_force_minimum_mean(graph):
             continue
         mean, cycle = found
         sub = TransitionGraph(tuple(sorted(comp)), {
-            (a, b): e for (a, b), e in graph.edges.items() if a in comp and b in comp})
+            (a, b): e for (a, b), e in graph.edges.items() if a in comp and b in comp},
+            graph.scale)
         assert mean == brute_min_mean(sub) == cycle_mean(graph, cycle)
         assert len(set(cycle[:-1])) == len(cycle) - 1  # simple
 
@@ -554,6 +579,5 @@ def test_dot_export(scenario, synthesis):
 
 def test_dot_export_of_a_weight_past_float64_range():
     # its float64 image overflows, so the label is the exact fraction alone
-    w = Fraction(10**400 + 1, 3)
-    dot = to_dot(TransitionGraph((1,), {(1, 1): Edge(w, 1)}), 1)
+    dot = to_dot(TransitionGraph((1,), {(1, 1): Edge(10**400 + 1, 1)}, 3), 1)
     assert 's1 -> s1 [label="w=%d/3, u={δ_1^1}"];' % (10**400 + 1) in dot
