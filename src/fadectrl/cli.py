@@ -250,6 +250,17 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members, refusing a key given twice (json.load keeps
+    the last one silently)."""
+    seen = {}
+    for key, value in pairs:
+        if key in seen:
+            raise ParseError("schedule has a repeated key %r" % key)
+        seen[key] = value
+    return seen
+
+
 def cmd_simulate(args) -> int:
     from .cosim import SimConfig, empirical_lyapunov_check, simulate, write_trace_csv
     from .mas import Schedule
@@ -258,7 +269,7 @@ def cmd_simulate(args) -> int:
     _emit_warnings(scn.warnings)
     try:
         with open(args.schedule) as fh:
-            schedule = Schedule.from_dict(json.load(fh))
+            schedule = Schedule.from_dict(json.load(fh, object_pairs_hook=_unique_keys))
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError("cannot read schedule %s: %s" % (args.schedule, e)) from e
     except (json.JSONDecodeError, ParseError) as e:

@@ -5,9 +5,12 @@ by plain DFS enumeration and by a scalar Karp on Fractions, invariance by
 checking every subset and by the plain fixed point, the one-step reach,
 the reachable layers and the cheapest edges one state at a time in
 Fraction arithmetic, a prefix into a cycle by scanning the reachable
-layers again, the counter RNG is recomputed on Python integers,
-the co-simulation runs one fast step and one draw call at a time over
-every trial's full trajectory (and the decay check reads it whole), the
+layers again, the counter RNG is recomputed on Python integers and
+its normals by a scalar ziggurat that takes strip, sign and fraction from
+the integer bits, the co-simulation runs one fast step and one draw call
+at a time over every trial's full trajectory (and the decay check reads
+it whole), its expected decay residual comes exactly from the plants'
+second moments, the
 running cost is summed one fast step at a time, a threshold comes from a
 generic bisection on a caller's predicate, and the agent law is rebuilt
 in the paper's semi-tensor-product (STP) form, so the fast
@@ -28,6 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 import yaml
 
+import fadectrl.cosim as cosim
 from fadectrl.channel import expected_power
 from fadectrl.cosim import LyapunovCheck, PlantCheck, SimTrace, counter_uniforms
 from fadectrl.errors import (
@@ -375,35 +379,127 @@ def _splitmix_finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _counter_key(seed: int, *counters) -> int:
+    """The finalizer chained over the stream, step and draw counters."""
+    key = seed
+    for comp in counters:
+        key = _splitmix_finalize((key + (comp + 1) * _GOLDEN64) & _MASK64)
+    return key
+
+
+def _uniform_bits(key: int, trial: int) -> int:
+    """v in [1, 2^53] of trial `trial` (from 0) under `key`: the uniform is v 2^-53."""
+    return (_splitmix_finalize((key + (trial + 1) * _GOLDEN64) & _MASK64) >> 11) + 1
+
+
 def integer_uniforms(seed: int, stream: int, step: int, draw: int, trials: int) -> list:
     """The keyed uniforms in (0, 1] of one fast step, on Python integers."""
-    key = seed
-    for comp in (stream, step, draw):
-        key = _splitmix_finalize((key + (comp + 1) * _GOLDEN64) & _MASK64)
-    return [((_splitmix_finalize((key + t * _GOLDEN64) & _MASK64) >> 11) + 1) * 2.0 ** -53
-            for t in range(1, trials + 1)]
+    key = _counter_key(seed, stream, step, draw)
+    return [_uniform_bits(key, t) * 2.0 ** -53 for t in range(trials)]
 
 
-def counter_normals(seed: int, stream: int, step, count: int,
-                    trials: int) -> np.ndarray:
-    """(trials, count) standard normals via Box-Muller on the substream;
-    (steps, trials, count) for a 1-D array of steps.  Uniform pair j gives
-    columns 2j (cosine) and 2j + 1 (sine); an odd count skips the last sine.
-    One `counter_uniforms` call per uniform: the per-stream construction
-    that `simulate`'s one call per plant and block must equal."""
-    out = np.empty(np.shape(step) + (trials, count))
-    trig = np.empty(out.shape[:-1])
-    for j in range((count + 1) // 2):
-        r = counter_uniforms(seed, stream, step, 2 * j, trials)
-        theta = counter_uniforms(seed, stream, step, 2 * j + 1, trials)
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta *= 2.0 * np.pi
-        np.multiply(r, np.cos(theta, out=trig), out=out[..., 2 * j])
-        if 2 * j + 1 < count:
-            np.multiply(r, np.sin(theta, out=trig), out=out[..., 2 * j + 1])
-    return out
+def portable_exp(x: float) -> float:
+    """`cosim._exp` on one Python float: the same coefficients, operation
+    for operation."""
+    k = float(round(x * cosim._INV_LN2))  # round half to even, as rint
+    r = x - k * cosim._LN2_HI
+    r -= k * cosim._LN2_LO
+    q = cosim._EXP_COEFFS[0]
+    for c in cosim._EXP_COEFFS[1:]:
+        q = q * r + c
+    return math.ldexp(q * (r * r) + r + 1.0, int(k))
+
+
+def portable_log(x: float) -> float:
+    """`cosim._log` on one Python float, operation for operation."""
+    m, e = math.frexp(x)
+    if m < cosim._SQRT_HALF:
+        m, e = m + m, e - 1
+    k = float(e)
+    f = m - 1.0
+    s = f / (f + 2.0)
+    z = s * s
+    r = cosim._LOG_COEFFS[0]
+    for c in cosim._LOG_COEFFS[1:]:
+        r = r * z + c
+    r *= z
+    hfsq = 0.5 * f * f
+    return k * cosim._LN2_HI - ((hfsq - (s * (hfsq + r) + k * cosim._LN2_LO)) - f)
+
+
+_ZIG_X = [float(x) for x in cosim._ZIG_X]
+_ZIG_R = _ZIG_X[1]
+_ZIG_F = [portable_exp(-0.5 * (x * x)) for x in _ZIG_X]
+_AUX = 1 << 63
+
+
+def ziggurat(bits):
+    """One standard normal by the 256-strip ziggurat, one element at a time.
+
+    bits(j) is the uniform of noise draw j as v in [1, 2^53] (the uniform
+    is v 2^-53); attempt a of noise draw d reads draw j = d + a 2^32, and
+    its wedge or tail test draws _AUX + 2j and _AUX + 2j + 1.  The strip index
+    t = v >> 44 and the in-strip fraction (v mod 2^44) 2^-44 come from the
+    integer, not from floating-point floors.  Returns (x, path): path lists
+    "fast", "wedge", "wedge-reject", "tail" and "tail-reject" in order.
+    """
+    path = []
+    tail = None  # the strip index t of the attempt that reached the tail
+    j = bits.first
+    while True:
+        if tail is None:
+            v = bits(j)
+            t = v >> 44
+            if t == 512:  # u = 1
+                return 0.0, path + ["fast"]
+            strip = t % 256
+            x = (v & (2**44 - 1)) * 2.0 ** -44 * _ZIG_X[strip]
+            if x < _ZIG_X[strip + 1]:
+                return x * (-1.0 if t >= 256 else 1.0), path + ["fast"]
+            if strip == 0:
+                tail = t
+        u1 = bits(_AUX + 2 * j) * 2.0 ** -53
+        u2 = bits(_AUX + 2 * j + 1) * 2.0 ** -53
+        if tail is not None:
+            e = portable_log(u1) / -_ZIG_R
+            if -2.0 * portable_log(u2) > e * e:
+                return (_ZIG_R + e) * (-1.0 if tail >= 256 else 1.0), path + ["tail"]
+            path.append("tail-reject")
+        else:
+            y = _ZIG_F[strip] + u1 * (_ZIG_F[strip + 1] - _ZIG_F[strip])
+            if portable_log(y) < -0.5 * (x * x):
+                return x * (-1.0 if t >= 256 else 1.0), path + ["wedge"]
+            path.append("wedge-reject")
+        j += 2**32
+
+
+class CounterBits:
+    """`ziggurat`'s draws for one trial's noise draw `draw` at a step."""
+
+    def __init__(self, seed: int, stream: int, step: int, draw: int, trial: int, key=None):
+        self.seed, self.stream, self.step, self.trial = seed, stream, step, trial
+        self.first = draw
+        self.key = key  # of draw `draw`, when the caller has it
+
+    def __call__(self, j: int) -> int:
+        key = self.key if j == self.first and self.key is not None else \
+            _counter_key(self.seed, self.stream, self.step, j)
+        return _uniform_bits(key, self.trial)
+
+
+def counter_normals(seed: int, stream: int, step, count: int, trials: int) -> np.ndarray:
+    """(trials, count) standard normals of the substream by `ziggurat`, one
+    element at a time on Python integers; (steps, trials, count) for a 1-D
+    array of steps.  Column d is noise draw d: the per-stream
+    construction that `simulate`'s one call per plant and block must equal."""
+    steps = np.atleast_1d(step)
+    out = np.empty((len(steps), trials, count))
+    for s, l in enumerate(steps.tolist()):
+        for d in range(count):
+            key = _counter_key(seed, stream, l, d)
+            for t in range(trials):
+                out[s, t, d] = ziggurat(CounterBits(seed, stream, l, d, t, key))[0]
+    return out.reshape(np.shape(step) + (trials, count))
 
 
 def stepwise_simulate(scenario, schedule, config):
@@ -486,6 +582,40 @@ def full_lyapunov_check(states, plants, start: int) -> LyapunovCheck:
         results.append(PlantCheck(i, ok, float(margin[worst]), start + worst))
         all_ok = all_ok and ok
     return LyapunovCheck(all_ok, tuple(results))
+
+
+def expected_decay_residual(scenario, schedule, horizon: int) -> tuple:
+    """Per plant, (horizon,) of the exact E[V(x(l+1)) - rho V(x(l)) - tr(Q Xi)].
+
+    Deliveries are independent of the state, so the second moment
+    Sigma_l = E[x(l) x(l)'] follows Sigma_{l+1} = p A_c Sigma A_c' +
+    (1 - p) A_o Sigma A_o' + Xi from Sigma_0 = x0 x0', and the residual
+    is tr(M(p) Sigma_l) with M(p) = p A_c' Q A_c + (1 - p) A_o' Q A_o - rho Q,
+    p the plant's link success probability at step l's agent state.
+    """
+    tau = scenario.cost.tau
+    alpha_slow, _ = _replay_slow(scenario, schedule, -(-horizon // tau))
+    out = []
+    for i, plant in enumerate(scenario.plants):
+        a_c, a_o, q, rho = plant.a_c, plant.a_o, plant.q, float(plant.rho)
+        x0 = np.zeros(plant.dim) if scenario.x0 is None else np.array(scenario.x0[i])
+        sigma = np.outer(x0, x0)
+        residual = np.empty(horizon)
+        for l in range(horizon):
+            p = float(scenario.success[alpha_slow[l // tau]][i])
+            m = p * a_c.T @ q @ a_c + (1 - p) * a_o.T @ q @ a_o - rho * q
+            residual[l] = np.trace(m @ sigma)
+            sigma = p * a_c @ sigma @ a_c.T + (1 - p) * a_o @ sigma @ a_o.T + plant.xi
+        out.append(residual)
+    return tuple(out)
+
+
+def decay_mean_z(trace, expected, plant: int) -> np.ndarray:
+    """Per step, how many standard errors of the mean plant `plant`'s
+    simulated decay mean lies from its exact expectation (`expected`, from
+    `expected_decay_residual`)."""
+    se = trace.decay_sd[plant] / math.sqrt(trace.trials)
+    return (trace.decay_mean[plant] - expected[plant]) / se
 
 
 def average_cost_trace(scenario, schedule, horizon: int) -> np.ndarray:

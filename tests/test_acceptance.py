@@ -9,7 +9,8 @@ the whole gate can be read at a glance:
   4  optimal cycle mean 24, long-run cost 0.6, schedule pattern
   5  minimum-mean-cycle search vs brute force, 500 random graphs, <10 s
   6  largest invariant subset vs brute force, 200 random cases, <10 s
-  7  Monte-Carlo delivery frequencies + decay check, 10^4 trials, <60 s
+  7  Monte-Carlo delivery frequencies, the arm's decay check and the
+     conveyor's exact decay mean, 10^4 trials, <60 s
   8  running-average cost convergence (0.6 vs 0.675), <5 s
   9  same-seed CLI simulations produce byte-identical traces
 """
@@ -146,9 +147,12 @@ def test_acceptance_7_monte_carlo_verification(scenario, capsys):
                 p = float(scenario.success[a][link])
                 bound = 3.0 * np.sqrt(p * (1.0 - p) / count)
                 assert abs(window[:, link].sum() / count - p) <= bound
-        check = empirical_lyapunov_check(trace)
-        assert check.passed
-        assert all(p.passed for p in check.plants)
+        assert empirical_lyapunov_check(trace).plants[0].passed  # the arm
+        # the conveyor's 3-sigma verdict is a coin flip per seed (its exact
+        # one-step factor at state 5 is +0.004): its decay mean must match
+        # the exact second-moment reference within 4.5 standard errors a step
+        exact = oracles.expected_decay_residual(scenario, OPTIMAL, 160)
+        assert np.abs(oracles.decay_mean_z(trace, exact, 1)).max() < 4.5
         assert time.perf_counter() - t0 < 60.0
 
 

@@ -25,14 +25,17 @@ Proves:
            once, an exact number past float64's range prints as a fraction
            alone, and an integer past that range, or a bool or timestamp
            with no reading, is a located error
- Group 4 - simulate: trace and report artifacts, decay verdict, same
+ Group 4 - simulate: trace and report artifacts, the printed decay
+           verdict that of the library's check on the same run, same
            seed gives byte-identical traces that match a pinned golden
-           digest, also on a BLAS kernel without FMA in a child process,
+           digest, with the delivery and cost columns of the earlier
+           normals, also on a BLAS kernel without FMA in a child process,
            the decay check is skipped (with its reason) below 100
            trials, down to one trial without a warning, or before the cycle
            entry, a slow step of 10^12 or 10^30 fast steps runs, bad inputs
-           exit 1, and so do a run too large to allocate and a co-simulation
-           worker killed by a signal, with no artifacts and no traceback
+           (a schedule key given twice among them) exit 1, and so do a run
+           too large to allocate and a co-simulation worker killed by a
+           signal, with no artifacts and no traceback
  Group 5 - usage errors (an unknown command, a missing option, a
            malformed value) are exit status 1, --help is 0; an input file
            that is not UTF-8 is named
@@ -69,14 +72,20 @@ import fadectrl.cosim as cosim
 from fadectrl import load_scenario, stabilization
 from fadectrl.channel import expected_power
 from fadectrl.cli import OUTDIR_ENV, main
+from fadectrl.mas import Schedule
 
 # SHA-256 of the bundled cell's trace CSV under its synthesized schedule,
 # seed 7, 100 trials, 400 fast steps.  The plant steps sum in index order
-# without BLAS, so the digest holds on every OpenBLAS kernel
-GOLDEN_TRACE_SHA256 = "9131c25a691d73bcd23d4065a86c1260c49a8ff4703fe408cb9747397e639275"
+# without BLAS and the normals use no transcendental function of numpy's, so
+# the digest holds on every OpenBLAS kernel and SIMD path
+GOLDEN_TRACE_SHA256 = "86e7fd694ea352b1d1129f4e6f1626210abea4d910b120a7cf5c2f792a4558b4"
 # SHA-256 of that run's simulate report from its second line on (the first
 # names the scenario path): pins the printed cost and decay margins
-GOLDEN_REPORT_SHA256 = "ad7aa1c163dd2b3bf9ee6382c2e639db82a11f5d82d2e5b220821a8df0a1df6c"
+GOLDEN_REPORT_SHA256 = "e587784a923f9176ac57a5d9eaf2f942b6d3c4249339ba85c6126dd0b7fff69b"
+# SHA-256 of that trace's l, k, alpha, delivered* and running_cost columns,
+# one comma-joined row per line: the same since the Box-Muller normals, so a
+# change of the noise draws moves the x* columns alone
+GOLDEN_DELIVERY_SHA256 = "0950fc64a1d71714a0e999a61175e10f13988b86513898327265335f99552271"
 # per start state of the bundled cell: SHA-256 of the synthesize report from
 # its second line on, and the schedule JSON's bytes.  Start 1 lies off the
 # cycle, so its report prints prefix states and inputs
@@ -734,8 +743,17 @@ def test_simulate_artifacts_and_verdict(scenario_path, outdir, capsys):
     assert _simulate(scenario_path, outdir, schedule_path, seed=5) == 0
     out, _ = capsys.readouterr()
     assert "decay check arm: PASS" in out
-    assert "decay check conveyor: PASS" in out
-    assert "decay check overall: PASS" in out
+    # the conveyor's verdict is a coin flip per seed (ROADMAP items 2 and
+    # 12): the printed lines must be the library's check of the same run
+    scn = load_scenario(scenario_path)
+    check = cosim.empirical_lyapunov_check(cosim.simulate(
+        scn, Schedule.from_dict(json.loads(schedule_path.read_text())),
+        cosim.SimConfig(horizon_fast=120, trials=150, seed=5)))
+    verdict = lambda passed: "PASS" if passed else "FAIL"  # noqa: E731
+    want = ["decay check %s: %s (worst margin %.4g at fast step %d)"
+            % (scn.plants[p.plant].name, verdict(p.passed), p.worst_margin, p.worst_step)
+            for p in check.plants] + ["decay check overall: %s" % verdict(check.passed)]
+    assert [line for line in out.splitlines() if line.startswith("decay check")] == want
 
     trace = (outdir / "assembly_cell.trace.csv").read_text()
     assert trace.splitlines()[0].startswith("l,k,alpha,")
@@ -769,8 +787,14 @@ def test_simulate_golden_digest(scenario_path, outdir, capsys):
     }
     assert _simulate(scenario_path, outdir, schedule_path, seed=7, trials=100,
                      horizon=400) == 0
-    digest = hashlib.sha256((outdir / "assembly_cell.trace.csv").read_bytes())
-    assert digest.hexdigest() == GOLDEN_TRACE_SHA256
+    trace = (outdir / "assembly_cell.trace.csv").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == GOLDEN_TRACE_SHA256
+    rows = [line.split(",") for line in trace.decode().splitlines()]
+    kept = [j for j, name in enumerate(rows[0]) if not name.startswith("x")]
+    assert [rows[0][j] for j in kept] == ["l", "k", "alpha", "delivered1", "delivered2",
+                                         "running_cost"]
+    columns = "".join(",".join(row[j] for j in kept) + "\n" for row in rows)
+    assert hashlib.sha256(columns.encode()).hexdigest() == GOLDEN_DELIVERY_SHA256
     report = (outdir / "assembly_cell.simreport.txt").read_text()
     assert report.startswith("co-simulation of %s\n" % scenario_path)
     digest = hashlib.sha256(report.split("\n", 1)[1].encode())
@@ -935,6 +959,19 @@ def test_simulate_rejects_bad_schedule_json(scenario_path, outdir, capsys):
         _, err = capsys.readouterr()
         assert "error:" in err and "is not valid" in err and field in err, text
         assert "Traceback" not in err
+
+
+def test_simulate_rejects_a_repeated_schedule_key(scenario_path, outdir, capsys):
+    # json.load keeps the last of two equal keys: this file used to simulate
+    # the second cycle and exit 0
+    bad = outdir / "repeated.json"
+    bad.write_text('{"cycle_inputs": [1], "cycle_inputs": [7, 7, 4, 7], "alpha0": 4}')
+    assert _simulate(scenario_path, outdir, bad, seed=1) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error(err) == ("error: schedule %s is not valid: schedule has a repeated "
+                               "key 'cycle_inputs'" % bad)
+    assert sorted(p.name for p in outdir.iterdir()) == ["repeated.json"]
 
 
 def test_simulate_rejects_missing_schedule(scenario_path, outdir, capsys):
