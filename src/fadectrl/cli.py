@@ -156,7 +156,7 @@ def _stabilized(args):
     _emit_warnings(scn.warnings)
     override = None
     if args.s_override is not None:  # "" is a malformed override, not none
-        parts = [p.strip() for p in args.s_override.split(",") if p.strip()]
+        parts = [p.strip() for p in args.s_override.split(",")]
         if len(parts) != len(scn.plants):
             raise ParseError("--s-override needs %d comma-separated values" % len(scn.plants))
         override = []

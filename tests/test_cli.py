@@ -13,8 +13,10 @@ Proves:
            is built
  Group 2 - check: verdict in text and exit status (0 feasible, 2 not),
            warnings for overrides below the computed thresholds, misspelt
-           optional keys exit 1; the exact stdout, stderr and exit status
-           of check and synthesize for every source of thresholds
+           optional keys exit 1, and so does an --s-override that is empty
+           or has an empty field, with no artifact; the exact stdout,
+           stderr and exit status of check and synthesize for every source
+           of thresholds
  Group 3 - synthesize: report/schedule/DOT artifacts, report and schedule
            bytes pinned with the start on and off the cycle, infeasible runs
            and scenarios without channel tables or without a fading row
@@ -356,13 +358,16 @@ def test_check_override_validation(scenario_path, outdir, capsys):
 
 
 @pytest.mark.parametrize("command", ["check", "synthesize"])
-def test_empty_override_is_rejected(scenario_path, outdir, command, capsys):
+@pytest.mark.parametrize("value", ["", "0.3,,0.1", "0.3,0.1,"])
+def test_empty_override_is_rejected(scenario_path, outdir, command, value, capsys):
     # an empty --s-override gives no values, so it must not fall back to the
-    # document's thresholds_override
-    assert main([command, str(scenario_path), "--s-override", ""]) == 1
+    # document's thresholds_override; an empty field is a missing value, not
+    # a separator to skip
+    assert main([command, str(scenario_path), "--s-override", value]) == 1
     out, err = capsys.readouterr()
     assert "error: --s-override needs 2 comma-separated values" in err
     assert "[override]" not in out
+    assert list(outdir.iterdir()) == []
 
 
 def test_override_below_computed_threshold_warns(scenario_path, outdir,

@@ -5,9 +5,9 @@ Proves:
            Kronecker-vectorization oracle, slow-but-stable dynamics,
            Unstable exactly for spectral radius >= 1
  Group 2 - the `require_symmetric` contract
- Group 3 - the threshold bisection's boundary semantics: 0.0 when the open
-           loop already meets the rate, Infeasible when sure delivery does
-           not, and a known threshold found to within the bracket width
+ Group 3 - the closed-form threshold's boundary semantics: 0.0 when the
+           open loop already meets the rate, Infeasible when sure delivery
+           does not, and a known threshold found to within the 2**-30 grid
  Group 4 - semidefinite Cholesky, including rank-deficient input, equal
            bit for bit to an index-order pure-Python factorization
 """
@@ -98,7 +98,7 @@ def test_require_symmetric_contract():
     assert np.array_equal(require_symmetric(near), 0.5 * (near + near.T))
 
 
-# ── Group 3: the threshold bisection ─────────────────────────────────────────
+# ── Group 3: the closed-form threshold ───────────────────────────────────────
 
 def _scalar_plant(target: float) -> Plant:
     """A scalar loop with threshold `target`: with a_c = 0, a_o = 1 and
@@ -109,7 +109,7 @@ def _scalar_plant(target: float) -> Plant:
 def test_bisect_finds_known_threshold():
     for target in (0.3737, 0.5, 1e-4, 0.9999):
         got = decay_threshold(_scalar_plant(target))
-        # the bracket ends 2**-30 wide; the certificate itself rounds
+        # rounded up to the 2**-30 grid; the eigenvalue itself rounds
         assert target - 1e-12 <= got <= target + 2 ** -30 + 1e-12
 
 

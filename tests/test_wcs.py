@@ -4,12 +4,14 @@ Proves:
  Group 1 - thresholds
    1. scalar loop: threshold equals the closed-form 5/48 within 1e-6
    2. two-state loop with the Lyapunov-derived weight: 0.2893770857...
-   3. the returned value sits exactly on the certificate boundary
+   3. the returned value is a multiple of 2**-30 on the certificate
+      boundary: certified there, not one grid step below
    4. scaling the quality weight leaves the threshold unchanged
    5. weaker decay rates need less delivery
    6. precondition and infeasibility contracts
-   7. the same float, bit for bit, as the generic bisection oracle on the
-      bundled plants and on random stable 1-4-dim plants
+   7. the closed form gives the same float, bit for bit, as the generic
+      bisection oracle on the bundled plants and on random stable 1-4-dim
+      plants
  Group 2 - model plumbing
    8. the quadratic terms and noise floor stored at construction
    9. construction-time validation, a non-finite noise floor included
@@ -76,8 +78,9 @@ def test_threshold_sits_on_certificate_boundary():
         def certified(theta):
             return max(np.linalg.eigvalsh(theta * gain + open_term)) <= 0.0
 
+        assert (s * 2 ** 30).is_integer()
         assert certified(s)
-        assert not certified(s - 2e-6)
+        assert not certified(s - 2 ** -30)
 
 
 def test_threshold_invariant_under_weight_scaling():
