@@ -12,10 +12,15 @@ finalizer: every draw is keyed by (seed, stream, step, draw, trial)
 with stream 2*i for link i's deliveries and 2*i+1 for plant i's noise,
 so results are bit-reproducible and independent of evaluation order
 (parallel trials would reproduce the serial run exactly).  Since a key
-depends on its counter alone, `simulate` hashes a block of fast steps'
-draws at once, one `counter_uniforms` call per plant for its delivery
-uniforms and one uniform per noise dimension, and runs only the plant
-recursion step by step.
+depends on its counter alone, each plant's rollout derives its keys in
+one table (`_plant_keys`): a row per draw of a step, the delivery draw
+and one noise draw per dimension, and a column per fast step, plus the
+noise stream's per-step key that the ziggurat's further draws extend.
+One table covers the whole rollout up to 4096 steps; a longer one takes
+a table per span of whole blocks of at least 4096 steps.  A block of
+fast steps then reads its columns, hashes them with the trial counters
+in one `counter_uniforms` call, and runs only the plant recursion step
+by step.
 
 Each noise uniform u becomes one normal by a 256-strip ziggurat
 (Marsaglia and Tsang 2000) that takes the strip, the sign and a 44-bit
@@ -31,17 +36,20 @@ logarithm included (`_log`, from frexp, +, -, x and /): numpy's
 transcendental functions, whose last bits depend on the SIMD path it
 dispatches to, are not used, so a trace is the same bytes on every CPU.
 
-A block is `block_steps(trials)` fast steps: 64 up to 256 trials,
-2**14 // trials up to 2048 and 8 beyond, so its arrays hold at most
-2**14 trial-steps (128 KiB of doubles, which stay in cache) up to 2048
-trials, and 8 x trials past that.  The states are streamed through a
-plant-major working buffer of shape (block + 1, dim, trials) per plant,
-and every other array of trials x steps a block needs is a view of one
-arena per rollout (`_Arena`), written with out=: the draws, the fast
-path's scratch, the noise's terms, the step matrices' index and the
-decay statistics take its slabs phase after phase, so no block
-allocates such an array and the C library never maps and faults one in
-again.
+A block is `block_steps(trials)` fast steps, 2**14 // trials but at
+least 8, so its arrays hold at most 2**14 trial-steps (128 KiB of
+doubles, which stay in cache) up to 2048 trials, and 8 x trials past
+that; the few numpy calls a block pays beyond its steps are spread over
+as many steps as that budget allows (163 at 100 trials, 16 at 1000).
+The trace is the same bytes for every block: each step's statistics are
+reduced in trial order, a one-step block's included.  The states are
+streamed through a plant-major working buffer of shape
+(block + 1, dim, trials) per plant, and every other array of trials x
+steps a block needs is a view of one arena per rollout (`_Arena`),
+written with out=: the draws, the fast path's scratch, the noise's
+terms, the step matrices' index and the decay statistics take its slabs
+phase after phase, so no block allocates such an array and the C
+library never maps and faults one in again.
 Every plant dimension takes the same step, with each sum in index order
 on elementwise numpy operations, so a trace is the same on every BLAS
 kernel: noise w_e = sum_d F[e, d] z_d (F the Cholesky factor), step
@@ -51,9 +59,10 @@ across-trial mean and sample standard deviation of the decay residual
 V(x(l+1)) - rho V(x(l)) - tr(Q Xi) are recorded per fast step, trial 0's
 path and deliveries are kept for the CSV, each step's count of trials
 whose packet arrived is recorded, and the block's last state carries
-over.  Memory is a few block arrays plus a few values per fast step,
-link and plant dimension, O(trials x block + horizon x (links + dims)):
-nothing grows with trials x horizon.
+over.  Memory is a few block arrays, a key table of fewer than
+4096 + block steps, and a few values per fast step, link and plant
+dimension, O(trials x block + horizon x (links + dims)): nothing grows
+with trials x horizon.
 
 Once the agent tour is replayed, the plants share nothing: each one's
 rollout (`_rollout`) reads its own streams and its link's success
@@ -85,7 +94,6 @@ matching the cost functional the synthesizer optimizes.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import math
 import os
@@ -114,6 +122,8 @@ _INV_2_53 = 2.0 ** -53
 MIN_CHECK_TRIALS = 100
 # trace rows `write_trace_csv` turns into Python objects at a time
 _CSV_CHUNK_ROWS = 256
+# the fewest fast steps one key table of a rollout covers, in whole blocks
+_KEY_STEPS = 4096
 
 # The 256-strip ziggurat of exp(-x^2 / 2) (Marsaglia and Tsang 2000): strip
 # i < 256 spans [0, X[i]] between heights exp(-X[i]^2 / 2) and
@@ -294,39 +304,47 @@ def _to_uniforms(bits):
 
 
 def block_steps(trials: int) -> int:
-    """Fast steps `simulate` advances at once: 64 up to 256 trials, then
-    2**14 trial-steps, but never fewer than 8."""
-    return max(8, min(64, 2**14 // trials))
+    """Fast steps `simulate` advances at once: 2**14 trial-steps, but never
+    fewer than 8."""
+    return max(8, 2**14 // trials)
 
 
-def counter_uniforms(seed: int, stream, step, draw, trials: int, out=None, scratch=None):
-    """One uniform in (0, 1] per trial for the keyed substream.
+def counter_keys(seed: int, stream, step, draw):
+    """The keys of keyed substreams, for `counter_uniforms`.
 
-    `step` is a fast step, giving shape (trials,), or a 1-D array of them,
-    giving one row per step.  `stream` and `draw` are one substream's, or
-    paired 1-D arrays naming one substream each, giving a leading axis.
-    Every row equals the single-step, single-substream call.  The result is
-    written into `out` where given, a C-contiguous float64 array of its
-    shape, and the hashing runs one substream at a time with `scratch`, a
-    uint64 array of one substream's (steps, trials), or a new one.
-    """
+    `step` is a fast step or a 1-D array of them, giving one key per step.
+    `stream` and `draw` are one substream's, or paired 1-D arrays naming
+    one substream each, giving a leading axis: the result has shape
+    np.shape(stream) + np.shape(step), and every key equals the
+    single-step, single-substream one."""
     steps, streams, draws = (np.atleast_1d(np.asarray(c, dtype=np.uint64))
                              for c in (step, stream, draw))
     if steps.ndim != 1 or streams.ndim != 1 or np.shape(stream) != np.shape(draw):
         raise DimensionMismatch("step must be a scalar or a 1-D array, and "
                                 "stream and draw scalars or paired 1-D arrays")
-    # (substreams, steps) keys: the stream, step and draw counters in turn
+    # the stream, step and draw counters in turn
     key = _chain(np.uint64(seed), streams[:, None], steps, draws[:, None])
+    return key.reshape(np.shape(stream) + np.shape(step))
+
+
+def counter_uniforms(keys, trials: int, out=None, scratch=None):
+    """One uniform in (0, 1] per trial for each of the uint64 `keys`
+    (`counter_keys`), of shape keys.shape + (trials,).  The result is
+    written into `out` where given, a C-contiguous float64 array of its
+    shape, and the hashing runs one row of keys' leading axis at a time
+    with `scratch`, a uint64 array of one row's keys x trials, or a new one.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
     tids = np.arange(1, trials + 1, dtype=np.uint64)
     tids *= _GOLDEN
-    shape = key.shape + (trials,)
+    shape = keys.shape + (trials,)
     bits = np.empty(shape, np.uint64) if out is None else out.view(np.uint64).reshape(shape)
-    np.add(key[..., None], tids, out=bits)
-    scratch = np.empty(shape[1:], np.uint64) if scratch is None else scratch
-    for row in bits:
+    np.add(keys[..., None], tids, out=bits)
+    rows = bits.reshape(-1, math.prod(shape[1:]) if keys.ndim > 1 else bits.size)
+    scratch = np.empty(rows.shape[1], np.uint64) if scratch is None else scratch.reshape(-1)
+    for row in rows:
         _fin(row, scratch)
-    u = _to_uniforms(bits)  # in place: no second array of the draws
-    return u.reshape(np.shape(stream) + np.shape(step) + (trials,))
+    return _to_uniforms(bits)  # in place: no second array of the draws
 
 
 def _strips(u, t, width, accepted):
@@ -343,9 +361,10 @@ def _strips(u, t, width, accepted):
     np.less(u, _ZIG_EDGE.take(t, out=width, mode="clip"), out=accepted)
 
 
-def _resolve(seed: int, stream: int, steps, trials: int, z, pos):
+def _resolve(step_keys, trials: int, z, pos):
     """Complete the normals the fast path rejected, at flat positions `pos`
-    of z (dim, steps, trials).  Attempt a of noise draw d reads draw
+    of z (dim, steps, trials), from `step_keys`, the noise stream's key of
+    each step before its draw counter.  Attempt a of noise draw d reads draw
     j = d + a 2^32 of the stream, the fast path's draw at a = 0, and
     draws _AUX + 2j and _AUX + 2j + 1 for its wedge or tail test, so a
     normal depends on its own counters alone.  A draw outside its strip's
@@ -356,9 +375,9 @@ def _resolve(seed: int, stream: int, steps, trials: int, z, pos):
     round tries `_ATTEMPTS` attempts of every pending draw at once, in one
     fixed handful of numpy calls; a draw none of them keeps (about 1 in
     50 000 of them) goes on to the next round."""
-    draw, rest = np.divmod(pos, len(steps) * trials)
+    draw, rest = np.divmod(pos, len(step_keys) * trials)
     l, trial = np.divmod(rest, trials)
-    key = _chain(np.uint64(seed), np.full(1, stream, np.uint64), steps.astype(np.uint64))[l]
+    key = step_keys[l]
     tid = (trial.astype(np.uint64) + np.uint64(1)) * _GOLDEN
     draw = draw.astype(np.uint64)
     del rest, l, trial  # the pending draws' arrays count against the working set
@@ -401,22 +420,32 @@ def _resolve(seed: int, stream: int, steps, trials: int, z, pos):
         draw += np.uint64(_ATTEMPTS) * _RETRY
 
 
-def _plant_draws(seed: int, i: int, steps, dim: int, trials: int, arena):
-    """Plant i's draws for a block of steps from one `counter_uniforms` call:
-    the delivery uniforms of stream 2i, (steps, trials), and the noise
-    normals z of stream 2i+1, (dim, steps, trials), each equal to its own
-    per-stream call.  The call's rows are the delivery draw and noise draws
-    0..dim-1; each noise draw becomes one normal by the 256-strip ziggurat:
-    `_strips` row by row, then `_resolve` once for the ~1.5 % it rejects.
-    Both results are views of `arena` (an `_Arena`), the draws in its
-    first 1 + dim slabs; the hashing's scratch and then the fast path's
-    float scratch take the next slab, its strip indices the arena's state
-    rows past the first, and its mask the flags."""
-    shape = (len(steps), trials)
+def _plant_keys(seed: int, i: int, dim: int, steps):
+    """Plant i's keys over the fast steps `steps`: (1 + dim, steps), one
+    row per row of its draws, the delivery draw of stream 2i, then noise
+    draws 0..dim-1 of stream 2i+1 (`counter_keys`); and (steps,), stream
+    2i+1's key of each step before its draw counter, from which `_resolve`
+    keys its further draws."""
+    keys = counter_keys(seed, [2 * i] + [2 * i + 1] * dim, steps, [0, *range(dim)])
+    return keys, _chain(np.uint64(seed), np.full(1, 2 * i + 1, np.uint64),
+                        np.asarray(steps, np.uint64))
+
+
+def _plant_draws(keys, step_keys, trials: int, arena):
+    """A plant's draws for a block of steps from one `counter_uniforms` call
+    on the block's columns of its `_plant_keys`: the delivery uniforms,
+    (steps, trials), and the noise normals z, (dim, steps, trials), each
+    equal to its own per-stream call.  Each noise draw becomes one normal
+    by the 256-strip ziggurat: `_strips` row by row, then `_resolve` once
+    for the ~1.5 % it rejects.  Both results are views of `arena` (an
+    `_Arena`), the draws in its first 1 + dim slabs; the hashing's scratch
+    and then the fast path's float scratch take the next slab, its strip
+    indices the arena's state rows past the first, and its mask the flags."""
+    dim = len(keys) - 1
+    shape = (len(step_keys), trials)
     draws = arena(0, (1 + dim,) + shape)
     width = arena(1 + dim, shape)
-    counter_uniforms(seed, [2 * i] + [2 * i + 1] * dim, steps, [0, *range(dim)], trials,
-                     out=draws, scratch=width.view(np.uint64))
+    counter_uniforms(keys, trials, out=draws, scratch=width.view(np.uint64))
     z = draws[1:]
     t = arena.states[1:].reshape(-1)[: width.size].view(np.intp).reshape(shape)
     accepted = arena.flags[: width.size].reshape(shape)
@@ -425,7 +454,7 @@ def _plant_draws(seed: int, i: int, steps, dim: int, trials: int, arena):
         _strips(row, t, width, accepted)
         rejected.append(np.flatnonzero(np.logical_not(accepted, out=accepted)) + d * row.size)
         row *= _ZIG_SIGN.take(t, out=width, mode="clip")
-    _resolve(seed, 2 * i + 1, steps, trials, z, np.concatenate(rejected))
+    _resolve(step_keys, trials, z, np.concatenate(rejected))
     return draws[0], z
 
 
@@ -529,8 +558,9 @@ def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int):
     carried state, and each step adds A x to its row."""
     horizon = len(state_cols)
     path, delivered = np.empty((horizon + 1, plant.dim)), np.empty(horizon, dtype=np.uint8)
-    counts, decay_mean = np.empty(horizon, dtype=np.int64), np.empty(horizon)
-    decay_sd = np.full(horizon, np.nan)
+    # the statistics keep one spare step past the horizon (see below)
+    counts, decay_mean = np.empty(horizon, dtype=np.int64), np.empty(horizon + 1)
+    decay_sd = np.full(horizon + 1, np.nan)
     block = min(block_steps(trials), horizon)
     dim = plant.dim
     dims = range(dim)
@@ -540,10 +570,16 @@ def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int):
     matrices = np.stack([plant.a_o, plant.a_c], axis=-1).reshape(dim * dim, 2)
     if x0 is not None:  # the loader checked the vector's length
         x[0] = np.reshape(x0, (dim, 1))
+    # the keys of `span` steps at a time, a whole number of blocks: one table
+    # up to 4096 steps, and none that grows with the horizon past that
+    span = block * -(-_KEY_STEPS // block)
     for start in range(0, horizon, block):
         stop = min(start + block, horizon)
         n = stop - start
-        uniforms, z = _plant_draws(seed, i, np.arange(start, stop), dim, trials, arena)
+        if start % span == 0:
+            keys, step_keys = _plant_keys(seed, i, dim, np.arange(start, min(start + span, horizon)))
+        cols = slice(start % span, start % span + n)
+        uniforms, z = _plant_draws(keys[:, cols], step_keys[cols], trials, arena)
         ok = np.less_equal(uniforms, success[state_cols[start:stop], None],
                            out=arena.flags[: n * trials].reshape(n, trials))
         delivered[start:stop] = ok[:, 0]
@@ -574,24 +610,30 @@ def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int):
             for e in dims:
                 v += np.multiply(np.multiply(x[: n + 1, d], x[: n + 1, e], out=vterm),
                                  plant.q[d, e], out=vterm)
-        # V(x(l+1)) - rho V(x(l)) - tr(Q Xi), then as (trials, n), C-contiguous:
-        # reducing over its rows adds in trial order, as numpy's mean and std do
+        # V(x(l+1)) - rho V(x(l)) - tr(Q Xi), then as (trials, m), C-contiguous
+        # with m = max(n, 2) columns: reducing over its rows adds in trial
+        # order, as numpy's mean and std do, where one column alone would be
+        # summed pairwise.  A one-step block's column of zeros lands on the
+        # spare step, which the next block overwrites or the return drops
         residual = np.multiply(v[:-1], float(plant.rho), out=vterm[:n])
         np.subtract(v[1:], residual, out=residual)
         residual -= plant.q_xi_trace
-        r = arena(0, (trials, n))
-        np.copyto(r, residual.T)
-        mean = np.add.reduce(r, axis=0, out=decay_mean[start:stop])
+        m = max(n, 2)
+        r = arena(0, (trials, m))
+        if n == 1:
+            r[:, 1] = 0.0
+        np.copyto(r[:, :n], residual.T)
+        mean = np.add.reduce(r, axis=0, out=decay_mean[start : start + m])
         mean /= trials
         if trials > 1:  # one trial has no sample sd
             r -= mean
             r *= r
-            sd = np.add.reduce(r, axis=0, out=decay_sd[start:stop])
+            sd = np.add.reduce(r, axis=0, out=decay_sd[start : start + m])
             sd /= trials - 1
             np.sqrt(sd, out=sd)
         path[start : stop + 1] = x[: n + 1, :, 0]
         x[0] = x[n]
-    return path, delivered, counts, decay_mean, decay_sd
+    return path, delivered, counts, decay_mean[:horizon], decay_sd[:horizon]
 
 
 def _usable_cpus() -> int:
@@ -786,26 +828,23 @@ def write_trace_csv(trace: SimTrace, fileobj):
     at time l, per-link delivery indicator of step l, running average
     cost through step l.
     """
-    writer = csv.writer(fileobj, lineterminator="\n")
+    dims = [x.shape[1] for x in trace.states]
+    links = trace.deliveries.shape[1]
     header = ["l", "k", "alpha"]
-    for i, x in enumerate(trace.states):
-        header += ["x%d_%d" % (i + 1, d + 1) for d in range(x.shape[1])]
-    header += ["delivered%d" % (i + 1) for i in range(trace.deliveries.shape[1])]
+    for i, dim in enumerate(dims):
+        header += ["x%d_%d" % (i + 1, d + 1) for d in range(dim)]
+    header += ["delivered%d" % (i + 1) for i in range(links)]
     header.append("running_cost")
-    writer.writerow(header)
-    # Python floats and ints once per column, a chunk of rows at a time so
-    # memory does not grow with the horizon: repr of a float is its shortest
-    # round-trip spelling, as for the numpy scalar
+    fileobj.write(",".join(header) + "\n")
+    # one format per row: repr of a float is its shortest round-trip
+    # spelling, as for the numpy scalar; Python floats and ints are made a
+    # chunk of rows at a time, so memory does not grow with the horizon
+    row = ",".join(["%d"] * 3 + ["%r"] * sum(dims) + ["%d"] * links + ["%r"]) + "\n"
+    tau, alpha, write = trace.tau, trace.alpha_slow, fileobj.write
     for start in range(0, trace.horizon, _CSV_CHUNK_ROWS):
         rows = slice(start, start + _CSV_CHUNK_ROWS)
-        paths = [x[rows].tolist() for x in trace.states]
+        paths = np.concatenate([x[rows] for x in trace.states], axis=1).tolist()
         delivered = trace.deliveries[rows].tolist()
         cost = trace.running_cost[rows].tolist()
-        for j, l in enumerate(range(start, start + len(cost))):
-            k = l // trace.tau
-            row = [l, k, trace.alpha_slow[k]]
-            for path in paths:
-                row += map(repr, path[j])
-            row += delivered[j]
-            row.append(repr(cost[j]))
-            writer.writerow(row)
+        for l, x, d, c in zip(range(start, start + len(cost)), paths, delivered, cost):
+            write(row % (l, l // tau, alpha[l // tau], *x, *d, c))

@@ -22,7 +22,7 @@ admissible (state, input) pairs it needs.
 
 A `Schedule` is an eventually periodic input sequence; `_replay_slow`
 walks the law under it from a scenario's start state, checking every
-input and state against the constraints.
+input and state against the constraints, until the walk repeats itself.
 """
 
 from __future__ import annotations
@@ -270,7 +270,14 @@ class Schedule:
 
 
 def _replay_slow(scenario, schedule: Schedule, n_slow: int):
-    """Agent states and inputs for slow steps 0..n_slow-1, validated."""
+    """Agent states and inputs for slow steps 0..n_slow-1, validated.
+
+    The law is walked over the prefix, then over whole passes of the cycle,
+    until a pass starts in a state that an earlier pass started in: from
+    that earlier pass on, states and inputs repeat with the passes between,
+    so the rest is tiled from them.  Every (state, input) pair of the run
+    is walked and checked once, in at most |prefix| + |cycle| x |admissible
+    states| steps whatever n_slow."""
     constraints = scenario.constraints
     alpha = scenario.alpha0
     if alpha not in constraints.state_set:
@@ -282,8 +289,14 @@ def _replay_slow(scenario, schedule: Schedule, n_slow: int):
             "schedule was synthesized for start state %d, scenario starts at %d"
             % (schedule.alpha0, alpha)
         )
+    prefix, cycle = len(schedule.prefix_inputs), len(schedule.cycle_inputs)
     states, inputs = [], []
+    passes = {}  # the state each cycle pass started in -> its first slow step
     for k in range(n_slow):
+        if k >= prefix and (k - prefix) % cycle == 0:
+            if alpha in passes:
+                break
+            passes[alpha] = k
         u = schedule.input_at(k)
         if u not in constraints.inputs_for(alpha):
             raise ScheduleViolation(
@@ -297,4 +310,12 @@ def _replay_slow(scenario, schedule: Schedule, n_slow: int):
                 "schedule leaves the admissible state set at slow step %d "
                 "(state %d)" % (k + 1, alpha)
             )
-    return tuple(states), tuple(inputs)
+    else:
+        return tuple(states), tuple(inputs)
+    first = passes[alpha]
+    repeats, rest = divmod(n_slow - first, k - first)
+
+    def tile(seq):
+        return tuple(seq[:first]) + tuple(seq[first:]) * repeats + tuple(seq[first : first + rest])
+
+    return tile(states), tile(inputs)

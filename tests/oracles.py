@@ -10,7 +10,7 @@ its normals by a scalar ziggurat that takes strip, sign and fraction from
 the integer bits, the co-simulation runs one fast step and one draw call
 at a time over every trial's full trajectory (and the decay check reads
 it whole), its expected decay residual comes exactly from the plants'
-second moments, the
+second moments, a schedule is replayed one slow step at a time, the
 running cost is summed one fast step at a time, a threshold comes from a
 generic bisection on a caller's predicate, and the agent law is rebuilt
 in the paper's semi-tensor-product (STP) form, so the fast
@@ -33,18 +33,20 @@ import yaml
 
 import fadectrl.cosim as cosim
 from fadectrl.channel import expected_power
-from fadectrl.cosim import LyapunovCheck, PlantCheck, SimTrace, counter_uniforms
+from fadectrl.cosim import LyapunovCheck, PlantCheck, SimTrace, counter_keys, counter_uniforms
 from fadectrl.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     Infeasible,
+    InitialStateViolatesConstraint,
     NoCycle,
     PreconditionViolated,
+    ScheduleViolation,
     ToolkitError,
     ValueOutOfDomain,
     ValueOutOfRange,
 )
-from fadectrl.mas import ConstraintSets, MasModel, _replay_slow, successors
+from fadectrl.mas import ConstraintSets, MasModel, successors
 from fadectrl.scenario import StageCost, _Map, _Number
 from fadectrl.stabilization import ReachabilityLayers
 from fadectrl.synthesis import Edge, TransitionGraph
@@ -367,6 +369,36 @@ def layer_scan_prefix(scenario, layers, cycle) -> tuple:
     return tuple(chain[:-1]), inputs, chain[-1]
 
 
+def stepwise_replay(scenario, schedule, n_slow: int) -> tuple:
+    """(states, inputs) of slow steps 0..n_slow-1 under the schedule, one
+    `successors` call per slow step, checking each input and each next
+    state against the constraints as it goes: the walk `mas._replay_slow`
+    tiles once it repeats, with its errors and messages."""
+    constraints = scenario.constraints
+    alpha = scenario.alpha0
+    if alpha not in constraints.state_set:
+        raise InitialStateViolatesConstraint(
+            "initial agent state %d outside the admissible set" % alpha)
+    if schedule.alpha0 and schedule.alpha0 != alpha:
+        raise ScheduleViolation(
+            "schedule was synthesized for start state %d, scenario starts at %d"
+            % (schedule.alpha0, alpha))
+    states, inputs = [], []
+    for k in range(n_slow):
+        u = schedule.input_at(k)
+        if u not in constraints.inputs_for(alpha):
+            raise ScheduleViolation(
+                "input %d at slow step %d not admissible in state %d" % (u, k, alpha))
+        states.append(alpha)
+        inputs.append(u)
+        alpha = int(successors(scenario.mas, alpha, u))
+        if alpha not in constraints.state_set:
+            raise ScheduleViolation(
+                "schedule leaves the admissible state set at slow step %d (state %d)"
+                % (k + 1, alpha))
+    return tuple(states), tuple(inputs)
+
+
 # ── Co-simulation ────────────────────────────────────────────────────────────
 
 _MASK64 = (1 << 64) - 1
@@ -514,7 +546,7 @@ def stepwise_simulate(scenario, schedule, config):
     """
     tau = scenario.cost.tau
     horizon, trials = config.horizon_fast, config.trials
-    alpha_slow, inputs_slow = _replay_slow(scenario, schedule, -(-horizon // tau))
+    alpha_slow, inputs_slow = stepwise_replay(scenario, schedule, -(-horizon // tau))
     plants = scenario.plants
     factors = [plant.noise_factor for plant in plants]
     states = []
@@ -527,7 +559,7 @@ def stepwise_simulate(scenario, schedule, config):
     for l in range(horizon):
         a = alpha_slow[l // tau]
         for i, (plant, p) in enumerate(zip(plants, scenario.success[a])):
-            ok = counter_uniforms(config.seed, 2 * i, l, 0, trials) <= float(p)
+            ok = counter_uniforms(counter_keys(config.seed, 2 * i, l, 0), trials) <= float(p)
             deliveries[:, l, i] = ok
             z = counter_normals(config.seed, 2 * i + 1, l, plant.dim, trials)
             x = states[i]
@@ -594,7 +626,7 @@ def expected_decay_residual(scenario, schedule, horizon: int) -> tuple:
     p the plant's link success probability at step l's agent state.
     """
     tau = scenario.cost.tau
-    alpha_slow, _ = _replay_slow(scenario, schedule, -(-horizon // tau))
+    alpha_slow, _ = stepwise_replay(scenario, schedule, -(-horizon // tau))
     out = []
     for i, plant in enumerate(scenario.plants):
         a_c, a_o, q, rho = plant.a_c, plant.a_o, plant.q, float(plant.rho)
@@ -623,7 +655,7 @@ def average_cost_trace(scenario, schedule, horizon: int) -> np.ndarray:
     time: every step costs the power expectation of its agent state, and
     the first fast step of each slow step adds lambda times its input cost."""
     cost = scenario.cost
-    alpha_slow, inputs_slow = _replay_slow(scenario, schedule, -(-horizon // cost.tau))
+    alpha_slow, inputs_slow = stepwise_replay(scenario, schedule, -(-horizon // cost.tau))
     power = {}
     per_fast = []
     for l in range(horizon):

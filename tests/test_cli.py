@@ -915,6 +915,28 @@ def test_simulate_too_large_to_allocate_is_an_error(scenario_path, outdir, capsy
                                                           "assembly_cell.schedule.json"]
 
 
+def test_simulate_huge_horizon_is_an_error_at_once(scenario_path, outdir, capsys):
+    # 10^12 fast steps are 2.5 x 10^10 slow steps: the replay used to walk
+    # them one successor call at a time, still running after 10 s with its
+    # lists growing; it now walks one pass of the cycle and tiles the tour,
+    # whose allocation fails at once under the same 4 GiB cap as above
+    _, schedule_path = _synth(scenario_path, outdir)
+    capsys.readouterr()
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+            "from fadectrl.cli import main; sys.exit(main(sys.argv[1:]))")
+    run = subprocess.run(
+        [sys.executable, "-c", code, "simulate", str(scenario_path),
+         "--schedule", str(schedule_path), "--seed", "1",
+         "--trials", "1", "--horizon", "1000000000000"],
+        env=_child_env(**{OUTDIR_ENV: str(outdir)}), capture_output=True, text=True,
+        timeout=10)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert _one_error(run.stderr) == "error: out of memory"
+    assert sorted(p.name for p in outdir.iterdir()) == ["assembly_cell.report.txt",
+                                                          "assembly_cell.schedule.json"]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 def test_simulate_worker_killed_by_a_signal_is_an_error(scenario_path, outdir, capsys,
                                                         monkeypatch):

@@ -8,8 +8,8 @@ Proves:
            equal to its per-stream deliveries and the scalar ziggurat's
            normals for dims 1-3, over every path a normal takes (fast,
            wedge, tail, retries) and u = 1 mapped to +0, an odd normal
-           count the prefix of the next even one, and a block of 64 steps
-           up to 256 trials and about 2**14 trial-steps past that; the
+           count the prefix of the next even one, and a block of the most
+           steps within 2**14 trial-steps, at least 8; the
            ziggurat table correctly rounded from a 60-digit recomputation,
            the portable exp and log within 2 ulps of libm, 10^6 normals
            with the normal moments and a Kolmogorov-Smirnov statistic
@@ -32,7 +32,9 @@ Proves:
            steps (both measured in-process, where tracemalloc sees every
            plant); trial 0's path starts at the document's initial plant
            states; each oracle comparison also runs with the plants in
-           forked workers and gets the same bytes
+           forked workers and gets the same bytes; the same trace bytes,
+           CSV included, for blocks of 1 to 327 steps and key tables of
+           one or two blocks, at 100 and 1000 trials, on 1 and 2 CPUs
  Group 3b - plants in forked workers: the same trace bytes as in-process
            on the bundled cell and on three plants over 1, 2 and 3 CPUs,
            and five tasks' results back in task order when a worker takes
@@ -80,7 +82,9 @@ from fadectrl.cosim import (
     MIN_CHECK_TRIALS,
     SimConfig,
     _plant_draws,
+    _plant_keys,
     block_steps,
+    counter_keys,
     counter_uniforms,
     empirical_lyapunov_check,
     simulate,
@@ -320,21 +324,26 @@ simulation:
 
 # ── Group 1: counter RNG ─────────────────────────────────────────────────────
 
+def _uniforms(seed, stream, step, draw, trials):
+    """The keyed uniforms of substreams (`counter_keys`'s arguments)."""
+    return counter_uniforms(counter_keys(seed, stream, step, draw), trials)
+
+
 def test_uniforms_deterministic_and_in_range():
-    a = counter_uniforms(9, 2, 5, 0, 1000)
-    b = counter_uniforms(9, 2, 5, 0, 1000)
+    a = _uniforms(9, 2, 5, 0, 1000)
+    b = _uniforms(9, 2, 5, 0, 1000)
     assert np.array_equal(a, b)
     assert a.dtype == np.float64 and a.shape == (1000,)
     assert np.all(a > 0.0) and np.all(a <= 1.0)
 
 
 def test_uniform_streams_are_separated():
-    base = counter_uniforms(9, 2, 5, 0, 256)
+    base = _uniforms(9, 2, 5, 0, 256)
     for other in (
-        counter_uniforms(10, 2, 5, 0, 256),  # seed
-        counter_uniforms(9, 3, 5, 0, 256),   # stream
-        counter_uniforms(9, 2, 6, 0, 256),   # step
-        counter_uniforms(9, 2, 5, 1, 256),   # draw
+        _uniforms(10, 2, 5, 0, 256),  # seed
+        _uniforms(9, 3, 5, 0, 256),   # stream
+        _uniforms(9, 2, 6, 0, 256),   # step
+        _uniforms(9, 2, 5, 1, 256),   # draw
     ):
         assert not np.array_equal(base, other)
 
@@ -349,13 +358,13 @@ def test_normals_shape_and_moments():
 
 def test_uniforms_match_integer_recomputation():
     for seed, stream, step, draw in ((0, 0, 0, 0), (9, 2, 5, 0), (2**64 - 1, 3, 7999, 1)):
-        assert counter_uniforms(seed, stream, step, draw, 5).tolist() == integer_uniforms(
+        assert _uniforms(seed, stream, step, draw, 5).tolist() == integer_uniforms(
             seed, stream, step, draw, 5)
 
 
 def test_step_must_be_a_scalar_or_a_vector():
     with pytest.raises(DimensionMismatch):
-        counter_uniforms(1, 0, np.zeros((2, 2), dtype=np.int64), 0, 3)
+        _uniforms(1, 0, np.zeros((2, 2), dtype=np.int64), 0, 3)
 
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -368,8 +377,8 @@ STEP_ARRAYS = st.lists(st.integers(0, 2**62), min_size=1, max_size=8)
 @example(seed=0, stream=0, draw=0, steps=[0], trials=1)
 @example(seed=2**64 - 1, stream=3, draw=1, steps=[2**62, 0, 2**62], trials=4)
 def test_block_uniforms_equal_stacked_scalar_calls(seed, stream, draw, steps, trials):
-    block = counter_uniforms(seed, stream, np.array(steps), draw, trials)
-    stacked = np.stack([counter_uniforms(seed, stream, l, draw, trials) for l in steps])
+    block = _uniforms(seed, stream, np.array(steps), draw, trials)
+    stacked = np.stack([_uniforms(seed, stream, l, draw, trials) for l in steps])
     assert block.shape == (len(steps), trials) and block.dtype == np.float64
     assert block.tobytes() == stacked.tobytes()
 
@@ -393,27 +402,34 @@ def test_block_normals_equal_stacked_scalar_calls(seed, stream, steps, count, tr
 @example(seed=2**64 - 1, pairs=[(2, 0), (3, 0), (3, 1)], steps=[2**62, 0], trials=3)
 def test_paired_substreams_equal_single_substream_calls(seed, pairs, steps, trials):
     streams, draws = (list(c) for c in zip(*pairs))
-    fused = counter_uniforms(seed, streams, np.array(steps), draws, trials)
-    single = np.stack([counter_uniforms(seed, c, np.array(steps), d, trials) for c, d in pairs])
+    fused = _uniforms(seed, streams, np.array(steps), draws, trials)
+    single = np.stack([_uniforms(seed, c, np.array(steps), d, trials) for c, d in pairs])
     assert fused.shape == (len(pairs), len(steps), trials)
     assert fused.tobytes() == single.tobytes()
-    assert counter_uniforms(seed, streams, steps[0], draws, trials).tobytes() == \
+    assert _uniforms(seed, streams, steps[0], draws, trials).tobytes() == \
         np.ascontiguousarray(single[:, 0]).tobytes()
 
 
 def test_substreams_must_pair_up():
     with pytest.raises(DimensionMismatch):
-        counter_uniforms(1, [0, 1], 5, [0], 3)
+        _uniforms(1, [0, 1], 5, [0], 3)
     with pytest.raises(DimensionMismatch):
-        counter_uniforms(1, 0, 5, [0], 3)
+        _uniforms(1, 0, 5, [0], 3)
+
+
+def _block_draws(seed, plant, steps, dim, trials):
+    """`_plant_draws` of plant `plant` over `steps`, the block's columns of
+    a key table that starts at step 0, as `_rollout` reads them."""
+    keys, step_keys = _plant_keys(seed, plant, dim, np.arange(steps[-1] + 1))
+    return _plant_draws(keys[:, steps[0] :], step_keys[steps[0] :], trials,
+                        cosim._Arena(dim, len(steps), trials))
 
 
 def _assert_plant_draws_match(seed, plant, steps, dim, trials):
     """`_plant_draws` against the per-stream calls: deliveries from
     `counter_uniforms`, normals from the scalar ziggurat, byte for byte."""
-    uniforms, z = _plant_draws(seed, plant, steps, dim, trials,
-                               cosim._Arena(dim, len(steps), trials))
-    want = counter_uniforms(seed, 2 * plant, steps, 0, trials)
+    uniforms, z = _block_draws(seed, plant, steps, dim, trials)
+    want = _uniforms(seed, 2 * plant, steps, 0, trials)
     assert uniforms.shape == want.shape and uniforms.tobytes() == want.tobytes()
     normals = counter_normals(seed, 2 * plant + 1, steps, dim, trials)
     assert z.shape == (dim, len(steps), trials)
@@ -465,13 +481,14 @@ def test_unit_uniform_maps_to_positive_zero():
 
 
 def test_block_steps_bound_the_block_by_the_trial_count():
-    for trials in range(1, 257):
-        assert block_steps(trials) == 64
-    for trials in (257, 1000, 1031, 2048, 4000, 10**6):
+    # the most steps within 2**14 trial-steps, at every trial count, but
+    # never fewer than 8
+    for trials in (*range(1, 2049), 4000, 10**6):
         block = block_steps(trials)
-        assert 8 <= block < 64
-        assert block * trials <= 2**14 or block == 8
-    assert block_steps(1000) == 16
+        assert block >= 8
+        assert block * trials <= 2**14 < (block + 1) * trials or block == 8
+    assert [block_steps(t) for t in (1, 100, 256, 1000, 2048, 2049, 4000)] == [
+        2**14, 163, 64, 16, 8, 8, 8]
 
 
 def test_odd_normal_count_is_a_prefix_of_the_next_even_one():
@@ -572,8 +589,7 @@ def test_ziggurat_normals_match_the_normal_distribution():
     trials, steps = 1000, 1000
     n = trials * steps
     z = np.concatenate([
-        _plant_draws(11, 0, np.arange(start, start + 50), 1, trials,
-                     cosim._Arena(1, 50, trials))[1].ravel()
+        _block_draws(11, 0, np.arange(start, start + 50), 1, trials)[1].ravel()
         for start in range(0, steps, 50)])
     assert z.size == n
     mean, var = z.mean(), z.var()
@@ -736,7 +752,7 @@ def _edges(block):
 def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon, monkeypatch):
     # both schedules change the success probabilities inside a block; 101
     # trials are enough for the decay check and an odd array extent, and
-    # take the longest block
+    # take blocks of 162 steps
     config = SimConfig(horizon, 101, 2**64 - 1)
     _assert_matches_stepwise_oracle(monkeypatch, scenario, schedule, config)
 
@@ -869,6 +885,36 @@ def test_simulate_working_set_does_not_grow_with_trials(scenario, trials, monkey
     # only trial 0's deliveries are kept, so the traced peak stays within one
     # budget: 5.2 and 17.8 MiB here when every trial's deliveries were kept
     assert _simulate_peak_bytes(monkeypatch, scenario, trials, 2000) < 4 * 2**20
+
+
+def _digests(trace):
+    """SHA-256 of each array of a trace, in field order, and of its CSV."""
+    arrays = [*trace.states, trace.deliveries, trace.delivery_counts, trace.running_cost,
+              *trace.decay_mean, *trace.decay_sd]
+    out = io.StringIO()
+    write_trace_csv(trace, out)
+    return ([hashlib.sha256(a.tobytes()).hexdigest() for a in arrays],
+            hashlib.sha256(out.getvalue().encode()).hexdigest())
+
+
+@pytest.mark.parametrize("trials", [100, 1000])
+def test_trace_bytes_do_not_depend_on_the_block(scenario, trials, monkeypatch):
+    # a draw depends on its counters alone and each step's arithmetic and
+    # statistics on its own rows, so every split of the horizon into blocks,
+    # and of the key table into spans, gives the same trace bytes, in process
+    # and with the plants in forked workers: `block_steps` may pick the block
+    # for speed alone.  327 steps end in a one-step block at 163, the default
+    # at 100 trials; 10 key steps make a table per two blocks of 7 steps and
+    # per block of 64
+    config = SimConfig(327, trials, 2**64 - 1)
+    want = _digests(simulate(scenario, OPTIMAL, config))
+    splits = [(block, cosim._KEY_STEPS) for block in (1, 7, 64, 163, config.horizon_fast)]
+    for cpus in (1, 2) if hasattr(os, "fork") else (1,):
+        _on_cpus(monkeypatch, cpus)
+        for block, key_steps in splits + [(7, 10), (64, 10)]:
+            monkeypatch.setattr(cosim, "block_steps", lambda trials, block=block: block)
+            monkeypatch.setattr(cosim, "_KEY_STEPS", key_steps)
+            assert _digests(simulate(scenario, OPTIMAL, config)) == want, (cpus, block, key_steps)
 
 
 def test_simulate_needs_success_coverage(scenario):

@@ -17,16 +17,22 @@ Proves:
            batched call equal to the per-state reference on any subset
  Group 4 - validation contracts
  Group 5 - schedules: integer inputs and start state only, no unknown key
-           in the JSON form, replayed under the constraints
+           in the JSON form, replayed under the constraints; the tiled
+           replay equal to the one-step-at-a-time oracle, its errors
+           included, on any model, schedule and length, also where a cycle
+           pass ends elsewhere than it started or the passes reach their
+           loop after a transient, and walking a bounded number of steps
+           whatever the length
 """
 
 import itertools
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadectrl.errors import (
@@ -58,6 +64,7 @@ from oracles import (
     reach_of,
     step_logical,
     step_tuple,
+    stepwise_replay,
     stp,
     stp_basis,
     stp_logical,
@@ -334,3 +341,76 @@ def test_replay_walks_the_law_and_checks_the_constraints():
         _replay_slow(scn, Schedule((), (7,), 5), 1)
     with pytest.raises(ScheduleViolation, match="not admissible"):
         _replay_slow(scn, Schedule((), (1,)), 1)
+
+
+def _replay_outcome(replay, scn, schedule, n_slow):
+    try:
+        return replay(scn, schedule, n_slow)
+    except ScheduleViolation as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _replay_cases(draw):
+    """(scenario, schedule, n_slow) on a small model: inputs mostly
+    admissible, every state admissible half of the time."""
+    n, kappa = draw(st.sampled_from([(1, 2), (1, 4), (1, 5), (2, 2), (2, 3)]))
+    weights = tuple({l: draw(st.integers(0, kappa - 1)) for l in range(n)} for _ in range(n))
+    model = MasModel(n, kappa, weights)
+    every = range(1, model.state_count + 1)
+    states = every if draw(st.booleans()) else draw(st.sets(st.sampled_from(every), min_size=1))
+    inputs = draw(st.sets(st.sampled_from(every), min_size=1))
+    alpha0 = draw(st.sampled_from(sorted(states)))
+    pick = st.sampled_from(sorted(inputs)) | st.sampled_from(every)
+    schedule = Schedule(draw(st.lists(pick, max_size=4)), draw(st.lists(pick, min_size=1, max_size=4)),
+                        alpha0)
+    scn = SimpleNamespace(mas=model, constraints=ConstraintSets(states, {a: inputs for a in states}),
+                          alpha0=alpha0)
+    return scn, schedule, draw(st.integers(0, 60))
+
+
+# one agent over 5 values, alpha' = alpha + u: each pass of the cycle moves
+# the value on by one, so the passes start in 5 states before one repeats
+ROTATING = SimpleNamespace(mas=MasModel(1, 5, ({0: 1},)),
+                           constraints=ConstraintSets(range(1, 6), {a: range(1, 6) for a in range(1, 6)}),
+                           alpha0=1)
+# one agent over 4 values, alpha' = 2 alpha + u: under u = 1 (input 2) the
+# values run 0, 1, 3, 3, .., a transient of two passes into a loop of one
+DOUBLING = SimpleNamespace(mas=MasModel(1, 4, ({0: 2},)),
+                           constraints=ConstraintSets(range(1, 5), {a: range(1, 5) for a in range(1, 5)}),
+                           alpha0=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_replay_cases())
+@example(case=(ROTATING, Schedule((), (2, 1), 1), 37))
+@example(case=(DOUBLING, Schedule((3,), (2,), 1), 9))
+def test_tiled_replay_equals_the_stepwise_replay(case):
+    assert _replay_outcome(_replay_slow, *case) == _replay_outcome(stepwise_replay, *case)
+
+
+@pytest.mark.parametrize("scn, schedule, passes", [
+    (ROTATING, Schedule((), (2, 1), 1), 5),     # no pass returns to its start
+    (ROTATING, Schedule((4,), (2, 2, 1), 1), 5),
+    (DOUBLING, Schedule((), (2,), 1), 3),       # a transient before the loop
+    (DOUBLING, Schedule((1, 1), (2,), 1), 3),
+    # state 4, then state 3's self-loop: each pass returns to its start
+    (SimpleNamespace(mas=MODEL, constraints=CONSTRAINTS, alpha0=4), Schedule((8,), (7,), 4), 1),
+])
+def test_replay_walks_each_pass_once_whatever_the_length(scn, schedule, passes, monkeypatch):
+    # the walk stops at the first pass whose start repeats: its prefix and
+    # `passes` passes, then the rest is tiled, for a thousand slow steps as
+    # for a million
+    import fadectrl.mas as mas
+
+    calls = []
+    monkeypatch.setattr(mas, "successor_index", lambda *a: calls.append(a) or successor_index(*a))
+    walked = len(schedule.prefix_inputs) + passes * len(schedule.cycle_inputs)
+    want = stepwise_replay(scn, schedule, 1000)
+    assert _replay_slow(scn, schedule, 1000) == want and len(calls) == walked
+    states, inputs = _replay_slow(scn, schedule, 10**6)
+    assert len(calls) == 2 * walked
+    # the tiled run follows the schedule and the law at every step
+    assert len(states) == len(inputs) == 10**6 and states[:1000] == want[0]
+    assert all(inputs[k] == schedule.input_at(k) for k in range(0, 10**6, 997))
+    assert np.array_equal(successors(scn.mas, states[:-1], inputs[:-1]), states[1:])
