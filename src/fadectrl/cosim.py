@@ -36,11 +36,13 @@ logarithm included (`_log`, from frexp, +, -, x and /): numpy's
 transcendental functions, whose last bits depend on the SIMD path it
 dispatches to, are not used, so a trace is the same bytes on every CPU.
 
-A block is `block_steps(trials)` fast steps, 2**14 // trials but at
-least 8, so its arrays hold at most 2**14 trial-steps (128 KiB of
-doubles, which stay in cache) up to 2048 trials, and 8 x trials past
-that; the few numpy calls a block pays beyond its steps are spread over
-as many steps as that budget allows (163 at 100 trials, 16 at 1000).
+A block is `block_steps(trials)` fast steps, 2**15 // trials but at
+least 8, so its arrays hold at most 2**15 trial-steps (256 KiB of
+doubles, which stay in a 2 MiB L2 cache) up to 4096 trials, and
+8 x trials past that; the numpy calls a block pays beyond its steps
+(about 130 on the rejection path, the hashing's set-up, about 25 for V
+and the statistics) are spread over as many steps as that budget allows
+(327 at 100 trials, 32 at 1000).
 The trace is the same bytes for every block: each step's statistics are
 reduced in trial order, a one-step block's included.  The states are
 streamed through a plant-major working buffer of shape
@@ -54,12 +56,15 @@ Every plant dimension takes the same step, with each sum in index order
 on elementwise numpy operations, so a trace is the same on every BLAS
 kernel: noise w_e = sum_d F[e, d] z_d (F the Cholesky factor), step
 x'_e = sum_d A[e, d] x_d + w_e (A each trial's closed- or open-loop
-matrix), and V = sum_{d, e} Q[d, e] x_d x_e.  After each block the
-across-trial mean and sample standard deviation of the decay residual
-V(x(l+1)) - rho V(x(l)) - tr(Q Xi) are recorded per fast step, trial 0's
-path and deliveries are kept for the CSV, each step's count of trials
-whose packet arrived is recorded, and the block's last state carries
-over.  Memory is a few block arrays, a key table of fewer than
+matrix), and V = sum_{d, e} Q[d, e] x_d x_e.  A fast step is one take
+of the step matrices, one product with x into scratch, dim - 1 adds for
+the sums over d and one add into x'; V's first term is written in place,
+and a term whose mirror was made just before adds that product again.
+After each block the across-trial mean and sample standard deviation of
+the decay residual V(x(l+1)) - rho V(x(l)) - tr(Q Xi) are recorded per
+fast step, trial 0's path and deliveries are kept for the CSV, each
+step's count of trials whose packet arrived is recorded, and the block's
+last state carries over.  Memory is a few block arrays, a key table of fewer than
 4096 + block steps, and a few values per fast step, link and plant
 dimension, O(trials x block + horizon x (links + dims)): nothing grows
 with trials x horizon.
@@ -95,6 +100,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 import pickle
@@ -304,9 +310,9 @@ def _to_uniforms(bits):
 
 
 def block_steps(trials: int) -> int:
-    """Fast steps `simulate` advances at once: 2**14 trial-steps, but never
+    """Fast steps `simulate` advances at once: 2**15 trial-steps, but never
     fewer than 8."""
-    return max(8, 2**14 // trials)
+    return max(8, 2**15 // trials)
 
 
 def counter_keys(seed: int, stream, step, draw):
@@ -468,15 +474,16 @@ class _Arena:
     in slabs of block x trials doubles: the draws, 1 + dim, with one more
     for the hashing's and the fast path's scratch; then the normals stay
     in slabs 1..dim while the noise's terms take slab 0; then slab 0 holds
-    the step matrices' index, and the dim^2 rows past it one step's
-    matrices; then V and the residuals, 2 (block + 1) rows.
+    the step matrices' index, and the 2 dim^2 + dim rows past it one step's
+    matrices, their products and sums; then V and the residuals,
+    2 (block + 1) rows.
     `flags` holds one boolean array of a block: the fast path's mask,
     then the deliveries."""
 
     def __init__(self, dim: int, block: int, trials: int):
         self.states = np.zeros((block + 1, dim, trials))
         self.slab = block * trials
-        self.data = np.empty(max((2 + dim) * block, 2 * block + 2, block + dim * dim)
+        self.data = np.empty(max((2 + dim) * block, 2 * block + 2, block + 2 * dim * dim + dim)
                              * trials)
         self.flags = np.empty(self.slab, np.bool_)
 
@@ -596,20 +603,37 @@ def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int):
         # where its packet arrived, else A_o
         index = arena(0, (n, trials), np.intp)
         index[...] = ok
+        # a step's matrices, their products A[e, d] x_d and the sums over d
+        # follow the index in slab 0; at dim 1 the one product is the sum
         a = arena(0, (dim, dim, trials), offset=n * trials)
+        prod = arena(0, (dim, dim, trials), offset=(n + dim * dim) * trials)
         a_flat = a.reshape(dim * dim, trials)
+        total = (arena(0, (dim, trials), offset=(n + 2 * dim * dim) * trials) if dim > 1
+                 else prod[:, 0])
         for x_l, x_next, index_l in zip(x, x[1:], index):
             matrices.take(index_l, axis=1, out=a_flat, mode="clip")
-            total = a[:, 0] * x_l[0]
-            for d in dims[1:]:
-                total += a[:, d] * x_l[d]
+            np.multiply(a, x_l, out=prod)
+            if dim > 1:
+                np.add(prod[:, 0], prod[:, 1], out=total)
+                for d in dims[2:]:
+                    total += prod[:, d]
             x_next += total
+        # V = sum_{d, e} Q[d, e] x_d x_e in (d, e) order.  The first term
+        # Q[0, 0] x_0^2 is >= +0 (Q is positive definite), so it is the sum
+        # so far, 0 + it; Q is exactly symmetric and x_d x_e = x_e x_d, so
+        # a term whose mirror was the last one made (the (1, 0) one at dim 2)
+        # adds that one again
         v, vterm = arena(0, (n + 1, trials)), arena(0, (n + 1, trials), offset=(n + 1) * trials)
-        v[...] = 0.0
-        for d in dims:
-            for e in dims:
-                v += np.multiply(np.multiply(x[: n + 1, d], x[: n + 1, e], out=vterm),
-                                 plant.q[d, e], out=vterm)
+        xs = x[: n + 1]
+        np.multiply(xs[:, 0], xs[:, 0], out=v)
+        v *= plant.q[0, 0]
+        made = (0, 0)
+        for d, e in list(itertools.product(dims, dims))[1:]:
+            if made != (e, d):
+                np.multiply(xs[:, d], xs[:, e], out=vterm)
+                vterm *= plant.q[d, e]
+                made = (d, e)
+            v += vterm
         # V(x(l+1)) - rho V(x(l)) - tr(Q Xi), then as (trials, m), C-contiguous
         # with m = max(n, 2) columns: reducing over its rows adds in trial
         # order, as numpy's mean and std do, where one column alone would be

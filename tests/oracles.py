@@ -9,11 +9,12 @@ layers again, the counter RNG is recomputed on Python integers and
 its normals by a scalar ziggurat that takes strip, sign and fraction from
 the integer bits, the co-simulation runs one fast step and one draw call
 at a time over every trial's full trajectory (and the decay check reads
-it whole), its expected decay residual comes exactly from the plants'
-second moments, a schedule is replayed one slow step at a time, the
-running cost is summed one fast step at a time, a threshold comes from a
-generic bisection on a caller's predicate, and the agent law is rebuilt
-in the paper's semi-tensor-product (STP) form, so the fast
+it whole, and its decay statistics also from V summed afresh term by
+term in index order), its expected decay residual comes exactly from
+the plants' second moments, a schedule is replayed one slow step at a
+time, the running cost is summed one fast step at a time, a threshold
+comes from a generic bisection on a caller's predicate, and the agent
+law is rebuilt in the paper's semi-tensor-product (STP) form, so the fast
 implementations have something honest to be compared against.  The
 scenario loader's one-pass builder is compared against the reference
 loader it replaced: PyYAML's composer and constructor with line-keeping,
@@ -596,6 +597,20 @@ def _decay_residuals(x, plant) -> np.ndarray:
     """(trials, horizon) of V(x(l+1)) - rho V(x(l)) - tr(Q Xi)."""
     v = np.einsum("tld,de,tle->tl", x, plant.q, x)
     return v[:, 1:] - float(plant.rho) * v[:, :-1] - plant.q_xi_trace
+
+
+def ordered_decay_statistics(x, plant) -> tuple:
+    """Per-step mean and sample sd over the trials of the decay residual for
+    (trials, horizon+1, dim) states, with V = sum over (d, e) in index order
+    of (x_d x_e) Q[d, e] from zero, every term made afresh: the bits the
+    streamed statistics must equal (for a horizon of at least 2 steps, where
+    numpy reduces the trials in order)."""
+    v = np.zeros(x.shape[:2])
+    for d in range(plant.dim):
+        for e in range(plant.dim):
+            v += (x[..., d] * x[..., e]) * plant.q[d, e]
+    r = v[:, 1:] - v[:, :-1] * float(plant.rho) - plant.q_xi_trace
+    return r.mean(axis=0), r.std(axis=0, ddof=1)
 
 
 def full_lyapunov_check(states, plants, start: int) -> LyapunovCheck:

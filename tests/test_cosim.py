@@ -9,7 +9,7 @@ Proves:
            normals for dims 1-3, over every path a normal takes (fast,
            wedge, tail, retries) and u = 1 mapped to +0, an odd normal
            count the prefix of the next even one, and a block of the most
-           steps within 2**14 trial-steps, at least 8; the
+           steps within 2**15 trial-steps, at least 8; the
            ziggurat table correctly rounded from a 60-digit recomputation,
            the portable exp and log within 2 ulps of libm, 10^6 normals
            with the normal moments and a Kolmogorov-Smirnov statistic
@@ -26,15 +26,21 @@ Proves:
            trials, also for a 3-dim plant with correlated noise and a
            scalar plant with a non-unit noise factor, and for a 2-dim plant
            with an explicit non-diagonal quality weight and a scalar one
-           with Q = 2.5, no numpy warning at one or two trials, memory
-           whose growth per step does not depend on the trials, and a
-           working set within one budget at 1000 and 4000 trials over 2000
-           steps (both measured in-process, where tracemalloc sees every
-           plant); trial 0's path starts at the document's initial plant
-           states; each oracle comparison also runs with the plants in
-           forked workers and gets the same bytes; the same trace bytes,
-           CSV included, for blocks of 1 to 327 steps and key tables of
-           one or two blocks, at 100 and 1000 trials, on 1 and 2 CPUs
+           with Q = 2.5; a quality weight asymmetric within the loader's
+           tolerance stored exactly symmetric, and the decay statistics
+           of it and of a 3-dim plant with a full quality weight equal,
+           byte for byte, to V summed afresh term by term; no numpy
+           warning at one or two trials, memory whose growth per step
+           does not depend on the trials, and a working set within one
+           budget at 100, 1000 and 4000 trials over 2000 steps (both
+           measured in-process, where tracemalloc sees every plant);
+           trial 0's path starts at the document's initial plant states;
+           each oracle comparison also runs with the plants in forked
+           workers and gets the same bytes; the same trace bytes, CSV
+           included, for blocks of 1 to 655 steps and key tables of one
+           or two blocks, at 100 and 1000 trials, on 1 and 2 CPUs; the
+           benchmark's 1000 x 2000 trace of the bundled cell pinned by
+           digest, in process and on 2 CPUs
  Group 3b - plants in forked workers: the same trace bytes as in-process
            on the bundled cell and on three plants over 1, 2 and 3 CPUs,
            and five tasks' results back in task order when a worker takes
@@ -108,6 +114,7 @@ from oracles import (
     expected_decay_residual,
     full_lyapunov_check,
     integer_uniforms,
+    ordered_decay_statistics,
     portable_exp,
     portable_log,
     stepwise_simulate,
@@ -481,14 +488,14 @@ def test_unit_uniform_maps_to_positive_zero():
 
 
 def test_block_steps_bound_the_block_by_the_trial_count():
-    # the most steps within 2**14 trial-steps, at every trial count, but
+    # the most steps within 2**15 trial-steps, at every trial count, but
     # never fewer than 8
-    for trials in (*range(1, 2049), 4000, 10**6):
+    for trials in (*range(1, 4097), 4000, 10**6):
         block = block_steps(trials)
         assert block >= 8
-        assert block * trials <= 2**14 < (block + 1) * trials or block == 8
-    assert [block_steps(t) for t in (1, 100, 256, 1000, 2048, 2049, 4000)] == [
-        2**14, 163, 64, 16, 8, 8, 8]
+        assert block * trials <= 2**15 < (block + 1) * trials or block == 8
+    assert [block_steps(t) for t in (1, 100, 256, 1000, 2048, 4096, 4097)] == [
+        2**15, 327, 128, 32, 16, 8, 8]
 
 
 def test_odd_normal_count_is_a_prefix_of_the_next_even_one():
@@ -752,7 +759,7 @@ def _edges(block):
 def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon, monkeypatch):
     # both schedules change the success probabilities inside a block; 101
     # trials are enough for the decay check and an odd array extent, and
-    # take blocks of 162 steps
+    # take blocks of 324 steps
     config = SimConfig(horizon, 101, 2**64 - 1)
     _assert_matches_stepwise_oracle(monkeypatch, scenario, schedule, config)
 
@@ -761,7 +768,7 @@ def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon, monkeypat
 @pytest.mark.parametrize("schedule", [STARVING, OPTIMAL], ids=["prefix", "cycle"])
 def test_simulate_matches_stepwise_oracle_on_short_blocks(scenario, schedule, horizon,
                                                           monkeypatch):
-    # past 256 trials a block is shorter than 64 steps
+    # past 512 trials a block is shorter than 64 steps
     assert block_steps(1031) < 64
     config = SimConfig(horizon, 1031, 7)
     _assert_matches_stepwise_oracle(monkeypatch, scenario, schedule, config)
@@ -840,6 +847,39 @@ def test_simulate_matches_stepwise_oracle_on_quality_weights(horizon, monkeypatc
     _assert_matches_stepwise_oracle(monkeypatch, scn, STAY, SimConfig(horizon, 29, 11))
 
 
+# quality weight rows of QUALITY_WEIGHTS' arm that differ by 1e-10, within the
+# loader's symmetry tolerance, and a 3-dim plant with a full quality weight
+NEAR_SYMMETRIC = QUALITY_WEIGHTS.replace("[[2.0, 0.7], [0.7, 1.5]]",
+                                         "[[2.0, 0.3], [0.3000000001, 1.0]]")
+FULL_Q_3D = MIXED_PLANTS.replace(
+    "quality_weight: lyapunov",
+    "quality_weight: [[2.0, 0.5, -0.3], [0.5, 1.5, 0.4], [-0.3, 0.4, 1.0]]")
+
+
+def test_quality_weight_within_the_symmetry_tolerance_is_stored_exactly_symmetric():
+    # V adds a mirrored term Q[e, d] x_e x_d as the Q[d, e] x_d x_e it made
+    arm = load_scenario_text(NEAR_SYMMETRIC).plants[0]
+    assert arm.q[0, 1] == 0.5 * (0.3 + 0.3000000001)
+    assert np.array_equal(arm.q, arm.q.T)
+
+
+@pytest.mark.parametrize("text", [NEAR_SYMMETRIC, FULL_Q_3D], ids=["near-symmetric", "full-3d"])
+def test_decay_statistics_equal_the_ordered_sum_byte_for_byte(text, monkeypatch):
+    # at dim 3 a term's mirror is never the term before it in (d, e) order;
+    # 40 steps take several blocks of 8 at 4096 trials
+    scn = load_scenario_text(text)
+    assert all(np.count_nonzero(p.q) == p.dim**2 for p in scn.plants)
+    for trials in (37, 4096):
+        config = SimConfig(40, trials, 2**63 + 5)
+        _on_cpus(monkeypatch, 1)
+        got = simulate(scn, STAY, config)
+        full_states = stepwise_simulate(scn, STAY, config)[1]
+        for i, (x, plant) in enumerate(zip(full_states, scn.plants, strict=True)):
+            mean, sd = ordered_decay_statistics(x, plant)
+            assert got.decay_mean[i].tobytes() == mean.tobytes(), (trials, i)
+            assert got.decay_sd[i].tobytes() == sd.tobytes(), (trials, i)
+
+
 @pytest.mark.parametrize("trials", [1, 2])
 def test_simulate_few_trials_raises_no_warning(scenario, trials):
     # the per-step sample sd needs two trials; one trial leaves it NaN
@@ -879,9 +919,10 @@ def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario, monke
     assert long - short < 2 * per_step * (horizon - block)
 
 
-@pytest.mark.parametrize("trials", [1000, 4000])
+@pytest.mark.parametrize("trials", [100, 1000, 4000])
 def test_simulate_working_set_does_not_grow_with_trials(scenario, trials, monkeypatch):
-    # a block holds about 2**14 trial-steps whatever the trial count, and
+    # a block holds about 2**15 trial-steps whatever the trial count (327
+    # steps at 100 trials, 8 at 4000), and
     # only trial 0's deliveries are kept, so the traced peak stays within one
     # budget: 5.2 and 17.8 MiB here when every trial's deliveries were kept
     assert _simulate_peak_bytes(monkeypatch, scenario, trials, 2000) < 4 * 2**20
@@ -903,18 +944,45 @@ def test_trace_bytes_do_not_depend_on_the_block(scenario, trials, monkeypatch):
     # statistics on its own rows, so every split of the horizon into blocks,
     # and of the key table into spans, gives the same trace bytes, in process
     # and with the plants in forked workers: `block_steps` may pick the block
-    # for speed alone.  327 steps end in a one-step block at 163, the default
-    # at 100 trials; 10 key steps make a table per two blocks of 7 steps and
-    # per block of 64
-    config = SimConfig(327, trials, 2**64 - 1)
+    # for speed alone.  655 steps end in a one-step block at 327, the default
+    # at 100 trials, and 32 is the default at 1000; 10 key steps make a table
+    # per two blocks of 7 steps and per block of 64
+    config = SimConfig(655, trials, 2**64 - 1)
     want = _digests(simulate(scenario, OPTIMAL, config))
-    splits = [(block, cosim._KEY_STEPS) for block in (1, 7, 64, 163, config.horizon_fast)]
+    assert block_steps(trials) in (32, 327)
+    splits = [(block, cosim._KEY_STEPS) for block in (1, 7, 32, 64, 327, config.horizon_fast)]
     for cpus in (1, 2) if hasattr(os, "fork") else (1,):
         _on_cpus(monkeypatch, cpus)
         for block, key_steps in splits + [(7, 10), (64, 10)]:
             monkeypatch.setattr(cosim, "block_steps", lambda trials, block=block: block)
             monkeypatch.setattr(cosim, "_KEY_STEPS", key_steps)
             assert _digests(simulate(scenario, OPTIMAL, config)) == want, (cpus, block, key_steps)
+
+
+# `_digests` of the bundled cell's trace at seed 1 over 1000 trials x 2000
+# fast steps, the benchmark's cell_mc_wide shape: each plant's path, the
+# deliveries, the delivery counts, the running cost, each plant's decay mean,
+# each plant's decay sd; and the CSV
+BENCHMARK_SHAPE_SHA256 = ([
+    "eb8e75413488360b89077103800c81d4d68546b954cb2c5a0ab509dd2cf97a08",
+    "e1825582cece50443fc4a9b141524f5cc4f4e171674cc7d864e117ec93f09322",
+    "c37aafedeb3bdad43fbbb04f27fdaa35719c4f8c55e60b8f50d072f2ca7a3c98",
+    "885c835214fe0700452f91692a8ae8fc2f228adaeb48c08927f5c5822fc65ac3",
+    "1a4a04209dd0aaa86bfc7cf1bc26b953f0b38945de9c17e70552c1db76af193b",
+    "69d7da9ba18f74d05b351b8010e815902fff6b2494443a18813f35bb51a3371e",
+    "d5a6c7d709247e1dd2e868c3a2db8d115bad570811796cbeec6427c7de8c51c1",
+    "faeac8bd4dad0a5e494cd5bcff5dc6f6169bdef6a85f9d7058a5bbff6656545c",
+    "4517055d49428255b8a4740d786661a0689fee19efe7dd56f3daada0d54775a3",
+], "03bbb5410cc78c97168544ddae99ec15795112f2432c7f91f6c784caa5df08d5")
+
+
+def test_benchmark_shape_trace_is_pinned(scenario, monkeypatch):
+    # the golden digests cover 100 trials x 400 steps, one block; here a
+    # block is a few dozen steps of 1000 trials
+    config = SimConfig(2000, 1000, 1)
+    for cpus in (1, 2) if hasattr(os, "fork") else (1,):
+        _on_cpus(monkeypatch, cpus)
+        assert _digests(simulate(scenario, OPTIMAL, config)) == BENCHMARK_SHAPE_SHA256, cpus
 
 
 def test_simulate_needs_success_coverage(scenario):
