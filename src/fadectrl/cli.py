@@ -26,8 +26,8 @@ from fractions import Fraction
 from pathlib import Path
 
 # before numpy's first import (through `scenario`): OpenBLAS then starts no
-# thread of its own, so `simulate` forks a single-threaded process; a count
-# the user set stands
+# threads, which shortens every command's start-up, and no matrix here is
+# large enough to gain from them; a count the user set stands
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import Infeasible, InsufficientTrials, ParseError, ToolkitError, ValueOutOfRange

@@ -71,25 +71,12 @@ with trials x horizon.
 
 Once the agent tour is replayed, the plants share nothing: each one's
 rollout (`_rollout`) reads its own streams and its link's success
-probabilities and returns its arrays.  Where `os.fork` and
-`os.sched_getaffinity` exist (Linux) and both the usable CPUs and the
-plants number more than one, the plants are dealt round-robin over
-min(plants, CPUs) processes: this one and forked workers, which each
-send one pickled reply over a pipe.  Warnings are issued here in plant
-order, a worker's error reaches the caller as the same type and message,
-one that dies before it replies is a ToolkitError, and every worker is
-reaped before `simulate` returns or raises.  Elsewhere every plant runs
-in this process through the same function.  Traces and warnings are the
-same whatever the CPU count, and the working-set bound above holds per
-process.  Workers are forked, not spawned: a spawned one would first
-import numpy and this package again (0.1-0.2 s), about as long as a
-plant's rollout at 1000 trials x 2000 steps.  A CLI process forks with
-one thread, since the CLI starts OpenBLAS with one thread before numpy's
-first import.  A library caller whose numpy has already started OpenBLAS
-threads forks a multi-threaded process, for which Python 3.12 and later
-emit a DeprecationWarning.  The worker is safe all the same: its rollout
-is elementwise numpy arithmetic and never calls into BLAS, so it never
-touches the threads or locks the fork did not copy.
+probabilities and returns its arrays.  `simulate` runs them one after
+another in the calling process, so a rollout's warning or error reaches
+the caller as every other stage's does.  Before the replay it checks
+that the arrays it keeps per fast step fit in physical memory, so a
+horizon too long for the machine is a MemoryError naming the bytes, not
+a process the kernel kills part way through.
 
 The running-average cost column is deterministic: the radio power term
 enters through its per-state expectation, not the sampled deliveries,
@@ -98,24 +85,15 @@ matching the cost functional the synthesizer optimizes.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import itertools
 import math
 import os
-import pickle
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import expected_power
-from .errors import (
-    DimensionMismatch,
-    InsufficientTrials,
-    ToolkitError,
-    ValueOutOfRange,
-)
+from .errors import DimensionMismatch, InsufficientTrials, ValueOutOfRange
 from .mas import Schedule, _replay_slow
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -660,134 +638,46 @@ def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int):
     return path, delivered, counts, decay_mean[:horizon], decay_sd[:horizon]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where it cannot fork workers."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _run_share(tasks, share):
-    """Run tasks[k] for each k of `share` in turn, each with its warnings
-    recorded, up to the first error.  Returns (results, error or None,
-    each task's warnings as (message, category, filename, lineno))."""
-    results, error, caught = [], None, []
-    for k in share:
-        with warnings.catch_warnings(record=True) as log:
-            try:
-                results.append(tasks[k]())
-            except Exception as e:
-                error = e
-        caught.append([(str(w.message), w.category, w.filename, w.lineno) for w in log])
-        if error is not None:
-            break
-    return results, error, caught
-
-
-def _worker(tasks, share, fd: int, read_ends):
-    """A forked worker's whole life; it never returns.  It closes the pipe
-    read ends it inherited, writes the pickled `_run_share` reply to `fd`
-    and exits 0, or 2 if it cannot (a broken pipe when the parent is gone).
-    An error is sent as its nearest class that takes its message alone:
-    MemoryError for numpy's allocation error, built from a shape and a
-    dtype.  It writes nothing to stdout or stderr."""
-    status = 2
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
     try:
-        for r in read_ends:
-            os.close(r)
-        results, error, caught = _run_share(tasks, share)
-        for cls in type(error).__mro__ if error is not None else ():
-            with contextlib.suppress(TypeError):
-                error = cls(str(error))
-                break
-        with open(fd, "wb") as pipe:
-            pickle.dump((results, error, caught), pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _run_tasks(tasks):
-    """Every task's result, in task order.
-
-    With n = min(tasks, usable CPUs) above one, the tasks are dealt
-    round-robin over n processes: this one runs tasks 0, n, 2n, .. and a
-    forked worker (`_worker`) each other share.  Each worker's pipe is read
-    to EOF and the worker reaped; one that ends without a reply is a
-    ToolkitError naming its exit status or signal.  Then, in task order,
-    each task's warnings are issued through one registry per file, so a
-    location warns once whatever the deal, up to the first error, which is
-    raised.  Every worker still alive at the end is killed and reaped, so
-    no call leaves a process behind."""
-    import signal  # here, not at the top: 1 ms that the other commands need not pay
-
-    n = min(len(tasks), _usable_cpus())
-    shares = [range(j, len(tasks), n) for j in range(n)]
-    workers = []  # [pid, pipe read end] of each worker, in share order
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            workers.append([None, r])
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(tasks, share, w, [fd for _, fd in workers])
-            finally:
-                os.close(w)
-            workers[-1][0] = pid
-        replies = [_run_share(tasks, shares[0])]
-        while workers:
-            pid, r = workers[0]
-            with open(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            workers.pop(0)
-            os.close(r)
-            if code:  # a negative code is the signal that ended the worker
-                raise ToolkitError("co-simulation worker ended with %s before it replied" % (
-                    "signal %d" % -code if code < 0 else "exit status %d" % code))
-            replies.append(pickle.loads(data))  # bytes this module's own worker wrote
-    finally:
-        for pid, r in workers:
-            os.close(r)
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    registries, results = {}, []
-    for k in range(len(tasks)):
-        done, error, caught = replies[k % n]
-        for w in caught[k // n]:  # (message, category, filename, lineno)
-            warnings.warn_explicit(*w, registry=registries.setdefault(w[2], {}))
-        if k // n == len(done):
-            raise error
-        results.append(done[k // n])
-    return results
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return None
+    return page * pages if page > 0 and pages > 0 else None
 
 
 def simulate(scenario, schedule: Schedule, config: SimConfig) -> SimTrace:
     """Monte-Carlo rollout of all plants under the scheduled agent tour.
 
     The tour fixes every link's success probability at every fast step, so
-    each plant's rollout is an independent job (`_rollout`); the jobs run
-    in forked workers where `_run_tasks` finds more than one CPU, and the
-    trace is the same bytes either way."""
+    each plant's rollout is an independent job (`_rollout`), run here one
+    plant after another.  A horizon whose per-fast-step arrays do not fit
+    in physical memory is a MemoryError before any of them is made."""
     tau = scenario.cost.tau
     horizon = config.horizon_fast
     trials = config.trials
+    plants = scenario.plants
+    # per fast step: each plant's path (dim doubles), delivery byte, count and
+    # two statistics, then the deliveries and counts stacked, and the state
+    # column and the running cost with its three temporaries
+    needed = horizon * (40 + sum(8 * p.dim + 34 for p in plants))
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise MemoryError("a horizon of %d fast steps needs %d bytes, more than the %d bytes "
+                          "of physical memory" % (horizon, needed, memory))
     alpha_slow, inputs_slow = _replay_slow(scenario, schedule, -(-horizon // tau))
 
-    plants = scenario.plants
     visited = sorted(set(alpha_slow))
     # (links, visited states): the replay keeps every visited state admissible,
     # and the loader gives every admissible state a success probability
     lam_table = np.array([scenario.success[a] for a in visited], dtype=float).T
     state_cols = np.searchsorted(visited, alpha_slow)[_slow_steps(tau, horizon)]
 
-    paths, delivered, counts, decay_mean, decay_sd = zip(*_run_tasks(
-        [functools.partial(_rollout, config.seed, i, plant,
-                           None if scenario.x0 is None else scenario.x0[i],
-                           lam_table[i], state_cols, trials)
-         for i, plant in enumerate(plants)]))
+    paths, delivered, counts, decay_mean, decay_sd = zip(*[
+        _rollout(config.seed, i, plant, None if scenario.x0 is None else scenario.x0[i],
+                 lam_table[i], state_cols, trials)
+        for i, plant in enumerate(plants)])
 
     return SimTrace(
         tau=tau,

@@ -36,8 +36,8 @@ Proves:
            trials, down to one trial without a warning, or before the cycle
            entry, a slow step of 10^12 or 10^30 fast steps runs, bad inputs
            (a schedule key given twice among them) exit 1, and so do a run
-           too large to allocate and a co-simulation worker killed by a
-           signal, with no artifacts and no traceback
+           too large to allocate and a horizon whose per-step arrays exceed
+           physical memory, with no artifacts and no traceback
  Group 5 - usage errors (an unknown command, a missing option, a
            malformed value) are exit status 1, --help is 0; an input file
            that is not UTF-8 is named
@@ -49,7 +49,7 @@ Proves:
            the co-simulation and `simulate` not the synthesizer; `run`
            leaves the heap frozen for the interpreter's teardown and keeps
            main's exit statuses 0, 1 and 2, while `main` freezes nothing;
-           a `simulate` started either way forks with one OS thread, since
+           a `simulate` started either way ends with one OS thread, since
            the CLI starts OpenBLAS with one thread unless the user set a
            count, and the library sets none
 """
@@ -60,7 +60,6 @@ import json
 import os
 import platform
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -918,8 +917,10 @@ def test_simulate_too_large_to_allocate_is_an_error(scenario_path, outdir, capsy
 def test_simulate_huge_horizon_is_an_error_at_once(scenario_path, outdir, capsys):
     # 10^12 fast steps are 2.5 x 10^10 slow steps: the replay used to walk
     # them one successor call at a time, still running after 10 s with its
-    # lists growing; it now walks one pass of the cycle and tiles the tour,
-    # whose allocation fails at once under the same 4 GiB cap as above
+    # lists growing.  Their per-step arrays, 132 bytes a step, exceed any
+    # machine's physical memory, which `simulate` checks before the replay;
+    # where that size is not known, the replay's allocation fails at once
+    # under the same 4 GiB cap as above
     _, schedule_path = _synth(scenario_path, outdir)
     capsys.readouterr()
     code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
@@ -932,36 +933,29 @@ def test_simulate_huge_horizon_is_an_error_at_once(scenario_path, outdir, capsys
         timeout=10)
     assert run.returncode == 1
     assert run.stdout == ""
-    assert _one_error(run.stderr) == "error: out of memory"
+    memory = cosim._physical_memory()
+    assert _one_error(run.stderr) == (
+        "error: a horizon of 1000000000000 fast steps needs 132000000000000 bytes, more "
+        "than the %d bytes of physical memory" % memory if memory else "error: out of memory")
     assert sorted(p.name for p in outdir.iterdir()) == ["assembly_cell.report.txt",
                                                           "assembly_cell.schedule.json"]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
-def test_simulate_worker_killed_by_a_signal_is_an_error(scenario_path, outdir, capsys,
-                                                        monkeypatch):
-    # the kernel's OOM killer ends a process with SIGKILL, leaving no reply:
-    # one error line naming the signal, no traceback, no artifact, no child
+def test_simulate_horizon_past_physical_memory_is_an_error(scenario_path, outdir, capsys,
+                                                           monkeypatch):
+    # a horizon the machine cannot hold used to run until the kernel killed
+    # the process: one error line naming the bytes instead, no traceback,
+    # no artifact
     _, schedule_path = _synth(scenario_path, outdir)
     capsys.readouterr()
-    rollout, parent = cosim._rollout, os.getpid()
-
-    def killed_in_worker(seed, i, *args):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return rollout(seed, i, *args)
-
-    monkeypatch.setattr(cosim, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cosim, "_rollout", killed_in_worker)
-    assert _simulate(scenario_path, outdir, schedule_path, seed=1) == 1
+    monkeypatch.setattr(cosim, "_physical_memory", lambda: 10**6)
+    assert _simulate(scenario_path, outdir, schedule_path, 1, trials=1, horizon=10**4) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert _one_error(err) == ("error: co-simulation worker ended with signal %d "
-                               "before it replied" % signal.SIGKILL)
+    assert _one_error(err) == ("error: a horizon of 10000 fast steps needs 1320000 bytes, "
+                               "more than the 1000000 bytes of physical memory")
     assert sorted(p.name for p in outdir.iterdir()) == ["assembly_cell.report.txt",
                                                           "assembly_cell.schedule.json"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_rejects_bad_schedule_json(scenario_path, outdir, capsys):
@@ -1165,21 +1159,13 @@ def test_run_freezes_the_heap_for_teardown_and_keeps_the_exit_status(
 
 
 # starts the CLI the way the `fadectrl` script or `python -m fadectrl.cli`
-# does, with two usable CPUs whatever its affinity (so each plant of the
-# bundled cell rolls out in its own process), and reports the OS thread
-# count at each `os.fork`
-_COUNT_THREADS_AT_FORK = """
+# does, and reports the OS thread count as it ends
+_COUNT_THREADS_AT_EXIT = """
 import os, sys
-threads, fork = [], os.fork
-def counted_fork():
-    threads.append(len(os.listdir("/proc/self/task")))
-    return fork()
-os.fork = counted_fork
-os.sched_getaffinity = lambda pid: {0, 1}
 try:
     %s
 finally:
-    print("threads at fork:", threads, file=sys.stderr)
+    print("threads at exit:", len(os.listdir("/proc/self/task")), file=sys.stderr)
 """
 
 
@@ -1188,19 +1174,19 @@ finally:
     "from fadectrl.cli import run; sys.exit(run())",
     "import runpy; runpy.run_module('fadectrl.cli', run_name='__main__', alter_sys=True)",
 ], ids=["script", "module"])
-def test_simulate_forks_a_single_threaded_process(scenario_path, tmp_path, start):
-    # numpy's OpenBLAS starts a thread of its own at import unless told not
-    # to; the CLI tells it before that import
+def test_simulate_ends_with_one_os_thread(scenario_path, tmp_path, start):
+    # numpy's OpenBLAS starts threads of its own at import unless told not
+    # to; the CLI tells it before that import, which shortens its start-up
     schedule = tmp_path / "assembly_cell.schedule.json"
     schedule.write_text(GOLDEN_SYNTHESIS["[1, 0]"][1])
     env = _child_env(**{OUTDIR_ENV: str(tmp_path)})
     env.pop("OPENBLAS_NUM_THREADS", None)
-    run = subprocess.run([sys.executable, "-c", _COUNT_THREADS_AT_FORK % start, "simulate",
+    run = subprocess.run([sys.executable, "-c", _COUNT_THREADS_AT_EXIT % start, "simulate",
                           str(scenario_path), "--schedule", str(schedule), "--seed", "1",
                           "--trials", "4", "--horizon", "40"],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stderr.splitlines()[-1] == "threads at fork: [1]"
+    assert run.stderr.splitlines()[-1] == "threads at exit: 1"
 
 
 def test_only_the_cli_sets_the_openblas_thread_count():

@@ -35,22 +35,16 @@ Proves:
            budget at 100, 1000 and 4000 trials over 2000 steps (both
            measured in-process, where tracemalloc sees every plant);
            trial 0's path starts at the document's initial plant states;
-           each oracle comparison also runs with the plants in forked
-           workers and gets the same bytes; the same trace bytes, CSV
-           included, for blocks of 1 to 655 steps and key tables of one
-           or two blocks, at 100 and 1000 trials, on 1 and 2 CPUs; the
-           benchmark's 1000 x 2000 trace of the bundled cell pinned by
-           digest, in process and on 2 CPUs
- Group 3b - plants in forked workers: the same trace bytes as in-process
-           on the bundled cell and on three plants over 1, 2 and 3 CPUs,
-           and five tasks' results back in task order when a worker takes
-           two; no process left behind after a success, a worker's error or
-           this process's own error, and an interrupt here kills a worker
-           at once; a worker's error reaches the caller as its type and
-           message (numpy-style allocation errors as MemoryError), its
-           warnings reach the caller, and it prints nothing; stderr is the
-           same over 1, 2 and 3 CPUs where every plant warns at the same
-           lines; a worker exits on a broken pipe
+           the same trace bytes, CSV included, for blocks of 1 to 655
+           steps and key tables of one or two blocks, at 100 and 1000
+           trials; the benchmark's 1000 x 2000 trace of the bundled cell
+           pinned by digest
+ Group 3b - plants in the calling process: `simulate` never forks; a
+           rollout's error reaches the caller as its own type and message,
+           and its warning reaches the caller once per location, with
+           nothing else written to stdout or stderr; a horizon whose
+           per-step arrays exceed physical memory is a MemoryError naming
+           the bytes, before the tour is replayed
  Group 4 - running cost: exact cycle averages for the worked example
  Group 5 - the empirical decay check passes for the arm where delivery
            is rich enough and fails where the schedule starves a link; the
@@ -64,14 +58,12 @@ Proves:
 
 import dataclasses
 import decimal
-import functools
 import hashlib
 import io
 import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -271,63 +263,6 @@ simulation:
   initial_plant_states: [[1.0, -1.0], [2.0]]
 """
 
-
-# three plants, so that plants dealt over two processes share one and over
-# three get one each
-THREE_PLANTS = """\
-name: three plant probe
-fast_steps_per_slow: 5
-
-plants:
-  - name: cart
-    a_closed: [[0.5, 0.1, 0.0], [0.0, 0.4, 0.2], [0.1, 0.0, 0.3]]
-    a_open: [[1.1, 0.3, 0.0], [0.0, 0.9, 0.4], [0.2, 0.1, 1.0]]
-    quality_weight: lyapunov
-    decay_rate: 0.9
-    noise_cov: [[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 0.5]]
-    power_price: 0.25
-  - name: belt
-    a_closed: 0.3
-    a_open: -1.2
-    quality_weight: 1.0
-    decay_rate: 0.9
-    noise_cov: 2.0
-    power_price: 0.5
-  - name: lift
-    a_closed: [[0.2, 0.1], [0.0, 0.6]]
-    a_open: [[1.3, 0.0], [0.4, 0.8]]
-    quality_weight: [[1.0, 0.2], [0.2, 3.0]]
-    decay_rate: 0.9
-    noise_cov: [[0.5, 0.1], [0.1, 0.25]]
-    power_price: 0.75
-
-agents:
-  count: 1
-  kappa: 2
-  weights:
-    1: {1: 1}
-  initial_state: [0]
-
-constraints:
-  states: [1]
-  inputs: [[0]]
-
-channel:
-  local_states: 1
-  transmit_policy:
-    - [1]
-    - [1]
-    - [1]
-  fading:
-    1: {decode: [0.6, 0.7, 0.8], dist: [[1.0], [1.0], [1.0]]}
-
-cost:
-  input_weight: 0
-  input_costs: [3, 3]
-
-simulation:
-  initial_plant_states: [[1.0, -1.0, 0.5], [2.0], [-0.5, 1.5]]
-"""
 
 # ── Group 1: counter RNG ─────────────────────────────────────────────────────
 
@@ -756,27 +691,21 @@ def _edges(block):
 
 @pytest.mark.parametrize("horizon", sorted({1, 255, 256, 257, 515} | _edges(block_steps(101))))
 @pytest.mark.parametrize("schedule", [STARVING, OPTIMAL], ids=["prefix", "cycle"])
-def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon, monkeypatch):
+def test_simulate_matches_stepwise_oracle(scenario, schedule, horizon):
     # both schedules change the success probabilities inside a block; 101
     # trials are enough for the decay check and an odd array extent, and
     # take blocks of 324 steps
     config = SimConfig(horizon, 101, 2**64 - 1)
-    _assert_matches_stepwise_oracle(monkeypatch, scenario, schedule, config)
+    _assert_matches_stepwise_oracle(scenario, schedule, config)
 
 
 @pytest.mark.parametrize("horizon", sorted(_edges(block_steps(1031))))
 @pytest.mark.parametrize("schedule", [STARVING, OPTIMAL], ids=["prefix", "cycle"])
-def test_simulate_matches_stepwise_oracle_on_short_blocks(scenario, schedule, horizon,
-                                                          monkeypatch):
+def test_simulate_matches_stepwise_oracle_on_short_blocks(scenario, schedule, horizon):
     # past 512 trials a block is shorter than 64 steps
     assert block_steps(1031) < 64
     config = SimConfig(horizon, 1031, 7)
-    _assert_matches_stepwise_oracle(monkeypatch, scenario, schedule, config)
-
-
-def _on_cpus(monkeypatch, cpus):
-    """Make `simulate` see `cpus` usable CPUs: the seam of its worker count."""
-    monkeypatch.setattr(cosim, "_usable_cpus", lambda: cpus)
+    _assert_matches_stepwise_oracle(scenario, schedule, config)
 
 
 def _trace_bytes(trace):
@@ -787,15 +716,9 @@ def _trace_bytes(trace):
             [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
 
 
-def _assert_matches_stepwise_oracle(monkeypatch, scenario, schedule, config):
-    # in-process and, where the platform forks, with the plants dealt over
-    # two processes: the same bytes, checked against the oracle
+def _assert_matches_stepwise_oracle(scenario, schedule, config):
     horizon = config.horizon_fast
-    _on_cpus(monkeypatch, 1)
     got = simulate(scenario, schedule, config)
-    if hasattr(os, "fork"):
-        _on_cpus(monkeypatch, 2)
-        assert _trace_bytes(simulate(scenario, schedule, config)) == _trace_bytes(got)
     want, full_states, full_deliveries = stepwise_simulate(scenario, schedule, config)
     for x, y in zip(got.states, want.states, strict=True):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -828,23 +751,23 @@ def _assert_matches_stepwise_oracle(monkeypatch, scenario, schedule, config):
 
 
 @pytest.mark.parametrize("horizon", [1, block_steps(37) + 1, 2 * block_steps(37) + 3])
-def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon, monkeypatch):
+def test_simulate_matches_stepwise_oracle_on_mixed_plants(horizon):
     # covers the matmul recursion at dim 3 and the scalar recursion with a
     # noise factor other than 1 (the bundled conveyor's factor is exactly 1)
     scn = load_scenario_text(MIXED_PLANTS)
     assert [p.dim for p in scn.plants] == [3, 1]
     assert scn.plants[1].noise_factor[0, 0] == np.sqrt(2.0)
-    _assert_matches_stepwise_oracle(monkeypatch, scn, STAY, SimConfig(horizon, 37, 2**63 + 5))
+    _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 37, 2**63 + 5))
 
 
 @pytest.mark.parametrize("horizon", [1, block_steps(29) + 1, 2 * block_steps(29) + 3])
-def test_simulate_matches_stepwise_oracle_on_quality_weights(horizon, monkeypatch):
+def test_simulate_matches_stepwise_oracle_on_quality_weights(horizon):
     # every other scenario here gives its scalar plant Q = 1, so only this
     # one tells q x^2 from x^2 in the decay statistics
     scn = load_scenario_text(QUALITY_WEIGHTS)
     arm, belt = scn.plants
     assert arm.q[0, 1] == 0.7 and belt.q[0, 0] == 2.5
-    _assert_matches_stepwise_oracle(monkeypatch, scn, STAY, SimConfig(horizon, 29, 11))
+    _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 29, 11))
 
 
 # quality weight rows of QUALITY_WEIGHTS' arm that differ by 1e-10, within the
@@ -864,14 +787,13 @@ def test_quality_weight_within_the_symmetry_tolerance_is_stored_exactly_symmetri
 
 
 @pytest.mark.parametrize("text", [NEAR_SYMMETRIC, FULL_Q_3D], ids=["near-symmetric", "full-3d"])
-def test_decay_statistics_equal_the_ordered_sum_byte_for_byte(text, monkeypatch):
+def test_decay_statistics_equal_the_ordered_sum_byte_for_byte(text):
     # at dim 3 a term's mirror is never the term before it in (d, e) order;
     # 40 steps take several blocks of 8 at 4096 trials
     scn = load_scenario_text(text)
     assert all(np.count_nonzero(p.q) == p.dim**2 for p in scn.plants)
     for trials in (37, 4096):
         config = SimConfig(40, trials, 2**63 + 5)
-        _on_cpus(monkeypatch, 1)
         got = simulate(scn, STAY, config)
         full_states = stepwise_simulate(scn, STAY, config)[1]
         for i, (x, plant) in enumerate(zip(full_states, scn.plants, strict=True)):
@@ -891,10 +813,9 @@ def test_simulate_few_trials_raises_no_warning(scenario, trials):
         assert np.isnan(sd).all() if trials == 1 else np.isfinite(sd).all()
 
 
-def _simulate_peak_bytes(monkeypatch, scenario, trials, horizon):
-    # tracemalloc sees this process alone: every plant runs in it, one after
-    # another, so each plant's working set is held to the budget
-    _on_cpus(monkeypatch, 1)
+def _simulate_peak_bytes(scenario, trials, horizon):
+    # every plant runs in this process, one after another, so tracemalloc
+    # holds each plant's working set to the budget
     tracemalloc.start()  # numpy reports its array buffers to tracemalloc
     try:
         simulate(scenario, OPTIMAL, SimConfig(horizon, trials, 1))
@@ -903,7 +824,7 @@ def _simulate_peak_bytes(monkeypatch, scenario, trials, horizon):
         tracemalloc.stop()
 
 
-def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario, monkeypatch):
+def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario):
     # keeping every trial's trajectory costs trials x dim doubles per fast
     # step (38 MB here); streaming keeps one block of them, so a step adds
     # only trial 0's states and deliveries, the delivery counts and two
@@ -913,19 +834,19 @@ def test_simulate_memory_does_not_grow_with_trials_times_horizon(scenario, monke
     full_states = sum(trials * (horizon + 1) * p.dim * 8 for p in plants)
     per_step = 8 * sum(p.dim + 2 for p in plants)
     block = block_steps(trials)
-    short = _simulate_peak_bytes(monkeypatch, scenario, trials, block)
-    long = _simulate_peak_bytes(monkeypatch, scenario, trials, horizon)
+    short = _simulate_peak_bytes(scenario, trials, block)
+    long = _simulate_peak_bytes(scenario, trials, horizon)
     assert long < full_states / 2
     assert long - short < 2 * per_step * (horizon - block)
 
 
 @pytest.mark.parametrize("trials", [100, 1000, 4000])
-def test_simulate_working_set_does_not_grow_with_trials(scenario, trials, monkeypatch):
+def test_simulate_working_set_does_not_grow_with_trials(scenario, trials):
     # a block holds about 2**15 trial-steps whatever the trial count (327
     # steps at 100 trials, 8 at 4000), and
     # only trial 0's deliveries are kept, so the traced peak stays within one
     # budget: 5.2 and 17.8 MiB here when every trial's deliveries were kept
-    assert _simulate_peak_bytes(monkeypatch, scenario, trials, 2000) < 4 * 2**20
+    assert _simulate_peak_bytes(scenario, trials, 2000) < 4 * 2**20
 
 
 def _digests(trace):
@@ -942,21 +863,18 @@ def _digests(trace):
 def test_trace_bytes_do_not_depend_on_the_block(scenario, trials, monkeypatch):
     # a draw depends on its counters alone and each step's arithmetic and
     # statistics on its own rows, so every split of the horizon into blocks,
-    # and of the key table into spans, gives the same trace bytes, in process
-    # and with the plants in forked workers: `block_steps` may pick the block
-    # for speed alone.  655 steps end in a one-step block at 327, the default
+    # and of the key table into spans, gives the same trace bytes:
+    # `block_steps` may pick the block for speed alone.  655 steps end in a one-step block at 327, the default
     # at 100 trials, and 32 is the default at 1000; 10 key steps make a table
     # per two blocks of 7 steps and per block of 64
     config = SimConfig(655, trials, 2**64 - 1)
     want = _digests(simulate(scenario, OPTIMAL, config))
     assert block_steps(trials) in (32, 327)
     splits = [(block, cosim._KEY_STEPS) for block in (1, 7, 32, 64, 327, config.horizon_fast)]
-    for cpus in (1, 2) if hasattr(os, "fork") else (1,):
-        _on_cpus(monkeypatch, cpus)
-        for block, key_steps in splits + [(7, 10), (64, 10)]:
-            monkeypatch.setattr(cosim, "block_steps", lambda trials, block=block: block)
-            monkeypatch.setattr(cosim, "_KEY_STEPS", key_steps)
-            assert _digests(simulate(scenario, OPTIMAL, config)) == want, (cpus, block, key_steps)
+    for block, key_steps in splits + [(7, 10), (64, 10)]:
+        monkeypatch.setattr(cosim, "block_steps", lambda trials, block=block: block)
+        monkeypatch.setattr(cosim, "_KEY_STEPS", key_steps)
+        assert _digests(simulate(scenario, OPTIMAL, config)) == want, (block, key_steps)
 
 
 # `_digests` of the bundled cell's trace at seed 1 over 1000 trials x 2000
@@ -976,13 +894,11 @@ BENCHMARK_SHAPE_SHA256 = ([
 ], "03bbb5410cc78c97168544ddae99ec15795112f2432c7f91f6c784caa5df08d5")
 
 
-def test_benchmark_shape_trace_is_pinned(scenario, monkeypatch):
+def test_benchmark_shape_trace_is_pinned(scenario):
     # the golden digests cover 100 trials x 400 steps, one block; here a
     # block is a few dozen steps of 1000 trials
     config = SimConfig(2000, 1000, 1)
-    for cpus in (1, 2) if hasattr(os, "fork") else (1,):
-        _on_cpus(monkeypatch, cpus)
-        assert _digests(simulate(scenario, OPTIMAL, config)) == BENCHMARK_SHAPE_SHA256, cpus
+    assert _digests(simulate(scenario, OPTIMAL, config)) == BENCHMARK_SHAPE_SHA256
 
 
 def test_simulate_needs_success_coverage(scenario):
@@ -991,31 +907,14 @@ def test_simulate_needs_success_coverage(scenario):
         simulate(gutted, OPTIMAL, SimConfig(40, 4, 1))
 
 
-# ── Group 3b: plants in forked workers ──────────────────────────────────────
+# ── Group 3b: plants in the calling process ──────────────────────────────────
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class _AllocationFailed(MemoryError):
-    """Built from a shape and a dtype, as numpy's allocation error is."""
-
-    def __init__(self, shape, dtype):
-        super().__init__("Unable to allocate 1.00 TiB for an array with shape %s and "
-                         "data type %s" % (shape, dtype))
-
-
-def _rollout_failing_in_worker(monkeypatch, plant, error=None, warning=None):
-    """Make plant `plant`'s rollout warn and then raise (or go on) when it
-    runs outside this process."""
-    rollout, parent = cosim._rollout, os.getpid()
+def _rollout_failing(monkeypatch, plant, error=None, warning=None):
+    """Make plant `plant`'s rollout warn and then raise (or go on)."""
+    rollout = cosim._rollout
 
     def patched(seed, i, *args):
-        if i == plant and os.getpid() != parent:
+        if i == plant:
             if warning:
                 warnings.warn(warning, RuntimeWarning)
             if error:
@@ -1025,118 +924,31 @@ def _rollout_failing_in_worker(monkeypatch, plant, error=None, warning=None):
     monkeypatch.setattr(cosim, "_rollout", patched)
 
 
-@needs_fork
-def test_forked_trace_equals_in_process_trace_on_the_bundled_cell(scenario, monkeypatch):
-    config = SimConfig(400, 1000, 1)
-    _on_cpus(monkeypatch, 1)
-    serial = _trace_bytes(simulate(scenario, OPTIMAL, config))
-    _on_cpus(monkeypatch, 2)
-    assert _trace_bytes(simulate(scenario, OPTIMAL, config)) == serial
+def test_simulate_never_forks(scenario, monkeypatch):
+    # two plants and two usable CPUs: once enough to fork a worker
+    def fork():
+        raise AssertionError("simulate forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    trace = simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
+    assert len(trace.states) == len(scenario.plants) == 2
 
 
-@needs_fork
-def test_forked_trace_equals_in_process_trace_on_three_plants(monkeypatch):
-    # two processes take plants {0, 2} and {1}; three take one plant each
-    scn = load_scenario_text(THREE_PLANTS)
-    assert [p.dim for p in scn.plants] == [3, 1, 2]
-    config = SimConfig(2 * block_steps(37) + 3, 37, 2**63 + 5)
-    traces = []
-    for cpus in (1, 2, 3):
-        _on_cpus(monkeypatch, cpus)
-        traces.append(_trace_bytes(simulate(scn, STAY, config)))
-    assert traces[1] == traces[0]
-    assert traces[2] == traces[0]
-
-
-@needs_fork
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_five_tasks_come_back_in_task_order_whatever_the_deal(monkeypatch, cpus):
-    # five tasks, so that a worker takes two: their results must come back
-    # in task order (two CPUs: this process 0, 2, 4, a worker 1, 3; three:
-    # this process 0, 3, the workers 1, 4 and 2)
-    def task(k):
-        return np.full((2, 3), k + 0.5), np.arange(4, dtype=np.uint8) + 10 * k, os.getpid()
-
-    _on_cpus(monkeypatch, cpus)
-    results = cosim._run_tasks([functools.partial(task, k) for k in range(5)])
-    assert len(results) == 5
-    for k, (a, b, _) in enumerate(results):
-        assert a.shape == (2, 3) and np.all(a == k + 0.5)
-        assert b.dtype == np.uint8 and np.array_equal(b, np.arange(4) + 10 * k)
-    pids = [pid for _, _, pid in results]
-    assert [pids[k] == os.getpid() for k in range(5)] == [k % cpus == 0 for k in range(5)]
-    assert pids[1] == pids[1 + cpus] != os.getpid()
-    assert len(set(pids)) == cpus
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_workers_are_reaped_after_success_and_after_an_error(scenario, monkeypatch):
-    _on_cpus(monkeypatch, 2)
-    simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
-    _assert_no_child_left()
-    # the worker's error reaches the caller as its own type and message
-    _rollout_failing_in_worker(monkeypatch, 1, ScheduleViolation("plant 1 failed in a worker"))
-    with pytest.raises(ScheduleViolation, match=r"^plant 1 failed in a worker$"):
+def test_a_rollout_error_reaches_the_caller_as_its_own_type_and_message(scenario, monkeypatch):
+    _rollout_failing(monkeypatch, 1, ScheduleViolation("plant 1 failed"))
+    with pytest.raises(ScheduleViolation, match=r"^plant 1 failed$"):
         simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
-    _assert_no_child_left()
 
 
-@needs_fork
-def test_no_worker_left_when_this_process_fails(scenario, monkeypatch):
-    rollout = cosim._rollout
-
-    def failing(seed, i, *args):
-        if i == 0:
-            raise ValueOutOfRange("plant 0 failed in this process")
-        return rollout(seed, i, *args)
-
-    _on_cpus(monkeypatch, 2)
-    monkeypatch.setattr(cosim, "_rollout", failing)
-    with pytest.raises(ValueOutOfRange, match=r"^plant 0 failed in this process$"):
-        simulate(scenario, OPTIMAL, SimConfig(2000, 1000, 1))
-    _assert_no_child_left()
-
-    # an interrupt here does not wait for a worker that would take a minute:
-    # the worker is killed
-    def interrupted(seed, i, *args):
-        if i == 0:
-            raise KeyboardInterrupt
-        time.sleep(60)
-
-    monkeypatch.setattr(cosim, "_rollout", interrupted)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
-    assert time.monotonic() - start < 30
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_worker_allocation_error_is_a_memory_error_with_its_message(scenario, monkeypatch):
-    # numpy's error takes (shape, dtype), so it comes back as the MemoryError
-    # it derives from, with numpy's message, which the CLI prints
-    _on_cpus(monkeypatch, 2)
-    _rollout_failing_in_worker(monkeypatch, 1, _AllocationFailed((2**37,), "float64"))
-    with pytest.raises(MemoryError) as caught:
-        simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
-    assert type(caught.value) is MemoryError
-    assert str(caught.value) == str(_AllocationFailed((2**37,), "float64"))
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_worker_warnings_reach_the_caller_and_it_writes_nothing(scenario, monkeypatch, capfd):
-    _on_cpus(monkeypatch, 2)
-    _rollout_failing_in_worker(monkeypatch, 1, warning="plant 1 warned in a worker")
-    with pytest.warns(RuntimeWarning, match=r"^plant 1 warned in a worker$"):
+def test_a_rollout_warning_reaches_the_caller_and_nothing_is_written(scenario, monkeypatch,
+                                                                      capfd):
+    want = _trace_bytes(simulate(scenario, OPTIMAL, SimConfig(80, 16, 1)))
+    _rollout_failing(monkeypatch, 1, warning="plant 1 warned")
+    with pytest.warns(RuntimeWarning, match=r"^plant 1 warned$") as caught:
         trace = simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
-    _on_cpus(monkeypatch, 1)
-    assert _trace_bytes(trace) == _trace_bytes(simulate(scenario, OPTIMAL, SimConfig(80, 16, 1)))
-    _on_cpus(monkeypatch, 2)
-    _rollout_failing_in_worker(monkeypatch, 1, ValueOutOfRange("plant 1 failed in a worker"))
-    with pytest.raises(ValueOutOfRange):
-        simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
+    assert len(caught) == 1
+    assert _trace_bytes(trace) == want
     assert capfd.readouterr() == ("", "")
 
 
@@ -1155,38 +967,46 @@ def _print_warnings(message, category, filename, lineno, file=None, line=None):
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
-@needs_fork
-def test_stderr_is_the_same_whatever_the_cpu_count(scenario_path, monkeypatch, capfd):
-    # each warning location prints once, as when every plant runs here
+def test_each_warning_location_prints_once(scenario_path, capfd):
+    # both plants overflow at the same lines, block after block
     scn = _overflowing_cell(scenario_path)
-    printed = []
-    for cpus in (1, 2, 3):
-        _on_cpus(monkeypatch, cpus)
-        with warnings.catch_warnings():
-            warnings.simplefilter("default")
-            warnings.showwarning = _print_warnings
-            simulate(scn, OPTIMAL, SimConfig(400, 100, 1))
-        printed.append(capfd.readouterr())
-    assert printed[0].out == "" and "RuntimeWarning: overflow" in printed[0].err
-    assert printed[1] == printed[0]
-    assert printed[2] == printed[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = _print_warnings
+        simulate(scn, OPTIMAL, SimConfig(400, 100, 1))
+    out, err = capfd.readouterr()
+    assert out == "" and "RuntimeWarning: overflow" in err
+    # formatwarning's "file:line: category: message", then the source line
+    printed = [line for line in err.splitlines() if not line.startswith(" ")]
+    assert len(printed) == len(set(printed)) > 1
 
 
-@needs_fork
-def test_worker_exits_on_a_broken_pipe():
-    # with the parent's read end gone, the worker's first write fails: it
-    # exits with status 2 instead of blocking or printing
-    r, w = os.pipe()
-    os.close(r)
-    pid = os.fork()
-    if pid == 0:
-        try:
-            # a 1 MiB result: more than a pipe buffers
-            cosim._worker([lambda: np.zeros(2**17)], [0], w, [])
-        finally:
-            os._exit(3)  # never reached: the worker exits itself
-    os.close(w)
-    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 2
+def test_physical_memory_probe(monkeypatch):
+    memory = cosim._physical_memory()
+    assert memory is None or memory > 2**20
+
+    def unknown(name):
+        raise ValueError("unrecognized configuration name")
+
+    monkeypatch.setattr(os, "sysconf", unknown, raising=False)
+    assert cosim._physical_memory() is None
+
+
+def test_a_horizon_past_physical_memory_is_a_memory_error_before_the_replay(scenario,
+                                                                            monkeypatch):
+    # the bundled cell keeps 40 + (8 x 2 + 34) + (8 x 1 + 34) = 132 bytes per
+    # fast step: 7 steps fit in 1000 bytes and 8 do not
+    replays, replay = [], cosim._replay_slow
+    monkeypatch.setattr(cosim, "_replay_slow", lambda *a: replays.append(a) or replay(*a))
+    monkeypatch.setattr(cosim, "_physical_memory", lambda: 1000)
+    with pytest.raises(MemoryError, match=r"^a horizon of 8 fast steps needs 1056 bytes, "
+                                          r"more than the 1000 bytes of physical memory$"):
+        simulate(scenario, OPTIMAL, SimConfig(8, 4, 1))
+    assert replays == []
+    assert simulate(scenario, OPTIMAL, SimConfig(7, 4, 1)).horizon == 7
+    assert len(replays) == 1
+    monkeypatch.setattr(cosim, "_physical_memory", lambda: None)  # not known: not checked
+    assert simulate(scenario, OPTIMAL, SimConfig(8, 4, 1)).horizon == 8
 
 
 # ── Group 4: running cost ────────────────────────────────────────────────────
