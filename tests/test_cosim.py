@@ -935,10 +935,63 @@ def test_simulate_never_forks(scenario, monkeypatch):
     assert len(trace.states) == len(scenario.plants) == 2
 
 
-def test_a_rollout_error_reaches_the_caller_as_its_own_type_and_message(scenario, monkeypatch):
-    _rollout_failing(monkeypatch, 1, ScheduleViolation("plant 1 failed"))
-    with pytest.raises(ScheduleViolation, match=r"^plant 1 failed$"):
+class _AllocationFailed(MemoryError):
+    """Built from a shape and a dtype, as numpy's allocation error is."""
+
+    def __init__(self, shape, dtype):
+        super().__init__("Unable to allocate 1.00 TiB for an array with shape %s and "
+                         "data type %s" % (shape, dtype))
+
+
+@pytest.mark.parametrize("plant", [0, 1])
+@pytest.mark.parametrize("error, args", [
+    (ScheduleViolation, ("plant failed",)),
+    (ValueOutOfRange, ("plant failed",)),
+    (_AllocationFailed, ((2**37,), "float64")),
+    (KeyboardInterrupt, ()),
+], ids=["schedule", "range", "allocation", "interrupt"])
+def test_a_rollout_error_reaches_the_caller_as_its_own_type_and_message(scenario, monkeypatch,
+                                                                        plant, error, args):
+    # numpy's allocation error, built from (shape, dtype), and an interrupt
+    # come back unchanged too; the first error ends the run, so no later
+    # plant's rollout starts
+    started, rollout = [], cosim._rollout
+
+    def counted(seed, i, *rest):
+        started.append(i)
+        return rollout(seed, i, *rest)
+
+    monkeypatch.setattr(cosim, "_rollout", counted)
+    _rollout_failing(monkeypatch, plant, error(*args))
+    with pytest.raises(error) as caught:
         simulate(scenario, OPTIMAL, SimConfig(80, 16, 1))
+    assert type(caught.value) is error
+    assert str(caught.value) == str(error(*args))
+    assert started == list(range(plant))
+
+
+@pytest.mark.parametrize("changed, old, new", [
+    (0, "a_open: [[-1.0, -0.4]", "a_open: [[-0.9, -0.4]"),
+    (1, "a_open: 1.0\n", "a_open: 1.1\n"),
+])
+def test_a_plant_rows_do_not_depend_on_the_other_plants(scenario_path, changed, old, new):
+    # one plant's open loop changed: the other plant's path, deliveries,
+    # delivery counts and decay statistics keep their bytes, since each
+    # rollout draws from its own plant's streams alone
+    text = scenario_path.read_text()
+    assert text.count(old) == 1
+    config = SimConfig(400, 100, 1)
+    traces = [simulate(load_scenario_text(t), OPTIMAL, config)
+              for t in (text, text.replace(old, new))]
+
+    def rows(trace, i):
+        return [np.ascontiguousarray(a).tobytes() for a in (
+            trace.states[i], trace.deliveries[:, i], trace.delivery_counts[:, i],
+            trace.decay_mean[i], trace.decay_sd[i])]
+
+    other = 1 - changed
+    assert rows(traces[1], other) == rows(traces[0], other)
+    assert traces[1].states[changed].tobytes() != traces[0].states[changed].tobytes()
 
 
 def test_a_rollout_warning_reaches_the_caller_and_nothing_is_written(scenario, monkeypatch,
