@@ -278,10 +278,11 @@ def _to_uniforms(bits):
     """The top 53 bits b of each hash as (b + 1) 2^-53, in place: a float64
     view of `bits`.  The cast runs on flat views, which numpy copies
     element for element; a cast between overlapping arrays of more
-    dimensions first copies the whole input."""
+    dimensions first copies the whole input.  It reads b as int64, whose
+    cast is faster than uint64's: b < 2^53, so both are exact."""
     bits >>= np.uint64(11)
     u = bits.view(np.float64)
-    np.copyto(u.reshape(-1), bits.reshape(-1), casting="unsafe")
+    np.copyto(u.reshape(-1), bits.view(np.int64).reshape(-1), casting="unsafe")
     u += 1.0
     u *= _INV_2_53
     return u
@@ -534,7 +535,9 @@ def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int):
     from the initial state x0 (zeros for None).  Returns trial 0's path
     (horizon + 1, dim) and deliveries (horizon,) of 0/1, the per-step
     delivery counts, and the decay residual's per-step mean and sample sd
-    (NaN for one trial).  It reads nothing of any other plant.
+    (NaN for one trial).  It reads nothing of any other plant.  A state,
+    V or statistic past float64's range raises ValueOutOfRange naming the
+    plant and the first fast step whose statistics it reaches.
 
     Every array of trials x steps a block needs is a view of one arena
     (`_Arena`) allocated here, written with out=, phase after phase: the
@@ -569,70 +572,82 @@ def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int):
                            out=arena.flags[: n * trials].reshape(n, trials))
         delivered[start:stop] = ok[:, 0]
         counts[start:stop] = np.count_nonzero(ok, axis=1)
-        # the noise w_e = sum_d F[e, d] z_d, each sum in index order, goes
-        # into rows 1..n of x; the delivery draws' slab takes the terms
-        term = arena(0, (n, trials))
-        for e in dims:
-            w_e = np.multiply(z[0], plant.noise_factor[e, 0], out=x[1 : n + 1, e])
-            for d in dims[1:]:
-                w_e += np.multiply(z[d], plant.noise_factor[e, d], out=term)
-        # x' = (sum_d A[e, d] x_d) + w, each sum in index order (w + sum is
-        # the same sum), with each trial's step matrix picked per step: A_c
-        # where its packet arrived, else A_o
-        index = arena(0, (n, trials), np.intp)
-        index[...] = ok
-        # a step's matrices, their products A[e, d] x_d and the sums over d
-        # follow the index in slab 0; at dim 1 the one product is the sum
-        a = arena(0, (dim, dim, trials), offset=n * trials)
-        prod = arena(0, (dim, dim, trials), offset=(n + dim * dim) * trials)
-        a_flat = a.reshape(dim * dim, trials)
-        total = (arena(0, (dim, trials), offset=(n + 2 * dim * dim) * trials) if dim > 1
-                 else prod[:, 0])
-        for x_l, x_next, index_l in zip(x, x[1:], index):
-            matrices.take(index_l, axis=1, out=a_flat, mode="clip")
-            np.multiply(a, x_l, out=prod)
-            if dim > 1:
-                np.add(prod[:, 0], prod[:, 1], out=total)
-                for d in dims[2:]:
-                    total += prod[:, d]
-            x_next += total
-        # V = sum_{d, e} Q[d, e] x_d x_e in (d, e) order.  The first term
-        # Q[0, 0] x_0^2 is >= +0 (Q is positive definite), so it is the sum
-        # so far, 0 + it; Q is exactly symmetric and x_d x_e = x_e x_d, so
-        # a term whose mirror was the last one made (the (1, 0) one at dim 2)
-        # adds that one again
-        v, vterm = arena(0, (n + 1, trials)), arena(0, (n + 1, trials), offset=(n + 1) * trials)
-        xs = x[: n + 1]
-        np.multiply(xs[:, 0], xs[:, 0], out=v)
-        v *= plant.q[0, 0]
-        made = (0, 0)
-        for d, e in list(itertools.product(dims, dims))[1:]:
-            if made != (e, d):
-                np.multiply(xs[:, d], xs[:, e], out=vterm)
-                vterm *= plant.q[d, e]
-                made = (d, e)
-            v += vterm
-        # V(x(l+1)) - rho V(x(l)) - tr(Q Xi), then as (trials, m), C-contiguous
-        # with m = max(n, 2) columns: reducing over its rows adds in trial
-        # order, as numpy's mean and std do, where one column alone would be
-        # summed pairwise.  A one-step block's column of zeros lands on the
-        # spare step, which the next block overwrites or the return drops
-        residual = np.multiply(v[:-1], float(plant.rho), out=vterm[:n])
-        np.subtract(v[1:], residual, out=residual)
-        residual -= plant.q_xi_trace
-        m = max(n, 2)
-        r = arena(0, (trials, m))
-        if n == 1:
-            r[:, 1] = 0.0
-        np.copyto(r[:, :n], residual.T)
-        mean = np.add.reduce(r, axis=0, out=decay_mean[start : start + m])
-        mean /= trials
-        if trials > 1:  # one trial has no sample sd
-            r -= mean
-            r *= r
-            sd = np.add.reduce(r, axis=0, out=decay_sd[start : start + m])
-            sd /= trials - 1
-            np.sqrt(sd, out=sd)
+        # the float phases: a plant the schedule lets grow past float64's
+        # range leaves inf and nan in them, which the check below locates
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the noise w_e = sum_d F[e, d] z_d, each sum in index order, goes
+            # into rows 1..n of x; the delivery draws' slab takes the terms
+            term = arena(0, (n, trials))
+            for e in dims:
+                w_e = np.multiply(z[0], plant.noise_factor[e, 0], out=x[1 : n + 1, e])
+                for d in dims[1:]:
+                    w_e += np.multiply(z[d], plant.noise_factor[e, d], out=term)
+            # x' = (sum_d A[e, d] x_d) + w, each sum in index order (w + sum is
+            # the same sum), with each trial's step matrix picked per step: A_c
+            # where its packet arrived, else A_o
+            index = arena(0, (n, trials), np.intp)
+            index[...] = ok
+            # a step's matrices, their products A[e, d] x_d and the sums over d
+            # follow the index in slab 0; at dim 1 the one product is the sum
+            a = arena(0, (dim, dim, trials), offset=n * trials)
+            prod = arena(0, (dim, dim, trials), offset=(n + dim * dim) * trials)
+            a_flat = a.reshape(dim * dim, trials)
+            total = (arena(0, (dim, trials), offset=(n + 2 * dim * dim) * trials) if dim > 1
+                     else prod[:, 0])
+            for x_l, x_next, index_l in zip(x, x[1:], index):
+                matrices.take(index_l, axis=1, out=a_flat, mode="clip")
+                np.multiply(a, x_l, out=prod)
+                if dim > 1:
+                    np.add(prod[:, 0], prod[:, 1], out=total)
+                    for d in dims[2:]:
+                        total += prod[:, d]
+                x_next += total
+            # V = sum_{d, e} Q[d, e] x_d x_e in (d, e) order.  The first term
+            # Q[0, 0] x_0^2 is >= +0 (Q is positive definite), so it is the sum
+            # so far, 0 + it; Q is exactly symmetric and x_d x_e = x_e x_d, so
+            # a term whose mirror was the last one made (the (1, 0) one at dim 2)
+            # adds that one again
+            v = arena(0, (n + 1, trials))
+            vterm = arena(0, (n + 1, trials), offset=(n + 1) * trials)
+            xs = x[: n + 1]
+            np.multiply(xs[:, 0], xs[:, 0], out=v)
+            v *= plant.q[0, 0]
+            made = (0, 0)
+            for d, e in list(itertools.product(dims, dims))[1:]:
+                if made != (e, d):
+                    np.multiply(xs[:, d], xs[:, e], out=vterm)
+                    vterm *= plant.q[d, e]
+                    made = (d, e)
+                v += vterm
+            # V(x(l+1)) - rho V(x(l)) - tr(Q Xi), then as (trials, m), C-contiguous
+            # with m = max(n, 2) columns: reducing over its rows adds in trial
+            # order, as numpy's mean and std do, where one column alone would be
+            # summed pairwise.  A one-step block's column of zeros lands on the
+            # spare step, which the next block overwrites or the return drops
+            residual = np.multiply(v[:-1], float(plant.rho), out=vterm[:n])
+            np.subtract(v[1:], residual, out=residual)
+            residual -= plant.q_xi_trace
+            m = max(n, 2)
+            r = arena(0, (trials, m))
+            if n == 1:
+                r[:, 1] = 0.0
+            np.copyto(r[:, :n], residual.T)
+            mean = np.add.reduce(r, axis=0, out=decay_mean[start : start + m])
+            mean /= trials
+            if trials > 1:  # one trial has no sample sd
+                r -= mean
+                r *= r
+                sd = np.add.reduce(r, axis=0, out=decay_sd[start : start + m])
+                sd /= trials - 1
+                np.sqrt(sd, out=sd)
+        finite = np.isfinite(decay_mean[start:stop])
+        if trials > 1:  # one trial's sd is NaN by design
+            finite &= np.isfinite(decay_sd[start:stop])
+        if not finite.all():
+            raise ValueOutOfRange(
+                "plant %s leaves float64 range at fast step %d: its state or decay "
+                "statistics are not finite" % (plant.name or i + 1,
+                                               start + int(np.argmin(finite))))
         path[start : stop + 1] = x[: n + 1, :, 0]
         x[0] = x[n]
     return path, delivered, counts, decay_mean[:horizon], decay_sd[:horizon]

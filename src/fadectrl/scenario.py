@@ -20,8 +20,10 @@ value runs only on a clean one and reports nothing twice.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from numbers import Real
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from .mas import ConstraintSets, MasModel, require_index_range, to_index
 from .wcs import Plant, default_lyapunov_weight
 
 ROW_MASS_TOL = Fraction(1e-9)  # the float's exact value, for integer comparisons
+_TOL = ROW_MASS_TOL.as_integer_ratio()
 
 
 class _Map(dict):
@@ -68,68 +71,60 @@ def _unreadable(node, what, e=None):
         yaml.Mark(m.name, m.index, m.line, m.column, None, None))
 
 
-def _reading(construct, what):
-    """PyYAML's constructor of `what`, with a text it has no reading for a
-    located parse error rather than its KeyError or AttributeError."""
-    def read(loader, node):
-        try:
-            return construct(loader, node)
-        except (KeyError, AttributeError):  # no boolean's or timestamp's spelling
-            raise _unreadable(node, what) from None
-        except ValueError as e:  # a date or time out of range
-            raise _unreadable(node, what, e) from None
-    return read
-
-
 def _exact_float(loader, node):
     """The exact `_Number` of a float's text, underscores dropped, or its float64
     image if not finite; an image of 0 reads as 0 (1e-99999999 needs 10**99999999)."""
-    try:
-        number = loader.construct_yaml_float(node)
-        return _Number(node.value.replace("_", "") if number else 0) \
-            if math.isfinite(number) else number
-    except (ValueError, IndexError) as e:  # IndexError: an empty !!float
-        raise _unreadable(node, "a number", e) from None
+    number = loader.construct_yaml_float(node)
+    return _Number(node.value.replace("_", "") if number else 0) \
+        if math.isfinite(number) else number
 
 
 def _exact_int(loader, node):
     """An int, or as for a float the infinity that is its float64 image; a
     base-60 int (`1:30`) has no reading, as a base-60 float has none."""
+    if ":" in node.value:
+        int(node.value)  # raises the ValueError that names the literal
+    n = loader.construct_yaml_int(node)
     try:
-        if ":" in node.value:
-            int(node.value)  # raises the ValueError that names the literal
-        n = loader.construct_yaml_int(node)
-        float(n)  # OverflowError past float64's range
-    except OverflowError:
+        float(n)
+    except OverflowError:  # past float64's range
         return math.inf if n > 0 else -math.inf
-    except (ValueError, IndexError) as e:  # IndexError: an empty !!int
-        raise _unreadable(node, "a number", e) from None
     return n
 
 
 _TAG = "tag:yaml.org,2002:"
 _MERGE = object()  # what a `<<` key reads as; only a mapping key may be one
+_UNSEEN = object()  # a text the scalar memo has no object for
 _COLLECTIONS = {_TAG + "seq": list, _TAG + "omap": list, _TAG + "pairs": list,
                 _TAG + "map": _Map, _TAG + "set": set}
 # a scalar with a collection's tag has no constructor, as a collection with a scalar's has none
 _CONSTRUCTORS = {_TAG + "int": _exact_int, _TAG + "float": _exact_float,
-                 _TAG + "bool": _reading(SafeConstructor.construct_yaml_bool, "a boolean"),
-                 _TAG + "timestamp": _reading(SafeConstructor.construct_yaml_timestamp,
-                                              "a timestamp"),
                  _TAG + "merge": lambda loader, node: _MERGE,
                  **dict.fromkeys(_COLLECTIONS, SafeConstructor.construct_undefined)}
+# what a text with no reading under the tag fails to be: PyYAML's constructors raise
+# KeyError or AttributeError for no spelling, ValueError or IndexError naming the fault
+_READINGS = {_TAG + "int": "a number", _TAG + "float": "a number",
+             _TAG + "bool": "a boolean", _TAG + "timestamp": "a timestamp"}
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser if built
+# a plain int or float spelling whose float64 image is finite and, unless 0, not 0
+_DECIMAL = re.compile(r"([1-9][0-9]{0,17})|([0-9]{1,150})\.([0-9]{0,150})")
+_SCALAR, _SEQ_START = yaml.ScalarEvent, yaml.SequenceStartEvent
+_SEQ_END, _MAP_END = yaml.SequenceEndEvent, yaml.MappingEndEvent
+_LIST_TAGS = (None, "!", _TAG + "seq")
 
 
 class _Builder:
     """A loader's one document, built from its events with no node graph: each
     mapping a `_Map` that knows its lines and repeats no key unless merged in
-    with ``<<``, each scalar constructed once per distinct text and tag."""
+    with ``<<``, each scalar constructed once per distinct text and tag.  A
+    list's or mapping's loop reads a plain, unanchored scalar seen before by
+    one lookup of its text, and any other node by `read`."""
 
     def __init__(self, loader):
         self.loader, self.get = loader, loader.get_event
         self.constructors = {**loader.yaml_constructors, **_CONSTRUCTORS}
-        self.anchors, self.scalars = {}, {}  # name -> (object, mark); (text, tag) -> object
+        # name -> (object, mark); a plain scalar's text, else (text, tag) -> object
+        self.anchors, self.scalars = {}, {}
         self.named = isinstance(loader, yaml.composer.Composer)  # libyaml's errors don't
 
     def document(self):
@@ -155,68 +150,111 @@ class _Builder:
             raise ComposerError("found duplicate anchor%s; first occurrence" % name,
                                 self.anchors[anchor][1], "second occurrence", mark)
         else:  # a collection names itself under its anchor before its entries
-            data = (self.scalar if type(event) is yaml.ScalarEvent else self.collection)(event)
+            data = (self.scalar if type(event) is _SCALAR else self.collection)(event)
             if anchor is not None:
                 self.anchors[anchor] = data, mark
         if data is _MERGE and not key:
             self.loader.construct_undefined(yaml.ScalarNode(_TAG + "merge", "<<", mark, mark))
         return data, mark
 
+    def read(self, event):
+        """The object of any node but a plain scalar seen before: an unanchored
+        collection's from `collection`, any other's from `node`."""
+        if event.anchor is None and type(event) is not _SCALAR:
+            return self.collection(event)
+        return self.node(event)[0]
+
     def scalar(self, event):
-        implicit = event.tag is None or event.tag == "!"
-        memo = (event.value, event.implicit if implicit else event.tag)
-        if memo not in self.scalars:
-            tag = self.loader.resolve(yaml.ScalarNode, event.value, event.implicit) \
-                if implicit else event.tag
-            self.scalars[memo] = self.constructors.get(tag, self.constructors[None])(
-                self.loader, yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark))
-        return self.scalars[memo]
+        value, tag = event.value, event.tag
+        memo = value if event.implicit[0] else (value, tag)  # `!` resolves as no tag does
+        if memo in self.scalars:
+            return self.scalars[memo]
+        if memo is value and (decimal := _DECIMAL.fullmatch(value)):  # as resolved, faster
+            data = int(value) if decimal[1] else \
+                _Number(int(decimal[2] + decimal[3]), 10 ** len(decimal[3]))
+        else:
+            if tag is None or tag == "!":
+                tag = self.loader.resolve(yaml.ScalarNode, value, event.implicit)
+            node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark)
+            try:
+                data = self.constructors.get(tag, self.constructors[None])(self.loader, node)
+            except (KeyError, AttributeError, ValueError, IndexError) as e:
+                if tag not in _READINGS:
+                    raise
+                raise _unreadable(node, _READINGS[tag], e if isinstance(
+                    e, (ValueError, IndexError)) else None) from None
+        if data is not _MERGE:  # never remembered, so that `node` sees every `<<`
+            self.scalars[memo] = data
+        return data
 
     def collection(self, event):
         """A list or `_Map`, or what PyYAML builds for `!!set`, `!!omap`, `!!pairs`."""
-        seq, start = type(event) is yaml.SequenceStartEvent, event.start_mark
-        tag = _TAG + ("seq" if seq else "map") if event.tag in (None, "!") else event.tag
-        if tag not in _COLLECTIONS or (_COLLECTIONS[tag] is list) != seq:
+        seq, start, tag = type(event) is _SEQ_START, event.start_mark, event.tag
+        if tag is None or tag == "!":
+            data = [] if seq else _Map()
+        elif tag in _COLLECTIONS and (_COLLECTIONS[tag] is list) == seq:
+            data = _COLLECTIONS[tag]()
+        else:
             self.loader.construct_undefined(yaml.ScalarNode(tag, "", start, start))
-        data = _COLLECTIONS[tag]()
         if event.anchor is not None:
             self.anchors[event.anchor] = data, start
-        if seq:
-            while type(event := self.get()) is not yaml.SequenceEndEvent:
+        get, scalars = self.get, self.scalars
+        if seq and tag not in _LIST_TAGS:  # one (key, value) pair per one-item mapping
+            while type(event := get()) is not _SEQ_END:
                 item, mark = self.node(event)
-                if tag != _TAG + "seq":  # one (key, value) pair per one-item mapping
-                    if not isinstance(item, dict) or len(item) != 1:
-                        raise ConstructorError(tag, start, "expected a one-item mapping", mark)
-                    (item,) = item.items()
-                data.append(item)
+                if not isinstance(item, dict) or len(item) != 1:
+                    raise ConstructorError(tag, start, "expected a one-item mapping", mark)
+                data.extend(item.items())
             return data
-        lines, explicit, merged = {}, {}, []
-        while type(event := self.get()) is not yaml.MappingEndEvent:
-            key, mark = self.node(event, key=True)
+        if seq:
+            while type(event := get()) is not _SEQ_END:
+                if type(event) is _SCALAR and event.anchor is None and event.implicit[0] \
+                        and (item := scalars.get(event.value, _UNSEEN)) is not _UNSEEN:
+                    data.append(item)
+                else:
+                    data.append(self.read(event))
+            return data
+        # a `_Map` no alias can reach before its end takes its keys as they come;
+        # an anchored one and a `!!set` take them at the end, as merged ones
+        body = data if type(data) is _Map and event.anchor is None else {}
+        lines, merged = {}, []
+        while type(event := get()) is not _MAP_END:
+            if type(event) is _SCALAR and event.anchor is None and event.implicit[0] \
+                    and (key := scalars.get(event.value, _UNSEEN)) is not _UNSEEN:
+                mark = event.start_mark
+            else:
+                key, mark = self.node(event, key=True)
             if key is _MERGE:
-                value, mark = self.node(self.get())
+                value, mark = self.node(get())
                 sources = value if isinstance(value, list) else [value]
                 if not all(isinstance(source, dict) for source in sources):
                     raise ConstructorError(None, None, "<< merges only mappings", mark)
                 merged += sources[::-1]  # the first one named wins
                 continue
-            line = mark.line + 1
             try:
-                first = lines.get(key)
+                written = key in body
             except TypeError:
                 raise ConstructorError(problem="mapping key %r at line %d is not a scalar; "
                                        "agent-state mapping keys must be 1-based basis "
-                                       "indices" % (key, line)) from None
-            if first is not None and type(data) is _Map:
+                                       "indices" % (key, mark.line + 1)) from None
+            if written and type(data) is _Map:
                 raise ConstructorError(problem="duplicate key %r at line %d, first written "
-                                       "at line %d" % (key, line, first))
-            lines[key] = line
-            explicit[key] = self.node(self.get())[0]
-        for source in merged + [explicit]:  # merged keys first, each overridden explicitly
-            data.update(source)
+                                       "at line %d" % (key, mark.line + 1,
+                                                       lines.get(key, start.line + 1)))
+            if mark.line != start.line:
+                lines[key] = mark.line + 1
+            if type(event := get()) is _SCALAR and event.anchor is None and event.implicit[0] \
+                    and (value := scalars.get(event.value, _UNSEEN)) is not _UNSEEN:
+                body[key] = value
+            else:
+                body[key] = self.read(event)
+        if merged or body is not data:  # merged keys first, each overridden explicitly
+            explicit = body.copy()
+            data.clear()
+            for source in merged + [explicit]:
+                data.update(source)
         if type(data) is _Map:
-            data.line = start.line + 1
-            data.lines = {k: n for k, n in lines.items() if n != data.line} or None
+            data.line, data.lines = start.line + 1, lines or None
         return data
 
 
@@ -255,9 +293,16 @@ class Scenario:
 
 
 class _Collector:
-    def __init__(self, source):
-        self.source = source
-        self.errors = []
+    """One load's violations, and its numbers in [0, 1]: each distinct scalar
+    object's exact value as an integer over one scale, the lcm of their
+    denominators, keyed by its id (held valid by scalars, the build's memo)."""
+
+    def __init__(self, source, scalars):
+        self.source, self.errors, self.scalars = source, [], scalars
+        units = [v for v in scalars.values()
+                 if (type(v) is int or type(v) is _Number) and 0 <= v.numerator <= v.denominator]
+        self.scale = math.lcm(*[v.denominator for v in units])
+        self.units = {id(v): v.numerator * (self.scale // v.denominator) for v in units}
 
     def err(self, line, path, msg):
         if type(path) is tuple:  # (list path, index), formatted only once reported
@@ -361,8 +406,9 @@ def _index_set(v, model, ctx, line, path, what):
     tuples, or None once the list or its bad entries are reported."""
     if not isinstance(v, list):
         return ctx.err(line, path, "must be a list")
-    errors = len(ctx.errors)
-    got = frozenset([_state_index(x, model, ctx, line, "%s[%d]" % (path, i))
+    errors, nn = len(ctx.errors), model.state_count
+    got = frozenset([x if type(x) is int and 0 < x <= nn else  # an index in range as is
+                     _state_index(x, model, ctx, line, "%s[%d]" % (path, i))
                      for i, x in enumerate(v)])
     if len(ctx.errors) > errors:
         return None
@@ -526,57 +572,59 @@ def _transmit_policy(sec, q, ctx, ln):
     return [[int(b) for b in row] for row in rows]
 
 
-def _fading_row(row, flags, ctx, line, path):
-    """(per-link transmit shares, per-link decode probability times that
-    share) of one agent state's fading row, or None once its violations
-    are reported."""
-    if not isinstance(row, dict):
-        return ctx.err(line, path, "must be a mapping")
-    _known_keys(row, ("decode", "dist"), ctx, path)
-    errors = len(ctx.errors)
-    decode = _as_list(row, "decode", ctx, path + ".decode")
-    dist = _as_list(row, "dist", ctx, path + ".dist")
-    if len(ctx.errors) > errors:
-        return None
-    if len(decode) != len(flags) or len(dist) != len(flags):
-        return ctx.err(line, path, "decode/dist must carry one entry per link (%d)" % len(flags))
-    shares, success = [], []
-    for i, sends in enumerate(flags):
-        e = _exact(decode[i], ctx, line, path + ".decode[%d]" % i, lo=0, hi=1)
-        probs = _exact_list(dist[i], len(sends), ctx, line, path + ".dist[%d]" % i,
-                            "probabilities", lo=0, hi=1)
-        if probs is None:
-            continue
-        # the row in ints over the lcm of its denominators, compared exactly
-        scale = math.lcm(*[p.denominator for p in probs])
-        weights = [p.numerator * (scale // p.denominator) for p in probs]
-        mass, sent = sum(weights), Fraction(sum([w for w, b in zip(weights, sends) if b]), scale)
-        if abs(mass - scale) * ROW_MASS_TOL.denominator > ROW_MASS_TOL.numerator * scale:
-            ctx.err(line, path + ".dist[%d]" % i,
-                    "probabilities sum to %s, expected 1" % (mass / scale))
-        elif sent > 1:  # within the tolerance a row may sum past 1
-            ctx.err(line, path + ".dist[%d]" % i,
-                    "transmitting probabilities sum to %s, above 1" % float(sent))
-        elif e is not None:
-            shares.append(sent)
-            success.append(e * sent)
-    return (tuple(shares), tuple(success)) if len(ctx.errors) == errors else None
-
-
 def _fading_rows(fading_raw, flags, model, ctx, ln):
     """({agent state: transmit shares}, {agent state: derived success}) over
-    the states the fading rows cover, or None once a violation is reported."""
+    the states the fading rows cover, or None once a violation is reported.
+    A state's share on a link is its distribution's transmitting mass, and
+    its success the link's decode probability times that share.  Each
+    distribution is summed in integers over the scale of `ctx.units`, the
+    tables get one Fraction per distinct share and one per success, and a
+    path is formatted only for a violation."""
     if not isinstance(fading_raw, dict):
         return ctx.err(ln, "channel.fading", "must map agent state -> row")
-    errors = len(ctx.errors)
-    transmit, success = {}, {}
-    for key in fading_raw:
-        row = fading_raw[key]
-        rln = _line(row, _line(fading_raw, ln))
-        a = _state_index(key, model, ctx, rln, "channel.fading key %r" % (key,))
-        probs = _fading_row(row, flags, ctx, rln, "channel.fading[%r]" % (key,))
-        if a is not None and probs is not None:
-            transmit[a], success[a] = probs
+    errors, weight, scale = len(ctx.errors), ctx.units.get, ctx.scale
+    transmit, success, share_of = {}, {}, {}  # share_of: transmitting mass -> its share
+    fln, nn, path = _line(fading_raw, ln), model.state_count, "channel.fading[%r]"
+    for key, row in fading_raw.items():
+        line = _line(row, fln)
+        a = key if type(key) is int and 0 < key <= nn else _state_index(
+            key, model, ctx, line, "channel.fading key %r" % (key,))
+        if not isinstance(row, dict):
+            ctx.err(line, path % (key,), "must be a mapping")
+            continue
+        decode, dist = row.get("decode"), row.get("dist")
+        if len(row) != 2 or type(decode) is not list or type(dist) is not list:  # report why
+            _known_keys(row, ("decode", "dist"), ctx, path % (key,))
+            if None in (_as_list(row, "decode", ctx, (path + ".decode") % (key,)),
+                        _as_list(row, "dist", ctx, (path + ".dist") % (key,))):
+                continue
+        if len(decode) != len(flags) or len(dist) != len(flags):
+            ctx.err(line, path % (key,),
+                    "decode/dist must carry one entry per link (%d)" % len(flags))
+            continue
+        shares, successes = [], []
+        for i, (e, sends, probs) in enumerate(zip(map(weight, map(id, decode)), flags, dist)):
+            if e is None:  # not a number in [0, 1]: _exact reports why
+                _exact(decode[i], ctx, line, (path + ".decode[%d]") % (key, i), lo=0, hi=1)
+            w = list(map(weight, map(id, probs))) if isinstance(probs, list) else ()
+            if len(w) != len(sends) or None in w:  # _exact_list reports what is wrong
+                _exact_list(probs, len(sends), ctx, line, (path + ".dist[%d]") % (key, i),
+                            "probabilities", lo=0, hi=1)
+                continue
+            mass, sent = sum(w), sum(compress(w, sends))
+            if abs(mass - scale) * _TOL[1] > _TOL[0] * scale:
+                ctx.err(line, (path + ".dist[%d]") % (key, i),
+                        "probabilities sum to %s, expected 1" % (mass / scale))
+            elif sent > scale:  # within the tolerance a row may sum past 1
+                ctx.err(line, (path + ".dist[%d]") % (key, i),
+                        "transmitting probabilities sum to %s, above 1" % (sent / scale))
+            elif e is not None:
+                if sent not in share_of:
+                    share_of[sent] = Fraction(sent, scale)
+                shares.append(share_of[sent])
+                successes.append(Fraction(e * sent, scale * scale))
+        if a is not None:  # both tables are dropped below once any row reported
+            transmit[a], success[a] = tuple(shares), tuple(successes)
     return (transmit, success) if len(ctx.errors) == errors else None
 
 
@@ -659,13 +707,13 @@ def _parse_cost(doc, model, ctx):
 
 def load_scenario_text(text: str, source: str = "<string>") -> Scenario:
     try:
-        doc = _Builder(_LOADER(text)).document()
+        doc = (builder := _Builder(_LOADER(text))).document()
     except yaml.YAMLError as e:
         raise ParseError("%s: not valid YAML: %s" % (source, e)) from e
     if not isinstance(doc, dict):
         raise ParseError("%s: document must be a key-value mapping" % source)
 
-    ctx = _Collector(source)
+    ctx = _Collector(source, builder.scalars)
     _known_keys(doc, ("name", "fast_steps_per_slow", "plants", "agents", "constraints",
                       "channel", "cost", "thresholds_override", "simulation"),
                 ctx, "top level")

@@ -18,7 +18,9 @@ law is rebuilt in the paper's semi-tensor-product (STP) form, so the fast
 implementations have something honest to be compared against.  The
 scenario loader's one-pass builder is compared against the reference
 loader it replaced: PyYAML's composer and constructor with line-keeping,
-exact-number constructors.
+exact-number constructors; and its fading-row checks and tables against
+the same rows of that loader's document, summed link by link in Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from fadectrl.errors import (
     ValueOutOfRange,
 )
 from fadectrl.mas import ConstraintSets, MasModel, successors
-from fadectrl.scenario import StageCost, _Map, _Number
+from fadectrl.scenario import ROW_MASS_TOL, StageCost, _Map, _Number
 from fadectrl.stabilization import ReachabilityLayers
 from fadectrl.synthesis import Edge, TransitionGraph
 from fadectrl.wcs import Plant
@@ -943,6 +945,48 @@ def build_structure_matrix(model: MasModel) -> LogicalMatrix:
             nxt = encode_tuple(step_tuple(model, al_t, u_t), model.kappa)
             cols.append(nxt.index)
     return LogicalMatrix(nn, nn * nn, tuple(cols))
+
+
+def fading_tables(doc):
+    """The fading rows of a document the reference loader read, in plain
+    Fraction arithmetic, one link at a time: ({state: transmit shares},
+    {state: success}, violations).  Link i of state a transmits
+    sum_c gamma_i(c) h(c) (gamma the policy's flags, h the row's
+    distribution) and succeeds with decode times that.  The violations,
+    (line, path, message) in the loader's order, are a decode or
+    distribution entry outside [0, 1], a distribution whose mass misses 1
+    by more than ROW_MASS_TOL and, within it, a transmitting mass past 1."""
+    channel = doc["channel"]
+    transmit, success, violations = {}, {}, []
+    for a, row in channel["fading"].items():
+        path = "channel.fading[%r]" % (a,)
+        shares = []
+        for i, (gamma, decode, dist) in enumerate(zip(channel["transmit_policy"],
+                                                      row["decode"], row["dist"])):
+            entries = [(".decode[%d]" % i, decode)] + [
+                (".dist[%d][%d]" % (i, c), h) for c, h in enumerate(dist)]
+            for where, p in entries:
+                if p < 0:
+                    violations.append((row.line, path + where, "must be >= 0, got %s" % p))
+                elif p > 1:
+                    violations.append((row.line, path + where, "must be <= 1, got %s" % p))
+            if not all(0 <= h <= 1 for h in dist):
+                continue
+            mass = sum(dist, Fraction(0))
+            sent = sum((g * h for g, h in zip(gamma, dist)), Fraction(0))
+            if abs(mass - 1) > ROW_MASS_TOL:
+                violations.append((row.line, path + ".dist[%d]" % i,
+                                   "probabilities sum to %s, expected 1" % float(mass)))
+            elif sent > 1:
+                violations.append((row.line, path + ".dist[%d]" % i,
+                                   "transmitting probabilities sum to %s, above 1"
+                                   % float(sent)))
+            elif 0 <= decode <= 1:
+                shares.append((sent, decode * sent))
+        if len(shares) == len(channel["transmit_policy"]):
+            transmit[a] = tuple(t for t, _ in shares)
+            success[a] = tuple(s for _, s in shares)
+    return transmit, success, violations
 
 
 # ── Reference scenario loader ────────────────────────────────────────────────

@@ -766,6 +766,27 @@ def test_simulate_artifacts_and_verdict(scenario_path, outdir, capsys):
     assert "seed 5, trials 150, horizon 120 fast steps (tau = 40)" in report
 
 
+def test_simulate_of_a_diverging_plant_is_one_located_error(scenario_path, outdir,
+                                                            tmp_path_factory, capsys):
+    # known defect 5: the conveyor's open loop at 1.5 under the bundled
+    # override's 0.1 grows by about e^0.14 a fast step until its statistics
+    # leave float64; simulate used to print six numpy RuntimeWarnings, report
+    # "FAIL (worst margin nan at fast step 1823)" and exit 0
+    cell = tmp_path_factory.mktemp("diverging") / "assembly_cell.yaml"
+    cell.write_text(scenario_path.read_text().replace("    a_open: 1.0\n", "    a_open: 1.5\n"))
+    _, schedule_path = _synth(cell, outdir)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _simulate(cell, outdir, schedule_path, seed=1, trials=100, horizon=5000) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_error(err) == ("error: plant conveyor leaves float64 range at fast step 864: "
+                               "its state or decay statistics are not finite")
+    assert sorted(p.name for p in outdir.iterdir()) == ["assembly_cell.report.txt",
+                                                          "assembly_cell.schedule.json"]
+
+
 def test_simulate_same_seed_same_bytes(scenario_path, outdir, tmp_path_factory,
                                        monkeypatch, capsys):
     _, schedule_path = _synth(scenario_path, outdir)

@@ -66,7 +66,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1007,7 +1006,7 @@ def test_a_rollout_warning_reaches_the_caller_and_nothing_is_written(scenario, m
 
 def _overflowing_cell(scenario_path):
     """The bundled cell with both plants' open loops at 1e100: every plant
-    step overflows, and numpy warns at several lines of each rollout."""
+    step overflows, at several lines of each rollout."""
     text = scenario_path.read_text()
     for old, new in (("a_open: [[-1.0, -0.4]", "a_open: [[-1.0e+100, -0.4]"),
                      ("a_open: 1.0\n", "a_open: 1.0e+100\n")):
@@ -1016,22 +1015,19 @@ def _overflowing_cell(scenario_path):
     return load_scenario_text(text)
 
 
-def _print_warnings(message, category, filename, lineno, file=None, line=None):
-    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
-
-def test_each_warning_location_prints_once(scenario_path, capfd):
-    # both plants overflow at the same lines, block after block
+@pytest.mark.parametrize("trials, step", [(100, 0), (1, 1)])
+def test_a_plant_leaving_float64_range_is_one_located_error(scenario_path, trials, step):
+    # the arm, rolled out first, overflows at once: its sd at step 0 (r * r
+    # past 1e308) or, for one trial, whose sd is NaN by design, its V at
+    # step 1.  simulate used to print numpy's RuntimeWarnings, one per line
+    # and plant, and return a trace of inf and nan
     scn = _overflowing_cell(scenario_path)
     with warnings.catch_warnings():
-        warnings.simplefilter("default")
-        warnings.showwarning = _print_warnings
-        simulate(scn, OPTIMAL, SimConfig(400, 100, 1))
-    out, err = capfd.readouterr()
-    assert out == "" and "RuntimeWarning: overflow" in err
-    # formatwarning's "file:line: category: message", then the source line
-    printed = [line for line in err.splitlines() if not line.startswith(" ")]
-    assert len(printed) == len(set(printed)) > 1
+        warnings.simplefilter("error")
+        with pytest.raises(ValueOutOfRange) as caught:
+            simulate(scn, OPTIMAL, SimConfig(400, trials, 1))
+    assert str(caught.value) == ("plant arm leaves float64 range at fast step %d: its state "
+                                 "or decay statistics are not finite" % step)
 
 
 def test_physical_memory_probe(monkeypatch):

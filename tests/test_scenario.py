@@ -48,10 +48,11 @@ from fadectrl import scenario as scenario_module
 from fadectrl.scenario import _LOADER, _Builder, _Collector, load_scenario, load_scenario_text
 from fadectrl.stabilization import stabilize
 from fadectrl.synthesis import synthesize
-from oracles import LineLoader, PythonLineLoader, grid_text
+from oracles import LineLoader, PythonLineLoader, fading_tables, grid_text
 
 ROOT = Path(__file__).resolve().parents[1]
-BUNDLED_DOC = yaml.safe_load((ROOT / "scenarios" / "assembly_cell.yaml").read_text())
+BUNDLED_TEXT = (ROOT / "scenarios" / "assembly_cell.yaml").read_text()
+BUNDLED_DOC = yaml.safe_load(BUNDLED_TEXT)
 
 MINIMAL = """\
 name: single loop probe
@@ -719,6 +720,95 @@ def test_a_merged_list_of_mappings_keeps_the_first_named(bundled_text):
     with pytest.raises(ValidationError, match="constraints.states: 'states' must be a list"):
         load_scenario_text(bundled_text.replace("  states: [1, 2, 3, 4, 5, 6]\n",
                                                 "  states: !!set {1, 2, 3, 4, 5, 6}\n"))
+
+
+def test_a_pair_list_rejects_a_scalar_read_before(bundled_text):
+    # the document reads 1 before the pair list, whose item is then a memo hit
+    broken = "x: 1\n" + bundled_text.replace("name: assembly cell\n", "name: !!pairs [1]\n")
+    for loader, _ in PARSERS:
+        with pytest.raises(yaml.YAMLError, match="expected a one-item mapping"):
+            _build(broken, loader)
+
+
+NUMBERS = st.from_regex(r"[-+]?[0-9][0-9_]{0,20}(\.[0-9_]{0,20})?([eE][-+]?[0-9]{1,3})?",
+                        fullmatch=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(number=NUMBERS)
+@example(number="0." + "0" * 149 + "1")
+@example(number="9" * 150 + "." + "9" * 150)
+@example(number="1" * 19)
+@example(number="0.00")
+def test_plain_numbers_read_as_the_reference_loader_reads_them(number):
+    # the second sighting is a lookup of the first one's object
+    _read_alike("a: [%s, %s]\n" % (number, number))
+
+
+def _without_direct_table(text):
+    return text[: text.index("  success_direct:")] + text[text.index("\ncost:") + 1:]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(BUNDLED_TEXT, id="bundled"),
+    pytest.param(_without_direct_table(BUNDLED_TEXT), id="bundled_fading_only"),
+    *(pytest.param(grid_text(kappa, seed), id="grid%d_seed%d" % (kappa ** 4, seed))
+      for kappa in (4, 5) for seed in (1, 2, 3))])
+def test_fading_tables_equal_the_oracle(text):
+    scn = load_scenario_text(text)
+    transmit, success, violations = fading_tables(yaml.load(text, Loader=LineLoader))
+    assert violations == []
+    assert scn.transmit == transmit
+    tables = [scn.transmit]
+    if "success_direct" not in text:  # else success is the measured table
+        assert scn.success == success
+        tables.append(scn.success)
+    assert {type(x) for table in tables for row in table.values() for x in row} == {Fraction}
+
+
+ROW_UNIT = 10 ** 10  # a drawn entry is a whole number of 1e-10
+
+
+def _spelled(n):
+    return "%s%d.%010d" % ("-" if n < 0 else "", *divmod(abs(n), ROW_UNIT))
+
+
+# four entries of whole hundredths that sum to 1, cut at three drawn points,
+# and then one entry nudged by a multiple of 1e-10: within the 1e-9 tolerance
+# (5, 10), just past it (11, 20), or far off (1e-2, 2); a nudge below 0 of an
+# entry of 0, or the largest one, leaves [0, 1].  A cut at 100 leaves the
+# untransmitted last entry 0, where a nudge within the tolerance takes the
+# transmitting mass past 1
+DISTS = st.builds(
+    lambda cuts, j, nudge: [_spelled((b - a) * ROW_UNIT // 100 + nudge * (i == j))
+                            for i, (a, b) in enumerate(zip([0, *cuts], [*cuts, 100]))],
+    st.lists(st.just(100) | st.integers(0, 100), min_size=3, max_size=3).map(sorted),
+    st.integers(0, 3), st.just(0) | st.sampled_from([5, -5, 10, -10, 11, -11, 20, -20,
+                                                     10 ** 8, 2 * ROW_UNIT]))
+DECODES = (st.integers(0, 100) | st.integers(-5, 105)).map(
+    lambda c: _spelled(c * ROW_UNIT // 100))
+HEALTHY = ["0.1", "0.2", "0.3", "0.4"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(row=st.tuples(DECODES, DECODES, DISTS, DISTS))
+# inside the tolerance; past it; a transmitting mass past 1 within it; entries out of [0, 1]
+@example(row=("0.5", "0.5", ["0.5", "0.2", "0.3000000010", "0"], HEALTHY))
+@example(row=("0.5", "0.5", ["0.5", "0.2", "0.3000000011", "0"], HEALTHY))
+@example(row=("0.5", "0.5", ["0.5", "0.2", "0.3000000005", "0"], HEALTHY))
+@example(row=("1.01", "-0.01", ["-0.1", "0.2", "0.3", "0.6"], ["0.1", "1.2", "0.3", "0.4"]))
+def test_drawn_fading_rows_give_the_oracle_tables_and_messages(row):
+    # the drawn row is state 1's; the bundled rows of states 2 and 3 stay
+    rows = ROWS_1_TO_3.split("\n", 1)
+    drawn = "    1: {decode: [%s, %s], dist: [[%s], [%s]]}\n" % (
+        row[0], row[1], ", ".join(row[2]), ", ".join(row[3]))
+    text = _without_direct_table(BUNDLED_TEXT).replace(ROWS_1_TO_3, drawn + rows[1])
+    transmit, success, violations = fading_tables(yaml.load(text, Loader=LineLoader))
+    if violations:
+        assert _reject(text) == ["<string>:%d: %s: %s" % v for v in violations]
+    else:
+        scn = load_scenario_text(text)
+        assert (scn.transmit, scn.success) == (transmit, success)
 
 
 def test_loading_a_625_state_grid_peaks_under_2_mb():
