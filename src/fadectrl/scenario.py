@@ -20,7 +20,6 @@ value runs only on a clean one and reports nothing twice.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -39,6 +38,7 @@ from .wcs import Plant, default_lyapunov_weight
 
 ROW_MASS_TOL = Fraction(1e-9)  # the float's exact value, for integer comparisons
 _TOL = ROW_MASS_TOL.as_integer_ratio()
+_SHORT = 10 ** 18  # a number with at most 18 decimal places is a whole number of 1/_SHORT
 
 
 class _Map(dict):
@@ -106,8 +106,6 @@ _CONSTRUCTORS = {_TAG + "int": _exact_int, _TAG + "float": _exact_float,
 _READINGS = {_TAG + "int": "a number", _TAG + "float": "a number",
              _TAG + "bool": "a boolean", _TAG + "timestamp": "a timestamp"}
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser if built
-# a plain int or float spelling whose float64 image is finite and, unless 0, not 0
-_DECIMAL = re.compile(r"([1-9][0-9]{0,17})|([0-9]{1,150})\.([0-9]{0,150})")
 _SCALAR, _SEQ_START = yaml.ScalarEvent, yaml.SequenceStartEvent
 _SEQ_END, _MAP_END = yaml.SequenceEndEvent, yaml.MappingEndEvent
 _LIST_TAGS = (None, "!", _TAG + "seq")
@@ -158,31 +156,30 @@ class _Builder:
         return data, mark
 
     def read(self, event):
-        """The object of any node but a plain scalar seen before: an unanchored
-        collection's from `collection`, any other's from `node`."""
-        if event.anchor is None and type(event) is not _SCALAR:
-            return self.collection(event)
-        return self.node(event)[0]
+        """The object of any node but a plain scalar seen before: an alias's or
+        an anchored node's from `node`, any other's from `scalar` or `collection`."""
+        if event.anchor is not None:
+            return self.node(event)[0]
+        data = (self.scalar if type(event) is _SCALAR else self.collection)(event)
+        if data is _MERGE:  # `node` rejects a `<<` that is not a key
+            self.node(event)
+        return data
 
     def scalar(self, event):
         value, tag = event.value, event.tag
         memo = value if event.implicit[0] else (value, tag)  # `!` resolves as no tag does
         if memo in self.scalars:
             return self.scalars[memo]
-        if memo is value and (decimal := _DECIMAL.fullmatch(value)):  # as resolved, faster
-            data = int(value) if decimal[1] else \
-                _Number(int(decimal[2] + decimal[3]), 10 ** len(decimal[3]))
-        else:
-            if tag is None or tag == "!":
-                tag = self.loader.resolve(yaml.ScalarNode, value, event.implicit)
-            node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark)
-            try:
-                data = self.constructors.get(tag, self.constructors[None])(self.loader, node)
-            except (KeyError, AttributeError, ValueError, IndexError) as e:
-                if tag not in _READINGS:
-                    raise
-                raise _unreadable(node, _READINGS[tag], e if isinstance(
-                    e, (ValueError, IndexError)) else None) from None
+        if tag is None or tag == "!":
+            tag = self.loader.resolve(yaml.ScalarNode, value, event.implicit)
+        node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark)
+        try:
+            data = self.constructors.get(tag, self.constructors[None])(self.loader, node)
+        except (KeyError, AttributeError, ValueError, IndexError) as e:
+            if tag not in _READINGS:
+                raise
+            raise _unreadable(node, _READINGS[tag], e if isinstance(
+                e, (ValueError, IndexError)) else None) from None
         if data is not _MERGE:  # never remembered, so that `node` sees every `<<`
             self.scalars[memo] = data
         return data
@@ -293,26 +290,32 @@ class Scenario:
 
 
 class _Collector:
-    """One load's violations, and its numbers in [0, 1]: each distinct scalar
-    object's exact value as an integer over one scale, the lcm of their
-    denominators, keyed by its id (held valid by scalars, the build's memo)."""
+    """One load's violations, and its short numbers in [0, 1]: each distinct
+    scalar object in [0, 1] with at most 18 decimal places, keyed by its id
+    (held valid by scalars, the build's memo), as an integer over one scale,
+    the lcm of their denominators, which divides 10**18 whatever else the
+    document holds."""
 
     def __init__(self, source, scalars):
         self.source, self.errors, self.scalars = source, [], scalars
-        units = [v for v in scalars.values()
-                 if (type(v) is int or type(v) is _Number) and 0 <= v.numerator <= v.denominator]
+        units = [v for v in scalars.values() if (type(v) is int or type(v) is _Number)
+                 and 0 <= v.numerator <= v.denominator and _SHORT % v.denominator == 0]
         self.scale = math.lcm(*[v.denominator for v in units])
         self.units = {id(v): v.numerator * (self.scale // v.denominator) for v in units}
 
     def err(self, line, path, msg):
-        if type(path) is tuple:  # (list path, index), formatted only once reported
-            path = "%s[%d]" % path
+        path = _path(path)
         where = "%s:%s" % (self.source, line) if line else self.source
         self.errors.append("%s: %s: %s" % (where, path, msg))
 
     def raise_if_any(self):
         if self.errors:
             raise ValidationError(self.errors)
+
+
+def _path(path):
+    """A path, or a (format, *values) tuple formatted only once it is reported."""
+    return path[0] % path[1:] if type(path) is tuple else path
 
 
 def _known_keys(sec, keys, ctx, path):
@@ -372,7 +375,7 @@ def _exact_list(v, n, ctx, line, path, what, lo=None, hi=None):
     if not isinstance(v, list) or len(v) != n:
         return ctx.err(line, path, "must list %d %s" % (n, what))
     errors = len(ctx.errors)  # _exact reports every entry it rejects
-    row = tuple([_exact(x, ctx, line, (path, j), lo, hi) for j, x in enumerate(v)])
+    row = tuple([_exact(x, ctx, line, ("%s[%d]", path, j), lo, hi) for j, x in enumerate(v)])
     return row if len(ctx.errors) == errors else None
 
 
@@ -392,11 +395,14 @@ def _matrix(v, ctx, line, path):
 
 def _state_index(v, model: MasModel, ctx, line, path):
     """Basis index (1-based int) or value tuple -> basis index."""
+    if type(v) is int and 0 < v <= model.state_count:  # an index in range, as it is
+        return v
     if not isinstance(v, list):
         return _as_int(v, ctx, line, path, lo=1, hi=model.state_count)
     if len(v) != model.n:
         return ctx.err(line, path, "tuple must have %d coordinates" % model.n)
-    digits = [_as_int(c, ctx, line, "%s[%d]" % (path, j), lo=0, hi=model.kappa - 1)
+    path = _path(path)
+    digits = [_as_int(c, ctx, line, ("%s[%d]", path, j), lo=0, hi=model.kappa - 1)
               for j, c in enumerate(v)]
     return None if None in digits else int(to_index(model, digits))
 
@@ -406,9 +412,8 @@ def _index_set(v, model, ctx, line, path, what):
     tuples, or None once the list or its bad entries are reported."""
     if not isinstance(v, list):
         return ctx.err(line, path, "must be a list")
-    errors, nn = len(ctx.errors), model.state_count
-    got = frozenset([x if type(x) is int and 0 < x <= nn else  # an index in range as is
-                     _state_index(x, model, ctx, line, "%s[%d]" % (path, i))
+    errors = len(ctx.errors)
+    got = frozenset([_state_index(x, model, ctx, line, ("%s[%d]", path, i))
                      for i, x in enumerate(v)])
     if len(ctx.errors) > errors:
         return None
@@ -572,23 +577,37 @@ def _transmit_policy(sec, q, ctx, ln):
     return [[int(b) for b in row] for row in rows]
 
 
+def _link_units(decode, probs, n, ctx, line, path, i):
+    """(decode, dist, scale) of a link whose numbers are not all in `ctx.units`:
+    each an integer over the lcm of the link's own denominators, the decode
+    None, or the dist None, once `_exact` reported what is wrong with it."""
+    e = _exact(decode, ctx, line, "%s.decode[%d]" % (path, i), lo=0, hi=1)
+    row = _exact_list(probs, n, ctx, line, "%s.dist[%d]" % (path, i), "probabilities",
+                      lo=0, hi=1)
+    if row is None:
+        return None, None, 1
+    scale = math.lcm(*[x.denominator for x in (row if e is None else (e, *row))])
+    units = [x.numerator * (scale // x.denominator) for x in row]
+    return None if e is None else e.numerator * (scale // e.denominator), units, scale
+
+
 def _fading_rows(fading_raw, flags, model, ctx, ln):
     """({agent state: transmit shares}, {agent state: derived success}) over
     the states the fading rows cover, or None once a violation is reported.
     A state's share on a link is its distribution's transmitting mass, and
     its success the link's decode probability times that share.  Each
-    distribution is summed in integers over the scale of `ctx.units`, the
-    tables get one Fraction per distinct share and one per success, and a
-    path is formatted only for a violation."""
+    distribution is summed in integers, over the scale of `ctx.units`, or of
+    `_link_units` for a link with a number outside them; the tables get one
+    Fraction per distinct share and one per success, and a path is formatted
+    only for a violation."""
     if not isinstance(fading_raw, dict):
         return ctx.err(ln, "channel.fading", "must map agent state -> row")
     errors, weight, scale = len(ctx.errors), ctx.units.get, ctx.scale
     transmit, success, share_of = {}, {}, {}  # share_of: transmitting mass -> its share
-    fln, nn, path = _line(fading_raw, ln), model.state_count, "channel.fading[%r]"
+    fln, path = _line(fading_raw, ln), "channel.fading[%r]"
     for key, row in fading_raw.items():
         line = _line(row, fln)
-        a = key if type(key) is int and 0 < key <= nn else _state_index(
-            key, model, ctx, line, "channel.fading key %r" % (key,))
+        a = _state_index(key, model, ctx, line, ("channel.fading key %r", key))
         if not isinstance(row, dict):
             ctx.err(line, path % (key,), "must be a mapping")
             continue
@@ -603,26 +622,26 @@ def _fading_rows(fading_raw, flags, model, ctx, ln):
                     "decode/dist must carry one entry per link (%d)" % len(flags))
             continue
         shares, successes = [], []
-        for i, (e, sends, probs) in enumerate(zip(map(weight, map(id, decode)), flags, dist)):
-            if e is None:  # not a number in [0, 1]: _exact reports why
-                _exact(decode[i], ctx, line, (path + ".decode[%d]") % (key, i), lo=0, hi=1)
-            w = list(map(weight, map(id, probs))) if isinstance(probs, list) else ()
-            if len(w) != len(sends) or None in w:  # _exact_list reports what is wrong
-                _exact_list(probs, len(sends), ctx, line, (path + ".dist[%d]") % (key, i),
-                            "probabilities", lo=0, hi=1)
-                continue
+        for i, (d, sends, probs) in enumerate(zip(decode, flags, dist)):
+            e, s = weight(id(d)), scale
+            w = list(map(weight, map(id, probs))) if type(probs) is list else ()
+            if e is None or len(w) != len(sends) or None in w:
+                e, w, s = _link_units(d, probs, len(sends), ctx, line, path % (key,), i)
+                if w is None:
+                    continue
             mass, sent = sum(w), sum(compress(w, sends))
-            if abs(mass - scale) * _TOL[1] > _TOL[0] * scale:
+            if abs(mass - s) * _TOL[1] > _TOL[0] * s:
                 ctx.err(line, (path + ".dist[%d]") % (key, i),
-                        "probabilities sum to %s, expected 1" % (mass / scale))
-            elif sent > scale:  # within the tolerance a row may sum past 1
+                        "probabilities sum to %s, expected 1" % (mass / s))
+            elif sent > s:  # within the tolerance a row may sum past 1
                 ctx.err(line, (path + ".dist[%d]") % (key, i),
-                        "transmitting probabilities sum to %s, above 1" % (sent / scale))
+                        "transmitting probabilities sum to %s, above 1" % (sent / s))
             elif e is not None:
-                if sent not in share_of:
-                    share_of[sent] = Fraction(sent, scale)
-                shares.append(share_of[sent])
-                successes.append(Fraction(e * sent, scale * scale))
+                unit = sent if s == scale else (sent, s)  # a link's own scale keys apart
+                if unit not in share_of:
+                    share_of[unit] = Fraction(sent, s)
+                shares.append(share_of[unit])
+                successes.append(Fraction(e * sent, s * s))
         if a is not None:  # both tables are dropped below once any row reported
             transmit[a], success[a] = tuple(shares), tuple(successes)
     return (transmit, success) if len(ctx.errors) == errors else None

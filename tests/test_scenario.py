@@ -45,7 +45,8 @@ from hypothesis import strategies as st
 
 from fadectrl.errors import ParseError, ToolkitError, ValidationError
 from fadectrl import scenario as scenario_module
-from fadectrl.scenario import _LOADER, _Builder, _Collector, load_scenario, load_scenario_text
+from fadectrl.scenario import (_LOADER, _SHORT, _Builder, _Collector, load_scenario,
+                               load_scenario_text)
 from fadectrl.stabilization import stabilize
 from fadectrl.synthesis import synthesize
 from oracles import LineLoader, PythonLineLoader, fading_tables, grid_text
@@ -797,6 +798,10 @@ HEALTHY = ["0.1", "0.2", "0.3", "0.4"]
 @example(row=("0.5", "0.5", ["0.5", "0.2", "0.3000000011", "0"], HEALTHY))
 @example(row=("0.5", "0.5", ["0.5", "0.2", "0.3000000005", "0"], HEALTHY))
 @example(row=("1.01", "-0.01", ["-0.1", "0.2", "0.3", "0.6"], ["0.1", "1.2", "0.3", "0.4"]))
+# numbers past 18 decimal places, summed over their own link's scale
+@example(row=("0.5" + "0" * 20 + "1", "0.5", ["0.5", "0.2", "0.3" + "0" * 25 + "1", "0"], HEALTHY))
+@example(row=("0.5", "0.5", ["0.5", "0.2", "0.3000000011" + "0" * 25 + "1", "0"], HEALTHY))
+@example(row=("0.5", "0.5", HEALTHY, ["0.1", "0.2", "0.3", "0.4" + "0" * 30 + "1"]))
 def test_drawn_fading_rows_give_the_oracle_tables_and_messages(row):
     # the drawn row is state 1's; the bundled rows of states 2 and 3 stay
     rows = ROWS_1_TO_3.split("\n", 1)
@@ -809,6 +814,39 @@ def test_drawn_fading_rows_give_the_oracle_tables_and_messages(row):
     else:
         scn = load_scenario_text(text)
         assert (scn.transmit, scn.success) == (transmit, success)
+
+
+def _fading_of(text):
+    """(fading rows, transmit policy, agent model, the load's scalar memo)."""
+    builder = _Builder(_LOADER(text))
+    channel = builder.document()["channel"]
+    return (channel["fading"], channel["transmit_policy"], load_scenario_text(text).mas,
+            builder.scalars)
+
+
+def test_fading_numbers_outside_the_scalar_memo_are_read_by_their_value():
+    # rows built by hand: each number a new object the load's memo does not hold
+    fading, flags, model, scalars = _fading_of(BUNDLED_TEXT)
+    fresh = {a: {k: [[scenario_module._Number(x) for x in v] if isinstance(v, list) else
+                     scenario_module._Number(v) for v in row[k]] for k in row}
+             for a, row in fading.items()}
+    assert [id(x) for row in fresh.values() for x in row["decode"]
+            if id(x) in _Collector("<string>", scalars).units] == []
+    want = scenario_module._fading_rows(fading, flags, model, _Collector("<string>", scalars), 1)
+    got = scenario_module._fading_rows(fresh, flags, model, _Collector("<string>", scalars), 1)
+    assert got == want
+    assert {len(shares) for table in got for shares in table.values()} == {len(flags)}
+
+
+@pytest.mark.parametrize("number", ["0.3000000000000000444089209850062616", "4.9e-324", "1.0e-300"])
+def test_a_long_decimal_outside_the_fading_rows_leaves_their_scale(number):
+    # the rows are summed over short numbers only, whatever the cost section holds
+    text = _without_direct_table(BUNDLED_TEXT)
+    long = text.replace("input_weight: 1\n", "input_weight: %s\n" % number)
+    assert long != text
+    scales = [_Collector("<string>", _fading_of(t)[3]).scale for t in (text, long)]
+    assert scales[0] == scales[1] and _SHORT % scales[0] == 0
+    assert load_scenario_text(long).success == load_scenario_text(text).success
 
 
 def test_loading_a_625_state_grid_peaks_under_2_mb():
