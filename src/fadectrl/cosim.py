@@ -14,41 +14,41 @@ so results are bit-reproducible and independent of evaluation order
 (parallel trials would reproduce the serial run exactly).  Since a key
 depends on its counter alone, each plant's rollout derives its keys in
 one table (`_plant_keys`): a row per draw of a step, the delivery draw
-and one noise draw per dimension, and a column per fast step, plus the
-noise stream's per-step key that the ziggurat's further draws extend.
-One table covers the whole rollout up to 4096 steps; a longer one takes
-a table per span of whole blocks of at least 4096 steps.  A block of
-fast steps then reads its columns, hashes them with the trial counters
-in one `counter_uniforms` call, and runs only the plant recursion step
-by step.
+and one noise draw per dimension, and a column per fast step.  One table
+covers the whole rollout up to 4096 steps; a longer one takes a table
+per span of whole blocks of at least 4096 steps.  A block of fast steps
+then reads its columns, hashes them with the trial counters in one
+`counter_uniforms` call, and runs only the plant recursion step by step.
 
-Each noise uniform u becomes one normal by a 256-strip ziggurat
-(Marsaglia and Tsang 2000) that takes the strip, the sign and a 44-bit
-in-strip fraction from disjoint bits of u (Doornik 2005): t = floor(512 u)
-gives strip t mod 256 and the sign, negative from t = 256 on, and
-512 u - t the fraction.  About 98.5 % of the draws fall inside their
-strip's rectangle and cost a table lookup and a product (`_strips`); the
-rest take a wedge or tail test on further counter draws of the same
-stream, keyed by the draw and the attempt (`_resolve`), so a normal
-depends on its own counters alone, not on the block or the plant's
-dimension.  Every operation is an exact IEEE one, the rejection path's
-logarithm included (`_log`, from frexp, +, -, x and /): numpy's
-transcendental functions, whose last bits depend on the SIMD path it
-dispatches to, are not used, so a trace is the same bytes on every CPU.
+Each noise uniform u = (b + 1) 2^-53 becomes one normal, the inverse
+normal CDF at the midpoint of its cell, q = (u - 1/2) - 2^-54, by
+Wichura's AS241 (the algorithm of statistics.NormalDist.inv_cdf, about
+1e-16 relative error).  q is exact and never 0, so no normal is +-0 or
+infinite, draws b and 2^53 - 1 - b give x and -x, and the tails are
+truncated: past about 8.1 sigma only the outermost cells' midpoints
+occur, and nothing beyond 8.29 sigma.  A normal depends on its
+own uniform alone: there is no rejection and no further draw, so not on
+the block or the plant's dimension either.  The central rational runs on
+every draw, and the draws past |q| = 0.425, about 15 %, are gathered from
+every noise row of the block for the tail's rational in r = sqrt(-log(1/2
+- |q|)) in one pass.  Every operation is an exact IEEE one, the
+logarithm included (`_log`, from frexp, +, -, x and /), and sqrt:
+numpy's transcendental functions, whose last bits depend on the SIMD path
+it dispatches to, are not used, so a trace is the same bytes on every CPU.
 
 A block is `block_steps(trials)` fast steps, 2**15 // trials but at
 least 8, so its arrays hold at most 2**15 trial-steps (256 KiB of
 doubles, which stay in a 2 MiB L2 cache) up to 4096 trials, and
 8 x trials past that; the numpy calls a block pays beyond its steps
-(about 130 on the rejection path, the hashing's set-up, about 25 for V
-and the statistics) are spread over as many steps as that budget allows
-(327 at 100 trials, 32 at 1000).
+(about 40 per noise row and 100 for the tails of the normals, the
+hashing's set-up, about 25 for V and the statistics) are spread over as
+many steps as that budget allows (327 at 100 trials, 32 at 1000).
 The trace is the same bytes for every block: each step's statistics are
 reduced in trial order, a one-step block's included.  The states are
 streamed through a plant-major working buffer of shape
 (block + 1, dim, trials) per plant, and every other array of trials x
 steps a block needs is a view of one arena per rollout (`_Arena`),
-written with out=: the draws, the fast path's scratch, the noise's
+written with out=: the draws, the normals' scratch, the noise's
 terms, the step matrices' index and the decay statistics take its slabs
 phase after phase, so no block allocates such an array and the C
 library never maps and faults one in again.
@@ -102,6 +102,7 @@ _FIN_ROUNDS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
                (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 _U64_MAX = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+_INV_2_54 = 2.0 ** -54
 # trials the decay check needs before its 3-sigma rule is applied
 MIN_CHECK_TRIALS = 100
 # trace rows `write_trace_csv` turns into Python objects at a time
@@ -109,148 +110,83 @@ _CSV_CHUNK_ROWS = 256
 # the fewest fast steps one key table of a rollout covers, in whole blocks
 _KEY_STEPS = 4096
 
-# The 256-strip ziggurat of exp(-x^2 / 2) (Marsaglia and Tsang 2000): strip
-# i < 256 spans [0, X[i]] between heights exp(-X[i]^2 / 2) and
-# exp(-X[i+1]^2 / 2), every strip of area V.  X[1] = R, the start of the
-# tail, closes the recursion X[i+1] = sqrt(-2 ln(exp(-X[i]^2 / 2) + V / X[i]))
-# at X[256] = 0, and X[0] = V / exp(-R^2 / 2) widens the base strip to hold
-# the tail's area.  Each entry is the float64 nearest the exact value.
-_ZIG_X = np.array([
-    3.910757959524916, 3.654152885361009, 3.449278298561431, 3.3202447338398255,
-    3.2245750520478014, 3.147889289518001, 3.0835261320021434, 3.0278377917695933,
-    2.978603279881843, 2.9343668672088876, 2.894121053613412, 2.8571387308732246,
-    2.822877396826443, 2.7909211740019275, 2.760944005279986, 2.7326853590440114,
-    2.705933656123062, 2.680514643285745, 2.6562830375767432, 2.6331163936315827,
-    2.6109105184888235, 2.5895759867082866, 2.569035452681844, 2.5492215503247833,
-    2.530075232159854, 2.5115444416266945, 2.4935830412710467, 2.476149939670523,
-    2.459208374334705, 2.442725318200364, 2.4266709849371466, 2.4110184139011195,
-    2.3957431197819274, 2.3808227951720857, 2.366237056717291, 2.3519672273791445,
-    2.337996148796529, 2.3243080188711325, 2.310888250601372, 2.2977233489028634,
-    2.284800802724492, 2.2721089902283818, 2.2596370951737876, 2.247375032947389,
-    2.235313384929921, 2.2234433400925107, 2.211756642884161, 2.2002455466112765,
-    2.1889027716263607, 2.177721467740293, 2.1666951803543086, 2.1558178198767375,
-    2.145083634047889, 2.134487182846017, 2.1240233156895236, 2.113687150686653,
-    2.1034740557148774, 2.093379631138792, 2.0833996939983046, 2.073530263518743,
-    2.0637675478117323, 2.0541079316506523, 2.0445479652175313, 2.035084353729619,
-    2.025713947863854, 2.016433734906204, 2.0072408305605287, 1.9981324713584196,
-    1.989106007617438, 1.9801588969004766, 1.9712886979336592, 1.962493064944363,
-    1.9537697423846467, 1.9451165600086784, 1.9365314282756947, 1.9280123340526658,
-    1.9195573365931882, 1.9111645637712533, 1.9028322085504292, 1.8945585256707047,
-    1.8863418285367828, 1.8781804862929958, 1.8700729210712668, 1.8620176053996742,
-    1.8540130597602018, 1.8460578502851854, 1.8381505865828067, 1.830289919682757,
-    1.8224745400938858, 1.8147031759662826, 1.8069745913508208, 1.7992875845497203,
-    1.7916409865521625, 1.7840336595494415, 1.7764644955245228, 1.7689324149112686,
-    1.7614363653189102, 1.7539753203176716, 1.7465482782817223, 1.7391542612859117,
-    1.7317923140529632, 1.724461502948045, 1.717160915017823, 1.7098896570713018,
-    1.7026468547999232, 1.6954316519345616, 1.6882432094371953, 1.681080704725174,
-    1.673943330926125, 1.6668302961616654, 1.6597408228581825, 1.652674147083056,
-    1.6456295179047824, 1.6386061967755476, 1.6316034569348736, 1.6246205828330347,
-    1.6176568695730156, 1.6107116223698301, 1.6037841560260946, 1.5968737944227882,
-    1.5899798700241907, 1.5831017233960292, 1.5762387027359064, 1.5693901634151237,
-    1.562555467531045, 1.5557339834691764, 1.5489250854741734, 1.5421281532290019,
-    1.535342571441514, 1.5285677294377125, 1.521803020760998, 1.5150478427767147,
-    1.5083015962813116, 1.5015636851154637, 1.4948335157804935, 1.4881104970574475,
-    1.4813940396281873, 1.4746835556978555, 1.4679784586180795, 1.4612781625102755,
-    1.4545820818884103, 1.447889631280576, 1.441200224848724, 1.4345132760058923,
-    1.427828197030256, 1.421144398675309, 1.4144612897754711, 1.407778276846399,
-    1.401094763679251, 1.394410150928141, 1.3877238356899761, 1.3810352110758555,
-    1.3743436657731662, 1.367648583597476, 1.360949343033283, 1.354245316762635,
-    1.3475358711805872, 1.340820365896404, 1.33409815321936, 1.3273685776279258,
-    1.3206309752210563, 1.3138846731502205, 1.3071289890307312, 1.3003632303308372,
-    1.2935866937369478, 1.2867986644932436, 1.279998415713818, 1.2731852076653563,
-    1.2663582870182295, 1.2595168860637143, 1.2526602218948972, 1.2457874955486272,
-    1.2388978911056874, 1.2319905747461362, 1.2250646937565308, 1.2181193754854815,
-    1.211153726243699, 1.2041668301443815, 1.1971577478794415, 1.190125515426692,
-    1.1830691426826867, 1.175987612015452, 1.168879876730833, 1.1617448594456115,
-    1.1545814503599277, 1.147388505420849, 1.1401648443681514, 1.1329092486525338,
-    1.1256204592155334, 1.118297174119345, 1.1109380460135758, 1.1035416794246398,
-    1.0961066278520215, 1.0886313906539797, 1.0811144097034038, 1.0735540657924363,
-    1.0659486747621225, 1.0582964833306752, 1.05059566459093, 1.042844313144149,
-    1.035040439833441, 1.0271819660356458, 1.0192667174654841, 1.0112924174399958,
-    1.003256679544673, 0.995156999635091, 0.9869907470990624, 0.9787551552942246,
-    0.9704473110642244, 0.9620641432230406, 0.953602409881086, 0.9450586844681654,
-    0.9364293402865751, 0.9277105334020002, 0.9188981836495906, 0.9099879534967185,
-    0.9009752244612218, 0.8918550707329416, 0.8826222295851656, 0.8732710680888608,
-    0.8637955455533088, 0.8541891710081638, 0.8444449549091539, 0.8345553540863822,
-    0.8245122087522921, 0.8143066701352152, 0.8039291169899713, 0.7933690588406233,
-    0.7826150233072331, 0.7716544242245681, 0.7604734064301081, 0.7490566620178153,
-    0.7373872114342956, 0.7254461409099996, 0.7132122851909759, 0.7006618411068151,
-    0.6877678927957885, 0.6744998228372938, 0.6608225742444197, 0.6466957148949938,
-    0.6320722363860611, 0.6168969900077514, 0.6011046177559927, 0.5846167661063794,
-    0.5673382570538188, 0.5491517023271651, 0.5299097206615582, 0.5094233296020918,
-    0.487443966139236, 0.46363433679088223, 0.4375184022078717, 0.40838913461199117,
-    0.37512133287838056, 0.33573751921442524, 0.2861745917920725, 0.2152418959848817, 0.0,
-])
-_ZIG_R = float(_ZIG_X[1])
-# Noise draw d's attempt a reads draw j = d + a 2^32 of the plant's noise
-# stream for its strip, and draws _AUX + 2j and _AUX + 2j + 1 for its wedge or
-# tail test: a normal depends on its own counters alone, not on the plant's
-# dimension or the block
-_RETRY = np.uint64(1 << 32)
-_AUX = np.uint64(1 << 63)
-# a round of `_resolve`: its attempts' offsets from the first, and each
-# attempt's three counters 2j + _AUX, 2j + _AUX + 1 and j, plus the key's 1
-_ATTEMPTS = 3
-_ROUND_DRAWS = np.arange(_ATTEMPTS, dtype=np.uint64)[:, None] * _RETRY
-_DRAW_STRIDE = np.array([2, 2, 1], np.uint64)[:, None, None]
-_DRAW_OFFSET = np.array([_AUX + np.uint64(1), _AUX + np.uint64(2), 1], np.uint64)[:, None, None]
 # fdlibm's split of ln 2: k * _LN2_HI is exact for |k| < 2**20
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
-_INV_LN2 = 1.4426950408889634
 _SQRT_HALF = 0.7071067811865476
-# Taylor coefficients, highest degree first: exp(r) = 1 + r + r^2 (1/2! + r/3! +
-# .. + r^12/14!), and log((1 + s) / (1 - s)) = 2s + s (2s^2/3 + .. + 2s^20/21)
-_EXP_COEFFS = tuple(1.0 / math.factorial(j) for j in range(14, 1, -1))
+# Taylor coefficients, highest degree first: log((1 + s) / (1 - s)) = 2s +
+# s (2s^2/3 + .. + 2s^20/21)
 _LOG_COEFFS = tuple(2.0 / (2 * j + 1) for j in range(10, 0, -1))
+# Wichura's AS241 (Applied Statistics 37, 1988), the inverse normal CDF of
+# statistics.NormalDist.inv_cdf, coefficients highest degree first: for
+# |q| <= 0.425 a rational in r = 0.180625 - q^2, and past it one in
+# r = sqrt(-log(1/2 - |q|)) less 1.6 for r <= 5 (`_NEAR`), less 5 beyond
+# (`_FAR`), each a (shift, numerator, denominator)
+_CENTRAL_NUM = (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4,
+                6.72657_70927_00870_0853e+4, 4.59219_53931_54987_1457e+4,
+                1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+                1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0)
+_CENTRAL_DEN = (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4,
+                3.93078_95800_09271_0610e+4, 2.12137_94301_58659_5867e+4,
+                5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+                4.23133_30701_60091_1252e+1, 1.0)
+_NEAR = (1.6,
+         (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2,
+          2.41780_72517_74506_11770e-1, 1.27045_82524_52368_38258e+0,
+          3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+          4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+         (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4,
+          1.51986_66563_61645_71966e-2, 1.48103_97642_74800_74590e-1,
+          6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+          2.05319_16266_37758_82187e+0, 1.0))
+_FAR = (5.0,
+        (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5,
+         1.24266_09473_88078_43860e-3, 2.65321_89526_57612_30930e-2,
+         2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+         5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+        (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7,
+         1.84631_83175_10054_68180e-5, 7.86869_13114_56132_59100e-4,
+         1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+         5.99832_20655_58879_37690e-1, 1.0))
 
 
-def _exp(x):
-    """exp(x) for a float64 array with finite normal results, within an ulp
-    of libm, from +, -, x, rint and ldexp alone: bits that no SIMD path of
-    numpy's transcendental functions changes."""
-    k = np.rint(x * _INV_LN2)
-    r = x - k * _LN2_HI
-    r -= k * _LN2_LO  # |r| <= ln 2 / 2
-    q = np.full_like(r, _EXP_COEFFS[0])
-    for c in _EXP_COEFFS[1:]:
-        q *= r
-        q += c
-    q *= r * r
-    q += r
-    q += 1.0
-    return np.ldexp(q, k.astype(np.int32))
+def _horner(coeffs, r, out):
+    """The polynomial in r with `coeffs`, highest degree first, by Horner's
+    rule into `out`."""
+    np.multiply(r, coeffs[0], out=out)
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= r
+        out += c
+    return out
 
 
 def _log(x):
     """log(x) for a float64 array of positive normal numbers, within an ulp
     of libm, from frexp, +, -, x and / alone (fdlibm's reduction: x = 2^e m
-    with m in [sqrt(1/2), sqrt(2)), f = m - 1 and s = f / (2 + f))."""
-    m, e = np.frexp(x)
-    low = m < _SQRT_HALF
-    m = np.where(low, m + m, m)
-    k = (e - low).astype(np.float64)
-    f = m - 1.0
-    s = f / (f + 2.0)
+    with m in [sqrt(1/2), sqrt(2)), f = m - 1 and s = f / (2 + f)), as
+    k ln2_hi - ((f^2 / 2 - (s (f^2 / 2 + R(s^2)) + k ln2_lo)) - f)."""
+    f, e = np.frexp(x)
+    low = f < _SQRT_HALF
+    e -= low
+    k = e.astype(np.float64)
+    f *= low + 1.0  # 2f, exactly, where low
+    f -= 1.0
+    s = f + 2.0
+    np.divide(f, s, out=s)
     z = s * s
-    r = np.full_like(z, _LOG_COEFFS[0])
-    for c in _LOG_COEFFS[1:]:
-        r *= z
-        r += c
+    r = _horner(_LOG_COEFFS, z, np.empty_like(z))
     r *= z
-    hfsq = 0.5 * f * f
-    return k * _LN2_HI - ((hfsq - (s * (hfsq + r) + k * _LN2_LO)) - f)
-
-
-# Tables of t = floor(512 u) for a uniform u in (0, 1]: the strip's width and
-# its inner edge X[strip + 1] for strip t mod 256, and the sign, negative
-# from t = 256 on.  u = 1 alone gives t = 512, whose width 0 maps it to +0.
-_ZIG_WIDTH = np.concatenate([_ZIG_X[:256], _ZIG_X[:256], [0.0]])
-_ZIG_EDGE = np.concatenate([_ZIG_X[1:], _ZIG_X[1:], [_ZIG_R]])
-_ZIG_SIGN = np.concatenate([np.ones(256), -np.ones(256), [1.0]])
-# each strip's lower height exp(-X[i]^2 / 2) and its height
-_ZIG_FLOOR = _exp(-0.5 * (_ZIG_X * _ZIG_X))
-_ZIG_HEIGHT = np.diff(_ZIG_FLOOR)
+    hfsq = np.multiply(f, f, out=z)
+    hfsq *= 0.5
+    r += hfsq
+    r *= s
+    r += np.multiply(k, _LN2_LO, out=s)
+    hfsq -= r
+    hfsq -= f
+    k *= _LN2_HI
+    k -= hfsq
+    return k
 
 
 def _fin(z, t=None):
@@ -332,115 +268,70 @@ def counter_uniforms(keys, trials: int, out=None, scratch=None):
     return _to_uniforms(bits)  # in place: no second array of the draws
 
 
-def _strips(u, t, width, accepted):
-    """The ziggurat's fast path, in place on uniforms u: t = floor(512 u)
-    (an integer array), u becomes |x| = (512 u - t) X[t mod 256], and
-    `accepted` marks |x| < X[t mod 256 + 1], where x lies inside its strip's
-    rectangle under the curve.  `width` is float64 scratch of u's shape.
-    Every step is one exact IEEE operation."""
-    u *= 512.0
-    np.floor(u, out=width)
-    t[...] = width
-    u -= width  # 44 bits in [0, 1), disjoint from the strip's and sign's
-    u *= _ZIG_WIDTH.take(t, out=width, mode="clip")
-    np.less(u, _ZIG_EDGE.take(t, out=width, mode="clip"), out=accepted)
-
-
-def _resolve(step_keys, trials: int, z, pos):
-    """Complete the normals the fast path rejected, at flat positions `pos`
-    of z (dim, steps, trials), from `step_keys`, the noise stream's key of
-    each step before its draw counter.  Attempt a of noise draw d reads draw
-    j = d + a 2^32 of the stream, the fast path's draw at a = 0, and
-    draws _AUX + 2j and _AUX + 2j + 1 for its wedge or tail test, so a
-    normal depends on its own counters alone.  A draw outside its strip's
-    rectangle but not in the base strip is kept when log y < -x^2 / 2 for
-    y uniform over the strip's height, else the next attempt starts afresh;
-    one in the base strip lies past R and takes Marsaglia's tail from then
-    on, x = R + e with e = -log(u1) / R, kept when -2 log(u2) > e^2.  A
-    round tries `_ATTEMPTS` attempts of every pending draw at once, in one
-    fixed handful of numpy calls; a draw none of them keeps (about 1 in
-    50 000 of them) goes on to the next round."""
-    draw, rest = np.divmod(pos, len(step_keys) * trials)
-    l, trial = np.divmod(rest, trials)
-    key = step_keys[l]
-    tid = (trial.astype(np.uint64) + np.uint64(1)) * _GOLDEN
-    draw = draw.astype(np.uint64)
-    del rest, l, trial  # the pending draws' arrays count against the working set
-    in_tail, tail_t = np.zeros(pos.size, bool), np.zeros(pos.size, np.intp)
-    z_flat = z.reshape(-1)
-    while pos.size:
-        # (3, attempts, pending): the wedge or tail draws u1 and u2 of each
-        # attempt's draw j, then j itself
-        j = draw + _ROUND_DRAWS
-        bits = _fin(key + (_DRAW_STRIDE * j + _DRAW_OFFSET) * _GOLDEN)
-        bits += tid
-        u = _to_uniforms(_fin(bits))
-        t, fast = np.empty(j.shape, np.intp), np.empty(j.shape, bool)
-        _strips(u[2], t, np.empty(j.shape), fast)
-        x, strip = u[2], t & 255
-        # an attempt reaching the base strip's far end stays in the tail
-        entering = (strip == 0) & ~fast
-        tail = np.logical_or.accumulate(entering, axis=0)
-        tail |= in_tail
-        cols = np.arange(pos.size)
-        tail_t = np.where(in_tail, tail_t, t[np.argmax(entering, axis=0), cols])
-        t = np.where(tail, tail_t, t)
-        # the attempts that take a wedge or tail test, about a third of them
-        tested = tail | ~fast
-        on_tail, xt, strip = tail[tested], x[tested], strip[tested]
-        u1, u2 = u[0][tested], u[1][tested]
-        np.copyto(u1, _ZIG_FLOOR[strip] + u1 * _ZIG_HEIGHT[strip], where=~on_tail)
-        logs = _log(np.stack([u1, u2]))
-        excess = logs[0] / -_ZIG_R
-        kept = fast & ~tail
-        kept[tested] = np.where(on_tail, -2.0 * logs[1] > excess * excess,
-                                logs[0] < -0.5 * (xt * xt))
-        x[tested] = np.where(on_tail, _ZIG_R + excess, xt)
-        a = np.argmax(kept, axis=0)  # each draw's first kept attempt
-        done = kept[a, cols]
-        z_flat[pos[done]] = (x[a, cols] * _ZIG_SIGN[t[a, cols]])[done]
-        keep = ~done
-        pos, draw, key, tid, tail_t = (c[keep] for c in (pos, draw, key, tid, tail_t))
-        in_tail = tail[-1, keep]
-        draw += np.uint64(_ATTEMPTS) * _RETRY
-
-
 def _plant_keys(seed: int, i: int, dim: int, steps):
-    """Plant i's keys over the fast steps `steps`: (1 + dim, steps), one
-    row per row of its draws, the delivery draw of stream 2i, then noise
-    draws 0..dim-1 of stream 2i+1 (`counter_keys`); and (steps,), stream
-    2i+1's key of each step before its draw counter, from which `_resolve`
-    keys its further draws."""
-    keys = counter_keys(seed, [2 * i] + [2 * i + 1] * dim, steps, [0, *range(dim)])
-    return keys, _chain(np.uint64(seed), np.full(1, 2 * i + 1, np.uint64),
-                        np.asarray(steps, np.uint64))
+    """Plant i's keys over the fast steps `steps`, (1 + dim, steps): one row
+    per row of its draws, the delivery draw of stream 2i, then noise draws
+    0..dim-1 of stream 2i+1 (`counter_keys`)."""
+    return counter_keys(seed, [2 * i] + [2 * i + 1] * dim, steps, [0, *range(dim)])
 
 
-def _plant_draws(keys, step_keys, trials: int, arena):
+def _tail(rational, r):
+    """AS241's tail rational `rational`, (shift, numerator, denominator),
+    at r = sqrt(-log p)."""
+    shift, num, den = rational
+    r = r - shift
+    x = _horner(num, r, np.empty_like(r))
+    x /= _horner(den, r, np.empty_like(r))
+    return x
+
+
+def _normals(z, r, den, tail):
+    """Standard normals in place on uniforms z (rows, ...) of the form
+    (b + 1) 2^-53, with float64 scratch r and den and boolean scratch
+    `tail`, each of one row's shape.  Each is the normal at the midpoint of
+    its uniform's cell, q = (u - 1/2) - 2^-54 (exact), by AS241: x =
+    N(r) (q / D(r)) on every draw, row by row, then the draws with
+    |q| > 0.425, gathered from every row, take the tail's rational in one
+    pass and their sign from q."""
+    z -= 0.5
+    z -= _INV_2_54
+    at, qs = [], []
+    for d, q in enumerate(z):
+        np.greater(np.abs(q, out=r), 0.425, out=tail)
+        at.append(np.flatnonzero(tail))
+        qs.append(q.take(at[-1]))
+        at[-1] += d * q.size
+        np.multiply(q, q, out=r)
+        np.subtract(0.180625, r, out=r)
+        np.divide(q, _horner(_CENTRAL_DEN, r, den), out=den)
+        _horner(_CENTRAL_NUM, r, q)
+        q *= den
+    q = np.concatenate(qs)
+    # r = sqrt(-log p) of the tail probability p = 1/2 - |q| >= 2^-54, exact
+    r = _log(np.subtract(0.5, np.abs(q)))
+    np.sqrt(np.negative(r, out=r), out=r)
+    x = _tail(_NEAR, r)
+    far = np.flatnonzero(r > 5.0)
+    x[far] = _tail(_FAR, r[far])
+    z.reshape(-1)[np.concatenate(at)] = np.copysign(x, q, out=x)
+    return z
+
+
+def _plant_draws(keys, trials: int, arena):
     """A plant's draws for a block of steps from one `counter_uniforms` call
     on the block's columns of its `_plant_keys`: the delivery uniforms,
     (steps, trials), and the noise normals z, (dim, steps, trials), each
-    equal to its own per-stream call.  Each noise draw becomes one normal
-    by the 256-strip ziggurat: `_strips` row by row, then `_resolve` once
-    for the ~1.5 % it rejects.  Both results are views of `arena` (an
-    `_Arena`), the draws in its first 1 + dim slabs; the hashing's scratch
-    and then the fast path's float scratch take the next slab, its strip
-    indices the arena's state rows past the first, and its mask the flags."""
+    equal to its own per-stream call (`_normals`).  Both are views of
+    `arena` (an `_Arena`), the draws in its first 1 + dim slabs; the
+    hashing's scratch and then r take the next slab, D the arena's state
+    rows past the first, and the tail mask its flags."""
     dim = len(keys) - 1
-    shape = (len(step_keys), trials)
+    shape = (keys.shape[1], trials)
     draws = arena(0, (1 + dim,) + shape)
-    width = arena(1 + dim, shape)
-    counter_uniforms(keys, trials, out=draws, scratch=width.view(np.uint64))
-    z = draws[1:]
-    t = arena.states[1:].reshape(-1)[: width.size].view(np.intp).reshape(shape)
-    accepted = arena.flags[: width.size].reshape(shape)
-    rejected = []
-    for d, row in enumerate(z):
-        _strips(row, t, width, accepted)
-        rejected.append(np.flatnonzero(np.logical_not(accepted, out=accepted)) + d * row.size)
-        row *= _ZIG_SIGN.take(t, out=width, mode="clip")
-    _resolve(step_keys, trials, z, np.concatenate(rejected))
-    return draws[0], z
+    r = arena(1 + dim, shape)
+    counter_uniforms(keys, trials, out=draws, scratch=r.view(np.uint64))
+    den = arena.states[1:].reshape(-1)[: r.size].reshape(shape)
+    return draws[0], _normals(draws[1:], r, den, arena.flags[: r.size].reshape(shape))
 
 
 class _Arena:
@@ -451,12 +342,12 @@ class _Arena:
     row 0 holds the state carried into a block, rows 1.. its states.
     Every other array of a block is a view of `data`, phase after phase,
     in slabs of block x trials doubles: the draws, 1 + dim, with one more
-    for the hashing's and the fast path's scratch; then the normals stay
+    for the hashing's and the normals' scratch; then the normals stay
     in slabs 1..dim while the noise's terms take slab 0; then slab 0 holds
     the step matrices' index, and the 2 dim^2 + dim rows past it one step's
     matrices, their products and sums; then V and the residuals,
     2 (block + 1) rows.
-    `flags` holds one boolean array of a block: the fast path's mask,
+    `flags` holds one boolean array of a block: the normals' tail mask,
     then the deliveries."""
 
     def __init__(self, dim: int, block: int, trials: int):
@@ -565,9 +456,8 @@ def _rollout(seed: int, i: int, plant, x0, success, state_cols, trials: int):
         stop = min(start + block, horizon)
         n = stop - start
         if start % span == 0:
-            keys, step_keys = _plant_keys(seed, i, dim, np.arange(start, min(start + span, horizon)))
-        cols = slice(start % span, start % span + n)
-        uniforms, z = _plant_draws(keys[:, cols], step_keys[cols], trials, arena)
+            keys = _plant_keys(seed, i, dim, np.arange(start, min(start + span, horizon)))
+        uniforms, z = _plant_draws(keys[:, start % span : start % span + n], trials, arena)
         ok = np.less_equal(uniforms, success[state_cols[start:stop], None],
                            out=arena.flags[: n * trials].reshape(n, trials))
         delivered[start:stop] = ok[:, 0]

@@ -124,17 +124,64 @@ class _Builder:
         # name -> (object, mark); a plain scalar's text, else (text, tag) -> object
         self.anchors, self.scalars = {}, {}
         self.named = isinstance(loader, yaml.composer.Composer)  # libyaml's errors don't
+        # the first key that is not a scalar, (key, line, its mapping, the mapping
+        # whose keys were being read), and the outermost mapping reading a key
+        self.unhashable, self.keyed = None, None
 
     def document(self):
         self.get()  # stream start
         if type(self.get()) is yaml.StreamEndEvent:  # else a document start
             return None
-        data = self.node(root := self.get())[0]
-        self.get()  # document end
-        if not self.loader.check_event(yaml.StreamEndEvent):
-            raise ComposerError("expected a single document in the stream", root.start_mark,
-                                "but found another document", self.get().start_mark)
+        data = None
+        try:
+            data = self.node(root := self.get())[0]
+            self.get()  # document end
+            if not self.loader.check_event(yaml.StreamEndEvent):
+                raise ComposerError("expected a single document in the stream", root.start_mark,
+                                    "but found another document", self.get().start_mark)
+        except yaml.YAMLError:
+            if self.unhashable is None:
+                raise
+        if self.unhashable is not None:  # the first error read wins
+            raise self.unhashable_key(data)
         return data
+
+    def unhashable_key(self, root):
+        """The error of the first mapping key that is not a scalar, with the
+        key as the reference loader shows it.  PyYAML makes a collection
+        empty when it reaches it in its parent and fills it in turn, breadth
+        first, checking a mapping's keys before it fills it; a key is built
+        whole when it is checked, if not made before.  So when the checking
+        mapping's turn comes, the collections before it in that order are
+        filled, the ones their parents made are empty, it is empty, and the
+        key's others are whole, as this builder has them."""
+        key, line, mapping, checking = self.unhashable
+        # id -> (turn, its parent's turn), breadth first, each collection once
+        queue, order = [(root, -1)] if isinstance(root, (dict, list)) else [], {}
+        for obj, parent in queue:
+            if id(obj) not in order:
+                turn = len(order)
+                order[id(obj)] = turn, parent
+                queue += [(v, turn) for v in (obj.values() if isinstance(obj, dict) else obj)
+                          if isinstance(v, (dict, list))]
+        now = order.get(id(checking), (len(order),))[0]
+
+        def shown(obj, open_=frozenset()):
+            if not isinstance(obj, (dict, list)):
+                return repr(obj)
+            empty = "{}" if isinstance(obj, dict) else "[]"
+            if id(obj) in open_:  # a collection inside itself, as repr shows it
+                return empty[0] + "..." + empty[1]
+            turn, parent = order.get(id(obj), (-1, -1))
+            if obj is mapping or obj is checking or turn >= now > parent:
+                return empty
+            open_ |= {id(obj)}
+            if isinstance(obj, dict):
+                return "{%s}" % ", ".join("%r: %s" % (k, shown(v, open_)) for k, v in obj.items())
+            return "[%s]" % ", ".join(shown(v, open_) for v in obj)
+
+        return ConstructorError(problem="mapping key %s at line %d is not a scalar; agent-state "
+                                "mapping keys must be 1-based basis indices" % (shown(key), line))
 
     def node(self, event, key=False):
         """(object, start mark) of the node that event begins."""
@@ -220,7 +267,10 @@ class _Builder:
                     and (key := scalars.get(event.value, _UNSEEN)) is not _UNSEEN:
                 mark = event.start_mark
             else:
+                keyed = self.keyed
+                self.keyed = data if keyed is None else keyed
                 key, mark = self.node(event, key=True)
+                self.keyed = keyed
             if key is _MERGE:
                 value, mark = self.node(get())
                 sources = value if isinstance(value, list) else [value]
@@ -230,10 +280,12 @@ class _Builder:
                 continue
             try:
                 written = key in body
-            except TypeError:
-                raise ConstructorError(problem="mapping key %r at line %d is not a scalar; "
-                                       "agent-state mapping keys must be 1-based basis "
-                                       "indices" % (key, mark.line + 1)) from None
+            except TypeError:  # reported once the document is read (`unhashable_key`)
+                if self.unhashable is None:
+                    self.unhashable = key, mark.line + 1, data, (data if self.keyed is None
+                                                                  else self.keyed)
+                self.read(get())
+                continue
             if written and type(data) is _Map:
                 raise ConstructorError(problem="duplicate key %r at line %d, first written "
                                        "at line %d" % (key, mark.line + 1,

@@ -6,9 +6,10 @@ checking every subset and by the plain fixed point, the one-step reach,
 the reachable layers and the cheapest edges one state at a time in
 Fraction arithmetic, a prefix into a cycle by scanning the reachable
 layers again, the counter RNG is recomputed on Python integers and
-its normals by a scalar ziggurat that takes strip, sign and fraction from
-the integer bits, the co-simulation runs one fast step and one draw call
-at a time over every trial's full trajectory (and the decay check reads
+its normals one at a time by a scalar AS241 inverse normal CDF (whose
+accuracy the tests check against statistics.NormalDist), the
+co-simulation runs one fast step and one draw call at a time over every
+trial's full trajectory (and the decay check reads
 it whole, and its decay statistics also from V summed afresh term by
 term in index order), its expected decay residual comes exactly from
 the plants' second moments, a schedule is replayed one slow step at a
@@ -433,18 +434,6 @@ def integer_uniforms(seed: int, stream: int, step: int, draw: int, trials: int) 
     return [_uniform_bits(key, t) * 2.0 ** -53 for t in range(trials)]
 
 
-def portable_exp(x: float) -> float:
-    """`cosim._exp` on one Python float: the same coefficients, operation
-    for operation."""
-    k = float(round(x * cosim._INV_LN2))  # round half to even, as rint
-    r = x - k * cosim._LN2_HI
-    r -= k * cosim._LN2_LO
-    q = cosim._EXP_COEFFS[0]
-    for c in cosim._EXP_COEFFS[1:]:
-        q = q * r + c
-    return math.ldexp(q * (r * r) + r + 1.0, int(k))
-
-
 def portable_log(x: float) -> float:
     """`cosim._log` on one Python float, operation for operation."""
     m, e = math.frexp(x)
@@ -462,68 +451,31 @@ def portable_log(x: float) -> float:
     return k * cosim._LN2_HI - ((hfsq - (s * (hfsq + r) + k * cosim._LN2_LO)) - f)
 
 
-_ZIG_X = [float(x) for x in cosim._ZIG_X]
-_ZIG_R = _ZIG_X[1]
-_ZIG_F = [portable_exp(-0.5 * (x * x)) for x in _ZIG_X]
-_AUX = 1 << 63
+def _horner(coeffs, r: float) -> float:
+    """The polynomial in r with `coeffs`, highest degree first, by Horner's rule."""
+    y = r * coeffs[0] + coeffs[1]
+    for c in coeffs[2:]:
+        y = y * r + c
+    return y
 
 
-def ziggurat(bits):
-    """One standard normal by the 256-strip ziggurat, one element at a time.
-
-    bits(j) is the uniform of noise draw j as v in [1, 2^53] (the uniform
-    is v 2^-53); attempt a of noise draw d reads draw j = d + a 2^32, and
-    its wedge or tail test draws _AUX + 2j and _AUX + 2j + 1.  The strip index
-    t = v >> 44 and the in-strip fraction (v mod 2^44) 2^-44 come from the
-    integer, not from floating-point floors.  Returns (x, path): path lists
-    "fast", "wedge", "wedge-reject", "tail" and "tail-reject" in order.
-    """
-    path = []
-    tail = None  # the strip index t of the attempt that reached the tail
-    j = bits.first
-    while True:
-        if tail is None:
-            v = bits(j)
-            t = v >> 44
-            if t == 512:  # u = 1
-                return 0.0, path + ["fast"]
-            strip = t % 256
-            x = (v & (2**44 - 1)) * 2.0 ** -44 * _ZIG_X[strip]
-            if x < _ZIG_X[strip + 1]:
-                return x * (-1.0 if t >= 256 else 1.0), path + ["fast"]
-            if strip == 0:
-                tail = t
-        u1 = bits(_AUX + 2 * j) * 2.0 ** -53
-        u2 = bits(_AUX + 2 * j + 1) * 2.0 ** -53
-        if tail is not None:
-            e = portable_log(u1) / -_ZIG_R
-            if -2.0 * portable_log(u2) > e * e:
-                return (_ZIG_R + e) * (-1.0 if tail >= 256 else 1.0), path + ["tail"]
-            path.append("tail-reject")
-        else:
-            y = _ZIG_F[strip] + u1 * (_ZIG_F[strip + 1] - _ZIG_F[strip])
-            if portable_log(y) < -0.5 * (x * x):
-                return x * (-1.0 if t >= 256 else 1.0), path + ["wedge"]
-            path.append("wedge-reject")
-        j += 2**32
-
-
-class CounterBits:
-    """`ziggurat`'s draws for one trial's noise draw `draw` at a step."""
-
-    def __init__(self, seed: int, stream: int, step: int, draw: int, trial: int, key=None):
-        self.seed, self.stream, self.step, self.trial = seed, stream, step, trial
-        self.first = draw
-        self.key = key  # of draw `draw`, when the caller has it
-
-    def __call__(self, j: int) -> int:
-        key = self.key if j == self.first and self.key is not None else \
-            _counter_key(self.seed, self.stream, self.step, j)
-        return _uniform_bits(key, self.trial)
+def as241(v: int) -> float:
+    """The standard normal of the uniform v 2^-53, v in [1, 2^53], one
+    element at a time: Phi^-1 at the midpoint of its cell, q = (u - 1/2) -
+    2^-54, by Wichura's AS241 with `cosim`'s coefficients and `portable_log`,
+    operation for operation as `cosim._normals` takes them."""
+    q = (v * 2.0 ** -53 - 0.5) - 2.0 ** -54
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        return _horner(cosim._CENTRAL_NUM, r) * (q / _horner(cosim._CENTRAL_DEN, r))
+    r = math.sqrt(-portable_log(0.5 - abs(q)))
+    shift, num, den = cosim._FAR if r > 5.0 else cosim._NEAR
+    r -= shift
+    return math.copysign(_horner(num, r) / _horner(den, r), q)
 
 
 def counter_normals(seed: int, stream: int, step, count: int, trials: int) -> np.ndarray:
-    """(trials, count) standard normals of the substream by `ziggurat`, one
+    """(trials, count) standard normals of the substream by `as241`, one
     element at a time on Python integers; (steps, trials, count) for a 1-D
     array of steps.  Column d is noise draw d: the per-stream
     construction that `simulate`'s one call per plant and block must equal."""
@@ -533,7 +485,7 @@ def counter_normals(seed: int, stream: int, step, count: int, trials: int) -> np
         for d in range(count):
             key = _counter_key(seed, stream, l, d)
             for t in range(trials):
-                out[s, t, d] = ziggurat(CounterBits(seed, stream, l, d, t, key))[0]
+                out[s, t, d] = as241(_uniform_bits(key, t))
     return out.reshape(np.shape(step) + (trials, count))
 
 

@@ -79,10 +79,10 @@ from fadectrl.mas import Schedule
 # seed 7, 100 trials, 400 fast steps.  The plant steps sum in index order
 # without BLAS and the normals use no transcendental function of numpy's, so
 # the digest holds on every OpenBLAS kernel and SIMD path
-GOLDEN_TRACE_SHA256 = "86e7fd694ea352b1d1129f4e6f1626210abea4d910b120a7cf5c2f792a4558b4"
+GOLDEN_TRACE_SHA256 = "3f0f6a336bb2aa26915fe12f132299d027d847d1b507c780a67d9801c10f9491"
 # SHA-256 of that run's simulate report from its second line on (the first
 # names the scenario path): pins the printed cost and decay margins
-GOLDEN_REPORT_SHA256 = "e587784a923f9176ac57a5d9eaf2f942b6d3c4249339ba85c6126dd0b7fff69b"
+GOLDEN_REPORT_SHA256 = "30304351a59b9f86b5f5cad65e5a5388b1ec149f1d94ed5086663a8c20700524"
 # SHA-256 of that trace's l, k, alpha, delivered* and running_cost columns,
 # one comma-joined row per line: the same since the Box-Muller normals, so a
 # change of the noise draws moves the x* columns alone

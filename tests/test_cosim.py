@@ -5,16 +5,18 @@ Proves:
            agreement with an integer recomputation, block calls over an
            array of steps and fused calls over paired (stream, draw) arrays
            equal to the stacked single calls, a plant's one call per block
-           equal to its per-stream deliveries and the scalar ziggurat's
-           normals for dims 1-3, over every path a normal takes (fast,
-           wedge, tail, retries) and u = 1 mapped to +0, an odd normal
-           count the prefix of the next even one, and a block of the most
-           steps within 2**15 trial-steps, at least 8; the
-           ziggurat table correctly rounded from a 60-digit recomputation,
-           the portable exp and log within 2 ulps of libm, 10^6 normals
-           with the normal moments and a Kolmogorov-Smirnov statistic
-           within fixed bounds, and the same trace bytes in a child with
-           numpy's dispatched CPU features disabled
+           (and no other in a run) equal to its per-stream deliveries and
+           the scalar AS241's normals for dims 1-3, the block's normals
+           equal to the scalar oracle's over the central rational and both
+           tail rationals, within 1e-14 of statistics.NormalDist at cell
+           midpoints about |q| = 0.425, r = 5 and the outermost cells, odd
+           in the cell and never zero, with the standard library's AS241 coefficients, an
+           odd normal count the prefix of the next even one, and a block
+           of the most steps within 2**15 trial-steps, at least 8; the
+           portable log within 2 ulps of libm, 10^6 normals with the normal
+           moments and a Kolmogorov-Smirnov statistic within fixed bounds,
+           and the same trace bytes in a child with numpy's dispatched CPU
+           features disabled
  Group 2 - schedules: indexing, serialization, validation
  Group 3 - simulate: bit-exact reproducibility, a fully deterministic
            closed-form case, delivery rates from the per-step delivery
@@ -24,10 +26,12 @@ Proves:
            exactly, streamed decay statistics to 1e-12, check verdicts
            exactly), at 101 trials and on the shorter blocks of 1031
            trials, also for a 3-dim plant with correlated noise and a
-           scalar plant with a non-unit noise factor, and for a 2-dim plant
+           scalar plant with a non-unit noise factor, for a 2-dim plant
            with an explicit non-diagonal quality weight and a scalar one
-           with Q = 2.5; a quality weight asymmetric within the loader's
-           tolerance stored exactly symmetric, and the decay statistics
+           with Q = 2.5, and for the arm with a zero row in its noise
+           factor, CSV bytes and signed zeros included, over seeds 1-40; a
+           quality weight asymmetric within the loader's tolerance stored
+           exactly symmetric, and the decay statistics
            of it and of a 3-dim plant with a full quality weight equal,
            byte for byte, to V summed afresh term by term; no numpy
            warning at one or two trials, memory whose growth per step
@@ -56,17 +60,19 @@ Proves:
            the horizon
 """
 
+import ast
 import dataclasses
-import decimal
 import hashlib
 import io
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -98,7 +104,7 @@ from fadectrl.errors import (
 from fadectrl.mas import Schedule
 from fadectrl.scenario import load_scenario_text
 from oracles import (
-    CounterBits,
+    as241,
     average_cost_trace,
     counter_normals,
     decay_mean_z,
@@ -106,10 +112,8 @@ from oracles import (
     full_lyapunov_check,
     integer_uniforms,
     ordered_decay_statistics,
-    portable_exp,
     portable_log,
     stepwise_simulate,
-    ziggurat,
 )
 
 OPTIMAL = Schedule(prefix_inputs=(), cycle_inputs=(7, 7, 4, 7), alpha0=4)
@@ -162,9 +166,9 @@ simulation:
   initial_plant_states: [[1.0]]
 """
 
-# a 3-dim plant with correlated noise (two uniform pairs per step, the last
-# sine unused) and a scalar plant whose noise factor sqrt(2) is not 1; both
-# links deliver with fixed probabilities strictly between 0 and 1
+# a 3-dim plant with correlated noise (three normals a step) and a scalar
+# plant whose noise factor sqrt(2) is not 1; both links deliver with fixed
+# probabilities strictly between 0 and 1
 MIXED_PLANTS = """\
 name: mixed plant probe
 fast_steps_per_slow: 5
@@ -361,14 +365,13 @@ def test_substreams_must_pair_up():
 def _block_draws(seed, plant, steps, dim, trials):
     """`_plant_draws` of plant `plant` over `steps`, the block's columns of
     a key table that starts at step 0, as `_rollout` reads them."""
-    keys, step_keys = _plant_keys(seed, plant, dim, np.arange(steps[-1] + 1))
-    return _plant_draws(keys[:, steps[0] :], step_keys[steps[0] :], trials,
-                        cosim._Arena(dim, len(steps), trials))
+    keys = _plant_keys(seed, plant, dim, np.arange(steps[-1] + 1))
+    return _plant_draws(keys[:, steps[0] :], trials, cosim._Arena(dim, len(steps), trials))
 
 
 def _assert_plant_draws_match(seed, plant, steps, dim, trials):
     """`_plant_draws` against the per-stream calls: deliveries from
-    `counter_uniforms`, normals from the scalar ziggurat, byte for byte."""
+    `counter_uniforms`, normals from the scalar AS241, byte for byte."""
     uniforms, z = _block_draws(seed, plant, steps, dim, trials)
     want = _uniforms(seed, 2 * plant, steps, 0, trials)
     assert uniforms.shape == want.shape and uniforms.tobytes() == want.tobytes()
@@ -381,44 +384,127 @@ def _assert_plant_draws_match(seed, plant, steps, dim, trials):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_plant_block_draws_equal_per_stream_calls(seed, dim):
     # simulate's one call per plant and block gives the deliveries and the
-    # ziggurat normals of the per-stream construction, element for element
+    # AS241 normals of the per-stream construction, element for element
     trials = 1031
     steps = np.arange(40, 40 + block_steps(trials) + 3)
     for plant in (0, 3):
         _assert_plant_draws_match(seed, plant, steps, dim, trials)
 
 
-def test_plant_block_draws_take_every_ziggurat_path():
-    # these counters hold every path a normal can take: the fast path, a
-    # wedge kept and rejected (once and twice), and the tail, kept and
-    # retried from the tail; the block's normals equal the scalar oracle's
+def test_each_plant_hashes_a_block_in_one_call(scenario, monkeypatch):
+    # the normals take no further draw: one `counter_uniforms` call per plant
+    # and block, the benchmark's `cosim.rng` span
+    calls, hashed = [], cosim.counter_uniforms
+    monkeypatch.setattr(cosim, "counter_uniforms",
+                        lambda *a, **k: calls.append(1) or hashed(*a, **k))
+    horizon = 2 * block_steps(1000) + 3
+    simulate(scenario, OPTIMAL, SimConfig(horizon, 1000, 1))
+    assert len(calls) == 3 * len(scenario.plants)
+
+
+# |x| at |q| = 0.425, where the central rational hands over to the tail's
+CENTRAL_EDGE = -NormalDist().inv_cdf(0.075)
+
+
+def test_plant_block_draws_take_both_drawn_as241_branches():
+    # these counters hold both branches drawn normals take at this size, the
+    # central rational and the tail's for r <= 5, on both signs (r > 5, a
+    # tail probability below e^-25, is left to the cell tests below); the
+    # block's normals equal the scalar oracle's
     seed, trials, steps = 7, 1031, np.arange(21)
-    paths = {tuple(ziggurat(CounterBits(seed, 1, l, d, t))[1])
-             for l in steps.tolist() for d in range(3) for t in range(trials)}
-    assert paths == {("fast",), ("wedge",), ("tail",), ("wedge-reject", "fast"),
-                     ("wedge-reject", "wedge"), ("wedge-reject", "wedge-reject", "fast"),
-                     ("tail-reject", "tail")}
+    z = _block_draws(seed, 0, steps, 3, trials)[1]
+    for branch in (np.abs(z) < CENTRAL_EDGE, np.abs(z) > CENTRAL_EDGE):
+        assert (z[branch] < 0).any() and (z[branch] > 0).any()
     _assert_plant_draws_match(seed, 0, steps, 3, trials)
 
 
-def test_unit_uniform_maps_to_positive_zero():
-    # u = 1 is the one uniform with floor(512 u) = 512: the fast path maps it
-    # to +0, as the oracle does; u = 1/2 starts the negative strips, at -0
-    u = np.array([1.0, 2.0 ** -53, 0.5, 0.5 + 2.0 ** -53])
-    t, width, accepted = np.empty(4, np.intp), np.empty(4), np.empty(4, bool)
-    cosim._strips(u, t, width, accepted)
-    assert t.tolist() == [512, 0, 256, 256] and accepted.all()
-    tiny = 2.0 ** -44 * cosim._ZIG_X[0]
-    assert (u * cosim._ZIG_SIGN[t]).tobytes() == np.array([0.0, tiny, -0.0, -tiny]).tobytes()
+LAST_CELL = 2**53 - 1
 
-    class Unit:
-        first = 0
 
-        def __call__(self, j):
-            return 2**53
+def _cells(b):
+    """The uniforms (b + 1) 2^-53 of cells b, as `counter_uniforms` gives them."""
+    return (np.asarray(b, np.int64) + 1).astype(np.float64) * 2.0 ** -53
 
-    assert ziggurat(Unit()) == (0.0, ["fast"])
-    assert math.copysign(1.0, ziggurat(Unit())[0]) == 1.0
+
+def _block_normals(b):
+    """`cosim._normals` of cells b, as one row."""
+    u = _cells(b)
+    return cosim._normals(u[None], np.empty_like(u), np.empty_like(u),
+                          np.empty(u.shape, bool))[0]
+
+
+# cells on either side of |q| = 0.425 and of r = 5 (tail probability e^-25),
+# the outermost ones and those about the middle
+EDGE_CELLS = sorted({
+    *range(5), *range(LAST_CELL - 4, LAST_CELL + 1), *range(2**52 - 3, 2**52 + 3),
+    *(c + k for p in (0.075, math.exp(-25))
+      for c in (round(p * 2**53), LAST_CELL - round(p * 2**53)) for k in range(-3, 4))})
+
+
+def _test_cells(seed, n):
+    """EDGE_CELLS, then n random cells."""
+    return np.array(EDGE_CELLS + np.random.default_rng(seed).integers(0, 2**53, n).tolist())
+
+
+def test_normals_take_every_as241_branch_as_the_scalar_oracle_does():
+    # the block's normals equal the scalar oracle's byte for byte over the
+    # central rational and both tail rationals, on both signs
+    cells = _test_cells(5, 5000)
+    got = _block_normals(cells)
+    assert got.tolist() == [as241(b + 1) for b in cells.tolist()]
+    q = (_cells(cells) - 0.5) - 2.0 ** -54
+    tail = 0.5 - np.abs(q)
+    for branch in (np.abs(q) <= 0.425, (tail < 0.075) & (tail > math.exp(-25)),
+                   tail < math.exp(-25)):
+        assert (q[branch] < 0).any() and (q[branch] > 0).any()
+
+
+def test_normals_are_within_1e_14_of_the_inverse_cdf():
+    # statistics.NormalDist evaluates AS241 in its own operation order with
+    # libm's log; it is taken at the lower tail probability 1/2 - |q|, which
+    # is exact, and given q's sign
+    cells = _test_cells(6, 20000)
+    got = _block_normals(cells).tolist()
+    q = ((_cells(cells) - 0.5) - 2.0 ** -54).tolist()
+    want = [math.copysign(NormalDist().inv_cdf(0.5 - abs(v)), v) for v in q]
+    assert max(abs(g - w) / abs(w) for g, w in zip(got, want)) < 1e-14
+
+
+def test_normals_are_odd_in_the_cell_and_never_zero():
+    # draws b and 2^53 - 1 - b give x and -x; the outermost cells give
+    # -+8.29, and the middle ones +-2^-54 sqrt(2 pi) to first order, not +-0
+    b = np.array([0, 1, 2, 2**52 - 1, 2**52 - 2, 12345, 2**51, 2**53 // 40])
+    x = _block_normals(b)
+    assert (-x).tobytes() == _block_normals(LAST_CELL - b).tobytes()
+    assert x[0] == -8.292361075813595
+    tiny = 2.0 ** -54 * math.sqrt(2 * math.pi)
+    np.testing.assert_allclose(_block_normals([2**52 - 1, 2**52]), [-tiny, tiny],
+                               rtol=1e-15, atol=0)
+    assert np.all(_block_normals(np.arange(2**52 - 500, 2**52 + 500)) != 0)
+
+
+def _stdlib_as241_constants():
+    """The float constants of the standard library's pure-Python
+    statistics._normal_dist_inv_cdf, in source order."""
+    tree = ast.parse(Path(statistics.__file__).read_text())
+    function = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                    and node.name == "_normal_dist_inv_cdf")
+    constants = [node for node in ast.walk(function)
+                 if isinstance(node, ast.Constant) and type(node.value) is float]
+    return [node.value for node in sorted(constants, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_as241_coefficients_are_the_standard_librarys():
+    # the central rational's numerator and denominator, then each tail
+    # rational's shift, numerator and denominator, are the floats of
+    # Wichura's 20-digit decimals as the standard library spells them; its
+    # constants between are 0.0, 1.0 and the 5.0 of r <= 5
+    stdlib = _stdlib_as241_constants()
+    ours = [*cosim._CENTRAL_NUM, *cosim._CENTRAL_DEN]
+    for rational in (cosim._NEAR, cosim._FAR):
+        ours += [rational[0], *rational[1], *rational[2]]
+    assert stdlib[:3] == [0.5, 0.425, 0.180625]
+    assert ours == stdlib[3:19] + stdlib[22:56]
 
 
 def test_block_steps_bound_the_block_by_the_trial_count():
@@ -440,80 +526,18 @@ def test_odd_normal_count_is_a_prefix_of_the_next_even_one():
         assert three.tobytes() == np.ascontiguousarray(four[..., :3]).tobytes()
 
 
-def _exact_ziggurat_table(r_guess):
-    """The 256-strip table of exp(-x^2 / 2) as Decimals, with the R that
-    closes it, found from r_guess, and the closing residual."""
-    d = decimal.Decimal
-    # Ramanujan's series for 1/pi converges 8 digits a term
-    total, term, k = d(1103), d(1), 0
-    while True:
-        k += 1
-        term *= d((4 * k - 3) * (4 * k - 2) * (4 * k - 1) * 4 * k) / d(k ** 4 * 396 ** 4)
-        step = term * (1103 + 26390 * k)
-        total += step
-        if step < d(10) ** -70:
-            break
-    pi = 9801 / (2 * d(2).sqrt() * total)
-
-    def density(x):
-        return (-x * x / 2).exp()
-
-    def tail(r):  # the integral of exp(-x^2 / 2) from r on, by erf's series
-        zz = r * r / 2
-        term = total = r / d(2).sqrt()
-        n = 0
-        while term > total * d(10) ** -70:
-            n += 1
-            term *= 2 * zz / (2 * n + 1)
-            total += term
-        return (pi / 2).sqrt() * (1 - 2 / pi.sqrt() * (-zz).exp() * total)
-
-    def table(r):
-        v = r * density(r) + tail(r)
-        xs, f = [v / density(r), r], density(r)
-        for i in range(1, 256):
-            f += v / xs[i]
-            if i < 255:
-                xs.append((-2 * f.ln()).sqrt())
-        return xs + [d(0)], f - 1  # f is the top strip's height, 1 when closed
-
-    lo, hi = d(r_guess) - d(10) ** -14, d(r_guess) + d(10) ** -14
-    g_lo, g_hi = table(lo)[1], table(hi)[1]
-    for _ in range(8):  # secant steps to the closing R
-        lo, g_lo, hi = hi, g_hi, hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        g_hi = table(hi)[1]
-    return table(hi)
-
-
-def test_ziggurat_table_is_correctly_rounded():
-    # every entry is the float64 nearest the exact table: the 256-strip
-    # recursion from the R that closes it at X[256] = 0, at 60 digits.  A
-    # float recursion on libm misses most entries by an ulp or more
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        xs, closing = _exact_ziggurat_table(cosim._ZIG_R)
-        assert abs(closing) < decimal.Decimal(10) ** -50
-    assert [float(x) for x in xs] == cosim._ZIG_X.tolist()
-    assert len(xs) == 257 and cosim._ZIG_R == cosim._ZIG_X[1]
-
-
 def _ulps(got, want) -> float:
     return max(abs(g - w) / math.ulp(w) for g, w in zip(got, want))
 
 
-def test_portable_exp_and_log_are_within_two_ulps_of_libm():
-    # over exp's domain of normal results and log's positive normal inputs,
-    # with the ends, 1 and points near it; the oracle's scalar copies agree
-    # to the bit
+def test_portable_log_is_within_two_ulps_of_libm():
+    # over log's positive normal inputs, with the ends, 1, points near it
+    # and the normals' tail probabilities 1/2 - |q| down to 2^-54; the
+    # oracle's scalar copy agrees to the bit
     rng = np.random.default_rng(2024)
-    x = np.concatenate([rng.uniform(-708, 709, 20000), rng.uniform(-1, 1, 20000),
-                        rng.uniform(-8, 0, 20000), [-708.0, 709.0, 0.0, -0.0, 1e-300,
-                                                    0.5 * math.log(2), -0.5 * math.log(2)]])
-    got = cosim._exp(x)
-    assert _ulps(got.tolist(), [math.exp(v) for v in x.tolist()]) <= 2
-    assert got.tolist() == [portable_exp(v) for v in x.tolist()]
     y = np.concatenate([rng.uniform(0, 1, 20000), np.exp(rng.uniform(-700, 700, 20000)),
                         1 + rng.uniform(-1e-3, 1e-3, 20000), np.arange(1, 2001) * 2.0 ** -53,
+                        rng.uniform(0, 0.075, 20000), np.arange(1, 2001) * 2.0 ** -54,
                         [2.0 ** -1022, 1.0, 2.0, math.sqrt(0.5), np.nextafter(1.0, 0.0),
                          np.nextafter(1.0, 2.0), sys.float_info.max]])
     got = cosim._log(y)
@@ -522,7 +546,11 @@ def test_portable_exp_and_log_are_within_two_ulps_of_libm():
     assert cosim._log(np.array([1.0])).tolist() == [0.0]
 
 
-def test_ziggurat_normals_match_the_normal_distribution():
+# the count of normals beyond this R is one of the distribution test's moments
+DISTRIBUTION_R = 3.654152885361009
+
+
+def test_block_normals_match_the_normal_distribution():
     # 10^6 normals of one stream over blocks of steps; thresholds fixed
     # before the first run: 5 standard errors for the mean, variance,
     # skewness, kurtosis and the count beyond R, and the Kolmogorov-Smirnov
@@ -539,8 +567,9 @@ def test_ziggurat_normals_match_the_normal_distribution():
     assert abs(var - 1) < 5 * math.sqrt(2 / n)
     assert abs(np.mean(c ** 3)) < 5 * math.sqrt(6 / n)
     assert abs(np.mean(c ** 4) - 3) < 5 * math.sqrt(24 / n)
-    beyond = 2 * 0.5 * math.erfc(cosim._ZIG_R / math.sqrt(2))  # P(|z| > R)
-    assert abs(np.count_nonzero(np.abs(z) > cosim._ZIG_R) - n * beyond) < 5 * math.sqrt(n * beyond)
+    beyond = 2 * 0.5 * math.erfc(DISTRIBUTION_R / math.sqrt(2))  # P(|z| > R)
+    assert abs(np.count_nonzero(np.abs(z) > DISTRIBUTION_R) - n * beyond) < \
+        5 * math.sqrt(n * beyond)
     z.sort()
     phi = 0.5 * (1 + np.array([math.erf(v) for v in (z / math.sqrt(2)).tolist()]))
     ranks = np.arange(1, n + 1) / n
@@ -769,6 +798,37 @@ def test_simulate_matches_stepwise_oracle_on_quality_weights(horizon):
     _assert_matches_stepwise_oracle(scn, STAY, SimConfig(horizon, 29, 11))
 
 
+def _csv(trace):
+    """A trace's CSV, as `write_trace_csv` writes it."""
+    out = io.StringIO()
+    write_trace_csv(trace, out)
+    return out.getvalue()
+
+
+def test_simulate_matches_stepwise_oracle_on_a_noise_factor_with_a_zero_row(scenario_path):
+    # the bundled cell with the arm's noise on its second state alone and no
+    # initial plant states: F = [[0, 0], [0, 1]], so w_0 = 0 z_0 + 0 z_1 is a
+    # signed zero, -0 only where both normals are negative, and x1_1 at l = 1
+    # is that zero plus the arm's row of A times x0 = +0, both entries
+    # negative: -0 + w_0.  A noise phase that skipped the factor's zeros
+    # above the diagonal would print -0.0 wherever z_0 < 0 < z_1
+    text = scenario_path.read_text()
+    for old, new in (("noise_cov: identity", "noise_cov: [[0.0, 0.0], [0.0, 1.0]]"),
+                     ("simulation:\n  initial_plant_states: [[1.0, 1.0], [1.0]]\n", "")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    scn = load_scenario_text(text)
+    assert scn.x0 is None and scn.plants[0].noise_factor.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+    first = set()
+    for seed in range(1, 41):
+        config = SimConfig(5, 2, seed)
+        _assert_matches_stepwise_oracle(scn, OPTIMAL, config)
+        got = simulate(scn, OPTIMAL, config)
+        assert _csv(got) == _csv(stepwise_simulate(scn, OPTIMAL, config)[0])
+        first.add(_csv(got).splitlines()[2].split(",")[3])
+    assert first == {"0.0", "-0.0"}
+
+
 # quality weight rows of QUALITY_WEIGHTS' arm that differ by 1e-10, within the
 # loader's symmetry tolerance, and a 3-dim plant with a full quality weight
 NEAR_SYMMETRIC = QUALITY_WEIGHTS.replace("[[2.0, 0.7], [0.7, 1.5]]",
@@ -852,10 +912,8 @@ def _digests(trace):
     """SHA-256 of each array of a trace, in field order, and of its CSV."""
     arrays = [*trace.states, trace.deliveries, trace.delivery_counts, trace.running_cost,
               *trace.decay_mean, *trace.decay_sd]
-    out = io.StringIO()
-    write_trace_csv(trace, out)
     return ([hashlib.sha256(a.tobytes()).hexdigest() for a in arrays],
-            hashlib.sha256(out.getvalue().encode()).hexdigest())
+            hashlib.sha256(_csv(trace).encode()).hexdigest())
 
 
 @pytest.mark.parametrize("trials", [100, 1000])
@@ -881,16 +939,16 @@ def test_trace_bytes_do_not_depend_on_the_block(scenario, trials, monkeypatch):
 # deliveries, the delivery counts, the running cost, each plant's decay mean,
 # each plant's decay sd; and the CSV
 BENCHMARK_SHAPE_SHA256 = ([
-    "eb8e75413488360b89077103800c81d4d68546b954cb2c5a0ab509dd2cf97a08",
-    "e1825582cece50443fc4a9b141524f5cc4f4e171674cc7d864e117ec93f09322",
+    "01af6337a4dc1d67689ebb64b6e7d5fd9c961d391655e2547c44659ab604f473",
+    "733bc6b3dc9eabc7dbef8b84344671e9beb6798914c9fc9f4154e959a95ff3fc",
     "c37aafedeb3bdad43fbbb04f27fdaa35719c4f8c55e60b8f50d072f2ca7a3c98",
     "885c835214fe0700452f91692a8ae8fc2f228adaeb48c08927f5c5822fc65ac3",
     "1a4a04209dd0aaa86bfc7cf1bc26b953f0b38945de9c17e70552c1db76af193b",
-    "69d7da9ba18f74d05b351b8010e815902fff6b2494443a18813f35bb51a3371e",
-    "d5a6c7d709247e1dd2e868c3a2db8d115bad570811796cbeec6427c7de8c51c1",
-    "faeac8bd4dad0a5e494cd5bcff5dc6f6169bdef6a85f9d7058a5bbff6656545c",
-    "4517055d49428255b8a4740d786661a0689fee19efe7dd56f3daada0d54775a3",
-], "03bbb5410cc78c97168544ddae99ec15795112f2432c7f91f6c784caa5df08d5")
+    "3714f016b2c42b36db270506079abe46aa8937d4a4f9991d2e3aba370b716bed",
+    "ec136ac30e6b1ea78c0429328137a9bb59b6b5628cb5f6f47321a9876644f963",
+    "ddf4c732e431812e26af201ffa05e390b962ef1f00eb6350e89d05600cb5cc4b",
+    "33ca1e3c5144e0e9ddd37ea9c3217b104c4c133ab44dca1324b2b0c39fe0e839",
+], "cca4158e2f0ac7294ad96ce25e772b482e5e26ea5b73423c255f75681411eec1")
 
 
 def test_benchmark_shape_trace_is_pinned(scenario):

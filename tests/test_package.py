@@ -14,9 +14,10 @@ Proves:
            module uses it, or README's library example does; every name in
            the export table resolves as an attribute of the package and is
            bound by `from fadectrl import *`
- Group 5 - no test module but test_cli.py imports fadectrl.cli: the
-           others reach the pipeline through the library, as README's
-           example does
+ Group 5 - no test module but test_cli.py and test_robustness.py (the
+           commands' exit statuses, stderr and artifacts on mutated
+           scenarios) imports fadectrl.cli: the others reach the pipeline
+           through the library, as README's example does
 """
 
 import ast
@@ -224,4 +225,4 @@ def test_only_the_cli_tests_import_the_cli():
     assert _imports_cli(ast.parse((TESTS / "test_cli.py").read_text()))
     importing = [path.name for path in paths
                  if _imports_cli(ast.parse(path.read_text(), filename=str(path)))]
-    assert importing == ["test_cli.py"]
+    assert importing == ["test_cli.py", "test_robustness.py"]

@@ -674,6 +674,12 @@ PLOTS = "  initial_plant_states: [[1.0, 1.0], [1.0]]\n"
      "could not determine a constructor for the tag '!foo'"),
     ("name: assembly cell\n", "name: <<\n",
      "could not determine a constructor for the tag 'tag:yaml.org,2002:merge'"),
+    # an anchored mapping as a key inside itself: the reference shows it filled
+    # with its entries, the collections in them made but not yet filled
+    ("  count: 2\n", "  count: &n {a: 1, b: {*n: 2}}\n",
+     "mapping key {'a': 1, 'b': {}} at line 35 is not a scalar"),
+    ("  count: 2\n", "  count: &n {a: 1, b: {*n: 2}, c: [3]}\n",
+     "mapping key {'a': 1, 'b': {}, 'c': []} at line 35 is not a scalar"),
     # no YAML error: these read to the reference loader's documents
     ("  states: [1, 2, 3, 4, 5, 6]\n", "  states: !!set {1, 2, 3, 4, 5, 6}\n", None),
     ("name: assembly cell\n", "name: !!omap [{a: 1}, {b: [2]}]\n", None),
@@ -681,7 +687,7 @@ PLOTS = "  initial_plant_states: [[1.0, 1.0], [1.0]]\n"
     ("  count: 2\n  kappa: 3\n", "  count: &n 2\n  kappa: *n\n", None),
     (ROWS_1_TO_3, MERGED_ROWS, None),
 ], ids=["undefined_alias", "duplicate_anchor", "second_document", "tag", "collection_tag",
-        "merge_value", "set", "omap", "pairs", "alias", "merged_list"])
+        "merge_value", "alias_key_inside_itself", "alias_key_before_a_list", "set", "omap", "pairs", "alias", "merged_list"])
 def test_anchors_tags_and_merges_read_as_the_reference_loader_reads_them(
         bundled_text, old, new, message):
     broken = bundled_text.replace(old, new)
